@@ -1,19 +1,8 @@
 //! Raw discrete-event-engine throughput: events per second through the
 //! scheduler. A regression here slows every simulation in the workspace.
-//!
-//! Each workload runs on every queue implementation — the hot-path timing
-//! wheel (`wheel`, the default), the indexed 4-ary heap (`indexed4`), and
-//! the original `BinaryHeap` scheduler (`classic`) kept as the regression
-//! baseline — so a run shows the speedup directly.
 
-//! A third group, `engine_seed_baseline`, runs the same workloads on the
-//! seed engine replica (`nicbar_bench::seed_engine`) — the original
-//! whole-entry `BinaryHeap` + pending-drain + `Option::take` hot path — so
-//! the overhaul's full speedup over the seed scheduler stays measurable.
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use nicbar_bench::seed_engine::{SeedComponent, SeedCtx, SeedEngine};
-use nicbar_sim::{Component, ComponentId, Ctx, Engine, SchedulerKind, SimTime};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use nicbar_sim::{Component, ComponentId, Ctx, Engine, SimTime};
 
 const EVENTS: u64 = 100_000;
 /// Concurrent tokens in the `flows` workload — the steady queue depth the
@@ -44,8 +33,8 @@ impl Component<Msg> for RingHop {
     }
 }
 
-fn ring_hop(kind: SchedulerKind) -> u64 {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
+fn ring_hop() -> u64 {
+    let mut engine: Engine<Msg> = Engine::new(0);
     let ids: Vec<ComponentId> = (0..16).map(|_| engine.reserve_id()).collect();
     for (i, &id) in ids.iter().enumerate() {
         engine.install(
@@ -63,8 +52,8 @@ fn ring_hop(kind: SchedulerKind) -> u64 {
 
 /// `FLOW_TOKENS` tokens circulating at staggered strides: sustained queue
 /// depth of `FLOW_TOKENS`.
-fn flows(kind: SchedulerKind) -> u64 {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
+fn flows() -> u64 {
+    let mut engine: Engine<Msg> = Engine::new(0);
     let ids: Vec<ComponentId> = (0..FLOW_TOKENS).map(|_| engine.reserve_id()).collect();
     for (i, &id) in ids.iter().enumerate() {
         engine.install(
@@ -103,139 +92,21 @@ impl Component<FMsg> for FanOut {
     }
 }
 
-fn fanout(kind: SchedulerKind) -> u64 {
-    let mut engine: Engine<FMsg> = Engine::with_scheduler(0, kind);
+fn fanout() -> u64 {
+    let mut engine: Engine<FMsg> = Engine::new(0);
     let id = engine.add(FanOut);
     engine.schedule_at(SimTime::ZERO, id, FMsg::Spawn(8));
     engine.run();
     engine.events_processed()
 }
 
-// The same two workloads on the seed engine replica.
-
-struct SeedRingHop {
-    next: ComponentId,
-    stride: u64,
-}
-
-impl SeedComponent<Msg> for SeedRingHop {
-    fn handle(&mut self, msg: Msg, ctx: &mut SeedCtx<'_, Msg>) {
-        let Msg::Hop(remaining) = msg;
-        if remaining > 0 {
-            ctx.send(
-                SimTime::from_ns(self.stride),
-                self.next,
-                Msg::Hop(remaining - 1),
-            );
-        }
-    }
-}
-
-fn seed_ring_hop() -> u64 {
-    let mut engine: SeedEngine<Msg> = SeedEngine::new();
-    let ids: Vec<ComponentId> = (0..16).map(|_| engine.reserve_id()).collect();
-    for (i, &id) in ids.iter().enumerate() {
-        engine.install(
-            id,
-            SeedRingHop {
-                next: ids[(i + 1) % ids.len()],
-                stride: 10,
-            },
-        );
-    }
-    engine.schedule_at(SimTime::ZERO, ids[0], Msg::Hop(EVENTS));
-    engine.run();
-    engine.events_processed()
-}
-
-fn seed_flows() -> u64 {
-    let mut engine: SeedEngine<Msg> = SeedEngine::new();
-    let ids: Vec<ComponentId> = (0..FLOW_TOKENS).map(|_| engine.reserve_id()).collect();
-    for (i, &id) in ids.iter().enumerate() {
-        engine.install(
-            id,
-            SeedRingHop {
-                next: ids[(i + 1) % ids.len()],
-                stride: 5 + (i as u64 % 13),
-            },
-        );
-    }
-    for (i, &id) in ids.iter().enumerate() {
-        engine.schedule_at(
-            SimTime::from_ns(i as u64),
-            id,
-            Msg::Hop(EVENTS / FLOW_TOKENS as u64),
-        );
-    }
-    engine.run();
-    engine.events_processed()
-}
-
-struct SeedFanOut;
-impl SeedComponent<FMsg> for SeedFanOut {
-    fn handle(&mut self, msg: FMsg, ctx: &mut SeedCtx<'_, FMsg>) {
-        let FMsg::Spawn(depth) = msg;
-        if depth > 0 {
-            for k in 0..4u64 {
-                ctx.send_self(SimTime::from_ns(10 + k), FMsg::Spawn(depth - 1));
-            }
-        }
-    }
-}
-
-fn seed_fanout() -> u64 {
-    let mut engine: SeedEngine<FMsg> = SeedEngine::new();
-    let id = engine.add(SeedFanOut);
-    engine.schedule_at(SimTime::ZERO, id, FMsg::Spawn(8));
-    engine.run();
-    engine.events_processed()
-}
-
-const KINDS: [(&str, SchedulerKind); 3] = [
-    ("wheel", SchedulerKind::TimingWheel),
-    ("indexed4", SchedulerKind::Indexed4),
-    ("classic", SchedulerKind::ClassicBinaryHeap),
-];
-
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
     g.throughput(Throughput::Elements(EVENTS));
-    // The headline bench names (no scheduler suffix) run the default
-    // scheduler, keeping the series comparable across revisions.
-    g.bench_function("ring_hop_100k_events", |b| {
-        b.iter(|| ring_hop(SchedulerKind::default()))
-    });
-    g.bench_function("flows_64_tokens", |b| {
-        b.iter(|| flows(SchedulerKind::default()))
-    });
-    g.bench_function("fanout_4^8_events", |b| {
-        b.iter(|| fanout(SchedulerKind::default()))
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("engine_scheduler");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(EVENTS));
-    for (name, kind) in KINDS {
-        g.bench_with_input(BenchmarkId::new("ring_hop", name), &kind, |b, &kind| {
-            b.iter(|| ring_hop(kind))
-        });
-        g.bench_with_input(BenchmarkId::new("flows", name), &kind, |b, &kind| {
-            b.iter(|| flows(kind))
-        });
-        g.bench_with_input(BenchmarkId::new("fanout", name), &kind, |b, &kind| {
-            b.iter(|| fanout(kind))
-        });
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("engine_seed_baseline");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(EVENTS));
-    g.bench_function("ring_hop", |b| b.iter(seed_ring_hop));
-    g.bench_function("flows", |b| b.iter(seed_flows));
-    g.bench_function("fanout", |b| b.iter(seed_fanout));
+    g.bench_function("ring_hop_100k_events", |b| b.iter(ring_hop));
+    g.bench_function("flows_64_tokens", |b| b.iter(flows));
+    g.bench_function("fanout_4^8_events", |b| b.iter(fanout));
     g.finish();
 }
 

@@ -27,8 +27,8 @@
 //!
 //! Run with `cargo run --release -p nicbar-bench --bin engine_prof`.
 
-use nicbar_bench::engineprof;
 use nicbar_bench::json::Manifest;
+use nicbar_bench::{engineprof, exit_usage};
 use nicbar_core::{build_gm_nic_cluster, gm_nic_barrier, Algorithm, RunCfg};
 use nicbar_gm::{CollFeatures, GmParams};
 use nicbar_sim::{EngineProf, EngineSel, RunOutcome};
@@ -191,23 +191,29 @@ fn main() {
     let quick = argv.iter().any(|a| a == "--quick");
     let check = argv.iter().any(|a| a == "--check");
     let value_of = |flag: &str| -> Option<&str> {
-        argv.iter().position(|a| a == flag).map(|i| {
-            argv.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .as_str()
-        })
+        argv.iter()
+            .position(|a| a == flag)
+            .map(|i| match argv.get(i + 1) {
+                Some(v) => v.as_str(),
+                None => exit_usage(&format!("{flag} needs a value")),
+            })
+    };
+    let positive = |flag: &str, v: &str| -> usize {
+        match v.parse() {
+            Ok(n) if n >= 1 => n,
+            _ => exit_usage(&format!("{flag} must be a positive integer, got {v}")),
+        }
     };
     let (mut nodes, mut shards) = if quick { (64, 2) } else { (4096, 8) };
     if let Some(v) = value_of("--nodes") {
-        nodes = v.parse().expect("--nodes must be an integer");
+        nodes = positive("--nodes", v);
     }
     if let Some(v) = value_of("--shards") {
-        shards = v.parse().expect("--shards must be an integer");
-        assert!(shards >= 1, "--shards must be >= 1");
+        shards = positive("--shards", v);
     }
     let chrome = value_of("--chrome").map(str::to_string);
     let partition = value_of("--partition")
-        .map(nicbar_bench::parse_partition)
+        .map(|v| nicbar_bench::parse_partition(v).unwrap_or_else(|e| exit_usage(&e)))
         .unwrap_or_default();
     // Excess shards would sit empty yet still pay every window barrier.
     shards = shards.min(nodes);

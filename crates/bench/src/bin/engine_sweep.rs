@@ -1,15 +1,14 @@
 //! Engine-throughput regression harness.
 //!
-//! Measures raw scheduler throughput (events/second) and end-to-end figure
-//! wall time on **all three** event-queue implementations — the hot-path
-//! timing wheel (default), the indexed 4-ary heap, and the classic
-//! `BinaryHeap` baseline — and verifies that they produce bit-identical
-//! simulation results while doing so. Writes `results/engine_sweep.json`.
+//! Measures raw engine throughput (events/second) on three micro workloads
+//! and the end-to-end wall time of two figure points, on the engine's one
+//! event queue (the indexed 4-ary heap), then runs the parallel one-shard
+//! overhead gate. Writes `results/engine_sweep.json`.
 //!
 //! Run with `cargo run --release -p nicbar-bench --bin engine_sweep`.
 //!
-//! `--quick [--baseline PATH]` runs only the timing-wheel micro workloads
-//! and compares their throughput against a previously saved
+//! `--quick [--baseline PATH]` runs only the micro workloads and compares
+//! their throughput against the `indexed4` rows of a previously saved
 //! `results/engine_sweep.json`, exiting non-zero on a >5% geomean
 //! regression. This is the observability zero-overhead gate: the recorder
 //! and trace ring stay disabled, so any slowdown here is hot-path damage.
@@ -20,11 +19,10 @@
 //! loaded CI box is too noisy for a hard threshold.
 
 use nicbar_bench::json::{Manifest, Writer};
-use nicbar_bench::seed_engine::{SeedComponent, SeedCtx, SeedEngine};
 use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm, RunCfg};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
-use nicbar_sim::{Component, ComponentId, Ctx, Engine, EngineSel, SchedulerKind, SimTime};
+use nicbar_sim::{Component, ComponentId, Ctx, Engine, EngineSel, SimTime};
 use std::time::Instant;
 
 const RING_EVENTS: u64 = 400_000;
@@ -33,6 +31,10 @@ const FANOUT_DEPTH: u32 = 9;
 /// paper's figure simulations actually run at (nodes × in-flight messages).
 const FLOW_TOKENS: usize = 64;
 const REPEATS: usize = 5;
+/// The `"scheduler"` value of every row this binary writes, and the rows
+/// `--quick` reads back: the queue the engine runs on. Saved baselines
+/// also hold rows of since-deleted queues, which `--quick` skips.
+const SCHEDULER: &str = "indexed4";
 
 enum Msg {
     Hop(u64),
@@ -80,8 +82,8 @@ impl Component<Msg> for FanOut {
     }
 }
 
-fn ring_hop_run(kind: SchedulerKind) -> (u64, f64) {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
+fn ring_hop_run() -> (u64, f64) {
+    let mut engine: Engine<Msg> = Engine::new(0);
     let ids: Vec<ComponentId> = (0..16).map(|_| engine.reserve_id()).collect();
     for (i, &id) in ids.iter().enumerate() {
         engine.install(
@@ -100,8 +102,8 @@ fn ring_hop_run(kind: SchedulerKind) -> (u64, f64) {
 
 /// `FLOW_TOKENS` tokens circulating a ring at staggered strides: sustained
 /// queue depth of `FLOW_TOKENS`, the profile the figure sims run at.
-fn flows_run(kind: SchedulerKind) -> (u64, f64) {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
+fn flows_run() -> (u64, f64) {
+    let mut engine: Engine<Msg> = Engine::new(0);
     let ids: Vec<ComponentId> = (0..FLOW_TOKENS).map(|_| engine.reserve_id()).collect();
     for (i, &id) in ids.iter().enumerate() {
         engine.install(
@@ -121,8 +123,8 @@ fn flows_run(kind: SchedulerKind) -> (u64, f64) {
     (engine.events_processed(), start.elapsed().as_secs_f64())
 }
 
-fn fanout_run(kind: SchedulerKind) -> (u64, f64) {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
+fn fanout_run() -> (u64, f64) {
+    let mut engine: Engine<Msg> = Engine::new(0);
     let id = engine.add(FanOut);
     engine.schedule_at(SimTime::ZERO, id, Msg::Spawn(FANOUT_DEPTH));
     let start = Instant::now();
@@ -130,106 +132,32 @@ fn fanout_run(kind: SchedulerKind) -> (u64, f64) {
     (engine.events_processed(), start.elapsed().as_secs_f64())
 }
 
-// The same workloads on the seed engine replica — the original whole-entry
-// `BinaryHeap` + pending-drain + `Option::take` hot path — so the sweep
-// tracks the overhaul's full speedup, not just the queue swap.
+/// One timed micro run: (events processed, wall seconds).
+type MicroRun = fn() -> (u64, f64);
 
-struct SeedWorker {
-    next: ComponentId,
-    stride: u64,
-}
+/// The micro workloads, by the name their baseline rows carry.
+const MICRO: [(&str, MicroRun); 3] = [
+    ("ring_hop", ring_hop_run),
+    ("flows_64", flows_run),
+    ("fanout", fanout_run),
+];
 
-impl SeedComponent<Msg> for SeedWorker {
-    fn handle(&mut self, msg: Msg, ctx: &mut SeedCtx<'_, Msg>) {
-        match msg {
-            Msg::Hop(remaining) => {
-                if remaining > 0 {
-                    ctx.send(
-                        SimTime::from_ns(self.stride),
-                        self.next,
-                        Msg::Hop(remaining - 1),
-                    );
-                }
-            }
-            Msg::Spawn(depth) => {
-                if depth > 0 {
-                    for k in 0..4u64 {
-                        ctx.send_self(SimTime::from_ns(10 + k), Msg::Spawn(depth - 1));
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn seed_ring_hop_run() -> (u64, f64) {
-    let mut engine: SeedEngine<Msg> = SeedEngine::new();
-    let ids: Vec<ComponentId> = (0..16).map(|_| engine.reserve_id()).collect();
-    for (i, &id) in ids.iter().enumerate() {
-        engine.install(
-            id,
-            SeedWorker {
-                next: ids[(i + 1) % ids.len()],
-                stride: 10,
-            },
-        );
-    }
-    engine.schedule_at(SimTime::ZERO, ids[0], Msg::Hop(RING_EVENTS));
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
-
-fn seed_flows_run() -> (u64, f64) {
-    let mut engine: SeedEngine<Msg> = SeedEngine::new();
-    let ids: Vec<ComponentId> = (0..FLOW_TOKENS).map(|_| engine.reserve_id()).collect();
-    for (i, &id) in ids.iter().enumerate() {
-        engine.install(
-            id,
-            SeedWorker {
-                next: ids[(i + 1) % ids.len()],
-                stride: 5 + (i as u64 % 13),
-            },
-        );
-    }
-    let hops = RING_EVENTS / FLOW_TOKENS as u64;
-    for (i, &id) in ids.iter().enumerate() {
-        engine.schedule_at(SimTime::from_ns(i as u64), id, Msg::Hop(hops));
-    }
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
-
-fn seed_fanout_run() -> (u64, f64) {
-    let mut engine: SeedEngine<Msg> = SeedEngine::new();
-    let id = engine.add(SeedWorker {
-        next: ComponentId(0),
-        stride: 10,
-    });
-    engine.schedule_at(SimTime::ZERO, id, Msg::Spawn(FANOUT_DEPTH));
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
-
-fn sweep_cfg(kind: SchedulerKind) -> RunCfg {
+fn sweep_cfg() -> RunCfg {
     RunCfg {
         warmup: 50,
         iters: 1000,
-        scheduler: kind,
         ..RunCfg::default()
     }
 }
 
-fn fig5_run(kind: SchedulerKind) -> (f64, f64) {
+fn fig5_run() -> (f64, f64) {
     let start = Instant::now();
     let stats = gm_nic_barrier(
         GmParams::lanai_9_1(),
         CollFeatures::paper(),
         16,
         Algorithm::Dissemination,
-        sweep_cfg(kind),
+        sweep_cfg(),
     );
     (stats.mean_us, start.elapsed().as_secs_f64())
 }
@@ -304,13 +232,13 @@ fn parallel_one_shard_gate() -> (f64, f64) {
     (seq_s, par_s)
 }
 
-fn fig7_run(kind: SchedulerKind) -> (f64, f64) {
+fn fig7_run() -> (f64, f64) {
     let start = Instant::now();
     let stats = elan_nic_barrier(
         ElanParams::elan3(),
         8,
         Algorithm::Dissemination,
-        sweep_cfg(kind),
+        sweep_cfg(),
     );
     (stats.mean_us, start.elapsed().as_secs_f64())
 }
@@ -332,20 +260,6 @@ fn best_of(run: impl Fn() -> (u64, f64)) -> (u64, f64) {
     best.expect("REPEATS >= 1")
 }
 
-/// Per-scheduler micro-benchmark row: (scheduler name, events processed,
-/// best seconds).
-type MicroRow = (&'static str, u64, f64);
-/// Per-scheduler figure row: (kind, simulated mean µs, best wall seconds).
-type FigRow = (SchedulerKind, f64, f64);
-
-fn kind_name(kind: SchedulerKind) -> &'static str {
-    match kind {
-        SchedulerKind::TimingWheel => "timing_wheel",
-        SchedulerKind::Indexed4 => "indexed4",
-        SchedulerKind::ClassicBinaryHeap => "classic_binary_heap",
-    }
-}
-
 /// Pull `"key": "value"` out of one JSON object's text.
 fn json_str<'a>(chunk: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\": \"");
@@ -363,7 +277,7 @@ fn json_num(chunk: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Timing-wheel micro rows `(workload, events_per_sec)` from a saved
+/// [`SCHEDULER`] micro rows `(workload, events_per_sec)` from a saved
 /// `engine_sweep.json`. The writer emits one flat object per row, so a
 /// split on `{` isolates each row's fields.
 fn baseline_rows(path: &str) -> Vec<(String, f64)> {
@@ -371,7 +285,7 @@ fn baseline_rows(path: &str) -> Vec<(String, f64)> {
         .unwrap_or_else(|e| panic!("read baseline {path}: {e} (run the full sweep first)"));
     let mut rows = Vec::new();
     for chunk in text.split('{') {
-        if json_str(chunk, "scheduler") != Some("timing_wheel") {
+        if json_str(chunk, "scheduler") != Some(SCHEDULER) {
             continue;
         }
         if let (Some(wl), Some(eps)) = (
@@ -384,8 +298,6 @@ fn baseline_rows(path: &str) -> Vec<(String, f64)> {
     rows
 }
 
-/// `--quick` gate: timing-wheel micro throughput vs the saved baseline.
-/// Exits 1 on a >5% geomean regression; never writes the baseline.
 /// Cross-thread mailbox path, mutex vs SPSC ring — the contrast that
 /// motivated replacing `Mutex<Vec>` mailboxes in the parallel engine.
 /// Each producer thread pushes `items` u64s to the consumer; the mutex
@@ -487,26 +399,22 @@ fn mailbox_report() {
     println!();
 }
 
+/// `--quick` gate: micro throughput vs the saved baseline's [`SCHEDULER`]
+/// rows. Exits 1 on a >5% geomean regression; never writes the baseline.
 fn quick_gate(baseline_path: &str) -> ! {
     const TOLERANCE: f64 = 0.95;
     let baseline = baseline_rows(baseline_path);
     assert!(
         !baseline.is_empty(),
-        "no timing_wheel micro rows in {baseline_path}"
+        "no {SCHEDULER} micro rows in {baseline_path}"
     );
-    println!("== engine_sweep --quick: timing wheel vs {baseline_path} ==\n");
+    println!("== engine_sweep --quick: {SCHEDULER} vs {baseline_path} ==\n");
     // Each micro run lasts ~10 ms, so quick mode can afford many repeats;
     // taking the minimum over 25 runs filters out transient machine load
     // (noise only ever slows a run down, never speeds it up).
     const QUICK_REPEATS: usize = 25;
-    type MicroRun = fn(SchedulerKind) -> (u64, f64);
-    let runs: [(&str, MicroRun); 3] = [
-        ("ring_hop", ring_hop_run),
-        ("flows_64", flows_run),
-        ("fanout", fanout_run),
-    ];
     let mut ratios = Vec::new();
-    for (label, run) in runs {
+    for (label, run) in MICRO {
         let Some(&(_, base_eps)) = baseline.iter().find(|(wl, _)| wl == label) else {
             println!("{label:<10} not in baseline, skipped");
             continue;
@@ -514,7 +422,7 @@ fn quick_gate(baseline_path: &str) -> ! {
         let mut events = 0;
         let mut secs = f64::INFINITY;
         for _ in 0..QUICK_REPEATS {
-            let (e, s) = run(SchedulerKind::TimingWheel);
+            let (e, s) = run();
             events = e;
             secs = secs.min(s);
         }
@@ -555,113 +463,39 @@ fn main() {
         quick_gate(baseline);
     }
 
-    let kinds = [
-        SchedulerKind::TimingWheel,
-        SchedulerKind::Indexed4,
-        SchedulerKind::ClassicBinaryHeap,
-    ];
-
-    println!("== engine_sweep: scheduler throughput ==\n");
-    // (workload, per-scheduler (events, best seconds)); the seed replica
-    // rides along as the third row of each workload.
-    let mut micro: Vec<(&str, Vec<MicroRow>)> = Vec::new();
-    for (label, run, seed_run) in [
-        (
-            "ring_hop",
-            ring_hop_run as fn(SchedulerKind) -> (u64, f64),
-            seed_ring_hop_run as fn() -> (u64, f64),
-        ),
-        (
-            "flows_64",
-            flows_run as fn(SchedulerKind) -> (u64, f64),
-            seed_flows_run as fn() -> (u64, f64),
-        ),
-        (
-            "fanout",
-            fanout_run as fn(SchedulerKind) -> (u64, f64),
-            seed_fanout_run as fn() -> (u64, f64),
-        ),
-    ] {
-        let mut rows = Vec::new();
-        for kind in kinds {
-            let (events, secs) = best_of(|| run(kind));
-            rows.push((kind_name(kind), events, secs));
-        }
-        rows.push({
-            let (events, secs) = best_of(seed_run);
-            ("seed_binary_heap", events, secs)
-        });
-        for &(name, events, secs) in &rows {
-            println!(
-                "{label:<10} {name:<20} {events:>8} events  {:>10.1} Kevents/s",
-                events as f64 / secs / 1e3
-            );
-        }
-        assert!(
-            rows.iter().all(|&(_, e, _)| e == rows[0].1),
-            "{label}: event counts diverged across schedulers"
+    println!("== engine_sweep: engine throughput ==\n");
+    // (workload, events, best seconds)
+    let mut micro: Vec<(&str, u64, f64)> = Vec::new();
+    for (label, run) in MICRO {
+        let (events, secs) = best_of(run);
+        println!(
+            "{label:<10} {events:>8} events  {:>10.1} Kevents/s",
+            events as f64 / secs / 1e3
         );
-        micro.push((label, rows));
+        micro.push((label, events, secs));
     }
 
     println!("\n== engine_sweep: end-to-end figure points ==\n");
-    // (figure point, per-kind (mean_us, best wall seconds))
-    let mut figures: Vec<(&str, Vec<FigRow>)> = Vec::new();
+    // (figure point, simulated mean µs, best wall seconds)
+    let mut figures: Vec<(&str, f64, f64)> = Vec::new();
     for (label, run) in [
-        ("fig5_n16", fig5_run as fn(SchedulerKind) -> (f64, f64)),
-        ("fig7_n8", fig7_run as fn(SchedulerKind) -> (f64, f64)),
+        ("fig5_n16", fig5_run as fn() -> (f64, f64)),
+        ("fig7_n8", fig7_run as fn() -> (f64, f64)),
     ] {
-        let mut rows = Vec::new();
-        for kind in kinds {
-            let mut mean_us = f64::NAN;
-            let mut best = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let (us, secs) = run(kind);
-                if !mean_us.is_nan() {
-                    assert_eq!(us, mean_us, "{label}: non-deterministic latency");
-                }
-                mean_us = us;
-                best = best.min(secs);
+        let mut mean_us = f64::NAN;
+        let mut best = f64::INFINITY;
+        for _ in 0..REPEATS {
+            let (us, secs) = run();
+            if !mean_us.is_nan() {
+                assert_eq!(us, mean_us, "{label}: non-deterministic latency");
             }
-            println!(
-                "{label:<10} {:<20} mean {mean_us:>8.3} µs   wall {best:>7.3} s",
-                kind_name(kind)
-            );
-            rows.push((kind, mean_us, best));
+            mean_us = us;
+            best = best.min(secs);
         }
-        // Differential check: every scheduler must report the identical
-        // simulated latency — same events, same order, same arithmetic.
-        for row in &rows[1..] {
-            assert_eq!(
-                rows[0].1, row.1,
-                "{label}: schedulers disagree on simulated latency"
-            );
-        }
-        println!("{label:<10} latencies identical across schedulers ✓");
-        figures.push((label, rows));
+        println!("{label:<10} mean {mean_us:>8.3} µs   wall {best:>7.3} s");
+        figures.push((label, mean_us, best));
     }
-
-    println!("\n== speedups (timing wheel vs baselines) ==\n");
-    // Rows are ordered as `kinds` (wheel first, classic last), with the
-    // seed replica appended on the micro workloads.
-    let mut vs_classic: Vec<(&str, f64)> = Vec::new();
-    let mut vs_seed: Vec<(&str, f64)> = Vec::new();
-    let classic_row = kinds.len() - 1;
-    for (label, rows) in &micro {
-        let classic = rows[classic_row].2 / rows[0].2;
-        let seed = rows[classic_row + 1].2 / rows[0].2;
-        println!("{label:<10} vs classic {classic:>6.2}x   vs seed {seed:>6.2}x");
-        vs_classic.push((label, classic));
-        vs_seed.push((label, seed));
-    }
-    for (label, rows) in &figures {
-        let s = rows[classic_row].2 / rows[0].2;
-        println!("{label:<10} vs classic {s:>6.2}x");
-        vs_classic.push((label, s));
-    }
-    let geomean_seed =
-        (vs_seed.iter().map(|&(_, s)| s.ln()).sum::<f64>() / vs_seed.len() as f64).exp();
-    println!("\nmicro geomean vs seed: {geomean_seed:.2}x\n");
+    println!();
 
     let (seq_wall, par1_wall) = parallel_one_shard_gate();
 
@@ -674,56 +508,36 @@ fn main() {
     .emit(&mut w);
     w.field("micro");
     w.open_array();
-    for (label, rows) in &micro {
-        for &(name, events, secs) in rows {
-            w.open_object();
-            w.field("workload");
-            w.string(label);
-            w.field("scheduler");
-            w.string(name);
-            w.field("events");
-            w.uint(events);
-            w.field("seconds");
-            w.number(secs);
-            w.field("events_per_sec");
-            w.number(events as f64 / secs);
-            w.close_object();
-        }
+    for &(label, events, secs) in &micro {
+        w.open_object();
+        w.field("workload");
+        w.string(label);
+        w.field("scheduler");
+        w.string(SCHEDULER);
+        w.field("events");
+        w.uint(events);
+        w.field("seconds");
+        w.number(secs);
+        w.field("events_per_sec");
+        w.number(events as f64 / secs);
+        w.close_object();
     }
     w.close_array();
     w.field("figures");
     w.open_array();
-    for (label, rows) in &figures {
-        for &(kind, mean_us, secs) in rows {
-            w.open_object();
-            w.field("point");
-            w.string(label);
-            w.field("scheduler");
-            w.string(kind_name(kind));
-            w.field("mean_us");
-            w.number(mean_us);
-            w.field("wall_seconds");
-            w.number(secs);
-            w.close_object();
-        }
+    for &(label, mean_us, secs) in &figures {
+        w.open_object();
+        w.field("point");
+        w.string(label);
+        w.field("scheduler");
+        w.string(SCHEDULER);
+        w.field("mean_us");
+        w.number(mean_us);
+        w.field("wall_seconds");
+        w.number(secs);
+        w.close_object();
     }
     w.close_array();
-    w.field("speedup_wheel_vs_classic");
-    w.open_object();
-    for (label, s) in &vs_classic {
-        w.field(label);
-        w.number(*s);
-    }
-    w.close_object();
-    w.field("speedup_wheel_vs_seed");
-    w.open_object();
-    for (label, s) in &vs_seed {
-        w.field(label);
-        w.number(*s);
-    }
-    w.field("geomean");
-    w.number(geomean_seed);
-    w.close_object();
     w.field("parallel_one_shard");
     w.open_object();
     w.field("point");

@@ -57,28 +57,13 @@ fn replay(path: &str) -> i32 {
             return 1;
         }
     };
-    let mut records = Vec::new();
-    let mut header: Option<(u64, u64)> = None;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    let netdump::Dump { header, records } = match netdump::parse_dump(&text) {
+        Ok(dump) => dump,
+        Err((line, msg)) => {
+            eprintln!("error: {path}:{line}: {msg}");
+            return 1;
         }
-        // Our own exports lead with a dump-level header line; traces from
-        // `nicbar-verify --trace-out` are headerless.
-        if lineno == 0 {
-            if let Some(h) = netdump::parse_header(line) {
-                header = Some(h);
-                continue;
-            }
-        }
-        match netdump::parse_line(line) {
-            Some(r) => records.push(r),
-            None => {
-                eprintln!("error: {path}:{}: unparseable record: {line}", lineno + 1);
-                return 1;
-            }
-        }
-    }
+    };
     println!(
         "== why-slow --replay: {} records from {path} ==",
         records.len()

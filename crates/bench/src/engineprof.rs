@@ -568,9 +568,17 @@ pub fn load_profile(path: &str) -> Option<LoadProfile> {
 /// costs exactly the traffic measured across that pair — so the
 /// repartitioner keeps low-traffic cuts and slides high-traffic ones,
 /// subject to the load bound staying primary. Returns `None` when the
-/// capture is unreadable or empty.
+/// capture is unreadable, empty, or claims more components than an engine
+/// can key ([`nicbar_sim::MAX_COMPONENTS`]).
 pub fn partition_from_profile(path: &str) -> Option<nicbar_sim::PartitionSel> {
     let p = load_profile(path)?;
+    let components = p
+        .components
+        .iter()
+        .try_fold(0u64, |sum, &c| sum.checked_add(c))?;
+    if components > nicbar_sim::MAX_COMPONENTS as u64 {
+        return None;
+    }
     let k = p.components.len();
     let nodes_per: Vec<usize> = p.components.iter().map(|&c| (c / 2) as usize).collect();
     let total: usize = nodes_per.iter().sum();
@@ -753,6 +761,45 @@ mod tests {
 
         assert!(load_profile("/nonexistent/engine_prof.json").is_none());
         assert!(partition_from_profile("/nonexistent/engine_prof.json").is_none());
+    }
+
+    #[test]
+    fn oversized_or_incoherent_profiles_are_rejected() {
+        let dir = std::env::temp_dir().join("nicbar_engineprof_malformed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let capture = |name: &str, detail: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, format!("{{\"shards_detail\": [{detail}]}}")).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let ok = capture("ok.json", r#"{"components": 8, "busy_ns": 40}"#);
+        assert!(partition_from_profile(&ok).is_some());
+        // One component past what an engine can key, split over two shards.
+        let half = nicbar_sim::MAX_COMPONENTS as u64 / 2 + 1;
+        let over = capture(
+            "over.json",
+            &format!(
+                r#"{{"components": {half}, "busy_ns": 1}}, {{"components": {half}, "busy_ns": 1}}"#
+            ),
+        );
+        assert!(partition_from_profile(&over).is_none());
+        // 10^17 components (a 400 PB weight vector) and a u64-overflowing sum.
+        let huge = capture(
+            "huge.json",
+            r#"{"components": 100000000000000000, "busy_ns": 1}"#,
+        );
+        assert!(partition_from_profile(&huge).is_none());
+        let wrap = capture(
+            "wrap.json",
+            r#"{"components": 18446744073709551615, "busy_ns": 1}, {"components": 2, "busy_ns": 1}"#,
+        );
+        assert!(partition_from_profile(&wrap).is_none());
+        // A busy time missing for one shard.
+        let torn = capture(
+            "torn.json",
+            r#"{"components": 8, "busy_ns": 4}, {"components": 8}"#,
+        );
+        assert!(partition_from_profile(&torn).is_none());
     }
 
     #[test]

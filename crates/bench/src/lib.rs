@@ -19,7 +19,6 @@ pub mod engineprof;
 pub mod flight;
 pub mod json;
 pub mod netdump;
-pub mod seed_engine;
 pub mod trajectory;
 
 pub use json::{Manifest, MANIFEST_SCHEMA};
@@ -248,60 +247,86 @@ pub struct FigArgs {
     pub cfg: nicbar_core::RunCfg,
 }
 
+/// Print `error: <msg>` and exit with status 2: how the bench binaries
+/// reject a malformed command line.
+pub fn exit_usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 /// Parse a `--partition` flag value: `contiguous` (the default even split)
 /// or `profile=<path>` (profile-guided, reading a prior
 /// `results/engine_prof.json`-shaped capture).
-pub fn parse_partition(value: &str) -> nicbar_sim::PartitionSel {
+pub fn parse_partition(value: &str) -> Result<nicbar_sim::PartitionSel, String> {
     match value {
-        "contiguous" => nicbar_sim::PartitionSel::Contiguous,
+        "contiguous" => Ok(nicbar_sim::PartitionSel::Contiguous),
         other => match other.strip_prefix("profile=") {
-            Some(path) => engineprof::partition_from_profile(path).unwrap_or_else(|| {
-                panic!("--partition profile={path}: not a readable engine_prof capture")
+            Some(path) => engineprof::partition_from_profile(path).ok_or_else(|| {
+                format!(
+                    "--partition profile={path}: not a readable, coherent engine_prof \
+                     capture of at most {} components",
+                    nicbar_sim::MAX_COMPONENTS
+                )
             }),
-            None => panic!("--partition must be contiguous|profile=<path>, got {other}"),
+            None => Err(format!(
+                "--partition must be contiguous|profile=<path>, got {other}"
+            )),
         },
     }
 }
 
-/// Parse the figure binaries' shared flags from `std::env::args`:
+/// Parse the figure binaries' shared flags (program name excluded):
 /// `--quick`, `--flight`, `--prof`, `--engine <auto|sequential|parallel>`,
-/// `--shards <K>` and `--partition <contiguous|profile=PATH>`.
-pub fn fig_args() -> FigArgs {
-    let args: Vec<String> = std::env::args().collect();
+/// `--shards <K>` and `--partition <contiguous|profile=PATH>`. Other
+/// arguments are left for the binary itself.
+pub fn parse_fig_args(args: &[String]) -> Result<FigArgs, String> {
     let quick = args.iter().any(|a| a == "--quick");
     let flight = args.iter().any(|a| a == "--flight");
     let prof = args.iter().any(|a| a == "--prof");
     let mut cfg = if quick { quick_cfg() } else { figure_cfg() };
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .as_str()
-        })
+    let value_of = |flag: &str| -> Result<Option<&str>, String> {
+        match args.iter().position(|a| a == flag) {
+            None => Ok(None),
+            Some(i) => match args.get(i + 1) {
+                Some(v) => Ok(Some(v.as_str())),
+                None => Err(format!("{flag} needs a value")),
+            },
+        }
     };
-    if let Some(engine) = value_of("--engine") {
+    if let Some(engine) = value_of("--engine")? {
         cfg.engine = match engine {
             "auto" => nicbar_sim::EngineSel::Auto,
             "sequential" => nicbar_sim::EngineSel::Sequential,
             "parallel" => nicbar_sim::EngineSel::Parallel,
-            other => panic!("--engine must be auto|sequential|parallel, got {other}"),
+            other => {
+                return Err(format!(
+                    "--engine must be auto|sequential|parallel, got {other}"
+                ))
+            }
         };
     }
-    if let Some(shards) = value_of("--shards") {
-        cfg.shards = shards
-            .parse()
-            .unwrap_or_else(|_| panic!("--shards must be a positive integer, got {shards}"));
-        assert!(cfg.shards >= 1, "--shards must be >= 1");
+    if let Some(shards) = value_of("--shards")? {
+        cfg.shards = match shards.parse() {
+            Ok(k) if k >= 1 => k,
+            _ => return Err(format!("--shards must be a positive integer, got {shards}")),
+        };
     }
-    if let Some(partition) = value_of("--partition") {
-        cfg.partition = parse_partition(partition);
+    if let Some(partition) = value_of("--partition")? {
+        cfg.partition = parse_partition(partition)?;
     }
-    FigArgs {
+    Ok(FigArgs {
         quick,
         flight,
         prof,
         cfg,
-    }
+    })
+}
+
+/// [`parse_fig_args`] over `std::env::args`; a malformed flag prints
+/// `error: …` and exits with status 2.
+pub fn fig_args() -> FigArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_fig_args(&args).unwrap_or_else(|e| exit_usage(&e))
 }
 
 #[cfg(test)]
@@ -340,6 +365,19 @@ mod tests {
             ],
         );
         fig.print();
+    }
+
+    #[test]
+    fn fig_args_parse_the_shared_flags() {
+        let args: Vec<String> = ["--quick", "--engine", "parallel", "--shards", "3"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        let parsed = parse_fig_args(&args).expect("well-formed flags");
+        assert!(parsed.quick && !parsed.flight && !parsed.prof);
+        assert_eq!(parsed.cfg.engine, nicbar_sim::EngineSel::Parallel);
+        assert_eq!(parsed.cfg.shards, 3);
+        assert_eq!(parsed.cfg.iters, quick_cfg().iters);
     }
 
     #[test]

@@ -164,6 +164,62 @@ pub fn parse_line(line: &str) -> Option<PacketRecord> {
     (saw_id && saw_kind).then_some(r)
 }
 
+/// A JSONL netdump read back by [`parse_dump`].
+#[derive(Debug)]
+pub struct Dump {
+    /// `(records, dropped)` from the [`header_line`], when the file has one
+    /// (traces from `nicbar-verify --trace-out` are headerless).
+    pub header: Option<(u64, u64)>,
+    /// The packet records, in file order.
+    pub records: Vec<PacketRecord>,
+}
+
+/// Parse a whole JSONL netdump: an optional [`header_line`], then one
+/// [`record_line`] per line (blank lines skipped). Besides each line's
+/// syntax it checks the causal order every [`nicbar_sim::NetDump`]
+/// capture has: ids are nonzero and strictly rising, and a parent id is
+/// below its record's id. The causal walks rely on both — they
+/// binary-search ids and follow parents, so a cycle would never end. An
+/// error carries the 1-based line number.
+pub fn parse_dump(text: &str) -> Result<Dump, (usize, String)> {
+    let mut dump = Dump {
+        header: None,
+        records: Vec::new(),
+    };
+    let mut prev = CauseId::NONE;
+    for (i, line) in text.lines().enumerate() {
+        let lineno = i + 1;
+        if line.trim().is_empty() {
+            continue;
+        }
+        if i == 0 {
+            if let Some(h) = parse_header(line) {
+                dump.header = Some(h);
+                continue;
+            }
+        }
+        let r = parse_line(line).ok_or_else(|| (lineno, format!("unparseable record: {line}")))?;
+        if r.id <= prev {
+            return Err((
+                lineno,
+                format!("record id {} does not follow id {}", r.id.0, prev.0),
+            ));
+        }
+        if r.parent >= r.id {
+            return Err((
+                lineno,
+                format!(
+                    "record {} names parent {}, which is not an earlier record",
+                    r.id.0, r.parent.0
+                ),
+            ));
+        }
+        prev = r.id;
+        dump.records.push(r);
+    }
+    Ok(dump)
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)] // test code
 mod tests {
@@ -274,6 +330,52 @@ mod tests {
         let header = lines.next().unwrap();
         assert_eq!(parse_header(header), Some((1, 7)));
         assert_eq!(lines.count(), 1);
+    }
+
+    #[test]
+    fn parse_dump_reads_a_headed_export() {
+        let mut d = NetDump::disabled();
+        d.enable();
+        let root = d.record(
+            SimTime::from_ns(5),
+            ComponentId(0),
+            PacketLog::new(CauseId::NONE, CausalKind::HostEnter),
+        );
+        d.record(
+            SimTime::from_ns(9),
+            ComponentId(1),
+            PacketLog::new(root, CausalKind::Fire),
+        );
+        let dump = parse_dump(&jsonl_with_header(d.records(), 0)).unwrap();
+        assert_eq!(dump.header, Some((2, 0)));
+        assert_eq!(dump.records, d.records());
+    }
+
+    #[test]
+    fn parse_dump_rejects_causal_cycles() {
+        // A record that is its own parent.
+        let self_loop =
+            "{\"id\":1,\"parent\":1,\"t_ns\":5,\"comp\":0,\"kind\":\"host-exit\",\"group\":7,\"seq\":0}";
+        let (line, msg) = parse_dump(self_loop).unwrap_err();
+        assert_eq!(line, 1);
+        assert!(msg.contains("parent 1"), "{msg}");
+        // Two records naming each other.
+        let two_cycle = "{\"id\": 1, \"parent\": 2, \"t_ns\": 5, \"comp\": 0, \"kind\": \"fire\"}\n\
+                         {\"id\": 2, \"parent\": 1, \"t_ns\": 6, \"comp\": 0, \"kind\": \"arrive\"}";
+        assert_eq!(parse_dump(two_cycle).unwrap_err().0, 1);
+        // Ids that repeat or fall.
+        let repeat = "{\"id\": 3, \"t_ns\": 5, \"comp\": 0, \"kind\": \"fire\"}\n\
+                      {\"id\": 3, \"t_ns\": 6, \"comp\": 0, \"kind\": \"arrive\"}";
+        let (line, msg) = parse_dump(repeat).unwrap_err();
+        assert_eq!(line, 2);
+        assert!(msg.contains("does not follow"), "{msg}");
+        // Id 0 is the "no record" sentinel.
+        let zero = "{\"id\": 0, \"t_ns\": 5, \"comp\": 0, \"kind\": \"fire\"}";
+        assert_eq!(parse_dump(zero).unwrap_err().0, 1);
+        // A first id above 1 (a capture cleared after warm-up) whose
+        // parents precede the capture is fine.
+        let cleared = "{\"id\": 40, \"parent\": 12, \"t_ns\": 5, \"comp\": 0, \"kind\": \"fire\"}";
+        assert_eq!(parse_dump(cleared).unwrap().records.len(), 1);
     }
 
     #[test]

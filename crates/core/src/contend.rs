@@ -159,7 +159,6 @@ pub fn gm_contend_flight(
         .with_seed(cfg.seed)
         .with_drop_prob(cfg.drop_prob)
         .with_features(features)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards);
     let members: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -348,7 +347,6 @@ pub fn elan_contend_flight(
     assert!(groups >= 1, "need at least one group");
     let spec = ElanClusterSpec::new(params, n)
         .with_seed(cfg.seed)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards);
     let members: Vec<NodeId> = (0..n).map(NodeId).collect();

@@ -12,8 +12,8 @@ use nicbar_elan::{ElanApp, ElanCluster, ElanClusterSpec, ElanParams, NicProgram}
 use nicbar_gm::{CollFeatures, GmApp, GmCluster, GmClusterSpec, GmParams, GroupId, NicCollective};
 use nicbar_net::{NodeId, Permutation};
 use nicbar_sim::{
-    EngineSel, ExecEngine, Histogram, LedgerRecord, PacketRecord, PartitionSel, RunOutcome,
-    SchedulerKind, SimRng, SimTime, SpanSummary, TraceRecord,
+    EngineSel, ExecEngine, Histogram, LedgerRecord, PacketRecord, PartitionSel, RunOutcome, SimRng,
+    SimTime, SpanSummary, TraceRecord,
 };
 
 /// The collective group id used by the barrier benchmarks.
@@ -37,9 +37,6 @@ pub struct RunCfg {
     pub drop_prob: f64,
     /// Place ranks on a random node permutation.
     pub permute: bool,
-    /// Engine event-queue implementation (differential testing of the
-    /// indexed scheduler against the classic binary heap).
-    pub scheduler: SchedulerKind,
     /// Engine flavour ([`EngineSel::Auto`]: parallel iff `shards > 1`).
     pub engine: EngineSel,
     /// Worker shards for the parallel engine.
@@ -58,7 +55,6 @@ impl Default for RunCfg {
             skew_us: 0.0,
             drop_prob: 0.0,
             permute: false,
-            scheduler: SchedulerKind::default(),
             engine: EngineSel::Auto,
             shards: 1,
             partition: PartitionSel::Contiguous,
@@ -285,7 +281,6 @@ pub fn build_gm_nic_cluster(
         .with_seed(cfg.seed)
         .with_drop_prob(cfg.drop_prob)
         .with_features(features)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards)
         .with_partition(cfg.partition.clone());
@@ -398,7 +393,6 @@ pub fn gm_host_barrier(params: GmParams, n: usize, algo: Algorithm, cfg: RunCfg)
     let spec = GmClusterSpec::new(params, n)
         .with_seed(cfg.seed)
         .with_drop_prob(cfg.drop_prob)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards)
         .with_partition(cfg.partition.clone());
@@ -448,7 +442,6 @@ pub fn build_elan_nic_cluster(
 ) -> ElanCluster {
     let spec = ElanClusterSpec::new(params, n)
         .with_seed(cfg.seed)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards)
         .with_partition(cfg.partition.clone());
@@ -542,7 +535,6 @@ pub fn elan_gsync_barrier(
 ) -> BarrierStats {
     let spec = ElanClusterSpec::new(params, n)
         .with_seed(cfg.seed)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards)
         .with_partition(cfg.partition.clone());
@@ -585,8 +577,7 @@ pub fn elan_gsync_barrier(
 pub fn elan_hw_barrier(params: ElanParams, n: usize, cfg: RunCfg) -> BarrierStats {
     let spec = ElanClusterSpec::new(params, n)
         .with_seed(cfg.seed)
-        .with_hw_barrier()
-        .with_scheduler(cfg.scheduler);
+        .with_hw_barrier();
     let apps: Vec<Box<dyn ElanApp>> = (0..n)
         .map(|_| Box::new(ElanHwBarrierApp::new(cfg.total(), cfg.skew_us)) as Box<dyn ElanApp>)
         .collect();
@@ -655,7 +646,6 @@ fn elan_thread_collective(
 
     let spec = ElanClusterSpec::new(params, n)
         .with_seed(cfg.seed)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards)
         .with_partition(cfg.partition.clone());

@@ -220,7 +220,6 @@ fn nic_traffic_cluster(
         .with_seed(cfg.seed)
         .with_drop_prob(cfg.drop_prob)
         .with_features(features)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards);
     let members: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -282,7 +281,6 @@ pub fn gm_host_barrier_under_traffic(
     let spec = GmClusterSpec::new(params, n)
         .with_seed(cfg.seed)
         .with_drop_prob(cfg.drop_prob)
-        .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards);
     let apps: Vec<Box<dyn GmApp>> = (0..n)

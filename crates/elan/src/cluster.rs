@@ -8,8 +8,7 @@ use crate::params::ElanParams;
 use crate::types::{NicEvent, RdmaDesc};
 use nicbar_net::{NodeId, QuaternaryFatTree, WireModel, WireRx};
 use nicbar_sim::{
-    ComponentId, Engine, EngineSel, ExecEngine, ParallelEngine, PartitionSel, RunOutcome,
-    SchedulerKind, SimTime,
+    ComponentId, Engine, EngineSel, ExecEngine, ParallelEngine, PartitionSel, RunOutcome, SimTime,
 };
 use std::sync::Arc;
 
@@ -24,9 +23,6 @@ pub struct ElanClusterSpec {
     pub seed: u64,
     /// Install the switch-level hardware barrier unit over all nodes.
     pub hw_barrier: bool,
-    /// Event-queue implementation for the engine (differential testing of
-    /// the indexed scheduler against the classic binary heap).
-    pub scheduler: SchedulerKind,
     /// Which engine flavour to build ([`EngineSel::Auto`]: parallel iff
     /// `shards > 1`). The hardware barrier unit is a single component with
     /// sub-lookahead links to every NIC, so `hw_barrier` clusters always
@@ -46,7 +42,6 @@ impl ElanClusterSpec {
             n,
             seed: 0xE1A3,
             hw_barrier: false,
-            scheduler: SchedulerKind::default(),
             engine: EngineSel::Auto,
             shards: 1,
             partition: PartitionSel::Contiguous,
@@ -62,12 +57,6 @@ impl ElanClusterSpec {
     /// Enable the hardware barrier unit.
     pub fn with_hw_barrier(mut self) -> Self {
         self.hw_barrier = true;
-        self
-    }
-
-    /// Select the engine's event-queue implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -133,7 +122,7 @@ impl ElanCluster {
     ) -> Self {
         assert_eq!(apps.len(), spec.n);
         assert_eq!(programs.len(), spec.n);
-        let mut engine: Engine<ElanEvent> = Engine::with_scheduler(spec.seed, spec.scheduler);
+        let mut engine: Engine<ElanEvent> = Engine::new(spec.seed);
         let host_ids: Vec<ComponentId> = (0..spec.n).map(|_| engine.reserve_id()).collect();
         let nic_ids: Vec<ComponentId> = (0..spec.n).map(|_| engine.reserve_id()).collect();
         let hw_id = if spec.hw_barrier {

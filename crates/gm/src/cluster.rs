@@ -10,7 +10,7 @@ use crate::params::{CollFeatures, GmParams};
 use nicbar_net::{NodeId, WireModel, WireRx, WormholeClos};
 use nicbar_sim::{
     ComponentId, Engine, EngineSel, ExecEngine, LatencyMatrix, ParallelEngine, PartitionSel,
-    RunOutcome, SchedulerKind, SimTime,
+    RunOutcome, SimTime,
 };
 use std::sync::Arc;
 
@@ -29,9 +29,6 @@ pub struct GmClusterSpec {
     pub drop_prob: f64,
     /// Receive buffers pre-posted per NIC at startup.
     pub initial_recv_tokens: u32,
-    /// Event-queue implementation for the engine (differential testing of
-    /// the indexed scheduler against the classic binary heap).
-    pub scheduler: SchedulerKind,
     /// Which engine flavour to build ([`EngineSel::Auto`]: parallel iff
     /// `shards > 1`).
     pub engine: EngineSel,
@@ -52,7 +49,6 @@ impl GmClusterSpec {
             seed: 0xC0FFEE,
             drop_prob: 0.0,
             initial_recv_tokens: 64,
-            scheduler: SchedulerKind::default(),
             engine: EngineSel::Auto,
             shards: 1,
             partition: PartitionSel::Contiguous,
@@ -74,12 +70,6 @@ impl GmClusterSpec {
     /// Replace the collective feature set.
     pub fn with_features(mut self, features: CollFeatures) -> Self {
         self.features = features;
-        self
-    }
-
-    /// Select the engine's event-queue implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -127,7 +117,7 @@ impl GmCluster {
     ) -> Self {
         assert_eq!(apps.len(), spec.n, "one app per node");
         assert_eq!(colls.len(), spec.n, "one collective engine per node");
-        let mut engine: Engine<GmEvent> = Engine::with_scheduler(spec.seed, spec.scheduler);
+        let mut engine: Engine<GmEvent> = Engine::new(spec.seed);
 
         let host_ids: Vec<ComponentId> = (0..spec.n).map(|_| engine.reserve_id()).collect();
         let nic_ids: Vec<ComponentId> = (0..spec.n).map(|_| engine.reserve_id()).collect();

@@ -19,24 +19,22 @@
 //! identically everywhere: per source, sends deliver in issue order (FIFO);
 //! across sources, by source id. Combined with per-component RNG streams
 //! (forked once from the master seed, independent of draw order elsewhere)
-//! this makes runs bit-for-bit reproducible across reruns, schedulers, and
-//! shard counts. The integration test suite relies on this to compare whole
-//! counter sets across engines.
+//! this makes runs bit-for-bit reproducible across reruns and shard counts.
+//! The integration test suite relies on this to compare whole counter sets
+//! across engines.
 //!
 //! ## Hot path
 //!
-//! [`Engine::step`] pops from a timing wheel (see [`crate::queue`]),
-//! resolves the target component with a split borrow — no `Option::take` /
-//! reinstall round-trip — and hands the handler a [`Ctx`] that keys and
-//! pushes follow-up events *directly* into the queue. The original
-//! `BinaryHeap` scheduler is still available via [`Engine::with_scheduler`]
-//! as a differential-testing baseline.
+//! [`Engine::step`] pops from the indexed 4-ary heap (see
+//! [`crate::queue`]), resolves the target component with a split borrow —
+//! no `Option::take` / reinstall round-trip — and hands the handler a
+//! [`Ctx`] that keys and pushes follow-up events *directly* into the queue.
 
 use crate::causal::{CauseId, NetDump, PacketLog};
 use crate::counters::Counters;
 use crate::ledger::{Ledger, LedgerRecord, Occ};
 use crate::parallel::{RawEvent, RawObs, ShardLink};
-use crate::queue::{pack, EventQueue, PoppedEvent, SchedulerKind};
+use crate::queue::{pack, EventQueue, PoppedEvent};
 use crate::rng::SimRng;
 use crate::span::{FlightRecorder, SpanEvent};
 use crate::time::SimTime;
@@ -50,6 +48,9 @@ use std::fmt;
 pub(crate) const SUB_BITS: u32 = 40;
 /// Mask of the count field.
 pub(crate) const COUNT_MASK: u64 = (1 << SUB_BITS) - 1;
+/// Most components one engine can key: component id + 1 must fit the
+/// source field above the count.
+pub const MAX_COMPONENTS: usize = (1 << (64 - SUB_BITS)) - 1;
 
 /// Per-component event-source state: the cumulative send count (the count
 /// half of every subkey this component generates) and its private RNG
@@ -396,20 +397,11 @@ pub struct Engine<M: 'static> {
 }
 
 impl<M: 'static> Engine<M> {
-    /// Create an engine whose RNG is seeded with `seed`, on the default
-    /// (timing wheel) scheduler.
+    /// Create an engine whose RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, SchedulerKind::default())
-    }
-
-    /// Create an engine on a specific scheduler implementation. All kinds
-    /// deliver events in identical key order; the classic `BinaryHeap`
-    /// variant exists as the baseline for differential tests and throughput
-    /// comparisons.
-    pub fn with_scheduler(seed: u64, kind: SchedulerKind) -> Self {
         Engine {
             components: Vec::new(),
-            queue: EventQueue::new(kind),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng: SimRng::new(seed),
             srcs: Vec::new(),
@@ -424,18 +416,13 @@ impl<M: 'static> Engine<M> {
         }
     }
 
-    /// Which scheduler implementation this engine runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
-    }
-
     /// Reserve a component slot, returning its id. Useful when components
     /// need each other's ids at construction time; fill the slot later with
     /// [`Engine::install`].
     pub fn reserve_id(&mut self) -> ComponentId {
         let id = ComponentId(self.components.len());
         debug_assert!(
-            (self.components.len() as u64) + 1 < (1 << (64 - SUB_BITS)),
+            self.components.len() < MAX_COMPONENTS,
             "component count exceeds the event-key source field"
         );
         self.components.push(None);
@@ -801,13 +788,6 @@ impl<M: 'static> Engine<M> {
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
-
-    /// Queue depth for the shard self-profiler's high-water tracking —
-    /// same value as [`Engine::pending_events`], named for intent at the
-    /// profiling call site.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -864,11 +844,7 @@ mod tests {
     }
 
     fn build(n: u32) -> (Engine<Msg>, ComponentId, ComponentId) {
-        build_on(n, SchedulerKind::default())
-    }
-
-    fn build_on(n: u32, kind: SchedulerKind) -> (Engine<Msg>, ComponentId, ComponentId) {
-        let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
+        let mut engine: Engine<Msg> = Engine::new(0);
         let ticker_id = engine.reserve_id();
         let sink_id = engine.reserve_id();
         engine.install(
@@ -1216,19 +1192,6 @@ mod tests {
         // However many draws b makes (even before a runs), a's stream is
         // unchanged.
         assert_eq!(run(0), run(17));
-    }
-
-    #[test]
-    fn both_schedulers_run_identically() {
-        let run = |kind: SchedulerKind| {
-            let (mut engine, _, sink) = build_on(50, kind);
-            engine.run();
-            let sink = engine.component_ref::<Sink>(sink).unwrap();
-            (engine.now(), engine.events_processed(), sink.seen.clone())
-        };
-        let wheel = run(SchedulerKind::TimingWheel);
-        assert_eq!(wheel, run(SchedulerKind::Indexed4));
-        assert_eq!(wheel, run(SchedulerKind::ClassicBinaryHeap));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   same-time events deliver in the order they were scheduled; across
 //!   sources, by source id. Because the key is a pure function of the
 //!   simulation's own causal history, every run is fully deterministic —
-//!   bit-for-bit identical across reruns, scheduler implementations, and
-//!   shard counts of the parallel engine.
+//!   bit-for-bit identical across reruns and shard counts of the parallel
+//!   engine.
 //! * [`Component`] — the actor trait. NICs, hosts, buses and fabrics are all
 //!   components that interact *only* through scheduled events, so the
 //!   simulated concurrency is explicit and there is no hidden shared state.
@@ -91,12 +91,12 @@ pub use causal::{
     chain_to, find, CausalKind, CauseId, NetDump, PacketLog, PacketRecord, NO_KEY, NO_NODE,
 };
 pub use counters::{intern, CounterId, CounterSnapshot, Counters};
-pub use engine::{Component, ComponentId, Ctx, Engine, RunOutcome};
+pub use engine::{Component, ComponentId, Ctx, Engine, RunOutcome, MAX_COMPONENTS};
 pub use hist::{intern_hist, HistId, Histogram, Histograms};
 pub use ledger::{Ledger, LedgerOp, LedgerRecord, Occ, Owner, OwnerKind, ResKind, NO_UNIT};
 pub use parallel::{EngineSel, ExecEngine, ParallelEngine};
 pub use partition::{node_shard, LatencyMatrix, PartitionSel, ShardMap};
-pub use queue::{SchedulerKind, SpscRing};
+pub use queue::SpscRing;
 pub use rng::SimRng;
 pub use span::{FlightRecorder, Phase, SpanEvent, SpanSummary, NUM_PHASES};
 pub use telemetry::{

@@ -100,7 +100,7 @@ use crate::causal::{CauseId, NetDump, PacketLog};
 use crate::engine::{ComponentId, Engine, RunOutcome};
 use crate::ledger::{Ledger, LedgerRecord};
 use crate::partition::{LatencyMatrix, ShardMap};
-use crate::queue::{pack, SchedulerKind, SpscRing};
+use crate::queue::{pack, SpscRing};
 use crate::span::{FlightRecorder, SpanEvent};
 use crate::telemetry::{EngineProf, ProfClock, ShardProf};
 use crate::time::SimTime;
@@ -315,10 +315,9 @@ impl<M: Send + 'static> ParallelEngine<M> {
         let shard_sizes = map.shard_sizes();
         let table = Arc::new(map.into_table());
         let num = engine.len();
-        let kind = engine.scheduler_kind();
         let mut shards: Vec<ShardState<M>> = (0..k)
             .map(|s| ShardState {
-                engine: Engine::shard_shell(&engine, num, kind),
+                engine: Engine::shard_shell(&engine, num),
                 link: ShardLink {
                     table: Arc::clone(&table),
                     my_shard: s as u32,
@@ -408,11 +407,6 @@ impl<M: Send + 'static> ParallelEngine<M> {
     /// global-window protocol would grant every window).
     pub fn lookahead(&self) -> SimTime {
         SimTime::from_ns(self.latency.min_ns())
-    }
-
-    /// Which scheduler implementation the shard queues run on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.base.queue.kind()
     }
 
     /// Current simulated time (maximum over shard clocks — the timestamp of
@@ -734,10 +728,10 @@ impl<M: Send + 'static> ParallelEngine<M> {
 }
 
 impl<M: 'static> Engine<M> {
-    /// An empty shard-sized shell sharing `proto`'s clock, master RNG, and
-    /// scheduler kind; components are moved in by the parallel split.
-    fn shard_shell(proto: &Engine<M>, num: usize, kind: SchedulerKind) -> Engine<M> {
-        let mut shell = Engine::with_scheduler(0, kind);
+    /// An empty shard-sized shell sharing `proto`'s clock and master RNG;
+    /// components are moved in by the parallel split.
+    fn shard_shell(proto: &Engine<M>, num: usize) -> Engine<M> {
+        let mut shell = Engine::new(0);
         shell.rng = proto.rng.clone();
         shell.now = proto.now;
         shell.components = (0..num).map(|_| None).collect();
@@ -805,14 +799,6 @@ impl<M: Send + 'static> ExecEngine<M> {
         match self {
             ExecEngine::Seq(_) => 1,
             ExecEngine::Par(p) => p.shards(),
-        }
-    }
-
-    /// Which scheduler implementation the event queue(s) run on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        match self {
-            ExecEngine::Seq(e) => e.scheduler_kind(),
-            ExecEngine::Par(p) => p.scheduler_kind(),
         }
     }
 
@@ -1190,7 +1176,7 @@ fn shard_worker<M: Send + 'static>(
         }
         let window_end = link.window_ends[me];
         if let Some(p) = prof.as_deref_mut() {
-            p.busy_begin(h, window_end, engine.queue_depth() as u64);
+            p.busy_begin(h, window_end, engine.pending_events() as u64);
         }
         // With one shard the budget can be exact; with several it is
         // enforced at window granularity by the check above.

@@ -1,31 +1,18 @@
-//! Event queues: the hot-path timing wheel (default), the indexed 4-ary
-//! heap, and the reference binary heap they replaced.
+//! The event queue: an indexed 4-ary min-heap over content-based keys.
 //!
-//! All queues order events by a *content-based* 128-bit key: simulated time
-//! in the high 64 bits and a `(source, per-source count)` subkey in the low
-//! 64 (see `crate::engine`). The key is a pure function of *who scheduled
-//! the event and when*, never of global insertion order — so the same event
+//! Events are ordered by a *content-based* 128-bit key: simulated time in
+//! the high 64 bits and a `(source, per-source count)` subkey in the low 64
+//! (see `crate::engine`). The key is a pure function of *who scheduled the
+//! event and when*, never of global insertion order — so the same event
 //! gets the same key whether the simulation runs on one thread or is
 //! sharded across many, and the pop order is the total order of keys
 //! regardless of the order pushes happened to arrive in. That property is
 //! what lets the parallel engine (`crate::parallel`) drain per-shard queues
-//! independently and still reproduce the sequential engine byte for byte.
-//! The classic [`std::collections::BinaryHeap`] queue is kept selectable
-//! (see [`SchedulerKind`]) purely as the differential-testing and
-//! benchmarking baseline.
+//! independently and still reproduce the sequential engine byte for byte,
+//! and it is why the queue can be swapped without moving a simulated
+//! result: it only orders keys.
 //!
-//! ## Why a timing wheel
-//!
-//! Simulated delays here are nanoseconds to a few microseconds, so almost
-//! every event lands inside a small sliding window. [`WheelQueue`] exploits
-//! that: push links a slab node onto a per-nanosecond bucket kept sorted by
-//! subkey (almost always a tail append), pop unlinks the first node of the
-//! first occupied bucket (found by a 2048-bit bitmap scan), and a depth-1
-//! bypass short-circuits ping-pong workloads entirely. Events beyond the
-//! window fall back to the indexed heap and re-bucket when the window
-//! advances.
-//!
-//! ## Why the 4-ary indexed heap (the overflow and alternate scheduler)
+//! ## Why the indexed 4-ary heap
 //!
 //! * **Shallower**: a 4-ary heap has half the depth of a binary heap, so a
 //!   pop does half the levels of sift-down work; the four children of node
@@ -33,29 +20,19 @@
 //! * **Indexed**: keys (16 bytes) live in one dense vector and are all the
 //!   sift loops ever touch; message payloads sit in a slab addressed by a
 //!   parallel `u32` slot vector, so growing `M` never slows the comparisons.
-//! * **Batched**: [`IndexedHeap::push_batch`] appends a whole burst of
+//! * **Batched**: [`EventQueue::push_batch`] appends a whole burst of
 //!   events and restores the heap in one pass, using Floyd's bottom-up
 //!   heapify when the batch dominates the existing contents.
+//!
+//! Not a timing wheel: real runs keep timers armed far past any short
+//! window (every GM NIC's 50 µs `TimerCheck`), so a wheel's overflow is
+//! never empty and each pop consults two structures. Measured end to end,
+//! the heap beat the wheel on every benchmark workload (DESIGN.md,
+//! "Performance: hot-path design").
 
 use crate::engine::ComponentId;
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering as AtomicOrd;
-
-/// Which event-queue implementation an engine runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// The hot-path timing wheel (default): O(1) push/pop for events inside
-    /// a sliding time window, with an indexed-heap overflow for the rest.
-    #[default]
-    TimingWheel,
-    /// The indexed 4-ary heap: `O(log4 n)` operations over packed keys.
-    Indexed4,
-    /// The original `BinaryHeap`-of-entries scheduler, kept as the reference
-    /// implementation for differential tests and regression baselines.
-    ClassicBinaryHeap,
-}
 
 /// Pack an event key: time in the high 64 bits, subkey in the low 64.
 #[inline(always)]
@@ -77,9 +54,10 @@ pub(crate) struct PoppedEvent<M> {
     pub msg: M,
 }
 
-/// The hot-path queue: a 4-ary min-heap over packed keys with payloads in a
-/// slab.
-pub(crate) struct IndexedHeap<M> {
+/// The engine's event queue: a 4-ary min-heap over packed keys with
+/// payloads in a slab. Keys are assigned by the engine, so the queue is a
+/// pure priority structure with no ordering state of its own.
+pub(crate) struct EventQueue<M> {
     /// Heap-ordered packed `(time, subkey)` keys.
     keys: Vec<u128>,
     /// Parallel to `keys`: slab slot of each event's payload.
@@ -92,9 +70,9 @@ pub(crate) struct IndexedHeap<M> {
 
 const ARITY: usize = 4;
 
-impl<M> IndexedHeap<M> {
-    fn new() -> Self {
-        IndexedHeap {
+impl<M> EventQueue<M> {
+    pub fn new() -> Self {
+        EventQueue {
             keys: Vec::new(),
             slots: Vec::new(),
             payload: Vec::new(),
@@ -103,18 +81,13 @@ impl<M> IndexedHeap<M> {
     }
 
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.keys.len()
     }
 
     #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.keys.first().map(|&k| key_time(k))
-    }
-
-    #[inline]
-    fn peek_key(&self) -> Option<u128> {
-        self.keys.first().copied()
     }
 
     /// Store a payload, returning its slab slot.
@@ -134,7 +107,7 @@ impl<M> IndexedHeap<M> {
     }
 
     #[inline]
-    fn push(&mut self, key: u128, target: ComponentId, msg: M) {
+    pub fn push(&mut self, key: u128, target: ComponentId, msg: M) {
         let slot = self.store(target, msg);
         self.keys.push(key);
         self.slots.push(slot);
@@ -144,7 +117,7 @@ impl<M> IndexedHeap<M> {
     /// Insert a batch of already-keyed events in one pass. When the batch is
     /// at least as large as the existing heap, appending everything and
     /// rebuilding bottom-up (Floyd) is cheaper than per-element sift-up.
-    fn push_batch(&mut self, batch: impl Iterator<Item = (u128, ComponentId, M)>) {
+    pub fn push_batch(&mut self, batch: impl Iterator<Item = (u128, ComponentId, M)>) {
         let before = self.keys.len();
         for (key, target, msg) in batch {
             let slot = self.store(target, msg);
@@ -167,7 +140,8 @@ impl<M> IndexedHeap<M> {
         }
     }
 
-    fn pop(&mut self) -> Option<PoppedEvent<M>> {
+    #[inline]
+    pub fn pop(&mut self) -> Option<PoppedEvent<M>> {
         if self.keys.is_empty() {
             return None;
         }
@@ -272,450 +246,6 @@ impl<M> IndexedHeap<M> {
         }
         self.keys[i] = key;
         self.slots[i] = slot;
-    }
-}
-
-/// The default scheduler: a timing wheel (calendar queue) over a sliding
-/// `[base, base + WHEEL_BUCKETS)` nanosecond window.
-///
-/// Discrete-event workloads here push events a handful of nanoseconds to a
-/// couple of microseconds ahead of `now`, so nearly every event lands in
-/// the window: push links a slab node into its bucket (almost always a tail
-/// append) and sets a bitmap bit, pop unlinks the head node. Buckets are
-/// `(head, tail)` node indices into a slab whose free list is LIFO, so a
-/// ping-pong workload keeps re-using the same hot node; the whole bucket
-/// array is 16 KiB and stays cache-resident. Events beyond the window (or
-/// behind the read floor) go to an [`IndexedHeap`] overflow; when the
-/// window drains, it advances to the overflow's minimum and re-buckets
-/// everything now in range.
-///
-/// A depth-1 bypass (the classic DES "top event cache") short-circuits
-/// ping-pong workloads: a push into an empty queue parks the event in
-/// `single` and the next pop returns it without touching a bucket at all.
-/// Any push while `single` is occupied flushes it into the wheel first.
-///
-/// ## Ordering proof sketch
-///
-/// Pop must follow the total `(time, subkey)` key order among the events
-/// currently pending:
-///
-/// * Same-time events share a bucket, and each bucket chain is kept sorted
-///   by subkey on insert — so within a bucket delivery order *is* key
-///   order. (Unlike a global insertion counter, content subkeys do not
-///   arrive in increasing order: a later push from a lower-numbered source
-///   carries a smaller subkey. The sorted insert restores the total order;
-///   the common case — monotone subkeys — is still a tail append.)
-/// * Overflow events that re-bucket on a window advance are inserted in
-///   key order *before* any direct push into the new window can occur, so
-///   the sorted-chain property is established by tail appends alone.
-/// * An in-window push behind the read floor is routed to the overflow, and
-///   the floor only moves forward, so such an event's time stays strictly
-///   below every remaining bucket time — the overflow-first pop rule
-///   delivers it in order, and an overflow/bucket *time* tie is impossible
-///   (full keys are compared anyway, for safety).
-pub(crate) struct WheelQueue<M> {
-    /// Depth-1 bypass: the sole queued event, iff `len == 1` came from a
-    /// push into an empty queue. Invariant: `single.is_some()` implies the
-    /// buckets and the overflow are empty.
-    single: Option<(u128, ComponentId, M)>,
-    /// Time (ns) of bucket 0.
-    base: u64,
-    /// Bucket index of the last bucket pop; in-window pushes behind this go
-    /// to the overflow so the scan never moves backwards.
-    floor: usize,
-    /// First non-empty bucket index, or `WHEEL_BUCKETS` when none.
-    next_bucket: usize,
-    /// Per bucket: slab index of the first queued node, or `NIL`.
-    head: Box<[u32; WHEEL_BUCKETS]>,
-    /// Per bucket: slab index of the last queued node (stale when empty).
-    tail: Box<[u32; WHEEL_BUCKETS]>,
-    /// Per node: slab index of the next node in the same bucket, or `NIL`.
-    next: Vec<u32>,
-    /// Per node: the low 64 bits of the event key (bucket = the high bits).
-    subkeys: Vec<u64>,
-    /// Per node: the event payload; `None` entries are free.
-    payload: Vec<Option<(ComponentId, M)>>,
-    /// Free slab nodes (LIFO, so the hottest node is re-used first).
-    free: Vec<u32>,
-    /// One bit per bucket: non-empty.
-    occupied: Box<[u64; WHEEL_WORDS]>,
-    /// Events outside the window, in full `(time, subkey)` key order.
-    overflow: IndexedHeap<M>,
-    /// Total queued events (buckets + overflow).
-    len: usize,
-}
-
-/// Wheel window width in nanoseconds (and buckets). 2 µs covers the link,
-/// DMA and host-wakeup delays of both substrates while keeping the touched
-/// bucket set inside the L1 cache; longer timers take the overflow path.
-const WHEEL_BUCKETS: usize = 2048;
-const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
-/// Null link / empty bucket marker.
-const NIL: u32 = u32::MAX;
-
-impl<M> WheelQueue<M> {
-    fn new() -> Self {
-        WheelQueue {
-            single: None,
-            base: 0,
-            floor: 0,
-            next_bucket: WHEEL_BUCKETS,
-            head: Box::new([NIL; WHEEL_BUCKETS]),
-            tail: Box::new([NIL; WHEEL_BUCKETS]),
-            next: Vec::new(),
-            subkeys: Vec::new(),
-            payload: Vec::new(),
-            free: Vec::new(),
-            occupied: Box::new([0; WHEEL_WORDS]),
-            overflow: IndexedHeap::new(),
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn horizon(&self) -> u64 {
-        self.base.saturating_add(WHEEL_BUCKETS as u64)
-    }
-
-    /// Insert a payload node into bucket `idx`'s chain, keeping the chain
-    /// sorted by subkey. Monotone pushes — the overwhelmingly common case —
-    /// take the tail-append fast path.
-    #[inline]
-    fn link(&mut self, idx: usize, subkey: u64, target: ComponentId, msg: M) {
-        // `idx` is already < WHEEL_BUCKETS; the mask lets the compiler drop
-        // every bounds check on the fixed-size bucket arrays.
-        let idx = idx & (WHEEL_BUCKETS - 1);
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.payload[slot as usize] = Some((target, msg));
-                self.subkeys[slot as usize] = subkey;
-                self.next[slot as usize] = NIL;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.payload.len()).expect("wheel slab overflow");
-                self.payload.push(Some((target, msg)));
-                self.subkeys.push(subkey);
-                self.next.push(NIL);
-                slot
-            }
-        };
-        let tail = self.tail[idx];
-        if self.head[idx] == NIL {
-            self.head[idx] = slot;
-            self.tail[idx] = slot;
-        } else if self.subkeys[tail as usize] <= subkey {
-            self.next[tail as usize] = slot;
-            self.tail[idx] = slot;
-        } else {
-            // Out-of-order subkey: walk the (short) chain to the insertion
-            // point. The chain stays sorted, so the walk stops at the first
-            // larger subkey.
-            let mut prev = NIL;
-            let mut cur = self.head[idx];
-            while cur != NIL && self.subkeys[cur as usize] <= subkey {
-                prev = cur;
-                cur = self.next[cur as usize];
-            }
-            self.next[slot as usize] = cur;
-            if prev == NIL {
-                self.head[idx] = slot;
-            } else {
-                self.next[prev as usize] = slot;
-            }
-        }
-        self.occupied[idx / 64] |= 1 << (idx % 64);
-        if idx < self.next_bucket {
-            self.next_bucket = idx;
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, key: u128, target: ComponentId, msg: M) {
-        self.len += 1;
-        if self.len == 1 {
-            self.single = Some((key, target, msg));
-            return;
-        }
-        if let Some((skey, starget, smsg)) = self.single.take() {
-            self.route(skey, starget, smsg);
-        }
-        self.route(key, target, msg);
-    }
-
-    /// Place one event into a bucket or the overflow.
-    #[inline]
-    fn route(&mut self, key: u128, target: ComponentId, msg: M) {
-        let t = (key >> 64) as u64;
-        let off = t.wrapping_sub(self.base);
-        if t >= self.base && off < WHEEL_BUCKETS as u64 && off as usize >= self.floor {
-            self.link(off as usize, key as u64, target, msg);
-        } else {
-            // Behind the floor or beyond the horizon: full-key heap order.
-            self.overflow.push(key, target, msg);
-        }
-    }
-
-    /// Full key of the head of the first occupied bucket, if any.
-    #[inline]
-    fn bucket_head_key(&self) -> Option<u128> {
-        if self.next_bucket >= WHEEL_BUCKETS {
-            return None;
-        }
-        let b = self.next_bucket & (WHEEL_BUCKETS - 1);
-        let head = self.head[b];
-        debug_assert_ne!(head, NIL, "occupied bucket empty");
-        Some(pack(
-            SimTime::from_ns(self.base + self.next_bucket as u64),
-            self.subkeys[head as usize],
-        ))
-    }
-
-    fn pop(&mut self) -> Option<PoppedEvent<M>> {
-        if let Some((key, target, msg)) = self.single.take() {
-            self.len -= 1;
-            return Some(PoppedEvent {
-                key,
-                time: key_time(key),
-                target,
-                msg,
-            });
-        }
-        // Fast path: no overflow pending (the common case — overflow only
-        // holds events scheduled more than a window ahead), so the first
-        // occupied bucket's head is the global minimum.
-        if self.overflow.len() == 0 {
-            if self.next_bucket < WHEEL_BUCKETS {
-                return self.pop_bucket();
-            }
-            return None;
-        }
-        loop {
-            let bucket_key = self.bucket_head_key();
-            let over_key = self.overflow.peek_key();
-            match (over_key, bucket_key) {
-                (None, None) => return None,
-                (Some(ok), None) if (ok >> 64) as u64 >= self.horizon() => {
-                    // Window fully drained and everything pending is beyond
-                    // it: slide the window and re-bucket.
-                    self.advance((ok >> 64) as u64);
-                    continue;
-                }
-                (Some(ok), Some(bk)) if ok >= bk => return self.pop_bucket(),
-                (Some(_), _) => {
-                    self.len -= 1;
-                    return self.overflow.pop();
-                }
-                (None, Some(_)) => return self.pop_bucket(),
-            }
-        }
-    }
-
-    #[inline]
-    fn pop_bucket(&mut self) -> Option<PoppedEvent<M>> {
-        let bucket_time = self.base + self.next_bucket as u64;
-        let b = self.next_bucket & (WHEEL_BUCKETS - 1);
-        let slot = self.head[b];
-        debug_assert_ne!(slot, NIL, "occupied bucket empty");
-        let rest = self.next[slot as usize];
-        self.head[b] = rest;
-        let (target, msg) = self.payload[slot as usize]
-            .take()
-            .expect("wheel node had no payload");
-        let subkey = self.subkeys[slot as usize];
-        self.free.push(slot);
-        self.floor = b;
-        if rest == NIL {
-            self.occupied[b / 64] &= !(1 << (b % 64));
-            self.next_bucket = self.scan_from(b + 1);
-        }
-        self.len -= 1;
-        Some(PoppedEvent {
-            key: pack(SimTime::from_ns(bucket_time), subkey),
-            time: SimTime::from_ns(bucket_time),
-            target,
-            msg,
-        })
-    }
-
-    /// Slide the window so bucket 0 sits at `t0` (the overflow minimum) and
-    /// re-bucket every overflow event now inside the window, in key order.
-    fn advance(&mut self, t0: u64) {
-        debug_assert_eq!(self.next_bucket, WHEEL_BUCKETS, "advance with buckets live");
-        self.base = t0;
-        self.floor = 0;
-        let limit = self.horizon();
-        while let Some(t) = self.overflow.peek_time() {
-            let tn = t.as_ns();
-            if tn >= limit {
-                break;
-            }
-            let e = self.overflow.pop().expect("peeked event vanished");
-            self.link((tn - t0) as usize, e.key as u64, e.target, e.msg);
-        }
-    }
-
-    /// First occupied bucket at or after `from`, or `WHEEL_BUCKETS`.
-    fn scan_from(&self, from: usize) -> usize {
-        let mut w = from / 64;
-        if w >= WHEEL_WORDS {
-            return WHEEL_BUCKETS;
-        }
-        let mut word = self.occupied[w] & (!0u64 << (from % 64));
-        loop {
-            if word != 0 {
-                return w * 64 + word.trailing_zeros() as usize;
-            }
-            w += 1;
-            if w == WHEEL_WORDS {
-                return WHEEL_BUCKETS;
-            }
-            word = self.occupied[w];
-        }
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        if let Some((key, _, _)) = &self.single {
-            return Some(key_time(*key));
-        }
-        let bucket =
-            (self.next_bucket < WHEEL_BUCKETS).then(|| self.base + self.next_bucket as u64);
-        let over = self.overflow.peek_time().map(|t| t.as_ns());
-        match (bucket, over) {
-            (None, None) => None,
-            (Some(b), None) => Some(SimTime::from_ns(b)),
-            (None, Some(o)) => Some(SimTime::from_ns(o)),
-            (Some(b), Some(o)) => Some(SimTime::from_ns(b.min(o))),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// The original scheduler: one `BinaryHeap` of whole entries, compared by
-/// the same packed key (max-heap inverted via `Reverse`-style ordering).
-pub(crate) struct ClassicHeap<M> {
-    heap: BinaryHeap<ClassicEntry<M>>,
-}
-
-struct ClassicEntry<M> {
-    key: u128,
-    target: ComponentId,
-    msg: M,
-}
-
-impl<M> PartialEq for ClassicEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<M> Eq for ClassicEntry<M> {}
-impl<M> PartialOrd for ClassicEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for ClassicEntry<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest key pops first.
-        other.key.cmp(&self.key)
-    }
-}
-
-impl<M> ClassicHeap<M> {
-    fn new() -> Self {
-        ClassicHeap {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-/// A queue of key-ordered events. Keys are assigned by the engine (content
-/// based: time, scheduling source, per-source count), so a queue is a pure
-/// priority structure with no ordering state of its own.
-pub(crate) enum EventQueue<M> {
-    Wheel(WheelQueue<M>),
-    Indexed(IndexedHeap<M>),
-    Classic(ClassicHeap<M>),
-}
-
-impl<M> EventQueue<M> {
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::TimingWheel => EventQueue::Wheel(WheelQueue::new()),
-            SchedulerKind::Indexed4 => EventQueue::Indexed(IndexedHeap::new()),
-            SchedulerKind::ClassicBinaryHeap => EventQueue::Classic(ClassicHeap::new()),
-        }
-    }
-
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Wheel(_) => SchedulerKind::TimingWheel,
-            EventQueue::Indexed(_) => SchedulerKind::Indexed4,
-            EventQueue::Classic(_) => SchedulerKind::ClassicBinaryHeap,
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, key: u128, target: ComponentId, msg: M) {
-        match self {
-            EventQueue::Wheel(q) => q.push(key, target, msg),
-            EventQueue::Indexed(q) => q.push(key, target, msg),
-            EventQueue::Classic(q) => q.heap.push(ClassicEntry { key, target, msg }),
-        }
-    }
-
-    /// Insert a whole batch in one pass (see [`IndexedHeap::push_batch`]).
-    pub fn push_batch(&mut self, batch: impl Iterator<Item = (u128, ComponentId, M)>) {
-        match self {
-            EventQueue::Wheel(q) => {
-                for (key, target, msg) in batch {
-                    q.push(key, target, msg);
-                }
-            }
-            EventQueue::Indexed(q) => q.push_batch(batch),
-            EventQueue::Classic(q) => {
-                for (key, target, msg) in batch {
-                    q.heap.push(ClassicEntry { key, target, msg });
-                }
-            }
-        }
-    }
-
-    #[inline]
-    pub fn pop(&mut self) -> Option<PoppedEvent<M>> {
-        match self {
-            EventQueue::Wheel(q) => q.pop(),
-            EventQueue::Indexed(q) => q.pop(),
-            EventQueue::Classic(q) => q.heap.pop().map(|e| PoppedEvent {
-                key: e.key,
-                time: key_time(e.key),
-                target: e.target,
-                msg: e.msg,
-            }),
-        }
-    }
-
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Wheel(q) => q.peek_time(),
-            EventQueue::Indexed(q) => q.peek_time(),
-            EventQueue::Classic(q) => q.heap.peek().map(|e| key_time(e.key)),
-        }
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(q) => q.len(),
-            EventQueue::Indexed(q) => q.len(),
-            EventQueue::Classic(q) => q.heap.len(),
-        }
     }
 }
 
@@ -835,6 +365,7 @@ impl<T> Drop for SpscRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Single-source key generator: reproduces the classic "global insertion
     /// order" tie-break the engine's per-source counts generalize.
@@ -853,128 +384,105 @@ mod tests {
         }
     }
 
-    fn drain<M>(q: &mut EventQueue<M>) -> Vec<(u64, usize)> {
-        let mut out = Vec::new();
-        while let Some(e) = q.pop() {
-            out.push((e.time.as_ns(), e.target.0));
-        }
-        out
+    /// The trivially correct reference: a `Vec` kept sorted by key.
+    #[derive(Default)]
+    struct SortedVec {
+        events: Vec<(u128, ComponentId, u64)>,
     }
 
-    fn exercise(kind: SchedulerKind) -> Vec<(u64, usize)> {
-        let mut q = EventQueue::new(kind);
-        let mut gen = KeyGen::new();
-        // A deliberately adversarial mix: descending, ties, interleaved
-        // pops, and a batch insert.
-        for t in (0..50u64).rev() {
-            q.push(gen.key(t % 7), ComponentId(t as usize), t);
+    impl SortedVec {
+        fn push(&mut self, key: u128, target: ComponentId, msg: u64) {
+            let at = self.events.partition_point(|e| e.0 < key);
+            self.events.insert(at, (key, target, msg));
         }
-        let mut popped = Vec::new();
-        for _ in 0..10 {
-            let e = q.pop().unwrap();
-            popped.push((e.time.as_ns(), e.target.0));
+        fn pop(&mut self) -> Option<(u128, ComponentId, u64)> {
+            (!self.events.is_empty()).then(|| self.events.remove(0))
         }
-        q.push_batch((0..100u64).map(|i| (gen.key(i % 5), ComponentId(1000 + i as usize), i)));
-        popped.extend(drain(&mut q));
-        popped
-    }
-
-    #[test]
-    fn all_schedulers_pop_identically() {
-        let classic = exercise(SchedulerKind::ClassicBinaryHeap);
-        assert_eq!(exercise(SchedulerKind::TimingWheel), classic);
-        assert_eq!(exercise(SchedulerKind::Indexed4), classic);
-    }
-
-    #[test]
-    fn pop_order_is_time_then_subkey() {
-        for kind in [
-            SchedulerKind::TimingWheel,
-            SchedulerKind::Indexed4,
-            SchedulerKind::ClassicBinaryHeap,
-        ] {
-            let mut q = EventQueue::<u32>::new(kind);
-            let mut gen = KeyGen::new();
-            for (i, &t) in [5u64, 1, 5, 0, 1].iter().enumerate() {
-                q.push(gen.key(t), ComponentId(i), i as u32);
-            }
-            let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|e| e.target.0).collect();
-            assert_eq!(order, vec![3, 1, 4, 0, 2], "{kind:?}");
+        fn peek_time(&self) -> Option<SimTime> {
+            self.events.first().map(|e| key_time(e.0))
         }
     }
 
-    /// Same-time events pushed with *descending* subkeys (a later push from
-    /// a lower-numbered source) must still pop in subkey order — this is
-    /// the sorted-bucket-insert path the content-key scheme depends on.
-    #[test]
-    fn same_time_descending_subkeys_pop_in_key_order() {
-        for kind in [
-            SchedulerKind::TimingWheel,
-            SchedulerKind::Indexed4,
-            SchedulerKind::ClassicBinaryHeap,
-        ] {
-            let mut q = EventQueue::<u64>::new(kind);
-            // Two time buckets, each receiving subkeys in descending and
-            // then interleaved order.
-            for (t, sub) in [
-                (10u64, 50u64),
-                (10, 30),
-                (20, 9),
-                (10, 40),
-                (20, 3),
-                (10, 35),
-            ] {
-                q.push(
-                    pack(SimTime::from_ns(t), sub),
-                    ComponentId(sub as usize),
-                    sub,
-                );
-            }
-            let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|e| e.target.0).collect();
-            assert_eq!(order, vec![30, 35, 40, 50, 3, 9], "{kind:?}");
-        }
-    }
-
-    /// Push times far beyond the wheel window, interleave pops (advancing
-    /// the wheel base), then push behind the new floor — every path through
-    /// bucket / overflow / rebucketing must still yield global key order.
-    #[test]
-    fn wheel_overflow_and_rebucketing_match_classic() {
-        let run = |kind: SchedulerKind| {
-            let mut q = EventQueue::<u64>::new(kind);
-            let mut gen = KeyGen::new();
-            // Mix of in-window, far-future (multiple windows out), and tied
-            // times, pushed in descending order.
-            for t in (0..40u64).rev() {
-                let time = (t % 3) * 20_000 + t % 5; // 0, 20_000, 40_000 bands
-                q.push(gen.key(time), ComponentId(t as usize), t);
-            }
-            let mut popped = Vec::new();
-            for _ in 0..20 {
-                let e = q.pop().unwrap();
-                popped.push((e.time.as_ns(), e.target.0));
-                // Push behind the current pop time (same-time is legal);
-                // lands behind the wheel floor → overflow path.
-                if popped.len() % 4 == 0 {
-                    q.push(
-                        gen.key(e.time.as_ns()),
-                        ComponentId(9000 + popped.len()),
-                        popped.len() as u64,
-                    );
+    proptest! {
+        /// Random operation sequences leave the heap and the sorted-`Vec`
+        /// reference in the same observable state after every step: same
+        /// popped event, same `peek_time`, same `len`.
+        ///
+        /// Subkeys are engine-shaped, `(source << 40) | count` with a
+        /// global count, so keys are unique and a later push from a lower
+        /// source carries a smaller subkey than an earlier one (same-time
+        /// descending subkeys); a dedicated op pushes such a burst at one
+        /// instant. Times are drawn relative to the last pop, with a
+        /// far-future option, and batches are drawn both larger than the
+        /// current length (Floyd rebuild) and smaller (per-element
+        /// sift-up).
+        #[test]
+        fn heap_matches_sorted_vec_reference(
+            ops in prop::collection::vec((0u32..10, 0u64..64, 0u64..16, 0usize..24), 1..160),
+        ) {
+            let mut heap = EventQueue::<u64>::new();
+            let mut reference = SortedVec::default();
+            let mut count = 0u64;
+            let mut now = 0u64;
+            // An engine-shaped event: the payload is the (unique) subkey.
+            let mut event = |t: u64, source: u64| {
+                count += 1;
+                let subkey = (source << 40) | count;
+                (pack(SimTime::from_ns(t), subkey), ComponentId(source as usize), subkey)
+            };
+            for &(op, dt, source, n) in &ops {
+                let pushes: Vec<(u128, ComponentId, u64)> = match op {
+                    // A push a few ns ahead of the clock.
+                    0..=2 => vec![event(now + dt, source)],
+                    // A far-future timer.
+                    3 => vec![event(now + 50_000 + dt * 1_000, source)],
+                    // A same-time burst from descending sources.
+                    4 => (0..n as u64 % 6 + 2).rev().map(|s| event(now + dt, s)).collect(),
+                    _ => Vec::new(),
+                };
+                for &(k, target, msg) in &pushes {
+                    heap.push(k, target, msg);
+                    reference.push(k, target, msg);
                 }
+                match op {
+                    // A batch larger than the heap (Floyd) or smaller
+                    // (sift-up); capped so repeated doubling stays small.
+                    5 | 6 => {
+                        let len = heap.len();
+                        let size = if op == 5 && len < 256 { len + 1 + n } else { n.min(len / 2) };
+                        let batch: Vec<(u128, ComponentId, u64)> = (0..size as u64)
+                            .map(|i| event(now + (dt * 7 + i * 13) % 97, (source + i) % 16))
+                            .collect();
+                        for &(k, target, msg) in &batch {
+                            reference.push(k, target, msg);
+                        }
+                        heap.push_batch(batch.into_iter());
+                    }
+                    // Pops outnumber peeks so the queue drains now and then.
+                    7 | 8 => {
+                        let got = heap.pop();
+                        if let Some(e) = &got {
+                            prop_assert_eq!(e.time, key_time(e.key));
+                            now = e.time.as_ns();
+                        }
+                        prop_assert_eq!(got.map(|e| (e.key, e.target, e.msg)), reference.pop());
+                    }
+                    // 0..=4 pushed above; 9 is a bare peek, checked below.
+                    _ => {}
+                }
+                prop_assert_eq!(heap.peek_time(), reference.peek_time());
+                prop_assert_eq!(heap.len(), reference.events.len());
             }
-            popped.extend(drain(&mut q));
-            popped
-        };
-        assert_eq!(
-            run(SchedulerKind::TimingWheel),
-            run(SchedulerKind::ClassicBinaryHeap)
-        );
+            while let Some(e) = heap.pop() {
+                prop_assert_eq!(Some((e.key, e.target, e.msg)), reference.pop());
+            }
+            prop_assert!(reference.pop().is_none());
+        }
     }
 
     #[test]
     fn batch_into_empty_heap_uses_floyd_and_orders() {
-        let mut q = EventQueue::<u64>::new(SchedulerKind::Indexed4);
+        let mut q = EventQueue::<u64>::new();
         let mut gen = KeyGen::new();
         q.push_batch((0..200u64).map(|i| (gen.key(199 - i), ComponentId(i as usize), i)));
         let times: Vec<u64> = std::iter::from_fn(|| q.pop())
@@ -988,7 +496,7 @@ mod tests {
 
     #[test]
     fn slab_slots_are_recycled() {
-        let mut q = EventQueue::<u64>::new(SchedulerKind::Indexed4);
+        let mut q = EventQueue::<u64>::new();
         let mut gen = KeyGen::new();
         for round in 0..10u64 {
             for i in 0..8u64 {
@@ -996,36 +504,11 @@ mod tests {
             }
             while q.pop().is_some() {}
         }
-        if let EventQueue::Indexed(h) = &q {
-            assert!(
-                h.payload.len() <= 8,
-                "slab grew to {} for a working set of 8",
-                h.payload.len()
-            );
-        } else {
-            unreachable!();
-        }
-    }
-
-    /// The wheel's popped keys must round-trip exactly (bucket time + stored
-    /// subkey), including through the single-event bypass and rebucketing.
-    #[test]
-    fn popped_keys_are_exact_on_every_path() {
-        let mut q = EventQueue::<u64>::new(SchedulerKind::TimingWheel);
-        let keys = [
-            pack(SimTime::from_ns(5), 77),        // bypass path
-            pack(SimTime::from_ns(5), 12),        // bucket path
-            pack(SimTime::from_ns(100_000), 3),   // overflow + advance
-            pack(SimTime::from_ns(100_000), 900), // overflow tie time
-        ];
-        for (i, &k) in keys.iter().enumerate() {
-            q.push(k, ComponentId(i), i as u64);
-        }
-        let mut got: Vec<u128> = std::iter::from_fn(|| q.pop()).map(|e| e.key).collect();
-        let mut expect = keys.to_vec();
-        expect.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(got, expect);
+        assert!(
+            q.payload.len() <= 8,
+            "slab grew to {} for a working set of 8",
+            q.payload.len()
+        );
     }
 
     #[test]

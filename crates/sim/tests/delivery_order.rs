@@ -1,10 +1,9 @@
-//! Differential tests: the indexed 4-ary scheduler must be observationally
-//! identical to the classic `BinaryHeap` scheduler it replaced — same
-//! delivery order, same RNG stream consumption, same counters — and runs
-//! must be bit-for-bit reproducible across re-executions.
+//! Delivery-order tests through the public engine API: same-time events
+//! arrive in issue order, runs are bit-for-bit reproducible across
+//! re-executions, and the counter report is name-ordered. (The queue's own
+//! ordering is checked against a sorted-`Vec` reference in `queue.rs`.)
 
-use nicbar_sim::{counter_id, Component, ComponentId, Ctx, Engine, SchedulerKind, SimTime};
-use proptest::prelude::*;
+use nicbar_sim::{counter_id, Component, ComponentId, Ctx, Engine, SimTime};
 
 /// One recorded delivery: (virtual time in ns, receiver index, message tag).
 type Delivery = (u64, usize, u64);
@@ -51,12 +50,11 @@ impl Component<Msg> for Recorder {
 /// Run a seeded fan-out workload and return the merged, delivery-ordered
 /// trace plus the counter report and the processed-event count.
 fn run_workload(
-    kind: SchedulerKind,
     seed: u64,
     n: usize,
     initial: &[(u64, usize, u32)],
 ) -> (Vec<Delivery>, Vec<(&'static str, u64)>, u64) {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(seed, kind);
+    let mut engine: Engine<Msg> = Engine::new(seed);
     let ids: Vec<ComponentId> = (0..n).map(|_| engine.reserve_id()).collect();
     for (i, &id) in ids.iter().enumerate() {
         engine.install(
@@ -91,25 +89,8 @@ fn run_workload(
     (merged, counters, engine.events_processed())
 }
 
-proptest! {
-    /// Randomized workloads deliver identically (per-component order, RNG
-    /// stream, counters, event count) on all three queue implementations.
-    #[test]
-    fn schedulers_are_observationally_identical(
-        seed in any::<u64>(),
-        n in 1usize..8,
-        initial in proptest::collection::vec((0u64..500, 0usize..8, 0u32..5), 1..6),
-    ) {
-        let a = run_workload(SchedulerKind::TimingWheel, seed, n, &initial);
-        let b = run_workload(SchedulerKind::Indexed4, seed, n, &initial);
-        let c = run_workload(SchedulerKind::ClassicBinaryHeap, seed, n, &initial);
-        prop_assert_eq!(&a, &c);
-        prop_assert_eq!(a, b);
-    }
-}
-
-/// Same-time events must deliver in issue order (seq tie-break) on every
-/// scheduler: a burst of zero-delay sends to one target arrives FIFO.
+/// Same-time events must deliver in issue order (count tie-break): a burst
+/// of zero-delay sends to one target arrives FIFO.
 #[test]
 fn same_time_events_deliver_in_issue_order() {
     struct Burst {
@@ -136,24 +117,18 @@ fn same_time_events_deliver_in_issue_order() {
             }
         }
     }
-    for kind in [
-        SchedulerKind::TimingWheel,
-        SchedulerKind::Indexed4,
-        SchedulerKind::ClassicBinaryHeap,
-    ] {
-        let mut engine: Engine<M> = Engine::with_scheduler(7, kind);
-        let sink = engine.reserve_id();
-        let burst = engine.add(Burst { sink });
-        engine.install(sink, Sink { seen: Vec::new() });
-        engine.schedule_at(SimTime::ZERO, burst, M::Go);
-        engine.run();
-        let sink_ref = engine.component_ref::<Sink>(sink).expect("sink installed");
-        assert_eq!(
-            sink_ref.seen,
-            (0..64).collect::<Vec<u64>>(),
-            "{kind:?}: same-time burst must arrive in issue order"
-        );
-    }
+    let mut engine: Engine<M> = Engine::new(7);
+    let sink = engine.reserve_id();
+    let burst = engine.add(Burst { sink });
+    engine.install(sink, Sink { seen: Vec::new() });
+    engine.schedule_at(SimTime::ZERO, burst, M::Go);
+    engine.run();
+    let sink_ref = engine.component_ref::<Sink>(sink).expect("sink installed");
+    assert_eq!(
+        sink_ref.seen,
+        (0..64).collect::<Vec<u64>>(),
+        "same-time burst must arrive in issue order"
+    );
 }
 
 /// Re-running the identical workload in a fresh process state (fresh
@@ -162,16 +137,10 @@ fn same_time_events_deliver_in_issue_order() {
 #[test]
 fn reruns_are_bit_identical() {
     let initial = [(0, 0, 6), (120, 2, 5), (120, 1, 4), (300, 3, 6)];
-    for kind in [
-        SchedulerKind::TimingWheel,
-        SchedulerKind::Indexed4,
-        SchedulerKind::ClassicBinaryHeap,
-    ] {
-        let first = run_workload(kind, 0xD5EED, 5, &initial);
-        for _ in 0..3 {
-            let again = run_workload(kind, 0xD5EED, 5, &initial);
-            assert_eq!(first, again, "{kind:?}: rerun diverged");
-        }
+    let first = run_workload(0xD5EED, 5, &initial);
+    for _ in 0..3 {
+        let again = run_workload(0xD5EED, 5, &initial);
+        assert_eq!(first, again, "rerun diverged");
     }
 }
 

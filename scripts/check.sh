@@ -38,6 +38,11 @@ gate "build-examples" cargo build --examples --workspace
 gate "test" cargo test -q --workspace
 gate "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
+# Benchmark oracle: barbench/ is its own Cargo workspace, so neither the
+# workspace tests nor clippy build it. Its tests pin the exact simulated
+# latency, packet and event counts of the benchmark workloads.
+gate "barbench-test" cargo test --release --offline -q --manifest-path barbench/Cargo.toml
+
 # Static analysis: nicbar-lint enforces the determinism and protocol
 # invariants (rule catalogue in DESIGN.md). The fixture self-test runs
 # first so a broken rule cannot silently pass the workspace; the workspace
