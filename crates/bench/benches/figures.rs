@@ -6,12 +6,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nicbar_bench::criterion_cfg;
-use nicbar_core::{
-    elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier,
-    Algorithm,
-};
+use nicbar_core::{Algorithm, Barrier, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn fig5(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig5_lanai91");
@@ -19,24 +19,19 @@ fn fig5(c: &mut Criterion) {
     for n in [4usize, 16] {
         g.bench_with_input(BenchmarkId::new("nic_ds", n), &n, |b, &n| {
             b.iter(|| {
-                gm_nic_barrier(
-                    GmParams::lanai_9_1(),
-                    CollFeatures::paper(),
-                    n,
-                    Algorithm::Dissemination,
-                    criterion_cfg(),
-                )
-                .mean_us
+                Scenario::gm(GmParams::lanai_9_1(), n, DS)
+                    .run(&criterion_cfg())
+                    .mean_us
             })
         });
         g.bench_with_input(BenchmarkId::new("host_ds", n), &n, |b, &n| {
             b.iter(|| {
-                gm_host_barrier(
+                Scenario::gm(
                     GmParams::lanai_9_1(),
                     n,
-                    Algorithm::Dissemination,
-                    criterion_cfg(),
+                    Barrier::Host(Algorithm::Dissemination),
                 )
+                .run(&criterion_cfg())
                 .mean_us
             })
         });
@@ -50,24 +45,23 @@ fn fig6(c: &mut Criterion) {
     for n in [4usize, 8] {
         g.bench_with_input(BenchmarkId::new("nic_pe", n), &n, |b, &n| {
             b.iter(|| {
-                gm_nic_barrier(
+                Scenario::gm(
                     GmParams::lanai_xp(),
-                    CollFeatures::paper(),
                     n,
-                    Algorithm::PairwiseExchange,
-                    criterion_cfg(),
+                    Barrier::Nic(Algorithm::PairwiseExchange),
                 )
+                .run(&criterion_cfg())
                 .mean_us
             })
         });
         g.bench_with_input(BenchmarkId::new("host_pe", n), &n, |b, &n| {
             b.iter(|| {
-                gm_host_barrier(
+                Scenario::gm(
                     GmParams::lanai_xp(),
                     n,
-                    Algorithm::PairwiseExchange,
-                    criterion_cfg(),
+                    Barrier::Host(Algorithm::PairwiseExchange),
                 )
+                .run(&criterion_cfg())
                 .mean_us
             })
         });
@@ -81,20 +75,24 @@ fn fig7(c: &mut Criterion) {
     for n in [4usize, 8] {
         g.bench_with_input(BenchmarkId::new("nic_ds", n), &n, |b, &n| {
             b.iter(|| {
-                elan_nic_barrier(
-                    ElanParams::elan3(),
-                    n,
-                    Algorithm::Dissemination,
-                    criterion_cfg(),
-                )
-                .mean_us
+                Scenario::elan(ElanParams::elan3(), n, DS)
+                    .run(&criterion_cfg())
+                    .mean_us
             })
         });
         g.bench_with_input(BenchmarkId::new("gsync", n), &n, |b, &n| {
-            b.iter(|| elan_gsync_barrier(ElanParams::elan3(), n, 4, criterion_cfg()).mean_us)
+            b.iter(|| {
+                Scenario::elan(ElanParams::elan3(), n, Barrier::Gsync(4))
+                    .run(&criterion_cfg())
+                    .mean_us
+            })
         });
         g.bench_with_input(BenchmarkId::new("hgsync", n), &n, |b, &n| {
-            b.iter(|| elan_hw_barrier(ElanParams::elan3(), n, criterion_cfg()).mean_us)
+            b.iter(|| {
+                Scenario::elan(ElanParams::elan3(), n, Barrier::Hardware)
+                    .run(&criterion_cfg())
+                    .mean_us
+            })
         });
     }
     g.finish();
@@ -110,27 +108,10 @@ fn fig8(c: &mut Criterion) {
     };
     for n in [64usize, 256] {
         g.bench_with_input(BenchmarkId::new("quadrics_nic_ds", n), &n, |b, &n| {
-            b.iter(|| {
-                elan_nic_barrier(
-                    ElanParams::elan3(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                )
-                .mean_us
-            })
+            b.iter(|| Scenario::elan(ElanParams::elan3(), n, DS).run(&cfg).mean_us)
         });
         g.bench_with_input(BenchmarkId::new("myrinet_nic_ds", n), &n, |b, &n| {
-            b.iter(|| {
-                gm_nic_barrier(
-                    GmParams::lanai_xp(),
-                    CollFeatures::paper(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                )
-                .mean_us
-            })
+            b.iter(|| Scenario::gm(GmParams::lanai_xp(), n, DS).run(&cfg).mean_us)
         });
     }
     g.finish();
@@ -145,14 +126,10 @@ fn ablation(c: &mut Criterion) {
     ] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                gm_nic_barrier(
-                    GmParams::lanai_xp(),
-                    features,
-                    8,
-                    Algorithm::Dissemination,
-                    criterion_cfg(),
-                )
-                .mean_us
+                Scenario::gm(GmParams::lanai_xp(), 8, DS)
+                    .with_features(features)
+                    .run(&criterion_cfg())
+                    .mean_us
             })
         });
     }
@@ -164,17 +141,17 @@ fn thread_vs_chain(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("chain_barrier_8", |b| {
         b.iter(|| {
-            elan_nic_barrier(
-                ElanParams::elan3(),
-                8,
-                Algorithm::Dissemination,
-                criterion_cfg(),
-            )
-            .mean_us
+            Scenario::elan(ElanParams::elan3(), 8, DS)
+                .run(&criterion_cfg())
+                .mean_us
         })
     });
     g.bench_function("thread_barrier_8", |b| {
-        b.iter(|| nicbar_core::elan_thread_barrier(ElanParams::elan3(), 8, criterion_cfg()).mean_us)
+        b.iter(|| {
+            Scenario::elan(ElanParams::elan3(), 8, Barrier::ThreadBarrier)
+                .run(&criterion_cfg())
+                .mean_us
+        })
     });
     g.finish();
 }

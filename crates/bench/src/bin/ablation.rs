@@ -8,20 +8,20 @@
 //! barrier.
 
 use nicbar_bench::figure_cfg;
-use nicbar_core::{gm_nic_barrier, Algorithm};
+use nicbar_core::{Algorithm, Barrier, Scenario};
 use nicbar_gm::{CollFeatures, GmParams};
 
 fn main() {
     let cfg = figure_cfg();
     let n = 8;
     let run = |label: &str, f: CollFeatures| {
-        let s = gm_nic_barrier(
+        let s = Scenario::gm(
             GmParams::lanai_xp(),
-            f,
             n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
+            Barrier::Nic(Algorithm::Dissemination),
+        )
+        .with_features(f)
+        .run(&cfg);
         println!(
             "{label:<34} {:>9.2}us {:>10.1} pkts/barrier",
             s.mean_us, s.wire_per_barrier

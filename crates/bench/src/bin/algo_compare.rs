@@ -11,9 +11,9 @@
 //! for CI smoke runs, `--engine`/`--shards` select the execution engine.
 
 use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
-use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm};
+use nicbar_core::{Algorithm, Barrier, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 
 fn main() {
     let args = fig_args();
@@ -39,14 +39,9 @@ fn main() {
             Series::new(
                 label,
                 parallel_sweep(&ns, |n| {
-                    gm_nic_barrier(
-                        GmParams::lanai_xp(),
-                        CollFeatures::paper(),
-                        n,
-                        algo,
-                        cfg.clone(),
-                    )
-                    .mean_us
+                    Scenario::gm(GmParams::lanai_xp(), n, Barrier::Nic(algo))
+                        .run(&cfg)
+                        .mean_us
                 }),
             )
         })
@@ -76,7 +71,9 @@ fn main() {
             Series::new(
                 label,
                 parallel_sweep(&ns, |n| {
-                    elan_nic_barrier(ElanParams::elan3(), n, algo, cfg.clone()).mean_us
+                    Scenario::elan(ElanParams::elan3(), n, Barrier::Nic(algo))
+                        .run(&cfg)
+                        .mean_us
                 }),
             )
         })

@@ -7,12 +7,12 @@
 //! of the parameter sets.
 
 use nicbar_core::ceil_log2;
-use nicbar_core::{
-    elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier,
-    Algorithm, RunCfg,
-};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn main() {
     let n = 8;
@@ -27,13 +27,7 @@ fn main() {
 
     // --- Myrinet NIC-based -------------------------------------------------
     let p = GmParams::lanai_xp();
-    let s = gm_nic_barrier(
-        p.clone(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+    let s = Scenario::gm(p.clone(), n, DS).run(&cfg);
     println!("Myrinet LANai-XP, NIC-based: {:.2} µs total", s.mean_us);
     let host_side = (p.host_coll_call + p.pio_write + p.host_event_dma + p.host_recv_poll).as_us();
     let nic_work = (p.nic_coll_send + p.nic_coll_recv).as_us() * rounds as f64;
@@ -47,7 +41,7 @@ fn main() {
     );
 
     // --- Myrinet host-based -------------------------------------------------
-    let s = gm_host_barrier(p.clone(), n, Algorithm::Dissemination, cfg.clone());
+    let s = Scenario::gm(p.clone(), n, Barrier::Host(Algorithm::Dissemination)).run(&cfg);
     println!("Myrinet LANai-XP, host-based: {:.2} µs total", s.mean_us);
     let per_round = (p.host_recv_poll
         + p.host_send_overhead
@@ -74,7 +68,7 @@ fn main() {
 
     // --- Quadrics ------------------------------------------------------------
     let q = ElanParams::elan3();
-    let s = elan_nic_barrier(q.clone(), n, Algorithm::Dissemination, cfg.clone());
+    let s = Scenario::elan(q.clone(), n, DS).run(&cfg);
     println!("Quadrics Elan3, chained RDMA: {:.2} µs total", s.mean_us);
     let entry = (q.host_doorbell + q.nic_event_proc).as_us();
     let link = (q.nic_desc_proc + q.nic_event_proc).as_us() * rounds as f64
@@ -89,8 +83,8 @@ fn main() {
     );
 
     // --- Comparators -----------------------------------------------------------
-    let tree = elan_gsync_barrier(q.clone(), n, 4, cfg.clone());
-    let hw = elan_hw_barrier(q, n, cfg);
+    let tree = Scenario::elan(q.clone(), n, Barrier::Gsync(4)).run(&cfg);
+    let hw = Scenario::elan(q, n, Barrier::Hardware).run(&cfg);
     println!(
         "Quadrics comparators: gsync tree {:.2} µs, hardware barrier {:.2} µs",
         tree.mean_us, hw.mean_us

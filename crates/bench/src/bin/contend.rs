@@ -16,33 +16,10 @@
 
 use nicbar_bench::critpath::{self, Interference};
 use nicbar_bench::{fig_args, json::Writer, trajectory, Manifest};
-use nicbar_core::{
-    elan_contend_flight, gm_contend_flight, Algorithm, FlightData, RunCfg, TrafficCfg,
-    CONTEND_GROUP_BASE,
-};
+use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario, TrafficCfg};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 use nicbar_sim::EngineSel;
-
-/// Byte-exact projection of a capture, minus the engine stamp (the one
-/// intentional difference between engines).
-fn witness(f: &FlightData) -> String {
-    format!(
-        "substrate={}\nrecords={:?}\ntrace_dropped={}\nspans={:?}\nspans_dropped={}\norphaned={}\nhists={:?}\nstats={:?}\npackets={:?}\npackets_dropped={}\nledger={:?}\nledger_dropped={}\n",
-        f.substrate,
-        f.records,
-        f.trace_dropped,
-        f.spans,
-        f.spans_dropped,
-        f.orphaned,
-        f.hists,
-        f.stats,
-        f.packets,
-        f.packets_dropped,
-        f.ledger,
-        f.ledger_dropped,
-    )
-}
 
 struct SubstrateReport {
     substrate: &'static str,
@@ -51,59 +28,21 @@ struct SubstrateReport {
     per_path: Vec<Interference>,
 }
 
-fn run_substrate(
-    substrate: &'static str,
-    n: usize,
-    groups: usize,
-    cfg: RunCfg,
-    traffic: TrafficCfg,
-    shards: usize,
-    check: bool,
-) -> SubstrateReport {
-    let run = |engine: EngineSel, shards: usize| -> FlightData {
-        let cfg = RunCfg {
+fn run_substrate(scenario: &Scenario, cfg: &RunCfg, shards: usize, check: bool) -> SubstrateReport {
+    let substrate = scenario.substrate.label();
+    let run = |engine, shards| {
+        scenario.capture(&RunCfg {
             engine,
             shards,
             ..cfg.clone()
-        };
-        match substrate {
-            "gm" => gm_contend_flight(
-                GmParams::lanai_xp(),
-                CollFeatures::paper(),
-                n,
-                groups,
-                Algorithm::Dissemination,
-                cfg.clone(),
-                traffic,
-            ),
-            _ => elan_contend_flight(
-                ElanParams::elan3(),
-                n,
-                groups,
-                Algorithm::Dissemination,
-                cfg.clone(),
-                traffic,
-            ),
-        }
+        })
     };
     let seq = run(EngineSel::Sequential, 1);
     let par = run(EngineSel::Parallel, shards);
     assert_eq!(seq.engine, "sequential");
     assert_eq!(par.engine, "parallel");
-    let (a, b) = (witness(&seq), witness(&par));
-    if a != b {
-        let at = a
-            .bytes()
-            .zip(b.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| a.len().min(b.len()));
-        let lo = at.saturating_sub(120);
-        eprintln!(
-            "contend: {substrate} parallel({shards}) diverges from sequential at byte {at}\n\
-             sequential: ...{}\nparallel:   ...{}",
-            &a[lo..(at + 120).min(a.len())],
-            &b[lo..(at + 120).min(b.len())],
-        );
+    if let Some(at) = seq.divergence(&par) {
+        eprintln!("contend: {substrate} parallel({shards}) diverges from sequential: {at}");
         if check {
             std::process::exit(1);
         }
@@ -113,18 +52,25 @@ fn run_substrate(
 
     // Attribute interference on the contend groups only (the analyzer sees
     // every keyed span in the dump).
+    let groups: Vec<u64> = scenario
+        .group_ids()
+        .iter()
+        .map(|g| u64::from(g.0))
+        .collect();
     let paths: Vec<_> = critpath::analyze(&seq.packets)
         .into_iter()
-        .filter(|p| {
-            (u64::from(CONTEND_GROUP_BASE)..u64::from(CONTEND_GROUP_BASE) + groups as u64)
-                .contains(&p.group)
-        })
+        .filter(|p| groups.contains(&p.group))
         .collect();
     let per_path = critpath::interference(&paths, &seq.ledger);
     let summary = critpath::interference_summary(&per_path);
 
+    let traffic = scenario
+        .traffic
+        .expect("the contend scenario runs under traffic");
     println!(
-        "\n== contend [{substrate}]: {n} nodes, {groups} groups, traffic {}x{}B, {} barriers ==",
+        "\n== contend [{substrate}]: {} nodes, {} groups, traffic {}x{}B, {} barriers ==",
+        scenario.n,
+        groups.len(),
         traffic.outstanding,
         traffic.msg_bytes,
         paths.len()
@@ -271,10 +217,21 @@ fn main() {
     };
     let shards = args.cfg.shards.max(2);
 
-    let reports: Vec<SubstrateReport> = ["gm", "elan"]
-        .into_iter()
-        .map(|s| run_substrate(s, n, groups, cfg.clone(), traffic, shards, check))
-        .collect();
+    let nic = Barrier::Nic(Algorithm::Dissemination);
+    let reports: Vec<SubstrateReport> = [
+        Scenario::gm(GmParams::lanai_xp(), n, nic),
+        Scenario::elan(ElanParams::elan3(), n, nic),
+    ]
+    .into_iter()
+    .map(|s| {
+        run_substrate(
+            &s.with_groups(groups).with_traffic(traffic),
+            &cfg,
+            shards,
+            check,
+        )
+    })
+    .collect();
 
     let manifest = Manifest::new(
         cfg.seed,

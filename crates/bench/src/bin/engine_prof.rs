@@ -29,10 +29,13 @@
 
 use nicbar_bench::json::Manifest;
 use nicbar_bench::{engineprof, exit_usage};
-use nicbar_core::{build_gm_nic_cluster, gm_nic_barrier, Algorithm, RunCfg};
-use nicbar_gm::{CollFeatures, GmParams};
-use nicbar_sim::{EngineProf, EngineSel, RunOutcome};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
+use nicbar_gm::GmParams;
+use nicbar_sim::{EngineProf, EngineSel};
 use std::time::Instant;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 /// The profile must explain at least this fraction of worker wall time.
 const ACCOUNTING_GATE: f64 = 0.95;
@@ -40,25 +43,11 @@ const ACCOUNTING_GATE: f64 = 0.95;
 const OVERHEAD_SLACK: f64 = 0.02;
 
 /// Capture a profiled parallel run: build the cluster, arm the profiler,
-/// run to the deadline, snapshot. Returns the profile and wall seconds.
+/// drain, snapshot. Returns the profile and wall seconds.
 fn capture(nodes: usize, shards: usize, cfg: &RunCfg) -> (EngineProf, f64) {
-    let mut cluster = build_gm_nic_cluster(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        nodes,
-        Algorithm::Dissemination,
-        cfg,
-        false,
-    );
-    cluster.engine.enable_prof();
-    let start = Instant::now();
-    let outcome = cluster.engine.run_until(cfg.deadline());
-    let wall_s = start.elapsed().as_secs_f64();
-    assert_eq!(outcome, RunOutcome::Idle, "run hit the deadline, not idle");
-    let prof = cluster
-        .engine
-        .prof_snapshot()
-        .expect("parallel engine was built, profiler was armed");
+    let mut sim = Scenario::gm(GmParams::lanai_xp(), nodes, DS).build(cfg);
+    let (prof, wall_s) =
+        engineprof::profile_run(&mut sim).expect("parallel engine was built, profiler was armed");
     assert_eq!(
         prof.shards,
         shards.min(nodes),
@@ -79,13 +68,7 @@ fn fig5_disabled_run(engine: EngineSel, shards: usize) -> f64 {
         ..RunCfg::default()
     };
     let start = Instant::now();
-    gm_nic_barrier(
-        GmParams::lanai_9_1(),
-        CollFeatures::paper(),
-        16,
-        Algorithm::Dissemination,
-        cfg,
-    );
+    Scenario::gm(GmParams::lanai_9_1(), 16, DS).run(&cfg);
     start.elapsed().as_secs_f64()
 }
 

@@ -19,11 +19,14 @@
 //! loaded CI box is too noisy for a hard threshold.
 
 use nicbar_bench::json::{Manifest, Writer};
-use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm, RunCfg};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 use nicbar_sim::{Component, ComponentId, Ctx, Engine, EngineSel, SimTime};
 use std::time::Instant;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 const RING_EVENTS: u64 = 400_000;
 const FANOUT_DEPTH: u32 = 9;
@@ -150,15 +153,14 @@ fn sweep_cfg() -> RunCfg {
     }
 }
 
+/// The fig5 figure point: the 16-node LANai-9.1 NIC-DS barrier.
+fn fig5_point() -> Scenario {
+    Scenario::gm(GmParams::lanai_9_1(), 16, DS)
+}
+
 fn fig5_run() -> (f64, f64) {
     let start = Instant::now();
-    let stats = gm_nic_barrier(
-        GmParams::lanai_9_1(),
-        CollFeatures::paper(),
-        16,
-        Algorithm::Dissemination,
-        sweep_cfg(),
-    );
+    let stats = fig5_point().run(&sweep_cfg());
     (stats.mean_us, start.elapsed().as_secs_f64())
 }
 
@@ -176,13 +178,7 @@ fn fig5_engine_run(engine: EngineSel, shards: usize) -> (f64, f64) {
         ..RunCfg::default()
     };
     let start = Instant::now();
-    let stats = gm_nic_barrier(
-        GmParams::lanai_9_1(),
-        CollFeatures::paper(),
-        16,
-        Algorithm::Dissemination,
-        cfg,
-    );
+    let stats = fig5_point().run(&cfg);
     (stats.mean_us, start.elapsed().as_secs_f64())
 }
 
@@ -234,12 +230,7 @@ fn parallel_one_shard_gate() -> (f64, f64) {
 
 fn fig7_run() -> (f64, f64) {
     let start = Instant::now();
-    let stats = elan_nic_barrier(
-        ElanParams::elan3(),
-        8,
-        Algorithm::Dissemination,
-        sweep_cfg(),
-    );
+    let stats = Scenario::elan(ElanParams::elan3(), 8, DS).run(&sweep_cfg());
     (stats.mean_us, start.elapsed().as_secs_f64())
 }
 
@@ -566,16 +557,8 @@ fn main() {
             shards: 2,
             ..RunCfg::default()
         };
-        let mut cluster = nicbar_core::build_gm_nic_cluster(
-            GmParams::lanai_9_1(),
-            CollFeatures::paper(),
-            16,
-            Algorithm::Dissemination,
-            &cfg,
-            false,
-        );
         if let Some((prof, wall_s)) =
-            nicbar_bench::engineprof::profile_run(&mut cluster.engine, cfg.deadline())
+            nicbar_bench::engineprof::profile_run(&mut fig5_point().build(&cfg))
         {
             println!();
             print!(

@@ -12,12 +12,12 @@
 use nicbar_bench::{
     engineprof, fig_args, parallel_sweep_map, trajectory, Figure, Manifest, Series,
 };
-use nicbar_core::{
-    build_gm_nic_cluster, gm_host_barrier, gm_nic_barrier, gm_nic_barrier_flight, Algorithm,
-    BarrierStats, RunCfg,
-};
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
+use nicbar_gm::GmParams;
 use nicbar_sim::EngineSel;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn main() {
     let args = fig_args();
@@ -28,21 +28,17 @@ fn main() {
         (2..=16).collect()
     };
 
-    let curve = |mode: &'static str, algo: Algorithm| -> Vec<(usize, BarrierStats)> {
+    let curve = |barrier: Barrier| -> Vec<(usize, BarrierStats)> {
         parallel_sweep_map(&ns, |n| {
-            let params = GmParams::lanai_9_1();
-            match mode {
-                "nic" => gm_nic_barrier(params, CollFeatures::paper(), n, algo, cfg.clone()),
-                _ => gm_host_barrier(params, n, algo, cfg.clone()),
-            }
+            Scenario::gm(GmParams::lanai_9_1(), n, barrier).run(&cfg)
         })
     };
 
     let sweeps: Vec<(&str, Vec<(usize, BarrierStats)>)> = vec![
-        ("NIC-DS", curve("nic", Algorithm::Dissemination)),
-        ("NIC-PE", curve("nic", Algorithm::PairwiseExchange)),
-        ("Host-DS", curve("host", Algorithm::Dissemination)),
-        ("Host-PE", curve("host", Algorithm::PairwiseExchange)),
+        ("NIC-DS", curve(Barrier::Nic(Algorithm::Dissemination))),
+        ("NIC-PE", curve(Barrier::Nic(Algorithm::PairwiseExchange))),
+        ("Host-DS", curve(Barrier::Host(Algorithm::Dissemination))),
+        ("Host-PE", curve(Barrier::Host(Algorithm::PairwiseExchange))),
     ];
 
     let manifest = Manifest::new(
@@ -107,17 +103,11 @@ fn main() {
     // count, showing where the NIC barrier's latency goes phase by phase.
     if flight {
         println!();
-        let cap = gm_nic_barrier_flight(
-            GmParams::lanai_9_1(),
-            CollFeatures::paper(),
-            top,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 2,
-                iters: 8,
-                ..RunCfg::default()
-            },
-        );
+        let cap = Scenario::gm(GmParams::lanai_9_1(), top, DS).capture(&RunCfg {
+            warmup: 2,
+            iters: 8,
+            ..RunCfg::default()
+        });
         nicbar_bench::flight::print_breakdown(&cap);
     }
 
@@ -131,17 +121,8 @@ fn main() {
             shards,
             ..cfg.clone()
         };
-        let mut cluster = build_gm_nic_cluster(
-            GmParams::lanai_9_1(),
-            CollFeatures::paper(),
-            top,
-            Algorithm::Dissemination,
-            &prof_cfg,
-            false,
-        );
-        if let Some((prof, wall_s)) =
-            engineprof::profile_run(&mut cluster.engine, prof_cfg.deadline())
-        {
+        let mut sim = Scenario::gm(GmParams::lanai_9_1(), top, DS).build(&prof_cfg);
+        if let Some((prof, wall_s)) = engineprof::profile_run(&mut sim) {
             println!();
             print!(
                 "{}",

@@ -9,8 +9,8 @@
 //! for CI smoke runs, `--engine`/`--shards` select the execution engine.
 
 use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
-use nicbar_core::{gm_host_barrier, gm_nic_barrier, Algorithm};
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_core::{Algorithm, Barrier, Scenario};
+use nicbar_gm::GmParams;
 
 fn main() {
     let args = fig_args();
@@ -21,15 +21,11 @@ fn main() {
         (2..=8).collect()
     };
 
-    let curve = |mode: &'static str, algo: Algorithm| -> Vec<(usize, f64)> {
+    let curve = |barrier: Barrier| -> Vec<(usize, f64)> {
         parallel_sweep(&ns, |n| {
-            let params = GmParams::lanai_xp();
-            match mode {
-                "nic" => {
-                    gm_nic_barrier(params, CollFeatures::paper(), n, algo, cfg.clone()).mean_us
-                }
-                _ => gm_host_barrier(params, n, algo, cfg.clone()).mean_us,
-            }
+            Scenario::gm(GmParams::lanai_xp(), n, barrier)
+                .run(&cfg)
+                .mean_us
         })
     };
 
@@ -37,10 +33,10 @@ fn main() {
         "fig6",
         "Fig. 6 — Barrier latency (µs), Myrinet LANai-XP, 8-node 2.4 GHz cluster",
         vec![
-            Series::new("NIC-DS", curve("nic", Algorithm::Dissemination)),
-            Series::new("NIC-PE", curve("nic", Algorithm::PairwiseExchange)),
-            Series::new("Host-DS", curve("host", Algorithm::Dissemination)),
-            Series::new("Host-PE", curve("host", Algorithm::PairwiseExchange)),
+            Series::new("NIC-DS", curve(Barrier::Nic(Algorithm::Dissemination))),
+            Series::new("NIC-PE", curve(Barrier::Nic(Algorithm::PairwiseExchange))),
+            Series::new("Host-DS", curve(Barrier::Host(Algorithm::Dissemination))),
+            Series::new("Host-PE", curve(Barrier::Host(Algorithm::PairwiseExchange))),
         ],
     )
     .with_manifest(Manifest::new(

@@ -15,12 +15,12 @@
 use nicbar_bench::{
     engineprof, fig_args, parallel_sweep_map, trajectory, Figure, Manifest, Series,
 };
-use nicbar_core::{
-    build_elan_nic_cluster, elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier,
-    elan_nic_barrier_flight, Algorithm, BarrierStats, RunCfg,
-};
+use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_sim::EngineSel;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 /// Elanlib builds its software trees 4-ary (matching the quaternary fat
 /// tree's natural branching).
@@ -35,23 +35,23 @@ fn main() {
         (2..=8).collect()
     };
 
-    let nic = |algo: Algorithm| -> Vec<(usize, BarrierStats)> {
+    let curve = |barrier: Barrier| -> Vec<(usize, BarrierStats)> {
         parallel_sweep_map(&ns, |n| {
-            elan_nic_barrier(ElanParams::elan3(), n, algo, cfg.clone())
+            Scenario::elan(ElanParams::elan3(), n, barrier).run(&cfg)
         })
     };
-    let gsync = parallel_sweep_map(&ns, |n| {
-        elan_gsync_barrier(ElanParams::elan3(), n, GSYNC_DEGREE, cfg.clone())
-    });
-    let hw = parallel_sweep_map(&ns, |n| {
-        elan_hw_barrier(ElanParams::elan3(), n, cfg.clone())
-    });
 
     let sweeps: Vec<(&str, Vec<(usize, BarrierStats)>)> = vec![
-        ("NIC-Barrier-DS", nic(Algorithm::Dissemination)),
-        ("NIC-Barrier-PE", nic(Algorithm::PairwiseExchange)),
-        ("Elan-Barrier", gsync),
-        ("Elan-HW-Barrier", hw),
+        (
+            "NIC-Barrier-DS",
+            curve(Barrier::Nic(Algorithm::Dissemination)),
+        ),
+        (
+            "NIC-Barrier-PE",
+            curve(Barrier::Nic(Algorithm::PairwiseExchange)),
+        ),
+        ("Elan-Barrier", curve(Barrier::Gsync(GSYNC_DEGREE))),
+        ("Elan-HW-Barrier", curve(Barrier::Hardware)),
     ];
 
     let manifest = Manifest::new(
@@ -115,16 +115,11 @@ fn main() {
     // showing the chained-RDMA barrier's phase-by-phase latency.
     if flight {
         println!();
-        let cap = elan_nic_barrier_flight(
-            ElanParams::elan3(),
-            8,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 2,
-                iters: 8,
-                ..RunCfg::default()
-            },
-        );
+        let cap = Scenario::elan(ElanParams::elan3(), 8, DS).capture(&RunCfg {
+            warmup: 2,
+            iters: 8,
+            ..RunCfg::default()
+        });
         nicbar_bench::flight::print_breakdown(&cap);
     }
 
@@ -137,16 +132,8 @@ fn main() {
             shards,
             ..cfg
         };
-        let mut cluster = build_elan_nic_cluster(
-            ElanParams::elan3(),
-            8,
-            Algorithm::Dissemination,
-            &prof_cfg,
-            false,
-        );
-        if let Some((prof, wall_s)) =
-            engineprof::profile_run(&mut cluster.engine, prof_cfg.deadline())
-        {
+        let mut sim = Scenario::elan(ElanParams::elan3(), 8, DS).build(&prof_cfg);
+        if let Some((prof, wall_s)) = engineprof::profile_run(&mut sim) {
             println!();
             print!(
                 "{}",

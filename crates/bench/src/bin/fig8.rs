@@ -10,9 +10,9 @@
 //! engine (the large points are where the sharded engine pays off).
 
 use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
-use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm, RunCfg};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 use nicbar_model::{fit, BarrierModel};
 
 fn main() {
@@ -38,18 +38,16 @@ fn main() {
         }
     };
 
+    let ds = Barrier::Nic(Algorithm::Dissemination);
     let quadrics_sim = parallel_sweep(&ns, |n| {
-        elan_nic_barrier(ElanParams::elan3(), n, Algorithm::Dissemination, cfg_for(n)).mean_us
+        Scenario::elan(ElanParams::elan3(), n, ds)
+            .run(&cfg_for(n))
+            .mean_us
     });
     let myrinet_sim = parallel_sweep(&ns, |n| {
-        gm_nic_barrier(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg_for(n),
-        )
-        .mean_us
+        Scenario::gm(GmParams::lanai_xp(), n, ds)
+            .run(&cfg_for(n))
+            .mean_us
     });
 
     let q_paper = BarrierModel::paper_quadrics_elan3().predict_sweep(&ns);

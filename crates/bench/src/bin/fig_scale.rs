@@ -25,14 +25,11 @@
 //! asserted only when the host actually has ≥8 hardware threads.
 
 use nicbar_bench::{fig_args, json::Writer, trajectory, Manifest};
-use nicbar_core::{
-    build_elan_nic_cluster, build_gm_nic_cluster, elan_nic_stats, gm_nic_stats, Algorithm,
-    BarrierStats, RunCfg,
-};
+use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 use nicbar_model::fit;
-use nicbar_sim::{EngineSel, RunOutcome};
+use nicbar_sim::EngineSel;
 use std::time::Instant;
 
 /// One sweep point's full measurement.
@@ -86,45 +83,24 @@ fn cfg_for(n: usize, quick: bool, base: &RunCfg) -> RunCfg {
     }
 }
 
+/// The NIC barrier of `algo` over `n` nodes of the named substrate.
+fn nic_scenario(substrate: &str, algo: Algorithm, n: usize) -> Scenario {
+    match substrate {
+        "gm" => Scenario::gm(GmParams::lanai_xp(), n, Barrier::Nic(algo)),
+        _ => Scenario::elan(ElanParams::elan3(), n, Barrier::Nic(algo)),
+    }
+}
+
 /// Run one (substrate, algo, n) point and measure it.
 fn run_point(substrate: &str, algo: Algorithm, n: usize, cfg: &RunCfg) -> ScalePoint {
-    let (events, run_s, stats) = match substrate {
-        "gm" => {
-            let mut cluster = build_gm_nic_cluster(
-                GmParams::lanai_xp(),
-                CollFeatures::paper(),
-                n,
-                algo,
-                cfg,
-                false,
-            );
-            let t = Instant::now();
-            let outcome = cluster.run_until(cfg.deadline());
-            let run_s = t.elapsed().as_secs_f64();
-            assert_eq!(outcome, RunOutcome::Idle, "gm n={n} did not drain");
-            (
-                cluster.engine.events_processed(),
-                run_s,
-                gm_nic_stats(&cluster, n, cfg),
-            )
-        }
-        _ => {
-            let mut cluster = build_elan_nic_cluster(ElanParams::elan3(), n, algo, cfg, false);
-            let t = Instant::now();
-            let outcome = cluster.run_until(cfg.deadline());
-            let run_s = t.elapsed().as_secs_f64();
-            assert_eq!(outcome, RunOutcome::Idle, "elan n={n} did not drain");
-            (
-                cluster.engine.events_processed(),
-                run_s,
-                elan_nic_stats(&cluster, n, cfg),
-            )
-        }
-    };
+    let mut sim = nic_scenario(substrate, algo, n).build(cfg);
+    let t = Instant::now();
+    sim.drain();
+    let run_s = t.elapsed().as_secs_f64();
     ScalePoint {
         n,
-        stats,
-        events,
+        stats: sim.stats(),
+        events: sim.events_processed(),
         run_s,
         peak_rss_kb: peak_rss_kb(),
     }
@@ -337,17 +313,8 @@ fn main() {
             shards,
             ..cfg_for(n, args.quick, &base)
         };
-        let mut cluster = build_gm_nic_cluster(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            &prof_cfg,
-            false,
-        );
-        if let Some((prof, wall_s)) =
-            nicbar_bench::engineprof::profile_run(&mut cluster.engine, prof_cfg.deadline())
-        {
+        let mut sim = nic_scenario("gm", Algorithm::Dissemination, n).build(&prof_cfg);
+        if let Some((prof, wall_s)) = nicbar_bench::engineprof::profile_run(&mut sim) {
             println!();
             print!(
                 "{}",

@@ -1,8 +1,8 @@
 //! Flight-recorder capture of the paper's NIC barrier on both substrates.
 //!
 //! Runs a short instrumented window (2 warm-up + 8 recorded barriers) of
-//! the 4-node NIC barrier over Quadrics/Elan3 and GM/Myrinet with the trace
-//! ring and flight recorder on, then prints the per-phase latency breakdown
+//! the 4-node NIC barrier over Quadrics/Elan3 and GM/Myrinet with every
+//! record stream on, then prints the per-phase latency breakdown
 //! for each capture. With `--chrome <path>` it also writes both captures as
 //! Chrome trace-event JSON (open in Perfetto or `chrome://tracing`).
 //!
@@ -17,11 +17,15 @@
 //! Each breakdown stamps which engine produced it; everything else is
 //! byte-identical across engines and shard counts.
 
+use nicbar_bench::exit_usage;
 use nicbar_bench::flight::{chrome_trace, print_breakdown};
-use nicbar_core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData, RunCfg};
+use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 use nicbar_sim::EngineSel;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn main() {
     let mut nodes = 4usize;
@@ -40,15 +44,17 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--nodes" => {
-                nodes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--nodes takes a positive integer");
-            }
-            "--chrome" => {
-                chrome = Some(args.next().expect("--chrome takes an output path"));
-            }
+            "--nodes" => match args.next() {
+                Some(v) => match v.parse() {
+                    Ok(k) if k >= 2 => nodes = k,
+                    _ => exit_usage(&format!("--nodes must be an integer >= 2, got {v}")),
+                },
+                None => exit_usage("--nodes needs a value"),
+            },
+            "--chrome" => match args.next() {
+                Some(path) => chrome = Some(path),
+                None => exit_usage("--chrome needs an output path"),
+            },
             "--gm-only" => run_elan = false,
             "--elan-only" => run_gm = false,
             "--engine" => match args.next().as_deref() {
@@ -67,8 +73,6 @@ fn main() {
             }
         }
     }
-    assert!(nodes >= 2, "a barrier needs at least 2 nodes");
-
     // A short window: the point is a readable trace, not tight statistics.
     let cfg = RunCfg {
         warmup: 2,
@@ -80,21 +84,10 @@ fn main() {
 
     let mut captures: Vec<FlightData> = Vec::new();
     if run_elan {
-        captures.push(elan_nic_barrier_flight(
-            ElanParams::elan3(),
-            nodes,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        ));
+        captures.push(Scenario::elan(ElanParams::elan3(), nodes, DS).capture(&cfg));
     }
     if run_gm {
-        captures.push(gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            nodes,
-            Algorithm::Dissemination,
-            cfg,
-        ));
+        captures.push(Scenario::gm(GmParams::lanai_xp(), nodes, DS).capture(&cfg));
     }
 
     for cap in &captures {

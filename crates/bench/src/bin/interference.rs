@@ -4,9 +4,7 @@
 //! the host-based barrier on the LANai-XP cluster.
 
 use nicbar_bench::{Figure, Manifest, Series};
-use nicbar_core::{
-    gm_host_barrier_under_traffic, gm_nic_barrier_under_traffic, Algorithm, RunCfg, TrafficCfg,
-};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario, TrafficCfg};
 use nicbar_gm::{CollFeatures, GmParams};
 
 fn main() {
@@ -18,87 +16,37 @@ fn main() {
     };
     let loads: Vec<usize> = vec![0, 1, 2, 4, 8];
 
-    let run = |mode: &'static str, outstanding: usize| -> f64 {
-        let traffic = TrafficCfg {
-            msg_bytes: 4096,
-            outstanding: outstanding as u32,
-        };
-        match (mode, outstanding) {
-            ("paper", 0) => {
-                nicbar_core::gm_nic_barrier(
-                    GmParams::lanai_xp(),
-                    CollFeatures::paper(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                )
-                .mean_us
-            }
-            ("direct", 0) => {
-                nicbar_core::gm_nic_barrier(
-                    GmParams::lanai_xp(),
-                    CollFeatures::direct(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                )
-                .mean_us
-            }
-            ("host", 0) => {
-                nicbar_core::gm_host_barrier(
-                    GmParams::lanai_xp(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                )
-                .mean_us
-            }
-            ("paper", _) => {
-                gm_nic_barrier_under_traffic(
-                    GmParams::lanai_xp(),
-                    CollFeatures::paper(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                    traffic,
-                )
-                .mean_us
-            }
-            ("direct", _) => {
-                gm_nic_barrier_under_traffic(
-                    GmParams::lanai_xp(),
-                    CollFeatures::direct(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                    traffic,
-                )
-                .mean_us
-            }
-            _ => {
-                gm_host_barrier_under_traffic(
-                    GmParams::lanai_xp(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                    traffic,
-                )
-                .mean_us
-            }
-        }
-    };
-
-    let series = |mode: &'static str| -> Vec<(usize, f64)> {
-        loads.iter().map(|&o| (o, run(mode, o))).collect()
+    let ds = Algorithm::Dissemination;
+    let xp = |barrier| Scenario::gm(GmParams::lanai_xp(), n, barrier);
+    // Zero bulk messages in flight is the plain closed-loop barrier.
+    let series = |scenario: Scenario| -> Vec<(usize, f64)> {
+        loads
+            .iter()
+            .map(|&o| {
+                let traffic = TrafficCfg {
+                    msg_bytes: 4096,
+                    outstanding: o as u32,
+                };
+                let s = if o == 0 {
+                    scenario.clone()
+                } else {
+                    scenario.clone().with_traffic(traffic)
+                };
+                (o, s.run(&cfg).mean_us)
+            })
+            .collect()
     };
 
     let fig = Figure::new(
         "interference",
         "Interference — 8-node barrier latency (µs) vs bulk messages in flight per process",
         vec![
-            Series::new("NIC (paper)", series("paper")),
-            Series::new("NIC (direct)", series("direct")),
-            Series::new("Host-based", series("host")),
+            Series::new("NIC (paper)", series(xp(Barrier::Nic(ds)))),
+            Series::new(
+                "NIC (direct)",
+                series(xp(Barrier::Nic(ds)).with_features(CollFeatures::direct())),
+            ),
+            Series::new("Host-based", series(xp(Barrier::Host(ds)))),
         ],
     )
     .with_manifest(Manifest::new(

@@ -12,11 +12,9 @@
 //! | 1024-node projection, Myrinet | 38.94 µs | … |
 
 use nicbar_bench::figure_cfg;
-use nicbar_core::{
-    elan_gsync_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier, Algorithm, RunCfg,
-};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 
 fn main() {
     let cfg = figure_cfg();
@@ -25,37 +23,21 @@ fn main() {
         iters: 200,
         ..cfg.clone()
     };
-    let ds = Algorithm::Dissemination;
+    let nic = Barrier::Nic(Algorithm::Dissemination);
+    let host = Barrier::Host(Algorithm::Dissemination);
+    let mean = |s: Scenario, cfg: &RunCfg| s.run(cfg).mean_us;
 
-    let q_nic8 = elan_nic_barrier(ElanParams::elan3(), 8, ds, cfg.clone()).mean_us;
-    let q_tree8 = elan_gsync_barrier(ElanParams::elan3(), 8, 4, cfg.clone()).mean_us;
-    let m_nic8 = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        ds,
-        cfg.clone(),
-    )
-    .mean_us;
-    let m_host8 = gm_host_barrier(GmParams::lanai_xp(), 8, ds, cfg.clone()).mean_us;
-    let o_nic16 = gm_nic_barrier(
-        GmParams::lanai_9_1(),
-        CollFeatures::paper(),
-        16,
-        ds,
-        cfg.clone(),
-    )
-    .mean_us;
-    let o_host16 = gm_host_barrier(GmParams::lanai_9_1(), 16, ds, cfg.clone()).mean_us;
-    let q_1024 = elan_nic_barrier(ElanParams::elan3(), 1024, ds, big.clone()).mean_us;
-    let m_1024 = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        1024,
-        ds,
-        big.clone(),
-    )
-    .mean_us;
+    let q_nic8 = mean(Scenario::elan(ElanParams::elan3(), 8, nic), &cfg);
+    let q_tree8 = mean(
+        Scenario::elan(ElanParams::elan3(), 8, Barrier::Gsync(4)),
+        &cfg,
+    );
+    let m_nic8 = mean(Scenario::gm(GmParams::lanai_xp(), 8, nic), &cfg);
+    let m_host8 = mean(Scenario::gm(GmParams::lanai_xp(), 8, host), &cfg);
+    let o_nic16 = mean(Scenario::gm(GmParams::lanai_9_1(), 16, nic), &cfg);
+    let o_host16 = mean(Scenario::gm(GmParams::lanai_9_1(), 16, host), &cfg);
+    let q_1024 = mean(Scenario::elan(ElanParams::elan3(), 1024, nic), &big);
+    let m_1024 = mean(Scenario::gm(GmParams::lanai_xp(), 1024, nic), &big);
 
     println!("== Table 1 — headline results, paper vs simulation ==\n");
     println!("{:<46} {:>9} {:>11}", "metric", "paper", "simulated");

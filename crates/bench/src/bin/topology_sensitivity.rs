@@ -11,7 +11,8 @@ use nicbar_net::{NodeId, Topology, WireModel, WormholeClos};
 use nicbar_sim::{RunOutcome, SimTime};
 use std::sync::Arc;
 
-/// Like `gm_nic_barrier` but with an explicit crossbar radix.
+/// A GM NIC-DS barrier run (as `Scenario::run` builds it) on a Clos with
+/// an explicit crossbar radix.
 fn barrier_with_radix(n: usize, radix: usize, cfg: RunCfg) -> (f64, u32) {
     let params = GmParams::lanai_xp();
     let timeout = params.coll_timeout;

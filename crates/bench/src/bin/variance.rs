@@ -4,9 +4,9 @@
 //! mean ± spread across seeds/permutations, plus per-iteration jitter
 //! within one run.
 
-use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm, RunCfg};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 
 fn stats(samples: &[f64]) -> (f64, f64, f64, f64) {
     let n = samples.len() as f64;
@@ -22,46 +22,28 @@ fn main() {
     let seeds: Vec<u64> = (0..16).collect();
 
     println!("== Variance across 16 random node permutations, {n}-node DS barrier ==\n");
-    for (name, f) in [
+    let cfg = |seed| RunCfg {
+        warmup: 20,
+        iters: 300,
+        seed,
+        permute: true,
+        ..RunCfg::default()
+    };
+    let ds = Barrier::Nic(Algorithm::Dissemination);
+    for (name, scenario) in [
         (
             "Myrinet LANai-XP (NIC)",
-            Box::new(|seed: u64| {
-                gm_nic_barrier(
-                    GmParams::lanai_xp(),
-                    CollFeatures::paper(),
-                    n,
-                    Algorithm::Dissemination,
-                    RunCfg {
-                        warmup: 20,
-                        iters: 300,
-                        seed,
-                        permute: true,
-                        ..RunCfg::default()
-                    },
-                )
-                .mean_us
-            }) as Box<dyn Fn(u64) -> f64>,
+            Scenario::gm(GmParams::lanai_xp(), n, ds),
         ),
         (
             "Quadrics Elan3 (NIC)",
-            Box::new(|seed: u64| {
-                elan_nic_barrier(
-                    ElanParams::elan3(),
-                    n,
-                    Algorithm::Dissemination,
-                    RunCfg {
-                        warmup: 20,
-                        iters: 300,
-                        seed,
-                        permute: true,
-                        ..RunCfg::default()
-                    },
-                )
-                .mean_us
-            }),
+            Scenario::elan(ElanParams::elan3(), n, ds),
         ),
     ] {
-        let samples: Vec<f64> = seeds.iter().map(|&s| f(s)).collect();
+        let samples: Vec<f64> = seeds
+            .iter()
+            .map(|&s| scenario.run(&cfg(s)).mean_us)
+            .collect();
         let (mean, sd, min, max) = stats(&samples);
         println!(
             "{name:<26} mean {mean:>6.2}µs  sd {sd:>5.3}  min {min:>6.2}  max {max:>6.2}  (cv {:.2}%)",
@@ -70,17 +52,11 @@ fn main() {
     }
 
     println!("\n== Per-iteration jitter within one run (no skew, LANai-XP, NIC-DS) ==\n");
-    let s = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        RunCfg {
-            warmup: 100,
-            iters: 2000,
-            ..RunCfg::default()
-        },
-    );
+    let s = Scenario::gm(GmParams::lanai_xp(), n, ds).run(&RunCfg {
+        warmup: 100,
+        iters: 2000,
+        ..RunCfg::default()
+    });
     let (mean, sd, min, max) = stats(&s.per_iter_us);
     println!("mean {mean:.3}µs  sd {sd:.4}  min {min:.3}  max {max:.3}");
     println!("\nThe steady-state loop is deterministic: per-iteration spread collapses");

@@ -29,10 +29,13 @@
 //! byte-identical across engines and shard counts.
 
 use nicbar_bench::{critpath, flight, netdump};
-use nicbar_core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData, RunCfg};
+use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
 use nicbar_sim::EngineSel;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn usage() -> ! {
     eprintln!(
@@ -200,14 +203,8 @@ fn main() {
         ..RunCfg::default()
     };
     let cap: FlightData = match substrate.as_str() {
-        "gm" => gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            nodes,
-            Algorithm::Dissemination,
-            cfg,
-        ),
-        _ => elan_nic_barrier_flight(ElanParams::elan3(), nodes, Algorithm::Dissemination, cfg),
+        "gm" => Scenario::gm(GmParams::lanai_xp(), nodes, DS).capture(&cfg),
+        _ => Scenario::elan(ElanParams::elan3(), nodes, DS).capture(&cfg),
     };
 
     println!(

@@ -18,6 +18,7 @@
 //! gate compares against.
 
 use crate::json::{Manifest, Writer};
+use nicbar_core::Sim;
 use nicbar_sim::{EngineProf, Histogram, MetricValue};
 
 /// Nanoseconds → microseconds for Chrome timestamps.
@@ -423,20 +424,17 @@ pub fn to_json(prof: &EngineProf, label: &str, wall_s: f64, manifest: &Manifest)
     w.finish()
 }
 
-/// Arm the profiler on `engine`, run it to `deadline`, and return the
-/// captured profile plus the measured wall-clock seconds. Returns `None`
-/// when the engine is sequential (the self-profiler only exists on the
-/// parallel executor); callers print a notice in that case. This is the
-/// shared `--prof` path of the figure binaries.
-pub fn profile_run<M: Send + 'static>(
-    engine: &mut nicbar_sim::ExecEngine<M>,
-    deadline: nicbar_sim::SimTime,
-) -> Option<(EngineProf, f64)> {
-    engine.enable_prof();
+/// Arm the profiler on a built scenario, drain it, and return the captured
+/// profile plus the measured wall-clock seconds. Returns `None` when the
+/// engine is sequential (the self-profiler only exists on the parallel
+/// executor); callers print a notice in that case. This is the shared
+/// `--prof` path of the figure binaries and of `engine_prof`.
+pub fn profile_run(sim: &mut Sim) -> Option<(EngineProf, f64)> {
+    sim.enable_prof();
     let t0 = std::time::Instant::now();
-    engine.run_until(deadline);
+    sim.drain();
     let wall_s = t0.elapsed().as_secs_f64();
-    engine.prof_snapshot().map(|p| (p, wall_s))
+    sim.prof_snapshot().map(|p| (p, wall_s))
 }
 
 /// The committed one-shard engine overhead from a saved
@@ -619,9 +617,9 @@ pub fn partition_from_profile(path: &str) -> Option<nicbar_sim::PartitionSel> {
 #[allow(clippy::unwrap_used)] // test code
 mod tests {
     use super::*;
-    use nicbar_core::{build_gm_nic_cluster, Algorithm, RunCfg};
-    use nicbar_gm::{CollFeatures, GmParams};
-    use nicbar_sim::{EngineSel, RunOutcome};
+    use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
+    use nicbar_gm::GmParams;
+    use nicbar_sim::EngineSel;
 
     fn profiled_run() -> EngineProf {
         let cfg = RunCfg {
@@ -631,18 +629,12 @@ mod tests {
             shards: 3,
             ..RunCfg::default()
         };
-        let mut cluster = build_gm_nic_cluster(
+        let scenario = Scenario::gm(
             GmParams::lanai_xp(),
-            CollFeatures::paper(),
             12,
-            Algorithm::Dissemination,
-            &cfg,
-            false,
+            Barrier::Nic(Algorithm::Dissemination),
         );
-        cluster.engine.enable_prof();
-        let outcome = cluster.engine.run_until(cfg.deadline());
-        assert_eq!(outcome, RunOutcome::Idle);
-        cluster.engine.prof_snapshot().unwrap()
+        profile_run(&mut scenario.build(&cfg)).unwrap().0
     }
 
     #[test]

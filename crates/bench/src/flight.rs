@@ -268,21 +268,18 @@ pub fn print_breakdown(cap: &FlightData) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nicbar_core::{gm_nic_barrier_flight, Algorithm, RunCfg};
-    use nicbar_gm::{CollFeatures, GmParams};
+    use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
+    use nicbar_gm::GmParams;
+
+    /// The NIC-based dissemination barrier, the paper's headline configuration.
+    const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
     fn capture() -> FlightData {
-        gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            4,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 1,
-                iters: 4,
-                ..RunCfg::default()
-            },
-        )
+        Scenario::gm(GmParams::lanai_xp(), 4, DS).capture(&RunCfg {
+            warmup: 1,
+            iters: 4,
+            ..RunCfg::default()
+        })
     }
 
     #[test]
@@ -369,19 +366,13 @@ mod tests {
         assert!(breakdown(&cap).contains("engine: sequential"));
         assert!(chrome_trace(std::slice::from_ref(&cap)).contains("\"0:engine\": \"sequential\""));
 
-        let par = gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            4,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 1,
-                iters: 4,
-                engine: nicbar_sim::EngineSel::Parallel,
-                shards: 2,
-                ..RunCfg::default()
-            },
-        );
+        let par = Scenario::gm(GmParams::lanai_xp(), 4, DS).capture(&RunCfg {
+            warmup: 1,
+            iters: 4,
+            engine: nicbar_sim::EngineSel::Parallel,
+            shards: 2,
+            ..RunCfg::default()
+        });
         assert_eq!((par.engine, par.shards), ("parallel", 2));
         assert!(breakdown(&par).contains("engine: parallel(2)"));
         assert!(chrome_trace(std::slice::from_ref(&par)).contains("\"0:engine\": \"parallel(2)\""));

@@ -177,13 +177,26 @@ pub fn append_run_at(path: &std::path::Path, bench: &str, run_body: &str) -> std
     out.push_str(bench);
     out.push_str("\",\n  \"runs\": [\n");
     for (i, run) in runs.iter().enumerate() {
-        for line in run.trim().lines() {
+        // A retained run starts at its `{` but its later lines keep the
+        // indent of their old position: strip that (the closing brace's
+        // indent) before indenting every run by four spaces, so rewriting
+        // the file leaves every retained run in the same shape.
+        let run = run.trim();
+        let pad = run
+            .lines()
+            .last()
+            .map_or(0, |l| l.len() - l.trim_start().len());
+        for (j, line) in run.lines().enumerate() {
+            let indent = line.len() - line.trim_start().len();
             out.push_str("    ");
-            out.push_str(line);
+            out.push_str(if j == 0 {
+                line
+            } else {
+                &line[indent.min(pad)..]
+            });
             out.push('\n');
         }
-        // The indenter re-normalizes each retained run, so re-appending is
-        // idempotent in shape; only the trailing comma distinguishes runs.
+        // Only the trailing comma distinguishes runs.
         if i + 1 < runs.len() {
             out.truncate(out.trim_end().len());
             out.push_str(",\n");
@@ -285,8 +298,20 @@ mod tests {
             // ...up to the cap.
             assert!(after <= MAX_RUNS);
         }
-        let final_runs = extract_runs(&std::fs::read_to_string(&path).unwrap());
-        assert_eq!(final_runs.len(), MAX_RUNS);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(extract_runs(&text).len(), MAX_RUNS);
+        // Re-appending never re-indents a retained run: after all those
+        // rewrites the oldest run sits where the newest does.
+        let indents: Vec<usize> = text
+            .lines()
+            .filter(|l| l.trim_start().starts_with("\"manifest\""))
+            .map(|l| l.len() - l.trim_start().len())
+            .collect();
+        assert_eq!(indents.len(), MAX_RUNS);
+        assert!(
+            indents.iter().all(|&i| i == indents[0]),
+            "manifest indents drifted: {indents:?}"
+        );
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -75,3 +75,18 @@ fn figure_flags_reject_malformed_values() {
         assert!(stderr.contains(says), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn flight_rejects_malformed_flags() {
+    for (args, says) in [
+        (&["--nodes", "abc"][..], "integer >= 2, got abc"),
+        (&["--nodes", "0"], "integer >= 2, got 0"),
+        (&["--nodes", "1"], "integer >= 2, got 1"),
+        (&["--chrome"], "--chrome needs an output path"),
+    ] {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_flight"), args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+    }
+}

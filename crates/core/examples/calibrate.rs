@@ -8,7 +8,13 @@
 //! ```
 use nicbar_core::*;
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
+
+/// The host-based dissemination baseline.
+const HOST_DS: Barrier = Barrier::Host(Algorithm::Dissemination);
 
 fn main() {
     let cfg = RunCfg {
@@ -18,19 +24,8 @@ fn main() {
     };
     println!("== Myrinet LANai-XP (targets: NIC@8=14.20, host@8=37.5, factor 2.64) ==");
     for n in [2, 4, 8] {
-        let nic = gm_nic_barrier(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
-        let host = gm_host_barrier(
-            GmParams::lanai_xp(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
+        let nic = Scenario::gm(GmParams::lanai_xp(), n, DS).run(&cfg);
+        let host = Scenario::gm(GmParams::lanai_xp(), n, HOST_DS).run(&cfg);
         println!(
             "n={n:2}  NIC-DS {:6.2}  Host-DS {:6.2}  factor {:.2}",
             nic.mean_us,
@@ -40,19 +35,8 @@ fn main() {
     }
     println!("== Myrinet LANai-9.1 (targets: NIC@16=25.72, host@16=86.9, factor 3.38) ==");
     for n in [2, 8, 16] {
-        let nic = gm_nic_barrier(
-            GmParams::lanai_9_1(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
-        let host = gm_host_barrier(
-            GmParams::lanai_9_1(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
+        let nic = Scenario::gm(GmParams::lanai_9_1(), n, DS).run(&cfg);
+        let host = Scenario::gm(GmParams::lanai_9_1(), n, HOST_DS).run(&cfg);
         println!(
             "n={n:2}  NIC-DS {:6.2}  Host-DS {:6.2}  factor {:.2}",
             nic.mean_us,
@@ -62,14 +46,9 @@ fn main() {
     }
     println!("== Quadrics Elan3 (targets: NIC@8=5.60, gsync@8=13.9 (2.48x), hw=4.20) ==");
     for n in [2, 4, 8] {
-        let nic = elan_nic_barrier(
-            ElanParams::elan3(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
-        let gs = elan_gsync_barrier(ElanParams::elan3(), n, 4, cfg.clone());
-        let hw = elan_hw_barrier(ElanParams::elan3(), n, cfg.clone());
+        let nic = Scenario::elan(ElanParams::elan3(), n, DS).run(&cfg);
+        let gs = Scenario::elan(ElanParams::elan3(), n, Barrier::Gsync(4)).run(&cfg);
+        let hw = Scenario::elan(ElanParams::elan3(), n, Barrier::Hardware).run(&cfg);
         println!(
             "n={n:2}  NIC-DS {:6.2}  gsync {:6.2}  hw {:6.2}  factor {:.2}",
             nic.mean_us,
@@ -79,27 +58,16 @@ fn main() {
         );
     }
     println!("== 1024-node projections (targets: Quadrics 22.13, Myrinet 38.94) ==");
-    let q = elan_nic_barrier(
-        ElanParams::elan3(),
-        1024,
-        Algorithm::Dissemination,
-        RunCfg {
-            warmup: 5,
-            iters: 20,
-            ..cfg.clone()
-        },
-    );
-    let m = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        1024,
-        Algorithm::Dissemination,
-        RunCfg {
-            warmup: 5,
-            iters: 20,
-            ..cfg
-        },
-    );
+    let q = Scenario::elan(ElanParams::elan3(), 1024, DS).run(&RunCfg {
+        warmup: 5,
+        iters: 20,
+        ..cfg.clone()
+    });
+    let m = Scenario::gm(GmParams::lanai_xp(), 1024, DS).run(&RunCfg {
+        warmup: 5,
+        iters: 20,
+        ..cfg
+    });
     println!(
         "Quadrics@1024 {:6.2}   Myrinet@1024 {:6.2}",
         q.mean_us, m.mean_us

@@ -18,9 +18,16 @@
 //! * [`host_app`] / [`elan_apps`] — benchmark applications: host-based
 //!   baselines and NIC-based drivers for both networks, plus the Elanlib
 //!   `elan_gsync`/`elan_hgsync` comparators.
-//! * [`driver`] — the measurement harness reproducing the paper's
-//!   methodology (§8): consecutive barriers, warm-up discarded, average
-//!   latency, optional random node permutation.
+//! * [`scenario`] — the one way to describe and run a benchmark: a
+//!   [`Scenario`] value names the substrate, group size, barrier kind
+//!   ([`Barrier`]), collective groups and optional background traffic;
+//!   `run` returns [`BarrierStats`], `capture` the full [`FlightData`]
+//!   with every record stream on, and `build` a [`Sim`] for callers that
+//!   time the drain themselves. It implements the paper's methodology
+//!   (§8): consecutive barriers, warm-up discarded, average latency,
+//!   optional random node permutation.
+//! * [`driver`] — what a run is configured with ([`RunCfg`]) and what it
+//!   returns ([`BarrierStats`], [`FlightData`]).
 
 #![warn(missing_docs)]
 
@@ -31,19 +38,13 @@ pub mod elan_chain;
 pub mod elan_thread;
 pub mod host_app;
 pub mod protocol;
+pub mod scenario;
 pub mod schedule;
 pub mod traffic;
 
-pub use contend::{elan_contend_flight, gm_contend_flight, CONTEND_GROUP_BASE};
-pub use driver::{
-    build_elan_nic_cluster, build_gm_nic_cluster, elan_gsync_barrier, elan_hw_barrier,
-    elan_nic_barrier, elan_nic_barrier_flight, elan_nic_stats, elan_thread_allreduce,
-    elan_thread_barrier, gm_host_barrier, gm_nic_barrier, gm_nic_barrier_flight, gm_nic_stats,
-    BarrierStats, FlightData, RunCfg, BARRIER_GROUP,
-};
+pub use contend::CONTEND_GROUP_BASE;
+pub use driver::{BarrierStats, FlightData, RunCfg, BARRIER_GROUP};
 pub use protocol::{GroupOp, GroupSpec, PaperCollective, ReduceOp};
+pub use scenario::{Barrier, Scenario, Sim, Substrate};
 pub use schedule::{ceil_log2, floor_log2, schedules_for, Algorithm, RoundPlan, Schedule};
-pub use traffic::{
-    gm_host_barrier_under_traffic, gm_nic_barrier_under_traffic,
-    gm_nic_barrier_under_traffic_flight, TrafficCfg,
-};
+pub use traffic::TrafficCfg;

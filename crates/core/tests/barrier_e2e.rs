@@ -1,12 +1,15 @@
 //! End-to-end barrier tests across both substrates: correctness, packet
 //! accounting, loss recovery, epoch overlap and determinism.
 
-use nicbar_core::{
-    elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier,
-    Algorithm, RunCfg,
-};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_gm::GmParams;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
+
+/// The host-based dissemination baseline.
+const HOST_DS: Barrier = Barrier::Host(Algorithm::Dissemination);
 
 fn quick() -> RunCfg {
     RunCfg {
@@ -20,13 +23,7 @@ fn quick() -> RunCfg {
 fn gm_nic_barrier_completes_for_all_sizes_and_algorithms() {
     for n in [2usize, 3, 4, 6, 8, 12, 16] {
         for algo in [Algorithm::Dissemination, Algorithm::PairwiseExchange] {
-            let s = gm_nic_barrier(
-                GmParams::lanai_xp(),
-                CollFeatures::paper(),
-                n,
-                algo,
-                quick(),
-            );
+            let s = Scenario::gm(GmParams::lanai_xp(), n, Barrier::Nic(algo)).run(&quick());
             assert!(
                 s.mean_us > 1.0 && s.mean_us < 100.0,
                 "n={n} {algo:?}: {:.2}us",
@@ -39,14 +36,8 @@ fn gm_nic_barrier_completes_for_all_sizes_and_algorithms() {
 #[test]
 fn gm_host_barrier_completes_and_is_slower_than_nic() {
     for n in [2usize, 4, 8, 16] {
-        let host = gm_host_barrier(GmParams::lanai_xp(), n, Algorithm::Dissemination, quick());
-        let nic = gm_nic_barrier(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            quick(),
-        );
+        let host = Scenario::gm(GmParams::lanai_xp(), n, HOST_DS).run(&quick());
+        let nic = Scenario::gm(GmParams::lanai_xp(), n, DS).run(&quick());
         assert!(
             nic.mean_us < host.mean_us,
             "n={n}: NIC {:.2}us !< host {:.2}us",
@@ -61,13 +52,7 @@ fn nic_barrier_message_count_matches_schedule_and_has_no_acks() {
     // n=8 dissemination: 3 rounds × 8 ranks = 24 collective packets per
     // barrier, zero ACKs, zero data packets (the protocol claim of §6.3).
     let cfg = quick();
-    let s = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+    let s = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg);
     let total = cfg.total();
     assert_eq!(s.counter("wire.coll"), 24 * total);
     assert_eq!(s.counter("wire.ack"), 0);
@@ -81,19 +66,8 @@ fn host_barrier_sends_twice_the_packets_of_nic_barrier() {
     // Host-based: 24 data + 24 ACKs per barrier. NIC-based: 24 collective
     // packets. "reduces the number of total packets by half" (§3).
     let cfg = quick();
-    let host = gm_host_barrier(
-        GmParams::lanai_xp(),
-        8,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
-    let nic = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+    let host = Scenario::gm(GmParams::lanai_xp(), 8, HOST_DS).run(&cfg);
+    let nic = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg);
     let ratio = host.wire_per_barrier / nic.wire_per_barrier;
     assert!(
         (1.9..2.1).contains(&ratio),
@@ -111,13 +85,7 @@ fn nic_barrier_survives_packet_loss_via_nacks() {
         drop_prob: 0.02,
         ..RunCfg::default()
     };
-    let s = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+    let s = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg);
     // It completed (stats_from_logs asserts every rank finished every
     // epoch) and the NACK machinery actually fired.
     assert!(
@@ -136,32 +104,19 @@ fn nic_barrier_survives_heavy_loss() {
         seed: 7,
         ..RunCfg::default()
     };
-    let s = gm_nic_barrier(
+    let s = Scenario::gm(
         GmParams::lanai_xp(),
-        CollFeatures::paper(),
         6,
-        Algorithm::PairwiseExchange,
-        cfg.clone(),
-    );
+        Barrier::Nic(Algorithm::PairwiseExchange),
+    )
+    .run(&cfg);
     assert!(s.counter("wire.coll_nack") > 0);
 }
 
 #[test]
 fn gm_runs_are_deterministic() {
-    let a = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        quick(),
-    );
-    let b = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        quick(),
-    );
+    let a = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&quick());
+    let b = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&quick());
     assert_eq!(a.mean_us, b.mean_us);
     assert_eq!(a.counters, b.counters);
 }
@@ -170,23 +125,11 @@ fn gm_runs_are_deterministic() {
 fn random_permutation_changes_little() {
     // The paper: "we observed only negligible variations" across random
     // node permutations.
-    let base = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        quick(),
-    );
-    let permuted = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        RunCfg {
-            permute: true,
-            ..quick()
-        },
-    );
+    let base = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&quick());
+    let permuted = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&RunCfg {
+        permute: true,
+        ..quick()
+    });
     let rel = (base.mean_us - permuted.mean_us).abs() / base.mean_us;
     assert!(
         rel < 0.15,
@@ -203,13 +146,7 @@ fn skewed_entry_still_synchronizes() {
         skew_us: 20.0,
         ..RunCfg::default()
     };
-    let s = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+    let s = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg);
     // With up-to-20µs skew the mean must absorb the skew (it dominates).
     assert!(s.mean_us > 5.0 && s.mean_us < 100.0, "{:.2}us", s.mean_us);
 }
@@ -218,7 +155,7 @@ fn skewed_entry_still_synchronizes() {
 fn elan_nic_barrier_completes_for_all_sizes_and_algorithms() {
     for n in [2usize, 3, 4, 6, 8] {
         for algo in [Algorithm::Dissemination, Algorithm::PairwiseExchange] {
-            let s = elan_nic_barrier(ElanParams::elan3(), n, algo, quick());
+            let s = Scenario::elan(ElanParams::elan3(), n, Barrier::Nic(algo)).run(&quick());
             assert!(
                 s.mean_us > 1.0 && s.mean_us < 30.0,
                 "n={n} {algo:?}: {:.2}us",
@@ -230,8 +167,8 @@ fn elan_nic_barrier_completes_for_all_sizes_and_algorithms() {
 
 #[test]
 fn elan_nic_beats_gsync_tree() {
-    let nic = elan_nic_barrier(ElanParams::elan3(), 8, Algorithm::Dissemination, quick());
-    let tree = elan_gsync_barrier(ElanParams::elan3(), 8, 2, quick());
+    let nic = Scenario::elan(ElanParams::elan3(), 8, DS).run(&quick());
+    let tree = Scenario::elan(ElanParams::elan3(), 8, Barrier::Gsync(2)).run(&quick());
     assert!(
         nic.mean_us < tree.mean_us / 1.5,
         "NIC {:.2}us vs gsync {:.2}us — expected ≥1.5× gap",
@@ -244,10 +181,10 @@ fn elan_nic_beats_gsync_tree() {
 fn elan_hw_barrier_crossover_with_nic_barrier() {
     // Fig. 7: the NIC barrier wins at small n; the flat hardware barrier
     // wins at n = 8.
-    let nic2 = elan_nic_barrier(ElanParams::elan3(), 2, Algorithm::Dissemination, quick());
-    let hw2 = elan_hw_barrier(ElanParams::elan3(), 2, quick());
-    let nic8 = elan_nic_barrier(ElanParams::elan3(), 8, Algorithm::Dissemination, quick());
-    let hw8 = elan_hw_barrier(ElanParams::elan3(), 8, quick());
+    let nic2 = Scenario::elan(ElanParams::elan3(), 2, DS).run(&quick());
+    let hw2 = Scenario::elan(ElanParams::elan3(), 2, Barrier::Hardware).run(&quick());
+    let nic8 = Scenario::elan(ElanParams::elan3(), 8, DS).run(&quick());
+    let hw8 = Scenario::elan(ElanParams::elan3(), 8, Barrier::Hardware).run(&quick());
     assert!(
         nic2.mean_us < hw2.mean_us,
         "at 2 nodes NIC ({:.2}) should beat hw ({:.2})",
@@ -264,8 +201,18 @@ fn elan_hw_barrier_crossover_with_nic_barrier() {
 
 #[test]
 fn elan_runs_are_deterministic() {
-    let a = elan_nic_barrier(ElanParams::elan3(), 8, Algorithm::PairwiseExchange, quick());
-    let b = elan_nic_barrier(ElanParams::elan3(), 8, Algorithm::PairwiseExchange, quick());
+    let a = Scenario::elan(
+        ElanParams::elan3(),
+        8,
+        Barrier::Nic(Algorithm::PairwiseExchange),
+    )
+    .run(&quick());
+    let b = Scenario::elan(
+        ElanParams::elan3(),
+        8,
+        Barrier::Nic(Algorithm::PairwiseExchange),
+    )
+    .run(&quick());
     assert_eq!(a.mean_us, b.mean_us);
     assert_eq!(a.counters, b.counters);
 }
@@ -274,11 +221,6 @@ fn elan_runs_are_deterministic() {
 fn elan_chain_wire_traffic_matches_schedule() {
     // 8-node dissemination: 3 RDMAs per rank per barrier, nothing else.
     let cfg = quick();
-    let s = elan_nic_barrier(
-        ElanParams::elan3(),
-        8,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+    let s = Scenario::elan(ElanParams::elan3(), 8, DS).run(&cfg);
     assert_eq!(s.counter("elan.wire"), 24 * cfg.total());
 }

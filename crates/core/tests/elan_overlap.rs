@@ -3,7 +3,7 @@
 //! auto-rearming NIC event counters must bank every early arrival.
 
 use nicbar_core::elan_chain::build_chains;
-use nicbar_core::{elan_nic_barrier, Algorithm, RunCfg};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_net::NodeId;
 
@@ -21,7 +21,7 @@ fn skewed_chains_never_lose_epochs() {
                 skew_us: 40.0,
                 ..RunCfg::default()
             };
-            let s = elan_nic_barrier(ElanParams::elan3(), 7, algo, cfg.clone());
+            let s = Scenario::elan(ElanParams::elan3(), 7, Barrier::Nic(algo)).run(&cfg);
             // With that much skew, the mean tracks the skew, not the wire.
             assert!(
                 s.mean_us > 10.0,
@@ -45,12 +45,12 @@ fn one_laggard_gates_everyone() {
         skew_us: 30.0,
         ..RunCfg::default()
     };
-    let s = elan_nic_barrier(
+    let s = Scenario::elan(
         ElanParams::elan3(),
         8,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+        Barrier::Nic(Algorithm::Dissemination),
+    )
+    .run(&cfg);
     // Expected per-iteration ≈ E[max of 8 U(0,30)] ≈ 26.7 plus barrier cost.
     assert!(
         s.mean_us > 20.0 && s.mean_us < 45.0,

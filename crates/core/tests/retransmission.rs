@@ -8,11 +8,9 @@
 //!   agree with the engine counters.
 
 use nicbar_core::{
-    gm_nic_barrier_flight, Algorithm, GroupSpec, PaperCollective, RunCfg, BARRIER_GROUP,
+    Algorithm, Barrier, GroupSpec, PaperCollective, RunCfg, Scenario, BARRIER_GROUP,
 };
-use nicbar_gm::{
-    ActionBuf, CollAction, CollFeatures, CollKind, CollOperand, GmParams, NicCollective,
-};
+use nicbar_gm::{ActionBuf, CollAction, CollKind, CollOperand, GmParams, NicCollective};
 use nicbar_net::NodeId;
 use nicbar_sim::{CauseId, SimTime};
 
@@ -126,13 +124,12 @@ fn lossy_run_span_events_agree_with_counters() {
         ..RunCfg::default()
     };
     let n = 8;
-    let cap = gm_nic_barrier_flight(
+    let cap = Scenario::gm(
         GmParams::lanai_xp(),
-        CollFeatures::paper(),
         n,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+        Barrier::Nic(Algorithm::Dissemination),
+    )
+    .capture(&cfg);
     assert_eq!(cap.trace_dropped, 0, "counting needs a complete trace");
 
     let count = |label: &str| cap.records.iter().filter(|r| r.label() == label).count() as u64;

@@ -2,11 +2,14 @@
 //! robust against background traffic, while the ablated/direct/host paths
 //! queue behind it (§6.1 made falsifiable).
 
-use nicbar_core::{
-    gm_host_barrier, gm_host_barrier_under_traffic, gm_nic_barrier, gm_nic_barrier_under_traffic,
-    Algorithm, RunCfg, TrafficCfg,
-};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario, TrafficCfg};
 use nicbar_gm::{CollFeatures, GmParams};
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
+
+/// The host-based dissemination baseline.
+const HOST_DS: Barrier = Barrier::Host(Algorithm::Dissemination);
 
 fn cfg() -> RunCfg {
     RunCfg {
@@ -26,21 +29,12 @@ fn traffic() -> TrafficCfg {
 #[test]
 fn barriers_complete_under_traffic_for_all_modes() {
     for n in [4usize, 8] {
-        let nic = gm_nic_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg(),
-            traffic(),
-        );
-        let host = gm_host_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            n,
-            Algorithm::Dissemination,
-            cfg(),
-            traffic(),
-        );
+        let nic = Scenario::gm(GmParams::lanai_xp(), n, DS)
+            .with_traffic(traffic())
+            .run(&cfg());
+        let host = Scenario::gm(GmParams::lanai_xp(), n, HOST_DS)
+            .with_traffic(traffic())
+            .run(&cfg());
         assert!(nic.mean_us > 0.0 && host.mean_us > 0.0);
         // Bulk data actually flowed alongside the barriers.
         assert!(
@@ -54,29 +48,14 @@ fn barriers_complete_under_traffic_for_all_modes() {
 #[test]
 fn group_queue_bypass_limits_the_slowdown() {
     let n = 8;
-    let quiet = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-    );
-    let busy = gm_nic_barrier_under_traffic(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-        traffic(),
-    );
-    let quiet_host = gm_host_barrier(GmParams::lanai_xp(), n, Algorithm::Dissemination, cfg());
-    let busy_host = gm_host_barrier_under_traffic(
-        GmParams::lanai_xp(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-        traffic(),
-    );
+    let quiet = Scenario::gm(GmParams::lanai_xp(), n, DS).run(&cfg());
+    let busy = Scenario::gm(GmParams::lanai_xp(), n, DS)
+        .with_traffic(traffic())
+        .run(&cfg());
+    let quiet_host = Scenario::gm(GmParams::lanai_xp(), n, HOST_DS).run(&cfg());
+    let busy_host = Scenario::gm(GmParams::lanai_xp(), n, HOST_DS)
+        .with_traffic(traffic())
+        .run(&cfg());
     let nic_slowdown = busy.mean_us / quiet.mean_us;
     let host_slowdown = busy_host.mean_us / quiet_host.mean_us;
     assert!(
@@ -92,22 +71,13 @@ fn group_queue_bypass_limits_the_slowdown() {
 #[test]
 fn direct_scheme_queues_behind_bulk_traffic() {
     let n = 8;
-    let paper = gm_nic_barrier_under_traffic(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-        traffic(),
-    );
-    let direct = gm_nic_barrier_under_traffic(
-        GmParams::lanai_xp(),
-        CollFeatures::direct(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-        traffic(),
-    );
+    let paper = Scenario::gm(GmParams::lanai_xp(), n, DS)
+        .with_traffic(traffic())
+        .run(&cfg());
+    let direct = Scenario::gm(GmParams::lanai_xp(), n, DS)
+        .with_features(CollFeatures::direct())
+        .with_traffic(traffic())
+        .run(&cfg());
     assert!(
         direct.mean_us > paper.mean_us * 1.3,
         "direct ({:.2}) should queue visibly behind bulk vs paper ({:.2})",
@@ -119,15 +89,10 @@ fn direct_scheme_queues_behind_bulk_traffic() {
 #[test]
 fn traffic_runs_are_deterministic() {
     let run = || {
-        gm_nic_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            cfg(),
-            traffic(),
-        )
-        .mean_us
+        Scenario::gm(GmParams::lanai_xp(), 8, DS)
+            .with_traffic(traffic())
+            .run(&cfg())
+            .mean_us
     };
     assert_eq!(run(), run());
 }

@@ -10,11 +10,14 @@
 //! cargo run --release --example congested_cluster
 //! ```
 
-use nicbar::core::{
-    gm_host_barrier, gm_host_barrier_under_traffic, gm_nic_barrier, gm_nic_barrier_under_traffic,
-    Algorithm, RunCfg, TrafficCfg,
-};
+use nicbar::core::{Algorithm, Barrier, RunCfg, Scenario, TrafficCfg};
 use nicbar::gm::{CollFeatures, GmParams};
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
+
+/// The host-based dissemination baseline.
+const HOST_DS: Barrier = Barrier::Host(Algorithm::Dissemination);
 
 fn main() {
     let n = 8;
@@ -30,61 +33,33 @@ fn main() {
         "barrier implementation", "quiet(µs)", "loaded(µs)", "slowdown"
     );
 
-    let quiet_nic = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    )
-    .mean_us;
-    let quiet_direct = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::direct(),
-        n,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    )
-    .mean_us;
-    let quiet_host = gm_host_barrier(
-        GmParams::lanai_xp(),
-        n,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    )
-    .mean_us;
+    let quiet_nic = Scenario::gm(GmParams::lanai_xp(), n, DS).run(&cfg).mean_us;
+    let quiet_direct = Scenario::gm(GmParams::lanai_xp(), n, DS)
+        .with_features(CollFeatures::direct())
+        .run(&cfg)
+        .mean_us;
+    let quiet_host = Scenario::gm(GmParams::lanai_xp(), n, HOST_DS)
+        .run(&cfg)
+        .mean_us;
 
     for outstanding in [2u32, 4, 8] {
         let traffic = TrafficCfg {
             msg_bytes: 4096,
             outstanding,
         };
-        let nic = gm_nic_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-            traffic,
-        )
-        .mean_us;
-        let direct = gm_nic_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            CollFeatures::direct(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-            traffic,
-        )
-        .mean_us;
-        let host = gm_host_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-            traffic,
-        )
-        .mean_us;
+        let nic = Scenario::gm(GmParams::lanai_xp(), n, DS)
+            .with_traffic(traffic)
+            .run(&cfg)
+            .mean_us;
+        let direct = Scenario::gm(GmParams::lanai_xp(), n, DS)
+            .with_features(CollFeatures::direct())
+            .with_traffic(traffic)
+            .run(&cfg)
+            .mean_us;
+        let host = Scenario::gm(GmParams::lanai_xp(), n, HOST_DS)
+            .with_traffic(traffic)
+            .run(&cfg)
+            .mean_us;
 
         println!("--- {outstanding} × 4 KB bulk messages in flight per process ---");
         println!(

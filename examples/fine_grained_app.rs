@@ -12,11 +12,21 @@
 //! cargo run --release --example fine_grained_app
 //! ```
 
-use nicbar::core::{gm_host_barrier, gm_nic_barrier, Algorithm, RunCfg};
-use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::core::{Algorithm, Barrier, RunCfg, Scenario};
+use nicbar::gm::GmParams;
 
 fn main() {
     let n = 8;
+    let host_barrier = Scenario::gm(
+        GmParams::lanai_xp(),
+        n,
+        Barrier::Host(Algorithm::Dissemination),
+    );
+    let nic_barrier = Scenario::gm(
+        GmParams::lanai_xp(),
+        n,
+        Barrier::Nic(Algorithm::Dissemination),
+    );
     println!("BSP loop on an {n}-node LANai-XP cluster: compute(g) ; barrier ; repeat\n");
     println!(
         "{:>10} {:>14} {:>14} {:>12} {:>12}",
@@ -37,19 +47,8 @@ fn main() {
         // grain/2; use that for the efficiency denominator.
         let compute = grain / 2.0;
 
-        let host = gm_host_barrier(
-            GmParams::lanai_xp(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
-        let nic = gm_nic_barrier(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg,
-        );
+        let host = host_barrier.run(&cfg);
+        let nic = nic_barrier.run(&cfg);
         let host_eff = compute / host.mean_us;
         let nic_eff = compute / nic.mean_us;
         println!(

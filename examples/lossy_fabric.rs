@@ -11,11 +11,21 @@
 //! cargo run --release --example lossy_fabric
 //! ```
 
-use nicbar::core::{gm_host_barrier, gm_nic_barrier, Algorithm, RunCfg};
-use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::core::{Algorithm, Barrier, RunCfg, Scenario};
+use nicbar::gm::GmParams;
 
 fn main() {
     let n = 8;
+    let host_barrier = Scenario::gm(
+        GmParams::lanai_xp(),
+        n,
+        Barrier::Host(Algorithm::Dissemination),
+    );
+    let nic_barrier = Scenario::gm(
+        GmParams::lanai_xp(),
+        n,
+        Barrier::Nic(Algorithm::Dissemination),
+    );
     println!("8-node LANai-XP cluster, dissemination barrier, loss sweep\n");
     println!(
         "{:>7} | {:>11} {:>9} {:>9} | {:>11} {:>9} {:>9}",
@@ -30,19 +40,8 @@ fn main() {
             seed: 99,
             ..RunCfg::default()
         };
-        let host = gm_host_barrier(
-            GmParams::lanai_xp(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
-        let nic = gm_nic_barrier(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
+        let host = host_barrier.run(&cfg);
+        let nic = nic_barrier.run(&cfg);
         let total = cfg.total() as f64;
         println!(
             "{:>6.1}% | {:>11.1} {:>9.2} {:>9.2} | {:>11.1} {:>9.2} {:>9.2}",

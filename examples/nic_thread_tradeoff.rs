@@ -11,9 +11,7 @@
 //! cargo run --release --example nic_thread_tradeoff
 //! ```
 
-use nicbar::core::{
-    elan_nic_barrier, elan_thread_allreduce, elan_thread_barrier, Algorithm, ReduceOp, RunCfg,
-};
+use nicbar::core::{Algorithm, Barrier, ReduceOp, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
 
 fn main() {
@@ -29,20 +27,15 @@ fn main() {
         "nodes", "chain barrier", "thread barrier", "overhead", "thread allreduce"
     );
     for n in [2usize, 4, 8, 16, 32] {
-        let chain = elan_nic_barrier(
+        let chain = Scenario::elan(
             ElanParams::elan3(),
             n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        );
-        let thread = elan_thread_barrier(ElanParams::elan3(), n, cfg.clone());
-        let (reduce, _) = elan_thread_allreduce(
-            ElanParams::elan3(),
-            n,
-            cfg.clone(),
-            ReduceOp::Max,
-            |r, _| r as u64,
-        );
+            Barrier::Nic(Algorithm::Dissemination),
+        )
+        .run(&cfg);
+        let thread = Scenario::elan(ElanParams::elan3(), n, Barrier::ThreadBarrier).run(&cfg);
+        let allreduce = Barrier::ThreadAllreduce(ReduceOp::Max, |r, _| r as u64);
+        let reduce = Scenario::elan(ElanParams::elan3(), n, allreduce).run(&cfg);
         println!(
             "{n:>6} {:>12.2}µs {:>12.2}µs {:>9.0}% {:>14.2}µs",
             chain.mean_us,

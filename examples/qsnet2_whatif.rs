@@ -8,9 +8,12 @@
 //! cargo run --release --example qsnet2_whatif
 //! ```
 
-use nicbar::core::{elan_nic_barrier, Algorithm, RunCfg};
+use nicbar::core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
 use nicbar::model::fit;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn main() {
     let ns = [2usize, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
@@ -28,14 +31,12 @@ fn main() {
     let mut e3_pts = Vec::new();
     let mut e4_pts = Vec::new();
     for &n in &ns {
-        let e3 = elan_nic_barrier(ElanParams::elan3(), n, Algorithm::Dissemination, cfg(n)).mean_us;
-        let e4 = elan_nic_barrier(
-            ElanParams::elan4_projection(),
-            n,
-            Algorithm::Dissemination,
-            cfg(n),
-        )
-        .mean_us;
+        let e3 = Scenario::elan(ElanParams::elan3(), n, DS)
+            .run(&cfg(n))
+            .mean_us;
+        let e4 = Scenario::elan(ElanParams::elan4_projection(), n, DS)
+            .run(&cfg(n))
+            .mean_us;
         println!("{n:>6} {e3:>12.2} {e4:>12.2} {:>8.2}x", e3 / e4);
         e3_pts.push((n, e3));
         e4_pts.push((n, e4));

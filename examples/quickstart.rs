@@ -7,8 +7,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nicbar::core::{gm_host_barrier, gm_nic_barrier, Algorithm, RunCfg};
-use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::core::{Algorithm, Barrier, RunCfg, Scenario};
+use nicbar::gm::GmParams;
 
 fn main() {
     let cfg = RunCfg {
@@ -23,14 +23,9 @@ fn main() {
         cfg.total()
     );
 
-    let nic = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
-    let host = gm_host_barrier(GmParams::lanai_xp(), n, Algorithm::Dissemination, cfg);
+    let xp = |barrier| Scenario::gm(GmParams::lanai_xp(), n, barrier).run(&cfg);
+    let nic = xp(Barrier::Nic(Algorithm::Dissemination));
+    let host = xp(Barrier::Host(Algorithm::Dissemination));
 
     println!(
         "NIC-based barrier (dissemination):  {:>6.2} µs",

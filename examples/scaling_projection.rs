@@ -7,10 +7,13 @@
 //! cargo run --release --example scaling_projection
 //! ```
 
-use nicbar::core::{elan_nic_barrier, gm_nic_barrier, Algorithm, RunCfg};
+use nicbar::core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
-use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::gm::GmParams;
 use nicbar::model::{fit, BarrierModel};
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn main() {
     let ns = [2usize, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
@@ -24,14 +27,8 @@ fn main() {
     let mut quadrics = Vec::new();
     let mut myrinet = Vec::new();
     for &n in &ns {
-        let q = elan_nic_barrier(ElanParams::elan3(), n, Algorithm::Dissemination, cfg(n));
-        let m = gm_nic_barrier(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg(n),
-        );
+        let q = Scenario::elan(ElanParams::elan3(), n, DS).run(&cfg(n));
+        let m = Scenario::gm(GmParams::lanai_xp(), n, DS).run(&cfg(n));
         quadrics.push((n, q.mean_us));
         myrinet.push((n, m.mean_us));
         println!(

@@ -81,6 +81,38 @@ verify_counterexample_gate() {
 gate "verify-counterexample" verify_counterexample_gate
 echo "check.sh: protocol model checking OK"
 
+# Results freshness: run from an empty directory, the figure binaries must
+# reproduce every committed results/*.json they write, byte for byte apart
+# from the git_rev stamp. A change that moves a simulated number therefore
+# regenerates its artifact in the same commit. Deterministic, so it runs
+# before the host-timed gates below.
+RESULTS_FRESH_BINS=(fig5 fig6 fig7 fig8 algo_compare interference contend)
+RESULTS_FRESH_FILES=(fig5 fig6 fig7 fig8 algo_compare_gm algo_compare_elan interference contend)
+results_fresh_gate() {
+    local root tmp bin f stale=0
+    root=$(pwd)
+    tmp=$(mktemp -d)
+    for bin in "${RESULTS_FRESH_BINS[@]}"; do
+        if ! (cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
+            -p nicbar-bench --bin "$bin" > /dev/null); then
+            echo "check.sh: $bin failed" >&2
+            rm -rf "$tmp"
+            return 1
+        fi
+    done
+    for f in "${RESULTS_FRESH_FILES[@]}"; do
+        if ! diff <(grep -v '"git_rev"' "$tmp/results/$f.json") \
+            <(grep -v '"git_rev"' "results/$f.json") > /dev/null; then
+            echo "check.sh: results/$f.json is stale (regenerate it from a clean run)" >&2
+            stale=1
+        fi
+    done
+    rm -rf "$tmp"
+    return "$stale"
+}
+gate "results-fresh" results_fresh_gate
+echo "check.sh: committed results/*.json reproduce"
+
 # Zero-overhead gate: with the flight recorder and trace ring disabled,
 # engine throughput must stay within 5% of the saved baseline. Skipped if
 # the baseline has never been generated (run the full engine_sweep once).

@@ -12,10 +12,10 @@
 //! `#[global_allocator]` is process-wide, and the single `#[test]` keeps
 //! the measurement windows free of concurrent test threads.
 
-use nicbar_core::{build_elan_nic_cluster, build_gm_nic_cluster, Algorithm, RunCfg};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_gm::{CollFeatures, GmParams};
-use nicbar_sim::{EngineSel, RunOutcome};
+use nicbar_gm::GmParams;
+use nicbar_sim::EngineSel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -59,35 +59,20 @@ fn cfg(iters: u64, engine: EngineSel, shards: usize) -> RunCfg {
     }
 }
 
-/// Allocator calls made while *draining* (not building) a GM NIC-DS run.
-fn gm_drain_allocs(algo: Algorithm, iters: u64, engine: EngineSel, shards: usize) -> u64 {
-    let cfg = cfg(iters, engine, shards);
-    let mut cluster = build_gm_nic_cluster(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        N,
-        algo,
-        &cfg,
-        false,
-    );
-    let deadline = cfg.deadline();
+/// Allocator calls made while *draining* (not building) `scenario`.
+fn drain_allocs(scenario: &Scenario, iters: u64, engine: EngineSel, shards: usize) -> u64 {
+    let mut sim = scenario.build(&cfg(iters, engine, shards));
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let outcome = cluster.run_until(deadline);
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
-    assert_eq!(outcome, RunOutcome::Idle, "gm run did not drain");
-    after - before
+    sim.drain();
+    ALLOC_CALLS.load(Ordering::Relaxed) - before
 }
 
-/// Allocator calls made while draining an Elan NIC-DS run.
-fn elan_drain_allocs(algo: Algorithm, iters: u64, engine: EngineSel, shards: usize) -> u64 {
-    let cfg = cfg(iters, engine, shards);
-    let mut cluster = build_elan_nic_cluster(ElanParams::elan3(), N, algo, &cfg, false);
-    let deadline = cfg.deadline();
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let outcome = cluster.run_until(deadline);
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
-    assert_eq!(outcome, RunOutcome::Idle, "elan run did not drain");
-    after - before
+fn gm(algo: Algorithm) -> Scenario {
+    Scenario::gm(GmParams::lanai_xp(), N, Barrier::Nic(algo))
+}
+
+fn elan(algo: Algorithm) -> Scenario {
+    Scenario::elan(ElanParams::elan3(), N, Barrier::Nic(algo))
 }
 
 fn assert_delta_free(substrate: &str, measure: impl Fn(u64) -> u64) {
@@ -123,26 +108,51 @@ fn steady_state_barrier_allocates_nothing() {
     // Dissemination is the paper's headline algorithm; both substrates
     // must run it allocation-free in the steady state.
     assert_delta_free("gm NIC-DS", |iters| {
-        gm_drain_allocs(Algorithm::Dissemination, iters, EngineSel::Sequential, 1)
+        drain_allocs(
+            &gm(Algorithm::Dissemination),
+            iters,
+            EngineSel::Sequential,
+            1,
+        )
     });
     assert_delta_free("elan NIC-DS", |iters| {
-        elan_drain_allocs(Algorithm::Dissemination, iters, EngineSel::Sequential, 1)
+        drain_allocs(
+            &elan(Algorithm::Dissemination),
+            iters,
+            EngineSel::Sequential,
+            1,
+        )
     });
     // Pairwise exchange exercises the multi-peer rounds at n = 8 too.
     assert_delta_free("gm NIC-PE", |iters| {
-        gm_drain_allocs(Algorithm::PairwiseExchange, iters, EngineSel::Sequential, 1)
+        drain_allocs(
+            &gm(Algorithm::PairwiseExchange),
+            iters,
+            EngineSel::Sequential,
+            1,
+        )
     });
     assert_delta_free("elan NIC-PE", |iters| {
-        elan_drain_allocs(Algorithm::PairwiseExchange, iters, EngineSel::Sequential, 1)
+        drain_allocs(
+            &elan(Algorithm::PairwiseExchange),
+            iters,
+            EngineSel::Sequential,
+            1,
+        )
     });
     // The rank-sharded parallel engine must hold the same property: after
     // warm-up its windows run out of recycled scratch buffers and settled
     // queues, so extra steady-state epochs allocate exactly nothing on any
     // worker thread (the counting allocator is process-wide).
     assert_delta_free("gm NIC-DS parallel x2", |iters| {
-        gm_drain_allocs(Algorithm::Dissemination, iters, EngineSel::Parallel, 2)
+        drain_allocs(&gm(Algorithm::Dissemination), iters, EngineSel::Parallel, 2)
     });
     assert_delta_free("elan NIC-DS parallel x2", |iters| {
-        elan_drain_allocs(Algorithm::Dissemination, iters, EngineSel::Parallel, 2)
+        drain_allocs(
+            &elan(Algorithm::Dissemination),
+            iters,
+            EngineSel::Parallel,
+            2,
+        )
     });
 }

@@ -1,9 +1,12 @@
 //! Cross-substrate comparisons: relations between the Quadrics and Myrinet
 //! results that the paper's figures imply when read together.
 
-use nicbar::core::{elan_nic_barrier, gm_nic_barrier, Algorithm, RunCfg};
+use nicbar::core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
-use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::gm::GmParams;
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn cfg() -> RunCfg {
     RunCfg {
@@ -14,18 +17,15 @@ fn cfg() -> RunCfg {
 }
 
 fn quadrics(n: usize) -> f64 {
-    elan_nic_barrier(ElanParams::elan3(), n, Algorithm::Dissemination, cfg()).mean_us
+    Scenario::elan(ElanParams::elan3(), n, DS)
+        .run(&cfg())
+        .mean_us
 }
 
 fn myrinet(n: usize) -> f64 {
-    gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-    )
-    .mean_us
+    Scenario::gm(GmParams::lanai_xp(), n, DS)
+        .run(&cfg())
+        .mean_us
 }
 
 #[test]
@@ -67,14 +67,8 @@ fn both_substrates_charge_one_packet_per_schedule_send() {
     // messages per dissemination barrier.
     let c = cfg();
     for n in [4usize, 8] {
-        let q = elan_nic_barrier(ElanParams::elan3(), n, Algorithm::Dissemination, c.clone());
-        let m = gm_nic_barrier(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            c.clone(),
-        );
+        let q = Scenario::elan(ElanParams::elan3(), n, DS).run(&c);
+        let m = Scenario::gm(GmParams::lanai_xp(), n, DS).run(&c);
         let expect = (n * nicbar::core::ceil_log2(n)) as f64;
         assert!((q.wire_per_barrier - expect).abs() < 0.01, "elan n={n}");
         assert!((m.wire_per_barrier - expect).abs() < 0.01, "gm n={n}");
@@ -84,13 +78,8 @@ fn both_substrates_charge_one_packet_per_schedule_send() {
 #[test]
 fn elan4_projection_dominates_elan3() {
     for n in [4usize, 16, 64] {
-        let e3 = elan_nic_barrier(ElanParams::elan3(), n, Algorithm::Dissemination, cfg());
-        let e4 = elan_nic_barrier(
-            ElanParams::elan4_projection(),
-            n,
-            Algorithm::Dissemination,
-            cfg(),
-        );
+        let e3 = Scenario::elan(ElanParams::elan3(), n, DS).run(&cfg());
+        let e4 = Scenario::elan(ElanParams::elan4_projection(), n, DS).run(&cfg());
         assert!(
             e4.mean_us < e3.mean_us * 0.75,
             "n={n}: Elan4 projection {:.2} should clearly beat Elan3 {:.2}",
@@ -114,23 +103,17 @@ fn soak_thousands_of_epochs_with_loss_and_skew() {
         permute: true,
         ..RunCfg::default()
     };
-    let s = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg.clone(),
-    );
+    let s = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg);
     assert!(s.mean_us > 0.0);
     let elan_cfg = RunCfg {
         drop_prob: 0.0,
         ..cfg
     };
-    let s = elan_nic_barrier(
+    let s = Scenario::elan(
         ElanParams::elan3(),
         8,
-        Algorithm::PairwiseExchange,
-        elan_cfg,
-    );
+        Barrier::Nic(Algorithm::PairwiseExchange),
+    )
+    .run(&elan_cfg);
     assert!(s.mean_us > 0.0);
 }

@@ -1,25 +1,24 @@
 //! Same-seed determinism regression: the DES contract is that one seed
 //! yields one run — the same event order, the same span stream, the same
-//! counters, the same final latencies, byte for byte. Hash-order leaks
-//! (the class of bug `nicbar-lint` rule ND003 guards against) break this
-//! silently and intermittently; this test makes the breakage loud.
+//! counters, the same occupancy ledger, the same final latencies, byte for
+//! byte ([`FlightData::witness`]). Hash-order leaks (the class of bug
+//! `nicbar-lint` rule ND003 guards against) break this silently and
+//! intermittently; this test makes the breakage loud.
 //!
 //! The GM run injects loss so the NACK/retransmit machinery — the paths
 //! that iterate protocol maps under a timer — is exercised, not just the
 //! lossless fast path.
 
-use nicbar::core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData, RunCfg};
+use nicbar::core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
-use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::gm::GmParams;
 
-/// Byte-exact projection of everything a run observes: trace records in
-/// emission order, span summaries in completion order, histograms,
-/// counters, causal packet records and the final latency statistics.
-fn witness(f: &FlightData) -> String {
-    format!(
-        "substrate={}\nrecords={:?}\ntrace_dropped={}\nspans={:?}\nspans_dropped={}\norphaned={}\nhists={:?}\nstats={:?}\npackets={:?}\npackets_dropped={}\n",
-        f.substrate, f.records, f.trace_dropped, f.spans, f.spans_dropped, f.orphaned, f.hists, f.stats, f.packets, f.packets_dropped
-    )
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
+
+/// The lossy 8-node GM NIC-DS capture under `seed`.
+fn gm_lossy(seed: u64) -> FlightData {
+    Scenario::gm(GmParams::lanai_xp(), 8, DS).capture(&lossy_cfg(seed))
 }
 
 fn lossy_cfg(seed: u64) -> RunCfg {
@@ -35,63 +34,32 @@ fn lossy_cfg(seed: u64) -> RunCfg {
 
 #[test]
 fn gm_lossy_8_node_run_is_bit_deterministic() {
-    let run = || {
-        gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            lossy_cfg(0xD0_0DAD),
-        )
-    };
-    let a = witness(&run());
-    let b = witness(&run());
-    assert!(
-        a == b,
-        "same seed produced different GM runs; first divergence at byte {}",
-        a.bytes()
-            .zip(b.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| a.len().min(b.len()))
-    );
+    let a = gm_lossy(0xD0_0DAD);
+    if let Some(at) = a.divergence(&gm_lossy(0xD0_0DAD)) {
+        panic!("same seed produced different GM runs: {at}");
+    }
     // A different seed must actually change the run — otherwise the
     // witness is vacuous (e.g. everything empty).
-    let c = witness(&gm_nic_barrier_flight(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        lossy_cfg(0xC0FFEE),
-    ));
-    assert!(a != c, "seed does not influence the run witness");
+    assert!(
+        a.divergence(&gm_lossy(0xC0FFEE)).is_some(),
+        "seed does not influence the run witness"
+    );
 }
 
 #[test]
 fn elan_8_node_run_is_bit_deterministic() {
     let run = || {
-        elan_nic_barrier_flight(
-            ElanParams::elan3(),
-            8,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 20,
-                iters: 150,
-                seed: 0xE1A0,
-                skew_us: 2.0,
-                ..RunCfg::default()
-            },
-        )
+        Scenario::elan(ElanParams::elan3(), 8, DS).capture(&RunCfg {
+            warmup: 20,
+            iters: 150,
+            seed: 0xE1A0,
+            skew_us: 2.0,
+            ..RunCfg::default()
+        })
     };
-    let a = witness(&run());
-    let b = witness(&run());
-    assert!(
-        a == b,
-        "same seed produced different Elan runs; first divergence at byte {}",
-        a.bytes()
-            .zip(b.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| a.len().min(b.len()))
-    );
+    if let Some(at) = run().divergence(&run()) {
+        panic!("same seed produced different Elan runs: {at}");
+    }
 }
 
 /// The `why-slow` report and the JSONL netdump are derived artifacts of
@@ -103,13 +71,7 @@ fn why_slow_report_is_byte_identical_across_same_seed_runs() {
     use nicbar_bench::{critpath, netdump};
 
     let report = || {
-        let cap = gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            lossy_cfg(0xD0_0DAD),
-        );
+        let cap = gm_lossy(0xD0_0DAD);
         let paths = critpath::analyze(&cap.packets);
         (critpath::render(&paths), netdump::jsonl(&cap.packets))
     };

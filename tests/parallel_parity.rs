@@ -2,28 +2,20 @@
 //! must be an *implementation detail* — same seed, same cluster, same
 //! byte-exact observable run as the sequential engine, at any shard count.
 //!
-//! "Observable run" is the full flight capture: trace records in emission
-//! order, span summaries, histograms, counters, causal packet records and
-//! the final latency statistics. The parallel engine merges per-shard
+//! "Observable run" is the full flight capture ([`FlightData::witness`]):
+//! trace records in emission order, span summaries, histograms, counters,
+//! causal packet records, the occupancy ledger and the final latency
+//! statistics. The parallel engine merges per-shard
 //! observability streams in delivered-event order, so every byte must
 //! agree, not just the aggregate latencies.
 
-use nicbar::core::{
-    build_gm_nic_cluster, elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData,
-    RunCfg,
-};
+use nicbar::core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
-use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::gm::GmParams;
 use nicbar::sim::EngineSel;
 
-/// Byte-exact projection of everything a run observes (same shape as
-/// `tests/determinism.rs`).
-fn witness(f: &FlightData) -> String {
-    format!(
-        "substrate={}\nrecords={:?}\ntrace_dropped={}\nspans={:?}\nspans_dropped={}\norphaned={}\nhists={:?}\nstats={:?}\npackets={:?}\npackets_dropped={}\nledger={:?}\nledger_dropped={}\n",
-        f.substrate, f.records, f.trace_dropped, f.spans, f.spans_dropped, f.orphaned, f.hists, f.stats, f.packets, f.packets_dropped, f.ledger, f.ledger_dropped
-    )
-}
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn cfg(engine: EngineSel, shards: usize) -> RunCfg {
     RunCfg {
@@ -36,39 +28,18 @@ fn cfg(engine: EngineSel, shards: usize) -> RunCfg {
     }
 }
 
-fn first_divergence(a: &str, b: &str) -> usize {
-    a.bytes()
-        .zip(b.bytes())
-        .position(|(x, y)| x != y)
-        .unwrap_or_else(|| a.len().min(b.len()))
-}
-
 fn assert_parity(label: &str, seq: &FlightData, par: &FlightData) {
-    let a = witness(seq);
-    let b = witness(par);
-    if a != b {
-        let at = first_divergence(&a, &b);
-        let lo = at.saturating_sub(120);
-        panic!(
-            "{label}: parallel run diverges from sequential at byte {at}\nsequential: ...{}\nparallel:   ...{}",
-            &a[lo..(at + 120).min(a.len())],
-            &b[lo..(at + 120).min(b.len())],
-        );
+    if let Some(at) = seq.divergence(par) {
+        panic!("{label}: parallel run diverges from sequential: {at}");
     }
 }
 
 fn gm_flight(n: usize, algo: Algorithm, engine: EngineSel, shards: usize) -> FlightData {
-    gm_nic_barrier_flight(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        algo,
-        cfg(engine, shards),
-    )
+    Scenario::gm(GmParams::lanai_xp(), n, Barrier::Nic(algo)).capture(&cfg(engine, shards))
 }
 
 fn elan_flight(n: usize, algo: Algorithm, engine: EngineSel, shards: usize) -> FlightData {
-    elan_nic_barrier_flight(ElanParams::elan3(), n, algo, cfg(engine, shards))
+    Scenario::elan(ElanParams::elan3(), n, Barrier::Nic(algo)).capture(&cfg(engine, shards))
 }
 
 #[test]
@@ -103,21 +74,15 @@ fn elan_parallel_matches_sequential_byte_for_byte() {
 #[test]
 fn gm_lossy_parallel_matches_sequential() {
     let lossy = |engine, shards| {
-        gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            16,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 10,
-                iters: 80,
-                drop_prob: 0.02,
-                skew_us: 2.0,
-                engine,
-                shards,
-                ..RunCfg::default()
-            },
-        )
+        Scenario::gm(GmParams::lanai_xp(), 16, DS).capture(&RunCfg {
+            warmup: 10,
+            iters: 80,
+            drop_prob: 0.02,
+            skew_us: 2.0,
+            engine,
+            shards,
+            ..RunCfg::default()
+        })
     };
     let seq = lossy(EngineSel::Sequential, 1);
     assert!(
@@ -138,20 +103,15 @@ fn gm_lossy_parallel_matches_sequential() {
 /// the whole capture — ledger included — byte for byte on both substrates.
 #[test]
 fn gm_traffic_parallel_matches_sequential_byte_for_byte() {
-    use nicbar::core::{gm_nic_barrier_under_traffic_flight, TrafficCfg};
+    use nicbar::core::TrafficCfg;
     let traffic = TrafficCfg {
         msg_bytes: 4096,
         outstanding: 2,
     };
     let run = |engine, shards| {
-        gm_nic_barrier_under_traffic_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            cfg(engine, shards),
-            traffic,
-        )
+        Scenario::gm(GmParams::lanai_xp(), 8, DS)
+            .with_traffic(traffic)
+            .capture(&cfg(engine, shards))
     };
     let seq = run(EngineSel::Sequential, 1);
     assert!(!seq.ledger.is_empty(), "traffic flight must arm the ledger");
@@ -163,7 +123,7 @@ fn gm_traffic_parallel_matches_sequential_byte_for_byte() {
 
 #[test]
 fn elan_traffic_parallel_matches_sequential_byte_for_byte() {
-    use nicbar::core::{elan_contend_flight, TrafficCfg};
+    use nicbar::core::TrafficCfg;
     let traffic = TrafficCfg {
         msg_bytes: 4096,
         outstanding: 2,
@@ -171,21 +131,16 @@ fn elan_traffic_parallel_matches_sequential_byte_for_byte() {
     // One group + the forwarding-ring tport stream: the Elan bulk-traffic
     // scenario (the multi-group contend gate covers the M-group case).
     let run = |engine, shards| {
-        elan_contend_flight(
-            ElanParams::elan3(),
-            8,
-            1,
-            Algorithm::Dissemination,
-            RunCfg {
+        Scenario::elan(ElanParams::elan3(), 8, DS)
+            .with_traffic(traffic)
+            .capture(&RunCfg {
                 warmup: 2,
                 iters: 8,
                 skew_us: 1.0,
                 engine,
                 shards,
                 ..RunCfg::default()
-            },
-            traffic,
-        )
+            })
     };
     let seq = run(EngineSel::Sequential, 1);
     assert!(!seq.ledger.is_empty(), "contend flight must arm the ledger");
@@ -200,29 +155,11 @@ fn elan_traffic_parallel_matches_sequential_byte_for_byte() {
 /// parallel machinery and still reproduces the same run.
 #[test]
 fn one_shard_engine_selection() {
-    let auto = build_gm_nic_cluster(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        16,
-        Algorithm::Dissemination,
-        &cfg(EngineSel::Auto, 1),
-        false,
-    );
-    assert_eq!(auto.engine.kind(), "sequential");
-
-    let par = build_gm_nic_cluster(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        16,
-        Algorithm::Dissemination,
-        &cfg(EngineSel::Parallel, 1),
-        false,
-    );
-    assert_eq!(par.engine.kind(), "parallel");
-
-    let seq = gm_flight(16, Algorithm::Dissemination, EngineSel::Sequential, 1);
+    let auto = gm_flight(16, Algorithm::Dissemination, EngineSel::Auto, 1);
+    assert_eq!(auto.engine, "sequential");
     let one = gm_flight(16, Algorithm::Dissemination, EngineSel::Parallel, 1);
-    assert_parity("gm 1-shard degenerate", &seq, &one);
+    assert_eq!(one.engine, "parallel");
+    assert_parity("gm 1-shard degenerate", &auto, &one);
 }
 
 /// Drop every line that carries the engine stamp — the one *intentional*
@@ -327,16 +264,10 @@ fn weighted_partition_matches_sequential_byte_for_byte() {
         boundary_cost: (0..16u64).map(|j| (j * 13) % 11).collect(),
     };
     let run = |engine, shards, partition| {
-        gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            16,
-            Algorithm::Dissemination,
-            RunCfg {
-                partition,
-                ..cfg(engine, shards)
-            },
-        )
+        Scenario::gm(GmParams::lanai_xp(), 16, DS).capture(&RunCfg {
+            partition,
+            ..cfg(engine, shards)
+        })
     };
     let seq = run(EngineSel::Sequential, 1, PartitionSel::Contiguous);
     for shards in [2, 5, 8] {
@@ -367,15 +298,10 @@ fn profile_guided_partition_matches_sequential() {
         "profile must produce a weighted partition"
     );
     let run = |engine, shards, partition| {
-        elan_nic_barrier_flight(
-            ElanParams::elan3(),
-            16,
-            Algorithm::Dissemination,
-            RunCfg {
-                partition,
-                ..cfg(engine, shards)
-            },
-        )
+        Scenario::elan(ElanParams::elan3(), 16, DS).capture(&RunCfg {
+            partition,
+            ..cfg(engine, shards)
+        })
     };
     let seq = run(EngineSel::Sequential, 1, PartitionSel::Contiguous);
     for shards in [3, 8] {

@@ -3,11 +3,9 @@
 //! invariants; model-fit sanity.
 
 use nicbar::core::schedule::{disseminates, validate, Schedule};
-use nicbar::core::{
-    elan_nic_barrier, gm_host_barrier, gm_nic_barrier, schedules_for, Algorithm, RunCfg,
-};
+use nicbar::core::{schedules_for, Algorithm, Barrier, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
-use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::gm::GmParams;
 use proptest::prelude::*;
 
 fn arb_algo() -> impl Strategy<Value = Algorithm> {
@@ -82,7 +80,7 @@ proptest! {
             permute,
             ..RunCfg::default()
         };
-        let s = gm_nic_barrier(GmParams::lanai_xp(), CollFeatures::paper(), n, algo, cfg);
+        let s = Scenario::gm(GmParams::lanai_xp(), n, Barrier::Nic(algo)).run(&cfg);
         prop_assert!(s.mean_us > 0.0);
     }
 
@@ -102,7 +100,7 @@ proptest! {
             drop_prob: drop,
             ..RunCfg::default()
         };
-        let s = gm_host_barrier(GmParams::lanai_xp(), n, algo, cfg);
+        let s = Scenario::gm(GmParams::lanai_xp(), n, Barrier::Host(algo)).run(&cfg);
         prop_assert!(s.mean_us > 0.0);
     }
 
@@ -125,7 +123,7 @@ proptest! {
             permute,
             ..RunCfg::default()
         };
-        let s = elan_nic_barrier(ElanParams::elan3(), n, algo, cfg);
+        let s = Scenario::elan(ElanParams::elan3(), n, Barrier::Nic(algo)).run(&cfg);
         prop_assert!(s.mean_us > 0.0);
     }
 
@@ -138,8 +136,8 @@ proptest! {
         algo in prop_oneof![Just(Algorithm::Dissemination), Just(Algorithm::PairwiseExchange)],
     ) {
         let cfg = RunCfg { warmup: 5, iters: 50, seed, ..RunCfg::default() };
-        let nic = gm_nic_barrier(GmParams::lanai_xp(), CollFeatures::paper(), n, algo, cfg.clone());
-        let host = gm_host_barrier(GmParams::lanai_xp(), n, algo, cfg);
+        let nic = Scenario::gm(GmParams::lanai_xp(), n, Barrier::Nic(algo)).run(&cfg);
+        let host = Scenario::gm(GmParams::lanai_xp(), n, Barrier::Host(algo)).run(&cfg);
         prop_assert!(
             nic.mean_us < host.mean_us,
             "n={} {:?}: NIC {:.2} !< host {:.2}", n, algo, nic.mean_us, host.mean_us

@@ -2,12 +2,15 @@
 //! reproduced numbers (within tolerance bands) so calibration drift is
 //! caught. Paper anchors from the abstract and §8.
 
-use nicbar::core::{
-    elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier,
-    Algorithm, RunCfg,
-};
+use nicbar::core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
 use nicbar::gm::{CollFeatures, GmParams};
+
+/// The NIC-based dissemination barrier, the paper's headline configuration.
+const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
+
+/// The host-based dissemination baseline.
+const HOST_DS: Barrier = Barrier::Host(Algorithm::Dissemination);
 
 fn cfg() -> RunCfg {
     RunCfg {
@@ -23,7 +26,7 @@ fn within(value: f64, target: f64, tol_frac: f64) -> bool {
 
 #[test]
 fn quadrics_8_node_nic_barrier_near_5_60us() {
-    let s = elan_nic_barrier(ElanParams::elan3(), 8, Algorithm::Dissemination, cfg());
+    let s = Scenario::elan(ElanParams::elan3(), 8, DS).run(&cfg());
     assert!(
         within(s.mean_us, 5.60, 0.15),
         "Quadrics NIC barrier @8 = {:.2}µs (paper 5.60)",
@@ -33,8 +36,8 @@ fn quadrics_8_node_nic_barrier_near_5_60us() {
 
 #[test]
 fn quadrics_improvement_over_tree_barrier_near_2_48x() {
-    let nic = elan_nic_barrier(ElanParams::elan3(), 8, Algorithm::Dissemination, cfg());
-    let tree = elan_gsync_barrier(ElanParams::elan3(), 8, 4, cfg());
+    let nic = Scenario::elan(ElanParams::elan3(), 8, DS).run(&cfg());
+    let tree = Scenario::elan(ElanParams::elan3(), 8, Barrier::Gsync(4)).run(&cfg());
     let factor = tree.mean_us / nic.mean_us;
     assert!(
         within(factor, 2.48, 0.20),
@@ -44,13 +47,13 @@ fn quadrics_improvement_over_tree_barrier_near_2_48x() {
 
 #[test]
 fn quadrics_hw_barrier_near_4_20us_and_flat() {
-    let hw8 = elan_hw_barrier(ElanParams::elan3(), 8, cfg());
+    let hw8 = Scenario::elan(ElanParams::elan3(), 8, Barrier::Hardware).run(&cfg());
     assert!(
         within(hw8.mean_us, 4.20, 0.10),
         "hw barrier @8 = {:.2}µs (paper 4.20)",
         hw8.mean_us
     );
-    let hw2 = elan_hw_barrier(ElanParams::elan3(), 2, cfg());
+    let hw2 = Scenario::elan(ElanParams::elan3(), 2, Barrier::Hardware).run(&cfg());
     assert!(
         (hw8.mean_us - hw2.mean_us).abs() < 1.0,
         "hw barrier should be nearly flat: {:.2} vs {:.2}",
@@ -61,13 +64,7 @@ fn quadrics_hw_barrier_near_4_20us_and_flat() {
 
 #[test]
 fn myrinet_xp_8_node_nic_barrier_near_14_20us() {
-    let s = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg(),
-    );
+    let s = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg());
     assert!(
         within(s.mean_us, 14.20, 0.15),
         "XP NIC barrier @8 = {:.2}µs (paper 14.20)",
@@ -77,14 +74,8 @@ fn myrinet_xp_8_node_nic_barrier_near_14_20us() {
 
 #[test]
 fn myrinet_xp_improvement_near_2_64x() {
-    let nic = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg(),
-    );
-    let host = gm_host_barrier(GmParams::lanai_xp(), 8, Algorithm::Dissemination, cfg());
+    let nic = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg());
+    let host = Scenario::gm(GmParams::lanai_xp(), 8, HOST_DS).run(&cfg());
     let factor = host.mean_us / nic.mean_us;
     assert!(
         within(factor, 2.64, 0.15),
@@ -94,13 +85,7 @@ fn myrinet_xp_improvement_near_2_64x() {
 
 #[test]
 fn myrinet_91_16_node_nic_barrier_near_25_72us() {
-    let s = gm_nic_barrier(
-        GmParams::lanai_9_1(),
-        CollFeatures::paper(),
-        16,
-        Algorithm::Dissemination,
-        cfg(),
-    );
+    let s = Scenario::gm(GmParams::lanai_9_1(), 16, DS).run(&cfg());
     assert!(
         within(s.mean_us, 25.72, 0.15),
         "9.1 NIC barrier @16 = {:.2}µs (paper 25.72)",
@@ -110,14 +95,8 @@ fn myrinet_91_16_node_nic_barrier_near_25_72us() {
 
 #[test]
 fn myrinet_91_improvement_near_3_38x() {
-    let nic = gm_nic_barrier(
-        GmParams::lanai_9_1(),
-        CollFeatures::paper(),
-        16,
-        Algorithm::Dissemination,
-        cfg(),
-    );
-    let host = gm_host_barrier(GmParams::lanai_9_1(), 16, Algorithm::Dissemination, cfg());
+    let nic = Scenario::gm(GmParams::lanai_9_1(), 16, DS).run(&cfg());
+    let host = Scenario::gm(GmParams::lanai_9_1(), 16, HOST_DS).run(&cfg());
     let factor = host.mean_us / nic.mean_us;
     assert!(
         within(factor, 3.38, 0.15),
@@ -129,14 +108,10 @@ fn myrinet_91_improvement_near_3_38x() {
 fn direct_scheme_improvement_near_1_86x() {
     // §8.1: the earlier direct NIC-based scheme achieved 1.86× on the same
     // cluster — the gap to 3.38× is the value of the separate protocol.
-    let direct = gm_nic_barrier(
-        GmParams::lanai_9_1(),
-        CollFeatures::direct(),
-        16,
-        Algorithm::Dissemination,
-        cfg(),
-    );
-    let host = gm_host_barrier(GmParams::lanai_9_1(), 16, Algorithm::Dissemination, cfg());
+    let direct = Scenario::gm(GmParams::lanai_9_1(), 16, DS)
+        .with_features(CollFeatures::direct())
+        .run(&cfg());
+    let host = Scenario::gm(GmParams::lanai_9_1(), 16, HOST_DS).run(&cfg());
     let factor = host.mean_us / direct.mean_us;
     assert!(
         within(factor, 1.86, 0.20),
@@ -151,19 +126,8 @@ fn thousand_node_projections_have_the_right_magnitude() {
         iters: 100,
         ..RunCfg::default()
     };
-    let q = elan_nic_barrier(
-        ElanParams::elan3(),
-        1024,
-        Algorithm::Dissemination,
-        big.clone(),
-    );
-    let m = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        1024,
-        Algorithm::Dissemination,
-        big,
-    );
+    let q = Scenario::elan(ElanParams::elan3(), 1024, DS).run(&big);
+    let m = Scenario::gm(GmParams::lanai_xp(), 1024, DS).run(&big);
     // Paper model: 22.13 and 38.94 µs. The simulation adds real hop growth
     // and NIC serialization the closed-form model ignores, so the band is
     // wider — but the magnitude and the Quadrics < Myrinet ordering must
@@ -202,25 +166,14 @@ fn thousand_node_dissemination_matches_the_log2_staircase_model() {
         t_trig: 4.67,
         t_adj: 0.0,
     };
-    let q = elan_nic_barrier(
-        ElanParams::elan3(),
-        1024,
-        Algorithm::Dissemination,
-        big.clone(),
-    );
+    let q = Scenario::elan(ElanParams::elan3(), 1024, DS).run(&big);
     assert!(
         within(q.mean_us, refit_quadrics.predict(1024), 0.10),
         "Quadrics @1024 = {:.2}µs vs staircase model {:.2}µs",
         q.mean_us,
         refit_quadrics.predict(1024)
     );
-    let m = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        1024,
-        Algorithm::Dissemination,
-        big,
-    );
+    let m = Scenario::gm(GmParams::lanai_xp(), 1024, DS).run(&big);
     assert!(
         within(m.mean_us, refit_myrinet.predict(1024), 0.10),
         "Myrinet @1024 = {:.2}µs vs staircase model {:.2}µs",
@@ -233,34 +186,20 @@ fn thousand_node_dissemination_matches_the_log2_staircase_model() {
 fn pe_is_bumpy_at_non_powers_of_two_on_myrinet() {
     // §8.1: "The pairwise-exchange algorithm tends to have a larger latency
     // over non-power of two number of nodes for the extra step it takes."
-    let pe6 = gm_nic_barrier(
+    let pe6 = Scenario::gm(
         GmParams::lanai_xp(),
-        CollFeatures::paper(),
         6,
-        Algorithm::PairwiseExchange,
-        cfg(),
-    );
-    let ds6 = gm_nic_barrier(
+        Barrier::Nic(Algorithm::PairwiseExchange),
+    )
+    .run(&cfg());
+    let ds6 = Scenario::gm(GmParams::lanai_xp(), 6, DS).run(&cfg());
+    let pe8 = Scenario::gm(
         GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        6,
-        Algorithm::Dissemination,
-        cfg(),
-    );
-    let pe8 = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
         8,
-        Algorithm::PairwiseExchange,
-        cfg(),
-    );
-    let ds8 = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg(),
-    );
+        Barrier::Nic(Algorithm::PairwiseExchange),
+    )
+    .run(&cfg());
+    let ds8 = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg());
     assert!(
         pe6.mean_us > ds6.mean_us,
         "PE must pay its extra steps at n=6"
@@ -276,14 +215,8 @@ fn improvement_factor_is_larger_on_the_slower_cluster() {
     // §8.1: the XP cluster's faster host CPU and PCI-X bus shrink the
     // benefit relative to the 9.1 cluster.
     let f = |params: GmParams, n: usize| {
-        let nic = gm_nic_barrier(
-            params.clone(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg(),
-        );
-        let host = gm_host_barrier(params, n, Algorithm::Dissemination, cfg());
+        let nic = Scenario::gm(params.clone(), n, DS).run(&cfg());
+        let host = Scenario::gm(params, n, HOST_DS).run(&cfg());
         host.mean_us / nic.mean_us
     };
     let xp = f(GmParams::lanai_xp(), 8);
@@ -298,20 +231,13 @@ fn improvement_factor_is_larger_on_the_slower_cluster() {
 fn gather_broadcast_is_the_worst_algorithm() {
     // §5.2: gather-broadcast takes more steps and performs worse — the
     // reason the paper implements only PE and DS.
-    let gb = gm_nic_barrier(
+    let gb = Scenario::gm(
         GmParams::lanai_xp(),
-        CollFeatures::paper(),
         8,
-        Algorithm::GatherBroadcast { degree: 2 },
-        cfg(),
-    );
-    let ds = gm_nic_barrier(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        cfg(),
-    );
+        Barrier::Nic(Algorithm::GatherBroadcast { degree: 2 }),
+    )
+    .run(&cfg());
+    let ds = Scenario::gm(GmParams::lanai_xp(), 8, DS).run(&cfg());
     assert!(
         gb.mean_us > ds.mean_us * 1.3,
         "GB ({:.2}) should clearly lose to DS ({:.2})",

@@ -1,24 +1,23 @@
 //! What the figure pipelines show the user about the event loop: the
 //! counter report surfaced through `BarrierStats` is name-ordered.
 
-use nicbar_core::{gm_nic_barrier, Algorithm, RunCfg};
-use nicbar_gm::{CollFeatures, GmParams};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
+use nicbar_gm::GmParams;
 
 /// The counter report surfaced through `BarrierStats` stays name-ordered —
 /// interning must not leak first-touch order into user-visible output.
 #[test]
 fn barrier_stats_counters_are_name_ordered() {
-    let stats = gm_nic_barrier(
+    let stats = Scenario::gm(
         GmParams::lanai_9_1(),
-        CollFeatures::paper(),
         8,
-        Algorithm::Dissemination,
-        RunCfg {
-            warmup: 5,
-            iters: 50,
-            ..RunCfg::default()
-        },
-    );
+        Barrier::Nic(Algorithm::Dissemination),
+    )
+    .run(&RunCfg {
+        warmup: 5,
+        iters: 50,
+        ..RunCfg::default()
+    });
     let names: Vec<&str> = stats
         .counters
         .iter()
