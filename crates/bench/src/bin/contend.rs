@@ -9,13 +9,13 @@
 //! both execution engines; the flight captures must be byte-identical
 //! across engines modulo the engine stamp.
 //!
-//! Writes `results/contend.json` (full runs) and appends to
-//! `BENCH_contend.json` (always). `--check` gates: zero dropped ledger
-//! records, ≥95% of critical-path wait time attributed to a named owner, a
-//! named top interferer, and sequential/parallel byte-parity.
+//! Writes `results/contend.json` (full runs only). `--check` gates: zero
+//! dropped ledger records, ≥95% of critical-path wait time attributed to a
+//! named owner, a named top interferer, and sequential/parallel
+//! byte-parity.
 
 use nicbar_bench::critpath::{self, Interference};
-use nicbar_bench::{fig_args, json::Writer, trajectory, Manifest};
+use nicbar_bench::{fig_args, json::Writer, Manifest};
 use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario, TrafficCfg};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
@@ -233,17 +233,16 @@ fn main() {
     })
     .collect();
 
-    let manifest = Manifest::new(
-        cfg.seed,
-        format!(
-            "contend n={n}, groups={groups}, traffic={}x{}B, warmup={}, iters={}, shards={}, quick={}",
-            traffic.outstanding, traffic.msg_bytes, cfg.warmup, cfg.iters, shards, args.quick
-        ),
-    );
-
-    // Quick (CI) runs refresh the BENCH trajectory but must not downgrade
-    // the tracked full-fidelity artifact.
+    // Quick (CI) runs must not downgrade the tracked full-fidelity
+    // artifact.
     if !args.quick {
+        let manifest = Manifest::new(
+            cfg.seed,
+            format!(
+                "contend n={n}, groups={groups}, traffic={}x{}B, warmup={}, iters={}, shards={}, quick={}",
+                traffic.outstanding, traffic.msg_bytes, cfg.warmup, cfg.iters, shards, args.quick
+            ),
+        );
         let dir = std::path::Path::new("results");
         std::fs::create_dir_all(dir).expect("create results/");
         let path = dir.join("contend.json");
@@ -251,10 +250,4 @@ fn main() {
             .expect("write results/contend.json");
         println!("[saved {}]", path.display());
     }
-
-    let traj: Vec<(&str, Vec<trajectory::TrajectoryPoint>)> = reports
-        .iter()
-        .map(|r| (r.substrate, vec![trajectory::point(n, &r.flight.stats)]))
-        .collect();
-    trajectory::save("contend", &traj, &manifest).expect("write BENCH_contend.json");
 }

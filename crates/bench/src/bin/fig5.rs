@@ -4,14 +4,11 @@
 //! Paper anchors: 25.72 µs NIC-based at 16 nodes; 3.38× improvement over
 //! the host-based barrier; PE bumps above DS at non-powers of two.
 //!
-//! Writes `results/fig5.json` (the figure, mean latency per node count)
-//! and `BENCH_fig5.json` at the repo root (the perf trajectory: median +
-//! p99 per node count with the run manifest embedded). `--quick` shrinks
-//! the sweep for CI smoke runs; `--flight` adds a phase-breakdown capture.
+//! Writes `results/fig5.json` (the figure, mean latency per node count).
+//! `--quick` shrinks the sweep for CI smoke runs and writes nothing;
+//! `--flight` adds a phase-breakdown capture.
 
-use nicbar_bench::{
-    engineprof, fig_args, parallel_sweep_map, trajectory, Figure, Manifest, Series,
-};
+use nicbar_bench::{engineprof, fig_args, parallel_sweep_map, Figure, Manifest, Series};
 use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
 use nicbar_gm::GmParams;
 use nicbar_sim::EngineSel;
@@ -66,27 +63,13 @@ fn main() {
             })
             .collect(),
     )
-    .with_manifest(manifest.clone());
+    .with_manifest(manifest);
     fig.print();
-    // Quick (CI) sweeps refresh the BENCH trajectory below but must not
-    // downgrade the tracked full-fidelity figure artifact.
+    // Quick (CI) sweeps must not downgrade the tracked full-fidelity
+    // figure artifact.
     if !quick {
         fig.save().expect("write results/fig5.json");
     }
-
-    // The tracked perf trajectory: median + p99 per node count.
-    let traj: Vec<(&str, Vec<trajectory::TrajectoryPoint>)> = sweeps
-        .iter()
-        .map(|(label, pts)| {
-            (
-                *label,
-                pts.iter()
-                    .map(|&(n, ref s)| trajectory::point(n, s))
-                    .collect(),
-            )
-        })
-        .collect();
-    trajectory::save("fig5", &traj, &manifest).expect("write BENCH_fig5.json");
 
     let top = *ns.last().expect("non-empty sweep");
     let nic16 = fig.series[0].at(top).expect("NIC point at top n");

@@ -7,14 +7,11 @@
 //! tree barrier; the hardware barrier sits flat near 4.2 µs and loses to
 //! the NIC barrier at small node counts.
 //!
-//! Writes `results/fig7.json` (the figure) and `BENCH_fig7.json` at the
-//! repo root (the perf trajectory: median + p99 per node count with the
-//! run manifest embedded). `--quick` shrinks the sweep for CI smoke runs;
-//! `--flight` adds a phase-breakdown capture.
+//! Writes `results/fig7.json` (the figure). `--quick` shrinks the sweep
+//! for CI smoke runs and writes nothing; `--flight` adds a
+//! phase-breakdown capture.
 
-use nicbar_bench::{
-    engineprof, fig_args, parallel_sweep_map, trajectory, Figure, Manifest, Series,
-};
+use nicbar_bench::{engineprof, fig_args, parallel_sweep_map, Figure, Manifest, Series};
 use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_sim::EngineSel;
@@ -80,26 +77,13 @@ fn main() {
             })
             .collect(),
     )
-    .with_manifest(manifest.clone());
+    .with_manifest(manifest);
     fig.print();
-    // Quick (CI) sweeps refresh the BENCH trajectory below but must not
-    // downgrade the tracked full-fidelity figure artifact.
+    // Quick (CI) sweeps must not downgrade the tracked full-fidelity
+    // figure artifact.
     if !quick {
         fig.save().expect("write results/fig7.json");
     }
-
-    let traj: Vec<(&str, Vec<trajectory::TrajectoryPoint>)> = sweeps
-        .iter()
-        .map(|(label, pts)| {
-            (
-                *label,
-                pts.iter()
-                    .map(|&(n, ref s)| trajectory::point(n, s))
-                    .collect(),
-            )
-        })
-        .collect();
-    trajectory::save("fig7", &traj, &manifest).expect("write BENCH_fig7.json");
 
     let nic8 = fig.series[0].at(8).expect("NIC point at 8");
     let tree8 = fig.series[2].at(8).expect("tree point at 8");

@@ -17,8 +17,8 @@
 //! Each breakdown stamps which engine produced it; everything else is
 //! byte-identical across engines and shard counts.
 
-use nicbar_bench::exit_usage;
 use nicbar_bench::flight::{chrome_trace, print_breakdown};
+use nicbar_bench::{exit_usage, next_value, parse_engine, parse_shards};
 use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
@@ -27,6 +27,9 @@ use nicbar_sim::EngineSel;
 /// The NIC-based dissemination barrier, the paper's headline configuration.
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
+const USAGE: &str = "usage: flight [--nodes N] [--chrome PATH] [--gm-only|--elan-only] \
+                     [--engine sequential|parallel|auto] [--shards K]";
+
 fn main() {
     let mut nodes = 4usize;
     let mut chrome: Option<String> = None;
@@ -34,43 +37,31 @@ fn main() {
     let mut run_elan = true;
     let mut engine = EngineSel::Auto;
     let mut shards = 1usize;
-    let usage = || -> ! {
-        eprintln!(
-            "usage: flight [--nodes N] [--chrome PATH] [--gm-only|--elan-only] \
-             [--engine sequential|parallel|auto] [--shards K]"
-        );
-        std::process::exit(2);
-    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--nodes" => match args.next() {
-                Some(v) => match v.parse() {
-                    Ok(k) if k >= 2 => nodes = k,
+            "--nodes" => {
+                let v = next_value(&mut args, "--nodes");
+                nodes = match v.parse() {
+                    Ok(k) if k >= 2 => k,
                     _ => exit_usage(&format!("--nodes must be an integer >= 2, got {v}")),
-                },
-                None => exit_usage("--nodes needs a value"),
-            },
+                };
+            }
             "--chrome" => match args.next() {
                 Some(path) => chrome = Some(path),
                 None => exit_usage("--chrome needs an output path"),
             },
             "--gm-only" => run_elan = false,
             "--elan-only" => run_gm = false,
-            "--engine" => match args.next().as_deref() {
-                Some("sequential") => engine = EngineSel::Sequential,
-                Some("parallel") => engine = EngineSel::Parallel,
-                Some("auto") => engine = EngineSel::Auto,
-                _ => usage(),
-            },
-            "--shards" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => shards = v,
-                _ => usage(),
-            },
-            other => {
-                eprintln!("unknown option {other}");
-                usage();
+            "--engine" => {
+                engine = parse_engine(&next_value(&mut args, "--engine"))
+                    .unwrap_or_else(|e| exit_usage(&e));
             }
+            "--shards" => {
+                shards = parse_shards(&next_value(&mut args, "--shards"))
+                    .unwrap_or_else(|e| exit_usage(&e));
+            }
+            other => exit_usage(&format!("unknown option {other}\n{USAGE}")),
         }
     }
     // A short window: the point is a readable trace, not tight statistics.

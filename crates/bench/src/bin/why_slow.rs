@@ -28,7 +28,7 @@
 //! The header stamps which engine produced the run; everything below it is
 //! byte-identical across engines and shard counts.
 
-use nicbar_bench::{critpath, flight, netdump};
+use nicbar_bench::{critpath, exit_usage, flight, netdump, next_value, parse_engine, parse_shards};
 use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
@@ -37,15 +37,10 @@ use nicbar_sim::EngineSel;
 /// The NIC-based dissemination barrier, the paper's headline configuration.
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: why-slow [--nodes N] [--substrate gm|elan] [--drop P] \
-         [--seed S] [--iters N] [--jsonl PATH] \
-         [--engine sequential|parallel|auto] [--shards K] [--check] \
-         [--replay PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: why-slow [--nodes N] [--substrate gm|elan] [--drop P] \
+                     [--seed S] [--iters N] [--jsonl PATH] \
+                     [--engine sequential|parallel|auto] [--shards K] [--check] \
+                     [--replay PATH]";
 
 /// Re-ingest an exported JSONL netdump and run the causal analysis on it.
 /// Counterexample traces from `nicbar-verify` usually end *at* the violating
@@ -145,53 +140,57 @@ fn main() {
     let mut replay_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => nodes = v,
-                None => usage(),
-            },
-            "--substrate" => match args.next() {
-                Some(v) if v == "gm" || v == "elan" => substrate = v,
-                _ => usage(),
-            },
-            "--drop" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => drop_prob = v,
-                None => usage(),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => usage(),
-            },
-            "--iters" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => iters = v,
-                None => usage(),
-            },
-            "--jsonl" => match args.next() {
-                Some(v) => jsonl_path = Some(v),
-                None => usage(),
-            },
-            "--engine" => match args.next().as_deref() {
-                Some("sequential") => engine = EngineSel::Sequential,
-                Some("parallel") => engine = EngineSel::Parallel,
-                Some("auto") => engine = EngineSel::Auto,
-                _ => usage(),
-            },
-            "--shards" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => shards = v,
-                _ => usage(),
-            },
+        let flag = arg.as_str();
+        match flag {
+            "--nodes" => {
+                let v = next_value(&mut args, flag);
+                nodes = match v.parse() {
+                    Ok(k) if k >= 2 => k,
+                    _ => exit_usage(&format!("--nodes must be an integer >= 2, got {v}")),
+                };
+            }
+            "--substrate" => {
+                substrate = next_value(&mut args, flag);
+                if substrate != "gm" && substrate != "elan" {
+                    exit_usage(&format!("--substrate must be gm|elan, got {substrate}"));
+                }
+            }
+            "--drop" => {
+                let v = next_value(&mut args, flag);
+                drop_prob = match v.parse() {
+                    Ok(p) if (0.0..=1.0).contains(&p) => p,
+                    _ => exit_usage(&format!("--drop must be a probability in [0, 1], got {v}")),
+                };
+            }
+            "--seed" => {
+                let v = next_value(&mut args, flag);
+                seed = v.parse().unwrap_or_else(|_| {
+                    exit_usage(&format!("--seed must be an unsigned integer, got {v}"))
+                });
+            }
+            "--iters" => {
+                let v = next_value(&mut args, flag);
+                iters = v.parse().unwrap_or_else(|_| {
+                    exit_usage(&format!("--iters must be an unsigned integer, got {v}"))
+                });
+            }
+            "--jsonl" => jsonl_path = Some(next_value(&mut args, flag)),
+            "--engine" => {
+                engine =
+                    parse_engine(&next_value(&mut args, flag)).unwrap_or_else(|e| exit_usage(&e));
+            }
+            "--shards" => {
+                shards =
+                    parse_shards(&next_value(&mut args, flag)).unwrap_or_else(|e| exit_usage(&e));
+            }
             "--check" => check = true,
-            "--replay" => match args.next() {
-                Some(v) => replay_path = Some(v),
-                None => usage(),
-            },
-            _ => usage(),
+            "--replay" => replay_path = Some(next_value(&mut args, flag)),
+            other => exit_usage(&format!("unknown option {other}\n{USAGE}")),
         }
     }
     if let Some(path) = replay_path {
         std::process::exit(replay(&path));
     }
-    assert!(nodes >= 2, "a barrier needs at least 2 nodes");
 
     let cfg = RunCfg {
         warmup: 2,

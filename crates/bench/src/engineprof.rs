@@ -19,7 +19,7 @@
 
 use crate::json::{Manifest, Writer};
 use nicbar_core::Sim;
-use nicbar_sim::{EngineProf, Histogram, MetricValue};
+use nicbar_sim::{EngineProf, Histogram};
 
 /// Nanoseconds → microseconds for Chrome timestamps.
 fn us(ns: u64) -> f64 {
@@ -32,18 +32,12 @@ fn ms(ns: u64) -> f64 {
 }
 
 /// The window-utilization distribution merged across every shard (all
-/// windows, including those past the per-window detail cap — the registry
+/// windows, including those past the per-window detail cap — each shard's
 /// histogram observed them all).
 pub fn util_hist(prof: &EngineProf) -> Histogram {
     let mut merged = Histogram::new();
     for d in &prof.data {
-        for (name, value) in &d.metrics {
-            if *name == nicbar_sim::telemetry::metric::WINDOW_UTIL {
-                if let MetricValue::Hist(h) = value {
-                    merged.merge(h);
-                }
-            }
-        }
+        merged.merge(&d.util);
     }
     merged
 }

@@ -254,6 +254,33 @@ pub fn exit_usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The argument after `flag`; a command line that ends first prints
+/// `error: <flag> needs a value` and exits with status 2.
+pub fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| exit_usage(&format!("{flag} needs a value")))
+}
+
+/// Parse an `--engine` flag value: `auto`, `sequential` or `parallel`.
+pub fn parse_engine(value: &str) -> Result<nicbar_sim::EngineSel, String> {
+    match value {
+        "auto" => Ok(nicbar_sim::EngineSel::Auto),
+        "sequential" => Ok(nicbar_sim::EngineSel::Sequential),
+        "parallel" => Ok(nicbar_sim::EngineSel::Parallel),
+        other => Err(format!(
+            "--engine must be auto|sequential|parallel, got {other}"
+        )),
+    }
+}
+
+/// Parse a `--shards` flag value: a positive integer.
+pub fn parse_shards(value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(k) if k >= 1 => Ok(k),
+        _ => Err(format!("--shards must be a positive integer, got {value}")),
+    }
+}
+
 /// Parse a `--partition` flag value: `contiguous` (the default even split)
 /// or `profile=<path>` (profile-guided, reading a prior
 /// `results/engine_prof.json`-shaped capture).
@@ -294,22 +321,10 @@ pub fn parse_fig_args(args: &[String]) -> Result<FigArgs, String> {
         }
     };
     if let Some(engine) = value_of("--engine")? {
-        cfg.engine = match engine {
-            "auto" => nicbar_sim::EngineSel::Auto,
-            "sequential" => nicbar_sim::EngineSel::Sequential,
-            "parallel" => nicbar_sim::EngineSel::Parallel,
-            other => {
-                return Err(format!(
-                    "--engine must be auto|sequential|parallel, got {other}"
-                ))
-            }
-        };
+        cfg.engine = parse_engine(engine)?;
     }
     if let Some(shards) = value_of("--shards")? {
-        cfg.shards = match shards.parse() {
-            Ok(k) if k >= 1 => k,
-            _ => return Err(format!("--shards must be a positive integer, got {shards}")),
-        };
+        cfg.shards = parse_shards(shards)?;
     }
     if let Some(partition) = value_of("--partition")? {
         cfg.partition = parse_partition(partition)?;

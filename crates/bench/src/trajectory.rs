@@ -1,12 +1,13 @@
 //! Perf-trajectory artifacts (`BENCH_*.json`, at the repository root).
 //!
-//! A trajectory is the distribution-aware companion of a figure: per node
-//! count it records the median and p99 barrier latency (from the full
-//! per-iteration sample vector, not just the mean), with the run manifest
-//! embedded so the artifact states which seed, config, and git revision
-//! produced it. The `BENCH_` prefix marks the files the CI gate tracks
-//! across commits; they live at the repo root (not under `results/`) so
-//! the perf trajectory is visible at the top level of every checkout.
+//! A trajectory records wall-clock runs: `fig_scale` appends one run per
+//! invocation to `BENCH_scale.json` (events/sec, wall seconds and peak RSS
+//! per sweep point, next to its [`point`] latency summary) and to
+//! `BENCH_par.json` (the parallel engine's speedup over sequential). Each
+//! run embeds its manifest so the artifact states which seed, config, and
+//! git revision produced it. Simulated latencies alone are deterministic
+//! model output, not performance; they live in `results/*.json` and
+//! change only when behaviour does.
 //!
 //! The artifact is *append-only*: each regeneration adds one run object to
 //! a `"runs"` array instead of truncating the file, so the trajectory is a
@@ -16,7 +17,6 @@
 //! (oldest dropped first), and a legacy single-run file (top-level
 //! `"series"`) restarts the history rather than corrupting it.
 
-use crate::json::{Manifest, Writer};
 use nicbar_core::BarrierStats;
 use std::path::PathBuf;
 
@@ -59,42 +59,6 @@ pub fn point(n: usize, stats: &BarrierStats) -> TrajectoryPoint {
         p99_us: q(0.99),
         iters: v.len(),
     }
-}
-
-/// Render one run body: the manifest plus the series, as a standalone JSON
-/// object ready for [`append_run`].
-pub fn run_json(series: &[(&str, Vec<TrajectoryPoint>)], manifest: &Manifest) -> String {
-    let mut w = Writer::new();
-    w.open_object();
-    manifest.emit(&mut w);
-    w.field("series");
-    w.open_array();
-    for (label, points) in series {
-        w.open_object();
-        w.field("label");
-        w.string(label);
-        w.field("points");
-        w.open_array();
-        for p in points {
-            w.open_object();
-            w.field("n");
-            w.uint(p.n as u64);
-            w.field("mean_us");
-            w.number(p.mean_us);
-            w.field("median_us");
-            w.number(p.median_us);
-            w.field("p99_us");
-            w.number(p.p99_us);
-            w.field("iters");
-            w.uint(p.iters as u64);
-            w.close_object();
-        }
-        w.close_array();
-        w.close_object();
-    }
-    w.close_array();
-    w.close_object();
-    w.finish()
 }
 
 /// Split the `"runs"` array of an existing trajectory artifact back into
@@ -150,7 +114,7 @@ fn extract_runs(text: &str) -> Vec<String> {
     runs
 }
 
-/// Append `run_body` (one JSON object, e.g. from [`run_json`]) to the
+/// Append `run_body` (one JSON object carrying its manifest) to the
 /// `BENCH_<bench>.json` history at the repository root and return the
 /// path. Existing runs are preserved (capped at [`MAX_RUNS`], oldest
 /// dropped); a missing or legacy-schema file starts a fresh history.
@@ -206,22 +170,20 @@ pub fn append_run_at(path: &std::path::Path, bench: &str, run_body: &str) -> std
     std::fs::write(path, out)
 }
 
-/// Append this run to `BENCH_<bench>.json` at the repository root (the
-/// working directory of a `cargo run` invocation) and return its path.
-pub fn save(
-    bench: &str,
-    series: &[(&str, Vec<TrajectoryPoint>)],
-    manifest: &Manifest,
-) -> std::io::Result<PathBuf> {
-    let path = append_run(bench, &run_json(series, manifest))?;
-    println!("[saved {}]", path.display());
-    Ok(path)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)] // test code
 mod tests {
     use super::*;
+    use crate::json::{Manifest, Writer};
+
+    /// A minimal run body: one object carrying `manifest`.
+    fn run_body(manifest: &Manifest) -> String {
+        let mut w = Writer::new();
+        w.open_object();
+        manifest.emit(&mut w);
+        w.close_object();
+        w.finish()
+    }
 
     fn stats(samples: &[f64]) -> BarrierStats {
         BarrierStats {
@@ -243,21 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn artifact_embeds_the_manifest() {
-        let m = Manifest::new(7, "test config");
-        let pts = vec![point(2, &stats(&[1.0, 2.0]))];
-        let json = run_json(&[("NIC-DS", pts)], &m);
-        assert!(json.contains("\"manifest\""));
-        assert!(json.contains("\"seed\": 7"));
-        assert!(json.contains("\"config\": \"test config\""));
-        assert!(json.contains("\"median_us\""));
-        assert!(json.contains("\"p99_us\""));
-    }
-
-    #[test]
     fn extract_runs_round_trips_and_ignores_string_braces() {
         let m = Manifest::new(1, "braces { in } config \"quoted\"");
-        let body = run_json(&[("X", vec![point(2, &stats(&[1.0]))])], &m);
+        let body = run_body(&m);
         let file = format!("{{\n  \"bench\": \"t\",\n  \"runs\": [\n{body},\n{body}\n  ]\n}}\n");
         let runs = extract_runs(&file);
         assert_eq!(runs.len(), 2);
@@ -279,7 +229,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_t.json");
         let m = Manifest::new(9, "traj test");
-        let body = run_json(&[("X", vec![point(2, &stats(&[1.0, 2.0]))])], &m);
+        let body = run_body(&m);
 
         // Legacy file: one run replaces it.
         std::fs::write(&path, "{\n  \"bench\": \"t\",\n  \"series\": []\n}").unwrap();

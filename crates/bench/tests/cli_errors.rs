@@ -90,3 +90,84 @@ fn flight_rejects_malformed_flags() {
         assert!(stderr.contains(says), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn flight_rejects_malformed_engine_and_shards() {
+    for (args, says) in [
+        (
+            &["--engine", "warp"][..],
+            "--engine must be auto|sequential|parallel",
+        ),
+        (&["--engine"], "--engine needs a value"),
+        (
+            &["--shards", "0"],
+            "--shards must be a positive integer, got 0",
+        ),
+        (
+            &["--shards", "x"],
+            "--shards must be a positive integer, got x",
+        ),
+        (&["--bogus"], "unknown option --bogus"),
+    ] {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_flight"), args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn why_slow_rejects_malformed_flags() {
+    for (args, says) in [
+        (
+            &["--nodes", "0"][..],
+            "--nodes must be an integer >= 2, got 0",
+        ),
+        (&["--nodes", "1"], "--nodes must be an integer >= 2, got 1"),
+        (
+            &["--nodes", "abc"],
+            "--nodes must be an integer >= 2, got abc",
+        ),
+        (&["--nodes"], "--nodes needs a value"),
+        (
+            &["--drop", "1.5"],
+            "--drop must be a probability in [0, 1], got 1.5",
+        ),
+        (
+            &["--drop", "-0.5"],
+            "--drop must be a probability in [0, 1], got -0.5",
+        ),
+        (
+            &["--drop", "nan"],
+            "--drop must be a probability in [0, 1], got nan",
+        ),
+        (
+            &["--substrate", "ib"],
+            "--substrate must be gm|elan, got ib",
+        ),
+        (
+            &["--seed", "-1"],
+            "--seed must be an unsigned integer, got -1",
+        ),
+        (
+            &["--iters", "many"],
+            "--iters must be an unsigned integer, got many",
+        ),
+        (
+            &["--engine", "warp"],
+            "--engine must be auto|sequential|parallel",
+        ),
+        (
+            &["--shards", "0"],
+            "--shards must be a positive integer, got 0",
+        ),
+        (&["--jsonl"], "--jsonl needs a value"),
+        (&["--replay"], "--replay needs a value"),
+        (&["--bogus"], "unknown option --bogus"),
+    ] {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_why-slow"), args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+    }
+}

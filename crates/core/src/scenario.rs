@@ -194,7 +194,6 @@ impl Scenario {
                 orphaned: rec.orphaned(),
                 hists: rec
                     .hists()
-                    .iter()
                     .into_iter()
                     .map(|(k, h)| (k.to_string(), h.clone()))
                     .collect(),

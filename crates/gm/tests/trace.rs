@@ -8,7 +8,7 @@ use nicbar_gm::{
     GmClusterSpec, GmParams, GroupId, MsgTag, NicCollective,
 };
 use nicbar_net::NodeId;
-use nicbar_sim::SimTime;
+use nicbar_sim::{SimTime, SpanEvent};
 
 const G: GroupId = GroupId(4);
 
@@ -146,7 +146,9 @@ fn ablated_queue_makes_collectives_wait_behind_bulk_tokens() {
     assert_eq!(queued, trace.count("fire") + trace.count("nack"));
     // At least one collective token towards node 1 must have seen the bulk
     // backlog (non-zero queue depth at enqueue time).
-    let saw_backlog = trace.with_label("enqueue").any(|r| r.a() == 1 && r.b() > 0);
+    let saw_backlog = trace
+        .iter()
+        .any(|r| matches!(r.event, SpanEvent::Enqueue { dst: 1, depth } if depth > 0));
     assert!(
         saw_backlog,
         "no collective token ever waited behind the pre-loaded bulk queue"

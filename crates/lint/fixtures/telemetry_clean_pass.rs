@@ -1,13 +1,13 @@
-//! OB001 fixture: the approved telemetry paths — registry counters and
+//! OB001 fixture: the approved telemetry paths — interned counters and
 //! buffer rendering — produce no findings. A `println!` in a comment or a
 //! string literal is data, not telemetry.
 
 use std::fmt::Write as _;
 
-fn record(telemetry: &mut Telemetry, events: u64) {
+fn record(counters: &mut Counters, events: u64) {
     // println!("tempting, but no") — commented out is fine
-    telemetry.add(metric_id!("engine.events"), events);
-    telemetry.observe(metric_id!("engine.window.events"), events);
+    counters.add_id(counter_id!("engine.events"), events);
+    counters.add("engine.windows", 1);
 }
 
 fn render(out: &mut String, events: u64) {

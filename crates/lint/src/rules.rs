@@ -67,7 +67,7 @@ pub const CATALOGUE: &[(&str, &str)] = &[
     ),
     (
         "OB001",
-        "ad-hoc println!/eprintln!/dbg! telemetry in crates/sim (route metrics through the telemetry registry)",
+        "ad-hoc println!/eprintln!/dbg! telemetry in crates/sim (count through Counters or return the value in a capture)",
     ),
     (
         "PR001",
@@ -111,11 +111,12 @@ pub struct Scope {
     pub hotpath: bool,
     /// PI002: applies everywhere source is scanned.
     pub exporter: bool,
-    /// OB001: the engine crate (`crates/sim/`) must report through the
-    /// typed telemetry registry, never by printing. A stray `println!` in
-    /// the engine is invisible to the profiler's exporters, corrupts any
-    /// harness that parses engine output, and (from a worker shard)
-    /// interleaves nondeterministically.
+    /// OB001: the engine crate (`crates/sim/`) must report through its
+    /// counters or a returned capture (profiler data, recorder
+    /// histograms), never by printing. A stray `println!` in the engine is
+    /// invisible to the profiler's exporters, corrupts any harness that
+    /// parses engine output, and (from a worker shard) interleaves
+    /// nondeterministically.
     pub telemetry: bool,
 }
 
@@ -437,7 +438,7 @@ pub fn scan_file(tree: &FileTree, scope: Scope) -> Vec<Finding> {
                 &mut out,
                 "OB001",
                 line,
-                format!("{ident}! in crates/sim (route telemetry through the metrics registry)"),
+                format!("{ident}! in crates/sim (count through Counters or return the value in a capture)"),
             );
         }
         // --- PI002: wildcard arms in SpanEvent/Phase/CausalKind/ResKind

@@ -4,7 +4,10 @@
 //! NIC-based collective protocol "reduces the number of total packets by
 //! half" because ACKs are replaced by receiver-driven NACKs. Components bump
 //! named counters through [`crate::Ctx::count`] / [`crate::Ctx::count_id`];
-//! tests snapshot/diff them to verify those claims per barrier iteration.
+//! tests and `BarrierStats` read them back by name to verify those claims.
+//! This is the crate's only interned name table: counter names come from
+//! call sites across every backend, while histograms and profiler totals
+//! have fixed names and live in plain fields.
 //!
 //! ## Interning
 //!
@@ -23,11 +26,8 @@
 //! ```
 //!
 //! Ids are process-global (two engines running in parallel share the name
-//! table but not the values), and all *reporting* APIs — [`Counters::iter`],
-//! [`CounterSnapshot`] — stay name-ordered exactly as before the interning
-//! change, so packet-count claim tests are unaffected. Counters whose value
-//! is zero are not reported, matching the old map-based behaviour where a
-//! never-bumped key was absent.
+//! table but not the values), and reporting ([`Counters::iter`]) is
+//! name-ordered. Counters whose value is zero are not reported.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -128,14 +128,6 @@ pub struct Counters {
     slots: Vec<u64>,
 }
 
-/// An immutable snapshot of a [`Counters`] set, used to compute deltas over a
-/// region of simulated time (e.g. one barrier iteration). Keyed by name, in
-/// name order; zero-valued counters are absent.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    map: BTreeMap<&'static str, u64>,
-}
-
 impl Counters {
     /// Create an empty counter set.
     pub fn new() -> Self {
@@ -159,12 +151,6 @@ impl Counters {
     #[inline]
     pub fn add(&mut self, key: &'static str, amount: u64) {
         self.add_id(intern(key), amount);
-    }
-
-    /// Increment counter `key` by one.
-    #[inline]
-    pub fn bump(&mut self, key: &'static str) {
-        self.add(key, 1);
     }
 
     /// Current value of `key` (zero if never bumped).
@@ -200,29 +186,6 @@ impl Counters {
             .collect()
     }
 
-    /// Freeze the current values.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            map: self.collect_named().into_iter().collect(),
-        }
-    }
-
-    /// Difference `self - earlier` per key. Keys absent from `earlier` count
-    /// from zero. Panics in debug builds if any counter ran backwards (they
-    /// are monotone by construction).
-    pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let mut out = BTreeMap::new();
-        for (k, v) in self.collect_named() {
-            let before = earlier.map.get(k).copied().unwrap_or(0);
-            debug_assert!(v >= before, "counter {k} ran backwards");
-            let delta = v.saturating_sub(before);
-            if delta > 0 {
-                out.insert(k, delta);
-            }
-        }
-        CounterSnapshot { map: out }
-    }
-
     /// Reset every counter to zero.
     pub fn clear(&mut self) {
         self.slots.clear();
@@ -243,38 +206,9 @@ impl Counters {
     }
 }
 
-impl CounterSnapshot {
-    /// Value of `key` in this snapshot (zero if absent).
-    pub fn get(&self, key: &str) -> u64 {
-        self.map.get(key).copied().unwrap_or(0)
-    }
-
-    /// Iterate over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// True if no counter moved.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 impl fmt::Debug for Counters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.collect_named()).finish()
-    }
-}
-
-impl fmt::Display for CounterSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, (k, v)) in self.map.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "{k:<32} {v}")?;
-        }
-        Ok(())
     }
 }
 
@@ -283,10 +217,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bump_and_get() {
+    fn add_and_get() {
         let mut c = Counters::new();
         assert_eq!(c.get("pkt"), 0);
-        c.bump("pkt");
+        c.add("pkt", 1);
         c.add("pkt", 4);
         assert_eq!(c.get("pkt"), 5);
     }
@@ -315,34 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff() {
-        let mut c = Counters::new();
-        c.add("pkt", 10);
-        c.add("ack", 3);
-        let snap = c.snapshot();
-        c.add("pkt", 7);
-        c.add("nack", 1);
-        let d = c.since(&snap);
-        assert_eq!(d.get("pkt"), 7);
-        assert_eq!(d.get("ack"), 0);
-        assert_eq!(d.get("nack"), 1);
-        assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn diff_of_identical_snapshots_is_empty() {
-        let mut c = Counters::new();
-        c.add("x", 2);
-        let s = c.snapshot();
-        assert!(c.since(&s).is_empty());
-    }
-
-    #[test]
     fn iteration_is_name_ordered() {
         let mut c = Counters::new();
-        c.bump("zeta");
-        c.bump("alpha");
-        c.bump("mid");
+        c.add("zeta", 1);
+        c.add("alpha", 1);
+        c.add("mid", 1);
         let names: Vec<&str> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
     }
@@ -355,7 +266,6 @@ mod tests {
         let mut c = Counters::new();
         c.add("ghost.counter", 0);
         assert!(c.iter().next().is_none());
-        assert!(c.snapshot().is_empty());
     }
 
     #[test]
@@ -380,7 +290,7 @@ mod tests {
         assert_eq!(base.get("drain.a"), 6);
         assert_eq!(base.get("drain.b"), 2);
         assert_eq!(shard.get("drain.a"), 0);
-        assert!(shard.snapshot().is_empty());
+        assert!(shard.iter().next().is_none());
         // Draining again is a no-op.
         shard.drain_into(&mut base);
         assert_eq!(base.get("drain.a"), 6);
@@ -389,7 +299,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut c = Counters::new();
-        c.bump("a");
+        c.add("a", 1);
         c.clear();
         assert_eq!(c.get("a"), 0);
     }

@@ -252,20 +252,6 @@ impl<M> Ctx<'_, M> {
         self.counters.add_id(id, amount);
     }
 
-    /// Read a named counter (rarely needed by components; used by
-    /// self-monitoring harness components).
-    #[inline]
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key)
-    }
-
-    /// Emit a free-form trace record attributed to this component
-    /// (sugar for [`Ctx::span`] with a [`SpanEvent::Raw`] payload).
-    #[inline]
-    pub fn trace(&mut self, label: &'static str, a: u64, b: u64) {
-        self.span(SpanEvent::Raw { label, a, b });
-    }
-
     /// Emit a typed event attributed to this component: recorded into the
     /// trace ring (if tracing is enabled) and folded into the flight
     /// recorder (if recording is enabled). When both are disabled — the
@@ -508,11 +494,6 @@ impl<M: 'static> Engine<M> {
     /// The engine-wide counters.
     pub fn counters(&self) -> &Counters {
         &self.counters
-    }
-
-    /// Mutable access to counters (harness use: clearing between phases).
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
     }
 
     /// The trace ring.
@@ -834,7 +815,10 @@ mod tests {
             match msg {
                 Msg::Record(i) => {
                     ctx.count("records", 1);
-                    ctx.trace("record", i as u64, 0);
+                    ctx.span(SpanEvent::Arrive {
+                        src: 0,
+                        info: u64::from(i),
+                    });
                     self.seen.push((ctx.now(), i));
                 }
                 Msg::Stop => ctx.halt(),
@@ -1041,7 +1025,16 @@ mod tests {
         engine.enable_trace();
         engine.run();
         assert_eq!(engine.counters().get("records"), 10);
-        assert_eq!(engine.trace().count("record"), 10);
+        assert_eq!(engine.trace().count("arrive"), 10);
+        let infos: Vec<u64> = engine
+            .trace()
+            .iter()
+            .map(|r| match r.event {
+                SpanEvent::Arrive { info, .. } => info,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(infos, (0..10).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Log2-bucketed latency histograms with interned registration.
+//! Log2-bucketed latency histograms.
 //!
 //! The flight recorder (see [`crate::span`]) needs cheap latency
 //! distributions — p50/p95/p99/max per protocol phase — without allocating
@@ -6,18 +6,13 @@
 //! recording a value is a `leading_zeros` plus one indexed add, and the
 //! quantile estimates come from a cumulative walk over 65 counters.
 //!
-//! ## Interning
-//!
-//! Histogram names mirror the [`crate::counters`] scheme exactly: names are
-//! `&'static str`, interned once per process into dense [`HistId`] slots,
-//! and a [`Histograms`] set is just a `Vec<Histogram>` indexed by id. The
-//! [`crate::hist_id!`] macro caches the id in a per-call-site atomic for
-//! hot paths, and reporting ([`Histograms::iter`]) is name-ordered with
-//! empty histograms skipped — the same contract counters give tests.
+//! Every histogram in the tree has a fixed name, so owners keep them as
+//! plain fields: the recorder holds one per [`crate::Phase`] plus the
+//! end-to-end total, and the shard profiler ([`crate::telemetry`]) one of
+//! window utilisation. Only counters, whose names come from call sites
+//! across the workspace, are interned ([`crate::counters`]).
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 /// Number of buckets: bucket 0 holds the value 0, bucket `i >= 1` holds
 /// values in `[2^(i-1), 2^i - 1]`, up to the full `u64` range.
@@ -163,159 +158,6 @@ impl fmt::Debug for Histogram {
     }
 }
 
-/// Dense index of an interned histogram name. Obtain one with
-/// [`intern_hist`] or the [`crate::hist_id!`] macro.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct HistId(u32);
-
-impl HistId {
-    /// The dense slot index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The interned name.
-    pub fn name(self) -> &'static str {
-        registry().lock().expect("hist registry poisoned").names[self.index()]
-    }
-
-    /// Rebuild an id from its raw index. Only meant for the
-    /// [`crate::hist_id!`] macro's cache.
-    #[doc(hidden)]
-    #[inline]
-    pub fn from_raw(raw: u32) -> Self {
-        HistId(raw)
-    }
-}
-
-/// Process-wide name table, separate from the counter table.
-struct Registry {
-    names: Vec<&'static str>,
-    lookup: BTreeMap<&'static str, HistId>,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            names: Vec::new(),
-            lookup: BTreeMap::new(),
-        })
-    })
-}
-
-/// Intern `name`, returning its process-wide dense id (idempotent).
-pub fn intern_hist(name: &'static str) -> HistId {
-    let mut reg = registry().lock().expect("hist registry poisoned");
-    if let Some(&id) = reg.lookup.get(name) {
-        return id;
-    }
-    let id = HistId(u32::try_from(reg.names.len()).expect("hist name table overflow"));
-    reg.names.push(name);
-    reg.lookup.insert(name, id);
-    id
-}
-
-fn lookup(name: &str) -> Option<HistId> {
-    registry()
-        .lock()
-        .expect("hist registry poisoned")
-        .lookup
-        .get(name)
-        .copied()
-}
-
-/// Intern a histogram name with a per-call-site cache, exactly like
-/// [`crate::counter_id!`] does for counters.
-#[macro_export]
-macro_rules! hist_id {
-    ($name:expr) => {{
-        use ::std::sync::atomic::{AtomicU32, Ordering};
-        static CACHE: AtomicU32 = AtomicU32::new(u32::MAX);
-        let cached = CACHE.load(Ordering::Relaxed);
-        if cached != u32::MAX {
-            $crate::hist::HistId::from_raw(cached)
-        } else {
-            let id = $crate::hist::intern_hist($name);
-            CACHE.store(id.index() as u32, Ordering::Relaxed);
-            id
-        }
-    }};
-}
-
-/// A set of named histograms in dense slots indexed by [`HistId`].
-#[derive(Default, Clone)]
-pub struct Histograms {
-    slots: Vec<Histogram>,
-}
-
-impl Histograms {
-    /// Create an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `v` into the histogram with interned id `id`.
-    #[inline]
-    pub fn record_id(&mut self, id: HistId, v: u64) {
-        let idx = id.index();
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, Histogram::default);
-        }
-        self.slots[idx].record(v);
-    }
-
-    /// Record `v` into histogram `name`, interning it first (cold-path
-    /// convenience).
-    #[inline]
-    pub fn record(&mut self, name: &'static str, v: u64) {
-        self.record_id(intern_hist(name), v);
-    }
-
-    /// The histogram for `name`, if any samples were recorded here.
-    pub fn get(&self, name: &str) -> Option<&Histogram> {
-        lookup(name)
-            .and_then(|id| self.slots.get(id.index()))
-            .filter(|h| !h.is_empty())
-    }
-
-    /// The histogram for an interned id, if any samples were recorded here.
-    pub fn get_id(&self, id: HistId) -> Option<&Histogram> {
-        self.slots.get(id.index()).filter(|h| !h.is_empty())
-    }
-
-    /// Name-ordered `(name, histogram)` pairs of the non-empty histograms.
-    pub fn iter(&self) -> Vec<(&'static str, &Histogram)> {
-        let reg = registry().lock().expect("hist registry poisoned");
-        reg.lookup
-            .iter()
-            .filter_map(|(&name, &id)| {
-                self.slots
-                    .get(id.index())
-                    .filter(|h| !h.is_empty())
-                    .map(|h| (name, h))
-            })
-            .collect()
-    }
-
-    /// True if no histogram has any samples.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|h| h.is_empty())
-    }
-
-    /// Reset every histogram.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-    }
-}
-
-impl fmt::Debug for Histograms {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,46 +289,5 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), 500);
         assert_eq!(a.sum(), 505);
-    }
-
-    #[test]
-    fn interned_ids_are_stable() {
-        let a = intern_hist("stable.hist");
-        let b = intern_hist("stable.hist");
-        assert_eq!(a, b);
-        assert_eq!(a.name(), "stable.hist");
-    }
-
-    #[test]
-    fn hist_id_macro_caches() {
-        let mut hs = Histograms::new();
-        for i in 0..10 {
-            hs.record_id(hist_id!("macro.hist"), i);
-        }
-        assert_eq!(hs.get("macro.hist").unwrap().count(), 10);
-        assert_eq!(hist_id!("macro.hist"), intern_hist("macro.hist"));
-    }
-
-    #[test]
-    fn sets_do_not_share_samples_and_iteration_is_name_ordered() {
-        let mut a = Histograms::new();
-        let mut b = Histograms::new();
-        a.record("shared.hist.name", 1);
-        b.record("shared.hist.name", 2);
-        a.record("a.first", 3);
-        assert_eq!(a.get("shared.hist.name").unwrap().count(), 1);
-        assert_eq!(b.get("shared.hist.name").unwrap().count(), 1);
-        let names: Vec<&str> = a.iter().into_iter().map(|(n, _)| n).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn empty_histograms_are_not_reported() {
-        intern_hist("ghost.hist");
-        let hs = Histograms::new();
-        assert!(hs.get("ghost.hist").is_none());
-        assert!(hs.iter().is_empty());
     }
 }

@@ -20,7 +20,8 @@
 //!   event traces bit-for-bit.
 //! * [`Counters`] / [`Trace`] — cheap named statistics and an optional event
 //!   trace ring used by tests to assert protocol behaviour (packet counts,
-//!   ACK counts, retransmissions, ...).
+//!   ACK counts, retransmissions, ...). Counters are the crate's one
+//!   interned name table ([`counter_id!`]).
 //! * [`SpanEvent`] / [`FlightRecorder`] / [`Histogram`] — typed protocol
 //!   events, per-operation phase breakdowns, and log2-bucketed latency
 //!   histograms: the flight-recorder layer behind the `flight` binary's
@@ -34,12 +35,11 @@
 //!   shard count. [`ExecEngine`] wraps either flavour behind one API so
 //!   harnesses pick an engine per run. See [`parallel`] for the protocol and
 //!   the identity argument.
-//! * [`Telemetry`] / [`EngineProf`] — the engine's *self*-observability: a
-//!   typed metrics registry (counters / gauges / log2 histograms behind
-//!   interned [`MetricId`]s) and the per-shard window profiler that the
-//!   `engine_prof` bench binary turns into timelines and bottleneck
-//!   attributions. Zero-cost unless armed with
-//!   [`ParallelEngine::enable_prof`]. See [`telemetry`].
+//! * [`ShardProf`] / [`EngineProf`] — the engine's *self*-observability:
+//!   the per-shard window profiler (plain totals, a window-utilisation
+//!   [`Histogram`] and per-window records) that the `engine_prof` bench
+//!   binary turns into timelines and bottleneck attributions. Zero-cost
+//!   unless armed with [`ParallelEngine::enable_prof`]. See [`telemetry`].
 //!
 //! ## Example
 //!
@@ -90,18 +90,15 @@ pub mod trace;
 pub use causal::{
     chain_to, find, CausalKind, CauseId, NetDump, PacketLog, PacketRecord, NO_KEY, NO_NODE,
 };
-pub use counters::{intern, CounterId, CounterSnapshot, Counters};
+pub use counters::{intern, CounterId, Counters};
 pub use engine::{Component, ComponentId, Ctx, Engine, RunOutcome, MAX_COMPONENTS};
-pub use hist::{intern_hist, HistId, Histogram, Histograms};
+pub use hist::Histogram;
 pub use ledger::{Ledger, LedgerOp, LedgerRecord, Occ, Owner, OwnerKind, ResKind, NO_UNIT};
 pub use parallel::{EngineSel, ExecEngine, ParallelEngine};
 pub use partition::{node_shard, LatencyMatrix, PartitionSel, ShardMap};
 pub use queue::SpscRing;
 pub use rng::SimRng;
 pub use span::{FlightRecorder, Phase, SpanEvent, SpanSummary, NUM_PHASES};
-pub use telemetry::{
-    intern_metric, EngineProf, MetricId, MetricValue, ProfAttribution, ProfClock, ShardProf,
-    ShardProfData, Telemetry, WindowRec,
-};
+pub use telemetry::{EngineProf, ProfAttribution, ProfClock, ShardProf, ShardProfData, WindowRec};
 pub use time::SimTime;
 pub use trace::{Trace, TraceRecord};

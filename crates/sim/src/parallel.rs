@@ -425,11 +425,6 @@ impl<M: Send + 'static> ParallelEngine<M> {
         &self.base.counters
     }
 
-    /// Mutable access to the merged counters.
-    pub fn counters_mut(&mut self) -> &mut crate::counters::Counters {
-        &mut self.base.counters
-    }
-
     /// The merged trace ring.
     pub fn trace(&self) -> &Trace {
         &self.base.trace
@@ -897,14 +892,6 @@ impl<M: Send + 'static> ExecEngine<M> {
         }
     }
 
-    /// Mutable counters access (clearing between phases).
-    pub fn counters_mut(&mut self) -> &mut crate::counters::Counters {
-        match self {
-            ExecEngine::Seq(e) => e.counters_mut(),
-            ExecEngine::Par(p) => p.counters_mut(),
-        }
-    }
-
     /// The (merged) trace ring.
     pub fn trace(&self) -> &Trace {
         match self {
@@ -1227,9 +1214,10 @@ fn shard_worker<M: Send + 'static>(
 mod tests {
     use super::*;
     use crate::causal::CausalKind;
-    use crate::counters::CounterSnapshot;
+    use crate::counters::Counters;
     use crate::engine::Component;
     use crate::partition::ShardMap;
+    use crate::span::SpanEvent;
 
     const HOP_NS: u64 = 500;
 
@@ -1251,7 +1239,10 @@ mod tests {
             let PMsg::Token { hops, cause } = msg;
             self.log.push((ctx.now().as_ns(), hops));
             ctx.count("ring.hops", 1);
-            ctx.trace("hop", hops as u64, self.idx as u64);
+            ctx.span(SpanEvent::Arrive {
+                src: self.idx as u64,
+                info: u64::from(hops),
+            });
             let wire = ctx.packet(
                 PacketLog::new(cause, CausalKind::Wire)
                     .nodes(self.idx as u32, self.next.0 as u32)
@@ -1297,10 +1288,15 @@ mod tests {
         engine
     }
 
+    /// Name-ordered non-zero counters, comparable across engines.
+    fn named(c: &Counters) -> Vec<(&'static str, u64)> {
+        c.iter().collect()
+    }
+
     struct Observed {
         now: SimTime,
         events: u64,
-        counters: CounterSnapshot,
+        counters: Vec<(&'static str, u64)>,
         logs: Vec<Vec<(u64, u32)>>,
         trace: Vec<crate::TraceRecord>,
         pkts: Vec<crate::PacketRecord>,
@@ -1315,7 +1311,7 @@ mod tests {
         Observed {
             now: e.now(),
             events: e.events_processed(),
-            counters: e.counters().snapshot(),
+            counters: named(e.counters()),
             logs: (0..n)
                 .map(|i| e.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
                 .collect(),
@@ -1335,7 +1331,7 @@ mod tests {
         Observed {
             now: p.now(),
             events: p.events_processed(),
-            counters: p.counters().snapshot(),
+            counters: named(p.counters()),
             logs: (0..n)
                 .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
                 .collect(),
@@ -1430,7 +1426,7 @@ mod tests {
 
     #[test]
     fn external_schedule_between_runs_matches_sequential() {
-        let drive = |par_shards: Option<usize>| -> (SimTime, u64, CounterSnapshot) {
+        let drive = |par_shards: Option<usize>| -> (SimTime, u64, Vec<(&'static str, u64)>) {
             let engine = build_ring(6, 2);
             match par_shards {
                 None => {
@@ -1445,7 +1441,7 @@ mod tests {
                         },
                     );
                     e.run_until(SimTime::MAX);
-                    (e.now(), e.events_processed(), e.counters().snapshot())
+                    (e.now(), e.events_processed(), named(e.counters()))
                 }
                 Some(k) => {
                     let map = ShardMap::by_node(6, 6, k, |c| c);
@@ -1460,7 +1456,7 @@ mod tests {
                         },
                     );
                     p.run_until(SimTime::MAX);
-                    (p.now(), p.events_processed(), p.counters().snapshot())
+                    (p.now(), p.events_processed(), named(p.counters()))
                 }
             }
         };
@@ -1498,7 +1494,7 @@ mod tests {
             let par = Observed {
                 now: p.now(),
                 events: p.events_processed(),
-                counters: p.counters().snapshot(),
+                counters: named(p.counters()),
                 logs: (0..n)
                     .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
                     .collect(),
@@ -1527,7 +1523,7 @@ mod tests {
         let par = Observed {
             now: p.now(),
             events: p.events_processed(),
-            counters: p.counters().snapshot(),
+            counters: named(p.counters()),
             logs: (0..n)
                 .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
                 .collect(),

@@ -1,12 +1,9 @@
 //! Typed protocol events and per-operation flight recording.
 //!
-//! The trace layer (see [`crate::trace`]) historically carried free-form
-//! `(label, a, b)` word pairs whose meaning lived in comments at each emit
-//! site and in hand-written decoders (`timeline.rs`). This module replaces
-//! the payload with a typed [`SpanEvent`] enum over the protocol phases the
-//! paper's latency decomposition cares about — enqueue, fire, wire, arrive,
-//! notify, nack, retransmit — plus begin/end markers for a collective
-//! operation keyed by `(group, seq)`.
+//! The trace layer (see [`crate::trace`]) records a typed [`SpanEvent`]
+//! over the protocol phases the paper's latency decomposition cares
+//! about — enqueue, fire, wire, arrive, notify, nack, retransmit — plus
+//! begin/end markers for a collective operation keyed by `(group, seq)`.
 //!
 //! A [`FlightRecorder`] consumes the same event stream and folds it into
 //! per-operation *spans*: for every `(group, seq)` pair it tracks the wall
@@ -14,14 +11,15 @@
 //! intervening segment of simulated time to the phase of the event that
 //! ended it. The per-span phase sums therefore add up to the span's
 //! end-to-end latency *exactly*, which is what makes the breakdown tables
-//! trustworthy. Closed spans feed log2 histograms ([`crate::hist`]) named
-//! `flight.op_total` and `flight.phase.<name>`.
+//! trustworthy. Closed spans feed fixed log2 histograms ([`crate::hist`]):
+//! the end-to-end total (`flight.op_total`) and one per phase
+//! (`flight.phase.<name>`).
 //!
 //! Both the trace ring and the recorder are off by default; the engine
 //! guards emission behind a single pre-computed branch per delivery so the
 //! disabled path costs nothing measurable (checked by `engine_sweep`).
 
-use crate::hist::Histograms;
+use crate::hist::Histogram;
 use crate::time::SimTime;
 use std::fmt;
 
@@ -97,21 +95,11 @@ impl Phase {
     }
 }
 
-/// A typed trace event. The first seven variants map one-to-one onto the
-/// [`Phase`]s of the paper's latency decomposition; `OpBegin`/`OpEnd`
-/// bracket one collective operation per participant; `Raw` preserves the
-/// legacy free-form `(label, a, b)` emission for ad-hoc debugging.
+/// A typed trace event. `OpBegin`/`OpEnd` bracket one collective
+/// operation per participant; the other seven variants map one-to-one onto
+/// the [`Phase`]s of the paper's latency decomposition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanEvent {
-    /// Legacy free-form record; carries no phase.
-    Raw {
-        /// Static label identifying the event kind.
-        label: &'static str,
-        /// First payload word.
-        a: u64,
-        /// Second payload word.
-        b: u64,
-    },
     /// One participant entered collective operation `(group, seq)`.
     OpBegin {
         /// Group identifier (backend-specific encoding).
@@ -184,7 +172,6 @@ impl SpanEvent {
     /// their phase name; op markers use `"op.begin"` / `"op.end"`.
     pub fn label(&self) -> &'static str {
         match self {
-            SpanEvent::Raw { label, .. } => label,
             SpanEvent::OpBegin { .. } => "op.begin",
             SpanEvent::OpEnd { .. } => "op.end",
             SpanEvent::Enqueue { .. } => "enqueue",
@@ -197,50 +184,19 @@ impl SpanEvent {
         }
     }
 
-    /// The phase simulated time spent reaching this event is attributed to.
-    /// `Raw` events carry no phase; op markers attribute to [`Phase::Host`].
+    /// The phase simulated time spent reaching this event is attributed to;
+    /// op markers attribute to [`Phase::Host`].
     #[inline]
-    pub fn phase(&self) -> Option<Phase> {
+    pub fn phase(&self) -> Phase {
         match self {
-            SpanEvent::Raw { .. } => None,
-            SpanEvent::OpBegin { .. } | SpanEvent::OpEnd { .. } => Some(Phase::Host),
-            SpanEvent::Enqueue { .. } => Some(Phase::Enqueue),
-            SpanEvent::Fire { .. } => Some(Phase::Fire),
-            SpanEvent::Wire { .. } => Some(Phase::Wire),
-            SpanEvent::Arrive { .. } => Some(Phase::Arrive),
-            SpanEvent::Notify { .. } => Some(Phase::Notify),
-            SpanEvent::Nack { .. } => Some(Phase::Nack),
-            SpanEvent::Retransmit { .. } => Some(Phase::Retransmit),
-        }
-    }
-
-    /// First payload word, matching the legacy `(a, b)` view.
-    pub fn a(&self) -> u64 {
-        match *self {
-            SpanEvent::Raw { a, .. } => a,
-            SpanEvent::OpBegin { group, .. } | SpanEvent::OpEnd { group, .. } => group,
-            SpanEvent::Enqueue { dst, .. } => dst,
-            SpanEvent::Fire { unit, .. } => unit,
-            SpanEvent::Wire { src, .. } => src,
-            SpanEvent::Arrive { src, .. } => src,
-            SpanEvent::Notify { unit, .. } => unit,
-            SpanEvent::Nack { dst, .. } => dst,
-            SpanEvent::Retransmit { dst, .. } => dst,
-        }
-    }
-
-    /// Second payload word, matching the legacy `(a, b)` view.
-    pub fn b(&self) -> u64 {
-        match *self {
-            SpanEvent::Raw { b, .. } => b,
-            SpanEvent::OpBegin { seq, .. } | SpanEvent::OpEnd { seq, .. } => seq,
-            SpanEvent::Enqueue { depth, .. } => depth,
-            SpanEvent::Fire { dst, .. } => dst,
-            SpanEvent::Wire { dst, .. } => dst,
-            SpanEvent::Arrive { info, .. } => info,
-            SpanEvent::Notify { cookie, .. } => cookie,
-            SpanEvent::Nack { round, .. } => round,
-            SpanEvent::Retransmit { round, .. } => round,
+            SpanEvent::OpBegin { .. } | SpanEvent::OpEnd { .. } => Phase::Host,
+            SpanEvent::Enqueue { .. } => Phase::Enqueue,
+            SpanEvent::Fire { .. } => Phase::Fire,
+            SpanEvent::Wire { .. } => Phase::Wire,
+            SpanEvent::Arrive { .. } => Phase::Arrive,
+            SpanEvent::Notify { .. } => Phase::Notify,
+            SpanEvent::Nack { .. } => Phase::Nack,
+            SpanEvent::Retransmit { .. } => Phase::Retransmit,
         }
     }
 
@@ -249,7 +205,6 @@ impl SpanEvent {
     /// duplicated in every exporter.
     pub fn describe(&self) -> String {
         match *self {
-            SpanEvent::Raw { label, a, b } => format!("{label} a={a} b={b}"),
             SpanEvent::OpBegin { group, seq } => {
                 format!("enter op seq {seq} on group {group:#x}")
             }
@@ -326,6 +281,14 @@ struct OpenSpan {
     events: u64,
 }
 
+/// The recorder's latency histograms: the end-to-end span latency plus
+/// each phase's per-span contribution, indexed by [`Phase::index`].
+#[derive(Default)]
+struct SpanHists {
+    total: Histogram,
+    phases: [Histogram; NUM_PHASES],
+}
+
 /// Folds the typed event stream into per-operation phase breakdowns and
 /// latency histograms. Disabled by default; when disabled, `observe` is a
 /// single predicted branch.
@@ -342,7 +305,9 @@ pub struct FlightRecorder {
     dropped: u64,
     /// Phase-carrying events seen while no span was open (not attributable).
     orphaned: u64,
-    hists: Histograms,
+    /// Allocated when the recorder is enabled, so a disabled one stays
+    /// allocation-free.
+    hists: Option<Box<SpanHists>>,
 }
 
 impl FlightRecorder {
@@ -359,7 +324,7 @@ impl FlightRecorder {
             completed: Vec::new(),
             dropped: 0,
             orphaned: 0,
-            hists: Histograms::new(),
+            hists: None,
         }
     }
 
@@ -374,7 +339,7 @@ impl FlightRecorder {
             completed: Vec::new(),
             dropped: 0,
             orphaned: 0,
-            hists: Histograms::new(),
+            hists: Some(Box::default()),
         }
     }
 
@@ -390,6 +355,7 @@ impl FlightRecorder {
         if self.capacity == 0 {
             self.capacity = Self::DEFAULT_CAPACITY;
         }
+        self.hists.get_or_insert_with(Box::default);
         self.enabled = true;
     }
 
@@ -456,7 +422,7 @@ impl FlightRecorder {
                 }
             }
             ref ev => {
-                let Some(phase) = ev.phase() else { return };
+                let phase = ev.phase();
                 // Attribute to the earliest-begun open span: with epoch
                 // banking at most two operations overlap, and the elder one
                 // owns the wall clock until it closes.
@@ -484,12 +450,12 @@ impl FlightRecorder {
             phase_ns: span.phase_ns,
             events: span.events,
         };
-        self.hists
-            .record_id(crate::hist_id!("flight.op_total"), summary.total().as_ns());
-        for phase in Phase::ALL {
-            let ns = summary.phase(phase);
-            if ns > 0 {
-                self.hists.record(phase.hist_name(), ns);
+        if let Some(h) = self.hists.as_deref_mut() {
+            h.total.record(summary.total().as_ns());
+            for (hist, &ns) in h.phases.iter_mut().zip(&summary.phase_ns) {
+                if ns > 0 {
+                    hist.record(ns);
+                }
             }
         }
         if self.completed.len() < self.capacity {
@@ -520,9 +486,22 @@ impl FlightRecorder {
         self.orphaned
     }
 
-    /// Latency histograms (`flight.op_total`, `flight.phase.<name>`).
-    pub fn hists(&self) -> &Histograms {
-        &self.hists
+    /// The non-empty latency histograms in name order: `flight.op_total`,
+    /// then `flight.phase.<name>` sorted by phase name.
+    pub fn hists(&self) -> Vec<(&'static str, &Histogram)> {
+        let Some(h) = self.hists.as_deref() else {
+            return Vec::new();
+        };
+        let mut phases = Phase::ALL;
+        phases.sort_unstable_by_key(|p| p.hist_name());
+        std::iter::once(("flight.op_total", &h.total))
+            .chain(
+                phases
+                    .iter()
+                    .map(|&p| (p.hist_name(), &h.phases[p.index()])),
+            )
+            .filter(|(_, hist)| !hist.is_empty())
+            .collect()
     }
 
     /// Drop all state (keeps enabled flag and participants).
@@ -531,7 +510,9 @@ impl FlightRecorder {
         self.completed.clear();
         self.dropped = 0;
         self.orphaned = 0;
-        self.hists.clear();
+        if let Some(h) = self.hists.as_deref_mut() {
+            *h = SpanHists::default();
+        }
     }
 }
 
@@ -573,32 +554,9 @@ mod tests {
             assert!(phase.hist_name().ends_with(phase.name()));
         }
         assert_eq!(SpanEvent::Fire { unit: 1, dst: 2 }.label(), "fire");
-        assert_eq!(
-            SpanEvent::Fire { unit: 1, dst: 2 }.phase(),
-            Some(Phase::Fire)
-        );
-        assert_eq!(
-            SpanEvent::Raw {
-                label: "x",
-                a: 0,
-                b: 0
-            }
-            .phase(),
-            None
-        );
+        assert_eq!(SpanEvent::Fire { unit: 1, dst: 2 }.phase(), Phase::Fire);
+        assert_eq!(SpanEvent::OpEnd { group: 1, seq: 2 }.phase(), Phase::Host);
         assert_eq!(SpanEvent::OpBegin { group: 1, seq: 2 }.label(), "op.begin");
-    }
-
-    #[test]
-    fn legacy_word_view() {
-        let ev = SpanEvent::Enqueue { dst: 3, depth: 7 };
-        assert_eq!((ev.a(), ev.b()), (3, 7));
-        let ev = SpanEvent::Raw {
-            label: "raw",
-            a: 11,
-            b: 22,
-        };
-        assert_eq!((ev.a(), ev.b()), (11, 22));
     }
 
     #[test]
@@ -656,6 +614,28 @@ mod tests {
         assert_eq!(s.phase(Phase::Notify), 10);
         let sum: u64 = s.phase_ns.iter().sum();
         assert_eq!(sum, s.total().as_ns());
+
+        // Only the phases the span filled are reported, in name order,
+        // each with the span's contribution.
+        let hists = r.hists();
+        let names: Vec<&str> = hists.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            [
+                "flight.op_total",
+                "flight.phase.arrive",
+                "flight.phase.fire",
+                "flight.phase.host",
+                "flight.phase.notify",
+                "flight.phase.wire",
+            ]
+        );
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted);
+        assert!(hists.iter().all(|(_, h)| h.count() == 1));
+        assert_eq!(hists[2].1.max(), 20, "fire");
+        assert_eq!(hists[5].1.max(), 40, "wire");
     }
 
     #[test]
@@ -710,27 +690,9 @@ mod tests {
         }
         assert_eq!(r.completed().len(), 2);
         assert_eq!(r.dropped(), 3);
-        assert_eq!(r.hists().get("flight.op_total").unwrap().count(), 5);
-    }
-
-    #[test]
-    fn raw_events_do_not_touch_spans() {
-        let mut r = FlightRecorder::with_capacity(4);
-        r.set_participants(1);
-        r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 0 });
-        r.observe(
-            t(5),
-            &SpanEvent::Raw {
-                label: "debug",
-                a: 0,
-                b: 0,
-            },
-        );
-        r.observe(t(10), &SpanEvent::OpEnd { group: 1, seq: 0 });
-        let s = &r.completed()[0];
-        // The raw event neither advanced `last` nor counted as an event.
-        assert_eq!(s.phase(Phase::Host), 10);
-        assert_eq!(s.events, 2);
+        let hists = r.hists();
+        assert_eq!(hists[0].0, "flight.op_total");
+        assert_eq!(hists[0].1.count(), 5);
     }
 
     #[test]
@@ -739,9 +701,27 @@ mod tests {
         r.set_participants(1);
         r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 0 });
         r.observe(t(10), &SpanEvent::OpEnd { group: 1, seq: 0 });
+        assert_eq!(r.hists().len(), 2, "op_total and host");
         r.clear();
         assert!(r.completed().is_empty());
         assert!(r.is_enabled());
         assert!(r.hists().is_empty());
+    }
+
+    #[test]
+    fn disabled_recorder_holds_no_histograms_until_enabled() {
+        let mut r = FlightRecorder::disabled();
+        assert!(r.hists.is_none());
+        assert!(r.hists().is_empty());
+        r.enable();
+        r.set_participants(1);
+        r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 0 });
+        r.observe(t(10), &SpanEvent::OpEnd { group: 1, seq: 0 });
+        assert_eq!(r.hists()[0].1.count(), 1);
+    }
+
+    #[test]
+    fn span_event_is_four_words() {
+        assert_eq!(std::mem::size_of::<SpanEvent>(), 32);
     }
 }

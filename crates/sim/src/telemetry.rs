@@ -1,5 +1,5 @@
-//! Engine self-telemetry: a typed metrics registry plus the shard-level
-//! self-profiler behind the parallel engine's `--prof` mode.
+//! Engine self-telemetry: the shard-level self-profiler behind the
+//! parallel engine's `--prof` mode.
 //!
 //! PRs 2–3 built observability for the *simulated* protocol; this module
 //! watches the watcher. The rank-sharded parallel engine
@@ -9,18 +9,15 @@
 //! per conservative window, what each worker actually did with its wall
 //! time, and exposes enough structure to name the dominant bottleneck.
 //!
-//! ## The registry
+//! ## What it keeps
 //!
-//! [`Telemetry`] is the third interned-name value store in this crate,
-//! mirroring [`crate::counters`] and [`crate::hist`] exactly: names are
-//! `&'static str` interned once per process into dense [`MetricId`] slots,
-//! hot call sites cache the id with [`crate::metric_id!`], and reporting
-//! is name-ordered with untouched metrics skipped. Unlike plain counters
-//! it is *typed*: one id space carries monotone counters, last/peak-value
-//! gauges, and log2 histograms (reusing [`crate::hist::Histogram`]).
-//!
-//! All engine self-measurement goes through this registry — a lint rule
-//! (OB001) bans ad-hoc `println!`-style telemetry in `crates/sim`.
+//! Each [`ShardProf`] accumulates plain totals (events, windows, busy /
+//! idle / drain wall time, mailbox traffic, queue high-water mark) and one
+//! [`Histogram`] of window utilisation. Both count every window; the
+//! per-window [`WindowRec`] detail alongside them is capped at
+//! [`MAX_WINDOWS`]. The engine's measurements leave the crate only as
+//! [`ShardProfData`] values — a lint rule (OB001) bans ad-hoc
+//! `println!`-style telemetry in `crates/sim`.
 //!
 //! ## Zero cost when disabled
 //!
@@ -37,255 +34,11 @@
 //! This module is the **only** place in `crates/sim` that reads a wall
 //! clock ([`ProfClock`] wraps `std::time::Instant`). Wall time never
 //! reaches simulated state — it only flows outward into reports — so the
-//! determinism story is intact; the ND001 lint exception for this file is
-//! recorded in `lint.toml`.
+//! determinism story is intact; ND001's taint analysis proves it, so
+//! `lint.toml` needs no exception for this file.
 
 use crate::hist::Histogram;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Metric registry
-// ---------------------------------------------------------------------------
-
-/// Dense index of an interned metric name. Obtain one with
-/// [`intern_metric`] or the [`crate::metric_id!`] macro.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct MetricId(u32);
-
-impl MetricId {
-    /// The dense slot index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The interned name.
-    pub fn name(self) -> &'static str {
-        registry().lock().expect("metric registry poisoned").names[self.index()]
-    }
-
-    /// Rebuild an id from its raw index. Only meant for the
-    /// [`crate::metric_id!`] macro's cache.
-    #[doc(hidden)]
-    #[inline]
-    pub fn from_raw(raw: u32) -> Self {
-        MetricId(raw)
-    }
-}
-
-/// Process-wide name table, separate from the counter and histogram tables.
-struct Registry {
-    names: Vec<&'static str>,
-    lookup: BTreeMap<&'static str, MetricId>,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            names: Vec::new(),
-            lookup: BTreeMap::new(),
-        })
-    })
-}
-
-/// Intern `name`, returning its process-wide dense id (idempotent).
-pub fn intern_metric(name: &'static str) -> MetricId {
-    let mut reg = registry().lock().expect("metric registry poisoned");
-    if let Some(&id) = reg.lookup.get(name) {
-        return id;
-    }
-    let id = MetricId(u32::try_from(reg.names.len()).expect("metric name table overflow"));
-    reg.names.push(name);
-    reg.lookup.insert(name, id);
-    id
-}
-
-fn lookup(name: &str) -> Option<MetricId> {
-    registry()
-        .lock()
-        .expect("metric registry poisoned")
-        .lookup
-        .get(name)
-        .copied()
-}
-
-/// Intern a metric name with a per-call-site cache, exactly like
-/// [`crate::counter_id!`] does for counters.
-#[macro_export]
-macro_rules! metric_id {
-    ($name:expr) => {{
-        use ::std::sync::atomic::{AtomicU32, Ordering};
-        static CACHE: AtomicU32 = AtomicU32::new(u32::MAX);
-        let cached = CACHE.load(Ordering::Relaxed);
-        if cached != u32::MAX {
-            $crate::telemetry::MetricId::from_raw(cached)
-        } else {
-            let id = $crate::telemetry::intern_metric($name);
-            CACHE.store(id.index() as u32, Ordering::Relaxed);
-            id
-        }
-    }};
-}
-
-/// One reported metric value.
-#[derive(Clone, Debug)]
-pub enum MetricValue {
-    /// Monotone count (events, bytes, crossings).
-    Counter(u64),
-    /// Point-in-time or high-water value (queue depths).
-    Gauge(u64),
-    /// Log2-bucketed sample distribution (per-window durations). Boxed:
-    /// the histogram's bucket array dwarfs the scalar variants.
-    Hist(Box<Histogram>),
-}
-
-/// A typed metric value store: dense slots indexed by [`MetricId`].
-///
-/// A slot's *kind* is decided by the first write ([`Telemetry::add`] makes
-/// a counter, [`Telemetry::set`]/[`Telemetry::peak`] a gauge,
-/// [`Telemetry::observe`] a histogram); mixing kinds on one id is a logic
-/// error and panics in debug builds.
-#[derive(Default, Clone, Debug)]
-pub struct Telemetry {
-    slots: Vec<Slot>,
-}
-
-#[derive(Clone, Default, Debug)]
-enum Slot {
-    #[default]
-    Empty,
-    Counter(u64),
-    Gauge(u64),
-    Hist(Box<Histogram>),
-}
-
-impl Telemetry {
-    /// Create an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn slot(&mut self, id: MetricId) -> &mut Slot {
-        let idx = id.index();
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, Slot::default);
-        }
-        &mut self.slots[idx]
-    }
-
-    /// Add `n` to the counter `id` (creating it at zero).
-    #[inline]
-    pub fn add(&mut self, id: MetricId, n: u64) {
-        match self.slot(id) {
-            s @ Slot::Empty => *s = Slot::Counter(n),
-            Slot::Counter(v) => *v += n,
-            _ => debug_assert!(false, "metric {} is not a counter", id.name()),
-        }
-    }
-
-    /// Set gauge `id` to `v` (last-value semantics).
-    #[inline]
-    pub fn set(&mut self, id: MetricId, v: u64) {
-        match self.slot(id) {
-            s @ Slot::Empty => *s = Slot::Gauge(v),
-            Slot::Gauge(g) => *g = v,
-            _ => debug_assert!(false, "metric {} is not a gauge", id.name()),
-        }
-    }
-
-    /// Fold `v` into gauge `id` keeping the maximum (high-water semantics).
-    #[inline]
-    pub fn peak(&mut self, id: MetricId, v: u64) {
-        match self.slot(id) {
-            s @ Slot::Empty => *s = Slot::Gauge(v),
-            Slot::Gauge(g) => *g = (*g).max(v),
-            _ => debug_assert!(false, "metric {} is not a gauge", id.name()),
-        }
-    }
-
-    /// Record sample `v` into histogram `id`.
-    #[inline]
-    pub fn observe(&mut self, id: MetricId, v: u64) {
-        match self.slot(id) {
-            s @ Slot::Empty => {
-                let mut h = Box::new(Histogram::new());
-                h.record(v);
-                *s = Slot::Hist(h);
-            }
-            Slot::Hist(h) => h.record(v),
-            _ => debug_assert!(false, "metric {} is not a histogram", id.name()),
-        }
-    }
-
-    /// Current counter value (zero if absent or not a counter).
-    pub fn counter(&self, name: &str) -> u64 {
-        match lookup(name).and_then(|id| self.slots.get(id.index())) {
-            Some(Slot::Counter(v)) => *v,
-            _ => 0,
-        }
-    }
-
-    /// Current gauge value (zero if absent or not a gauge).
-    pub fn gauge(&self, name: &str) -> u64 {
-        match lookup(name).and_then(|id| self.slots.get(id.index())) {
-            Some(Slot::Gauge(v)) => *v,
-            _ => 0,
-        }
-    }
-
-    /// The histogram for `name`, if samples were recorded here.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        match lookup(name).and_then(|id| self.slots.get(id.index())) {
-            Some(Slot::Hist(h)) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Name-ordered `(name, value)` pairs of every touched metric.
-    pub fn collect(&self) -> Vec<(&'static str, MetricValue)> {
-        let reg = registry().lock().expect("metric registry poisoned");
-        reg.lookup
-            .iter()
-            .filter_map(|(&name, &id)| {
-                let v = match self.slots.get(id.index())? {
-                    Slot::Empty => return None,
-                    Slot::Counter(v) => MetricValue::Counter(*v),
-                    Slot::Gauge(v) => MetricValue::Gauge(*v),
-                    Slot::Hist(h) => MetricValue::Hist(h.clone()),
-                };
-                Some((name, v))
-            })
-            .collect()
-    }
-
-    /// Merge another store into this one: counters add, gauges keep the
-    /// maximum (the only cross-shard fold that makes sense for high-water
-    /// marks), histograms merge.
-    pub fn merge(&mut self, other: &Telemetry) {
-        for (idx, slot) in other.slots.iter().enumerate() {
-            let id = MetricId(u32::try_from(idx).expect("metric table overflow"));
-            match slot {
-                Slot::Empty => {}
-                Slot::Counter(v) => self.add(id, *v),
-                Slot::Gauge(v) => self.peak(id, *v),
-                Slot::Hist(h) => match self.slot(id) {
-                    s @ Slot::Empty => *s = Slot::Hist(h.clone()),
-                    Slot::Hist(mine) => mine.merge(h),
-                    _ => debug_assert!(false, "metric {} kind mismatch in merge", id.name()),
-                },
-            }
-        }
-    }
-
-    /// True if no metric was touched.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| matches!(s, Slot::Empty))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Wall clock
@@ -383,55 +136,21 @@ pub const MAX_WINDOWS: usize = 65_536;
 // ---------------------------------------------------------------------------
 
 /// Per-shard self-profiler, owned by one worker and fed by window-granular
-/// hooks in the worker loop. All aggregate measurement goes through the
-/// [`Telemetry`] registry; the per-window ring is kept alongside for the
-/// timeline export.
+/// hooks in the worker loop. Committed windows accumulate straight into
+/// the capture that [`ShardProf::data`] hands out: totals and the
+/// utilisation histogram for every window, detail records up to
+/// [`MAX_WINDOWS`].
 #[derive(Clone, Debug)]
 pub struct ShardProf {
     clock: ProfClock,
-    shards: usize,
-    /// Committed per-window records, capped at [`MAX_WINDOWS`].
-    windows: Vec<WindowRec>,
-    /// Flat `windows.len() * shards` matrix: events deposited per
-    /// destination shard, per window (for mailbox flow events).
-    sent_to: Vec<u64>,
-    /// Windows whose detail was dropped once the ring filled.
-    dropped_windows: u64,
-    /// Registry-backed aggregates (survive the window cap).
-    metrics: Telemetry,
+    /// The capture so far; [`ShardProf::data`] stamps the shard index and
+    /// wall span onto a copy, and the engine fills in `components`.
+    acc: ShardProfData,
     wall_first_ns: u64,
     wall_last_ns: u64,
     cur: WindowRec,
     cur_sent: Vec<u64>,
     mark_ns: u64,
-}
-
-/// Metric names the shard profiler writes. Centralised so reports and
-/// tests spell them identically.
-pub mod metric {
-    /// Counter: events delivered by this shard.
-    pub const EVENTS: &str = "engine.events";
-    /// Counter: windows executed (including ones past the detail cap).
-    pub const WINDOWS: &str = "engine.windows";
-    /// Counter: wall nanoseconds executing events.
-    pub const BUSY_NS: &str = "engine.busy_ns";
-    /// Counter: wall nanoseconds blocked on window barriers.
-    pub const IDLE_NS: &str = "engine.idle_ns";
-    /// Counter: wall nanoseconds draining/depositing mailboxes.
-    pub const DRAIN_NS: &str = "engine.drain_ns";
-    /// Counter: cross-shard events received.
-    pub const RECV: &str = "engine.mailbox.recv";
-    /// Counter: cross-shard events sent.
-    pub const SENT: &str = "engine.mailbox.sent";
-    /// Gauge (high water): event-queue depth at window open.
-    pub const QUEUE_HWM: &str = "engine.queue.hwm";
-    /// Histogram: events per window.
-    pub const WINDOW_EVENTS: &str = "engine.window.events";
-    /// Histogram: per-window utilization percent (see
-    /// [`super::WindowRec::util_pct`]).
-    pub const WINDOW_UTIL: &str = "engine.window.util_pct";
-    /// Histogram: mailbox drain batch size (events per drain with ≥1).
-    pub const DRAIN_BATCH: &str = "engine.mailbox.drain_batch";
 }
 
 impl ShardProf {
@@ -440,11 +159,10 @@ impl ShardProf {
     pub fn new(shards: usize, clock: ProfClock) -> Self {
         ShardProf {
             clock,
-            shards,
-            windows: Vec::new(),
-            sent_to: Vec::new(),
-            dropped_windows: 0,
-            metrics: Telemetry::new(),
+            acc: ShardProfData {
+                shards,
+                ..ShardProfData::default()
+            },
             wall_first_ns: u64::MAX,
             wall_last_ns: 0,
             cur: WindowRec::default(),
@@ -490,10 +208,6 @@ impl ShardProf {
         let now = self.stamp();
         self.cur.drain_ns += now.saturating_sub(self.mark_ns);
         self.cur.recv += received;
-        if received > 0 {
-            self.metrics
-                .observe(metric_id!(metric::DRAIN_BATCH), received);
-        }
     }
 
     /// Begin a barrier wait.
@@ -538,55 +252,41 @@ impl ShardProf {
         self.cur.sent += events;
     }
 
-    /// Commit the current window: fold aggregates into the registry and
-    /// append the detail record (unless the ring is full).
+    /// Commit the current window: fold it into the totals and the
+    /// utilisation histogram, and append its detail record unless the
+    /// ring is full.
     pub fn commit_window(&mut self) {
         self.stamp();
         let w = self.cur;
-        let m = &mut self.metrics;
-        m.add(metric_id!(metric::WINDOWS), 1);
-        m.add(metric_id!(metric::EVENTS), w.events);
-        m.add(metric_id!(metric::BUSY_NS), w.busy_ns);
-        m.add(metric_id!(metric::IDLE_NS), w.idle_ns);
-        m.add(metric_id!(metric::DRAIN_NS), w.drain_ns);
-        m.add(metric_id!(metric::RECV), w.recv);
-        m.add(metric_id!(metric::SENT), w.sent);
-        m.peak(metric_id!(metric::QUEUE_HWM), w.queue_depth);
-        m.observe(metric_id!(metric::WINDOW_EVENTS), w.events);
-        m.observe(metric_id!(metric::WINDOW_UTIL), w.util_pct());
-        if self.windows.len() < MAX_WINDOWS {
-            self.windows.push(w);
-            self.sent_to.extend_from_slice(&self.cur_sent);
+        let d = &mut self.acc;
+        d.window_count += 1;
+        d.events += w.events;
+        d.busy_ns += w.busy_ns;
+        d.idle_ns += w.idle_ns;
+        d.drain_ns += w.drain_ns;
+        d.recv += w.recv;
+        d.sent += w.sent;
+        d.queue_hwm = d.queue_hwm.max(w.queue_depth);
+        d.util.record(w.util_pct());
+        if d.windows.len() < MAX_WINDOWS {
+            d.windows.push(w);
+            d.sent_to.extend_from_slice(&self.cur_sent);
         } else {
-            self.dropped_windows += 1;
+            d.dropped_windows += 1;
         }
     }
 
     /// Snapshot this shard's capture for reporting.
     pub fn data(&self, shard: u32) -> ShardProfData {
+        let first = if self.wall_first_ns == u64::MAX {
+            self.wall_last_ns
+        } else {
+            self.wall_first_ns
+        };
         ShardProfData {
             shard,
-            components: 0,
-            wall_ns: self
-                .wall_last_ns
-                .saturating_sub(if self.wall_first_ns == u64::MAX {
-                    self.wall_last_ns
-                } else {
-                    self.wall_first_ns
-                }),
-            busy_ns: self.metrics.counter(metric::BUSY_NS),
-            idle_ns: self.metrics.counter(metric::IDLE_NS),
-            drain_ns: self.metrics.counter(metric::DRAIN_NS),
-            events: self.metrics.counter(metric::EVENTS),
-            recv: self.metrics.counter(metric::RECV),
-            sent: self.metrics.counter(metric::SENT),
-            queue_hwm: self.metrics.gauge(metric::QUEUE_HWM),
-            window_count: self.metrics.counter(metric::WINDOWS),
-            dropped_windows: self.dropped_windows,
-            windows: self.windows.clone(),
-            sent_to: self.sent_to.clone(),
-            shards: self.shards,
-            metrics: self.metrics.collect(),
+            wall_ns: self.wall_last_ns.saturating_sub(first),
+            ..self.acc.clone()
         }
     }
 }
@@ -596,7 +296,7 @@ impl ShardProf {
 // ---------------------------------------------------------------------------
 
 /// One shard's complete capture, detached from the live engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardProfData {
     /// Shard index.
     pub shard: u32,
@@ -628,8 +328,9 @@ pub struct ShardProfData {
     pub sent_to: Vec<u64>,
     /// Shard count of the owning engine (row stride of `sent_to`).
     pub shards: usize,
-    /// Name-ordered registry view of every metric this shard touched.
-    pub metrics: Vec<(&'static str, MetricValue)>,
+    /// Window utilisation percent (see [`WindowRec::util_pct`]) of every
+    /// window, including ones past the detail cap.
+    pub util: Histogram,
 }
 
 impl ShardProfData {
@@ -787,77 +488,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_interns_and_reports_in_name_order() {
-        let mut t = Telemetry::new();
-        t.add(intern_metric("test.z"), 2);
-        t.set(intern_metric("test.a"), 7);
-        t.observe(intern_metric("test.m"), 100);
-        let names: Vec<&str> = t.collect().iter().map(|(n, _)| *n).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-        assert_eq!(t.counter("test.z"), 2);
-        assert_eq!(t.gauge("test.a"), 7);
-        assert_eq!(t.hist("test.m").map(Histogram::count), Some(1));
-    }
-
-    #[test]
-    fn metric_id_macro_caches() {
-        let mut t = Telemetry::new();
-        for _ in 0..10 {
-            t.add(metric_id!("test.macro.cached"), 1);
-        }
-        assert_eq!(t.counter("test.macro.cached"), 10);
-        assert_eq!(
-            metric_id!("test.macro.cached"),
-            intern_metric("test.macro.cached")
-        );
-    }
-
-    #[test]
-    fn gauge_semantics() {
-        let mut t = Telemetry::new();
-        let id = intern_metric("test.gauge.q");
-        t.set(id, 5);
-        t.set(id, 3);
-        assert_eq!(t.gauge("test.gauge.q"), 3, "set keeps the latest");
-        let hw = intern_metric("test.gauge.hw");
-        t.peak(hw, 5);
-        t.peak(hw, 3);
-        assert_eq!(t.gauge("test.gauge.hw"), 5, "peak keeps the maximum");
-    }
-
-    #[test]
-    fn merge_folds_by_kind() {
-        let c = intern_metric("test.merge.c");
-        let g = intern_metric("test.merge.g");
-        let h = intern_metric("test.merge.h");
-        let mut a = Telemetry::new();
-        let mut b = Telemetry::new();
-        a.add(c, 3);
-        b.add(c, 4);
-        a.peak(g, 10);
-        b.peak(g, 12);
-        a.observe(h, 1);
-        b.observe(h, 1000);
-        a.merge(&b);
-        assert_eq!(a.counter("test.merge.c"), 7);
-        assert_eq!(a.gauge("test.merge.g"), 12);
-        let hist = a.hist("test.merge.h").expect("merged hist");
-        assert_eq!(hist.count(), 2);
-        assert_eq!(hist.max(), 1000);
-    }
-
-    #[test]
-    fn untouched_metrics_are_not_reported() {
-        intern_metric("test.ghost");
-        let t = Telemetry::new();
-        assert!(t.is_empty());
-        assert!(t.collect().is_empty());
-        assert_eq!(t.counter("test.ghost"), 0);
-    }
-
-    #[test]
     fn window_util_pct() {
         let w = WindowRec {
             horizon_ns: 1000,
@@ -877,8 +507,8 @@ mod tests {
         assert_eq!(WindowRec::default().util_pct(), 0);
     }
 
-    /// Drive the hook protocol by hand and check the totals, the window
-    /// ring, and the registry view agree.
+    /// Drive the hook protocol by hand and check the totals and the window
+    /// ring agree.
     #[test]
     fn shard_prof_accumulates_and_accounts() {
         let clock = ProfClock::new();
@@ -910,7 +540,9 @@ mod tests {
         // Wall accounting: the hooks bracket every phase, so the three
         // totals cover (nearly) the whole first..last span.
         assert!(d.accounted_ns() <= d.wall_ns + 1);
-        // Registry view carries the same totals under the shared names.
+        // Each window spans 500 ns and advanced 250 of them.
+        assert_eq!(d.util.count(), 3);
+        assert_eq!(d.util.max(), 50);
         let prof = EngineProf {
             shards: 2,
             lookahead_ns: 500,
@@ -925,18 +557,10 @@ mod tests {
         // Two shards, two aligned windows; shard 1 is always slower, and
         // shard 0's idle exactly mirrors the busy gap → pure imbalance.
         let mk = |busy: [u64; 2], idle: [u64; 2]| ShardProfData {
-            shard: 0,
-            components: 0,
-            wall_ns: 0,
             busy_ns: busy.iter().sum(),
             idle_ns: idle.iter().sum(),
-            drain_ns: 0,
             events: 10,
-            recv: 0,
-            sent: 0,
-            queue_hwm: 0,
             window_count: 2,
-            dropped_windows: 0,
             windows: (0..2)
                 .map(|w| WindowRec {
                     busy_ns: busy[w],
@@ -946,7 +570,7 @@ mod tests {
                 .collect(),
             sent_to: vec![0; 4],
             shards: 2,
-            metrics: Vec::new(),
+            ..ShardProfData::default()
         };
         let prof = EngineProf {
             shards: 2,
@@ -966,18 +590,12 @@ mod tests {
     #[test]
     fn attribution_with_no_gap_is_all_stall() {
         let d = ShardProfData {
-            shard: 0,
-            components: 0,
             wall_ns: 100,
             busy_ns: 50,
             idle_ns: 40,
             drain_ns: 5,
             events: 1,
-            recv: 0,
-            sent: 0,
-            queue_hwm: 0,
             window_count: 1,
-            dropped_windows: 0,
             windows: vec![WindowRec {
                 busy_ns: 50,
                 idle_ns: 40,
@@ -985,7 +603,7 @@ mod tests {
             }],
             sent_to: vec![0],
             shards: 1,
-            metrics: Vec::new(),
+            ..ShardProfData::default()
         };
         let prof = EngineProf {
             shards: 1,
@@ -999,5 +617,30 @@ mod tests {
         let (name, _) = att.dominant();
         assert_eq!(name, "lookahead stall");
         assert!((prof.accounted_fraction() - 0.95).abs() < 1e-9);
+    }
+
+    /// Windows past the detail cap still reach every total and the
+    /// utilisation histogram; only their `WindowRec`s are dropped.
+    #[test]
+    fn totals_keep_counting_past_the_window_cap() {
+        let mut p = ShardProf::new(2, ProfClock::new());
+        let total = MAX_WINDOWS + 3;
+        for w in 0..total as u64 {
+            p.window_open();
+            p.busy_begin(w * 100, w * 100 + 100, 1);
+            p.busy_end(2, 100);
+            p.deposit(1, 1);
+            p.commit_window();
+        }
+        let d = p.data(1);
+        assert_eq!(d.shard, 1);
+        assert_eq!(d.window_count, total as u64);
+        assert_eq!(d.events, 2 * total as u64);
+        assert_eq!(d.sent, total as u64);
+        assert_eq!(d.util.count(), total as u64);
+        assert_eq!(d.util.p50(), 100);
+        assert_eq!(d.windows.len(), MAX_WINDOWS);
+        assert_eq!(d.sent_to.len(), 2 * MAX_WINDOWS);
+        assert_eq!(d.dropped_windows, 3);
     }
 }

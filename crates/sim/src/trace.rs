@@ -13,9 +13,7 @@ use crate::time::SimTime;
 use std::fmt;
 
 /// One trace record: a typed event stamped with its emission time and the
-/// component that emitted it. The legacy `(label, a, b)` word view is still
-/// available through [`TraceRecord::label`], [`TraceRecord::a`] and
-/// [`TraceRecord::b`].
+/// component that emitted it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Simulated time the record was emitted.
@@ -30,16 +28,6 @@ impl TraceRecord {
     /// Static label identifying the event kind.
     pub fn label(&self) -> &'static str {
         self.event.label()
-    }
-
-    /// First payload word (legacy view; meaning depends on the variant).
-    pub fn a(&self) -> u64 {
-        self.event.a()
-    }
-
-    /// Second payload word (legacy view; meaning depends on the variant).
-    pub fn b(&self) -> u64 {
-        self.event.b()
     }
 }
 
@@ -167,18 +155,31 @@ impl fmt::Debug for Trace {
 mod tests {
     use super::*;
 
-    fn rec(t: u64, label: &'static str, a: u64) -> TraceRecord {
+    /// A record carrying `n` in the first payload word: a NACK to node `n`
+    /// when `nack`, else a fire towards node `n`.
+    fn rec(t: u64, nack: bool, n: u64) -> TraceRecord {
         TraceRecord {
             time: SimTime::from_ns(t),
             component: ComponentId(0),
-            event: SpanEvent::Raw { label, a, b: 0 },
+            event: if nack {
+                SpanEvent::Nack { dst: n, round: 0 }
+            } else {
+                SpanEvent::Fire { unit: 0, dst: n }
+            },
+        }
+    }
+
+    fn dst(r: &TraceRecord) -> u64 {
+        match r.event {
+            SpanEvent::Nack { dst, .. } | SpanEvent::Fire { dst, .. } => dst,
+            other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.emit(rec(1, "x", 0));
+        t.emit(rec(1, false, 0));
         assert!(t.is_empty());
         assert!(!t.is_enabled());
     }
@@ -187,9 +188,9 @@ mod tests {
     fn records_in_order() {
         let mut t = Trace::with_capacity(8);
         for i in 0..5 {
-            t.emit(rec(i, "pkt", i));
+            t.emit(rec(i, false, i));
         }
-        let seen: Vec<u64> = t.iter().map(|r| r.a()).collect();
+        let seen: Vec<u64> = t.iter().map(dst).collect();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         assert_eq!(t.dropped(), 0);
     }
@@ -198,9 +199,9 @@ mod tests {
     fn ring_evicts_oldest() {
         let mut t = Trace::with_capacity(4);
         for i in 0..7 {
-            t.emit(rec(i, "pkt", i));
+            t.emit(rec(i, false, i));
         }
-        let seen: Vec<u64> = t.iter().map(|r| r.a()).collect();
+        let seen: Vec<u64> = t.iter().map(dst).collect();
         assert_eq!(seen, vec![3, 4, 5, 6]);
         assert_eq!(t.dropped(), 3);
         assert_eq!(t.len(), 4);
@@ -209,34 +210,22 @@ mod tests {
     #[test]
     fn label_filters() {
         let mut t = Trace::with_capacity(16);
-        t.emit(rec(0, "ack", 1));
-        t.emit(rec(1, "pkt", 2));
-        t.emit(rec(2, "ack", 3));
-        assert_eq!(t.count("ack"), 2);
-        assert_eq!(t.count("pkt"), 1);
-        assert_eq!(t.count("nack"), 0);
-        let acks: Vec<u64> = t.with_label("ack").map(|r| r.a()).collect();
-        assert_eq!(acks, vec![1, 3]);
-    }
-
-    #[test]
-    fn typed_events_filter_by_phase_label() {
-        let mut t = Trace::with_capacity(16);
-        t.emit(TraceRecord {
-            time: SimTime::from_ns(1),
-            component: ComponentId(3),
-            event: SpanEvent::Nack { dst: 2, round: 5 },
-        });
-        assert_eq!(t.count("nack"), 1);
+        t.emit(rec(0, true, 1));
+        t.emit(rec(1, false, 2));
+        t.emit(rec(2, true, 3));
+        assert_eq!(t.count("nack"), 2);
+        assert_eq!(t.count("fire"), 1);
+        assert_eq!(t.count("wire"), 0);
+        let nacks: Vec<u64> = t.with_label("nack").map(dst).collect();
+        assert_eq!(nacks, vec![1, 3]);
         let r = t.with_label("nack").next().unwrap();
-        assert_eq!((r.a(), r.b()), (2, 5));
-        assert_eq!(r.event, SpanEvent::Nack { dst: 2, round: 5 });
+        assert_eq!(r.event, SpanEvent::Nack { dst: 1, round: 0 });
     }
 
     #[test]
     fn clear_keeps_enabled() {
         let mut t = Trace::with_capacity(4);
-        t.emit(rec(0, "x", 0));
+        t.emit(rec(0, false, 0));
         t.clear();
         assert!(t.is_empty());
         assert!(t.is_enabled());
@@ -248,7 +237,7 @@ mod tests {
         let mut t = Trace::disabled();
         t.enable();
         assert!(t.is_enabled());
-        t.emit(rec(0, "x", 0));
+        t.emit(rec(0, false, 0));
         assert_eq!(t.len(), 1);
     }
 }

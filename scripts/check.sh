@@ -3,23 +3,44 @@
 # denied, formatting, static analysis, protocol model checking, and the
 # observability zero-overhead gate. Run from anywhere inside the repo.
 #
-# Every gate runs under the `gate` wrapper, which times it and prints a
-# per-gate wall-time summary at the end — so when the gate gets slow, the
-# summary names the culprit instead of leaving it to guesswork.
+# Every gate runs under the `gate` wrapper, which times it, records PASS
+# or FAIL, and carries on with the next gate. The summary at the end lists
+# every gate's wall time and status, so one failing gate neither hides the
+# others nor leaves the slow one to guesswork; the script exits non-zero
+# if any gate failed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GATE_NAMES=()
 GATE_SECS=()
+GATE_STATUS=()
+FAILED=()
 gate() {
     local name="$1"
     shift
-    local t0 t1
+    local t0 t1 status
     t0=$(date +%s%N)
-    "$@"
+    # Bash ignores `set -e` inside anything called from `if`, `||` or `&&`,
+    # so the gate runs in a `set -e` subshell outside any condition (a
+    # failing step inside a multi-command gate function still fails it),
+    # and its status is read afterwards.
+    set +e
+    (
+        set -e
+        "$@"
+    )
+    status=$?
+    set -e
     t1=$(date +%s%N)
     GATE_NAMES+=("$name")
     GATE_SECS+=("$(printf '%d.%03d' $(((t1 - t0) / 1000000000)) $(((t1 - t0) / 1000000 % 1000)))")
+    if [ "$status" -eq 0 ]; then
+        GATE_STATUS+=(PASS)
+    else
+        GATE_STATUS+=(FAIL)
+        FAILED+=("$name")
+        echo "check.sh: gate $name FAILED (exit $status)" >&2
+    fi
 }
 
 # Formatting covers our crates only: vendor/* members are upstream code we
@@ -79,7 +100,6 @@ verify_counterexample_gate() {
     rm -rf "$tmp"
 }
 gate "verify-counterexample" verify_counterexample_gate
-echo "check.sh: protocol model checking OK"
 
 # Results freshness: run from an empty directory, the figure binaries must
 # reproduce every committed results/*.json they write, byte for byte apart
@@ -111,7 +131,6 @@ results_fresh_gate() {
     return "$stale"
 }
 gate "results-fresh" results_fresh_gate
-echo "check.sh: committed results/*.json reproduce"
 
 # Zero-overhead gate: with the flight recorder and trace ring disabled,
 # engine throughput must stay within 5% of the saved baseline. Skipped if
@@ -134,13 +153,11 @@ engine_prof_quick_gate() {
     cargo run --release -q -p nicbar-bench --bin engine_prof -- --quick --check > /dev/null
 }
 gate "engine-prof-quick" engine_prof_quick_gate
-echo "check.sh: engine_prof smoke OK"
 if [ "$(nproc 2>/dev/null || echo 1)" -ge 8 ] && [ -f results/engine_sweep.json ]; then
     engine_prof_full_gate() {
         cargo run --release -q -p nicbar-bench --bin engine_prof -- --check > /dev/null
     }
     gate "engine-prof-full" engine_prof_full_gate
-    echo "check.sh: engine_prof full gate OK"
 else
     echo "check.sh: < 8 hardware threads or no baseline, skipping full engine_prof gate"
 fi
@@ -152,7 +169,6 @@ fi
 # (tests/parallel_parity.rs; release so the windowed loop matches the
 # shipped hot path).
 gate "parallel-parity" cargo test --release -q --test parallel_parity
-echo "check.sh: parallel engine parity OK"
 
 # Causal-observability smoke: why-slow on an 8-node lossy GM sim must
 # produce a non-empty critical path for every barrier, attribute >= 95%
@@ -163,14 +179,12 @@ why_slow_gate() {
         --nodes 8 --drop 0.02 --seed 7 --check > /dev/null
 }
 gate "why-slow-smoke" why_slow_gate
-echo "check.sh: why-slow smoke OK"
 
 # Allocation gate: a steady-state NIC barrier must not touch the heap.
 # The counting-allocator test runs in its own binary (process-wide
 # allocator, single test), release mode so the measurement matches the
 # shipped hot path.
 gate "alloc-steady" cargo test --release -q --test alloc_steady
-echo "check.sh: allocation gate OK"
 
 # Scalability smoke: the quick sweep (sub-sampled grid up to the 65,536-node
 # gm NIC-DS point) must complete, both dissemination curves must fit the
@@ -188,7 +202,6 @@ fig_scale_gate() {
     cargo run --release -q -p nicbar-bench --bin fig_scale -- --quick > /dev/null
 }
 gate "fig-scale-smoke" fig_scale_gate
-echo "check.sh: fig_scale smoke OK"
 
 # Profile-guided partition parity smoke: the same quick sweep driven by
 # the committed PR-7 profiler capture must pass fig_scale's internal
@@ -199,43 +212,30 @@ fig_scale_profile_gate() {
         --partition profile=results/engine_prof_pr7.json > /dev/null
 }
 gate "fig-scale-profile-partition" fig_scale_profile_gate
-echo "check.sh: profile-guided partition parity OK"
 
-# Tracked perf-trajectory artifacts: quick fig5/fig7 sweeps append a run
-# to BENCH_fig5.json and BENCH_fig7.json at the repo root (median + p99
-# per node count, one manifest-stamped entry per run). BENCH_scale.json
-# gained its run from the fig_scale smoke above. The trajectory is
-# append-only: the number of manifest-stamped runs in each artifact must
-# never decrease across a regeneration (the writer caps the history at
-# MAX_RUNS, so "not fewer than before, and at least one" is the invariant).
-# BENCH_par.json (written by both fig_scale runs above) is held to the
-# same monotonicity bar against its pre-smoke count. (grep -c prints 0
-# *and* exits 1 on zero matches; missing file prints nothing — both
-# normalized to a plain number by count_runs above.)
+# Tracked wall-clock trajectories: the fig_scale smokes above append one
+# manifest-stamped run each to BENCH_scale.json and BENCH_par.json at the
+# repo root. The trajectory is append-only: the number of runs must never
+# decrease across a regeneration (the writer caps the history at
+# MAX_RUNS, so "not fewer than before, and at least one" is the
+# invariant), checked on BENCH_par.json against its pre-smoke count.
+# (grep -c prints 0 *and* exits 1 on zero matches; missing file prints
+# nothing — both normalized to a plain number by count_runs above.)
+# Simulated latencies are not tracked here: they are deterministic, and
+# results-fresh pins them in results/*.json.
 bench_trajectory_gate() {
-    local runs_before_fig5 runs_before_fig7 runs_after_fig5 runs_after_fig7
-    runs_before_fig5=$(count_runs BENCH_fig5.json); runs_before_fig5=${runs_before_fig5:-0}
-    runs_before_fig7=$(count_runs BENCH_fig7.json); runs_before_fig7=${runs_before_fig7:-0}
-    cargo run --release -q -p nicbar-bench --bin fig5 -- --quick > /dev/null
-    cargo run --release -q -p nicbar-bench --bin fig7 -- --quick > /dev/null
-    for f in BENCH_fig5.json BENCH_fig7.json BENCH_scale.json BENCH_par.json; do
+    for f in BENCH_scale.json BENCH_par.json; do
         [ -s "$f" ] || { echo "check.sh: missing $f" >&2; return 1; }
         grep -q '"manifest"' "$f" || { echo "check.sh: $f lacks a manifest" >&2; return 1; }
         grep -q '"runs"' "$f" || { echo "check.sh: $f is not an append-only trajectory" >&2; return 1; }
     done
-    runs_after_fig5=$(count_runs BENCH_fig5.json); runs_after_fig5=${runs_after_fig5:-0}
-    runs_after_fig7=$(count_runs BENCH_fig7.json); runs_after_fig7=${runs_after_fig7:-0}
-    if [ "$runs_after_fig5" -lt "$runs_before_fig5" ] || [ "$runs_after_fig7" -lt "$runs_before_fig7" ]; then
-        echo "check.sh: trajectory shrank (fig5 $runs_before_fig5 -> $runs_after_fig5, fig7 $runs_before_fig7 -> $runs_after_fig7)" >&2
-        return 1
-    fi
     local runs_after_par
     runs_after_par=$(count_runs BENCH_par.json); runs_after_par=${runs_after_par:-0}
     if [ "$runs_after_par" -lt "$runs_before_par" ] || [ "$runs_after_par" -lt 1 ]; then
         echo "check.sh: BENCH_par.json trajectory shrank ($runs_before_par -> $runs_after_par)" >&2
         return 1
     fi
-    echo "check.sh: BENCH artifacts OK (fig5 runs: $runs_after_fig5, fig7 runs: $runs_after_fig7, par runs: $runs_after_par)"
+    echo "check.sh: BENCH artifacts OK (par runs: $runs_after_par)"
 }
 gate "bench-trajectory" bench_trajectory_gate
 
@@ -244,26 +244,19 @@ gate "bench-trajectory" bench_trajectory_gate
 # critical-path wait time to named resource holders via the occupancy
 # ledger, report a top interferer, drop zero ledger records, and reproduce
 # byte-identically on the sharded parallel engine (--check exits nonzero
-# otherwise). Every run appends to BENCH_contend.json; like the other
-# trajectories it is append-only — the manifest-stamped run count must
-# never decrease, and must be at least one after the smoke.
+# otherwise).
 contend_gate() {
-    local runs_before runs_after
-    runs_before=$(count_runs BENCH_contend.json); runs_before=${runs_before:-0}
     cargo run --release -q -p nicbar-bench --bin contend -- --quick --check > /dev/null
-    runs_after=$(count_runs BENCH_contend.json); runs_after=${runs_after:-0}
-    if [ "$runs_after" -lt "$runs_before" ] || [ "$runs_after" -lt 1 ]; then
-        echo "check.sh: BENCH_contend.json trajectory shrank ($runs_before -> $runs_after)" >&2
-        return 1
-    fi
-    echo "check.sh: contend trajectory OK (runs: $runs_after)"
 }
 gate "contend-smoke" contend_gate
-echo "check.sh: contend smoke OK"
 
 echo ""
 echo "check.sh: per-gate wall time"
 for i in "${!GATE_NAMES[@]}"; do
-    printf '  %9ss  %s\n' "${GATE_SECS[$i]}" "${GATE_NAMES[$i]}"
+    printf '  %9ss  %s  %s\n' "${GATE_SECS[$i]}" "${GATE_STATUS[$i]}" "${GATE_NAMES[$i]}"
 done
+if [ "${#FAILED[@]}" -gt 0 ]; then
+    echo "check.sh: ${#FAILED[@]} gate(s) FAILED: ${FAILED[*]}" >&2
+    exit 1
+fi
 echo "check.sh: all green"
