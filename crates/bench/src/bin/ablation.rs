@@ -12,6 +12,7 @@ use nicbar_core::{Algorithm, Barrier, Scenario};
 use nicbar_gm::{CollFeatures, GmParams};
 
 fn main() {
+    nicbar_bench::no_args();
     let cfg = figure_cfg();
     let n = 8;
     let run = |label: &str, f: CollFeatures| {

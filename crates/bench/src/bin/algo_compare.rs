@@ -16,7 +16,7 @@ use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
 
 fn main() {
-    let args = fig_args();
+    let args = fig_args(&[]);
     let (quick, cfg) = (args.quick, args.cfg);
     // Keep a non-power-of-two point under --quick: that is where DS and PE
     // diverge and GB's tree shape matters.

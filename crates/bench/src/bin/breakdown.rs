@@ -15,6 +15,7 @@ use nicbar_gm::GmParams;
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn main() {
+    nicbar_bench::no_args();
     let n = 8;
     let cfg = RunCfg {
         warmup: 50,

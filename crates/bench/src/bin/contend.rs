@@ -182,9 +182,8 @@ fn artifact_json(reports: &[SubstrateReport], n: usize, groups: usize, m: &Manif
 }
 
 fn main() {
-    let args = fig_args();
-    let argv: Vec<String> = std::env::args().collect();
-    let check = argv.iter().any(|a| a == "--check");
+    let args = fig_args(&["--check"]);
+    let check = std::env::args().any(|a| a == "--check");
     // The contend run keeps every observability stream on (the ledger
     // records every NIC charge), so the epoch counts stay deliberately
     // small; `--quick` shrinks them further for the CI smoke.

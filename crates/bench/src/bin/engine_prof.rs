@@ -28,10 +28,10 @@
 //! Run with `cargo run --release -p nicbar-bench --bin engine_prof`.
 
 use nicbar_bench::json::Manifest;
-use nicbar_bench::{engineprof, exit_usage};
+use nicbar_bench::{engineprof, exit_usage, next_value, parse_partition};
 use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_gm::GmParams;
-use nicbar_sim::{EngineProf, EngineSel};
+use nicbar_sim::{EngineProf, EngineSel, PartitionSel};
 use std::time::Instant;
 
 /// The NIC-based dissemination barrier, the paper's headline configuration.
@@ -170,36 +170,34 @@ fn print_attribution(prof: &EngineProf) {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let quick = argv.iter().any(|a| a == "--quick");
-    let check = argv.iter().any(|a| a == "--check");
-    let value_of = |flag: &str| -> Option<&str> {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|i| match argv.get(i + 1) {
-                Some(v) => v.as_str(),
-                None => exit_usage(&format!("{flag} needs a value")),
-            })
-    };
-    let positive = |flag: &str, v: &str| -> usize {
+    let (mut quick, mut check) = (false, false);
+    let (mut nodes, mut shards, mut chrome) = (None, None, None);
+    let mut partition = PartitionSel::default();
+    let positive = |flag: &str, v: String| -> usize {
         match v.parse() {
             Ok(n) if n >= 1 => n,
             _ => exit_usage(&format!("{flag} must be a positive integer, got {v}")),
         }
     };
-    let (mut nodes, mut shards) = if quick { (64, 2) } else { (4096, 8) };
-    if let Some(v) = value_of("--nodes") {
-        nodes = positive("--nodes", v);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--check" => check = true,
+            "--nodes" => nodes = Some(positive("--nodes", next_value(&mut args, "--nodes"))),
+            "--shards" => shards = Some(positive("--shards", next_value(&mut args, "--shards"))),
+            "--chrome" => chrome = Some(next_value(&mut args, "--chrome")),
+            "--partition" => {
+                partition = parse_partition(&next_value(&mut args, "--partition"))
+                    .unwrap_or_else(|e| exit_usage(&e));
+            }
+            other => exit_usage(&format!("unknown option {other}")),
+        }
     }
-    if let Some(v) = value_of("--shards") {
-        shards = positive("--shards", v);
-    }
-    let chrome = value_of("--chrome").map(str::to_string);
-    let partition = value_of("--partition")
-        .map(|v| nicbar_bench::parse_partition(v).unwrap_or_else(|e| exit_usage(&e)))
-        .unwrap_or_default();
+    let (default_nodes, default_shards) = if quick { (64, 2) } else { (4096, 8) };
+    let nodes = nodes.unwrap_or(default_nodes);
     // Excess shards would sit empty yet still pay every window barrier.
-    shards = shards.min(nodes);
+    let shards = shards.unwrap_or(default_shards).min(nodes);
 
     // Figure-scale iteration counts: at 4096 nodes a handful of barrier
     // iterations already runs millions of events per shard, which is what

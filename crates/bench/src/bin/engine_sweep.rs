@@ -13,12 +13,17 @@
 //! regression. This is the observability zero-overhead gate: the recorder
 //! and trace ring stay disabled, so any slowdown here is hot-path damage.
 //! Quick mode never overwrites the baseline. Quick mode also prints an
-//! informational mutex-vs-SPSC mailbox throughput comparison (the same
-//! contrast `cargo bench -p nicbar-sim --bench mailbox` measures under
-//! criterion) — reported, not gated, because cross-thread throughput on a
-//! loaded CI box is too noisy for a hard threshold.
+//! informational mutex-vs-SPSC mailbox throughput comparison — reported,
+//! not gated, because cross-thread throughput on a loaded CI box is too
+//! noisy for a hard threshold.
+//!
+//! `--prof` (full sweep only) also profiles the fig5 point on the parallel
+//! engine. Any other argument, `--baseline` without `--quick`, `--prof`
+//! with `--quick`, and a baseline that cannot be read or holds no
+//! `indexed4` micro row each exit 2 with `error:` before anything runs.
 
 use nicbar_bench::json::{Manifest, Writer};
+use nicbar_bench::{exit_usage, next_value};
 use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
@@ -268,12 +273,13 @@ fn json_num(chunk: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// [`SCHEDULER`] micro rows `(workload, events_per_sec)` from a saved
-/// `engine_sweep.json`. The writer emits one flat object per row, so a
-/// split on `{` isolates each row's fields.
-fn baseline_rows(path: &str) -> Vec<(String, f64)> {
+/// [`SCHEDULER`] rows `(workload, events_per_sec)` of the [`MICRO`]
+/// workloads in a saved `engine_sweep.json`. The writer emits one flat
+/// object per row, so a split on `{` isolates each row's fields. A file
+/// that cannot be read or holds no such row is an error.
+fn baseline_rows(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read baseline {path}: {e} (run the full sweep first)"));
+        .map_err(|e| format!("--baseline {path}: {e} (run the full sweep first)"))?;
     let mut rows = Vec::new();
     for chunk in text.split('{') {
         if json_str(chunk, "scheduler") != Some(SCHEDULER) {
@@ -283,10 +289,15 @@ fn baseline_rows(path: &str) -> Vec<(String, f64)> {
             json_str(chunk, "workload"),
             json_num(chunk, "events_per_sec"),
         ) {
-            rows.push((wl.to_string(), eps));
+            if MICRO.iter().any(|(label, _)| *label == wl) {
+                rows.push((wl.to_string(), eps));
+            }
         }
     }
-    rows
+    if rows.is_empty() {
+        return Err(format!("--baseline {path}: no {SCHEDULER} micro rows"));
+    }
+    Ok(rows)
 }
 
 /// Cross-thread mailbox path, mutex vs SPSC ring — the contrast that
@@ -392,13 +403,8 @@ fn mailbox_report() {
 
 /// `--quick` gate: micro throughput vs the saved baseline's [`SCHEDULER`]
 /// rows. Exits 1 on a >5% geomean regression; never writes the baseline.
-fn quick_gate(baseline_path: &str) -> ! {
+fn quick_gate(baseline_path: &str, baseline: &[(String, f64)]) -> ! {
     const TOLERANCE: f64 = 0.95;
-    let baseline = baseline_rows(baseline_path);
-    assert!(
-        !baseline.is_empty(),
-        "no {SCHEDULER} micro rows in {baseline_path}"
-    );
     println!("== engine_sweep --quick: {SCHEDULER} vs {baseline_path} ==\n");
     // Each micro run lasts ~10 ms, so quick mode can afford many repeats;
     // taking the minimum over 25 runs filters out transient machine load
@@ -426,7 +432,6 @@ fn quick_gate(baseline_path: &str) -> ! {
         );
         ratios.push(ratio);
     }
-    assert!(!ratios.is_empty(), "no workloads matched the baseline");
     let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
     println!("\ngeomean ratio: {geomean:.3} (gate: >= {TOLERANCE})");
     if geomean < TOLERANCE {
@@ -443,15 +448,26 @@ fn quick_gate(baseline_path: &str) -> ! {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--quick") {
-        let baseline = argv
-            .iter()
-            .position(|a| a == "--baseline")
-            .and_then(|i| argv.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or("results/engine_sweep.json");
-        quick_gate(baseline);
+    let (mut quick, mut prof, mut baseline) = (false, false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--prof" => prof = true,
+            "--baseline" => baseline = Some(next_value(&mut args, "--baseline")),
+            other => exit_usage(&format!("unknown option {other}")),
+        }
+    }
+    if quick {
+        if prof {
+            exit_usage("--prof belongs to the full sweep, not --quick");
+        }
+        let path = baseline.as_deref().unwrap_or("results/engine_sweep.json");
+        let rows = baseline_rows(path).unwrap_or_else(|e| exit_usage(&e));
+        quick_gate(path, &rows);
+    }
+    if baseline.is_some() {
+        exit_usage("--baseline belongs to --quick");
     }
 
     println!("== engine_sweep: engine throughput ==\n");
@@ -549,7 +565,7 @@ fn main() {
 
     // `--prof`: profile the fig5 point on the parallel engine so the sweep
     // can explain its own parallel wall times, not just report them.
-    if argv.iter().any(|a| a == "--prof") {
+    if prof {
         let cfg = RunCfg {
             warmup: 50,
             iters: 5000,

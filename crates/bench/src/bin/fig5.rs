@@ -17,7 +17,7 @@ use nicbar_sim::EngineSel;
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 fn main() {
-    let args = fig_args();
+    let args = fig_args(&["--flight", "--prof"]);
     let (quick, flight, cfg) = (args.quick, args.flight, args.cfg);
     let ns: Vec<usize> = if quick {
         vec![2, 4, 8, 16]

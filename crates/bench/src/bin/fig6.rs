@@ -13,7 +13,7 @@ use nicbar_core::{Algorithm, Barrier, Scenario};
 use nicbar_gm::GmParams;
 
 fn main() {
-    let args = fig_args();
+    let args = fig_args(&[]);
     let (quick, cfg) = (args.quick, args.cfg);
     let ns: Vec<usize> = if quick {
         vec![2, 4, 8]

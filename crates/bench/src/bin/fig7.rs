@@ -24,7 +24,7 @@ const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 const GSYNC_DEGREE: usize = 4;
 
 fn main() {
-    let args = fig_args();
+    let args = fig_args(&["--flight", "--prof"]);
     let (quick, flight, cfg) = (args.quick, args.flight, args.cfg);
     let ns: Vec<usize> = if quick {
         vec![2, 4, 8]

@@ -16,7 +16,7 @@ use nicbar_gm::GmParams;
 use nicbar_model::{fit, BarrierModel};
 
 fn main() {
-    let args = fig_args();
+    let args = fig_args(&[]);
     let (quick, base) = (args.quick, args.cfg);
     let ns: Vec<usize> = if quick {
         vec![2, 4, 16, 64, 256, 1024]

@@ -22,7 +22,9 @@
 //! parallel engine at several shard counts, recording wall-clock speedup
 //! into the append-only `BENCH_par.json` trajectory. The ≥4.5× speedup
 //! expectation at 8 shards (adaptive lookahead + lock-free mailboxes) is
-//! asserted only when the host actually has ≥8 hardware threads.
+//! asserted only when the host actually has ≥8 hardware threads; both
+//! artifacts record `"armed"`, whether that gate ran, next to
+//! `"host_threads"`.
 
 use nicbar_bench::{fig_args, json::Writer, trajectory, Manifest};
 use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
@@ -179,8 +181,9 @@ struct EnginePoint {
 /// conservative windows never reorder cross-shard delivery) — which also
 /// makes this the parity smoke for `--partition profile=<path>`: the
 /// profile-guided map is threaded through `base` into every parallel run
-/// here and must not change a single latency sample.
-fn engine_series(quick: bool, base: &RunCfg) -> Vec<EnginePoint> {
+/// here and must not change a single latency sample. Also returns whether
+/// the 8-shard speedup gate armed on this host.
+fn engine_series(quick: bool, base: &RunCfg) -> (Vec<EnginePoint>, bool) {
     const N: usize = 4096;
     let shard_counts: &[usize] = if quick { &[8] } else { &[2, 4, 8] };
     let mut cfg = cfg_for(N, quick, base);
@@ -227,9 +230,11 @@ fn engine_series(quick: bool, base: &RunCfg) -> Vec<EnginePoint> {
     }
 
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut armed = false;
     if let Some(p8) = out.iter().find(|p| p.engine == "parallel" && p.shards == 8) {
         let speedup = seq.run_s / p8.wall_s;
-        if cores >= 8 {
+        armed = cores >= 8;
+        if armed {
             // Raised from 3.0× when per-destination adaptive lookahead and
             // the lock-free SPSC mailboxes landed.
             assert!(
@@ -240,11 +245,11 @@ fn engine_series(quick: bool, base: &RunCfg) -> Vec<EnginePoint> {
             println!("(speedup gate skipped: host has {cores} hardware threads, needs >= 8)");
         }
     }
-    out
+    (out, armed)
 }
 
 fn main() {
-    let args = fig_args();
+    let args = fig_args(&["--prof"]);
     // Full grid per (substrate, algo); `--quick` sub-samples but keeps the
     // 65,536-node gm NIC-DS headline point. The PE sweeps stop at 4096:
     // pairwise-exchange is the paper's counterexample algorithm and its
@@ -301,7 +306,7 @@ fn main() {
     check_staircase("elan NIC-DS", &sweeps[2].1);
     println!("staircase check: both DS curves fit the ceil(log2 N) model ✓");
 
-    let engines = engine_series(args.quick, &base);
+    let (engines, armed) = engine_series(args.quick, &base);
 
     // Opt-in engine self-profile: the engine-comparison point with the
     // shard profiler armed — the run `engine_prof` studies, inline.
@@ -385,6 +390,8 @@ fn main() {
     w.string("gm NIC-DS n=4096, sequential vs rank-sharded parallel");
     w.field("host_threads");
     w.uint(std::thread::available_parallelism().map_or(1, usize::from) as u64);
+    w.field("armed");
+    w.bool(armed);
     w.field("points");
     w.open_array();
     let seq_wall = engines[0].wall_s;
@@ -420,6 +427,8 @@ fn main() {
     w.string("gm NIC-DS n=4096, wall-clock speedup vs sequential");
     w.field("host_threads");
     w.uint(std::thread::available_parallelism().map_or(1, usize::from) as u64);
+    w.field("armed");
+    w.bool(armed);
     w.field("points");
     w.open_array();
     for p in &engines {

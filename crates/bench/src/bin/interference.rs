@@ -8,6 +8,7 @@ use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario, TrafficCfg};
 use nicbar_gm::{CollFeatures, GmParams};
 
 fn main() {
+    nicbar_bench::no_args();
     let n = 8;
     let cfg = RunCfg {
         warmup: 20,

@@ -17,6 +17,7 @@ use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
 
 fn main() {
+    nicbar_bench::no_args();
     let cfg = figure_cfg();
     let big = RunCfg {
         warmup: 20,

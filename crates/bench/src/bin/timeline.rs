@@ -13,6 +13,7 @@ use nicbar_net::NodeId;
 use nicbar_sim::SimTime;
 
 fn main() {
+    nicbar_bench::no_args();
     let n = 4;
 
     // ---------------- Quadrics chained-RDMA timeline -----------------------

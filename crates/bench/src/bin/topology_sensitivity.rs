@@ -66,6 +66,7 @@ fn barrier_with_radix(n: usize, radix: usize, cfg: RunCfg) -> (f64, u32) {
 }
 
 fn main() {
+    nicbar_bench::no_args();
     let cfg = RunCfg {
         warmup: 10,
         iters: 100,

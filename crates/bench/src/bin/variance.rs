@@ -18,6 +18,7 @@ fn stats(samples: &[f64]) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
+    nicbar_bench::no_args();
     let n = 8;
     let seeds: Vec<u64> = (0..16).collect();
 

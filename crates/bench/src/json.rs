@@ -203,6 +203,12 @@ impl Writer {
         self.out.push_str(&format!("{v}"));
     }
 
+    /// Write a boolean value.
+    pub fn bool(&mut self, v: bool) {
+        self.pre_value();
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
     /// Finish, returning the document (with a trailing newline).
     pub fn finish(mut self) -> String {
         self.out.push('\n');

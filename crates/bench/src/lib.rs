@@ -5,9 +5,6 @@
 //! throughput harness (`engine_sweep`). Each binary prints the paper's
 //! series side by side with the simulated ones and writes machine-readable
 //! JSON under `results/`.
-//!
-//! Criterion benches (`benches/figures.rs`, `benches/shm.rs`,
-//! `benches/engine.rs`) exercise the same code paths under `cargo bench`.
 
 #![warn(missing_docs)]
 
@@ -214,15 +211,6 @@ pub fn figure_cfg() -> nicbar_core::RunCfg {
     }
 }
 
-/// Reduced iteration counts for Criterion benches (wall-time bounded).
-pub fn criterion_cfg() -> nicbar_core::RunCfg {
-    nicbar_core::RunCfg {
-        warmup: 20,
-        iters: 200,
-        ..nicbar_core::RunCfg::default()
-    }
-}
-
 /// CI-smoke iteration counts used by the figure binaries under `--quick`.
 pub fn quick_cfg() -> nicbar_core::RunCfg {
     nicbar_core::RunCfg {
@@ -232,7 +220,8 @@ pub fn quick_cfg() -> nicbar_core::RunCfg {
     }
 }
 
-/// The command-line options every figure binary understands, parsed once.
+/// The command-line options of the figure binaries that take the shared
+/// flags (fig5–fig8, fig_scale, algo_compare and contend), parsed once.
 #[derive(Clone, Debug)]
 pub struct FigArgs {
     /// `--quick`: CI smoke mode — shrink the sweep and iteration counts.
@@ -303,31 +292,30 @@ pub fn parse_partition(value: &str) -> Result<nicbar_sim::PartitionSel, String> 
 }
 
 /// Parse the figure binaries' shared flags (program name excluded):
-/// `--quick`, `--flight`, `--prof`, `--engine <auto|sequential|parallel>`,
-/// `--shards <K>` and `--partition <contiguous|profile=PATH>`. Other
-/// arguments are left for the binary itself.
-pub fn parse_fig_args(args: &[String]) -> Result<FigArgs, String> {
+/// `--quick`, `--engine <auto|sequential|parallel>`, `--shards <K>` and
+/// `--partition <contiguous|profile=PATH>`, plus the switches the binary
+/// lists in `switches`. `--flight` and `--prof` set the matching
+/// [`FigArgs`] fields; any other listed switch (contend's `--check`) is
+/// the binary's own to look for. Every other argument is an error, so a
+/// typo or a flag the binary never reads cannot quietly run its default job.
+pub fn parse_fig_args(args: &[String], switches: &[&str]) -> Result<FigArgs, String> {
     let quick = args.iter().any(|a| a == "--quick");
-    let flight = args.iter().any(|a| a == "--flight");
-    let prof = args.iter().any(|a| a == "--prof");
     let mut cfg = if quick { quick_cfg() } else { figure_cfg() };
-    let value_of = |flag: &str| -> Result<Option<&str>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => match args.get(i + 1) {
-                Some(v) => Ok(Some(v.as_str())),
-                None => Err(format!("{flag} needs a value")),
-            },
+    let (mut flight, mut prof) = (false, false);
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg {
+            "--quick" => {}
+            "--engine" => cfg.engine = parse_engine(value()?)?,
+            "--shards" => cfg.shards = parse_shards(value()?)?,
+            "--partition" => cfg.partition = parse_partition(value()?)?,
+            switch if switches.contains(&switch) => {
+                flight |= switch == "--flight";
+                prof |= switch == "--prof";
+            }
+            other => return Err(format!("unknown option {other}")),
         }
-    };
-    if let Some(engine) = value_of("--engine")? {
-        cfg.engine = parse_engine(engine)?;
-    }
-    if let Some(shards) = value_of("--shards")? {
-        cfg.shards = parse_shards(shards)?;
-    }
-    if let Some(partition) = value_of("--partition")? {
-        cfg.partition = parse_partition(partition)?;
     }
     Ok(FigArgs {
         quick,
@@ -337,11 +325,19 @@ pub fn parse_fig_args(args: &[String]) -> Result<FigArgs, String> {
     })
 }
 
-/// [`parse_fig_args`] over `std::env::args`; a malformed flag prints
-/// `error: …` and exits with status 2.
-pub fn fig_args() -> FigArgs {
+/// [`parse_fig_args`] over `std::env::args`; a malformed or unknown flag
+/// prints `error: …` and exits with status 2.
+pub fn fig_args(switches: &[&str]) -> FigArgs {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_fig_args(&args).unwrap_or_else(|e| exit_usage(&e))
+    parse_fig_args(&args, switches).unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// The command line of a binary that takes no arguments: any argument
+/// prints `error: unknown option <arg>` and exits with status 2.
+pub fn no_args() {
+    if let Some(arg) = std::env::args().nth(1) {
+        exit_usage(&format!("unknown option {arg}"));
+    }
 }
 
 #[cfg(test)]
@@ -384,12 +380,12 @@ mod tests {
 
     #[test]
     fn fig_args_parse_the_shared_flags() {
-        let args: Vec<String> = ["--quick", "--engine", "parallel", "--shards", "3"]
+        let args: Vec<String> = ["--quick", "--engine", "parallel", "--shards", "3", "--prof"]
             .iter()
             .map(|a| a.to_string())
             .collect();
-        let parsed = parse_fig_args(&args).expect("well-formed flags");
-        assert!(parsed.quick && !parsed.flight && !parsed.prof);
+        let parsed = parse_fig_args(&args, &["--flight", "--prof"]).expect("well-formed flags");
+        assert!(parsed.quick && !parsed.flight && parsed.prof);
         assert_eq!(parsed.cfg.engine, nicbar_sim::EngineSel::Parallel);
         assert_eq!(parsed.cfg.shards, 3);
         assert_eq!(parsed.cfg.iters, quick_cfg().iters);

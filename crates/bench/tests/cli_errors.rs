@@ -1,10 +1,34 @@
 //! Malformed input to the bench binaries ends in an `error:` line and a
 //! nonzero exit, never a panic, a hang or an abort: flags and profiles
-//! exit 2, replayed dumps exit 1.
+//! exit 2, replayed dumps exit 1. A rejected command line runs nothing and
+//! writes nothing.
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+/// Every bench binary.
+const BINS: [&str; 18] = [
+    env!("CARGO_BIN_EXE_ablation"),
+    env!("CARGO_BIN_EXE_algo_compare"),
+    env!("CARGO_BIN_EXE_breakdown"),
+    env!("CARGO_BIN_EXE_contend"),
+    env!("CARGO_BIN_EXE_engine_prof"),
+    env!("CARGO_BIN_EXE_engine_sweep"),
+    env!("CARGO_BIN_EXE_fig5"),
+    env!("CARGO_BIN_EXE_fig6"),
+    env!("CARGO_BIN_EXE_fig7"),
+    env!("CARGO_BIN_EXE_fig8"),
+    env!("CARGO_BIN_EXE_fig_scale"),
+    env!("CARGO_BIN_EXE_flight"),
+    env!("CARGO_BIN_EXE_interference"),
+    env!("CARGO_BIN_EXE_table1"),
+    env!("CARGO_BIN_EXE_timeline"),
+    env!("CARGO_BIN_EXE_topology_sensitivity"),
+    env!("CARGO_BIN_EXE_variance"),
+    env!("CARGO_BIN_EXE_why-slow"),
+];
 
 fn fixture(name: &str) -> String {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -15,24 +39,56 @@ fn fixture(name: &str) -> String {
         .to_string()
 }
 
-/// Run `bin` with `args`; return its exit code and stderr.
+/// Run `bin` with `args` in a fresh empty directory; return its exit code
+/// and stderr. A run still going after 5 s is killed and fails the test
+/// (an accepted flag would start a full job), and the directory must
+/// still be empty afterwards.
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
-    let start = Instant::now();
-    let out = Command::new(bin)
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "nicbar_cli_errors_{}_{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("create run directory");
+    let mut child = Command::new(bin)
         .args(args)
-        .output()
+        .current_dir(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
         .expect("spawn bench binary");
-    assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "{bin} {args:?} took {:?}",
-        start.elapsed()
-    );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut timed_out = false;
+    while child.try_wait().expect("poll bench binary").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill bench binary");
+            timed_out = true;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("collect bench binary");
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read run directory")
+        .map(|e| e.expect("directory entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).expect("remove run directory");
+    assert!(!timed_out, "{bin} {args:?} still running after 5 s");
+    assert!(written.is_empty(), "{bin} {args:?} wrote {written:?}");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(
         !stderr.contains("panicked"),
         "{bin} {args:?} panicked:\n{stderr}"
     );
     (out.status.code(), stderr)
+}
+
+/// `bin args` must exit 2 with an `error:` line that contains `says`.
+fn rejects(bin: &str, args: &[&str], says: &str) {
+    let (code, stderr) = run(bin, args);
+    assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(says), "{bin} {args:?}: {stderr}");
 }
 
 #[test]
@@ -69,10 +125,7 @@ fn figure_flags_reject_malformed_values() {
             "at most 16777215 components",
         ),
     ] {
-        let (code, stderr) = run(env!("CARGO_BIN_EXE_fig7"), args);
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
-        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        rejects(env!("CARGO_BIN_EXE_fig7"), args, says);
     }
 }
 
@@ -84,10 +137,7 @@ fn flight_rejects_malformed_flags() {
         (&["--nodes", "1"], "integer >= 2, got 1"),
         (&["--chrome"], "--chrome needs an output path"),
     ] {
-        let (code, stderr) = run(env!("CARGO_BIN_EXE_flight"), args);
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
-        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        rejects(env!("CARGO_BIN_EXE_flight"), args, says);
     }
 }
 
@@ -107,12 +157,8 @@ fn flight_rejects_malformed_engine_and_shards() {
             &["--shards", "x"],
             "--shards must be a positive integer, got x",
         ),
-        (&["--bogus"], "unknown option --bogus"),
     ] {
-        let (code, stderr) = run(env!("CARGO_BIN_EXE_flight"), args);
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
-        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        rejects(env!("CARGO_BIN_EXE_flight"), args, says);
     }
 }
 
@@ -163,11 +209,46 @@ fn why_slow_rejects_malformed_flags() {
         ),
         (&["--jsonl"], "--jsonl needs a value"),
         (&["--replay"], "--replay needs a value"),
-        (&["--bogus"], "unknown option --bogus"),
     ] {
-        let (code, stderr) = run(env!("CARGO_BIN_EXE_why-slow"), args);
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
-        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        rejects(env!("CARGO_BIN_EXE_why-slow"), args, says);
+    }
+}
+
+#[test]
+fn every_binary_rejects_unknown_arguments() {
+    for bin in BINS {
+        rejects(bin, &["--bogus"], "unknown option --bogus");
+    }
+}
+
+#[test]
+fn binaries_reject_flags_they_do_not_read() {
+    for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_fig6"), "--flight"),
+        (env!("CARGO_BIN_EXE_fig8"), "--prof"),
+        (env!("CARGO_BIN_EXE_contend"), "--flight"),
+        (env!("CARGO_BIN_EXE_engine_sweep"), "--quik"),
+    ] {
+        rejects(bin, &[flag], &format!("unknown option {flag}"));
+    }
+}
+
+#[test]
+fn engine_sweep_rejects_bad_baselines_and_mixed_modes() {
+    let no_rows = fixture("profile_huge_components.json");
+    for (args, says) in [
+        (
+            &["--quick", "--baseline", "/nonexistent.json"][..],
+            "--baseline /nonexistent.json: ",
+        ),
+        (
+            &["--quick", "--baseline", &no_rows],
+            "no indexed4 micro rows",
+        ),
+        (&["--quick", "--baseline"], "--baseline needs a value"),
+        (&["--baseline", &no_rows], "--baseline belongs to --quick"),
+        (&["--quick", "--prof"], "--prof belongs to the full sweep"),
+    ] {
+        rejects(env!("CARGO_BIN_EXE_engine_sweep"), args, says);
     }
 }

@@ -102,14 +102,6 @@ impl BarrierStats {
         self.per_iter_us.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Smallest single-iteration latency in the window, µs.
-    pub fn min_us(&self) -> f64 {
-        self.per_iter_us
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// A named counter's final value.
     pub fn counter(&self, key: &str) -> u64 {
         self.counters

@@ -242,11 +242,6 @@ impl Schedule {
         self.rounds.iter().map(|r| r.sends.len()).sum()
     }
 
-    /// Total messages this rank expects per operation.
-    pub fn total_recvs(&self) -> usize {
-        self.rounds.iter().map(|r| r.recv_from.len()).sum()
-    }
-
     /// The slot index of `sender` within round `r`'s expected list.
     pub fn recv_slot(&self, r: usize, sender: usize) -> Option<usize> {
         self.rounds[r].recv_from.iter().position(|&s| s == sender)

@@ -1,8 +1,8 @@
 //! A minimal Rust lexer for the lint rules.
 //!
 //! The offline build environment carries no `syn`, so — in the same spirit
-//! as the vendored `proptest`/`criterion` work-alikes — the analysis runs
-//! on a purpose-built token stream instead of a full AST. The lexer strips
+//! as the vendored `proptest` work-alike — the analysis runs on a
+//! purpose-built token stream instead of a full AST. The lexer strips
 //! comments, string/char literals and lifetimes (so `"HashMap"` in a string
 //! or `// HashMap` in a comment can never trigger a rule) and returns
 //! identifiers, punctuation and literal placeholders with 1-based line

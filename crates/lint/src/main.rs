@@ -323,7 +323,6 @@ const LAYERING: &[(&str, &[&str])] = &[
             "nicbar-gm",
             "nicbar-elan",
             "nicbar-core",
-            "nicbar-mpi",
             "nicbar-bench",
             "nicbar-verify",
         ],
@@ -334,7 +333,6 @@ const LAYERING: &[(&str, &[&str])] = &[
             "nicbar-gm",
             "nicbar-elan",
             "nicbar-core",
-            "nicbar-mpi",
             "nicbar-bench",
             "nicbar-verify",
         ],

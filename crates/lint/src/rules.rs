@@ -83,7 +83,7 @@ pub const CATALOGUE: &[(&str, &str)] = &[
     ),
     (
         "LY001",
-        "layering: sim/net must not depend on backend crates (elan/gm/core/mpi/bench)",
+        "layering: sim/net must not depend on backend crates (elan/gm/core/bench)",
     ),
 ];
 
@@ -127,10 +127,10 @@ impl Scope {
         if path.starts_with("vendor/") || path.starts_with("crates/lint/") {
             return None;
         }
-        // Criterion bench targets (`crates/*/benches/`) are host-side
-        // harnesses like the bench crate: they time wall clocks and spawn
-        // producer threads on purpose, and never run inside the DES.
-        let bench = path.starts_with("crates/bench/") || path.contains("/benches/");
+        // The bench crate's binaries are host-side harnesses: they time
+        // wall clocks and spawn sweep threads on purpose, and never run
+        // inside the DES.
+        let bench = path.starts_with("crates/bench/");
         // The model checker is a host-side tool like bench (it may read
         // wall clocks for progress reporting and env for CI knobs), but
         // its exploration must still be reproducible, so hash-order
@@ -144,11 +144,8 @@ impl Scope {
                 | "crates/core/src/elan_chain.rs"
         );
         let hotpath = matches!(path, "crates/gm/src/nic.rs" | "crates/elan/src/nic.rs");
-        // The parallel engine owns all worker threads; the algos crate is
-        // the *real-threads* shared-memory reference harness (its whole
-        // point is concurrency and it never runs inside the DES).
-        let threads =
-            !bench && path != "crates/sim/src/parallel.rs" && !path.starts_with("crates/algos/");
+        // The parallel engine owns all worker threads.
+        let threads = !bench && path != "crates/sim/src/parallel.rs";
         Some(Scope {
             nondet: !tool,
             hash_state: !bench,
@@ -756,8 +753,8 @@ mod tests {
         "#;
         let rules = rules_of(src, scope_all());
         assert_eq!(rules.iter().filter(|r| **r == "ND005").count(), 3);
-        // Out of scope (the parallel engine itself, the algos harness,
-        // bench binaries): nothing flagged.
+        // Out of scope (the parallel engine itself, bench binaries):
+        // nothing flagged.
         let exempt = Scope {
             threads: false,
             ..scope_all()

@@ -194,8 +194,9 @@ gate "alloc-steady" cargo test --release -q --test alloc_steady
 # engine beats sequential by >= 4.5x on the 4096-node gm point (raised
 # from 3x when adaptive lookahead + SPSC mailboxes landed; skipped with a
 # visible message on smaller hosts) — fig_scale exits nonzero otherwise.
-# Every run also appends the speedup series to BENCH_par.json; the before
-# count feeds the trajectory gate below.
+# Every run also appends the speedup series to BENCH_par.json, with
+# "armed" saying whether that gate ran; the before count feeds the
+# trajectory gate below.
 count_runs() { grep -c '"manifest"' "$1" 2>/dev/null || true; }
 runs_before_par=$(count_runs BENCH_par.json); runs_before_par=${runs_before_par:-0}
 fig_scale_gate() {
@@ -219,6 +220,8 @@ gate "fig-scale-profile-partition" fig_scale_profile_gate
 # decrease across a regeneration (the writer caps the history at
 # MAX_RUNS, so "not fewer than before, and at least one" is the
 # invariant), checked on BENCH_par.json against its pre-smoke count.
+# Every BENCH_par.json run must also carry an "armed" flag, so a speedup
+# gate that could not arm on the recording host says so in the artifact.
 # (grep -c prints 0 *and* exits 1 on zero matches; missing file prints
 # nothing — both normalized to a plain number by count_runs above.)
 # Simulated latencies are not tracked here: they are deterministic, and
@@ -233,6 +236,12 @@ bench_trajectory_gate() {
     runs_after_par=$(count_runs BENCH_par.json); runs_after_par=${runs_after_par:-0}
     if [ "$runs_after_par" -lt "$runs_before_par" ] || [ "$runs_after_par" -lt 1 ]; then
         echo "check.sh: BENCH_par.json trajectory shrank ($runs_before_par -> $runs_after_par)" >&2
+        return 1
+    fi
+    local armed_par
+    armed_par=$(grep -c '"armed"' BENCH_par.json || true)
+    if [ "${armed_par:-0}" -lt "$runs_after_par" ]; then
+        echo "check.sh: BENCH_par.json has $runs_after_par runs but only ${armed_par:-0} \"armed\" flags" >&2
         return 1
     fi
     echo "check.sh: BENCH artifacts OK (par runs: $runs_after_par)"

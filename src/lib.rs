@@ -10,12 +10,10 @@
 
 #![warn(missing_docs)]
 
-pub use nicbar_algos as algos;
 pub use nicbar_core as core;
 pub use nicbar_elan as elan;
 pub use nicbar_gm as gm;
 pub use nicbar_model as model;
-pub use nicbar_mpi as mpi;
 pub use nicbar_net as net;
 pub use nicbar_sim as sim;
 
@@ -28,7 +26,6 @@ pub mod prelude {
     pub use nicbar_elan::ElanParams;
     pub use nicbar_gm::{CollFeatures, GmParams, GroupId};
     pub use nicbar_model::{fit, BarrierModel};
-    pub use nicbar_mpi::{MpiOp, MpiProgram, MpiWorld};
     pub use nicbar_net::NodeId;
     pub use nicbar_sim::{SimRng, SimTime};
 }
