@@ -28,7 +28,7 @@
 //! Run with `cargo run --release -p nicbar-bench --bin engine_prof`.
 
 use nicbar_bench::json::Manifest;
-use nicbar_bench::{engineprof, exit_usage, next_value, parse_partition};
+use nicbar_bench::{engineprof, exit_usage, next_value, parse_partition, OutputFile};
 use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_gm::GmParams;
 use nicbar_sim::{EngineProf, EngineSel, PartitionSel};
@@ -194,6 +194,7 @@ fn main() {
             other => exit_usage(&format!("unknown option {other}")),
         }
     }
+    let chrome = chrome.map(OutputFile::create);
     let (default_nodes, default_shards) = if quick { (64, 2) } else { (4096, 8) };
     let nodes = nodes.unwrap_or(default_nodes);
     // Excess shards would sit empty yet still pay every window barrier.
@@ -215,8 +216,8 @@ fn main() {
     let (prof, wall_s) = capture(nodes, shards, &cfg);
     print!("{}", engineprof::report(&prof, &label, wall_s));
 
-    if let Some(path) = chrome {
-        std::fs::write(&path, engineprof::chrome_trace(&prof)).expect("write chrome trace");
+    if let Some(out) = chrome {
+        let path = out.write(&engineprof::chrome_trace(&prof));
         println!("\n[saved {path}]");
     }
 

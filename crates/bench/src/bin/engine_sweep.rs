@@ -1,6 +1,6 @@
 //! Engine-throughput regression harness.
 //!
-//! Measures raw engine throughput (events/second) on three micro workloads
+//! Measures raw engine throughput (events/second) on four micro workloads
 //! and the end-to-end wall time of two figure points, on the engine's one
 //! event queue (the indexed 4-ary heap), then runs the parallel one-shard
 //! overhead gate. Writes `results/engine_sweep.json`.
@@ -35,9 +35,6 @@ const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 const RING_EVENTS: u64 = 400_000;
 const FANOUT_DEPTH: u32 = 9;
-/// Concurrent tokens in the `flows` workload — the steady queue depth the
-/// paper's figure simulations actually run at (nodes × in-flight messages).
-const FLOW_TOKENS: usize = 64;
 const REPEATS: usize = 5;
 /// The `"scheduler"` value of every row this binary writes, and the rows
 /// `--quick` reads back: the queue the engine runs on. Saved baselines
@@ -108,11 +105,11 @@ fn ring_hop_run() -> (u64, f64) {
     (engine.events_processed(), start.elapsed().as_secs_f64())
 }
 
-/// `FLOW_TOKENS` tokens circulating a ring at staggered strides: sustained
-/// queue depth of `FLOW_TOKENS`, the profile the figure sims run at.
-fn flows_run() -> (u64, f64) {
+/// `tokens` tokens circulating a ring at staggered strides, sharing one
+/// event budget: a sustained queue depth of `tokens`.
+fn flows_run(tokens: usize) -> (u64, f64) {
     let mut engine: Engine<Msg> = Engine::new(0);
-    let ids: Vec<ComponentId> = (0..FLOW_TOKENS).map(|_| engine.reserve_id()).collect();
+    let ids: Vec<ComponentId> = (0..tokens).map(|_| engine.reserve_id()).collect();
     for (i, &id) in ids.iter().enumerate() {
         engine.install(
             id,
@@ -122,7 +119,7 @@ fn flows_run() -> (u64, f64) {
             },
         );
     }
-    let hops = RING_EVENTS / FLOW_TOKENS as u64;
+    let hops = RING_EVENTS / tokens as u64;
     for (i, &id) in ids.iter().enumerate() {
         engine.schedule_at(SimTime::from_ns(i as u64), id, Msg::Hop(hops));
     }
@@ -143,10 +140,13 @@ fn fanout_run() -> (u64, f64) {
 /// One timed micro run: (events processed, wall seconds).
 type MicroRun = fn() -> (u64, f64);
 
-/// The micro workloads, by the name their baseline rows carry.
-const MICRO: [(&str, MicroRun); 3] = [
+/// The micro workloads, by the name their baseline rows carry. `flows_64`
+/// runs at the queue depth of the paper's figure simulations (nodes ×
+/// in-flight messages); `flows_1024` at that of the 1,024-node projection.
+const MICRO: [(&str, MicroRun); 4] = [
     ("ring_hop", ring_hop_run),
-    ("flows_64", flows_run),
+    ("flows_64", || flows_run(64)),
+    ("flows_1024", || flows_run(1024)),
     ("fanout", fanout_run),
 ];
 

@@ -18,7 +18,7 @@
 //! byte-identical across engines and shard counts.
 
 use nicbar_bench::flight::{chrome_trace, print_breakdown};
-use nicbar_bench::{exit_usage, next_value, parse_engine, parse_shards};
+use nicbar_bench::{exit_usage, next_value, parse_engine, parse_shards, OutputFile};
 use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
@@ -64,6 +64,7 @@ fn main() {
             other => exit_usage(&format!("unknown option {other}\n{USAGE}")),
         }
     }
+    let chrome = chrome.map(OutputFile::create);
     // A short window: the point is a readable trace, not tight statistics.
     let cfg = RunCfg {
         warmup: 2,
@@ -86,9 +87,8 @@ fn main() {
         println!();
     }
 
-    if let Some(path) = chrome {
-        let json = chrome_trace(&captures);
-        std::fs::write(&path, json).expect("write Chrome trace");
+    if let Some(out) = chrome {
+        let path = out.write(&chrome_trace(&captures));
         println!("[saved {path}]");
     }
 }

@@ -15,7 +15,7 @@ fn main() {
         iters: 500,
         ..RunCfg::default()
     };
-    let loads: Vec<usize> = vec![0, 1, 2, 4, 8];
+    let loads: Vec<usize> = (0..=8).collect();
 
     let ds = Algorithm::Dissemination;
     let xp = |barrier| Scenario::gm(GmParams::lanai_xp(), n, barrier);
@@ -50,6 +50,7 @@ fn main() {
             Series::new("Host-based", series(xp(Barrier::Host(ds)))),
         ],
     )
+    .with_x_label("in flight")
     .with_manifest(Manifest::new(
         cfg.seed,
         format!(

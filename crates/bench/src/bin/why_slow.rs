@@ -28,7 +28,9 @@
 //! The header stamps which engine produced the run; everything below it is
 //! byte-identical across engines and shard counts.
 
-use nicbar_bench::{critpath, exit_usage, flight, netdump, next_value, parse_engine, parse_shards};
+use nicbar_bench::{
+    critpath, exit_usage, flight, netdump, next_value, parse_engine, parse_shards, OutputFile,
+};
 use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
@@ -191,6 +193,7 @@ fn main() {
     if let Some(path) = replay_path {
         std::process::exit(replay(&path));
     }
+    let jsonl = jsonl_path.map(OutputFile::create);
 
     let cfg = RunCfg {
         warmup: 2,
@@ -220,19 +223,14 @@ fn main() {
     let paths = critpath::analyze(&cap.packets);
     print!("{}", critpath::render(&paths));
 
-    if let Some(path) = jsonl_path {
+    if let Some(out) = jsonl {
         let text = netdump::jsonl_with_header(&cap.packets, cap.packets_dropped);
-        match std::fs::write(&path, text) {
-            Ok(()) => println!(
-                "wrote {} packet records to {path} (header: {} dropped)",
-                cap.packets.len(),
-                cap.packets_dropped
-            ),
-            Err(e) => {
-                eprintln!("error: could not write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let path = out.write(&text);
+        println!(
+            "wrote {} packet records to {path} (header: {} dropped)",
+            cap.packets.len(),
+            cap.packets_dropped
+        );
     }
 
     if check {

@@ -58,6 +58,8 @@ pub struct Figure {
     pub series: Vec<Series>,
     /// Run manifest embedded in the artifact (seed, config hash, git rev).
     pub manifest: Option<Manifest>,
+    /// Heading of the printed table's x column; not part of the JSON.
+    pub x_label: &'static str,
 }
 
 impl Figure {
@@ -68,7 +70,14 @@ impl Figure {
             title: title.into(),
             series,
             manifest: None,
+            x_label: "nodes",
         }
+    }
+
+    /// Head the printed table's x column with `label` instead of "nodes".
+    pub fn with_x_label(mut self, label: &'static str) -> Self {
+        self.x_label = label;
+        self
     }
 
     /// Attach a run manifest, embedded under `"manifest"` in the JSON.
@@ -90,13 +99,14 @@ impl Figure {
             all.dedup();
             all
         };
-        print!("{:>6}", "nodes");
+        let width = self.x_label.chars().count().max(6);
+        print!("{:>width$}", self.x_label);
         for s in &self.series {
             print!("{:>16}", s.label);
         }
         println!();
         for n in ns {
-            print!("{n:>6}");
+            print!("{n:>width$}");
             for s in &self.series {
                 match s.at(n) {
                     Some(v) => print!("{v:>16.2}"),
@@ -241,6 +251,33 @@ pub struct FigArgs {
 pub fn exit_usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// An output file named on the command line, created once the command line
+/// parses and before anything runs, so an unwritable path costs no run.
+pub struct OutputFile {
+    path: String,
+    file: std::fs::File,
+}
+
+impl OutputFile {
+    /// Create (truncate) `path`; failure prints `error: could not write
+    /// <path>: <reason>` and exits with status 2.
+    pub fn create(path: String) -> Self {
+        match std::fs::File::create(&path) {
+            Ok(file) => OutputFile { path, file },
+            Err(e) => exit_usage(&format!("could not write {path}: {e}")),
+        }
+    }
+
+    /// Write `text` as the file's contents, failing as [`OutputFile::create`]
+    /// does; returns the path for the caller's report line.
+    pub fn write(mut self, text: &str) -> String {
+        if let Err(e) = self.file.write_all(text.as_bytes()) {
+            exit_usage(&format!("could not write {}: {e}", self.path));
+        }
+        self.path
+    }
 }
 
 /// The argument after `flag`; a command line that ends first prints

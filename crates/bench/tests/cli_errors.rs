@@ -1,7 +1,7 @@
 //! Malformed input to the bench binaries ends in an `error:` line and a
-//! nonzero exit, never a panic, a hang or an abort: flags and profiles
-//! exit 2, replayed dumps exit 1. A rejected command line runs nothing and
-//! writes nothing.
+//! nonzero exit, never a panic, a hang or an abort: flags, profiles and
+//! unwritable output paths exit 2, replayed dumps exit 1. A rejected
+//! command line runs nothing and writes nothing.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -211,6 +211,22 @@ fn why_slow_rejects_malformed_flags() {
         (&["--replay"], "--replay needs a value"),
     ] {
         rejects(env!("CARGO_BIN_EXE_why-slow"), args, says);
+    }
+}
+
+#[test]
+fn unwritable_output_paths_fail_before_the_run() {
+    let path = "/nonexistent/dir/x.json";
+    let says = format!("could not write {path}: ");
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_flight"), &["--chrome", path][..]),
+        (
+            env!("CARGO_BIN_EXE_engine_prof"),
+            &["--quick", "--chrome", path],
+        ),
+        (env!("CARGO_BIN_EXE_why-slow"), &["--jsonl", path]),
+    ] {
+        rejects(bin, args, &says);
     }
 }
 

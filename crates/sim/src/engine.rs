@@ -1002,6 +1002,58 @@ mod tests {
         assert_eq!(engine.run_until(SimTime::MAX), RunOutcome::Halted);
     }
 
+    fn sink_ids(engine: &Engine<Msg>, sink: ComponentId) -> Vec<u32> {
+        let sink = engine.component_ref::<Sink>(sink).unwrap();
+        sink.seen.iter().map(|(_, i)| *i).collect()
+    }
+
+    /// A delivery whose handler schedules nothing leaves the queue's root
+    /// vacant; the pending count and next time must still be exact.
+    #[test]
+    fn pending_and_next_time_exact_after_a_silent_last_handler() {
+        let us = |t: u64| SimTime::from_ns(t * 1_000);
+        let mut engine: Engine<Msg> = Engine::new(0);
+        let sink = engine.add(Sink { seen: Vec::new() });
+        for i in 0..20u64 {
+            let t = i * 7 % 20 + 1;
+            engine.schedule_at(us(t), sink, Msg::Record(t as u32));
+        }
+        assert_eq!(engine.run_until(us(5)), RunOutcome::DeadlineReached);
+        assert_eq!(engine.now(), us(5));
+        assert_eq!(engine.pending_events(), 15);
+        assert_eq!(engine.next_event_time(), Some(us(6)));
+        assert_eq!(engine.run_until(SimTime::MAX), RunOutcome::Idle);
+        assert_eq!(engine.pending_events(), 0);
+        assert_eq!(engine.next_event_time(), None);
+        assert_eq!(sink_ids(&engine, sink), (1..=20).collect::<Vec<u32>>());
+    }
+
+    /// An external injection after `step` refills the vacant root, and
+    /// delivery still follows key order.
+    #[test]
+    fn schedule_after_step_refills_the_root_in_key_order() {
+        let us = |t: u64| SimTime::from_ns(t * 1_000);
+        let mut engine: Engine<Msg> = Engine::new(0);
+        let sink = engine.add(Sink { seen: Vec::new() });
+        for t in [3u64, 1, 4, 8, 6, 2, 7, 5] {
+            engine.schedule_at(us(t), sink, Msg::Record(t as u32 * 10));
+        }
+        assert!(engine.step());
+        assert_eq!(engine.pending_events(), 7);
+        // Past every pending key first (it takes the root and sinks to a
+        // leaf), then a tie with a pending event, then the current time.
+        engine.schedule_at(us(9), sink, Msg::Record(90));
+        engine.schedule_at(us(4), sink, Msg::Record(41));
+        engine.schedule_at(us(1), sink, Msg::Record(11));
+        assert_eq!(engine.pending_events(), 10);
+        assert_eq!(engine.next_event_time(), Some(us(1)));
+        engine.run();
+        assert_eq!(
+            sink_ids(&engine, sink),
+            vec![10, 11, 20, 30, 40, 41, 50, 60, 70, 80, 90]
+        );
+    }
+
     #[test]
     fn budget_exhaustion_reports() {
         let (mut engine, _, _) = build(1000);

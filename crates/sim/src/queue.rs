@@ -23,6 +23,18 @@
 //! * **Batched**: [`EventQueue::push_batch`] appends a whole burst of
 //!   events and restores the heap in one pass, using Floyd's bottom-up
 //!   heapify when the batch dominates the existing contents.
+//! * **One walk per event**: [`EventQueue::pop`] hands out the root's event
+//!   and leaves the root vacant. The next `push` writes its key into the
+//!   root and sifts it down; in the engine that push is almost always the
+//!   delivered handler's first send, so a delivery costs one walk, not a
+//!   removal walk plus an insertion walk. Only a `pop` or `push_batch` that
+//!   finds the root still vacant removes it the classic way: walk the hole
+//!   to a leaf along min-children, then sift the displaced last element up.
+//!   `len` and `peek_time` read through the vacancy.
+//! * **Branch-free**: which of four siblings is smallest is data-dependent,
+//!   so a compare-and-branch scan mispredicts often. The minimum comes from
+//!   a 2-2-1 tournament of [`std::hint::select_unpredictable`], shared by
+//!   both walks.
 //!
 //! Not a timing wheel: real runs keep timers armed far past any short
 //! window (every GM NIC's 50 µs `TimerCheck`), so a wheel's overflow is
@@ -66,9 +78,41 @@ pub(crate) struct EventQueue<M> {
     payload: Vec<Option<(ComponentId, M)>>,
     /// Free slab slots.
     free: Vec<u32>,
+    /// The root's event was handed out by [`EventQueue::pop`], but its key
+    /// still sits at index 0: the next `push` overwrites it and sifts down,
+    /// and the next `pop` or `push_batch` settles the heap first.
+    vacant: bool,
 }
 
 const ARITY: usize = 4;
+
+/// Index and key of the minimum among the children that start at `first`
+/// (at most [`ARITY`] of them, clipped to the heap). A full group of four
+/// runs a branch-free 2-2-1 tournament, because which child wins is
+/// data-dependent and a branch on it mispredicts often. Ties go to the
+/// lower index, as in a left-to-right scan.
+#[inline(always)]
+fn min_child(keys: &[u128], first: usize) -> (usize, u128) {
+    use std::hint::select_unpredictable as select;
+    if let Some(&[a, b, c, d]) = keys.get(first..first + ARITY) {
+        let right = b < a;
+        let (i01, k01) = (select(right, first + 1, first), select(right, b, a));
+        let right = d < c;
+        let (i23, k23) = (select(right, first + 3, first + 2), select(right, d, c));
+        let right = k23 < k01;
+        return (select(right, i23, i01), select(right, k23, k01));
+    }
+    // The last, partial group: at most once per walk.
+    let mut best = first;
+    let mut best_key = keys[first];
+    for (c, &k) in keys.iter().enumerate().skip(first + 1) {
+        if k < best_key {
+            best = c;
+            best_key = k;
+        }
+    }
+    (best, best_key)
+}
 
 impl<M> EventQueue<M> {
     pub fn new() -> Self {
@@ -77,17 +121,28 @@ impl<M> EventQueue<M> {
             slots: Vec::new(),
             payload: Vec::new(),
             free: Vec::new(),
+            vacant: false,
         }
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.keys.len() - usize::from(self.vacant)
     }
 
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.keys.first().map(|&k| key_time(k))
+        if self.vacant {
+            // Heap order below the vacant root: the next event is the
+            // least of its children.
+            self.keys[1..]
+                .iter()
+                .take(ARITY)
+                .min()
+                .map(|&k| key_time(k))
+        } else {
+            self.keys.first().map(|&k| key_time(k))
+        }
     }
 
     /// Store a payload, returning its slab slot.
@@ -106,18 +161,28 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// Insert one event. A vacant root takes it and sifts it down, so a
+    /// handler's first send finishes the walk its delivery's `pop` skipped.
     #[inline]
     pub fn push(&mut self, key: u128, target: ComponentId, msg: M) {
         let slot = self.store(target, msg);
-        self.keys.push(key);
-        self.slots.push(slot);
-        self.sift_up(self.keys.len() - 1);
+        if self.vacant {
+            self.vacant = false;
+            self.keys[0] = key;
+            self.slots[0] = slot;
+            self.sift_down(0);
+        } else {
+            self.keys.push(key);
+            self.slots.push(slot);
+            self.sift_up(self.keys.len() - 1);
+        }
     }
 
     /// Insert a batch of already-keyed events in one pass. When the batch is
     /// at least as large as the existing heap, appending everything and
     /// rebuilding bottom-up (Floyd) is cheaper than per-element sift-up.
     pub fn push_batch(&mut self, batch: impl Iterator<Item = (u128, ComponentId, M)>) {
+        self.settle();
         let before = self.keys.len();
         for (key, target, msg) in batch {
             let slot = self.store(target, msg);
@@ -140,26 +205,14 @@ impl<M> EventQueue<M> {
         }
     }
 
+    /// Hand out the earliest event and leave the root vacant for the next
+    /// `push` to refill.
     #[inline]
     pub fn pop(&mut self) -> Option<PoppedEvent<M>> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let key = self.keys[0];
+        self.settle();
+        let &key = self.keys.first()?;
         let slot = self.slots[0];
-        let last_key = self.keys.pop().expect("non-empty");
-        let last_slot = self.slots.pop().expect("non-empty");
-        if !self.keys.is_empty() {
-            // Walk the root hole to the bottom along min-children without
-            // comparing against the displaced leaf, then sift the leaf up
-            // from there. The displaced element almost always belongs near
-            // the bottom, so this does ~1/4 of the comparisons of a
-            // classical compare-as-you-go sift-down.
-            let hole = self.hole_to_bottom();
-            self.keys[hole] = last_key;
-            self.slots[hole] = last_slot;
-            self.sift_up(hole);
-        }
+        self.vacant = true;
         let (target, msg) = self.payload[slot as usize]
             .take()
             .expect("heap slot had no payload");
@@ -170,6 +223,26 @@ impl<M> EventQueue<M> {
             target,
             msg,
         })
+    }
+
+    /// Remove a vacant root: walk the hole to the bottom along min-children
+    /// without comparing against the displaced last element, then sift that
+    /// element up from there. It almost always belongs near the bottom, so
+    /// the sift-up is short.
+    #[inline]
+    fn settle(&mut self) {
+        if !self.vacant {
+            return;
+        }
+        self.vacant = false;
+        let last_key = self.keys.pop().expect("vacant root in an empty heap");
+        let last_slot = self.slots.pop().expect("vacant root in an empty heap");
+        if !self.keys.is_empty() {
+            let hole = self.hole_to_bottom();
+            self.keys[hole] = last_key;
+            self.slots[hole] = last_slot;
+            self.sift_up(hole);
+        }
     }
 
     #[inline]
@@ -200,15 +273,7 @@ impl<M> EventQueue<M> {
             if first_child >= len {
                 return i;
             }
-            let last_child = (first_child + ARITY).min(len);
-            let mut best = first_child;
-            let mut best_key = self.keys[first_child];
-            for c in first_child + 1..last_child {
-                if self.keys[c] < best_key {
-                    best = c;
-                    best_key = self.keys[c];
-                }
-            }
+            let (best, best_key) = min_child(&self.keys, first_child);
             self.keys[i] = best_key;
             self.slots[i] = self.slots[best];
             i = best;
@@ -228,15 +293,7 @@ impl<M> EventQueue<M> {
             if first_child >= len {
                 break;
             }
-            let last_child = (first_child + ARITY).min(len);
-            let mut best = first_child;
-            let mut best_key = self.keys[first_child];
-            for c in first_child + 1..last_child {
-                if self.keys[c] < best_key {
-                    best = c;
-                    best_key = self.keys[c];
-                }
-            }
+            let (best, best_key) = min_child(&self.keys, first_child);
             if best_key >= key {
                 break;
             }
@@ -415,10 +472,13 @@ mod tests {
         /// instant. Times are drawn relative to the last pop, with a
         /// far-future option, and batches are drawn both larger than the
         /// current length (Floyd rebuild) and smaller (per-element
-        /// sift-up).
+        /// sift-up). A handler-shaped op pops and then pushes 0-3 events,
+        /// the first of which refills the vacant root, and a prefill grows
+        /// the heap past 1,100 events, five levels with full sibling groups
+        /// at every one.
         #[test]
         fn heap_matches_sorted_vec_reference(
-            ops in prop::collection::vec((0u32..10, 0u64..64, 0u64..16, 0usize..24), 1..160),
+            ops in prop::collection::vec((0u32..12, 0u64..64, 0u64..16, 0usize..24), 1..160),
         ) {
             let mut heap = EventQueue::<u64>::new();
             let mut reference = SortedVec::default();
@@ -459,13 +519,38 @@ mod tests {
                         heap.push_batch(batch.into_iter());
                     }
                     // Pops outnumber peeks so the queue drains now and then.
-                    7 | 8 => {
+                    // 10 is a delivery: the handler then sends 0-3 events at
+                    // `now`, a little after it, or far in the future.
+                    7 | 8 | 10 => {
                         let got = heap.pop();
                         if let Some(e) = &got {
                             prop_assert_eq!(e.time, key_time(e.key));
                             now = e.time.as_ns();
                         }
                         prop_assert_eq!(got.map(|e| (e.key, e.target, e.msg)), reference.pop());
+                        if op == 10 {
+                            for i in 0..n as u64 % 4 {
+                                let t = match (source + i) % 3 {
+                                    0 => now,
+                                    1 => now + dt,
+                                    _ => now + 50_000 + dt * 1_000,
+                                };
+                                let (k, target, msg) = event(t, source);
+                                heap.push(k, target, msg);
+                                reference.push(k, target, msg);
+                            }
+                        }
+                    }
+                    // Grow past 1,100 events, spread over 100 us.
+                    11 => {
+                        let mut i = 0u64;
+                        while heap.len() < 1_100 + n {
+                            let t = now + (dt * 131 + i * 7_919) % 100_000;
+                            let (k, target, msg) = event(t, (source + i) % 16);
+                            heap.push(k, target, msg);
+                            reference.push(k, target, msg);
+                            i += 1;
+                        }
                     }
                     // 0..=4 pushed above; 9 is a bare peek, checked below.
                     _ => {}
@@ -478,6 +563,94 @@ mod tests {
             }
             prop_assert!(reference.pop().is_none());
         }
+    }
+
+    /// A heap and its sorted reference holding the same `n` events, at
+    /// scrambled times so that heap order is not insertion order.
+    fn filled(n: u64) -> (EventQueue<u64>, SortedVec, KeyGen) {
+        let mut heap = EventQueue::new();
+        let mut reference = SortedVec::default();
+        let mut gen = KeyGen::new();
+        for i in 0..n {
+            let k = gen.key(i * 37 % n * 10);
+            heap.push(k, ComponentId(i as usize), i);
+            reference.push(k, ComponentId(i as usize), i);
+        }
+        (heap, reference, gen)
+    }
+
+    /// Pop one event from each and check that they agree.
+    fn pop_both(heap: &mut EventQueue<u64>, reference: &mut SortedVec) {
+        let got = heap.pop().map(|e| (e.key, e.target, e.msg));
+        assert_eq!(got, reference.pop());
+    }
+
+    /// Drain both, checking `len`, `peek_time` and the popped event at
+    /// every step.
+    fn assert_drains_alike(heap: &mut EventQueue<u64>, reference: &mut SortedVec) {
+        loop {
+            assert_eq!(heap.len(), reference.events.len());
+            assert_eq!(heap.peek_time(), reference.peek_time());
+            if reference.events.is_empty() {
+                assert!(heap.pop().is_none());
+                return;
+            }
+            pop_both(heap, reference);
+        }
+    }
+
+    #[test]
+    fn pop_without_push_keeps_len_and_peek_exact() {
+        let (mut heap, mut reference, _) = filled(40);
+        pop_both(&mut heap, &mut reference);
+        assert_eq!(heap.len(), 39);
+        assert_eq!(heap.peek_time(), reference.peek_time());
+        assert_drains_alike(&mut heap, &mut reference);
+
+        // The only event: its pop leaves nothing to peek.
+        let (mut heap, mut reference, _) = filled(1);
+        pop_both(&mut heap, &mut reference);
+        assert_eq!(heap.len(), 0);
+        assert_eq!(heap.peek_time(), None);
+        assert!(heap.pop().is_none());
+    }
+
+    #[test]
+    fn pop_then_pop_settles_the_vacant_root() {
+        let (mut heap, mut reference, _) = filled(40);
+        pop_both(&mut heap, &mut reference);
+        pop_both(&mut heap, &mut reference);
+        assert_drains_alike(&mut heap, &mut reference);
+    }
+
+    #[test]
+    fn pop_then_push_batch_settles_first() {
+        let (mut heap, mut reference, mut gen) = filled(40);
+        // A batch smaller than the heap (sift-up), then one larger (Floyd).
+        for size in [5u64, 80] {
+            pop_both(&mut heap, &mut reference);
+            let batch: Vec<(u128, ComponentId, u64)> = (0..size)
+                .map(|i| (gen.key(i * 53 % 400), ComponentId(0), 1_000 + i))
+                .collect();
+            for &(k, target, msg) in &batch {
+                reference.push(k, target, msg);
+            }
+            heap.push_batch(batch.into_iter());
+            assert_eq!(heap.len(), reference.events.len());
+            assert_eq!(heap.peek_time(), reference.peek_time());
+        }
+        assert_drains_alike(&mut heap, &mut reference);
+    }
+
+    #[test]
+    fn pop_then_push_past_every_key_sinks_to_a_leaf() {
+        let (mut heap, mut reference, mut gen) = filled(40);
+        pop_both(&mut heap, &mut reference);
+        let k = gen.key(1_000_000);
+        heap.push(k, ComponentId(1), 99);
+        reference.push(k, ComponentId(1), 99);
+        assert_eq!(heap.len(), 40);
+        assert_drains_alike(&mut heap, &mut reference);
     }
 
     #[test]
