@@ -10,8 +10,9 @@
 //! across engines modulo the engine stamp.
 //!
 //! Writes `results/contend.json` (full runs only). `--check` gates: zero
-//! dropped ledger records, ≥95% of critical-path wait time attributed to a
-//! named owner, a named top interferer, and sequential/parallel
+//! dropped records (one count covers the packets the critical paths are
+//! read from and the ledger), ≥95% of critical-path wait time attributed
+//! to a named owner, a named top interferer, and sequential/parallel
 //! byte-parity.
 
 use nicbar_bench::critpath::{self, Interference};
@@ -57,11 +58,11 @@ fn run_substrate(scenario: &Scenario, cfg: &RunCfg, shards: usize, check: bool) 
         .iter()
         .map(|g| u64::from(g.0))
         .collect();
-    let paths: Vec<_> = critpath::analyze(&seq.packets)
+    let paths: Vec<_> = critpath::analyze(seq.trace.packets())
         .into_iter()
         .filter(|p| groups.contains(&p.group))
         .collect();
-    let per_path = critpath::interference(&paths, &seq.ledger);
+    let per_path = critpath::interference(&paths, seq.trace.ledger());
     let summary = critpath::interference_summary(&per_path);
 
     let traffic = scenario
@@ -78,17 +79,17 @@ fn run_substrate(scenario: &Scenario, cfg: &RunCfg, shards: usize, check: bool) 
     println!(
         "mean barrier latency {:.2} µs; ledger {} records ({} dropped)",
         seq.stats.mean_us,
-        seq.ledger.len(),
-        seq.ledger_dropped
+        seq.trace.ledger().len(),
+        seq.trace.dropped()
     );
     print!("{}", critpath::render_interference(&per_path));
 
     if check {
         let mut ok = true;
-        if seq.ledger_dropped > 0 {
+        if seq.trace.dropped() > 0 {
             eprintln!(
-                "contend: {substrate} dropped {} ledger records",
-                seq.ledger_dropped
+                "contend: {substrate} dropped {} records",
+                seq.trace.dropped()
             );
             ok = false;
         }
@@ -150,7 +151,7 @@ fn artifact_json(reports: &[SubstrateReport], n: usize, groups: usize, m: &Manif
         w.field("barriers");
         w.uint(r.per_path.len() as u64);
         w.field("ledger_records");
-        w.uint(r.flight.ledger.len() as u64);
+        w.uint(r.flight.trace.ledger().len() as u64);
         w.field("wait_us");
         w.number(s.wait_total.as_us());
         w.field("self_us");
@@ -184,8 +185,8 @@ fn artifact_json(reports: &[SubstrateReport], n: usize, groups: usize, m: &Manif
 fn main() {
     let args = fig_args(&["--check"]);
     let check = std::env::args().any(|a| a == "--check");
-    // The contend run keeps every observability stream on (the ledger
-    // records every NIC charge), so the epoch counts stay deliberately
+    // The contend run keeps the record log on (the ledger records every
+    // NIC charge), so the epoch counts stay deliberately
     // small; `--quick` shrinks them further for the CI smoke.
     let (n, groups, cfg) = if args.quick {
         (

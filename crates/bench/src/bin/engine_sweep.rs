@@ -10,8 +10,8 @@
 //! `--quick [--baseline PATH]` runs only the micro workloads and compares
 //! their throughput against the `indexed4` rows of a previously saved
 //! `results/engine_sweep.json`, exiting non-zero on a >5% geomean
-//! regression. This is the observability zero-overhead gate: the recorder
-//! and trace ring stay disabled, so any slowdown here is hot-path damage.
+//! regression. This is the observability zero-overhead gate: the record
+//! log stays off, so any slowdown here is hot-path damage.
 //! Quick mode never overwrites the baseline. Quick mode also prints an
 //! informational mutex-vs-SPSC mailbox throughput comparison — reported,
 //! not gated, because cross-thread throughput on a loaded CI box is too

@@ -1,9 +1,9 @@
-//! Flight-recorder capture of the paper's NIC barrier on both substrates.
+//! Flight capture of the paper's NIC barrier on both substrates.
 //!
 //! Runs a short instrumented window (2 warm-up + 8 recorded barriers) of
-//! the 4-node NIC barrier over Quadrics/Elan3 and GM/Myrinet with every
-//! record stream on, then prints the per-phase latency breakdown
-//! for each capture. With `--chrome <path>` it also writes both captures as
+//! the 4-node NIC barrier over Quadrics/Elan3 and GM/Myrinet with the
+//! record log on, then prints the per-phase latency breakdown for each
+//! capture. With `--chrome <path>` it also writes both captures as
 //! Chrome trace-event JSON (open in Perfetto or `chrome://tracing`).
 //!
 //! Options:

@@ -57,7 +57,7 @@ fn main() {
     }
     if cluster.engine.trace().dropped() > 0 {
         println!(
-            "warning: trace ring dropped {} records; timeline is truncated",
+            "warning: the log dropped {} records; timeline is truncated",
             cluster.engine.trace().dropped()
         );
     }
@@ -113,7 +113,7 @@ fn main() {
     }
     if cluster.engine.trace().dropped() > 0 {
         println!(
-            "warning: trace ring dropped {} records; timeline is truncated",
+            "warning: the log dropped {} records; timeline is truncated",
             cluster.engine.trace().dropped()
         );
     }

@@ -1,7 +1,7 @@
 //! `why-slow` — explain where every nanosecond of a barrier goes.
 //!
 //! Runs a short instrumented window of the paper's NIC barrier with the
-//! causal netdump on, extracts each barrier's critical path from the
+//! record log on, extracts each barrier's critical path from the
 //! packet DAG, and prints it edge by edge: host→NIC handoff, NIC compute,
 //! wire time, port queuing, NACK/retransmission detours, plus the
 //! per-rank completion slack and the aggregate attribution table.
@@ -14,13 +14,13 @@
 //!   --iters N          recorded barriers (default 4)
 //!   --jsonl PATH       also dump every packet record as JSONL to PATH
 //!                      (the first line is a dump-level header carrying
-//!                      the dropped-record count, so consumers can detect
-//!                      truncated dumps)
+//!                      the log's dropped-record count, so consumers can
+//!                      detect truncated dumps)
 //!   --engine E         sequential | parallel | auto (default auto)
 //!   --shards K         parallel worker shards (default 1)
 //!   --check            gate mode: exit nonzero unless every barrier has a
 //!                      non-empty critical path with >= 95% wall-time
-//!                      coverage and the dump dropped zero records
+//!                      coverage and the log dropped zero records
 //!   --replay PATH      skip the simulation: re-ingest a JSONL netdump
 //!                      (ours, or a `nicbar-verify --trace-out`
 //!                      counterexample) and run the analysis on it
@@ -214,22 +214,17 @@ fn main() {
         cap.substrate, nodes, seed, drop_prob
     );
     println!("engine: {}", flight::engine_stamp(&cap));
-    println!(
-        "netdump: {} records, {} dropped",
-        cap.packets.len(),
-        cap.packets_dropped
-    );
+    let (packets, dropped) = (cap.trace.packets(), cap.trace.dropped());
+    println!("netdump: {} records, {dropped} dropped", packets.len());
 
-    let paths = critpath::analyze(&cap.packets);
+    let paths = critpath::analyze(packets);
     print!("{}", critpath::render(&paths));
 
     if let Some(out) = jsonl {
-        let text = netdump::jsonl_with_header(&cap.packets, cap.packets_dropped);
-        let path = out.write(&text);
+        let path = out.write(&netdump::jsonl_with_header(packets, dropped));
         println!(
-            "wrote {} packet records to {path} (header: {} dropped)",
-            cap.packets.len(),
-            cap.packets_dropped
+            "wrote {} packet records to {path} (header: {dropped} dropped)",
+            packets.len()
         );
     }
 
@@ -239,11 +234,8 @@ fn main() {
             eprintln!("check FAILED: no completed barrier spans in the dump");
             failed = true;
         }
-        if cap.packets_dropped > 0 {
-            eprintln!(
-                "check FAILED: netdump dropped {} records",
-                cap.packets_dropped
-            );
+        if dropped > 0 {
+            eprintln!("check FAILED: the log dropped {dropped} records");
             failed = true;
         }
         for p in &paths {

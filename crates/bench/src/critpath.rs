@@ -1,13 +1,14 @@
 //! Critical-path extraction over causal netdumps.
 //!
-//! A netdump ([`nicbar_sim::NetDump`]) is a DAG: every wire-visible record
-//! carries the id of the record that caused it, and emitters thread the
-//! *last-enabling* stimulus as the parent at every join (the packet that
-//! completed a round, the set that tripped a counting event). Walking
-//! parents back from the last rank's `host-exit` therefore yields the
-//! critical path of the barrier exactly — every nanosecond of the span's
-//! wall time lands on one edge of the chain, plus a leading "entry skew"
-//! edge from the first rank's `host-enter` to the chain's root.
+//! A netdump (the packet column of a [`nicbar_sim::Trace`]) is a DAG:
+//! every wire-visible record carries the id of the record that caused it,
+//! and emitters thread the *last-enabling* stimulus as the parent at every
+//! join (the packet that completed a round, the set that tripped a
+//! counting event). Walking parents back from the last rank's `host-exit`
+//! therefore yields the critical path of the barrier exactly — every
+//! nanosecond of the span's wall time lands on one edge of the chain, plus
+//! a leading "entry skew" edge from the first rank's `host-enter` to the
+//! chain's root.
 //!
 //! Per barrier the analyzer reports the chain edge by edge (with per-edge
 //! attribution: host→NIC handoff, NIC compute, wire time, NACK/retransmit
@@ -122,7 +123,7 @@ impl BarrierPath {
 /// Extract the critical path of every completed barrier span in `records`.
 /// Spans are keyed `(group, seq)` off their `host-exit` records and
 /// returned in key order. Records must be in id order (as
-/// [`nicbar_sim::NetDump`] emits them).
+/// [`nicbar_sim::Trace::packets`] holds them).
 pub fn analyze(records: &[PacketRecord]) -> Vec<BarrierPath> {
     // Group the span boundary records by key.
     let mut enters: BTreeMap<(u64, u64), Vec<&PacketRecord>> = BTreeMap::new();
@@ -650,10 +651,10 @@ pub fn render(paths: &[BarrierPath]) -> String {
 #[allow(clippy::unwrap_used)] // test code
 mod tests {
     use super::*;
-    use nicbar_sim::{CauseId, ComponentId, NetDump, PacketLog};
+    use nicbar_sim::{CauseId, ComponentId, PacketLog, Trace};
 
     fn rec(
-        dump: &mut NetDump,
+        dump: &mut Trace,
         t: u64,
         parent: CauseId,
         kind: CausalKind,
@@ -664,13 +665,13 @@ mod tests {
         if let Some((g, s)) = key {
             log = log.key(g, s);
         }
-        dump.record(SimTime::from_ns(t), ComponentId(0), log)
+        dump.record_packet(SimTime::from_ns(t), ComponentId(0), log)
     }
 
     /// Two ranks; rank 1 enters late and its chain dominates.
     #[test]
     fn critical_path_follows_parents_and_covers_wall() {
-        let mut d = NetDump::disabled();
+        let mut d = Trace::disabled();
         d.enable();
         let k = Some((7, 0));
         let e0 = rec(&mut d, 0, CauseId::NONE, CausalKind::HostEnter, 0, k);
@@ -678,7 +679,7 @@ mod tests {
         let e1 = rec(&mut d, 100, CauseId::NONE, CausalKind::HostEnter, 1, k);
         let f1 = rec(&mut d, 300, e1, CausalKind::Fire, 1, k);
         let x1 = rec(&mut d, 900, f1, CausalKind::HostExit, 1, k);
-        let paths = analyze(d.records());
+        let paths = analyze(d.packets());
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
         assert_eq!((p.group, p.seq), (7, 0));
@@ -701,7 +702,7 @@ mod tests {
 
     #[test]
     fn truncated_chain_reports_residual() {
-        let mut d = NetDump::disabled();
+        let mut d = Trace::disabled();
         d.enable();
         let k = Some((7, 0));
         let _e = rec(&mut d, 0, CauseId::NONE, CausalKind::HostEnter, 0, k);
@@ -709,7 +710,7 @@ mod tests {
         // record / capacity overflow).
         let hole = CauseId(999);
         let _x = rec(&mut d, 1_000, hole, CausalKind::HostExit, 0, k);
-        let paths = analyze(d.records());
+        let paths = analyze(d.packets());
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
         assert!(p.truncated);
@@ -721,14 +722,14 @@ mod tests {
 
     #[test]
     fn attribution_groups_by_label() {
-        let mut d = NetDump::disabled();
+        let mut d = Trace::disabled();
         d.enable();
         let k = Some((1, 0));
         let e = rec(&mut d, 0, CauseId::NONE, CausalKind::HostEnter, 0, k);
         let n = rec(&mut d, 10, e, CausalKind::Nack, 0, k);
         let r = rec(&mut d, 30, n, CausalKind::Retransmit, 0, k);
         let _x = rec(&mut d, 100, r, CausalKind::HostExit, 0, k);
-        let paths = analyze(d.records());
+        let paths = analyze(d.packets());
         let attr = attribution(&paths);
         let labels: Vec<&str> = attr.iter().map(|&(l, _, _)| l).collect();
         assert!(labels.contains(&"nack-detour"));
@@ -761,7 +762,7 @@ mod tests {
     /// One barrier on nodes 0/1; node 1's chain is critical with edges
     /// covering [0, 400) and [400, 900).
     fn contended_path() -> Vec<BarrierPath> {
-        let mut d = NetDump::disabled();
+        let mut d = Trace::disabled();
         d.enable();
         let k = Some((0xC0, 0));
         let e0 = rec(&mut d, 0, CauseId::NONE, CausalKind::HostEnter, 0, k);
@@ -769,7 +770,7 @@ mod tests {
         let e1 = rec(&mut d, 0, CauseId::NONE, CausalKind::HostEnter, 1, k);
         let f1 = rec(&mut d, 400, e1, CausalKind::Fire, 1, k);
         let _x1 = rec(&mut d, 900, f1, CausalKind::HostExit, 1, k);
-        analyze(d.records())
+        analyze(d.packets())
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`breakdown`] renders the human-readable per-phase latency table with
 //!   the histogram quantiles.
 //!
-//! Both formats always report the capture's drop counters, so a truncated
+//! Both formats always report the capture's drop count, so a truncated
 //! recording can never masquerade as a complete one.
 
 use crate::json::Writer;
@@ -80,7 +80,7 @@ pub fn chrome_trace(captures: &[FlightData]) -> String {
         w.close_object();
         w.close_object();
 
-        for span in &cap.spans {
+        for span in cap.trace.completed() {
             w.open_object();
             w.field("name");
             w.string(&format!("barrier seq {}", span.seq));
@@ -115,7 +115,7 @@ pub fn chrome_trace(captures: &[FlightData]) -> String {
 
         // Every retained trace record becomes an instant event on a track
         // named after its component (tid = component id + 1; 0 is spans).
-        for r in &cap.records {
+        for r in cap.trace.iter() {
             w.open_object();
             w.field("name");
             w.string(r.label());
@@ -142,16 +142,15 @@ pub fn chrome_trace(captures: &[FlightData]) -> String {
     w.close_array();
     w.field("displayTimeUnit");
     w.string("ns");
-    // Drop counters ride in metadata so a lossy capture is self-describing.
+    // The drop count rides in metadata so a lossy capture is
+    // self-describing.
     w.field("otherData");
     w.open_object();
     for (pid, cap) in captures.iter().enumerate() {
-        w.field(&format!("{}:{}", pid, "trace_dropped"));
-        w.uint(cap.trace_dropped);
-        w.field(&format!("{}:{}", pid, "spans_dropped"));
-        w.uint(cap.spans_dropped);
+        w.field(&format!("{}:{}", pid, "dropped"));
+        w.uint(cap.trace.dropped());
         w.field(&format!("{}:{}", pid, "orphaned"));
-        w.uint(cap.orphaned);
+        w.uint(cap.trace.orphaned());
         w.field(&format!("{}:{}", pid, "engine"));
         w.string(&engine_stamp(cap));
     }
@@ -173,34 +172,29 @@ pub fn breakdown(cap: &FlightData) -> String {
         cap.substrate, cap.stats.n
     );
     let _ = writeln!(out, "engine: {}", engine_stamp(cap));
+    let spans = cap.trace.completed();
     let _ = writeln!(
         out,
         "spans: {} captured, {} trace records retained",
-        cap.spans.len(),
-        cap.records.len()
+        spans.len(),
+        cap.trace.len()
     );
-    if cap.trace_dropped > 0 {
+    if cap.trace.dropped() > 0 {
         let _ = writeln!(
             out,
-            "warning: trace ring dropped {} records; instants are truncated",
-            cap.trace_dropped
+            "warning: the log dropped {} records; spans and instants are truncated \
+             (histograms still saw every span)",
+            cap.trace.dropped()
         );
     }
-    if cap.spans_dropped > 0 {
-        let _ = writeln!(
-            out,
-            "warning: recorder dropped {} span summaries (histograms still saw them)",
-            cap.spans_dropped
-        );
-    }
-    if cap.orphaned > 0 {
+    if cap.trace.orphaned() > 0 {
         let _ = writeln!(
             out,
             "note: {} events arrived with no open span (unattributed)",
-            cap.orphaned
+            cap.trace.orphaned()
         );
     }
-    if cap.spans.is_empty() {
+    if spans.is_empty() {
         let _ = writeln!(out, "(no spans captured)");
         return out;
     }
@@ -208,16 +202,15 @@ pub fn breakdown(cap: &FlightData) -> String {
     // Phase attribution, averaged over spans. Per-span phase sums equal the
     // span's end-to-end latency by construction; the table re-derives the
     // totals independently as a cross-check.
-    let n_spans = cap.spans.len() as f64;
-    let total_ns: u64 = cap.spans.iter().map(|s| s.total().as_ns()).sum();
-    let phase_sum_ns: u64 = cap
-        .spans
+    let n_spans = spans.len() as f64;
+    let total_ns: u64 = spans.iter().map(|s| s.total().as_ns()).sum();
+    let phase_sum_ns: u64 = spans
         .iter()
         .flat_map(|s| Phase::ALL.iter().map(|&p| s.phase(p)))
         .sum();
     let _ = writeln!(out, "\n{:>12} {:>12} {:>8}", "phase", "mean (µs)", "share");
     for phase in Phase::ALL {
-        let ns: u64 = cap.spans.iter().map(|s| s.phase(phase)).sum();
+        let ns: u64 = spans.iter().map(|s| s.phase(phase)).sum();
         if ns == 0 {
             continue;
         }
@@ -238,13 +231,14 @@ pub fn breakdown(cap: &FlightData) -> String {
     );
     debug_assert!(drift < 0.01, "phase attribution drifted {drift}");
 
-    if !cap.hists.is_empty() {
+    let hists = cap.trace.hists();
+    if !hists.is_empty() {
         let _ = writeln!(
             out,
             "\n{:>24} {:>7} {:>10} {:>10} {:>10} {:>10}",
             "histogram (µs)", "count", "p50", "p95", "p99", "max"
         );
-        for (name, h) in &cap.hists {
+        for (name, h) in hists {
             let _ = writeln!(
                 out,
                 "{:>24} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
@@ -285,19 +279,19 @@ mod tests {
     #[test]
     fn chrome_trace_contains_spans_and_instants() {
         let cap = capture();
-        assert_eq!(cap.spans.len(), 5, "one span per epoch");
+        assert_eq!(cap.trace.completed().len(), 5, "one span per epoch");
         let json = chrome_trace(std::slice::from_ref(&cap));
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\": \"X\""), "complete span events");
         assert!(json.contains("\"ph\": \"i\""), "instant events");
         assert!(json.contains("barrier seq 0"));
-        assert!(json.contains("\"0:trace_dropped\": 0"));
+        assert!(json.contains("\"0:dropped\": 0"));
     }
 
     #[test]
     fn breakdown_phases_sum_to_end_to_end() {
         let cap = capture();
-        for s in &cap.spans {
+        for s in cap.trace.completed() {
             let sum: u64 = nicbar_sim::Phase::ALL.iter().map(|&p| s.phase(p)).sum();
             assert_eq!(sum, s.total().as_ns(), "exact attribution per span");
         }
@@ -307,10 +301,10 @@ mod tests {
         assert!(!text.contains("warning:"), "clean capture warns nothing");
     }
 
-    /// Overflow a real engine's trace ring through `Ctx::span` and check
-    /// the drop count rides into both exporter outputs.
+    /// Overflow a real engine's log through `Ctx::span` and check the one
+    /// drop count rides into both exporter outputs.
     #[test]
-    fn overflowing_the_ring_reports_the_drop_count() {
+    fn overflowing_the_log_reports_the_drop_count() {
         use nicbar_core::BarrierStats;
         use nicbar_sim::{Component, Ctx, Engine, SimTime, SpanEvent, Trace};
 
@@ -329,7 +323,7 @@ mod tests {
         *engine.trace_mut() = Trace::with_capacity(4);
         engine.schedule_at(SimTime::ZERO, id, 9);
         engine.run();
-        assert_eq!(engine.trace().dropped(), 6, "10 emits into a 4-slot ring");
+        assert_eq!(engine.trace().dropped(), 6, "10 emits into a 4-record log");
 
         let cap = FlightData {
             substrate: "gm",
@@ -342,19 +336,10 @@ mod tests {
                 wire_per_barrier: 0.0,
                 counters: Vec::new(),
             },
-            records: engine.trace().iter().copied().collect(),
-            trace_dropped: engine.trace().dropped(),
-            spans: Vec::new(),
-            spans_dropped: 0,
-            orphaned: 0,
-            hists: Vec::new(),
-            packets: Vec::new(),
-            packets_dropped: 0,
-            ledger: Vec::new(),
-            ledger_dropped: 0,
+            trace: std::mem::replace(engine.trace_mut(), Trace::disabled()),
         };
         let json = chrome_trace(std::slice::from_ref(&cap));
-        assert!(json.contains("\"0:trace_dropped\": 6"), "got:\n{json}");
+        assert!(json.contains("\"0:dropped\": 6"), "got:\n{json}");
         let text = breakdown(&cap);
         assert!(text.contains("dropped 6 records"), "got:\n{text}");
     }
@@ -376,18 +361,5 @@ mod tests {
         assert_eq!((par.engine, par.shards), ("parallel", 2));
         assert!(breakdown(&par).contains("engine: parallel(2)"));
         assert!(chrome_trace(std::slice::from_ref(&par)).contains("\"0:engine\": \"parallel(2)\""));
-    }
-
-    #[test]
-    fn dropped_counts_surface_in_every_exporter() {
-        let mut cap = capture();
-        cap.trace_dropped = 7;
-        cap.spans_dropped = 3;
-        let json = chrome_trace(std::slice::from_ref(&cap));
-        assert!(json.contains("\"0:trace_dropped\": 7"), "got:\n{json}");
-        assert!(json.contains("\"0:spans_dropped\": 3"));
-        let text = breakdown(&cap);
-        assert!(text.contains("dropped 7 records"), "got:\n{text}");
-        assert!(text.contains("dropped 3 span summaries"));
     }
 }

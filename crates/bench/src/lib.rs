@@ -236,7 +236,7 @@ pub fn quick_cfg() -> nicbar_core::RunCfg {
 pub struct FigArgs {
     /// `--quick`: CI smoke mode — shrink the sweep and iteration counts.
     pub quick: bool,
-    /// `--flight`: opt into a flight-recorded capture after the sweep.
+    /// `--flight`: opt into a flight capture after the sweep.
     pub flight: bool,
     /// `--prof`: arm the engine self-profiler and print an `engine-prof`
     /// report for one parallel run after the sweep.

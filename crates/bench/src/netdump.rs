@@ -176,11 +176,11 @@ pub struct Dump {
 
 /// Parse a whole JSONL netdump: an optional [`header_line`], then one
 /// [`record_line`] per line (blank lines skipped). Besides each line's
-/// syntax it checks the causal order every [`nicbar_sim::NetDump`]
-/// capture has: ids are nonzero and strictly rising, and a parent id is
-/// below its record's id. The causal walks rely on both — they
-/// binary-search ids and follow parents, so a cycle would never end. An
-/// error carries the 1-based line number.
+/// syntax it checks the causal order every captured packet column
+/// ([`nicbar_sim::Trace::packets`]) has: ids are nonzero and strictly
+/// rising, and a parent id is below its record's id. The causal walks rely
+/// on both — they binary-search ids and follow parents, so a cycle would
+/// never end. An error carries the 1-based line number.
 pub fn parse_dump(text: &str) -> Result<Dump, (usize, String)> {
     let mut dump = Dump {
         header: None,
@@ -224,25 +224,25 @@ pub fn parse_dump(text: &str) -> Result<Dump, (usize, String)> {
 #[allow(clippy::unwrap_used)] // test code
 mod tests {
     use super::*;
-    use nicbar_sim::{CausalKind, CauseId, ComponentId, NetDump, PacketLog, SimTime};
+    use nicbar_sim::{CausalKind, CauseId, ComponentId, PacketLog, SimTime, Trace};
 
     #[test]
     fn lines_are_one_object_each_and_omit_sentinels() {
-        let mut d = NetDump::disabled();
+        let mut d = Trace::disabled();
         d.enable();
-        let root = d.record(
+        let root = d.record_packet(
             SimTime::from_ns(5),
             ComponentId(2),
             PacketLog::new(CauseId::NONE, CausalKind::HostEnter).key(0xba, 3),
         );
-        d.record(
+        d.record_packet(
             SimTime::from_ns(9),
             ComponentId(3),
             PacketLog::new(root, CausalKind::Fire)
                 .nodes(0, 1)
                 .detail(4, 0),
         );
-        let text = jsonl(d.records());
+        let text = jsonl(d.packets());
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(
@@ -272,9 +272,9 @@ mod tests {
 
     #[test]
     fn parse_line_round_trips_every_kind_and_sentinel() {
-        let mut d = NetDump::disabled();
+        let mut d = Trace::disabled();
         d.enable();
-        let root = d.record(
+        let root = d.record_packet(
             SimTime::from_ns(5),
             ComponentId(2),
             PacketLog::new(CauseId::NONE, CausalKind::HostEnter).key(0xba, 3),
@@ -293,13 +293,13 @@ mod tests {
             CausalKind::Notify,
             CausalKind::HostExit,
         ] {
-            parent = d.record(
+            parent = d.record_packet(
                 SimTime::from_ns(parent.0 * 10),
                 ComponentId(1),
                 PacketLog::new(parent, kind).nodes(0, 1).detail(7, 9),
             );
         }
-        for r in d.records() {
+        for r in d.packets() {
             let parsed = parse_line(&record_line(r)).unwrap();
             assert_eq!(&parsed, r, "round-trip must be exact");
         }
@@ -318,14 +318,14 @@ mod tests {
 
     #[test]
     fn jsonl_with_header_leads_with_the_drop_count() {
-        let mut d = NetDump::disabled();
+        let mut d = Trace::disabled();
         d.enable();
-        d.record(
+        d.record_packet(
             SimTime::from_ns(5),
             ComponentId(0),
             PacketLog::new(CauseId::NONE, CausalKind::HostEnter),
         );
-        let text = jsonl_with_header(d.records(), 7);
+        let text = jsonl_with_header(d.packets(), 7);
         let mut lines = text.lines();
         let header = lines.next().unwrap();
         assert_eq!(parse_header(header), Some((1, 7)));
@@ -334,21 +334,21 @@ mod tests {
 
     #[test]
     fn parse_dump_reads_a_headed_export() {
-        let mut d = NetDump::disabled();
+        let mut d = Trace::disabled();
         d.enable();
-        let root = d.record(
+        let root = d.record_packet(
             SimTime::from_ns(5),
             ComponentId(0),
             PacketLog::new(CauseId::NONE, CausalKind::HostEnter),
         );
-        d.record(
+        d.record_packet(
             SimTime::from_ns(9),
             ComponentId(1),
             PacketLog::new(root, CausalKind::Fire),
         );
-        let dump = parse_dump(&jsonl_with_header(d.records(), 0)).unwrap();
+        let dump = parse_dump(&jsonl_with_header(d.packets(), 0)).unwrap();
         assert_eq!(dump.header, Some((2, 0)));
-        assert_eq!(dump.records, d.records());
+        assert_eq!(dump.records, d.packets());
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
         // Id 0 is the "no record" sentinel.
         let zero = "{\"id\": 0, \"t_ns\": 5, \"comp\": 0, \"kind\": \"fire\"}";
         assert_eq!(parse_dump(zero).unwrap_err().0, 1);
-        // A first id above 1 (a capture cleared after warm-up) whose
+        // A first id above 1 (an excerpt of a longer capture) whose
         // parents precede the capture is fine.
         let cleared = "{\"id\": 40, \"parent\": 12, \"t_ns\": 5, \"comp\": 0, \"kind\": \"fire\"}";
         assert_eq!(parse_dump(cleared).unwrap().records.len(), 1);

@@ -12,22 +12,23 @@
 #![allow(clippy::unwrap_used)] // test code
 
 use nicbar_bench::critpath::{analyze, render};
-use nicbar_sim::{CausalKind, CauseId, ComponentId, NetDump, PacketLog, SimTime};
+use nicbar_sim::{CausalKind, CauseId, ComponentId, PacketLog, SimTime, Trace};
 
 const GROUP: u64 = 0xBA;
 const SEQ: u64 = 0;
 
-struct Dump(NetDump);
+struct Dump(Trace);
 
 impl Dump {
     fn rec(&mut self, t: u64, log: PacketLog) -> CauseId {
-        self.0.record(SimTime::from_ns(t), ComponentId(0), log)
+        self.0
+            .record_packet(SimTime::from_ns(t), ComponentId(0), log)
     }
 }
 
 #[test]
 fn injected_retransmission_detour_is_the_critical_path() {
-    let mut d = Dump(NetDump::disabled());
+    let mut d = Dump(Trace::disabled());
     d.0.enable();
     let span = |log: PacketLog| log.key(GROUP, SEQ);
 
@@ -144,7 +145,7 @@ fn injected_retransmission_detour_is_the_critical_path() {
     let x2 = exit(&mut d, 2_200, 2_500, a02, 2);
 
     // --- Analyze.
-    let paths = analyze(d.0.records());
+    let paths = analyze(d.0.packets());
     assert_eq!(paths.len(), 1);
     let p = &paths[0];
     assert_eq!((p.group, p.seq), (GROUP, SEQ));

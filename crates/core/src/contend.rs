@@ -255,24 +255,26 @@ mod tests {
         .with_groups(2)
         .with_traffic(TrafficCfg::default())
         .capture(&quick_cfg());
-        assert_eq!(flight.ledger_dropped, 0);
-        assert!(!flight.ledger.is_empty());
+        assert_eq!(flight.trace.dropped(), 0);
+        assert!(!flight.trace.ledger().is_empty());
         // Both contend groups and the traffic streams show up as owners.
         let has_group = |g: u64| {
             flight
-                .ledger
+                .trace
+                .ledger()
                 .iter()
                 .any(|r| r.owner.kind == OwnerKind::Collective && r.owner.group == g)
         };
         assert!(has_group(0xC0));
         assert!(has_group(0xC1));
         assert!(flight
-            .ledger
+            .trace
+            .ledger()
             .iter()
             .any(|r| r.owner.kind == OwnerKind::Traffic));
         // Serial resources produced both holds and waits under contention.
-        assert!(flight.ledger.iter().any(|r| r.op == LedgerOp::Hold));
-        assert!(flight.ledger.iter().any(|r| r.op == LedgerOp::Wait));
+        assert!(flight.trace.ledger().iter().any(|r| r.op == LedgerOp::Hold));
+        assert!(flight.trace.ledger().iter().any(|r| r.op == LedgerOp::Wait));
         // The barrier epochs really ran under traffic.
         assert!(flight.stats.mean_us > 0.0);
     }
@@ -287,21 +289,23 @@ mod tests {
         .with_groups(2)
         .with_traffic(TrafficCfg::default())
         .capture(&quick_cfg());
-        assert_eq!(flight.ledger_dropped, 0);
-        assert!(!flight.ledger.is_empty());
+        assert_eq!(flight.trace.dropped(), 0);
+        assert!(!flight.trace.ledger().is_empty());
         let has_group = |g: u64| {
             flight
-                .ledger
+                .trace
+                .ledger()
                 .iter()
                 .any(|r| r.owner.kind == OwnerKind::Collective && r.owner.group == g)
         };
         assert!(has_group(0xC0));
         assert!(has_group(0xC1));
         assert!(flight
-            .ledger
+            .trace
+            .ledger()
             .iter()
             .any(|r| r.owner.kind == OwnerKind::Traffic));
-        assert!(flight.ledger.iter().any(|r| r.op == LedgerOp::Hold));
+        assert!(flight.trace.ledger().iter().any(|r| r.op == LedgerOp::Hold));
         assert!(flight.stats.mean_us > 0.0);
     }
 }

@@ -6,10 +6,7 @@
 
 use nicbar_gm::GroupId;
 use nicbar_net::{NodeId, Permutation};
-use nicbar_sim::{
-    EngineSel, Histogram, LedgerRecord, PacketRecord, PartitionSel, SimRng, SimTime, SpanSummary,
-    TraceRecord,
-};
+use nicbar_sim::{EngineSel, PartitionSel, SimRng, SimTime, Trace};
 
 /// The collective group id used by the barrier benchmarks.
 pub const BARRIER_GROUP: GroupId = GroupId(0xBA);
@@ -164,9 +161,10 @@ pub(crate) fn stats_from_logs(
 }
 
 /// Everything a captured run records ([`crate::Scenario::capture`]): the
-/// usual statistics plus the raw trace, per-barrier span summaries, the
-/// latency histograms, the causal netdump and the occupancy ledger. Every
-/// drop/orphan counter rides along so exporters can qualify the capture.
+/// usual statistics plus the run's record log — span records, closed
+/// spans with their latency histograms, the causal packet records and the
+/// occupancy ledger, with the log's one drop count so exporters can
+/// qualify the capture.
 #[derive(Clone, Debug)]
 pub struct FlightData {
     /// Substrate label for exporters ("gm" or "elan").
@@ -179,52 +177,30 @@ pub struct FlightData {
     pub shards: usize,
     /// Aggregate statistics of the run (same as an uncaptured run).
     pub stats: BarrierStats,
-    /// Every trace record the ring retained, in emission order.
-    pub records: Vec<TraceRecord>,
-    /// Records the trace ring evicted (0 = complete capture).
-    pub trace_dropped: u64,
-    /// Per-barrier span summaries, in completion order.
-    pub spans: Vec<SpanSummary>,
-    /// Span summaries discarded once the recorder filled (histograms still
-    /// observed them).
-    pub spans_dropped: u64,
-    /// Span events that arrived with no open span to own them.
-    pub orphaned: u64,
-    /// Latency histograms `(name, histogram)`, name-ordered.
-    pub hists: Vec<(String, Histogram)>,
-    /// Causal netdump: every wire-visible event with its parent id, in
-    /// record order (id order). Feed to `nicbar_bench`'s critical-path
-    /// analyzer.
-    pub packets: Vec<PacketRecord>,
-    /// Packet records the netdump discarded once full (0 = complete DAG).
-    pub packets_dropped: u64,
-    /// Resource-occupancy ledger records. Feed to the interference
-    /// attribution in `nicbar_bench`'s critical-path analyzer.
-    pub ledger: Vec<LedgerRecord>,
-    /// Ledger records lost to the capacity bound (0 = complete ledger).
-    pub ledger_dropped: u64,
+    /// The run's record log, moved out of the engine. Feed its packet
+    /// column to `nicbar_bench`'s critical-path analyzer, and its ledger
+    /// column to the interference attribution.
+    pub trace: Trace,
 }
 
 impl FlightData {
-    /// Byte-exact projection of everything the run observed — trace
-    /// records in emission order, span summaries, histograms, statistics,
-    /// causal packet records and the occupancy ledger — without the engine
-    /// stamp, the one intended difference between engines.
+    /// Byte-exact projection of everything the run observed — span records
+    /// in emission order, closed spans, histograms, statistics, causal
+    /// packet records, the occupancy ledger and the drop count — without
+    /// the engine stamp, the one intended difference between engines.
     pub fn witness(&self) -> String {
+        let t = &self.trace;
         format!(
-            "substrate={}\nrecords={:?}\ntrace_dropped={}\nspans={:?}\nspans_dropped={}\norphaned={}\nhists={:?}\nstats={:?}\npackets={:?}\npackets_dropped={}\nledger={:?}\nledger_dropped={}\n",
+            "substrate={}\nrecords={:?}\nspans={:?}\norphaned={}\nhists={:?}\nstats={:?}\npackets={:?}\nledger={:?}\ndropped={}\n",
             self.substrate,
-            self.records,
-            self.trace_dropped,
-            self.spans,
-            self.spans_dropped,
-            self.orphaned,
-            self.hists,
+            t.iter().as_slice(),
+            t.completed(),
+            t.orphaned(),
+            t.hists(),
             self.stats,
-            self.packets,
-            self.packets_dropped,
-            self.ledger,
-            self.ledger_dropped,
+            t.packets(),
+            t.ledger(),
+            t.dropped(),
         )
     }
 

@@ -22,7 +22,7 @@
 //!   [`Scenario`] value names the substrate, group size, barrier kind
 //!   ([`Barrier`]), collective groups and optional background traffic;
 //!   `run` returns [`BarrierStats`], `capture` the full [`FlightData`]
-//!   with every record stream on, and `build` a [`Sim`] for callers that
+//!   with the record log on, and `build` a [`Sim`] for callers that
 //!   time the drain themselves. It implements the paper's methodology
 //!   (§8): consecutive barriers, warm-up discarded, average latency,
 //!   optional random node permutation.

@@ -6,11 +6,11 @@
 //! combination through one drain and one log harvest.
 //!
 //! [`Scenario::run`] returns the statistics; [`Scenario::capture`] also
-//! turns on every record stream (trace ring, flight recorder, causal
-//! netdump, occupancy ledger) and returns the full [`FlightData`]. Callers
-//! that time or account for the run apart from its construction
-//! (allocation gates, profilers, scaling sweeps) call `build` and drive the
-//! [`Sim`] themselves.
+//! turns on the engine's record log (span records and their per-barrier
+//! fold, causal packet records, occupancy ledger) and returns the full
+//! [`FlightData`]. Callers that time or account for the run apart from its
+//! construction (allocation gates, profilers, scaling sweeps) call `build`
+//! and drive the [`Sim`] themselves.
 
 use crate::contend::{ElanContendApp, GmContendApp, CONTEND_GROUP_BASE};
 use crate::driver::{stats_from_logs, BarrierStats, FlightData, RunCfg, BARRIER_GROUP};
@@ -24,7 +24,7 @@ use crate::traffic::{BarrierUnderTrafficApp, TrafficCfg};
 use nicbar_elan::{ElanApp, ElanCluster, ElanClusterSpec, ElanNic, ElanParams, NicProgram};
 use nicbar_gm::{CollFeatures, GmApp, GmCluster, GmClusterSpec, GmParams, GroupId, NicCollective};
 use nicbar_net::NodeId;
-use nicbar_sim::{EngineProf, RunOutcome, SimTime};
+use nicbar_sim::{EngineProf, RunOutcome, SimTime, Trace};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -161,47 +161,25 @@ impl Scenario {
         sim.stats()
     }
 
-    /// Build with every record stream on, drain, and return the capture.
-    /// Keep `cfg.total()` small (tens of barriers): the trace ring holds
-    /// 64 Ki records and the recorder 4 Ki spans before they start dropping
-    /// (drops are reported, not fatal).
+    /// Build with the record log on, drain, and return the capture. The
+    /// log retains [`Trace::DEFAULT_CAPACITY`] records (span, packet and
+    /// ledger records and closed spans together) before it starts dropping;
+    /// drops are reported, not fatal.
     pub fn capture(&self, cfg: &RunCfg) -> FlightData {
         let mut sim = self.build(cfg);
         engine!(&mut sim.cluster, e => {
             e.enable_trace();
-            e.enable_recorder();
-            e.enable_netdump();
-            e.enable_ledger();
-            e.recorder_mut()
+            e.trace_mut()
                 .set_participants(u32::try_from(self.n).expect("participant count exceeds u32"));
         });
         sim.drain();
         let stats = sim.stats();
-        engine!(&sim.cluster, e => {
-            let trace = e.trace();
-            let rec = e.recorder();
-            let dump = e.netdump();
-            let ledger = e.ledger();
-            FlightData {
-                substrate: self.substrate.label(),
-                engine: e.kind(),
-                shards: e.shards(),
-                stats,
-                records: trace.iter().copied().collect(),
-                trace_dropped: trace.dropped(),
-                spans: rec.completed().to_vec(),
-                spans_dropped: rec.dropped(),
-                orphaned: rec.orphaned(),
-                hists: rec
-                    .hists()
-                    .into_iter()
-                    .map(|(k, h)| (k.to_string(), h.clone()))
-                    .collect(),
-                packets: dump.records().to_vec(),
-                packets_dropped: dump.dropped(),
-                ledger: ledger.records().to_vec(),
-                ledger_dropped: ledger.dropped(),
-            }
+        engine!(&mut sim.cluster, e => FlightData {
+            substrate: self.substrate.label(),
+            engine: e.kind(),
+            shards: e.shards(),
+            stats,
+            trace: std::mem::replace(e.trace_mut(), Trace::disabled()),
         })
     }
 

@@ -3,9 +3,9 @@
 //! * unit level — drive two [`PaperCollective`] state machines by hand,
 //!   withhold one packet, and check that the `nacks_sent` / `retransmits`
 //!   accessors count exactly the injected loss;
-//! * cluster level — run a lossy GM barrier with the flight recorder on
-//!   and check that the `nack` / `retransmit` span events in the trace
-//!   agree with the engine counters.
+//! * cluster level — run a lossy GM barrier with the record log on and
+//!   check that the `nack` / `retransmit` span events in the log agree
+//!   with the engine counters.
 
 use nicbar_core::{
     Algorithm, Barrier, GroupSpec, PaperCollective, RunCfg, Scenario, BARRIER_GROUP,
@@ -130,9 +130,9 @@ fn lossy_run_span_events_agree_with_counters() {
         Barrier::Nic(Algorithm::Dissemination),
     )
     .capture(&cfg);
-    assert_eq!(cap.trace_dropped, 0, "counting needs a complete trace");
+    assert_eq!(cap.trace.dropped(), 0, "counting needs a complete trace");
 
-    let count = |label: &str| cap.records.iter().filter(|r| r.label() == label).count() as u64;
+    let count = |label: &'static str| cap.trace.count(label) as u64;
     let nack_spans = count("nack");
     let retx_spans = count("retransmit");
     assert!(

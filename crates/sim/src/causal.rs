@@ -1,6 +1,6 @@
 //! Causal netdump: wire-visible events with parent ids.
 //!
-//! The flight recorder ([`crate::span`]) answers *how long* each phase of a
+//! The span fold ([`crate::span`]) answers *how long* each phase of a
 //! collective took; it cannot answer *which chain of packets and NIC events
 //! bounded the operation*. This module adds the missing half: every
 //! wire-visible event (host doorbell, NIC dispatch, DMA start/finish, packet
@@ -14,9 +14,10 @@
 //! (e.g. the arrival that tripped a counting event, or the packet that
 //! completed a dissemination round).
 //!
-//! Records live in a bounded [`NetDump`] buffer on the engine, disabled by
-//! default. When disabled, [`crate::Ctx::packet`] is a single predictable
-//! branch returning [`CauseId::NONE`], so the hot path pays nothing.
+//! Records live in the packet column of the engine's record log
+//! ([`crate::Trace`]), disabled by default. When disabled,
+//! [`crate::Ctx::packet`] is a single predictable branch returning
+//! [`CauseId::NONE`], so the hot path pays nothing.
 
 use crate::engine::ComponentId;
 use crate::time::SimTime;
@@ -25,13 +26,13 @@ use crate::time::SimTime;
 ///
 /// `CauseId(0)` is reserved as [`CauseId::NONE`] ("no recorded cause"): the
 /// parent of chain roots, and the value every emission returns while the
-/// netdump is disabled. Real record ids start at 1 and increase in emission
+/// log is disabled. Real record ids start at 1 and increase in emission
 /// order, so a parent id is always numerically smaller than its children.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CauseId(pub u64);
 
 impl CauseId {
-    /// The null cause: chain roots and disabled-netdump emissions.
+    /// The null cause: chain roots and emissions into a disabled log.
     pub const NONE: CauseId = CauseId(0);
 
     /// True if this is [`CauseId::NONE`].
@@ -173,7 +174,7 @@ impl CausalKind {
 /// One wire-visible event with its causal parent.
 ///
 /// `src`/`dst` are node ids ([`NO_NODE`] when not applicable); `group`/`seq`
-/// key the record to a collective span exactly as the flight recorder keys
+/// key the record to a collective span exactly as the span fold keys
 /// spans ([`NO_KEY`] when the record is not span-keyed — only `HostEnter`,
 /// `Notify` and `HostExit` records need keys, the analyzer assigns everything
 /// else to a span by walking parents). `a`/`b` are per-kind details (see
@@ -270,112 +271,6 @@ impl PacketLog {
     }
 }
 
-/// Bounded buffer of [`PacketRecord`]s, owned by the engine.
-///
-/// Disabled by default; [`NetDump::enable`] arms it. When the buffer fills,
-/// further records are counted in [`NetDump::dropped`] but not stored —
-/// children of a dropped record still get real ids, so chains simply
-/// terminate early at the hole (the `why-slow` gate asserts zero drops).
-pub struct NetDump {
-    enabled: bool,
-    capacity: usize,
-    next_id: u64,
-    records: Vec<PacketRecord>,
-    dropped: u64,
-}
-
-impl NetDump {
-    /// Default record capacity: generous — a 16-node lossy barrier run of a
-    /// few thousand iterations stays well under this.
-    pub const DEFAULT_CAPACITY: usize = 1 << 21;
-
-    /// A disabled netdump (records nothing, allocates nothing).
-    pub fn disabled() -> Self {
-        NetDump {
-            enabled: false,
-            capacity: Self::DEFAULT_CAPACITY,
-            next_id: 1,
-            records: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Arm the dump with the default capacity.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Arm the dump with an explicit record capacity.
-    pub fn enable_with_capacity(&mut self, capacity: usize) {
-        self.enabled = true;
-        self.capacity = capacity;
-    }
-
-    /// Is the dump recording?
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record one event, assigning it the next id. Returns the assigned id
-    /// even when the buffer is full (the drop is counted instead).
-    pub fn record(&mut self, time: SimTime, component: ComponentId, log: PacketLog) -> CauseId {
-        let id = CauseId(self.next_id);
-        self.next_id += 1;
-        if self.records.len() < self.capacity {
-            self.records.push(PacketRecord {
-                id,
-                parent: log.parent,
-                time,
-                component,
-                kind: log.kind,
-                src: log.src,
-                dst: log.dst,
-                group: log.group,
-                seq: log.seq,
-                a: log.a,
-                b: log.b,
-            });
-        } else {
-            self.dropped += 1;
-        }
-        id
-    }
-
-    /// The captured records, in emission order.
-    pub fn records(&self) -> &[PacketRecord] {
-        &self.records
-    }
-
-    /// Drain the captured records out of the buffer (harness use).
-    pub fn take_records(&mut self) -> Vec<PacketRecord> {
-        std::mem::take(&mut self.records)
-    }
-
-    /// Records lost to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of stored records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Forget everything captured so far (between measurement phases). Ids
-    /// keep increasing so post-clear records never collide with pre-clear
-    /// parents.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
-    }
-}
-
 /// Binary-search a record slice (emission-ordered, so sorted by id) for `id`.
 pub fn find(records: &[PacketRecord], id: CauseId) -> Option<&PacketRecord> {
     records
@@ -406,55 +301,28 @@ pub fn chain_to(records: &[PacketRecord], end: CauseId) -> Vec<&PacketRecord> {
 #[allow(clippy::unwrap_used)] // test code
 mod tests {
     use super::*;
+    use crate::Trace;
 
-    fn rec(dump: &mut NetDump, parent: CauseId, kind: CausalKind) -> CauseId {
-        dump.record(
-            SimTime::from_ns(dump.next_id * 10),
-            ComponentId(0),
-            PacketLog::new(parent, kind),
-        )
+    fn rec(log: &mut Trace, parent: CauseId, kind: CausalKind) -> CauseId {
+        let at = SimTime::from_ns(log.packets().len() as u64 * 10);
+        log.record_packet(at, ComponentId(0), PacketLog::new(parent, kind))
     }
 
     #[test]
     fn ids_are_dense_and_walkable() {
-        let mut dump = NetDump::disabled();
-        dump.enable();
-        let a = rec(&mut dump, CauseId::NONE, CausalKind::HostEnter);
-        let b = rec(&mut dump, a, CausalKind::NicDispatch);
-        let c = rec(&mut dump, b, CausalKind::Fire);
+        let mut log = Trace::disabled();
+        log.enable();
+        let a = rec(&mut log, CauseId::NONE, CausalKind::HostEnter);
+        let b = rec(&mut log, a, CausalKind::NicDispatch);
+        let c = rec(&mut log, b, CausalKind::Fire);
         // An unrelated side branch must not appear on the chain.
-        let _side = rec(&mut dump, a, CausalKind::Fire);
-        let d = rec(&mut dump, c, CausalKind::Wire);
-        let chain = chain_to(dump.records(), d);
+        let _side = rec(&mut log, a, CausalKind::Fire);
+        let d = rec(&mut log, c, CausalKind::Wire);
+        let chain = chain_to(log.packets(), d);
         let ids: Vec<CauseId> = chain.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![a, b, c, d]);
+        assert_eq!(a, CauseId(1));
         assert!(chain[0].parent.is_none());
-    }
-
-    #[test]
-    fn capacity_overflow_counts_drops_but_keeps_ids_fresh() {
-        let mut dump = NetDump::disabled();
-        dump.enable_with_capacity(2);
-        let a = rec(&mut dump, CauseId::NONE, CausalKind::HostEnter);
-        let b = rec(&mut dump, a, CausalKind::Fire);
-        let c = rec(&mut dump, b, CausalKind::Wire);
-        assert_eq!(dump.len(), 2);
-        assert_eq!(dump.dropped(), 1);
-        assert!(c > b && b > a, "ids keep increasing past the bound");
-        // The chain from the dropped record terminates at the hole.
-        assert!(chain_to(dump.records(), c).is_empty());
-    }
-
-    #[test]
-    fn clear_preserves_id_monotonicity() {
-        let mut dump = NetDump::disabled();
-        dump.enable();
-        let a = rec(&mut dump, CauseId::NONE, CausalKind::HostEnter);
-        dump.clear();
-        let b = rec(&mut dump, CauseId::NONE, CausalKind::HostEnter);
-        assert!(b > a);
-        assert_eq!(dump.len(), 1);
-        assert_eq!(dump.dropped(), 0);
     }
 
     #[test]

@@ -30,15 +30,15 @@
 //! no `Option::take` / reinstall round-trip — and hands the handler a
 //! [`Ctx`] that keys and pushes follow-up events *directly* into the queue.
 
-use crate::causal::{CauseId, NetDump, PacketLog};
+use crate::causal::{CauseId, PacketLog};
 use crate::counters::Counters;
-use crate::ledger::{Ledger, LedgerRecord, Occ};
+use crate::ledger::{LedgerRecord, Occ};
 use crate::parallel::{RawEvent, RawObs, ShardLink};
 use crate::queue::{pack, EventQueue, PoppedEvent};
 use crate::rng::SimRng;
-use crate::span::{FlightRecorder, SpanEvent};
+use crate::span::SpanEvent;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::Trace;
 use std::any::Any;
 use std::fmt;
 
@@ -119,26 +119,15 @@ pub struct Ctx<'a, M> {
     rng_slot: &'a mut Option<Box<SimRng>>,
     master: &'a SimRng,
     trace: &'a mut Trace,
-    recorder: &'a mut FlightRecorder,
-    netdump: &'a mut NetDump,
-    ledger: &'a mut Ledger,
     counters: &'a mut Counters,
     halt: &'a mut bool,
     /// Present when this engine runs as a shard of the parallel engine:
     /// routes cross-shard sends into per-destination outboxes.
     link: Option<&'a mut ShardLink<M>>,
-    /// Present when a shard must capture observability locally for the
-    /// deterministic post-run merge (see [`crate::parallel`]).
-    raw: Option<&'a mut RawObs>,
-    /// True when span events have any live consumer (trace ring, flight
-    /// recorder, or raw shard capture), computed once per delivery so every
-    /// [`Ctx::span`] call on the disabled path is a single predictable
-    /// branch on an already-loaded bool.
-    observing: bool,
-    /// Same, for [`Ctx::packet`] (netdump or raw shard capture).
-    dumping: bool,
-    /// Same, for [`Ctx::ledger`] (occupancy ledger or raw shard capture).
-    ledgering: bool,
+    /// True when the record log is on, computed once per delivery so every
+    /// emit call on the disabled path is a single predictable branch on an
+    /// already-loaded bool.
+    recording: bool,
 }
 
 impl<M> Ctx<'_, M> {
@@ -252,42 +241,30 @@ impl<M> Ctx<'_, M> {
         self.counters.add_id(id, amount);
     }
 
-    /// Emit a typed event attributed to this component: recorded into the
-    /// trace ring (if tracing is enabled) and folded into the flight
-    /// recorder (if recording is enabled). When both are disabled — the
-    /// common case — this is a single predictable branch and the event is
-    /// never built into a record.
+    /// Emit a typed event attributed to this component into the record
+    /// log, which also folds it into the per-operation spans. When the log
+    /// is off — the common case — this is a single predictable branch and
+    /// the event is never built into a record.
     #[inline]
     pub fn span(&mut self, event: SpanEvent) {
-        if !self.observing {
-            return;
+        if self.recording {
+            self.span_slow(event);
         }
-        self.span_slow(event);
     }
 
     #[cold]
     fn span_slow(&mut self, event: SpanEvent) {
-        // A shard captures raw span events for the deterministic post-run
-        // merge; only the merged replay feeds the real trace/recorder.
-        if let Some(raw) = self.raw.as_deref_mut() {
-            raw.spans.push((self.now, self.self_id, event));
-            return;
-        }
-        self.trace.emit(TraceRecord {
-            time: self.now,
-            component: self.self_id,
-            event,
-        });
-        self.recorder.observe(self.now, &event);
+        self.trace.record_span(self.now, self.self_id, event);
     }
 
-    /// Record a wire-visible event into the causal netdump, returning its
-    /// [`CauseId`] so follow-on events can name it as their parent. When the
-    /// netdump is disabled — the common case — this is a single predictable
-    /// branch and returns [`CauseId::NONE`].
+    /// Record a wire-visible event into the log's packet column, returning
+    /// its [`CauseId`] so follow-on events can name it as their parent.
+    /// When the log is off this is a single predictable branch and returns
+    /// [`CauseId::NONE`]. A shard of the parallel engine hands out
+    /// provisional ids, which the merge remaps to the sequential run's.
     #[inline]
     pub fn packet(&mut self, log: PacketLog) -> CauseId {
-        if !self.dumping {
+        if !self.recording {
             return CauseId::NONE;
         }
         self.packet_slow(log)
@@ -295,28 +272,22 @@ impl<M> Ctx<'_, M> {
 
     #[cold]
     fn packet_slow(&mut self, log: PacketLog) -> CauseId {
-        // Shards hand out provisional ids; the merge remaps them to the
-        // real, sequential-identical netdump ids.
-        if let Some(raw) = self.raw.as_deref_mut() {
-            return raw.record_packet(self.now, self.self_id, log);
-        }
-        self.netdump.record(self.now, self.self_id, log)
+        self.trace.record_packet(self.now, self.self_id, log)
     }
 
-    /// Record a resource-occupancy event into the ledger. When the ledger
-    /// is disabled — the common case — this is a single predictable branch
-    /// and the record is never built.
+    /// Record a resource-occupancy event into the log's ledger column. When
+    /// the log is off this is a single predictable branch and the record is
+    /// never built.
     #[inline]
     pub fn ledger(&mut self, occ: Occ) {
-        if !self.ledgering {
-            return;
+        if self.recording {
+            self.ledger_slow(occ);
         }
-        self.ledger_slow(occ);
     }
 
     #[cold]
     fn ledger_slow(&mut self, occ: Occ) {
-        let record = LedgerRecord {
+        self.trace.record_ledger(LedgerRecord {
             t0: occ.t0,
             t1: occ.t1,
             component: self.self_id,
@@ -325,14 +296,7 @@ impl<M> Ctx<'_, M> {
             node: occ.node,
             unit: occ.unit,
             owner: occ.owner,
-        };
-        // Ledger records carry no ids, so a shard's capture replays into the
-        // merged ledger verbatim — no remapping.
-        if let Some(raw) = self.raw.as_deref_mut() {
-            raw.ledger.push(record);
-            return;
-        }
-        self.ledger.record(record);
+        });
     }
 
     /// Stop the engine after the current handler returns. Pending events are
@@ -374,9 +338,6 @@ pub struct Engine<M: 'static> {
     /// Send count of the external source (`schedule_*` injections).
     pub(crate) ext_count: u64,
     pub(crate) trace: Trace,
-    pub(crate) recorder: FlightRecorder,
-    pub(crate) netdump: NetDump,
-    pub(crate) ledger: Ledger,
     pub(crate) counters: Counters,
     pub(crate) halted: bool,
     pub(crate) events_processed: u64,
@@ -393,9 +354,6 @@ impl<M: 'static> Engine<M> {
             srcs: Vec::new(),
             ext_count: 0,
             trace: Trace::disabled(),
-            recorder: FlightRecorder::disabled(),
-            netdump: NetDump::disabled(),
-            ledger: Ledger::disabled(),
             counters: Counters::new(),
             halted: false,
             events_processed: 0,
@@ -496,67 +454,20 @@ impl<M: 'static> Engine<M> {
         &self.counters
     }
 
-    /// The trace ring.
+    /// The record log.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Enable tracing with the default capacity.
+    /// Turn the record log on.
     pub fn enable_trace(&mut self) {
         self.trace.enable();
     }
 
-    /// Mutable access to the trace (clearing between phases).
+    /// Mutable access to the record log (replacing it, setting the span
+    /// fold's participants).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
-    }
-
-    /// The flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
-    /// Enable flight recording with the default span capacity.
-    pub fn enable_recorder(&mut self) {
-        self.recorder.enable();
-    }
-
-    /// Mutable access to the flight recorder (setting participants,
-    /// clearing between phases).
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.recorder
-    }
-
-    /// The causal netdump.
-    pub fn netdump(&self) -> &NetDump {
-        &self.netdump
-    }
-
-    /// Enable causal packet capture with the default record capacity.
-    pub fn enable_netdump(&mut self) {
-        self.netdump.enable();
-    }
-
-    /// Mutable access to the netdump (clearing between phases, draining
-    /// records after a run).
-    pub fn netdump_mut(&mut self) -> &mut NetDump {
-        &mut self.netdump
-    }
-
-    /// The resource-occupancy ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    /// Enable occupancy capture with the default record capacity.
-    pub fn enable_ledger(&mut self) {
-        self.ledger.enable();
-    }
-
-    /// Mutable access to the ledger (clearing between phases, draining
-    /// records after a run).
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.ledger
     }
 
     /// Downcast access to a concrete component, for post-run inspection.
@@ -593,14 +504,14 @@ impl<M: 'static> Engine<M> {
     ///
     /// `link` is present when this engine runs as a shard of the parallel
     /// engine (cross-shard sends go to outboxes); `raw` is present when the
-    /// shard must additionally capture observability for the deterministic
-    /// post-run merge.
+    /// shard records, and takes the delivery's boundary in the shard's log
+    /// for the deterministic post-run merge.
     #[inline]
     pub(crate) fn deliver(
         &mut self,
         event: PoppedEvent<M>,
         link: Option<&mut ShardLink<M>>,
-        mut raw: Option<&mut RawObs>,
+        raw: Option<&mut RawObs>,
     ) {
         debug_assert!(
             event.time >= self.now,
@@ -611,17 +522,7 @@ impl<M: 'static> Engine<M> {
         );
         self.now = event.time;
         self.events_processed += 1;
-        let (record_spans, record_pkts, record_ledger, s0, p0, l0) = match raw.as_deref() {
-            Some(r) => (
-                r.record_spans,
-                r.record_pkts,
-                r.record_ledger,
-                r.spans.len(),
-                r.pkts.len(),
-                r.ledger.len(),
-            ),
-            None => (false, false, false, 0, 0, 0),
-        };
+        let recording = self.trace.is_enabled();
         // Split borrow: the target component and the Ctx fields are disjoint
         // parts of `self`, so the handler runs without moving the component
         // out of its slot and back.
@@ -632,9 +533,6 @@ impl<M: 'static> Engine<M> {
             rng,
             srcs,
             trace,
-            recorder,
-            netdump,
-            ledger,
             counters,
             halted,
             ..
@@ -642,9 +540,6 @@ impl<M: 'static> Engine<M> {
         let component = components[event.target.0]
             .as_deref_mut()
             .unwrap_or_else(|| panic!("event for uninstalled component {}", event.target));
-        let observing = trace.is_enabled() || recorder.is_enabled() || record_spans;
-        let dumping = netdump.is_enabled() || record_pkts;
-        let ledgering = ledger.is_enabled() || record_ledger;
         let src = &mut srcs[event.target.0];
         let mut ctx = Ctx {
             now: *now,
@@ -655,28 +550,21 @@ impl<M: 'static> Engine<M> {
             rng_slot: &mut src.rng,
             master: rng,
             trace,
-            recorder,
-            netdump,
-            ledger,
             counters,
             halt: halted,
             link,
-            raw: raw.as_deref_mut(),
-            observing,
-            dumping,
-            ledgering,
+            recording,
         };
         component.handle(event.msg, &mut ctx);
-        if let Some(r) = raw {
-            // The merge needs an entry for *every* delivered event — even
-            // record-less ones — because the cross-shard merge order is
-            // decided by delivered-event keys, not by record keys.
-            r.events.push(RawEvent {
-                key: event.key,
-                spans: (r.spans.len() - s0) as u32,
-                pkts: (r.pkts.len() - p0) as u32,
-                lgr: (r.ledger.len() - l0) as u32,
-            });
+        if recording {
+            let kept = self.trace.settle();
+            if let Some(r) = raw {
+                // The merge needs an entry for *every* delivered event —
+                // even record-less ones — because the cross-shard merge
+                // order is decided by delivered-event keys, not by record
+                // keys.
+                r.events.push(RawEvent::new(event.key, kept));
+            }
         }
     }
 
@@ -728,9 +616,9 @@ impl<M: 'static> Engine<M> {
     /// Deliver every pending event with `time < end_ns` — one conservative
     /// window of a sharded run, capped at `max` deliveries (the parallel
     /// engine passes an exact budget in the single-shard case, `u64::MAX`
-    /// otherwise). Cross-shard sends go to `link`'s outboxes; observability
-    /// (when enabled) is captured into `raw` for the deterministic post-run
-    /// merge. Returns the number of events delivered. Stops early if a
+    /// otherwise). Cross-shard sends go to `link`'s outboxes; while the
+    /// shard records, `raw` takes each delivery's boundary in its log for
+    /// the deterministic post-run merge. Returns the number of events delivered. Stops early if a
     /// component halts (`self.halted` is *not* reset here — the parallel
     /// engine owns halt propagation).
     pub(crate) fn run_window(
@@ -1090,7 +978,7 @@ mod tests {
     }
 
     #[test]
-    fn recorder_folds_spans_emitted_through_ctx() {
+    fn log_records_and_folds_spans_emitted_through_ctx() {
         use crate::span::{Phase, SpanEvent};
 
         struct Op {
@@ -1118,14 +1006,13 @@ mod tests {
         let mut engine: Engine<Msg> = Engine::new(0);
         let sink = engine.add(Sink { seen: Vec::new() });
         let op = engine.add(Op { sink });
-        engine.enable_recorder();
-        engine.recorder_mut().set_participants(1);
+        engine.enable_trace();
+        engine.trace_mut().set_participants(1);
         engine.schedule_at(SimTime::ZERO, op, Msg::Tick(0));
         engine.run();
-        // Recorder active, trace still off: span events were folded but the
-        // ring stayed empty.
-        assert!(engine.trace().is_empty());
-        let spans = engine.recorder().completed();
+        // One log: the span records are retained and folded.
+        assert_eq!(engine.trace().len(), 3);
+        let spans = engine.trace().completed();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].total(), SimTime::from_us(2.0));
         assert_eq!(spans[0].phase(Phase::Fire), 1_000);

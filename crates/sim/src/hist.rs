@@ -1,13 +1,13 @@
 //! Log2-bucketed latency histograms.
 //!
-//! The flight recorder (see [`crate::span`]) needs cheap latency
+//! The span fold (see [`crate::span`]) needs cheap latency
 //! distributions — p50/p95/p99/max per protocol phase — without allocating
 //! per sample. A [`Histogram`] is a fixed array of power-of-two buckets:
 //! recording a value is a `leading_zeros` plus one indexed add, and the
 //! quantile estimates come from a cumulative walk over 65 counters.
 //!
 //! Every histogram in the tree has a fixed name, so owners keep them as
-//! plain fields: the recorder holds one per [`crate::Phase`] plus the
+//! plain fields: the span fold holds one per [`crate::Phase`] plus the
 //! end-to-end total, and the shard profiler ([`crate::telemetry`]) one of
 //! window utilisation. Only counters, whose names come from call sites
 //! across the workspace, are interned ([`crate::counters`]).

@@ -11,9 +11,10 @@
 //! resource and name the interferer ("group 0xBB's broadcast held the send
 //! token"), instead of reporting an anonymous queueing delay.
 //!
-//! Records live in a bounded [`Ledger`] buffer on the engine, disabled by
-//! default. When disabled, [`crate::Ctx::ledger`] is a single predictable
-//! branch, so the hot path pays nothing (the allocation gate covers this).
+//! Records live in the ledger column of the engine's record log
+//! ([`crate::Trace`]), disabled by default. When disabled,
+//! [`crate::Ctx::ledger`] is a single predictable branch, so the hot path
+//! pays nothing (the allocation gate covers this).
 //!
 //! Ownership rules (enforced by the emitting backends, documented here and
 //! in DESIGN.md "Observability IV"):
@@ -97,7 +98,7 @@ impl ResKind {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum OwnerKind {
     /// A collective operation: `group`/`seq` key the barrier exactly as the
-    /// flight recorder keys spans.
+    /// span fold keys spans.
     Collective,
     /// A background bulk-traffic stream (first-class owner: the
     /// interference scenario's whole point).
@@ -127,7 +128,7 @@ pub struct Owner {
 }
 
 impl Owner {
-    /// A collective owner keyed like its flight-recorder span.
+    /// A collective owner keyed like its span.
     pub fn coll(group: u64, seq: u64, rank: u32) -> Self {
         Owner {
             kind: OwnerKind::Collective,
@@ -307,92 +308,6 @@ impl Occ {
     }
 }
 
-/// Bounded buffer of [`LedgerRecord`]s, owned by the engine.
-///
-/// Disabled by default; [`Ledger::enable`] arms it. When the buffer fills,
-/// further records are counted in [`Ledger::dropped`] but not stored (the
-/// `contend --check` gate asserts zero drops).
-pub struct Ledger {
-    enabled: bool,
-    capacity: usize,
-    records: Vec<LedgerRecord>,
-    dropped: u64,
-}
-
-impl Ledger {
-    /// Default record capacity. Occupancy records are denser than packet
-    /// records (every charge emits a hold), so the bound matches the
-    /// netdump's generous default.
-    pub const DEFAULT_CAPACITY: usize = 1 << 21;
-
-    /// A disabled ledger (records nothing, allocates nothing).
-    pub fn disabled() -> Self {
-        Ledger {
-            enabled: false,
-            capacity: Self::DEFAULT_CAPACITY,
-            records: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Arm the ledger with the default capacity.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Arm the ledger with an explicit record capacity.
-    pub fn enable_with_capacity(&mut self, capacity: usize) {
-        self.enabled = true;
-        self.capacity = capacity;
-    }
-
-    /// Is the ledger recording?
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record one occupancy event.
-    pub fn record(&mut self, record: LedgerRecord) {
-        if self.records.len() < self.capacity {
-            self.records.push(record);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// The captured records, in emission order.
-    pub fn records(&self) -> &[LedgerRecord] {
-        &self.records
-    }
-
-    /// Drain the captured records out of the buffer (harness use).
-    pub fn take_records(&mut self) -> Vec<LedgerRecord> {
-        std::mem::take(&mut self.records)
-    }
-
-    /// Records lost to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of stored records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Forget everything captured so far (between measurement phases).
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)] // test code
 mod tests {
@@ -427,29 +342,6 @@ mod tests {
         assert!(t.label().contains("traffic"));
         assert!(Owner::p2p(1).label().contains("p2p"));
         assert!(Owner::fabric(0).label().contains("fabric"));
-    }
-
-    #[test]
-    fn capacity_overflow_counts_drops() {
-        let mut l = Ledger::disabled();
-        l.enable_with_capacity(1);
-        let rec = |t: u64| LedgerRecord {
-            t0: SimTime::from_ns(t),
-            t1: SimTime::from_ns(t + 5),
-            component: ComponentId(0),
-            op: LedgerOp::Hold,
-            res: ResKind::NicCpu,
-            node: 0,
-            unit: NO_UNIT,
-            owner: Owner::fabric(0),
-        };
-        l.record(rec(0));
-        l.record(rec(10));
-        assert_eq!(l.len(), 1);
-        assert_eq!(l.dropped(), 1);
-        l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l.dropped(), 0);
     }
 
     #[test]

@@ -18,20 +18,21 @@
 //! * [`SimRng`] — a seeded counter-based RNG (ChaCha8). All randomness in a
 //!   simulation flows from one seed, so identical seeds reproduce identical
 //!   event traces bit-for-bit.
-//! * [`Counters`] / [`Trace`] — cheap named statistics and an optional event
-//!   trace ring used by tests to assert protocol behaviour (packet counts,
-//!   ACK counts, retransmissions, ...). Counters are the crate's one
-//!   interned name table ([`counter_id!`]).
-//! * [`SpanEvent`] / [`FlightRecorder`] / [`Histogram`] — typed protocol
-//!   events, per-operation phase breakdowns, and log2-bucketed latency
-//!   histograms: the flight-recorder layer behind the `flight` binary's
-//!   Chrome-trace export and breakdown tables. Disabled by default; one
-//!   branch per emit site when off.
+//! * [`Counters`] — cheap named statistics used by tests to assert protocol
+//!   behaviour (packet counts, ACK counts, retransmissions, ...). Counters
+//!   are the crate's one interned name table ([`counter_id!`]).
+//! * [`Trace`] — the one record log: typed protocol events ([`SpanEvent`]),
+//!   causal packet records ([`PacketRecord`]) and resource-occupancy records
+//!   ([`LedgerRecord`]) in three columns under one switch, one bound and one
+//!   drop count, plus the span fold into per-operation phase breakdowns
+//!   ([`SpanSummary`]) and log2-bucketed latency histograms ([`Histogram`]).
+//!   It backs the `flight`, `why-slow` and `contend` tools. Disabled by
+//!   default; one branch per emit site when off.
 //!
 //! * [`ParallelEngine`] — a rank-sharded conservative parallel executor: one
 //!   built [`Engine`] split across worker threads by a [`ShardMap`], run in
-//!   lookahead-bounded time windows, with results (counters, traces, causal
-//!   netdump, final clock) *byte-identical* to the sequential engine at any
+//!   lookahead-bounded time windows, with results (counters, the record
+//!   log, final clock) *byte-identical* to the sequential engine at any
 //!   shard count. [`ExecEngine`] wraps either flavour behind one API so
 //!   harnesses pick an engine per run. See [`parallel`] for the protocol and
 //!   the identity argument.
@@ -87,18 +88,16 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use causal::{
-    chain_to, find, CausalKind, CauseId, NetDump, PacketLog, PacketRecord, NO_KEY, NO_NODE,
-};
+pub use causal::{chain_to, find, CausalKind, CauseId, PacketLog, PacketRecord, NO_KEY, NO_NODE};
 pub use counters::{intern, CounterId, Counters};
 pub use engine::{Component, ComponentId, Ctx, Engine, RunOutcome, MAX_COMPONENTS};
 pub use hist::Histogram;
-pub use ledger::{Ledger, LedgerOp, LedgerRecord, Occ, Owner, OwnerKind, ResKind, NO_UNIT};
+pub use ledger::{LedgerOp, LedgerRecord, Occ, Owner, OwnerKind, ResKind, NO_UNIT};
 pub use parallel::{EngineSel, ExecEngine, ParallelEngine};
 pub use partition::{node_shard, LatencyMatrix, PartitionSel, ShardMap};
 pub use queue::SpscRing;
 pub use rng::SimRng;
-pub use span::{FlightRecorder, Phase, SpanEvent, SpanSummary, NUM_PHASES};
+pub use span::{Phase, SpanEvent, SpanSummary, NUM_PHASES};
 pub use telemetry::{EngineProf, ProfAttribution, ProfClock, ShardProf, ShardProfData, WindowRec};
 pub use time::SimTime;
 pub use trace::{Trace, TraceRecord};

@@ -57,17 +57,22 @@
 //!
 //! ## Deterministic observability merge
 //!
-//! Trace records, flight-recorder folds, and causal netdump records must
-//! appear in the *global* delivery order to be byte-identical with a
-//! sequential run. Each shard therefore captures raw per-delivery
-//! observability ([`RawObs`]) — one entry per delivered event (record-less
-//! events included; the merge order is decided by delivered-event keys, not
-//! record keys) — and after the run the shards' streams are k-way merged by
-//! head event key and replayed into the real trace/recorder/netdump.
-//! Netdump ids are assigned at replay time, so they match the sequential
-//! run exactly; during the run shards hand out *provisional* ids
-//! (`(shard + 1) << 40 | index`) which the replay remaps — including ids
-//! that components stored and re-use as causal parents many windows later.
+//! The record log ([`crate::Trace`]) must hold its span, packet and ledger
+//! records in the *global* delivery order, apply its bound and fold its
+//! spans exactly as a sequential run does. Each shard engine therefore
+//! records through the same [`crate::Ctx`] path into its own log, which has
+//! no bound and no span fold, and notes one boundary per delivered event
+//! (`RawObs`: the event key plus the records it added to each column;
+//! record-less events included, because the merge order is decided by
+//! delivered-event keys, not record keys). After the run the shards'
+//! boundary lists are k-way merged by head event key, and each delivery's
+//! records are replayed into the base log through the same append calls,
+//! column by column, and settled against the bound as the sequential
+//! engine settles each delivery. Packet ids are assigned at replay time,
+//! so they match the sequential run exactly; during the run a shard's log
+//! hands out *provisional* ids counting up from `(shard + 1) << 40`, which
+//! the replay remaps — including ids that components stored and re-use as
+//! causal parents many windows later.
 //!
 //! ## Lock-free mailboxes, scratch ownership, steady-state allocation
 //!
@@ -96,15 +101,14 @@
 //!   but other shards finish the current window first. The barrier driver
 //!   layer never halts mid-protocol, so the parity witness is unaffected.
 
-use crate::causal::{CauseId, NetDump, PacketLog};
+use crate::causal::{CauseId, PacketRecord};
 use crate::engine::{ComponentId, Engine, RunOutcome};
-use crate::ledger::{Ledger, LedgerRecord};
+use crate::ledger::LedgerRecord;
 use crate::partition::{LatencyMatrix, ShardMap};
 use crate::queue::{pack, SpscRing};
-use crate::span::{FlightRecorder, SpanEvent};
 use crate::telemetry::{EngineProf, ProfClock, ShardProf};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::{Counts, Trace};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -148,70 +152,50 @@ impl<M> ShardLink<M> {
     }
 }
 
-/// Per-delivery observability summary: how many raw span/packet records the
-/// handler of the event with this key emitted.
+/// One delivery's boundary in a shard's log: the key of the delivered
+/// event and how many span, packet and ledger records its handler added.
 pub(crate) struct RawEvent {
-    pub(crate) key: u128,
-    pub(crate) spans: u32,
-    pub(crate) pkts: u32,
-    pub(crate) lgr: u32,
+    key: u128,
+    spans: u32,
+    packets: u32,
+    ledger: u32,
+}
+
+impl RawEvent {
+    /// The boundary of the delivery of `key`, which added `kept`.
+    pub(crate) fn new(key: u128, kept: Counts) -> Self {
+        RawEvent {
+            key,
+            spans: kept.spans as u32,
+            packets: kept.packets as u32,
+            ledger: kept.ledger as u32,
+        }
+    }
 }
 
 /// Bit position of the shard tag inside a provisional [`CauseId`].
 const PKT_TAG_SHIFT: u32 = 40;
 const PKT_IDX_MASK: u64 = (1 << PKT_TAG_SHIFT) - 1;
 
-/// A shard's raw observability capture for the deterministic post-run
-/// merge: one [`RawEvent`] per delivered event, plus the span/packet
-/// payloads in emission order.
+/// A recording shard's delivery boundaries since the last merge.
+#[derive(Default)]
 pub(crate) struct RawObs {
-    pub(crate) record_spans: bool,
-    pub(crate) record_pkts: bool,
-    pub(crate) record_ledger: bool,
     pub(crate) events: Vec<RawEvent>,
-    pub(crate) spans: Vec<(SimTime, ComponentId, SpanEvent)>,
-    pub(crate) pkts: Vec<(SimTime, ComponentId, PacketLog)>,
-    /// Occupancy records carry no ids, so the merge replays them verbatim.
-    pub(crate) ledger: Vec<LedgerRecord>,
-    /// Packets already merged in earlier runs: the global raw index of
-    /// `pkts[0]` (provisional ids must stay valid across run calls).
-    pub(crate) pkt_base: u64,
-    /// `(shard + 1) << PKT_TAG_SHIFT`, baked into provisional ids.
-    shard_tag: u64,
-}
-
-impl RawObs {
-    fn new(shard: usize) -> Self {
-        RawObs {
-            record_spans: false,
-            record_pkts: false,
-            record_ledger: false,
-            events: Vec::new(),
-            spans: Vec::new(),
-            pkts: Vec::new(),
-            ledger: Vec::new(),
-            pkt_base: 0,
-            shard_tag: (shard as u64 + 1) << PKT_TAG_SHIFT,
-        }
-    }
-
-    /// Capture one packet record, returning its provisional id.
-    pub(crate) fn record_packet(
-        &mut self,
-        time: SimTime,
-        component: ComponentId,
-        log: PacketLog,
-    ) -> CauseId {
-        let idx = self.pkt_base + self.pkts.len() as u64;
-        debug_assert!(idx <= PKT_IDX_MASK, "provisional packet index overflow");
-        self.pkts.push((time, component, log));
-        CauseId(self.shard_tag | idx)
-    }
 }
 
 #[inline]
 fn is_provisional(id: CauseId) -> bool {
     id.0 > PKT_IDX_MASK
+}
+
+/// The real id of `id`: provisional shard ids are looked up in the merge's
+/// per-shard remap tables, everything else is already real.
+fn real_id(pkt_remap: &[Vec<CauseId>], id: CauseId) -> CauseId {
+    if !is_provisional(id) {
+        return id;
+    }
+    let from = ((id.0 >> PKT_TAG_SHIFT) - 1) as usize;
+    pkt_remap[from][(id.0 & PKT_IDX_MASK) as usize]
 }
 
 /// One worker shard: its engine slice plus the cross-shard plumbing.
@@ -253,11 +237,11 @@ impl<M> Mailbox<M> {
 ///
 /// Wraps a fully-built (but not yet run) [`Engine`], splitting its
 /// components, queue, and RNG streams across `shards` workers. All result
-/// surfaces — counters, trace, flight recorder, netdump, `now`,
-/// `events_processed` — are byte-identical to running the original engine
-/// sequentially, for any shard count (see the module docs for why).
+/// surfaces — counters, the record log, `now`, `events_processed` — are
+/// byte-identical to running the original engine sequentially, for any
+/// shard count (see the module docs for why).
 pub struct ParallelEngine<M: 'static> {
-    /// The residual original engine: owns the merged observability, the
+    /// The residual original engine: owns the merged record log, the
     /// counters, the clock, and the external send counter. Its component
     /// slots and queue are empty (moved into the shards).
     base: Engine<M>,
@@ -267,7 +251,7 @@ pub struct ParallelEngine<M: 'static> {
     latency: LatencyMatrix,
     /// Per-pair mailboxes, indexed `[from * K + to]`.
     mail: Vec<Mailbox<M>>,
-    /// Per shard: global raw packet index → real netdump id.
+    /// Per shard: provisional packet index → real packet id.
     pkt_remap: Vec<Vec<CauseId>>,
     /// Components per shard (partition balance, reported by the profiler).
     shard_sizes: Vec<usize>,
@@ -317,14 +301,14 @@ impl<M: Send + 'static> ParallelEngine<M> {
         let num = engine.len();
         let mut shards: Vec<ShardState<M>> = (0..k)
             .map(|s| ShardState {
-                engine: Engine::shard_shell(&engine, num),
+                engine: Engine::shard_shell(&engine, num, (s as u64 + 1) << PKT_TAG_SHIFT),
                 link: ShardLink {
                     table: Arc::clone(&table),
                     my_shard: s as u32,
                     window_ends: vec![0; k],
                     outboxes: (0..k).map(|_| Vec::new()).collect(),
                 },
-                raw: RawObs::new(s),
+                raw: RawObs::default(),
                 prof: None,
             })
             .collect();
@@ -425,64 +409,19 @@ impl<M: Send + 'static> ParallelEngine<M> {
         &self.base.counters
     }
 
-    /// The merged trace ring.
+    /// The merged record log.
     pub fn trace(&self) -> &Trace {
         &self.base.trace
     }
 
-    /// Enable tracing (merged deterministically after each run).
+    /// Turn the record log on (merged deterministically after each run).
     pub fn enable_trace(&mut self) {
         self.base.trace.enable();
     }
 
-    /// Mutable access to the merged trace.
+    /// Mutable access to the merged record log.
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.base.trace
-    }
-
-    /// The merged flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.base.recorder
-    }
-
-    /// Enable flight recording.
-    pub fn enable_recorder(&mut self) {
-        self.base.recorder.enable();
-    }
-
-    /// Mutable access to the merged flight recorder.
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.base.recorder
-    }
-
-    /// The merged causal netdump.
-    pub fn netdump(&self) -> &NetDump {
-        &self.base.netdump
-    }
-
-    /// Enable causal packet capture.
-    pub fn enable_netdump(&mut self) {
-        self.base.netdump.enable();
-    }
-
-    /// Mutable access to the merged netdump.
-    pub fn netdump_mut(&mut self) -> &mut NetDump {
-        &mut self.base.netdump
-    }
-
-    /// The merged resource-occupancy ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.base.ledger
-    }
-
-    /// Enable occupancy-ledger capture.
-    pub fn enable_ledger(&mut self) {
-        self.base.ledger.enable();
-    }
-
-    /// Mutable access to the merged occupancy ledger.
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.base.ledger
     }
 
     /// Downcast access to a concrete component (routed to its shard).
@@ -546,15 +485,10 @@ impl<M: Send + 'static> ParallelEngine<M> {
     pub fn run_bounded(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
         let k = self.shards.len();
         let deadline_ns = deadline.as_ns();
-        let record_spans = self.base.trace.is_enabled() || self.base.recorder.is_enabled();
-        let record_pkts = self.base.netdump.is_enabled();
-        let record_ledger = self.base.ledger.is_enabled();
-        let obs = record_spans || record_pkts || record_ledger;
+        let obs = self.base.trace.is_enabled();
         for sh in &mut self.shards {
             sh.engine.halted = false;
-            sh.raw.record_spans = record_spans;
-            sh.raw.record_pkts = record_pkts;
-            sh.raw.record_ledger = record_ledger;
+            sh.engine.trace.enabled = obs;
         }
         let mins: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
         let events: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
@@ -650,11 +584,13 @@ impl<M: Send + 'static> ParallelEngine<M> {
         }
     }
 
-    /// Replay each shard's raw observability into the base trace, flight
-    /// recorder, and netdump, in the exact global delivery order: a k-way
-    /// merge that always takes the shard whose *head delivered-event key*
-    /// is smallest. Packet parents recorded under provisional shard ids are
-    /// remapped to the real ids assigned here.
+    /// Replay each shard's log into the base log in the exact global
+    /// delivery order: a k-way merge that always takes the shard whose
+    /// *head delivered-event key* is smallest. Each delivery's records go
+    /// through the base log's append calls and are settled against its
+    /// bound, as the sequential engine settles each delivery. Packet
+    /// parents recorded under provisional shard ids are remapped to the
+    /// real ids assigned here.
     fn merge_observability(&mut self) {
         let ParallelEngine {
             base,
@@ -662,8 +598,8 @@ impl<M: Send + 'static> ParallelEngine<M> {
             pkt_remap,
             ..
         } = self;
-        let k = shards.len();
-        let mut cursors = vec![(0usize, 0usize, 0usize, 0usize); k];
+        // Per shard: next boundary, span, packet and ledger record.
+        let mut cursors = vec![(0usize, 0usize, 0usize, 0usize); shards.len()];
         loop {
             let mut best: Option<(u128, usize)> = None;
             for (s, sh) in shards.iter().enumerate() {
@@ -675,60 +611,55 @@ impl<M: Send + 'static> ParallelEngine<M> {
             }
             let Some((_, s)) = best else { break };
             let (e, sp, pk, lg) = cursors[s];
-            let raw = &shards[s].raw;
-            let ev = &raw.events[e];
-            for (time, component, event) in &raw.spans[sp..sp + ev.spans as usize] {
-                base.trace.emit(TraceRecord {
-                    time: *time,
-                    component: *component,
-                    event: *event,
-                });
-                base.recorder.observe(*time, event);
+            let log = &shards[s].engine.trace;
+            let ev = &shards[s].raw.events[e];
+            let (sp_end, pk_end, lg_end) = (
+                sp + ev.spans as usize,
+                pk + ev.packets as usize,
+                lg + ev.ledger as usize,
+            );
+            for r in &log.iter().as_slice()[sp..sp_end] {
+                base.trace.record_span(r.time, r.component, r.event);
             }
-            for (time, component, log) in &raw.pkts[pk..pk + ev.pkts as usize] {
-                let mut log = *log;
-                if is_provisional(log.parent) {
-                    let from = ((log.parent.0 >> PKT_TAG_SHIFT) - 1) as usize;
-                    let idx = (log.parent.0 & PKT_IDX_MASK) as usize;
-                    log.parent = pkt_remap[from][idx];
-                }
-                let real = base.netdump.record(*time, *component, log);
+            for r in &log.packets()[pk..pk_end] {
+                let real = base.trace.push_packet(PacketRecord {
+                    parent: real_id(pkt_remap, r.parent),
+                    ..*r
+                });
                 debug_assert!(
-                    real.0 <= PKT_IDX_MASK,
-                    "netdump id space collided with provisional shard ids"
+                    !is_provisional(real),
+                    "packet id space collided with provisional shard ids"
                 );
                 pkt_remap[s].push(real);
             }
-            for record in &raw.ledger[lg..lg + ev.lgr as usize] {
-                base.ledger.record(*record);
+            for r in &log.ledger()[lg..lg_end] {
+                base.trace.record_ledger(*r);
             }
-            cursors[s] = (
-                e + 1,
-                sp + ev.spans as usize,
-                pk + ev.pkts as usize,
-                lg + ev.lgr as usize,
-            );
+            base.trace.settle();
+            cursors[s] = (e + 1, sp_end, pk_end, lg_end);
         }
-        for (s, sh) in shards.iter_mut().enumerate() {
-            debug_assert_eq!(cursors[s].1, sh.raw.spans.len(), "unmerged spans");
-            debug_assert_eq!(cursors[s].2, sh.raw.pkts.len(), "unmerged packets");
-            debug_assert_eq!(cursors[s].3, sh.raw.ledger.len(), "unmerged ledger records");
-            sh.raw.pkt_base += sh.raw.pkts.len() as u64;
+        for (sh, c) in shards.iter_mut().zip(&cursors) {
+            let log = &mut sh.engine.trace;
+            debug_assert_eq!(
+                (c.1, c.2, c.3),
+                (log.len(), log.packets().len(), log.ledger().len()),
+                "unmerged shard records"
+            );
+            log.clear();
             sh.raw.events.clear();
-            sh.raw.spans.clear();
-            sh.raw.pkts.clear();
-            sh.raw.ledger.clear();
         }
     }
 }
 
 impl<M: 'static> Engine<M> {
-    /// An empty shard-sized shell sharing `proto`'s clock and master RNG;
-    /// components are moved in by the parallel split.
-    fn shard_shell(proto: &Engine<M>, num: usize) -> Engine<M> {
+    /// An empty shard-sized shell sharing `proto`'s clock and master RNG,
+    /// whose log hands out packet ids from `first_id`; components are
+    /// moved in by the parallel split.
+    fn shard_shell(proto: &Engine<M>, num: usize, first_id: u64) -> Engine<M> {
         let mut shell = Engine::new(0);
         shell.rng = proto.rng.clone();
         shell.now = proto.now;
+        shell.trace = Trace::shard(first_id);
         shell.components = (0..num).map(|_| None).collect();
         shell.srcs = (0..num).map(|_| Default::default()).collect();
         shell
@@ -763,6 +694,23 @@ impl EngineSel {
             EngineSel::Sequential => (false, 1),
             EngineSel::Parallel => (true, shards),
         }
+    }
+}
+
+/// One column of the record log with the log's drop count, as
+/// [`ExecEngine::netdump`] and [`ExecEngine::ledger`] return it. Kept for
+/// barbench until ROADMAP item 8 deletes it.
+pub struct Column<'a, T>(&'a [T], u64);
+
+impl<T> Column<'_, T> {
+    /// The column's records.
+    pub fn records(&self) -> &[T] {
+        self.0
+    }
+
+    /// The log's one drop count.
+    pub fn dropped(&self) -> u64 {
+        self.1
     }
 }
 
@@ -892,7 +840,7 @@ impl<M: Send + 'static> ExecEngine<M> {
         }
     }
 
-    /// The (merged) trace ring.
+    /// The (merged) record log.
     pub fn trace(&self) -> &Trace {
         match self {
             ExecEngine::Seq(e) => e.trace(),
@@ -900,7 +848,7 @@ impl<M: Send + 'static> ExecEngine<M> {
         }
     }
 
-    /// Enable tracing.
+    /// Turn the record log on.
     pub fn enable_trace(&mut self) {
         match self {
             ExecEngine::Seq(e) => e.enable_trace(),
@@ -908,7 +856,7 @@ impl<M: Send + 'static> ExecEngine<M> {
         }
     }
 
-    /// Mutable trace access.
+    /// Mutable record-log access.
     pub fn trace_mut(&mut self) -> &mut Trace {
         match self {
             ExecEngine::Seq(e) => e.trace_mut(),
@@ -916,76 +864,39 @@ impl<M: Send + 'static> ExecEngine<M> {
         }
     }
 
-    /// The (merged) flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        match self {
-            ExecEngine::Seq(e) => e.recorder(),
-            ExecEngine::Par(p) => p.recorder(),
-        }
-    }
-
-    /// Enable flight recording.
+    /// Turns the log on. Kept for barbench until ROADMAP item 8 deletes it.
     pub fn enable_recorder(&mut self) {
-        match self {
-            ExecEngine::Seq(e) => e.enable_recorder(),
-            ExecEngine::Par(p) => p.enable_recorder(),
-        }
+        self.enable_trace();
     }
 
-    /// Mutable flight-recorder access.
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        match self {
-            ExecEngine::Seq(e) => e.recorder_mut(),
-            ExecEngine::Par(p) => p.recorder_mut(),
-        }
-    }
-
-    /// The (merged) causal netdump.
-    pub fn netdump(&self) -> &NetDump {
-        match self {
-            ExecEngine::Seq(e) => e.netdump(),
-            ExecEngine::Par(p) => p.netdump(),
-        }
-    }
-
-    /// Enable causal packet capture.
+    /// Turns the log on. Kept for barbench until ROADMAP item 8 deletes it.
     pub fn enable_netdump(&mut self) {
-        match self {
-            ExecEngine::Seq(e) => e.enable_netdump(),
-            ExecEngine::Par(p) => p.enable_netdump(),
-        }
+        self.enable_trace();
     }
 
-    /// Mutable netdump access.
-    pub fn netdump_mut(&mut self) -> &mut NetDump {
-        match self {
-            ExecEngine::Seq(e) => e.netdump_mut(),
-            ExecEngine::Par(p) => p.netdump_mut(),
-        }
-    }
-
-    /// The (merged) resource-occupancy ledger.
-    pub fn ledger(&self) -> &Ledger {
-        match self {
-            ExecEngine::Seq(e) => e.ledger(),
-            ExecEngine::Par(p) => p.ledger(),
-        }
-    }
-
-    /// Enable occupancy-ledger capture.
+    /// Turns the log on. Kept for barbench until ROADMAP item 8 deletes it.
     pub fn enable_ledger(&mut self) {
-        match self {
-            ExecEngine::Seq(e) => e.enable_ledger(),
-            ExecEngine::Par(p) => p.enable_ledger(),
-        }
+        self.enable_trace();
     }
 
-    /// Mutable occupancy-ledger access.
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        match self {
-            ExecEngine::Seq(e) => e.ledger_mut(),
-            ExecEngine::Par(p) => p.ledger_mut(),
-        }
+    /// The log. Kept for barbench until ROADMAP item 8 deletes it.
+    pub fn recorder(&self) -> &Trace {
+        self.trace()
+    }
+
+    /// The log. Kept for barbench until ROADMAP item 8 deletes it.
+    pub fn recorder_mut(&mut self) -> &mut Trace {
+        self.trace_mut()
+    }
+
+    /// The packet column. Kept for barbench until ROADMAP item 8 deletes it.
+    pub fn netdump(&self) -> Column<'_, PacketRecord> {
+        Column(self.trace().packets(), self.trace().dropped())
+    }
+
+    /// The ledger column. Kept for barbench until ROADMAP item 8 deletes it.
+    pub fn ledger(&self) -> Column<'_, LedgerRecord> {
+        Column(self.trace().ledger(), self.trace().dropped())
     }
 
     /// Downcast access to a concrete component.
@@ -1213,11 +1124,13 @@ fn shard_worker<M: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::causal::CausalKind;
+    use crate::causal::{CausalKind, PacketLog};
     use crate::counters::Counters;
     use crate::engine::Component;
+    use crate::ledger::Occ;
     use crate::partition::ShardMap;
     use crate::span::SpanEvent;
+    use crate::{Owner, ResKind, TraceRecord};
 
     const HOP_NS: u64 = 500;
 
@@ -1226,28 +1139,40 @@ mod tests {
         Token { hops: u32, cause: CauseId },
     }
 
-    /// Ring node: logs arrival, emits a span + packet record, forwards the
-    /// token with a jittered (RNG-drawn) delay of at least one hop.
+    /// Ring node: logs arrival and the cause id it was handed, emits a
+    /// ledger hold, a packet and a span record (in that order, so a
+    /// delivery that fills a bounded log keeps its records in column
+    /// order, not emission order), and forwards the token with a jittered
+    /// (RNG-drawn) delay of at least one hop.
     struct Node {
         idx: usize,
         next: ComponentId,
-        log: Vec<(u64, u32)>,
+        log: Vec<(u64, u32, CauseId)>,
     }
 
     impl Component<PMsg> for Node {
         fn handle(&mut self, msg: PMsg, ctx: &mut crate::Ctx<'_, PMsg>) {
             let PMsg::Token { hops, cause } = msg;
-            self.log.push((ctx.now().as_ns(), hops));
+            let now = ctx.now();
+            self.log.push((now.as_ns(), hops, cause));
             ctx.count("ring.hops", 1);
+            let node = self.idx as u32;
+            ctx.ledger(Occ::hold(
+                ResKind::NicCpu,
+                now,
+                now,
+                node,
+                Owner::fabric(node),
+            ));
+            let wire = ctx.packet(
+                PacketLog::new(cause, CausalKind::Wire)
+                    .nodes(node, self.next.0 as u32)
+                    .detail(hops as u64, 0),
+            );
             ctx.span(SpanEvent::Arrive {
                 src: self.idx as u64,
                 info: u64::from(hops),
             });
-            let wire = ctx.packet(
-                PacketLog::new(cause, CausalKind::Wire)
-                    .nodes(self.idx as u32, self.next.0 as u32)
-                    .detail(hops as u64, 0),
-            );
             if hops > 0 {
                 let jitter = ctx.rng().below(100);
                 ctx.send(
@@ -1293,52 +1218,76 @@ mod tests {
         c.iter().collect()
     }
 
+    /// Everything a ring run observes, comparable across engines.
+    #[derive(Debug, PartialEq)]
     struct Observed {
         now: SimTime,
         events: u64,
         counters: Vec<(&'static str, u64)>,
-        logs: Vec<Vec<(u64, u32)>>,
-        trace: Vec<crate::TraceRecord>,
-        pkts: Vec<crate::PacketRecord>,
+        logs: Vec<Vec<(u64, u32, CauseId)>>,
+        spans: Vec<TraceRecord>,
+        pkts: Vec<PacketRecord>,
+        ledger: Vec<LedgerRecord>,
+        dropped: u64,
         outcome: RunOutcome,
     }
 
-    fn run_seq(n: usize, tokens: usize, deadline: SimTime) -> Observed {
-        let mut e = build_ring(n, tokens);
-        e.enable_trace();
-        e.enable_netdump();
-        let outcome = e.run_until(deadline);
+    /// What `e` observed. Shard components are handed provisional packet
+    /// ids; the nodes' logs show them as the real ids the merge assigned.
+    fn observe(e: &ExecEngine<PMsg>, n: usize, outcome: RunOutcome) -> Observed {
+        let log = e.trace();
+        let real = |id| match e {
+            ExecEngine::Seq(_) => id,
+            ExecEngine::Par(p) => real_id(&p.pkt_remap, id),
+        };
         Observed {
             now: e.now(),
             events: e.events_processed(),
             counters: named(e.counters()),
             logs: (0..n)
-                .map(|i| e.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
+                .map(|i| {
+                    let node = e.component_ref::<Node>(ComponentId(i)).unwrap();
+                    node.log.iter().map(|&(t, h, c)| (t, h, real(c))).collect()
+                })
                 .collect(),
-            trace: e.trace().iter().copied().collect(),
-            pkts: e.netdump().records().to_vec(),
+            spans: log.iter().copied().collect(),
+            pkts: log.packets().to_vec(),
+            ledger: log.ledger().to_vec(),
+            dropped: log.dropped(),
             outcome,
         }
     }
 
-    fn run_par(n: usize, tokens: usize, deadline: SimTime, shards: usize) -> Observed {
-        let engine = build_ring(n, tokens);
+    /// Run `e` with the log on (bounded at `cap` records when given).
+    fn run_logged(
+        mut e: ExecEngine<PMsg>,
+        n: usize,
+        deadline: SimTime,
+        cap: Option<usize>,
+    ) -> Observed {
+        *e.trace_mut() = Trace::with_capacity(cap.unwrap_or(Trace::DEFAULT_CAPACITY));
+        let outcome = e.run_until(deadline);
+        observe(&e, n, outcome)
+    }
+
+    fn run_seq(n: usize, tokens: usize, deadline: SimTime, cap: Option<usize>) -> Observed {
+        run_logged(ExecEngine::Seq(build_ring(n, tokens)), n, deadline, cap)
+    }
+
+    fn par_engine(n: usize, tokens: usize, shards: usize) -> ParallelEngine<PMsg> {
         let map = ShardMap::by_node(n, n, shards, |c| c);
-        let mut p = ParallelEngine::new(engine, map, SimTime::from_ns(HOP_NS));
-        p.enable_trace();
-        p.enable_netdump();
-        let outcome = p.run_until(deadline);
-        Observed {
-            now: p.now(),
-            events: p.events_processed(),
-            counters: named(p.counters()),
-            logs: (0..n)
-                .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
-                .collect(),
-            trace: p.trace().iter().copied().collect(),
-            pkts: p.netdump().records().to_vec(),
-            outcome,
-        }
+        ParallelEngine::new(build_ring(n, tokens), map, SimTime::from_ns(HOP_NS))
+    }
+
+    fn run_par(
+        n: usize,
+        tokens: usize,
+        deadline: SimTime,
+        shards: usize,
+        cap: Option<usize>,
+    ) -> Observed {
+        let p = par_engine(n, tokens, shards);
+        run_logged(ExecEngine::Par(p), n, deadline, cap)
     }
 
     fn assert_same(a: &Observed, b: &Observed, what: &str) {
@@ -1347,36 +1296,64 @@ mod tests {
         assert_eq!(a.events, b.events, "{what}: events processed");
         assert_eq!(a.counters, b.counters, "{what}: counters");
         assert_eq!(a.logs, b.logs, "{what}: per-node logs");
-        assert_eq!(a.trace, b.trace, "{what}: trace records");
-        assert_eq!(a.pkts, b.pkts, "{what}: netdump records");
+        assert_eq!(a.spans, b.spans, "{what}: span records");
+        assert_eq!(a.pkts, b.pkts, "{what}: packet records");
+        assert_eq!(a.ledger, b.ledger, "{what}: ledger records");
+        assert_eq!(a.dropped, b.dropped, "{what}: dropped");
     }
 
     #[test]
     fn parallel_ring_matches_sequential_at_every_shard_count() {
-        let seq = run_seq(12, 12, SimTime::MAX);
+        let seq = run_seq(12, 12, SimTime::MAX, None);
         assert_eq!(seq.outcome, RunOutcome::Idle);
         assert!(seq.events > 0);
         for shards in [1usize, 2, 3, 5, 12] {
-            let par = run_par(12, 12, SimTime::MAX, shards);
+            let par = run_par(12, 12, SimTime::MAX, shards, None);
             assert_same(&seq, &par, &format!("{shards} shards"));
+        }
+    }
+
+    /// A bound below the run's record count: the log fills mid-delivery
+    /// (3 records per delivery, bound 3k + 1), and every engine keeps the
+    /// same records, counts the same drops and hands the same ids to the
+    /// packets that came after the bound (the nodes log the ids they are
+    /// handed).
+    #[test]
+    fn parity_holds_when_the_log_fills() {
+        let cap = 301;
+        let seq = run_seq(12, 12, SimTime::MAX, Some(cap));
+        assert!(seq.dropped > 0, "the bound must bite");
+        assert_eq!(
+            seq.spans.len() + seq.pkts.len() + seq.ledger.len(),
+            cap,
+            "a full log holds exactly its bound"
+        );
+        let last_kept = seq.pkts.last().unwrap().id;
+        assert!(
+            seq.logs.iter().flatten().any(|&(_, _, c)| c > last_kept),
+            "packets recorded after the bound must still be handed ids"
+        );
+        for shards in [2usize, 3, 5] {
+            let par = run_par(12, 12, SimTime::MAX, shards, Some(cap));
+            assert_same(&seq, &par, &format!("bounded log, {shards} shards"));
         }
     }
 
     #[test]
     fn deadline_outcome_and_event_set_match() {
         let deadline = SimTime::from_ns(HOP_NS * 10 + 37);
-        let seq = run_seq(8, 8, deadline);
+        let seq = run_seq(8, 8, deadline, None);
         assert_eq!(seq.outcome, RunOutcome::DeadlineReached);
         for shards in [2usize, 4] {
-            let par = run_par(8, 8, deadline, shards);
+            let par = run_par(8, 8, deadline, shards, None);
             assert_same(&seq, &par, &format!("deadline, {shards} shards"));
         }
     }
 
     #[test]
     fn netdump_parent_chains_survive_the_merge() {
-        let seq = run_seq(6, 3, SimTime::MAX);
-        let par = run_par(6, 3, SimTime::MAX, 3);
+        let seq = run_seq(6, 3, SimTime::MAX, None);
+        let par = run_par(6, 3, SimTime::MAX, 3, None);
         // Walk a causal chain from the last record in both dumps: identical
         // ids all the way up proves the provisional-id remap is exact.
         let last = seq.pkts.last().unwrap().id;
@@ -1402,67 +1379,34 @@ mod tests {
         // Split one run into several run_until calls: cross-call provisional
         // parent remaps and count/clock continuity must all hold.
         let n = 8;
-        let full = run_seq(n, 4, SimTime::MAX);
-        let engine = build_ring(n, 4);
-        let map = ShardMap::by_node(n, n, 4, |c| c);
-        let mut p = ParallelEngine::new(engine, map, SimTime::from_ns(HOP_NS));
-        p.enable_trace();
-        p.enable_netdump();
+        let full = run_seq(n, 4, SimTime::MAX, None);
+        let mut e = ExecEngine::Par(par_engine(n, 4, 4));
+        e.enable_trace();
         let mut outcome = RunOutcome::Idle;
         for slice in 1..=100u64 {
-            outcome = p.run_until(SimTime::from_ns(slice * 1_000));
+            outcome = e.run_until(SimTime::from_ns(slice * 1_000));
             if outcome == RunOutcome::Idle {
                 break;
             }
         }
-        assert_eq!(outcome, RunOutcome::Idle);
-        assert_eq!(p.now(), full.now);
-        assert_eq!(p.events_processed(), full.events);
-        let pkts: Vec<crate::PacketRecord> = p.netdump().records().to_vec();
-        assert_eq!(pkts, full.pkts);
-        let trace: Vec<crate::TraceRecord> = p.trace().iter().copied().collect();
-        assert_eq!(trace, full.trace);
+        assert_same(&full, &observe(&e, n, outcome), "resumed");
     }
 
     #[test]
     fn external_schedule_between_runs_matches_sequential() {
-        let drive = |par_shards: Option<usize>| -> (SimTime, u64, Vec<(&'static str, u64)>) {
-            let engine = build_ring(6, 2);
-            match par_shards {
-                None => {
-                    let mut e = engine;
-                    e.run_until(SimTime::from_us(2.0));
-                    e.schedule_at(
-                        e.now() + SimTime::from_ns(50),
-                        ComponentId(3),
-                        PMsg::Token {
-                            hops: 9,
-                            cause: CauseId::NONE,
-                        },
-                    );
-                    e.run_until(SimTime::MAX);
-                    (e.now(), e.events_processed(), named(e.counters()))
-                }
-                Some(k) => {
-                    let map = ShardMap::by_node(6, 6, k, |c| c);
-                    let mut p = ParallelEngine::new(engine, map, SimTime::from_ns(HOP_NS));
-                    p.run_until(SimTime::from_us(2.0));
-                    p.schedule_at(
-                        p.now() + SimTime::from_ns(50),
-                        ComponentId(3),
-                        PMsg::Token {
-                            hops: 9,
-                            cause: CauseId::NONE,
-                        },
-                    );
-                    p.run_until(SimTime::MAX);
-                    (p.now(), p.events_processed(), named(p.counters()))
-                }
-            }
+        let token = PMsg::Token {
+            hops: 9,
+            cause: CauseId::NONE,
         };
-        let seq = drive(None);
-        assert_eq!(seq, drive(Some(2)));
-        assert_eq!(seq, drive(Some(3)));
+        let drive = |mut e: ExecEngine<PMsg>| {
+            e.run_until(SimTime::from_us(2.0));
+            e.schedule_at(e.now() + SimTime::from_ns(50), ComponentId(3), token);
+            e.run_until(SimTime::MAX);
+            (e.now(), e.events_processed(), named(e.counters()))
+        };
+        let seq = drive(ExecEngine::Seq(build_ring(6, 2)));
+        assert_eq!(seq, drive(ExecEngine::Par(par_engine(6, 2, 2))));
+        assert_eq!(seq, drive(ExecEngine::Par(par_engine(6, 2, 3))));
     }
 
     /// Per-pair bounds tighter than the global minimum must still
@@ -1471,7 +1415,7 @@ mod tests {
     #[test]
     fn non_uniform_latency_matrix_preserves_parity() {
         let n = 12;
-        let seq = run_seq(n, 12, SimTime::MAX);
+        let seq = run_seq(n, 12, SimTime::MAX, None);
         for shards in [2usize, 3, 4] {
             let engine = build_ring(n, 12);
             let map = ShardMap::by_node(n, n, shards, |c| c);
@@ -1487,21 +1431,8 @@ mod tests {
                     SimTime::from_ns(1_000_000)
                 }
             });
-            let mut p = ParallelEngine::with_latency(engine, map, lat);
-            p.enable_trace();
-            p.enable_netdump();
-            let outcome = p.run_until(SimTime::MAX);
-            let par = Observed {
-                now: p.now(),
-                events: p.events_processed(),
-                counters: named(p.counters()),
-                logs: (0..n)
-                    .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
-                    .collect(),
-                trace: p.trace().iter().copied().collect(),
-                pkts: p.netdump().records().to_vec(),
-                outcome,
-            };
+            let p = ParallelEngine::with_latency(engine, map, lat);
+            let par = run_logged(ExecEngine::Par(p), n, SimTime::MAX, None);
             assert_same(&seq, &par, &format!("non-uniform matrix, {shards} shards"));
         }
     }
@@ -1510,35 +1441,21 @@ mod tests {
     /// it armed) and its capture must account for the workers' wall time.
     #[test]
     fn profiled_run_is_identical_and_accounts_for_wall_time() {
-        let seq = run_seq(12, 12, SimTime::MAX);
+        let seq = run_seq(12, 12, SimTime::MAX, None);
         let n = 12;
-        let engine = build_ring(n, 12);
-        let map = ShardMap::by_node(n, n, 3, |c| c);
-        let mut p = ParallelEngine::new(engine, map, SimTime::from_ns(HOP_NS));
-        p.enable_trace();
-        p.enable_netdump();
-        assert!(p.prof_snapshot().is_none(), "profiler off by default");
-        p.enable_prof();
-        let outcome = p.run_until(SimTime::MAX);
-        let par = Observed {
-            now: p.now(),
-            events: p.events_processed(),
-            counters: named(p.counters()),
-            logs: (0..n)
-                .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
-                .collect(),
-            trace: p.trace().iter().copied().collect(),
-            pkts: p.netdump().records().to_vec(),
-            outcome,
-        };
-        assert_same(&seq, &par, "profiled 3-shard run");
+        let mut e = ExecEngine::Par(par_engine(n, 12, 3));
+        e.enable_trace();
+        assert!(e.prof_snapshot().is_none(), "profiler off by default");
+        e.enable_prof();
+        let outcome = e.run_until(SimTime::MAX);
+        assert_same(&seq, &observe(&e, n, outcome), "profiled 3-shard run");
 
-        let prof = p.prof_snapshot().expect("profiler armed");
+        let prof = e.prof_snapshot().expect("profiler armed");
         assert_eq!(prof.shards, 3);
         assert_eq!(prof.lookahead_ns, HOP_NS);
         assert_eq!(
             prof.total_events(),
-            p.events_processed(),
+            e.events_processed(),
             "profiler event count disagrees with the engine"
         );
         // The two-barrier protocol runs every shard through the same

@@ -20,10 +20,10 @@
 //! * **Indexed**: keys (16 bytes) live in one dense vector and are all the
 //!   sift loops ever touch; message payloads sit in a slab addressed by a
 //!   parallel `u32` slot vector, so growing `M` never slows the comparisons.
-//! * **Batched**: [`EventQueue::push_batch`] appends a whole burst of
+//! * **Batched**: `EventQueue::push_batch` appends a whole burst of
 //!   events and restores the heap in one pass, using Floyd's bottom-up
 //!   heapify when the batch dominates the existing contents.
-//! * **One walk per event**: [`EventQueue::pop`] hands out the root's event
+//! * **One walk per event**: `EventQueue::pop` hands out the root's event
 //!   and leaves the root vacant. The next `push` writes its key into the
 //!   root and sifts it down; in the engine that push is almost always the
 //!   delivered handler's first send, so a delivery costs one walk, not a

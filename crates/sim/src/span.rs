@@ -1,27 +1,22 @@
-//! Typed protocol events and per-operation flight recording.
+//! Typed protocol events and per-operation span folding.
 //!
-//! The trace layer (see [`crate::trace`]) records a typed [`SpanEvent`]
-//! over the protocol phases the paper's latency decomposition cares
-//! about — enqueue, fire, wire, arrive, notify, nack, retransmit — plus
-//! begin/end markers for a collective operation keyed by `(group, seq)`.
+//! The record log ([`crate::trace`]) records a typed [`SpanEvent`] over the
+//! protocol phases the paper's latency decomposition cares about —
+//! enqueue, fire, wire, arrive, notify, nack, retransmit — plus begin/end
+//! markers for a collective operation keyed by `(group, seq)`.
 //!
-//! A [`FlightRecorder`] consumes the same event stream and folds it into
-//! per-operation *spans*: for every `(group, seq)` pair it tracks the wall
-//! window from the first `OpBegin` to the last `OpEnd` and attributes every
-//! intervening segment of simulated time to the phase of the event that
-//! ended it. The per-span phase sums therefore add up to the span's
-//! end-to-end latency *exactly*, which is what makes the breakdown tables
-//! trustworthy. Closed spans feed fixed log2 histograms ([`crate::hist`]):
-//! the end-to-end total (`flight.op_total`) and one per phase
-//! (`flight.phase.<name>`).
-//!
-//! Both the trace ring and the recorder are off by default; the engine
-//! guards emission behind a single pre-computed branch per delivery so the
-//! disabled path costs nothing measurable (checked by `engine_sweep`).
+//! Once told how many participants join each operation, the log folds the
+//! same event stream into per-operation *spans*: for every `(group, seq)`
+//! pair it tracks the wall window from the first `OpBegin` to the last
+//! `OpEnd` and attributes every intervening segment of simulated time to
+//! the phase of the event that ended it. The per-span phase sums therefore
+//! add up to the span's end-to-end latency *exactly*, which is what makes
+//! the breakdown tables trustworthy. Closed spans feed fixed log2
+//! histograms ([`crate::hist`]): the end-to-end total (`flight.op_total`)
+//! and one per phase (`flight.phase.<name>`).
 
 use crate::hist::Histogram;
 use crate::time::SimTime;
-use std::fmt;
 
 /// A protocol phase that simulated time can be attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -275,259 +270,9 @@ struct OpenSpan {
     /// Time of the last event attributed to this span; the next event's
     /// segment is `[last, now]`.
     last: SimTime,
-    begun: u32,
     ended: u32,
     phase_ns: [u64; NUM_PHASES],
     events: u64,
-}
-
-/// The recorder's latency histograms: the end-to-end span latency plus
-/// each phase's per-span contribution, indexed by [`Phase::index`].
-#[derive(Default)]
-struct SpanHists {
-    total: Histogram,
-    phases: [Histogram; NUM_PHASES],
-}
-
-/// Folds the typed event stream into per-operation phase breakdowns and
-/// latency histograms. Disabled by default; when disabled, `observe` is a
-/// single predicted branch.
-pub struct FlightRecorder {
-    enabled: bool,
-    /// Maximum number of closed spans retained; further closes only feed
-    /// the histograms and bump `dropped`.
-    capacity: usize,
-    /// Expected participants per operation; when set, a span closes on the
-    /// `participants`-th `OpEnd` instead of waiting for `ended == begun`.
-    participants: Option<u32>,
-    open: Vec<OpenSpan>,
-    completed: Vec<SpanSummary>,
-    dropped: u64,
-    /// Phase-carrying events seen while no span was open (not attributable).
-    orphaned: u64,
-    /// Allocated when the recorder is enabled, so a disabled one stays
-    /// allocation-free.
-    hists: Option<Box<SpanHists>>,
-}
-
-impl FlightRecorder {
-    /// Default bound on retained closed spans.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Create a disabled recorder (the engine default).
-    pub fn disabled() -> Self {
-        FlightRecorder {
-            enabled: false,
-            capacity: 0,
-            participants: None,
-            open: Vec::new(),
-            completed: Vec::new(),
-            dropped: 0,
-            orphaned: 0,
-            hists: None,
-        }
-    }
-
-    /// Create an enabled recorder retaining up to `capacity` closed spans.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "recorder capacity must be non-zero");
-        FlightRecorder {
-            enabled: true,
-            capacity,
-            participants: None,
-            open: Vec::new(),
-            completed: Vec::new(),
-            dropped: 0,
-            orphaned: 0,
-            hists: Some(Box::default()),
-        }
-    }
-
-    /// Is recording active?
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enable recording (with [`Self::DEFAULT_CAPACITY`] if previously
-    /// disabled).
-    pub fn enable(&mut self) {
-        if self.capacity == 0 {
-            self.capacity = Self::DEFAULT_CAPACITY;
-        }
-        self.hists.get_or_insert_with(Box::default);
-        self.enabled = true;
-    }
-
-    /// Declare how many participants join each operation. With `n` set, a
-    /// span closes on its `n`-th `OpEnd`; without it, a span closes once
-    /// every participant that began has ended (which only resolves at a
-    /// quiescent point for lock-step workloads).
-    pub fn set_participants(&mut self, n: u32) {
-        assert!(n > 0, "participants must be non-zero");
-        self.participants = Some(n);
-    }
-
-    /// Fold one event into the recorder. `time` must be non-decreasing
-    /// across calls (engine delivery order guarantees this).
-    #[inline]
-    pub fn observe(&mut self, time: SimTime, event: &SpanEvent) {
-        if !self.enabled {
-            return;
-        }
-        self.observe_slow(time, event);
-    }
-
-    fn observe_slow(&mut self, time: SimTime, event: &SpanEvent) {
-        match *event {
-            SpanEvent::OpBegin { group, seq } => {
-                if let Some(span) = self.find(group, seq) {
-                    span.attribute(time, Phase::Host);
-                    span.begun += 1;
-                } else {
-                    self.open.push(OpenSpan {
-                        group,
-                        seq,
-                        begin: time,
-                        last: time,
-                        begun: 1,
-                        ended: 0,
-                        phase_ns: [0; NUM_PHASES],
-                        events: 1,
-                    });
-                }
-            }
-            SpanEvent::OpEnd { group, seq } => {
-                let participants = self.participants;
-                let Some(idx) = self
-                    .open
-                    .iter()
-                    .position(|s| s.group == group && s.seq == seq)
-                else {
-                    // An end without a begin: the recorder was enabled
-                    // mid-operation. Not attributable.
-                    self.orphaned += 1;
-                    return;
-                };
-                let span = &mut self.open[idx];
-                span.attribute(time, Phase::Host);
-                span.ended += 1;
-                let done = match participants {
-                    Some(p) => span.ended >= p,
-                    None => span.ended >= span.begun,
-                };
-                if done {
-                    let span = self.open.swap_remove(idx);
-                    self.close(span, time);
-                }
-            }
-            ref ev => {
-                let phase = ev.phase();
-                // Attribute to the earliest-begun open span: with epoch
-                // banking at most two operations overlap, and the elder one
-                // owns the wall clock until it closes.
-                if let Some(span) = self.open.iter_mut().min_by_key(|s| s.begin) {
-                    span.attribute(time, phase);
-                } else {
-                    self.orphaned += 1;
-                }
-            }
-        }
-    }
-
-    fn find(&mut self, group: u64, seq: u64) -> Option<&mut OpenSpan> {
-        self.open
-            .iter_mut()
-            .find(|s| s.group == group && s.seq == seq)
-    }
-
-    fn close(&mut self, span: OpenSpan, end: SimTime) {
-        let summary = SpanSummary {
-            group: span.group,
-            seq: span.seq,
-            begin: span.begin,
-            end,
-            phase_ns: span.phase_ns,
-            events: span.events,
-        };
-        if let Some(h) = self.hists.as_deref_mut() {
-            h.total.record(summary.total().as_ns());
-            for (hist, &ns) in h.phases.iter_mut().zip(&summary.phase_ns) {
-                if ns > 0 {
-                    hist.record(ns);
-                }
-            }
-        }
-        if self.completed.len() < self.capacity {
-            self.completed.push(summary);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// Closed spans, in completion order (bounded by the capacity).
-    pub fn completed(&self) -> &[SpanSummary] {
-        &self.completed
-    }
-
-    /// Number of operations still open.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Closed spans discarded because the retention buffer was full (their
-    /// latencies still reached the histograms).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Phase events observed while no span was open.
-    pub fn orphaned(&self) -> u64 {
-        self.orphaned
-    }
-
-    /// The non-empty latency histograms in name order: `flight.op_total`,
-    /// then `flight.phase.<name>` sorted by phase name.
-    pub fn hists(&self) -> Vec<(&'static str, &Histogram)> {
-        let Some(h) = self.hists.as_deref() else {
-            return Vec::new();
-        };
-        let mut phases = Phase::ALL;
-        phases.sort_unstable_by_key(|p| p.hist_name());
-        std::iter::once(("flight.op_total", &h.total))
-            .chain(
-                phases
-                    .iter()
-                    .map(|&p| (p.hist_name(), &h.phases[p.index()])),
-            )
-            .filter(|(_, hist)| !hist.is_empty())
-            .collect()
-    }
-
-    /// Drop all state (keeps enabled flag and participants).
-    pub fn clear(&mut self) {
-        self.open.clear();
-        self.completed.clear();
-        self.dropped = 0;
-        self.orphaned = 0;
-        if let Some(h) = self.hists.as_deref_mut() {
-            *h = SpanHists::default();
-        }
-    }
-}
-
-impl fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "FlightRecorder(enabled={}, open={}, completed={}, dropped={}, orphaned={})",
-            self.enabled,
-            self.open.len(),
-            self.completed.len(),
-            self.dropped,
-            self.orphaned
-        )
-    }
 }
 
 impl OpenSpan {
@@ -540,12 +285,137 @@ impl OpenSpan {
     }
 }
 
+/// The span fold of a record log ([`crate::Trace`]): turns the typed event
+/// stream into per-operation phase breakdowns and latency histograms (the
+/// end-to-end span latency plus each phase's per-span contribution,
+/// indexed by [`Phase::index`]). A span closes on its `participants`-th
+/// `OpEnd`.
+#[derive(Clone)]
+pub(crate) struct SpanFold {
+    participants: u32,
+    open: Vec<OpenSpan>,
+    /// Phase-carrying events seen while no span was open (not attributable).
+    pub(crate) orphaned: u64,
+    total: Histogram,
+    phases: [Histogram; NUM_PHASES],
+}
+
+impl SpanFold {
+    /// A fold closing each span on its `participants`-th `OpEnd`.
+    pub(crate) fn new(participants: u32) -> Self {
+        assert!(participants > 0, "participants must be non-zero");
+        SpanFold {
+            participants,
+            open: Vec::new(),
+            orphaned: 0,
+            total: Histogram::default(),
+            phases: Default::default(),
+        }
+    }
+
+    /// Fold one event, returning the span it closed (already counted in the
+    /// histograms). `time` must be non-decreasing across calls (engine
+    /// delivery order guarantees this).
+    pub(crate) fn observe(&mut self, time: SimTime, event: &SpanEvent) -> Option<SpanSummary> {
+        match *event {
+            SpanEvent::OpBegin { group, seq } => {
+                if let Some(span) = self
+                    .open
+                    .iter_mut()
+                    .find(|s| s.group == group && s.seq == seq)
+                {
+                    span.attribute(time, Phase::Host);
+                } else {
+                    self.open.push(OpenSpan {
+                        group,
+                        seq,
+                        begin: time,
+                        last: time,
+                        ended: 0,
+                        phase_ns: [0; NUM_PHASES],
+                        events: 1,
+                    });
+                }
+                None
+            }
+            SpanEvent::OpEnd { group, seq } => {
+                let Some(idx) = self
+                    .open
+                    .iter()
+                    .position(|s| s.group == group && s.seq == seq)
+                else {
+                    // An end without a begin: recording started
+                    // mid-operation. Not attributable.
+                    self.orphaned += 1;
+                    return None;
+                };
+                let span = &mut self.open[idx];
+                span.attribute(time, Phase::Host);
+                span.ended += 1;
+                if span.ended < self.participants {
+                    return None;
+                }
+                let span = self.open.swap_remove(idx);
+                let summary = SpanSummary {
+                    group: span.group,
+                    seq: span.seq,
+                    begin: span.begin,
+                    end: time,
+                    phase_ns: span.phase_ns,
+                    events: span.events,
+                };
+                self.total.record(summary.total().as_ns());
+                for (hist, &ns) in self.phases.iter_mut().zip(&summary.phase_ns) {
+                    if ns > 0 {
+                        hist.record(ns);
+                    }
+                }
+                Some(summary)
+            }
+            ref ev => {
+                // Attribute to the earliest-begun open span: with epoch
+                // banking at most two operations overlap, and the elder one
+                // owns the wall clock until it closes.
+                if let Some(span) = self.open.iter_mut().min_by_key(|s| s.begin) {
+                    span.attribute(time, ev.phase());
+                } else {
+                    self.orphaned += 1;
+                }
+                None
+            }
+        }
+    }
+
+    /// The non-empty latency histograms in name order: `flight.op_total`,
+    /// then `flight.phase.<name>` sorted by phase name.
+    pub(crate) fn hists(&self) -> Vec<(&'static str, &Histogram)> {
+        let mut phases = Phase::ALL;
+        phases.sort_unstable_by_key(|p| p.hist_name());
+        std::iter::once(("flight.op_total", &self.total))
+            .chain(
+                phases
+                    .iter()
+                    .map(|&p| (p.hist_name(), &self.phases[p.index()])),
+            )
+            .filter(|(_, hist)| !hist.is_empty())
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_ns(ns)
+    }
+
+    /// Fold `events` in order, returning the closed spans.
+    fn fold(f: &mut SpanFold, events: &[(u64, SpanEvent)]) -> Vec<SpanSummary> {
+        events
+            .iter()
+            .filter_map(|(ns, ev)| f.observe(t(*ns), ev))
+            .collect()
     }
 
     #[test]
@@ -574,36 +444,30 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_ignores_everything() {
-        let mut r = FlightRecorder::disabled();
-        r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 0 });
-        r.observe(t(10), &SpanEvent::OpEnd { group: 1, seq: 0 });
-        assert!(r.completed().is_empty());
-        assert_eq!(r.open_count(), 0);
-    }
-
-    #[test]
     fn phase_sums_equal_total_exactly() {
-        let mut r = FlightRecorder::with_capacity(16);
-        r.set_participants(2);
-        r.observe(t(0), &SpanEvent::OpBegin { group: 5, seq: 0 });
-        r.observe(t(10), &SpanEvent::OpBegin { group: 5, seq: 0 });
-        r.observe(t(30), &SpanEvent::Fire { unit: 0, dst: 1 });
-        r.observe(
-            t(70),
-            &SpanEvent::Wire {
-                src: 0,
-                dst: 1,
-                bytes: 32,
-            },
+        let mut f = SpanFold::new(2);
+        let spans = fold(
+            &mut f,
+            &[
+                (0, SpanEvent::OpBegin { group: 5, seq: 0 }),
+                (10, SpanEvent::OpBegin { group: 5, seq: 0 }),
+                (30, SpanEvent::Fire { unit: 0, dst: 1 }),
+                (
+                    70,
+                    SpanEvent::Wire {
+                        src: 0,
+                        dst: 1,
+                        bytes: 32,
+                    },
+                ),
+                (90, SpanEvent::Arrive { src: 0, info: 0 }),
+                (100, SpanEvent::Notify { unit: 9, cookie: 1 }),
+                (110, SpanEvent::OpEnd { group: 5, seq: 0 }),
+                (120, SpanEvent::OpEnd { group: 5, seq: 0 }),
+            ],
         );
-        r.observe(t(90), &SpanEvent::Arrive { src: 0, info: 0 });
-        r.observe(t(100), &SpanEvent::Notify { unit: 9, cookie: 1 });
-        r.observe(t(110), &SpanEvent::OpEnd { group: 5, seq: 0 });
-        r.observe(t(120), &SpanEvent::OpEnd { group: 5, seq: 0 });
 
-        assert_eq!(r.open_count(), 0);
-        let spans = r.completed();
+        assert!(f.open.is_empty());
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!(s.total(), t(120));
@@ -617,7 +481,7 @@ mod tests {
 
         // Only the phases the span filled are reported, in name order,
         // each with the span's contribution.
-        let hists = r.hists();
+        let hists = f.hists();
         let names: Vec<&str> = hists.iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
@@ -639,29 +503,19 @@ mod tests {
     }
 
     #[test]
-    fn closes_without_participants_when_all_enders_arrive() {
-        let mut r = FlightRecorder::with_capacity(4);
-        r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 7 });
-        r.observe(t(1), &SpanEvent::OpBegin { group: 1, seq: 7 });
-        r.observe(t(5), &SpanEvent::OpEnd { group: 1, seq: 7 });
-        assert_eq!(r.open_count(), 1);
-        r.observe(t(9), &SpanEvent::OpEnd { group: 1, seq: 7 });
-        assert_eq!(r.open_count(), 0);
-        assert_eq!(r.completed().len(), 1);
-        assert_eq!(r.completed()[0].seq, 7);
-    }
-
-    #[test]
     fn overlapping_ops_attribute_to_the_elder() {
-        let mut r = FlightRecorder::with_capacity(4);
-        r.set_participants(1);
-        r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 0 });
-        // A banked next-epoch op opens while seq 0 is still in flight.
-        r.observe(t(4), &SpanEvent::OpBegin { group: 1, seq: 1 });
-        r.observe(t(10), &SpanEvent::Fire { unit: 0, dst: 1 });
-        r.observe(t(20), &SpanEvent::OpEnd { group: 1, seq: 0 });
-        r.observe(t(50), &SpanEvent::OpEnd { group: 1, seq: 1 });
-        let spans = r.completed();
+        let mut f = SpanFold::new(1);
+        let spans = fold(
+            &mut f,
+            &[
+                (0, SpanEvent::OpBegin { group: 1, seq: 0 }),
+                // A banked next-epoch op opens while seq 0 is still in flight.
+                (4, SpanEvent::OpBegin { group: 1, seq: 1 }),
+                (10, SpanEvent::Fire { unit: 0, dst: 1 }),
+                (20, SpanEvent::OpEnd { group: 1, seq: 0 }),
+                (50, SpanEvent::OpEnd { group: 1, seq: 1 }),
+            ],
+        );
         assert_eq!(spans.len(), 2);
         // seq 0 owned the 0..10 fire segment.
         assert_eq!(spans[0].phase(Phase::Fire), 10);
@@ -673,51 +527,17 @@ mod tests {
 
     #[test]
     fn orphaned_events_are_counted_not_attributed() {
-        let mut r = FlightRecorder::with_capacity(4);
-        r.observe(t(3), &SpanEvent::Fire { unit: 0, dst: 1 });
-        r.observe(t(4), &SpanEvent::OpEnd { group: 1, seq: 0 });
-        assert_eq!(r.orphaned(), 2);
-        assert!(r.completed().is_empty());
-    }
-
-    #[test]
-    fn capacity_bounds_retained_spans_but_histograms_see_all() {
-        let mut r = FlightRecorder::with_capacity(2);
-        r.set_participants(1);
-        for seq in 0..5u64 {
-            r.observe(t(seq * 100), &SpanEvent::OpBegin { group: 9, seq });
-            r.observe(t(seq * 100 + 10), &SpanEvent::OpEnd { group: 9, seq });
-        }
-        assert_eq!(r.completed().len(), 2);
-        assert_eq!(r.dropped(), 3);
-        let hists = r.hists();
-        assert_eq!(hists[0].0, "flight.op_total");
-        assert_eq!(hists[0].1.count(), 5);
-    }
-
-    #[test]
-    fn clear_resets_but_keeps_enabled() {
-        let mut r = FlightRecorder::with_capacity(4);
-        r.set_participants(1);
-        r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 0 });
-        r.observe(t(10), &SpanEvent::OpEnd { group: 1, seq: 0 });
-        assert_eq!(r.hists().len(), 2, "op_total and host");
-        r.clear();
-        assert!(r.completed().is_empty());
-        assert!(r.is_enabled());
-        assert!(r.hists().is_empty());
-    }
-
-    #[test]
-    fn disabled_recorder_holds_no_histograms_until_enabled() {
-        let mut r = FlightRecorder::disabled();
-        assert!(r.hists.is_none());
-        assert!(r.hists().is_empty());
-        r.enable();
-        r.set_participants(1);
-        r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 0 });
-        r.observe(t(10), &SpanEvent::OpEnd { group: 1, seq: 0 });
-        assert_eq!(r.hists()[0].1.count(), 1);
+        let mut f = SpanFold::new(1);
+        let spans = fold(
+            &mut f,
+            &[
+                (3, SpanEvent::Fire { unit: 0, dst: 1 }),
+                (4, SpanEvent::OpEnd { group: 1, seq: 0 }),
+            ],
+        );
+        assert_eq!(f.orphaned, 2);
+        assert!(spans.is_empty());
+        assert!(f.hists().is_empty());
     }
 
     #[test]

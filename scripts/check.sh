@@ -59,6 +59,13 @@ gate "build-examples" cargo build --examples --workspace
 gate "test" cargo test -q --workspace
 gate "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc with warnings denied: a renamed or deleted item must not leave a
+# broken (or private) intra-doc link behind.
+doc_gate() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+}
+gate "doc" doc_gate
+
 # Benchmark oracle: barbench/ is its own Cargo workspace, so neither the
 # workspace tests nor clippy build it. Its tests pin the exact simulated
 # latency, packet and event counts of the benchmark workloads.
@@ -132,9 +139,9 @@ results_fresh_gate() {
 }
 gate "results-fresh" results_fresh_gate
 
-# Zero-overhead gate: with the flight recorder and trace ring disabled,
-# engine throughput must stay within 5% of the saved baseline. Skipped if
-# the baseline has never been generated (run the full engine_sweep once).
+# Zero-overhead gate: with the record log off, engine throughput must
+# stay within 5% of the saved baseline. Skipped if the baseline has never
+# been generated (run the full engine_sweep once).
 # The quick gate also asserts the parallel engine at one shard stays
 # within 5% of the sequential engine on the fig5 figure point.
 if [ -f results/engine_sweep.json ]; then
@@ -172,8 +179,8 @@ gate "parallel-parity" cargo test --release -q --test parallel_parity
 
 # Causal-observability smoke: why-slow on an 8-node lossy GM sim must
 # produce a non-empty critical path for every barrier, attribute >= 95%
-# of each span's wall time to its edges, and drop zero netdump records
-# (--check exits nonzero otherwise).
+# of each span's wall time to its edges, and drop zero records from the
+# log (--check exits nonzero otherwise).
 why_slow_gate() {
     cargo run --release -q -p nicbar-bench --bin why-slow -- \
         --nodes 8 --drop 0.02 --seed 7 --check > /dev/null
@@ -251,7 +258,7 @@ gate "bench-trajectory" bench_trajectory_gate
 # Contention-observability smoke: the contend scenario (overlapping barrier
 # groups + bulk traffic, run on both substrates) must attribute >= 95% of
 # critical-path wait time to named resource holders via the occupancy
-# ledger, report a top interferer, drop zero ledger records, and reproduce
+# ledger, report a top interferer, drop zero records from the log, and reproduce
 # byte-identically on the sharded parallel engine (--check exits nonzero
 # otherwise).
 contend_gate() {

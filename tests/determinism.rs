@@ -72,8 +72,11 @@ fn why_slow_report_is_byte_identical_across_same_seed_runs() {
 
     let report = || {
         let cap = gm_lossy(0xD0_0DAD);
-        let paths = critpath::analyze(&cap.packets);
-        (critpath::render(&paths), netdump::jsonl(&cap.packets))
+        let paths = critpath::analyze(cap.trace.packets());
+        (
+            critpath::render(&paths),
+            netdump::jsonl(cap.trace.packets()),
+        )
     };
     let (text_a, jsonl_a) = report();
     let (text_b, jsonl_b) = report();
@@ -93,4 +96,62 @@ fn why_slow_report_is_byte_identical_across_same_seed_runs() {
         text_a.contains("[detour]"),
         "lossy run surfaces a NACK/retransmit detour:\n{text_a}"
     );
+}
+
+/// Recording is observation only: a run with the record log on (span,
+/// packet and ledger records plus the span fold) must simulate exactly
+/// what the same run simulates with it off, sequentially and on 3 shards.
+#[test]
+fn recording_leaves_the_simulation_unchanged() {
+    use nicbar::core::TrafficCfg;
+    use nicbar::sim::EngineSel;
+
+    let base = RunCfg {
+        warmup: 5,
+        iters: 40,
+        ..RunCfg::default()
+    };
+    let cases = [
+        (
+            "lossy permuted 16-node GM NIC barrier",
+            Scenario::gm(GmParams::lanai_xp(), 16, DS),
+            RunCfg {
+                drop_prob: 0.02,
+                permute: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "8-node GM host barrier under 4 KiB x 4 traffic",
+            Scenario::gm(
+                GmParams::lanai_xp(),
+                8,
+                Barrier::Host(Algorithm::Dissemination),
+            )
+            .with_traffic(TrafficCfg {
+                msg_bytes: 4096,
+                outstanding: 4,
+            }),
+            base.clone(),
+        ),
+        (
+            "16-node Elan NIC barrier",
+            Scenario::elan(ElanParams::elan3(), 16, DS),
+            base.clone(),
+        ),
+    ];
+    for (label, scenario, cfg) in cases {
+        for (engine, shards) in [(EngineSel::Sequential, 1), (EngineSel::Parallel, 3)] {
+            let cfg = RunCfg {
+                engine,
+                shards,
+                ..cfg.clone()
+            };
+            assert_eq!(
+                format!("{:?}", scenario.run(&cfg)),
+                format!("{:?}", scenario.capture(&cfg).stats),
+                "{label}, {engine:?} x{shards}: recording changed the run"
+            );
+        }
+    }
 }

@@ -3,10 +3,10 @@
 //! byte-exact observable run as the sequential engine, at any shard count.
 //!
 //! "Observable run" is the full flight capture ([`FlightData::witness`]):
-//! trace records in emission order, span summaries, histograms, counters,
-//! causal packet records, the occupancy ledger and the final latency
-//! statistics. The parallel engine merges per-shard
-//! observability streams in delivered-event order, so every byte must
+//! the record log's span records in emission order, span summaries,
+//! histograms, causal packet records, occupancy ledger and drop count,
+//! plus the counters and the final latency statistics. The parallel engine
+//! merges the per-shard logs in delivered-event order, so every byte must
 //! agree, not just the aggregate latencies.
 
 use nicbar::core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
@@ -86,7 +86,8 @@ fn gm_lossy_parallel_matches_sequential() {
     };
     let seq = lossy(EngineSel::Sequential, 1);
     assert!(
-        seq.packets
+        seq.trace
+            .packets()
             .iter()
             .any(|p| format!("{p:?}").contains("Drop")),
         "lossy config produced no drops; the test is vacuous"
@@ -114,7 +115,10 @@ fn gm_traffic_parallel_matches_sequential_byte_for_byte() {
             .capture(&cfg(engine, shards))
     };
     let seq = run(EngineSel::Sequential, 1);
-    assert!(!seq.ledger.is_empty(), "traffic flight must arm the ledger");
+    assert!(
+        !seq.trace.ledger().is_empty(),
+        "traffic flight must arm the ledger"
+    );
     for shards in [2, 8] {
         let par = run(EngineSel::Parallel, shards);
         assert_parity(&format!("gm traffic shards={shards}"), &seq, &par);
@@ -143,7 +147,10 @@ fn elan_traffic_parallel_matches_sequential_byte_for_byte() {
             })
     };
     let seq = run(EngineSel::Sequential, 1);
-    assert!(!seq.ledger.is_empty(), "contend flight must arm the ledger");
+    assert!(
+        !seq.trace.ledger().is_empty(),
+        "contend flight must arm the ledger"
+    );
     for shards in [2, 8] {
         let par = run(EngineSel::Parallel, shards);
         assert_parity(&format!("elan traffic shards={shards}"), &seq, &par);
@@ -190,8 +197,8 @@ fn exporter_output_is_byte_identical_across_engines() {
         let seq = run(EngineSel::Sequential, 1);
         let seq_breakdown = flight::breakdown(&seq);
         let seq_chrome = flight::chrome_trace(std::slice::from_ref(&seq));
-        let seq_crit = critpath::render(&critpath::analyze(&seq.packets));
-        let seq_jsonl = netdump::jsonl(&seq.packets);
+        let seq_crit = critpath::render(&critpath::analyze(seq.trace.packets()));
+        let seq_jsonl = netdump::jsonl(seq.trace.packets());
         assert!(
             seq_breakdown.contains("engine: sequential"),
             "{substrate}: breakdown lacks the sequential stamp"
@@ -224,12 +231,12 @@ fn exporter_output_is_byte_identical_across_engines() {
             // at all: byte-identical, full stop.
             assert_eq!(
                 seq_crit,
-                critpath::render(&critpath::analyze(&par.packets)),
+                critpath::render(&critpath::analyze(par.trace.packets())),
                 "{label}: critical-path report differs"
             );
             assert_eq!(
                 seq_jsonl,
-                netdump::jsonl(&par.packets),
+                netdump::jsonl(par.trace.packets()),
                 "{label}: packet JSONL differs"
             );
         }
