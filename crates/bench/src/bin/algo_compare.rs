@@ -8,7 +8,7 @@
 //! degrees) on both substrates so §5.2's dismissal is reproducible.
 //!
 //! Shares the figure-binary CLI (`fig_args`): `--quick` shrinks the sweep
-//! for CI smoke runs, `--engine`/`--shards` select the execution engine.
+//! for CI smoke runs, `--shards` runs it on the parallel engine.
 
 use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
 use nicbar_core::{Algorithm, Barrier, Scenario};

@@ -20,7 +20,6 @@ use nicbar_bench::{fig_args, json::Writer, Manifest};
 use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario, TrafficCfg};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
-use nicbar_sim::EngineSel;
 
 struct SubstrateReport {
     substrate: &'static str,
@@ -31,15 +30,14 @@ struct SubstrateReport {
 
 fn run_substrate(scenario: &Scenario, cfg: &RunCfg, shards: usize, check: bool) -> SubstrateReport {
     let substrate = scenario.substrate.label();
-    let run = |engine, shards| {
+    let run = |shards| {
         scenario.capture(&RunCfg {
-            engine,
             shards,
             ..cfg.clone()
         })
     };
-    let seq = run(EngineSel::Sequential, 1);
-    let par = run(EngineSel::Parallel, shards);
+    let seq = run(1);
+    let par = run(shards);
     assert_eq!(seq.engine, "sequential");
     assert_eq!(par.engine, "parallel");
     if let Some(at) = seq.divergence(&par) {

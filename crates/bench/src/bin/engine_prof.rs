@@ -12,35 +12,30 @@
 //! * `--quick` — CI smoke: 2 shards × 64 nodes instead of the full
 //!   8 shards × 4096; never writes `results/`.
 //! * `--check` — gate mode: assert the profile accounts for ≥95% of worker
-//!   wall time and (full mode only) that the *disabled* profiler keeps the
-//!   one-shard engine overhead within 2 percentage points of the committed
-//!   `results/engine_sweep.json` baseline, and that the bottleneck the
-//!   committed `results/engine_prof_pr7.json` capture named has a strictly
-//!   smaller share of lost time today. On failure the report's top
-//!   bottleneck attribution is printed before exiting non-zero.
+//!   wall time and (full mode only) that the bottleneck the committed
+//!   `results/engine_prof_pr7.json` capture named has a strictly smaller
+//!   share of lost time today. On failure the report's top bottleneck
+//!   attribution is printed before exiting non-zero.
 //! * `--shards K`, `--nodes N` — override the run shape (shards clamp to
 //!   the node count — excess shards would sit empty yet pay every window
-//!   barrier).
-//! * `--partition contiguous|profile=PATH` — partition strategy; `profile=`
-//!   closes the loop by feeding a prior capture back into the partitioner.
+//!   barrier). Both must be at least 2: one shard runs the sequential
+//!   engine, which has no shard profile, so `--shards 1` or `--nodes 1`
+//!   exits 2 before anything runs.
 //! * `--chrome PATH` — write the shard-lane timeline as Chrome trace JSON.
 //!
 //! Run with `cargo run --release -p nicbar-bench --bin engine_prof`.
 
 use nicbar_bench::json::Manifest;
-use nicbar_bench::{engineprof, exit_usage, next_value, parse_partition, OutputFile};
+use nicbar_bench::{engineprof, exit_usage, next_value, OutputFile};
 use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_gm::GmParams;
-use nicbar_sim::{EngineProf, EngineSel, PartitionSel};
-use std::time::Instant;
+use nicbar_sim::EngineProf;
 
 /// The NIC-based dissemination barrier, the paper's headline configuration.
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 /// The profile must explain at least this fraction of worker wall time.
 const ACCOUNTING_GATE: f64 = 0.95;
-/// Allowed drift of the disabled-profiler one-shard overhead vs baseline.
-const OVERHEAD_SLACK: f64 = 0.02;
 
 /// Capture a profiled parallel run: build the cluster, arm the profiler,
 /// drain, snapshot. Returns the profile and wall seconds.
@@ -56,80 +51,10 @@ fn capture(nodes: usize, shards: usize, cfg: &RunCfg) -> (EngineProf, f64) {
     (prof, wall_s)
 }
 
-/// The fig5 figure point (n=16, gm, dissemination) under an explicit
-/// engine, with the profiler left DISABLED — the same workload
-/// `engine_sweep` committed its one-shard baseline from.
-fn fig5_disabled_run(engine: EngineSel, shards: usize) -> f64 {
-    let cfg = RunCfg {
-        warmup: 50,
-        iters: 5000,
-        engine,
-        shards,
-        ..RunCfg::default()
-    };
-    let start = Instant::now();
-    Scenario::gm(GmParams::lanai_9_1(), 16, DS).run(&cfg);
-    start.elapsed().as_secs_f64()
-}
-
-/// Disabled-path overhead gate: with the profiler never armed, the
-/// parallel engine at one shard must stay within [`OVERHEAD_SLACK`] of the
-/// committed baseline overhead. Paired back-to-back repeats with
-/// alternating order, best pair wins — the same noise discipline as
-/// `engine_sweep`'s gate.
-fn disabled_overhead_gate() -> Result<(), String> {
-    let baseline = engineprof::baseline_one_shard_overhead("results/engine_sweep.json");
-    let Some(baseline) = baseline else {
-        println!("no results/engine_sweep.json baseline; skipping overhead gate");
-        return Ok(());
-    };
-    const GATE_REPEATS: usize = 7;
-    let mut best: Option<(f64, f64)> = None;
-    for r in 0..GATE_REPEATS {
-        let (seq, par) = if r % 2 == 0 {
-            let s = fig5_disabled_run(EngineSel::Sequential, 1);
-            let p = fig5_disabled_run(EngineSel::Parallel, 1);
-            (s, p)
-        } else {
-            let p = fig5_disabled_run(EngineSel::Parallel, 1);
-            let s = fig5_disabled_run(EngineSel::Sequential, 1);
-            (s, p)
-        };
-        if best.is_none_or(|(bs, bp)| par / seq < bp / bs) {
-            best = Some((seq, par));
-        }
-    }
-    let (seq_s, par_s) = best.expect("at least one repeat");
-    let overhead = par_s / seq_s - 1.0;
-    // The gate is against the committed baseline, floored at zero: a
-    // baseline that happened to measure the parallel wrapper as *faster*
-    // must not tighten the budget below "no regression + slack".
-    let budget = baseline.max(0.0) + OVERHEAD_SLACK;
-    println!(
-        "profiler-disabled 1-shard overhead: {:+.2}% (baseline {:+.2}%, budget {:+.2}%)",
-        overhead * 100.0,
-        baseline * 100.0,
-        budget * 100.0
-    );
-    if overhead > budget {
-        return Err(format!(
-            "disabled-profiler overhead {:+.2}% exceeds budget {:+.2}% — the \
-             profiler hooks are not free when off",
-            overhead * 100.0,
-            budget * 100.0
-        ));
-    }
-    println!(
-        "profiler-disabled path within {:.0}% of baseline ✓",
-        OVERHEAD_SLACK * 100.0
-    );
-    Ok(())
-}
-
 /// Bottleneck-delta gate: the bottleneck the committed PR-7 capture named
 /// must hold a strictly smaller share of lost time in today's profile —
-/// the check that this PR's adaptive lookahead / lock-free mailboxes /
-/// profile-guided partition actually moved the number the profiler blamed.
+/// the check that the adaptive lookahead and lock-free mailboxes actually
+/// moved the number the profiler blamed.
 fn bottleneck_delta_gate(prof: &EngineProf) -> Result<(), String> {
     const BASELINE: &str = "results/engine_prof_pr7.json";
     let Some((name, base_share)) = engineprof::baseline_bottleneck(BASELINE) else {
@@ -145,7 +70,7 @@ fn bottleneck_delta_gate(prof: &EngineProf) -> Result<(), String> {
     if today >= base_share {
         return Err(format!(
             "'{name}' still holds {:.1}% of lost time (baseline {:.1}%) — the \
-             profile-guided loop did not shrink the named bottleneck",
+             named bottleneck did not shrink",
             today * 100.0,
             base_share * 100.0
         ));
@@ -172,11 +97,15 @@ fn print_attribution(prof: &EngineProf) {
 fn main() {
     let (mut quick, mut check) = (false, false);
     let (mut nodes, mut shards, mut chrome) = (None, None, None);
-    let mut partition = PartitionSel::default();
-    let positive = |flag: &str, v: String| -> usize {
+    // One shard (and so one node, as shards clamp to nodes) builds the
+    // sequential engine, which has no shard profile to capture.
+    let at_least_two = |flag: &str, v: String| -> usize {
         match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => exit_usage(&format!("{flag} must be a positive integer, got {v}")),
+            Ok(n) if n >= 2 => n,
+            _ => exit_usage(&format!(
+                "{flag} must be an integer >= 2 (one shard runs the sequential \
+                 engine, which has no shard profile), got {v}"
+            )),
         }
     };
     let mut args = std::env::args().skip(1);
@@ -184,13 +113,11 @@ fn main() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--check" => check = true,
-            "--nodes" => nodes = Some(positive("--nodes", next_value(&mut args, "--nodes"))),
-            "--shards" => shards = Some(positive("--shards", next_value(&mut args, "--shards"))),
-            "--chrome" => chrome = Some(next_value(&mut args, "--chrome")),
-            "--partition" => {
-                partition = parse_partition(&next_value(&mut args, "--partition"))
-                    .unwrap_or_else(|e| exit_usage(&e));
+            "--nodes" => nodes = Some(at_least_two("--nodes", next_value(&mut args, "--nodes"))),
+            "--shards" => {
+                shards = Some(at_least_two("--shards", next_value(&mut args, "--shards")));
             }
+            "--chrome" => chrome = Some(next_value(&mut args, "--chrome")),
             other => exit_usage(&format!("unknown option {other}")),
         }
     }
@@ -206,9 +133,7 @@ fn main() {
     let cfg = RunCfg {
         warmup: 2,
         iters: if quick { 30 } else { 8 },
-        engine: EngineSel::Parallel,
         shards,
-        partition,
         ..RunCfg::default()
     };
     let label = format!("gm NIC-DS, {nodes} nodes");
@@ -260,11 +185,6 @@ fn main() {
 
     if !quick {
         if let Err(msg) = bottleneck_delta_gate(&prof) {
-            eprintln!("engine_prof --check: {msg}");
-            print_attribution(&prof);
-            std::process::exit(1);
-        }
-        if let Err(msg) = disabled_overhead_gate() {
             eprintln!("engine_prof --check: {msg}");
             print_attribution(&prof);
             std::process::exit(1);

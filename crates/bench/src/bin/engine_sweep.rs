@@ -2,8 +2,7 @@
 //!
 //! Measures raw engine throughput (events/second) on four micro workloads
 //! and the end-to-end wall time of two figure points, on the engine's one
-//! event queue (the indexed 4-ary heap), then runs the parallel one-shard
-//! overhead gate. Writes `results/engine_sweep.json`.
+//! event queue (the indexed 4-ary heap). Writes `results/engine_sweep.json`.
 //!
 //! Run with `cargo run --release -p nicbar-bench --bin engine_sweep`.
 //!
@@ -12,10 +11,7 @@
 //! `results/engine_sweep.json`, exiting non-zero on a >5% geomean
 //! regression. This is the observability zero-overhead gate: the record
 //! log stays off, so any slowdown here is hot-path damage.
-//! Quick mode never overwrites the baseline. Quick mode also prints an
-//! informational mutex-vs-SPSC mailbox throughput comparison — reported,
-//! not gated, because cross-thread throughput on a loaded CI box is too
-//! noisy for a hard threshold.
+//! Quick mode never overwrites the baseline.
 //!
 //! `--prof` (full sweep only) also profiles the fig5 point on the parallel
 //! engine. Any other argument, `--baseline` without `--quick`, `--prof`
@@ -27,7 +23,7 @@ use nicbar_bench::{exit_usage, next_value};
 use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
-use nicbar_sim::{Component, ComponentId, Ctx, Engine, EngineSel, SimTime};
+use nicbar_sim::{Component, ComponentId, Ctx, Engine, SimTime};
 use std::time::Instant;
 
 /// The NIC-based dissemination barrier, the paper's headline configuration.
@@ -169,70 +165,6 @@ fn fig5_run() -> (f64, f64) {
     (stats.mean_us, start.elapsed().as_secs_f64())
 }
 
-/// The fig5 point under an explicit execution engine: simulated mean and
-/// wall seconds.
-fn fig5_engine_run(engine: EngineSel, shards: usize) -> (f64, f64) {
-    // 5000 iterations ≈ 100 ms of wall per run: long enough that the
-    // ±1 ms scheduling jitter of a shared single-CPU CI host cannot fake
-    // a 5% overhead, short enough to keep the gate interactive.
-    let cfg = RunCfg {
-        warmup: 50,
-        iters: 5000,
-        engine,
-        shards,
-        ..RunCfg::default()
-    };
-    let start = Instant::now();
-    let stats = fig5_point().run(&cfg);
-    (stats.mean_us, start.elapsed().as_secs_f64())
-}
-
-/// The parallel engine at one shard must be a cheap wrapper around the
-/// sequential core: same simulated latency, and ≤5% wall-clock overhead on
-/// the fig5 figure point. Each repeat times the two engines back to back
-/// and the gate takes the *best pair ratio* — host-load drift (a shared CI
-/// box that slows down mid-gate) hits both halves of a pair equally, where
-/// independent min-of-N on each side can charge one engine for a slow
-/// phase the other never saw. Returns `(seq_wall_s, par_wall_s)` (the best
-/// pair) for the JSON report.
-fn parallel_one_shard_gate() -> (f64, f64) {
-    const GATE_REPEATS: usize = 7;
-    let mut best: Option<(f64, f64)> = None;
-    // Alternate which engine goes first each repeat, so same-pair ordering
-    // cannot systematically favor one side either.
-    for r in 0..GATE_REPEATS {
-        let (seq, par) = if r % 2 == 0 {
-            let s = fig5_engine_run(EngineSel::Sequential, 1);
-            let p = fig5_engine_run(EngineSel::Parallel, 1);
-            (s, p)
-        } else {
-            let p = fig5_engine_run(EngineSel::Parallel, 1);
-            let s = fig5_engine_run(EngineSel::Sequential, 1);
-            (s, p)
-        };
-        assert_eq!(
-            seq.0, par.0,
-            "parallel engine at 1 shard changed the simulated latency"
-        );
-        if best.is_none_or(|(bs, bp)| par.1 / seq.1 < bp / bs) {
-            best = Some((seq.1, par.1));
-        }
-    }
-    let (seq_s, par_s) = best.expect("at least one repeat");
-    let overhead = par_s / seq_s - 1.0;
-    println!(
-        "parallel 1-shard overhead on fig5_n16: sequential {seq_s:.3} s, parallel {par_s:.3} s ({:+.1}%)",
-        overhead * 100.0
-    );
-    assert!(
-        overhead <= 0.05,
-        "parallel engine at 1 shard is {:.1}% slower than sequential (gate: 5%)",
-        overhead * 100.0
-    );
-    println!("parallel 1-shard overhead within 5% ✓");
-    (seq_s, par_s)
-}
-
 fn fig7_run() -> (f64, f64) {
     let start = Instant::now();
     let stats = Scenario::elan(ElanParams::elan3(), 8, DS).run(&sweep_cfg());
@@ -300,107 +232,6 @@ fn baseline_rows(path: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(rows)
 }
 
-/// Cross-thread mailbox path, mutex vs SPSC ring — the contrast that
-/// motivated replacing `Mutex<Vec>` mailboxes in the parallel engine.
-/// Each producer thread pushes `items` u64s to the consumer; the mutex
-/// variant shares one `Mutex<Vec>`, the ring variant gives each producer
-/// its own [`nicbar_sim::SpscRing`] (the engine's per-pair topology).
-/// Returns (mutex_secs, ring_secs). Informational only: wall-clock on a
-/// shared box is too noisy to gate, and on a 1-core host both variants
-/// degenerate to context-switch benchmarks.
-fn mailbox_transfer(producers: usize, items: u64) -> (f64, f64) {
-    use std::sync::Mutex;
-
-    let mutex_secs = {
-        let shared: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for p in 0..producers {
-                let shared = &shared;
-                s.spawn(move || {
-                    for i in 0..items {
-                        shared.lock().expect("mailbox mutex").push(p as u64 ^ i);
-                    }
-                });
-            }
-            let total = producers as u64 * items;
-            let mut received = 0u64;
-            let mut drained = Vec::new();
-            while received < total {
-                {
-                    let mut guard = shared.lock().expect("mailbox mutex");
-                    std::mem::swap(&mut *guard, &mut drained);
-                }
-                received += drained.len() as u64;
-                drained.clear();
-                if received < total {
-                    std::thread::yield_now();
-                }
-            }
-        });
-        start.elapsed().as_secs_f64()
-    };
-
-    let ring_secs = {
-        let rings: Vec<nicbar_sim::SpscRing<u64>> = (0..producers)
-            .map(|_| nicbar_sim::SpscRing::new(1024))
-            .collect();
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for (p, ring) in rings.iter().enumerate() {
-                s.spawn(move || {
-                    for i in 0..items {
-                        let mut v = p as u64 ^ i;
-                        while let Err(back) = ring.push(v) {
-                            v = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-            let total = producers as u64 * items;
-            let mut received = 0u64;
-            while received < total {
-                let mut progressed = false;
-                for ring in &rings {
-                    while ring.pop().is_some() {
-                        received += 1;
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    std::thread::yield_now();
-                }
-            }
-        });
-        start.elapsed().as_secs_f64()
-    };
-
-    (mutex_secs, ring_secs)
-}
-
-/// Print the mutex-vs-ring mailbox comparison at 1, 2, 4, 8 producers.
-/// Not a gate — see [`mailbox_transfer`].
-fn mailbox_report() {
-    const ITEMS: u64 = 50_000;
-    println!("== mailbox path: Mutex<Vec> vs SpscRing (informational, not gated) ==\n");
-    println!(
-        "{:<10} {:>14} {:>14} {:>8}",
-        "producers", "mutex Kops/s", "ring Kops/s", "ratio"
-    );
-    for producers in [1usize, 2, 4, 8] {
-        let (mutex_s, ring_s) = mailbox_transfer(producers, ITEMS);
-        let total = (producers as u64 * ITEMS) as f64;
-        println!(
-            "{producers:<10} {:>14.0} {:>14.0} {:>7.2}x",
-            total / mutex_s / 1e3,
-            total / ring_s / 1e3,
-            mutex_s / ring_s
-        );
-    }
-    println!();
-}
-
 /// `--quick` gate: micro throughput vs the saved baseline's [`SCHEDULER`]
 /// rows. Exits 1 on a >5% geomean regression; never writes the baseline.
 fn quick_gate(baseline_path: &str, baseline: &[(String, f64)]) -> ! {
@@ -441,9 +272,7 @@ fn quick_gate(baseline_path: &str, baseline: &[(String, f64)]) -> ! {
         );
         std::process::exit(1);
     }
-    println!("engine_sweep --quick: within tolerance ✓\n");
-    mailbox_report();
-    parallel_one_shard_gate();
+    println!("engine_sweep --quick: within tolerance ✓");
     std::process::exit(0);
 }
 
@@ -502,9 +331,6 @@ fn main() {
         println!("{label:<10} mean {mean_us:>8.3} µs   wall {best:>7.3} s");
         figures.push((label, mean_us, best));
     }
-    println!();
-
-    let (seq_wall, par1_wall) = parallel_one_shard_gate();
 
     let mut w = Writer::new();
     w.open_object();
@@ -545,17 +371,6 @@ fn main() {
         w.close_object();
     }
     w.close_array();
-    w.field("parallel_one_shard");
-    w.open_object();
-    w.field("point");
-    w.string("fig5_n16");
-    w.field("sequential_wall_s");
-    w.number(seq_wall);
-    w.field("parallel_wall_s");
-    w.number(par1_wall);
-    w.field("overhead");
-    w.number(par1_wall / seq_wall - 1.0);
-    w.close_object();
     w.close_object();
 
     std::fs::create_dir_all("results").expect("create results/");
@@ -569,7 +384,6 @@ fn main() {
         let cfg = RunCfg {
             warmup: 50,
             iters: 5000,
-            engine: EngineSel::Parallel,
             shards: 2,
             ..RunCfg::default()
         };

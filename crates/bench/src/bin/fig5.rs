@@ -11,7 +11,6 @@
 use nicbar_bench::{engineprof, fig_args, parallel_sweep_map, Figure, Manifest, Series};
 use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
 use nicbar_gm::GmParams;
-use nicbar_sim::EngineSel;
 
 /// The NIC-based dissemination barrier, the paper's headline configuration.
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
@@ -100,7 +99,6 @@ fn main() {
     if args.prof {
         let shards = cfg.shards.max(2);
         let prof_cfg = RunCfg {
-            engine: EngineSel::Parallel,
             shards,
             ..cfg.clone()
         };

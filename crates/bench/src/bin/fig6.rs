@@ -6,7 +6,7 @@
 //! PCI-X bus leave less overhead for the NIC to remove.
 //!
 //! Shares the figure-binary CLI (`fig_args`): `--quick` shrinks the sweep
-//! for CI smoke runs, `--engine`/`--shards` select the execution engine.
+//! for CI smoke runs, `--shards` runs it on the parallel engine.
 
 use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
 use nicbar_core::{Algorithm, Barrier, Scenario};

@@ -14,7 +14,6 @@
 use nicbar_bench::{engineprof, fig_args, parallel_sweep_map, Figure, Manifest, Series};
 use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
-use nicbar_sim::EngineSel;
 
 /// The NIC-based dissemination barrier, the paper's headline configuration.
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
@@ -111,11 +110,7 @@ fn main() {
     // parallel engine.
     if args.prof {
         let shards = cfg.shards.max(2);
-        let prof_cfg = RunCfg {
-            engine: EngineSel::Parallel,
-            shards,
-            ..cfg
-        };
+        let prof_cfg = RunCfg { shards, ..cfg };
         let mut sim = Scenario::elan(ElanParams::elan3(), 8, DS).build(&prof_cfg);
         if let Some((prof, wall_s)) = engineprof::profile_run(&mut sim) {
             println!();

@@ -6,8 +6,8 @@
 //! Paper anchors: 22.13 µs (Quadrics) and 38.94 µs (Myrinet) at 1024.
 //!
 //! Shares the figure-binary CLI (`fig_args`): `--quick` sub-samples the
-//! sweep for CI smoke runs, `--engine`/`--shards` select the execution
-//! engine (the large points are where the sharded engine pays off).
+//! sweep for CI smoke runs, `--shards` runs it on the parallel engine (the
+//! large points are where the sharded engine pays off).
 
 use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
 use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};

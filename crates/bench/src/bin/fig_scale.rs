@@ -9,29 +9,28 @@
 //! The dissemination sweep is checked against the paper's analytical form
 //! `T = A + (⌈log₂N⌉−1)·T_trig` (EXPERIMENTS.md refit): the binary exits
 //! nonzero unless each substrate's DS curve fits the staircase at every
-//! measured N. Writes `BENCH_scale.json` at the repo root.
+//! measured N. A full run appends one run to the `BENCH_scale.json`
+//! trajectory at the repo root.
 //!
 //! Flags (see [`nicbar_bench::fig_args`]):
 //! * `--quick` sub-samples the grid for CI smoke runs while keeping the
-//!   65,536-node gm NIC-DS point.
-//! * `--engine <auto|sequential|parallel>` and `--shards <K>` select the
-//!   execution engine for the main sweeps.
+//!   65,536-node gm NIC-DS point, and writes nothing.
+//! * `--shards <K>` runs the main sweeps on the parallel engine with `K`
+//!   shards (the sequential engine below 2).
 //!
 //! After the sweeps, a dedicated engine-comparison series re-runs the
 //! 4096-node gm NIC-DS point sequentially and with the rank-sharded
 //! parallel engine at several shard counts, recording wall-clock speedup
-//! into the append-only `BENCH_par.json` trajectory. The ≥4.5× speedup
-//! expectation at 8 shards (adaptive lookahead + lock-free mailboxes) is
-//! asserted only when the host actually has ≥8 hardware threads; both
-//! artifacts record `"armed"`, whether that gate ran, next to
-//! `"host_threads"`.
+//! in the trajectory's `engine_series`. The ≥4.5× speedup expectation at
+//! 8 shards (adaptive lookahead + lock-free mailboxes) is asserted only
+//! when the host actually has ≥8 hardware threads; the series records
+//! `"armed"`, whether that gate ran, next to `"host_threads"`.
 
 use nicbar_bench::{fig_args, json::Writer, trajectory, Manifest};
 use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
 use nicbar_model::fit;
-use nicbar_sim::EngineSel;
 use std::time::Instant;
 
 /// One sweep point's full measurement.
@@ -78,9 +77,7 @@ fn cfg_for(n: usize, quick: bool, base: &RunCfg) -> RunCfg {
     RunCfg {
         warmup,
         iters,
-        engine: base.engine,
         shards: base.shards,
-        partition: base.partition.clone(),
         ..RunCfg::default()
     }
 }
@@ -178,16 +175,13 @@ struct EnginePoint {
 /// Re-run the 4096-node gm NIC-DS point sequentially and rank-sharded, so
 /// BENCH_scale.json carries a wall-clock speedup series for the parallel
 /// engine. Latency means must be byte-identical across engines (the
-/// conservative windows never reorder cross-shard delivery) — which also
-/// makes this the parity smoke for `--partition profile=<path>`: the
-/// profile-guided map is threaded through `base` into every parallel run
-/// here and must not change a single latency sample. Also returns whether
-/// the 8-shard speedup gate armed on this host.
+/// conservative windows never reorder cross-shard delivery). Also returns
+/// whether the 8-shard speedup gate armed on this host.
 fn engine_series(quick: bool, base: &RunCfg) -> (Vec<EnginePoint>, bool) {
     const N: usize = 4096;
     let shard_counts: &[usize] = if quick { &[8] } else { &[2, 4, 8] };
     let mut cfg = cfg_for(N, quick, base);
-    cfg.engine = EngineSel::Sequential;
+    cfg.shards = 1;
     let seq = run_point("gm", Algorithm::Dissemination, N, &cfg);
     let mut out = vec![EnginePoint {
         engine: "sequential",
@@ -197,7 +191,6 @@ fn engine_series(quick: bool, base: &RunCfg) -> (Vec<EnginePoint>, bool) {
         events: seq.events,
     }];
     for &shards in shard_counts {
-        cfg.engine = EngineSel::Parallel;
         cfg.shards = shards;
         let par = run_point("gm", Algorithm::Dissemination, N, &cfg);
         assert_eq!(
@@ -314,7 +307,6 @@ fn main() {
         let n = if args.quick { 256 } else { 4096 };
         let shards = base.shards.max(2);
         let prof_cfg = RunCfg {
-            engine: EngineSel::Parallel,
             shards,
             ..cfg_for(n, args.quick, &base)
         };
@@ -328,15 +320,19 @@ fn main() {
         }
     }
 
-    let (sel, shards) = base.engine.resolve(base.shards);
+    // A `--quick` smoke, like every figure binary's, writes nothing: only
+    // full runs join the trajectory.
+    if args.quick {
+        return;
+    }
+    let shards = base.shards;
     let manifest = Manifest::new(
         RunCfg::default().seed,
         format!(
-            "gm lanai-xp + elan3, DS to n={}, PE to n={}, iters scaled by n, quick={}, engine={}, shards={}",
+            "gm lanai-xp + elan3, DS to n={}, PE to n={}, iters scaled by n, quick=false, engine={}, shards={}",
             sweeps[0].1.last().map_or(0, |p| p.n),
             sweeps[1].1.last().map_or(0, |p| p.n),
-            args.quick,
-            if sel { "parallel" } else { "sequential" },
+            if shards > 1 { "parallel" } else { "sequential" },
             shards,
         ),
     );
@@ -416,35 +412,4 @@ fn main() {
     w.close_object();
     trajectory::append_run("scale", &w.finish()).expect("write BENCH_scale.json");
     println!("[saved BENCH_scale.json]");
-
-    // BENCH_par.json: the dedicated parallel-engine speedup trajectory —
-    // one manifest-stamped run per invocation, append-only, so "when did
-    // the 8-shard speedup move?" is answerable from the artifact alone.
-    let mut w = Writer::new();
-    w.open_object();
-    manifest.emit(&mut w);
-    w.field("label");
-    w.string("gm NIC-DS n=4096, wall-clock speedup vs sequential");
-    w.field("host_threads");
-    w.uint(std::thread::available_parallelism().map_or(1, usize::from) as u64);
-    w.field("armed");
-    w.bool(armed);
-    w.field("points");
-    w.open_array();
-    for p in &engines {
-        w.open_object();
-        w.field("engine");
-        w.string(p.engine);
-        w.field("shards");
-        w.uint(p.shards as u64);
-        w.field("wall_s");
-        w.number(p.wall_s);
-        w.field("speedup");
-        w.number(seq_wall / p.wall_s);
-        w.close_object();
-    }
-    w.close_array();
-    w.close_object();
-    trajectory::append_run("par", &w.finish()).expect("write BENCH_par.json");
-    println!("[saved BENCH_par.json]");
 }

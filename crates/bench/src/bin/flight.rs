@@ -11,31 +11,28 @@
 //!   --chrome PATH    write Chrome trace JSON to PATH
 //!   --gm-only        skip the Elan capture
 //!   --elan-only      skip the GM capture
-//!   --engine E       sequential | parallel | auto (default auto)
-//!   --shards K       parallel worker shards (default 1)
+//!   --shards K       worker shards (default 1; the parallel engine from 2)
 //!
 //! Each breakdown stamps which engine produced it; everything else is
 //! byte-identical across engines and shard counts.
 
 use nicbar_bench::flight::{chrome_trace, print_breakdown};
-use nicbar_bench::{exit_usage, next_value, parse_engine, parse_shards, OutputFile};
+use nicbar_bench::{exit_usage, next_value, parse_shards, OutputFile};
 use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
-use nicbar_sim::EngineSel;
 
 /// The NIC-based dissemination barrier, the paper's headline configuration.
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 const USAGE: &str = "usage: flight [--nodes N] [--chrome PATH] [--gm-only|--elan-only] \
-                     [--engine sequential|parallel|auto] [--shards K]";
+                     [--shards K]";
 
 fn main() {
     let mut nodes = 4usize;
     let mut chrome: Option<String> = None;
     let mut run_gm = true;
     let mut run_elan = true;
-    let mut engine = EngineSel::Auto;
     let mut shards = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -53,10 +50,6 @@ fn main() {
             },
             "--gm-only" => run_elan = false,
             "--elan-only" => run_gm = false,
-            "--engine" => {
-                engine = parse_engine(&next_value(&mut args, "--engine"))
-                    .unwrap_or_else(|e| exit_usage(&e));
-            }
             "--shards" => {
                 shards = parse_shards(&next_value(&mut args, "--shards"))
                     .unwrap_or_else(|e| exit_usage(&e));
@@ -69,7 +62,6 @@ fn main() {
     let cfg = RunCfg {
         warmup: 2,
         iters: 8,
-        engine,
         shards,
         ..RunCfg::default()
     };

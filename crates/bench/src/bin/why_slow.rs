@@ -16,8 +16,7 @@
 //!                      (the first line is a dump-level header carrying
 //!                      the log's dropped-record count, so consumers can
 //!                      detect truncated dumps)
-//!   --engine E         sequential | parallel | auto (default auto)
-//!   --shards K         parallel worker shards (default 1)
+//!   --shards K         worker shards (default 1; the parallel engine from 2)
 //!   --check            gate mode: exit nonzero unless every barrier has a
 //!                      non-empty critical path with >= 95% wall-time
 //!                      coverage and the log dropped zero records
@@ -28,20 +27,16 @@
 //! The header stamps which engine produced the run; everything below it is
 //! byte-identical across engines and shard counts.
 
-use nicbar_bench::{
-    critpath, exit_usage, flight, netdump, next_value, parse_engine, parse_shards, OutputFile,
-};
+use nicbar_bench::{critpath, exit_usage, flight, netdump, next_value, parse_shards, OutputFile};
 use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
-use nicbar_sim::EngineSel;
 
 /// The NIC-based dissemination barrier, the paper's headline configuration.
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 const USAGE: &str = "usage: why-slow [--nodes N] [--substrate gm|elan] [--drop P] \
-                     [--seed S] [--iters N] [--jsonl PATH] \
-                     [--engine sequential|parallel|auto] [--shards K] [--check] \
+                     [--seed S] [--iters N] [--jsonl PATH] [--shards K] [--check] \
                      [--replay PATH]";
 
 /// Re-ingest an exported JSONL netdump and run the causal analysis on it.
@@ -136,7 +131,6 @@ fn main() {
     let mut seed = 42u64;
     let mut iters = 4u64;
     let mut jsonl_path: Option<String> = None;
-    let mut engine = EngineSel::Auto;
     let mut shards = 1usize;
     let mut check = false;
     let mut replay_path: Option<String> = None;
@@ -177,10 +171,6 @@ fn main() {
                 });
             }
             "--jsonl" => jsonl_path = Some(next_value(&mut args, flag)),
-            "--engine" => {
-                engine =
-                    parse_engine(&next_value(&mut args, flag)).unwrap_or_else(|e| exit_usage(&e));
-            }
             "--shards" => {
                 shards =
                     parse_shards(&next_value(&mut args, flag)).unwrap_or_else(|e| exit_usage(&e));
@@ -200,7 +190,6 @@ fn main() {
         iters,
         seed,
         drop_prob,
-        engine,
         shards,
         ..RunCfg::default()
     };

@@ -12,10 +12,6 @@
 //!   crossing. Open in Perfetto or `chrome://tracing`.
 //! * [`to_json`] — the manifest-stamped machine-readable profile written to
 //!   `results/engine_prof.json`.
-//!
-//! [`baseline_one_shard_overhead`] reads the committed
-//! `results/engine_sweep.json` baseline the `engine_prof --check` overhead
-//! gate compares against.
 
 use crate::json::{Manifest, Writer};
 use nicbar_core::Sim;
@@ -431,22 +427,6 @@ pub fn profile_run(sim: &mut Sim) -> Option<(EngineProf, f64)> {
     sim.prof_snapshot().map(|p| (p, wall_s))
 }
 
-/// The committed one-shard engine overhead from a saved
-/// `results/engine_sweep.json` (`parallel_one_shard.overhead`), or `None`
-/// if the baseline is missing or unreadable. The `engine_prof --check`
-/// overhead gate asserts today's profiler-disabled overhead stays within
-/// two percentage points of this.
-pub fn baseline_one_shard_overhead(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let start = text.find("\"parallel_one_shard\"")?;
-    let chunk = &text[start..];
-    let pat = "\"overhead\": ";
-    let v = chunk.find(pat)? + pat.len();
-    let rest = &chunk[v..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// The named attribution bucket's share of lost (non-busy) worker time:
 /// `0.0` for unknown names or when nothing was lost. Shares use the same
 /// denominator as [`nicbar_sim::ProfAttribution::dominant`], so a share
@@ -485,141 +465,17 @@ pub fn baseline_bottleneck(path: &str) -> Option<(String, f64)> {
     Some((name, share))
 }
 
-/// A prior run's per-shard load summary parsed back out of a
-/// `results/engine_prof.json`-shaped capture — enough to drive
-/// profile-guided repartitioning without a JSON dependency.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LoadProfile {
-    /// Component count per prior shard (`shards_detail[].components`).
-    pub components: Vec<u64>,
-    /// Busy nanoseconds per prior shard (`shards_detail[].busy_ns`).
-    pub busy_ns: Vec<u64>,
-    /// Row-major `k × k` cross-shard event counts; empty when the capture
-    /// predates the traffic matrix.
-    pub traffic: Vec<u64>,
-}
-
-/// Every unsigned integer that directly follows a `"key": ` occurrence in
-/// `chunk`, in order.
-fn uints_after(chunk: &str, key: &str) -> Vec<u64> {
-    let pat = format!("\"{key}\": ");
-    let mut out = Vec::new();
-    let mut rest = chunk;
-    while let Some(i) = rest.find(&pat) {
-        let v = &rest[i + pat.len()..];
-        let end = v.find(|c: char| !c.is_ascii_digit()).unwrap_or(v.len());
-        if let Ok(n) = v[..end].parse() {
-            out.push(n);
-        }
-        rest = v;
-    }
-    out
-}
-
-/// Parse a [`LoadProfile`] back out of a saved `engine_prof` capture.
-/// Returns `None` when the file is missing or does not carry a coherent
-/// `shards_detail` table. A missing `traffic_matrix` (pre-cost-model
-/// captures) degrades to an empty matrix, not a failure.
-pub fn load_profile(path: &str) -> Option<LoadProfile> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let detail_at = text.find("\"shards_detail\"")?;
-    let detail = &text[detail_at..];
-    let components = uints_after(detail, "components");
-    let busy_ns = uints_after(detail, "busy_ns");
-    if components.is_empty() || components.len() != busy_ns.len() {
-        return None;
-    }
-    let k = components.len();
-    let traffic: Vec<u64> = match text.find("\"traffic_matrix\"") {
-        Some(t) if t < detail_at => text[t..detail_at]
-            .split(|c: char| !c.is_ascii_digit())
-            .filter(|s| !s.is_empty())
-            .filter_map(|s| s.parse().ok())
-            .collect(),
-        _ => Vec::new(),
-    };
-    let traffic = if traffic.len() == k * k {
-        traffic
-    } else {
-        Vec::new()
-    };
-    Some(LoadProfile {
-        components,
-        busy_ns,
-        traffic,
-    })
-}
-
-/// Turn a saved capture into a profile-guided [`nicbar_sim::PartitionSel`].
-///
-/// Cost model: the prior run's contiguous layout puts `components / 2`
-/// nodes on each shard (host + NIC per node), so each node inherits its
-/// old shard's mean busy time as its weight. Cut costs come from the
-/// traffic matrix: a node interior to old shard `s` costs `s`'s mean
-/// per-node outgoing traffic to cut before, while an old shard boundary
-/// costs exactly the traffic measured across that pair — so the
-/// repartitioner keeps low-traffic cuts and slides high-traffic ones,
-/// subject to the load bound staying primary. Returns `None` when the
-/// capture is unreadable, empty, or claims more components than an engine
-/// can key ([`nicbar_sim::MAX_COMPONENTS`]).
-pub fn partition_from_profile(path: &str) -> Option<nicbar_sim::PartitionSel> {
-    let p = load_profile(path)?;
-    let components = p
-        .components
-        .iter()
-        .try_fold(0u64, |sum, &c| sum.checked_add(c))?;
-    if components > nicbar_sim::MAX_COMPONENTS as u64 {
-        return None;
-    }
-    let k = p.components.len();
-    let nodes_per: Vec<usize> = p.components.iter().map(|&c| (c / 2) as usize).collect();
-    let total: usize = nodes_per.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let have_traffic = p.traffic.len() == k * k;
-    let mut weights: Vec<u64> = Vec::with_capacity(total);
-    let mut boundary: Vec<u64> = vec![0; total];
-    let mut start = 0usize;
-    for (s, &n_s) in nodes_per.iter().enumerate() {
-        if n_s == 0 {
-            continue;
-        }
-        let w = (p.busy_ns[s] / n_s as u64).max(1);
-        weights.extend(std::iter::repeat_n(w, n_s));
-        if have_traffic {
-            let row: u64 = p.traffic[s * k..(s + 1) * k].iter().sum();
-            let interior = row / n_s as u64;
-            for b in boundary.iter_mut().skip(start).take(n_s) {
-                *b = interior;
-            }
-            if s > 0 {
-                boundary[start] =
-                    p.traffic[(s - 1) * k + s].saturating_add(p.traffic[s * k + (s - 1)]);
-            }
-        }
-        start += n_s;
-    }
-    let boundary_cost: Vec<u64> = if have_traffic { boundary } else { Vec::new() };
-    Some(nicbar_sim::PartitionSel::Weighted {
-        weights: weights.into(),
-        boundary_cost: boundary_cost.into(),
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)] // test code
 mod tests {
     use super::*;
     use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
     use nicbar_gm::GmParams;
-    use nicbar_sim::EngineSel;
 
     fn profiled_run() -> EngineProf {
         let cfg = RunCfg {
             warmup: 2,
             iters: 20,
-            engine: EngineSel::Parallel,
             shards: 3,
             ..RunCfg::default()
         };
@@ -694,101 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_round_trips_through_json_to_a_weighted_partition() {
-        let prof = profiled_run();
-        let m = Manifest::new(42, "engine_prof test");
-        let json = to_json(&prof, "gm NIC-DS, 12 nodes", 0.5, &m);
-        let dir = std::env::temp_dir().join("nicbar_engineprof_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("engine_prof.json");
-        std::fs::write(&path, &json).unwrap();
-
-        let p = load_profile(path.to_str().unwrap()).unwrap();
-        assert_eq!(p.components.len(), 3);
-        assert_eq!(p.busy_ns.len(), 3);
-        assert_eq!(p.traffic, traffic_matrix(&prof));
-        assert_eq!(
-            p.components.iter().sum::<u64>(),
-            24,
-            "12 nodes × (host + NIC)"
-        );
-
-        let sel = partition_from_profile(path.to_str().unwrap()).unwrap();
-        let nicbar_sim::PartitionSel::Weighted {
-            weights,
-            boundary_cost,
-        } = &sel
-        else {
-            panic!("expected a weighted partition, got {sel:?}");
-        };
-        assert_eq!(weights.len(), 12, "one weight per prior node");
-        assert_eq!(boundary_cost.len(), 12);
-        assert!(weights.iter().all(|&w| w >= 1));
-        // The selection must build a valid map for a differently-sized run.
-        let map = sel.map(16, 8, 2, |c| c % 8);
-        assert_eq!(map.shards(), 2);
-
-        // A capture without the traffic matrix still loads (empty matrix,
-        // no boundary costs).
-        let stripped = {
-            let t = json.find("\"traffic_matrix\"").unwrap();
-            let d = json.find("\"shards_detail\"").unwrap();
-            format!("{}{}", &json[..t], &json[d..])
-        };
-        let legacy = dir.join("engine_prof_legacy.json");
-        std::fs::write(&legacy, stripped).unwrap();
-        let p2 = load_profile(legacy.to_str().unwrap()).unwrap();
-        assert!(p2.traffic.is_empty());
-        let sel2 = partition_from_profile(legacy.to_str().unwrap()).unwrap();
-        let nicbar_sim::PartitionSel::Weighted { boundary_cost, .. } = &sel2 else {
-            panic!("expected weighted");
-        };
-        assert!(boundary_cost.is_empty());
-
-        assert!(load_profile("/nonexistent/engine_prof.json").is_none());
-        assert!(partition_from_profile("/nonexistent/engine_prof.json").is_none());
-    }
-
-    #[test]
-    fn oversized_or_incoherent_profiles_are_rejected() {
-        let dir = std::env::temp_dir().join("nicbar_engineprof_malformed");
-        std::fs::create_dir_all(&dir).unwrap();
-        let capture = |name: &str, detail: &str| {
-            let path = dir.join(name);
-            std::fs::write(&path, format!("{{\"shards_detail\": [{detail}]}}")).unwrap();
-            path.to_str().unwrap().to_string()
-        };
-        let ok = capture("ok.json", r#"{"components": 8, "busy_ns": 40}"#);
-        assert!(partition_from_profile(&ok).is_some());
-        // One component past what an engine can key, split over two shards.
-        let half = nicbar_sim::MAX_COMPONENTS as u64 / 2 + 1;
-        let over = capture(
-            "over.json",
-            &format!(
-                r#"{{"components": {half}, "busy_ns": 1}}, {{"components": {half}, "busy_ns": 1}}"#
-            ),
-        );
-        assert!(partition_from_profile(&over).is_none());
-        // 10^17 components (a 400 PB weight vector) and a u64-overflowing sum.
-        let huge = capture(
-            "huge.json",
-            r#"{"components": 100000000000000000, "busy_ns": 1}"#,
-        );
-        assert!(partition_from_profile(&huge).is_none());
-        let wrap = capture(
-            "wrap.json",
-            r#"{"components": 18446744073709551615, "busy_ns": 1}, {"components": 2, "busy_ns": 1}"#,
-        );
-        assert!(partition_from_profile(&wrap).is_none());
-        // A busy time missing for one shard.
-        let torn = capture(
-            "torn.json",
-            r#"{"components": 8, "busy_ns": 4}, {"components": 8}"#,
-        );
-        assert!(partition_from_profile(&torn).is_none());
-    }
-
-    #[test]
     fn bottleneck_share_matches_dominant_and_baseline_parses() {
         let prof = profiled_run();
         let (dom, dom_share) = prof.attribution().dominant();
@@ -814,22 +575,5 @@ mod tests {
         assert_eq!(name, dom);
         assert!((share - dom_share).abs() < 1e-9);
         assert!(baseline_bottleneck("/nonexistent/prof.json").is_none());
-    }
-
-    #[test]
-    fn baseline_reader_parses_the_sweep_schema() {
-        let dir = std::env::temp_dir().join("nicbar_engineprof_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("engine_sweep.json");
-        std::fs::write(
-            &path,
-            "{\n  \"parallel_one_shard\": {\n    \"point\": \"fig5_n16\",\n    \
-             \"sequential_wall_s\": 0.1,\n    \"parallel_wall_s\": 0.11,\n    \
-             \"overhead\": -0.0129\n  }\n}\n",
-        )
-        .unwrap();
-        let v = baseline_one_shard_overhead(path.to_str().unwrap()).unwrap();
-        assert!((v - (-0.0129)).abs() < 1e-12);
-        assert!(baseline_one_shard_overhead("/nonexistent/engine_sweep.json").is_none());
     }
 }

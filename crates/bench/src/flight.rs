@@ -354,7 +354,6 @@ mod tests {
         let par = Scenario::gm(GmParams::lanai_xp(), 4, DS).capture(&RunCfg {
             warmup: 1,
             iters: 4,
-            engine: nicbar_sim::EngineSel::Parallel,
             shards: 2,
             ..RunCfg::default()
         });

@@ -242,7 +242,7 @@ pub struct FigArgs {
     /// report for one parallel run after the sweep.
     pub prof: bool,
     /// [`quick_cfg`] under `--quick`, [`figure_cfg`] otherwise, with
-    /// `--engine`/`--shards`/`--partition` already threaded in.
+    /// `--shards` already threaded in.
     pub cfg: nicbar_core::RunCfg,
 }
 
@@ -287,18 +287,6 @@ pub fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String
         .unwrap_or_else(|| exit_usage(&format!("{flag} needs a value")))
 }
 
-/// Parse an `--engine` flag value: `auto`, `sequential` or `parallel`.
-pub fn parse_engine(value: &str) -> Result<nicbar_sim::EngineSel, String> {
-    match value {
-        "auto" => Ok(nicbar_sim::EngineSel::Auto),
-        "sequential" => Ok(nicbar_sim::EngineSel::Sequential),
-        "parallel" => Ok(nicbar_sim::EngineSel::Parallel),
-        other => Err(format!(
-            "--engine must be auto|sequential|parallel, got {other}"
-        )),
-    }
-}
-
 /// Parse a `--shards` flag value: a positive integer.
 pub fn parse_shards(value: &str) -> Result<usize, String> {
     match value.parse() {
@@ -307,31 +295,10 @@ pub fn parse_shards(value: &str) -> Result<usize, String> {
     }
 }
 
-/// Parse a `--partition` flag value: `contiguous` (the default even split)
-/// or `profile=<path>` (profile-guided, reading a prior
-/// `results/engine_prof.json`-shaped capture).
-pub fn parse_partition(value: &str) -> Result<nicbar_sim::PartitionSel, String> {
-    match value {
-        "contiguous" => Ok(nicbar_sim::PartitionSel::Contiguous),
-        other => match other.strip_prefix("profile=") {
-            Some(path) => engineprof::partition_from_profile(path).ok_or_else(|| {
-                format!(
-                    "--partition profile={path}: not a readable, coherent engine_prof \
-                     capture of at most {} components",
-                    nicbar_sim::MAX_COMPONENTS
-                )
-            }),
-            None => Err(format!(
-                "--partition must be contiguous|profile=<path>, got {other}"
-            )),
-        },
-    }
-}
-
 /// Parse the figure binaries' shared flags (program name excluded):
-/// `--quick`, `--engine <auto|sequential|parallel>`, `--shards <K>` and
-/// `--partition <contiguous|profile=PATH>`, plus the switches the binary
-/// lists in `switches`. `--flight` and `--prof` set the matching
+/// `--quick` and `--shards <K>` (below 2 the sequential engine, otherwise
+/// the parallel engine on `K` shards), plus the switches the binary lists
+/// in `switches`. `--flight` and `--prof` set the matching
 /// [`FigArgs`] fields; any other listed switch (contend's `--check`) is
 /// the binary's own to look for. Every other argument is an error, so a
 /// typo or a flag the binary never reads cannot quietly run its default job.
@@ -344,9 +311,7 @@ pub fn parse_fig_args(args: &[String], switches: &[&str]) -> Result<FigArgs, Str
         let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg {
             "--quick" => {}
-            "--engine" => cfg.engine = parse_engine(value()?)?,
             "--shards" => cfg.shards = parse_shards(value()?)?,
-            "--partition" => cfg.partition = parse_partition(value()?)?,
             switch if switches.contains(&switch) => {
                 flight |= switch == "--flight";
                 prof |= switch == "--prof";
@@ -417,13 +382,12 @@ mod tests {
 
     #[test]
     fn fig_args_parse_the_shared_flags() {
-        let args: Vec<String> = ["--quick", "--engine", "parallel", "--shards", "3", "--prof"]
+        let args: Vec<String> = ["--quick", "--shards", "3", "--prof"]
             .iter()
             .map(|a| a.to_string())
             .collect();
         let parsed = parse_fig_args(&args, &["--flight", "--prof"]).expect("well-formed flags");
         assert!(parsed.quick && !parsed.flight && parsed.prof);
-        assert_eq!(parsed.cfg.engine, nicbar_sim::EngineSel::Parallel);
         assert_eq!(parsed.cfg.shards, 3);
         assert_eq!(parsed.cfg.iters, quick_cfg().iters);
     }

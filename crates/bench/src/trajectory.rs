@@ -1,11 +1,11 @@
 //! Perf-trajectory artifacts (`BENCH_*.json`, at the repository root).
 //!
-//! A trajectory records wall-clock runs: `fig_scale` appends one run per
-//! invocation to `BENCH_scale.json` (events/sec, wall seconds and peak RSS
-//! per sweep point, next to its [`point`] latency summary) and to
-//! `BENCH_par.json` (the parallel engine's speedup over sequential). Each
-//! run embeds its manifest so the artifact states which seed, config, and
-//! git revision produced it. Simulated latencies alone are deterministic
+//! A trajectory records wall-clock runs: each full `fig_scale` run appends
+//! one run to `BENCH_scale.json` (events/sec, wall seconds and peak RSS
+//! per sweep point, next to its [`point`] latency summary, plus the
+//! parallel engine's speedup over sequential). Each run embeds its
+//! manifest so the artifact states which seed, config, and git revision
+//! produced it. Simulated latencies alone are deterministic
 //! model output, not performance; they live in `results/*.json` and
 //! change only when behaviour does.
 //!

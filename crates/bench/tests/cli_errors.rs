@@ -1,6 +1,6 @@
 //! Malformed input to the bench binaries ends in an `error:` line and a
-//! nonzero exit, never a panic, a hang or an abort: flags, profiles and
-//! unwritable output paths exit 2, replayed dumps exit 1. A rejected
+//! nonzero exit, never a panic, a hang or an abort: flags and unwritable
+//! output paths exit 2, replayed dumps exit 1. A rejected
 //! command line runs nothing and writes nothing.
 
 use std::path::Path;
@@ -106,7 +106,6 @@ fn replay_rejects_causal_cycles() {
 
 #[test]
 fn figure_flags_reject_malformed_values() {
-    let huge = format!("profile={}", fixture("profile_huge_components.json"));
     for (args, says) in [
         (
             &["--quick", "--shards", "abc"][..],
@@ -114,16 +113,6 @@ fn figure_flags_reject_malformed_values() {
         ),
         (&["--quick", "--shards", "0"], "positive integer, got 0"),
         (&["--quick", "--shards"], "--shards needs a value"),
-        (&["--quick", "--engine", "warp"], "--engine must be"),
-        (&["--quick", "--partition", "zigzag"], "contiguous|profile="),
-        (
-            &["--quick", "--partition", "profile=/nonexistent.json"],
-            "not a readable",
-        ),
-        (
-            &["--quick", "--partition", &huge],
-            "at most 16777215 components",
-        ),
     ] {
         rejects(env!("CARGO_BIN_EXE_fig7"), args, says);
     }
@@ -142,15 +131,10 @@ fn flight_rejects_malformed_flags() {
 }
 
 #[test]
-fn flight_rejects_malformed_engine_and_shards() {
+fn flight_rejects_malformed_shards() {
     for (args, says) in [
         (
-            &["--engine", "warp"][..],
-            "--engine must be auto|sequential|parallel",
-        ),
-        (&["--engine"], "--engine needs a value"),
-        (
-            &["--shards", "0"],
+            &["--shards", "0"][..],
             "--shards must be a positive integer, got 0",
         ),
         (
@@ -200,10 +184,6 @@ fn why_slow_rejects_malformed_flags() {
             "--iters must be an unsigned integer, got many",
         ),
         (
-            &["--engine", "warp"],
-            "--engine must be auto|sequential|parallel",
-        ),
-        (
             &["--shards", "0"],
             "--shards must be a positive integer, got 0",
         ),
@@ -211,6 +191,38 @@ fn why_slow_rejects_malformed_flags() {
         (&["--replay"], "--replay needs a value"),
     ] {
         rejects(env!("CARGO_BIN_EXE_why-slow"), args, says);
+    }
+}
+
+/// The shard count is the one parallel-execution setting: the engine and
+/// partition selectors it replaced are unknown options.
+#[test]
+fn engine_and_partition_selectors_are_unknown_options() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig7"), &["--engine", "parallel"][..]),
+        (env!("CARGO_BIN_EXE_flight"), &["--engine", "parallel"]),
+        (env!("CARGO_BIN_EXE_why-slow"), &["--engine", "parallel"]),
+        (env!("CARGO_BIN_EXE_fig7"), &["--partition", "contiguous"]),
+        (
+            env!("CARGO_BIN_EXE_engine_prof"),
+            &["--partition", "contiguous"],
+        ),
+    ] {
+        rejects(bin, args, &format!("unknown option {}", args[0]));
+    }
+}
+
+/// One shard runs the sequential engine, which has no shard profile:
+/// `engine_prof` refuses one shard, and one node (shards clamp to nodes),
+/// before anything runs.
+#[test]
+fn engine_prof_refuses_one_shard_profiles() {
+    for flag in ["--shards", "--nodes"] {
+        rejects(
+            env!("CARGO_BIN_EXE_engine_prof"),
+            &["--quick", flag, "1"],
+            &format!("{flag} must be an integer >= 2"),
+        );
     }
 }
 

@@ -6,7 +6,7 @@
 
 use nicbar_gm::GroupId;
 use nicbar_net::{NodeId, Permutation};
-use nicbar_sim::{EngineSel, PartitionSel, SimRng, SimTime, Trace};
+use nicbar_sim::{SimRng, SimTime, Trace};
 
 /// The collective group id used by the barrier benchmarks.
 pub const BARRIER_GROUP: GroupId = GroupId(0xBA);
@@ -29,13 +29,11 @@ pub struct RunCfg {
     pub drop_prob: f64,
     /// Place ranks on a random node permutation.
     pub permute: bool,
-    /// Engine flavour ([`EngineSel::Auto`]: parallel iff `shards > 1`).
-    pub engine: EngineSel,
-    /// Worker shards for the parallel engine.
+    /// Worker shards, the one parallel-execution setting: a cluster whose
+    /// shard count (clamped to its node count) is below 2, or which has the
+    /// Elan hardware-barrier unit, runs on the sequential engine; any other
+    /// runs on the parallel engine over contiguous node ranges.
     pub shards: usize,
-    /// Component-to-shard partition strategy for the parallel engine
-    /// (profile-guided when the fig binaries get `--partition profile=..`).
-    pub partition: PartitionSel,
 }
 
 impl Default for RunCfg {
@@ -47,9 +45,7 @@ impl Default for RunCfg {
             skew_us: 0.0,
             drop_prob: 0.0,
             permute: false,
-            engine: EngineSel::Auto,
             shards: 1,
-            partition: PartitionSel::Contiguous,
         }
     }
 }

@@ -250,9 +250,7 @@ impl Scenario {
             .with_seed(cfg.seed)
             .with_drop_prob(cfg.drop_prob)
             .with_features(features)
-            .with_engine(cfg.engine)
-            .with_shards(cfg.shards)
-            .with_partition(cfg.partition.clone());
+            .with_shards(cfg.shards);
         match (self.barrier, self.traffic) {
             (Barrier::Nic(algo), traffic) => {
                 let timeout = params.coll_timeout;
@@ -308,9 +306,7 @@ impl Scenario {
         let (n, total, skew) = (self.n, cfg.total(), cfg.skew_us);
         let spec = ElanClusterSpec::new(params.clone(), n)
             .with_seed(cfg.seed)
-            .with_engine(cfg.engine)
-            .with_shards(cfg.shards)
-            .with_partition(cfg.partition.clone());
+            .with_shards(cfg.shards);
         let no_programs = || vec![NicProgram::default(); n];
         match (self.barrier, self.traffic) {
             (Barrier::Nic(algo), None) => {

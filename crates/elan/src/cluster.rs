@@ -7,9 +7,7 @@ use crate::nic::ElanNic;
 use crate::params::ElanParams;
 use crate::types::{NicEvent, RdmaDesc};
 use nicbar_net::{NodeId, QuaternaryFatTree, WireModel, WireRx};
-use nicbar_sim::{
-    ComponentId, Engine, EngineSel, ExecEngine, ParallelEngine, PartitionSel, RunOutcome, SimTime,
-};
+use nicbar_sim::{ComponentId, Engine, ExecEngine, ParallelEngine, RunOutcome, ShardMap, SimTime};
 use std::sync::Arc;
 
 /// Static description of an Elan cluster simulation.
@@ -23,15 +21,12 @@ pub struct ElanClusterSpec {
     pub seed: u64,
     /// Install the switch-level hardware barrier unit over all nodes.
     pub hw_barrier: bool,
-    /// Which engine flavour to build ([`EngineSel::Auto`]: parallel iff
-    /// `shards > 1`). The hardware barrier unit is a single component with
+    /// Worker shards, clamped to `n`: below 2 the cluster runs on the
+    /// sequential engine, otherwise on the parallel engine over contiguous
+    /// node ranges. The hardware barrier unit is a single component with
     /// sub-lookahead links to every NIC, so `hw_barrier` clusters always
-    /// build sequential regardless of this selection.
-    pub engine: EngineSel,
-    /// Worker shards for the parallel engine (clamped to `[1, n]`).
+    /// build sequential whatever the shard count.
     pub shards: usize,
-    /// Component-to-shard partition strategy for the parallel engine.
-    pub partition: PartitionSel,
 }
 
 impl ElanClusterSpec {
@@ -42,9 +37,7 @@ impl ElanClusterSpec {
             n,
             seed: 0xE1A3,
             hw_barrier: false,
-            engine: EngineSel::Auto,
             shards: 1,
-            partition: PartitionSel::Contiguous,
         }
     }
 
@@ -60,21 +53,9 @@ impl ElanClusterSpec {
         self
     }
 
-    /// Select the engine flavour.
-    pub fn with_engine(mut self, engine: EngineSel) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Request `shards` parallel worker shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Select the component-to-shard partition strategy.
-    pub fn with_partition(mut self, partition: PartitionSel) -> Self {
-        self.partition = partition;
         self
     }
 }
@@ -179,11 +160,9 @@ impl ElanCluster {
         // mod n. The hardware barrier unit has no node and exchanges
         // sub-lookahead messages with every NIC, so its presence forces the
         // sequential engine.
-        let (parallel, shards) = spec.engine.resolve(spec.shards.min(spec.n));
-        let engine = if parallel && hw_id.is_none() {
-            let map = spec
-                .partition
-                .map(2 * spec.n, spec.n, shards, |c| c % spec.n);
+        let shards = spec.shards.min(spec.n);
+        let engine = if shards >= 2 && hw_id.is_none() {
+            let map = ShardMap::by_node(2 * spec.n, spec.n, shards, |c| c % spec.n);
             let latency = model.lookahead_for(&map, spec.n);
             ExecEngine::Par(ParallelEngine::with_latency(engine, map, latency))
         } else {

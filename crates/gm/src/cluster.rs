@@ -1,6 +1,6 @@
-//! Cluster assembly: wire hosts and NICs into one engine (sequential or
-//! rank-sharded parallel — the wire model has no central component, so the
-//! choice is free).
+//! Cluster assembly: wire hosts and NICs into one engine (sequential, or
+//! rank-sharded parallel at two or more shards — the wire model has no
+//! central component, so the choice is free).
 
 use crate::collective::{NicCollective, NullCollective};
 use crate::events::GmEvent;
@@ -9,8 +9,7 @@ use crate::nic::LanaiNic;
 use crate::params::{CollFeatures, GmParams};
 use nicbar_net::{NodeId, WireModel, WireRx, WormholeClos};
 use nicbar_sim::{
-    ComponentId, Engine, EngineSel, ExecEngine, LatencyMatrix, ParallelEngine, PartitionSel,
-    RunOutcome, SimTime,
+    ComponentId, Engine, ExecEngine, LatencyMatrix, ParallelEngine, RunOutcome, ShardMap, SimTime,
 };
 use std::sync::Arc;
 
@@ -29,13 +28,10 @@ pub struct GmClusterSpec {
     pub drop_prob: f64,
     /// Receive buffers pre-posted per NIC at startup.
     pub initial_recv_tokens: u32,
-    /// Which engine flavour to build ([`EngineSel::Auto`]: parallel iff
-    /// `shards > 1`).
-    pub engine: EngineSel,
-    /// Worker shards for the parallel engine (clamped to `[1, n]`).
+    /// Worker shards, clamped to `n`: below 2 the cluster runs on the
+    /// sequential engine, otherwise on the parallel engine over contiguous
+    /// node ranges.
     pub shards: usize,
-    /// Component-to-shard partition strategy for the parallel engine.
-    pub partition: PartitionSel,
 }
 
 impl GmClusterSpec {
@@ -49,9 +45,7 @@ impl GmClusterSpec {
             seed: 0xC0FFEE,
             drop_prob: 0.0,
             initial_recv_tokens: 64,
-            engine: EngineSel::Auto,
             shards: 1,
-            partition: PartitionSel::Contiguous,
         }
     }
 
@@ -73,21 +67,9 @@ impl GmClusterSpec {
         self
     }
 
-    /// Select the engine flavour.
-    pub fn with_engine(mut self, engine: EngineSel) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Request `shards` parallel worker shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Select the component-to-shard partition strategy.
-    pub fn with_partition(mut self, partition: PartitionSel) -> Self {
-        self.partition = partition;
         self
     }
 }
@@ -165,11 +147,9 @@ impl GmCluster {
         // only the wire crossing (≥ min_latency) goes cross-shard. Shard
         // requests beyond the node count clamp to it — the excess shards
         // would sit empty yet still pay every window barrier.
-        let (parallel, shards) = spec.engine.resolve(spec.shards.min(spec.n));
-        let engine = if parallel {
-            let map = spec
-                .partition
-                .map(2 * spec.n, spec.n, shards, |c| c % spec.n);
+        let shards = spec.shards.min(spec.n);
+        let engine = if shards >= 2 {
+            let map = ShardMap::by_node(2 * spec.n, spec.n, shards, |c| c % spec.n);
             let latency = model.lookahead_for(&map, spec.n);
             ExecEngine::Par(ParallelEngine::with_latency(engine, map, latency))
         } else {

@@ -614,17 +614,14 @@ impl<M: 'static> Engine<M> {
     }
 
     /// Deliver every pending event with `time < end_ns` — one conservative
-    /// window of a sharded run, capped at `max` deliveries (the parallel
-    /// engine passes an exact budget in the single-shard case, `u64::MAX`
-    /// otherwise). Cross-shard sends go to `link`'s outboxes; while the
-    /// shard records, `raw` takes each delivery's boundary in its log for
-    /// the deterministic post-run merge. Returns the number of events delivered. Stops early if a
-    /// component halts (`self.halted` is *not* reset here — the parallel
-    /// engine owns halt propagation).
+    /// window of a sharded run. Cross-shard sends go to `link`'s outboxes;
+    /// while the shard records, `raw` takes each delivery's boundary in its
+    /// log for the deterministic post-run merge. Returns the number of
+    /// events delivered. Stops early if a component halts (`self.halted` is
+    /// *not* reset here — the parallel engine owns halt propagation).
     pub(crate) fn run_window(
         &mut self,
         end_ns: u64,
-        max: u64,
         link: &mut ShardLink<M>,
         mut raw: Option<&mut RawObs>,
     ) -> u64 {
@@ -634,7 +631,7 @@ impl<M: 'static> Engine<M> {
             "worker must pre-set the per-destination window vector"
         );
         let mut delivered = 0;
-        while !self.halted && delivered < max {
+        while !self.halted {
             let Some(next) = self.queue.peek_time() else {
                 break;
             };

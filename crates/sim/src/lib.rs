@@ -93,9 +93,8 @@ pub use counters::{intern, CounterId, Counters};
 pub use engine::{Component, ComponentId, Ctx, Engine, RunOutcome, MAX_COMPONENTS};
 pub use hist::Histogram;
 pub use ledger::{LedgerOp, LedgerRecord, Occ, Owner, OwnerKind, ResKind, NO_UNIT};
-pub use parallel::{EngineSel, ExecEngine, ParallelEngine};
-pub use partition::{node_shard, LatencyMatrix, PartitionSel, ShardMap};
-pub use queue::SpscRing;
+pub use parallel::{ExecEngine, ParallelEngine};
+pub use partition::{node_shard, LatencyMatrix, ShardMap};
 pub use rng::SimRng;
 pub use span::{Phase, SpanEvent, SpanSummary, NUM_PHASES};
 pub use telemetry::{EngineProf, ProfAttribution, ProfClock, ShardProf, ShardProfData, WindowRec};

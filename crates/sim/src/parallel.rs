@@ -77,7 +77,7 @@
 //! ## Lock-free mailboxes, scratch ownership, steady-state allocation
 //!
 //! Cross-shard batches move through per-`(from, to)` pairs of bounded SPSC
-//! rings ([`crate::queue::SpscRing`]): the sender pushes its full outbox
+//! rings (`SpscRing`, private to the crate): the sender pushes its full outbox
 //! vector onto the pair's `full` ring after executing a window (between
 //! the two barriers), and the receiver drains it at its next window open
 //! (before barrier 1), returning the emptied vector on the pair's `free`
@@ -239,7 +239,7 @@ impl<M> Mailbox<M> {
 /// components, queue, and RNG streams across `shards` workers. All result
 /// surfaces — counters, the record log, `now`, `events_processed` — are
 /// byte-identical to running the original engine sequentially, for any
-/// shard count (see the module docs for why).
+/// shard count from two up (see the module docs for why).
 pub struct ParallelEngine<M: 'static> {
     /// The residual original engine: owns the merged record log, the
     /// counters, the clock, and the external send counter. Its component
@@ -265,8 +265,9 @@ impl<M: Send + 'static> ParallelEngine<M> {
     /// the per-pair form.
     ///
     /// # Panics
-    /// Panics if the map does not cover the engine's components or if the
-    /// lookahead is zero (a zero lookahead admits no parallel window).
+    /// Panics if the map has fewer than two shards, does not cover the
+    /// engine's components, or if the lookahead is zero (a zero lookahead
+    /// admits no parallel window).
     pub fn new(engine: Engine<M>, map: ShardMap, lookahead: SimTime) -> Self {
         let latency = LatencyMatrix::uniform(map.shards(), lookahead);
         Self::with_latency(engine, map, latency)
@@ -280,9 +281,15 @@ impl<M: Send + 'static> ParallelEngine<M> {
     /// byte-identity guarantee and trip a debug assert on deposit.
     ///
     /// # Panics
-    /// Panics if the map does not cover the engine's components or if the
-    /// matrix's shard count differs from the map's.
+    /// Panics if the map has fewer than two shards (one shard is the
+    /// sequential engine's job), does not cover the engine's components, or
+    /// if the matrix's shard count differs from the map's.
     pub fn with_latency(mut engine: Engine<M>, map: ShardMap, latency: LatencyMatrix) -> Self {
+        assert!(
+            map.shards() >= 2,
+            "the parallel engine needs at least two shards, got {}",
+            map.shards()
+        );
         assert!(
             map.table().len() == engine.len(),
             "shard map covers {} components, engine has {}",
@@ -502,57 +509,32 @@ impl<M: Send + 'static> ParallelEngine<M> {
         // once per call, against O(k²) per window below.
         let relay = latency.closure();
         let relay = relay.as_slice();
-        if k == 1 {
-            // One shard needs no worker thread: run the window loop on the
-            // calling thread (a 1-party barrier never blocks, the atomics
-            // are uncontended). With no other shard to constrain it, the
-            // adaptive bound degenerates to the deadline, so the whole run
-            // is a single window — the sequential loop plus once-per-call
-            // overhead, which is what the engine-sweep overhead gate
-            // measures.
-            shard_worker(
-                0,
-                1,
-                &mut self.shards[0],
-                &mins,
-                &events,
-                &halted,
-                &barrier,
-                &self.mail,
-                deadline_ns,
-                max_events,
-                latency,
-                relay,
-                obs,
-            );
-        } else {
-            let mail = &self.mail;
-            let mins = &mins;
-            let events = &events;
-            let halted = &halted;
-            let barrier = &barrier;
-            std::thread::scope(|scope| {
-                for (me, state) in self.shards.iter_mut().enumerate() {
-                    scope.spawn(move || {
-                        shard_worker(
-                            me,
-                            k,
-                            state,
-                            mins,
-                            events,
-                            halted,
-                            barrier,
-                            mail,
-                            deadline_ns,
-                            max_events,
-                            latency,
-                            relay,
-                            obs,
-                        );
-                    });
-                }
-            });
-        }
+        let mail = &self.mail;
+        let mins = &mins;
+        let events = &events;
+        let halted = &halted;
+        let barrier = &barrier;
+        std::thread::scope(|scope| {
+            for (me, state) in self.shards.iter_mut().enumerate() {
+                scope.spawn(move || {
+                    shard_worker(
+                        me,
+                        k,
+                        state,
+                        mins,
+                        events,
+                        halted,
+                        barrier,
+                        mail,
+                        deadline_ns,
+                        max_events,
+                        latency,
+                        relay,
+                        obs,
+                    );
+                });
+            }
+        });
         // Single-threaded epilogue: fold shard results into the base engine.
         let delivered: u64 = events.iter().map(|e| e.load(Ordering::Relaxed)).sum();
         self.base.events_processed += delivered;
@@ -663,37 +645,6 @@ impl<M: 'static> Engine<M> {
         shell.components = (0..num).map(|_| None).collect();
         shell.srcs = (0..num).map(|_| Default::default()).collect();
         shell
-    }
-}
-
-/// Which engine flavour a cluster builder should produce. Spec structs
-/// carry one of these plus a requested shard count; [`EngineSel::resolve`]
-/// turns the pair into the concrete choice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineSel {
-    /// Parallel iff more than one shard was requested (the sane default:
-    /// a one-shard parallel engine is pure overhead).
-    #[default]
-    Auto,
-    /// Always the sequential engine, whatever the shard count — the
-    /// byte-identity oracle, and the only flavour that can single-step.
-    Sequential,
-    /// Always the parallel engine, even at one shard. Exists so the
-    /// engine-overhead gate can measure the windowing machinery's cost
-    /// against the sequential baseline.
-    Parallel,
-}
-
-impl EngineSel {
-    /// Resolve the selection against a requested shard count (clamped to
-    /// at least 1): returns `(use_parallel, effective_shards)`.
-    pub fn resolve(self, shards: usize) -> (bool, usize) {
-        let shards = shards.max(1);
-        match self {
-            EngineSel::Auto => (shards > 1, shards),
-            EngineSel::Sequential => (false, 1),
-            EngineSel::Parallel => (true, shards),
-        }
     }
 }
 
@@ -1052,9 +1003,7 @@ fn shard_worker<M: Send + 'static>(
         // event a shard integrates or keeps is at or past its previous
         // window end, itself at least its previous EAT), so granted
         // windows never move backwards and each shard's delivery stream
-        // stays key-sorted for the final merge. With one shard the min
-        // over an empty set stays `MAX` and the deadline cap makes the
-        // whole run a single window.
+        // stays key-sorted for the final merge.
         for (i, e) in eat.iter_mut().enumerate() {
             *e = mins
                 .iter()
@@ -1076,15 +1025,7 @@ fn shard_worker<M: Send + 'static>(
         if let Some(p) = prof.as_deref_mut() {
             p.busy_begin(h, window_end, engine.pending_events() as u64);
         }
-        // With one shard the budget can be exact; with several it is
-        // enforced at window granularity by the check above.
-        let window_budget = if k == 1 { max_events - total } else { u64::MAX };
-        let delivered = engine.run_window(
-            window_end,
-            window_budget,
-            link,
-            if obs { Some(raw) } else { None },
-        );
+        let delivered = engine.run_window(window_end, link, if obs { Some(raw) } else { None });
         delivered_total += delivered;
         if let Some(p) = prof.as_deref_mut() {
             let advance = engine.now.as_ns().saturating_sub(h);
@@ -1307,7 +1248,7 @@ mod tests {
         let seq = run_seq(12, 12, SimTime::MAX, None);
         assert_eq!(seq.outcome, RunOutcome::Idle);
         assert!(seq.events > 0);
-        for shards in [1usize, 2, 3, 5, 12] {
+        for shards in [2usize, 3, 5, 12] {
             let par = run_par(12, 12, SimTime::MAX, shards, None);
             assert_same(&seq, &par, &format!("{shards} shards"));
         }
@@ -1407,6 +1348,15 @@ mod tests {
         let seq = drive(ExecEngine::Seq(build_ring(6, 2)));
         assert_eq!(seq, drive(ExecEngine::Par(par_engine(6, 2, 2))));
         assert_eq!(seq, drive(ExecEngine::Par(par_engine(6, 2, 3))));
+    }
+
+    /// One shard is the sequential engine's job: the parallel engine
+    /// refuses a one-shard map and names the count.
+    #[test]
+    #[should_panic(expected = "at least two shards, got 1")]
+    fn one_shard_map_is_rejected() {
+        let map = ShardMap::by_node(4, 4, 1, |c| c);
+        ParallelEngine::new(build_ring(4, 1), map, SimTime::from_ns(HOP_NS));
     }
 
     /// Per-pair bounds tighter than the global minimum must still

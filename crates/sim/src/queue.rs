@@ -328,7 +328,7 @@ impl<M> EventQueue<M> {
 /// Acquire/Release pair on the cursor the *other* side reads transfers
 /// ownership of the slot's contents. The cursors sit on separate cache
 /// lines so the two sides never false-share.
-pub struct SpscRing<T> {
+pub(crate) struct SpscRing<T> {
     slots: Box<[std::cell::UnsafeCell<std::mem::MaybeUninit<T>>]>,
     /// Next slot to pop (written by the consumer only).
     head: CacheAligned,
@@ -363,6 +363,7 @@ impl<T> SpscRing<T> {
 
     /// Number of items currently in flight (approximate under concurrency:
     /// exact from either endpoint's own perspective).
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         let tail = self.tail.0.load(AtomicOrd::Acquire);
         let head = self.head.0.load(AtomicOrd::Acquire);
@@ -370,6 +371,7 @@ impl<T> SpscRing<T> {
     }
 
     /// Whether the ring is currently empty (same caveat as [`Self::len`]).
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

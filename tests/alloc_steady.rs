@@ -15,7 +15,6 @@
 use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
-use nicbar_sim::EngineSel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,19 +48,18 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const N: usize = 8;
 const WARMUP: u64 = 50;
 
-fn cfg(iters: u64, engine: EngineSel, shards: usize) -> RunCfg {
+fn cfg(iters: u64, shards: usize) -> RunCfg {
     RunCfg {
         warmup: WARMUP,
         iters,
-        engine,
         shards,
         ..RunCfg::default()
     }
 }
 
 /// Allocator calls made while *draining* (not building) `scenario`.
-fn drain_allocs(scenario: &Scenario, iters: u64, engine: EngineSel, shards: usize) -> u64 {
-    let mut sim = scenario.build(&cfg(iters, engine, shards));
+fn drain_allocs(scenario: &Scenario, iters: u64, shards: usize) -> u64 {
+    let mut sim = scenario.build(&cfg(iters, shards));
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     sim.drain();
     ALLOC_CALLS.load(Ordering::Relaxed) - before
@@ -108,51 +106,26 @@ fn steady_state_barrier_allocates_nothing() {
     // Dissemination is the paper's headline algorithm; both substrates
     // must run it allocation-free in the steady state.
     assert_delta_free("gm NIC-DS", |iters| {
-        drain_allocs(
-            &gm(Algorithm::Dissemination),
-            iters,
-            EngineSel::Sequential,
-            1,
-        )
+        drain_allocs(&gm(Algorithm::Dissemination), iters, 1)
     });
     assert_delta_free("elan NIC-DS", |iters| {
-        drain_allocs(
-            &elan(Algorithm::Dissemination),
-            iters,
-            EngineSel::Sequential,
-            1,
-        )
+        drain_allocs(&elan(Algorithm::Dissemination), iters, 1)
     });
     // Pairwise exchange exercises the multi-peer rounds at n = 8 too.
     assert_delta_free("gm NIC-PE", |iters| {
-        drain_allocs(
-            &gm(Algorithm::PairwiseExchange),
-            iters,
-            EngineSel::Sequential,
-            1,
-        )
+        drain_allocs(&gm(Algorithm::PairwiseExchange), iters, 1)
     });
     assert_delta_free("elan NIC-PE", |iters| {
-        drain_allocs(
-            &elan(Algorithm::PairwiseExchange),
-            iters,
-            EngineSel::Sequential,
-            1,
-        )
+        drain_allocs(&elan(Algorithm::PairwiseExchange), iters, 1)
     });
     // The rank-sharded parallel engine must hold the same property: after
     // warm-up its windows run out of recycled scratch buffers and settled
     // queues, so extra steady-state epochs allocate exactly nothing on any
     // worker thread (the counting allocator is process-wide).
     assert_delta_free("gm NIC-DS parallel x2", |iters| {
-        drain_allocs(&gm(Algorithm::Dissemination), iters, EngineSel::Parallel, 2)
+        drain_allocs(&gm(Algorithm::Dissemination), iters, 2)
     });
     assert_delta_free("elan NIC-DS parallel x2", |iters| {
-        drain_allocs(
-            &elan(Algorithm::Dissemination),
-            iters,
-            EngineSel::Parallel,
-            2,
-        )
+        drain_allocs(&elan(Algorithm::Dissemination), iters, 2)
     });
 }

@@ -12,17 +12,15 @@
 use nicbar::core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar::elan::ElanParams;
 use nicbar::gm::GmParams;
-use nicbar::sim::EngineSel;
 
 /// The NIC-based dissemination barrier, the paper's headline configuration.
 const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
-fn cfg(engine: EngineSel, shards: usize) -> RunCfg {
+fn cfg(shards: usize) -> RunCfg {
     RunCfg {
         warmup: 5,
         iters: 40,
         skew_us: 1.0,
-        engine,
         shards,
         ..RunCfg::default()
     }
@@ -34,21 +32,21 @@ fn assert_parity(label: &str, seq: &FlightData, par: &FlightData) {
     }
 }
 
-fn gm_flight(n: usize, algo: Algorithm, engine: EngineSel, shards: usize) -> FlightData {
-    Scenario::gm(GmParams::lanai_xp(), n, Barrier::Nic(algo)).capture(&cfg(engine, shards))
+fn gm_flight(n: usize, algo: Algorithm, shards: usize) -> FlightData {
+    Scenario::gm(GmParams::lanai_xp(), n, Barrier::Nic(algo)).capture(&cfg(shards))
 }
 
-fn elan_flight(n: usize, algo: Algorithm, engine: EngineSel, shards: usize) -> FlightData {
-    Scenario::elan(ElanParams::elan3(), n, Barrier::Nic(algo)).capture(&cfg(engine, shards))
+fn elan_flight(n: usize, algo: Algorithm, shards: usize) -> FlightData {
+    Scenario::elan(ElanParams::elan3(), n, Barrier::Nic(algo)).capture(&cfg(shards))
 }
 
 #[test]
 fn gm_parallel_matches_sequential_byte_for_byte() {
     for algo in [Algorithm::Dissemination, Algorithm::PairwiseExchange] {
         for n in [16, 256] {
-            let seq = gm_flight(n, algo, EngineSel::Sequential, 1);
+            let seq = gm_flight(n, algo, 1);
             for shards in [2, 5, 8] {
-                let par = gm_flight(n, algo, EngineSel::Parallel, shards);
+                let par = gm_flight(n, algo, shards);
                 assert_parity(&format!("gm {algo:?} n={n} shards={shards}"), &seq, &par);
             }
         }
@@ -59,9 +57,9 @@ fn gm_parallel_matches_sequential_byte_for_byte() {
 fn elan_parallel_matches_sequential_byte_for_byte() {
     for algo in [Algorithm::Dissemination, Algorithm::PairwiseExchange] {
         for n in [16, 256] {
-            let seq = elan_flight(n, algo, EngineSel::Sequential, 1);
+            let seq = elan_flight(n, algo, 1);
             for shards in [2, 5, 8] {
-                let par = elan_flight(n, algo, EngineSel::Parallel, shards);
+                let par = elan_flight(n, algo, shards);
                 assert_parity(&format!("elan {algo:?} n={n} shards={shards}"), &seq, &par);
             }
         }
@@ -73,18 +71,17 @@ fn elan_parallel_matches_sequential_byte_for_byte() {
 /// detours have to replay identically.
 #[test]
 fn gm_lossy_parallel_matches_sequential() {
-    let lossy = |engine, shards| {
+    let lossy = |shards| {
         Scenario::gm(GmParams::lanai_xp(), 16, DS).capture(&RunCfg {
             warmup: 10,
             iters: 80,
             drop_prob: 0.02,
             skew_us: 2.0,
-            engine,
             shards,
             ..RunCfg::default()
         })
     };
-    let seq = lossy(EngineSel::Sequential, 1);
+    let seq = lossy(1);
     assert!(
         seq.trace
             .packets()
@@ -93,7 +90,7 @@ fn gm_lossy_parallel_matches_sequential() {
         "lossy config produced no drops; the test is vacuous"
     );
     for shards in [2, 4] {
-        let par = lossy(EngineSel::Parallel, shards);
+        let par = lossy(shards);
         assert_parity(&format!("gm lossy shards={shards}"), &seq, &par);
     }
 }
@@ -109,18 +106,18 @@ fn gm_traffic_parallel_matches_sequential_byte_for_byte() {
         msg_bytes: 4096,
         outstanding: 2,
     };
-    let run = |engine, shards| {
+    let run = |shards| {
         Scenario::gm(GmParams::lanai_xp(), 8, DS)
             .with_traffic(traffic)
-            .capture(&cfg(engine, shards))
+            .capture(&cfg(shards))
     };
-    let seq = run(EngineSel::Sequential, 1);
+    let seq = run(1);
     assert!(
         !seq.trace.ledger().is_empty(),
         "traffic flight must arm the ledger"
     );
     for shards in [2, 8] {
-        let par = run(EngineSel::Parallel, shards);
+        let par = run(shards);
         assert_parity(&format!("gm traffic shards={shards}"), &seq, &par);
     }
 }
@@ -134,39 +131,38 @@ fn elan_traffic_parallel_matches_sequential_byte_for_byte() {
     };
     // One group + the forwarding-ring tport stream: the Elan bulk-traffic
     // scenario (the multi-group contend gate covers the M-group case).
-    let run = |engine, shards| {
+    let run = |shards| {
         Scenario::elan(ElanParams::elan3(), 8, DS)
             .with_traffic(traffic)
             .capture(&RunCfg {
                 warmup: 2,
                 iters: 8,
                 skew_us: 1.0,
-                engine,
                 shards,
                 ..RunCfg::default()
             })
     };
-    let seq = run(EngineSel::Sequential, 1);
+    let seq = run(1);
     assert!(
         !seq.trace.ledger().is_empty(),
         "contend flight must arm the ledger"
     );
     for shards in [2, 8] {
-        let par = run(EngineSel::Parallel, shards);
+        let par = run(shards);
         assert_parity(&format!("elan traffic shards={shards}"), &seq, &par);
     }
 }
 
-/// `Auto` with one shard must take the sequential fast path — no worker
-/// threads, no windowing — while `Parallel` at one shard goes through the
-/// parallel machinery and still reproduces the same run.
+/// The shard count alone picks the engine: one shard runs sequentially —
+/// no worker threads, no windowing — and two run on the parallel engine,
+/// which reproduces the same capture.
 #[test]
-fn one_shard_engine_selection() {
-    let auto = gm_flight(16, Algorithm::Dissemination, EngineSel::Auto, 1);
-    assert_eq!(auto.engine, "sequential");
-    let one = gm_flight(16, Algorithm::Dissemination, EngineSel::Parallel, 1);
-    assert_eq!(one.engine, "parallel");
-    assert_parity("gm 1-shard degenerate", &auto, &one);
+fn shard_count_alone_picks_the_engine() {
+    let one = gm_flight(16, Algorithm::Dissemination, 1);
+    assert_eq!((one.engine, one.shards), ("sequential", 1));
+    let two = gm_flight(16, Algorithm::Dissemination, 2);
+    assert_eq!((two.engine, two.shards), ("parallel", 2));
+    assert_parity("gm 1 vs 2 shards", &one, &two);
 }
 
 /// Drop every line that carries the engine stamp — the one *intentional*
@@ -186,15 +182,13 @@ fn strip_engine_stamp(text: &str) -> String {
 fn exporter_output_is_byte_identical_across_engines() {
     use nicbar_bench::{critpath, flight, netdump};
 
-    type FlightRun = fn(EngineSel, usize) -> FlightData;
+    type FlightRun = fn(usize) -> FlightData;
     let cases: [(&str, FlightRun); 2] = [
-        ("gm", |e, s| gm_flight(16, Algorithm::Dissemination, e, s)),
-        ("elan", |e, s| {
-            elan_flight(16, Algorithm::Dissemination, e, s)
-        }),
+        ("gm", |s| gm_flight(16, Algorithm::Dissemination, s)),
+        ("elan", |s| elan_flight(16, Algorithm::Dissemination, s)),
     ];
     for (substrate, run) in cases {
-        let seq = run(EngineSel::Sequential, 1);
+        let seq = run(1);
         let seq_breakdown = flight::breakdown(&seq);
         let seq_chrome = flight::chrome_trace(std::slice::from_ref(&seq));
         let seq_crit = critpath::render(&critpath::analyze(seq.trace.packets()));
@@ -206,7 +200,7 @@ fn exporter_output_is_byte_identical_across_engines() {
         assert!(seq_chrome.contains("\"0:engine\": \"sequential\""));
 
         for shards in [2, 8] {
-            let par = run(EngineSel::Parallel, shards);
+            let par = run(shards);
             let label = format!("{substrate} shards={shards}");
             let par_breakdown = flight::breakdown(&par);
             assert!(
@@ -248,8 +242,8 @@ fn exporter_output_is_byte_identical_across_engines() {
 /// clamped run still reproduces the sequential bytes.
 #[test]
 fn oversharded_run_clamps_and_matches_sequential() {
-    let seq = gm_flight(16, Algorithm::Dissemination, EngineSel::Sequential, 1);
-    let par = gm_flight(16, Algorithm::Dissemination, EngineSel::Parallel, 64);
+    let seq = gm_flight(16, Algorithm::Dissemination, 1);
+    let par = gm_flight(16, Algorithm::Dissemination, 64);
     // The breakdown stamp names the *effective* shard count.
     let stamp = nicbar_bench::flight::breakdown(&par);
     assert!(
@@ -257,62 +251,4 @@ fn oversharded_run_clamps_and_matches_sequential() {
         "shards=64 on n=16 should clamp to 16 shards, got:\n{stamp}"
     );
     assert_parity("gm shards=64 clamped to n=16", &seq, &par);
-}
-
-/// A hand-built `Weighted` partition — deliberately lumpy weights and
-/// boundary costs, so the cut points move away from the contiguous
-/// default — must be invisible in the observable run: partitioning only
-/// redistributes work across workers, never reorders delivered events.
-#[test]
-fn weighted_partition_matches_sequential_byte_for_byte() {
-    use nicbar::sim::PartitionSel;
-    let sel = PartitionSel::Weighted {
-        weights: (0..16u64).map(|j| 1 + (j % 5) * 7).collect(),
-        boundary_cost: (0..16u64).map(|j| (j * 13) % 11).collect(),
-    };
-    let run = |engine, shards, partition| {
-        Scenario::gm(GmParams::lanai_xp(), 16, DS).capture(&RunCfg {
-            partition,
-            ..cfg(engine, shards)
-        })
-    };
-    let seq = run(EngineSel::Sequential, 1, PartitionSel::Contiguous);
-    for shards in [2, 5, 8] {
-        let par = run(EngineSel::Parallel, shards, sel.clone());
-        assert_parity(&format!("gm weighted shards={shards}"), &seq, &par);
-    }
-}
-
-/// The full profile-guided loop: a real `engine_prof` capture (the
-/// committed PR-7 baseline) feeds `partition_from_profile`, and the
-/// resulting partition must preserve byte-identity. The profile was taken
-/// at a different node count — `balanced_by_weight` resamples it — which
-/// is exactly how a stale profile will be used in practice.
-#[test]
-fn profile_guided_partition_matches_sequential() {
-    use nicbar::sim::PartitionSel;
-    use nicbar_bench::engineprof::partition_from_profile;
-    let sel = partition_from_profile("results/engine_prof_pr7.json").unwrap_or_else(|| {
-        // Tree without the committed capture: a synthetic ramp profile
-        // keeps the parity claim under test.
-        PartitionSel::Weighted {
-            weights: (0..64u64).map(|j| 1 + j / 4).collect(),
-            boundary_cost: (0..64u64).map(|j| j % 9).collect(),
-        }
-    });
-    assert!(
-        matches!(sel, PartitionSel::Weighted { .. }),
-        "profile must produce a weighted partition"
-    );
-    let run = |engine, shards, partition| {
-        Scenario::elan(ElanParams::elan3(), 16, DS).capture(&RunCfg {
-            partition,
-            ..cfg(engine, shards)
-        })
-    };
-    let seq = run(EngineSel::Sequential, 1, PartitionSel::Contiguous);
-    for shards in [3, 8] {
-        let par = run(EngineSel::Parallel, shards, sel.clone());
-        assert_parity(&format!("elan profile-guided shards={shards}"), &seq, &par);
-    }
 }
