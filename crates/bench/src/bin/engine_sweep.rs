@@ -13,10 +13,10 @@
 //! log stays off, so any slowdown here is hot-path damage.
 //! Quick mode never overwrites the baseline.
 //!
-//! `--prof` (full sweep only) also profiles the fig5 point on the parallel
-//! engine. Any other argument, `--baseline` without `--quick`, `--prof`
-//! with `--quick`, and a baseline that cannot be read or holds no
-//! `indexed4` micro row each exit 2 with `error:` before anything runs.
+//! The engine self-profile of a parallel run is `engine_prof`'s. Any other
+//! argument, `--baseline` without `--quick`, and a baseline that cannot be
+//! read or holds no `indexed4` micro row each exit 2 with `error:` before
+//! anything runs.
 
 use nicbar_bench::json::{Manifest, Writer};
 use nicbar_bench::{exit_usage, next_value};
@@ -155,13 +155,9 @@ fn sweep_cfg() -> RunCfg {
 }
 
 /// The fig5 figure point: the 16-node LANai-9.1 NIC-DS barrier.
-fn fig5_point() -> Scenario {
-    Scenario::gm(GmParams::lanai_9_1(), 16, DS)
-}
-
 fn fig5_run() -> (f64, f64) {
     let start = Instant::now();
-    let stats = fig5_point().run(&sweep_cfg());
+    let stats = Scenario::gm(GmParams::lanai_9_1(), 16, DS).run(&sweep_cfg());
     (stats.mean_us, start.elapsed().as_secs_f64())
 }
 
@@ -277,20 +273,16 @@ fn quick_gate(baseline_path: &str, baseline: &[(String, f64)]) -> ! {
 }
 
 fn main() {
-    let (mut quick, mut prof, mut baseline) = (false, false, None);
+    let (mut quick, mut baseline) = (false, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--prof" => prof = true,
             "--baseline" => baseline = Some(next_value(&mut args, "--baseline")),
             other => exit_usage(&format!("unknown option {other}")),
         }
     }
     if quick {
-        if prof {
-            exit_usage("--prof belongs to the full sweep, not --quick");
-        }
         let path = baseline.as_deref().unwrap_or("results/engine_sweep.json");
         let rows = baseline_rows(path).unwrap_or_else(|e| exit_usage(&e));
         quick_gate(path, &rows);
@@ -377,24 +369,4 @@ fn main() {
     let path = "results/engine_sweep.json";
     std::fs::write(path, w.finish()).expect("write engine_sweep.json");
     println!("\n[saved {path}]");
-
-    // `--prof`: profile the fig5 point on the parallel engine so the sweep
-    // can explain its own parallel wall times, not just report them.
-    if prof {
-        let cfg = RunCfg {
-            warmup: 50,
-            iters: 5000,
-            shards: 2,
-            ..RunCfg::default()
-        };
-        if let Some((prof, wall_s)) =
-            nicbar_bench::engineprof::profile_run(&mut fig5_point().build(&cfg))
-        {
-            println!();
-            print!(
-                "{}",
-                nicbar_bench::engineprof::report(&prof, "fig5_n16 NIC-DS", wall_s)
-            );
-        }
-    }
 }

@@ -6,18 +6,17 @@
 //!
 //! Writes `results/fig5.json` (the figure, mean latency per node count).
 //! `--quick` shrinks the sweep for CI smoke runs and writes nothing;
-//! `--flight` adds a phase-breakdown capture.
+//! `--shards K` runs every point on the parallel engine. The phase
+//! breakdown of a NIC barrier is `flight`'s; the engine self-profile is
+//! `engine_prof`'s.
 
-use nicbar_bench::{engineprof, fig_args, parallel_sweep_map, Figure, Manifest, Series};
-use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
+use nicbar_bench::{fig_args, parallel_sweep_map, Figure, Manifest, Series};
+use nicbar_core::{Algorithm, Barrier, BarrierStats, Scenario};
 use nicbar_gm::GmParams;
 
-/// The NIC-based dissemination barrier, the paper's headline configuration.
-const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
-
 fn main() {
-    let args = fig_args(&["--flight", "--prof"]);
-    let (quick, flight, cfg) = (args.quick, args.flight, args.cfg);
+    let args = fig_args(&[]);
+    let (quick, cfg) = (args.quick, args.cfg);
     let ns: Vec<usize> = if quick {
         vec![2, 4, 8, 16]
     } else {
@@ -79,36 +78,5 @@ fn main() {
             "               improvement factor @16 = 3.38x (sim {:.2}x)",
             host16 / nic16
         );
-    }
-
-    // Opt-in flight recording: a short instrumented window at the top node
-    // count, showing where the NIC barrier's latency goes phase by phase.
-    if flight {
-        println!();
-        let cap = Scenario::gm(GmParams::lanai_9_1(), top, DS).capture(&RunCfg {
-            warmup: 2,
-            iters: 8,
-            ..RunCfg::default()
-        });
-        nicbar_bench::flight::print_breakdown(&cap);
-    }
-
-    // Opt-in engine self-profile: rerun the top point on the parallel
-    // engine with the shard profiler armed and explain where the engine's
-    // own wall time went.
-    if args.prof {
-        let shards = cfg.shards.max(2);
-        let prof_cfg = RunCfg {
-            shards,
-            ..cfg.clone()
-        };
-        let mut sim = Scenario::gm(GmParams::lanai_9_1(), top, DS).build(&prof_cfg);
-        if let Some((prof, wall_s)) = engineprof::profile_run(&mut sim) {
-            println!();
-            print!(
-                "{}",
-                engineprof::report(&prof, &format!("fig5 NIC-DS, {top} nodes"), wall_s)
-            );
-        }
     }
 }

@@ -8,23 +8,23 @@
 //! the NIC barrier at small node counts.
 //!
 //! Writes `results/fig7.json` (the figure). `--quick` shrinks the sweep
-//! for CI smoke runs and writes nothing; `--flight` adds a
-//! phase-breakdown capture.
+//! for CI smoke runs and writes nothing; `--shards K` runs the software
+//! barriers on the parallel engine (the hardware barrier stays
+//! sequential). The 8-node phase breakdown is
+//! `flight --nodes 8 --elan-only`'s; the engine self-profile is
+//! `engine_prof`'s.
 
-use nicbar_bench::{engineprof, fig_args, parallel_sweep_map, Figure, Manifest, Series};
-use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
+use nicbar_bench::{fig_args, parallel_sweep_map, Figure, Manifest, Series};
+use nicbar_core::{Algorithm, Barrier, BarrierStats, Scenario};
 use nicbar_elan::ElanParams;
-
-/// The NIC-based dissemination barrier, the paper's headline configuration.
-const DS: Barrier = Barrier::Nic(Algorithm::Dissemination);
 
 /// Elanlib builds its software trees 4-ary (matching the quaternary fat
 /// tree's natural branching).
 const GSYNC_DEGREE: usize = 4;
 
 fn main() {
-    let args = fig_args(&["--flight", "--prof"]);
-    let (quick, flight, cfg) = (args.quick, args.flight, args.cfg);
+    let args = fig_args(&[]);
+    let (quick, cfg) = (args.quick, args.cfg);
     let ns: Vec<usize> = if quick {
         vec![2, 4, 8]
     } else {
@@ -93,31 +93,4 @@ fn main() {
         tree8 / nic8
     );
     println!("               hardware barrier = 4.20 µs (sim {hw8:.2})");
-
-    // Opt-in flight recording: a short instrumented window at 8 nodes,
-    // showing the chained-RDMA barrier's phase-by-phase latency.
-    if flight {
-        println!();
-        let cap = Scenario::elan(ElanParams::elan3(), 8, DS).capture(&RunCfg {
-            warmup: 2,
-            iters: 8,
-            ..RunCfg::default()
-        });
-        nicbar_bench::flight::print_breakdown(&cap);
-    }
-
-    // Opt-in engine self-profile of the 8-node chained-RDMA barrier on the
-    // parallel engine.
-    if args.prof {
-        let shards = cfg.shards.max(2);
-        let prof_cfg = RunCfg { shards, ..cfg };
-        let mut sim = Scenario::elan(ElanParams::elan3(), 8, DS).build(&prof_cfg);
-        if let Some((prof, wall_s)) = engineprof::profile_run(&mut sim) {
-            println!();
-            print!(
-                "{}",
-                engineprof::report(&prof, "fig7 NIC-Barrier-DS, 8 nodes", wall_s)
-            );
-        }
-    }
 }

@@ -24,7 +24,9 @@
 //! in the trajectory's `engine_series`. The ≥4.5× speedup expectation at
 //! 8 shards (adaptive lookahead + lock-free mailboxes) is asserted only
 //! when the host actually has ≥8 hardware threads; the series records
-//! `"armed"`, whether that gate ran, next to `"host_threads"`.
+//! `"armed"`, whether that gate ran, next to `"host_threads"` and the
+//! host's `"cpu_model"`. The engine self-profile of that point is
+//! `engine_prof`'s.
 
 use nicbar_bench::{fig_args, json::Writer, trajectory, Manifest};
 use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
@@ -56,6 +58,17 @@ fn peak_rss_kb() -> u64 {
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|rest| rest.trim().trim_end_matches(" kB").trim().parse().ok())
         .unwrap_or(0)
+}
+
+/// The host CPU, the first `model name` of `/proc/cpuinfo` ("not
+/// recorded" where that is unreadable), stamped on every trajectory run.
+fn cpu_model() -> String {
+    let model = || {
+        let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+        let line = info.lines().find(|l| l.starts_with("model name"))?;
+        Some(line.split_once(':')?.1.trim().to_string())
+    };
+    model().unwrap_or_else(|| "not recorded".to_string())
 }
 
 /// Iteration counts per node count: large clusters cost ~N·log₂N events
@@ -242,7 +255,7 @@ fn engine_series(quick: bool, base: &RunCfg) -> (Vec<EnginePoint>, bool) {
 }
 
 fn main() {
-    let args = fig_args(&["--prof"]);
+    let args = fig_args(&[]);
     // Full grid per (substrate, algo); `--quick` sub-samples but keeps the
     // 65,536-node gm NIC-DS headline point. The PE sweeps stop at 4096:
     // pairwise-exchange is the paper's counterexample algorithm and its
@@ -300,25 +313,6 @@ fn main() {
     println!("staircase check: both DS curves fit the ceil(log2 N) model ✓");
 
     let (engines, armed) = engine_series(args.quick, &base);
-
-    // Opt-in engine self-profile: the engine-comparison point with the
-    // shard profiler armed — the run `engine_prof` studies, inline.
-    if args.prof {
-        let n = if args.quick { 256 } else { 4096 };
-        let shards = base.shards.max(2);
-        let prof_cfg = RunCfg {
-            shards,
-            ..cfg_for(n, args.quick, &base)
-        };
-        let mut sim = nic_scenario("gm", Algorithm::Dissemination, n).build(&prof_cfg);
-        if let Some((prof, wall_s)) = nicbar_bench::engineprof::profile_run(&mut sim) {
-            println!();
-            print!(
-                "{}",
-                nicbar_bench::engineprof::report(&prof, &format!("gm NIC-DS, {n} nodes"), wall_s)
-            );
-        }
-    }
 
     // A `--quick` smoke, like every figure binary's, writes nothing: only
     // full runs join the trajectory.
@@ -388,6 +382,8 @@ fn main() {
     w.uint(std::thread::available_parallelism().map_or(1, usize::from) as u64);
     w.field("armed");
     w.bool(armed);
+    w.field("cpu_model");
+    w.string(&cpu_model());
     w.field("points");
     w.open_array();
     let seq_wall = engines[0].wall_s;

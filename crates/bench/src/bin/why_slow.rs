@@ -9,7 +9,8 @@
 //! Options:
 //!   --nodes N          group size (default 8)
 //!   --substrate S      gm | elan (default gm)
-//!   --drop P           GM fabric drop probability (default 0.0)
+//!   --drop P           GM fabric drop probability (default 0.0; gm only,
+//!                      QsNet is hardware-reliable)
 //!   --seed S           master seed (default 42)
 //!   --iters N          recorded barriers (default 4)
 //!   --jsonl PATH       also dump every packet record as JSONL to PATH
@@ -182,6 +183,11 @@ fn main() {
     }
     if let Some(path) = replay_path {
         std::process::exit(replay(&path));
+    }
+    if substrate == "elan" && drop_prob > 0.0 {
+        exit_usage(&format!(
+            "--drop {drop_prob} is gm only: the elan fabric is hardware-reliable"
+        ));
     }
     let jsonl = jsonl_path.map(OutputFile::create);
 

@@ -417,8 +417,8 @@ pub fn to_json(prof: &EngineProf, label: &str, wall_s: f64, manifest: &Manifest)
 /// Arm the profiler on a built scenario, drain it, and return the captured
 /// profile plus the measured wall-clock seconds. Returns `None` when the
 /// engine is sequential (the self-profiler only exists on the parallel
-/// executor); callers print a notice in that case. This is the shared
-/// `--prof` path of the figure binaries and of `engine_prof`.
+/// executor); callers print a notice in that case. `engine_prof` is the
+/// one binary that profiles a run.
 pub fn profile_run(sim: &mut Sim) -> Option<(EngineProf, f64)> {
     sim.enable_prof();
     let t0 = std::time::Instant::now();

@@ -1,9 +1,11 @@
 //! # nicbar-bench — the harness that regenerates the paper's evaluation
 //!
-//! One binary per figure (`fig5`, `fig6`, `fig7`, `fig8`), the headline
-//! table (`table1`), the feature ablation (`ablation`), and the engine
-//! throughput harness (`engine_sweep`). Each binary prints the paper's
-//! series side by side with the simulated ones and writes machine-readable
+//! One binary per experiment: the figures (`fig5`, `fig6`, `fig7`, `fig8`),
+//! the headline table (`table1`), the feature ablation (`ablation`), the
+//! analyses beyond the paper, the observability tools and the engine
+//! harnesses (`engine_sweep`, `engine_prof`). Every cluster a binary runs
+//! is a `nicbar_core::Scenario` value. The figures print the paper's
+//! series side by side with the simulated ones and write machine-readable
 //! JSON under `results/`.
 
 #![warn(missing_docs)]
@@ -236,11 +238,6 @@ pub fn quick_cfg() -> nicbar_core::RunCfg {
 pub struct FigArgs {
     /// `--quick`: CI smoke mode — shrink the sweep and iteration counts.
     pub quick: bool,
-    /// `--flight`: opt into a flight capture after the sweep.
-    pub flight: bool,
-    /// `--prof`: arm the engine self-profiler and print an `engine-prof`
-    /// report for one parallel run after the sweep.
-    pub prof: bool,
     /// [`quick_cfg`] under `--quick`, [`figure_cfg`] otherwise, with
     /// `--shards` already threaded in.
     pub cfg: nicbar_core::RunCfg,
@@ -298,33 +295,23 @@ pub fn parse_shards(value: &str) -> Result<usize, String> {
 /// Parse the figure binaries' shared flags (program name excluded):
 /// `--quick` and `--shards <K>` (below 2 the sequential engine, otherwise
 /// the parallel engine on `K` shards), plus the switches the binary lists
-/// in `switches`. `--flight` and `--prof` set the matching
-/// [`FigArgs`] fields; any other listed switch (contend's `--check`) is
-/// the binary's own to look for. Every other argument is an error, so a
-/// typo or a flag the binary never reads cannot quietly run its default job.
+/// in `switches` (contend's `--check`), which are the binary's own to look
+/// for. Every other argument is an error, so a typo or a flag the binary
+/// never reads cannot quietly run its default job.
 pub fn parse_fig_args(args: &[String], switches: &[&str]) -> Result<FigArgs, String> {
     let quick = args.iter().any(|a| a == "--quick");
     let mut cfg = if quick { quick_cfg() } else { figure_cfg() };
-    let (mut flight, mut prof) = (false, false);
     let mut args = args.iter().map(String::as_str);
     while let Some(arg) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg {
             "--quick" => {}
             "--shards" => cfg.shards = parse_shards(value()?)?,
-            switch if switches.contains(&switch) => {
-                flight |= switch == "--flight";
-                prof |= switch == "--prof";
-            }
+            switch if switches.contains(&switch) => {}
             other => return Err(format!("unknown option {other}")),
         }
     }
-    Ok(FigArgs {
-        quick,
-        flight,
-        prof,
-        cfg,
-    })
+    Ok(FigArgs { quick, cfg })
 }
 
 /// [`parse_fig_args`] over `std::env::args`; a malformed or unknown flag
@@ -382,12 +369,12 @@ mod tests {
 
     #[test]
     fn fig_args_parse_the_shared_flags() {
-        let args: Vec<String> = ["--quick", "--shards", "3", "--prof"]
+        let args: Vec<String> = ["--quick", "--shards", "3", "--check"]
             .iter()
             .map(|a| a.to_string())
             .collect();
-        let parsed = parse_fig_args(&args, &["--flight", "--prof"]).expect("well-formed flags");
-        assert!(parsed.quick && !parsed.flight && parsed.prof);
+        let parsed = parse_fig_args(&args, &["--check"]).expect("well-formed flags");
+        assert!(parsed.quick);
         assert_eq!(parsed.cfg.shards, 3);
         assert_eq!(parsed.cfg.iters, quick_cfg().iters);
     }

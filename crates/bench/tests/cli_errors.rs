@@ -9,10 +9,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Every bench binary.
-const BINS: [&str; 18] = [
+const BINS: [&str; 16] = [
     env!("CARGO_BIN_EXE_ablation"),
     env!("CARGO_BIN_EXE_algo_compare"),
-    env!("CARGO_BIN_EXE_breakdown"),
     env!("CARGO_BIN_EXE_contend"),
     env!("CARGO_BIN_EXE_engine_prof"),
     env!("CARGO_BIN_EXE_engine_sweep"),
@@ -24,7 +23,6 @@ const BINS: [&str; 18] = [
     env!("CARGO_BIN_EXE_flight"),
     env!("CARGO_BIN_EXE_interference"),
     env!("CARGO_BIN_EXE_table1"),
-    env!("CARGO_BIN_EXE_timeline"),
     env!("CARGO_BIN_EXE_topology_sensitivity"),
     env!("CARGO_BIN_EXE_variance"),
     env!("CARGO_BIN_EXE_why-slow"),
@@ -189,6 +187,28 @@ fn why_slow_rejects_malformed_flags() {
         ),
         (&["--jsonl"], "--jsonl needs a value"),
         (&["--replay"], "--replay needs a value"),
+        (
+            &[
+                "--substrate",
+                "elan",
+                "--drop",
+                "0.5",
+                "--jsonl",
+                "out.jsonl",
+            ],
+            "--drop 0.5 is gm only",
+        ),
+        (
+            &[
+                "--drop",
+                "0.5",
+                "--jsonl",
+                "out.jsonl",
+                "--substrate",
+                "elan",
+            ],
+            "--drop 0.5 is gm only",
+        ),
     ] {
         rejects(env!("CARGO_BIN_EXE_why-slow"), args, says);
     }
@@ -252,9 +272,13 @@ fn every_binary_rejects_unknown_arguments() {
 #[test]
 fn binaries_reject_flags_they_do_not_read() {
     for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_fig5"), "--flight"),
         (env!("CARGO_BIN_EXE_fig6"), "--flight"),
+        (env!("CARGO_BIN_EXE_fig7"), "--prof"),
         (env!("CARGO_BIN_EXE_fig8"), "--prof"),
+        (env!("CARGO_BIN_EXE_fig_scale"), "--prof"),
         (env!("CARGO_BIN_EXE_contend"), "--flight"),
+        (env!("CARGO_BIN_EXE_engine_sweep"), "--prof"),
         (env!("CARGO_BIN_EXE_engine_sweep"), "--quik"),
     ] {
         rejects(bin, &[flag], &format!("unknown option {flag}"));
@@ -275,7 +299,7 @@ fn engine_sweep_rejects_bad_baselines_and_mixed_modes() {
         ),
         (&["--quick", "--baseline"], "--baseline needs a value"),
         (&["--baseline", &no_rows], "--baseline belongs to --quick"),
-        (&["--quick", "--prof"], "--prof belongs to the full sweep"),
+        (&["--quick", "--prof"], "unknown option --prof"),
     ] {
         rejects(env!("CARGO_BIN_EXE_engine_sweep"), args, says);
     }

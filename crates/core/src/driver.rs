@@ -25,7 +25,8 @@ pub struct RunCfg {
     /// Uniform random per-process compute skew before each re-entry, µs
     /// (0 = the paper's tight loop).
     pub skew_us: f64,
-    /// Fabric loss injection (GM only).
+    /// Fabric loss injection (GM only: a `Scenario` on the
+    /// hardware-reliable Elan fabric rejects any loss).
     pub drop_prob: f64,
     /// Place ranks on a random node permutation.
     pub permute: bool,

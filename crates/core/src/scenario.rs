@@ -219,6 +219,11 @@ impl Scenario {
                 "{b:?} barrier under {t:?} runs on the identity placement without skew"
             );
         }
+        assert!(
+            !(elan && cfg.drop_prob > 0.0),
+            "QsNet is hardware-reliable: elan takes no RunCfg::drop_prob, got {}",
+            cfg.drop_prob
+        );
         assert!(self.groups >= 1, "a scenario needs at least one group");
         assert!(
             self.groups == 1 || (matches!(b, Barrier::Nic(_)) && self.traffic.is_some()),
@@ -558,6 +563,37 @@ mod tests {
     #[should_panic(expected = "Hardware barrier does not run on gm")]
     fn hardware_barrier_on_gm_is_rejected() {
         Scenario::gm(GmParams::lanai_xp(), 4, Barrier::Hardware).build(&quick(false));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "QsNet is hardware-reliable: elan takes no RunCfg::drop_prob, got 0.5"
+    )]
+    fn loss_injection_on_elan_is_rejected() {
+        let lossy = RunCfg {
+            drop_prob: 0.5,
+            ..quick(false)
+        };
+        let nic = Barrier::Nic(Algorithm::Dissemination);
+        Scenario::elan(ElanParams::elan3(), 4, nic).build(&lossy);
+    }
+
+    #[test]
+    fn a_wider_crossbar_makes_a_faster_barrier() {
+        assert_eq!(GmParams::lanai_xp().crossbar_radix, 16);
+        let nic = Barrier::Nic(Algorithm::Dissemination);
+        let latency = |crossbar_radix| {
+            let params = GmParams {
+                crossbar_radix,
+                ..GmParams::lanai_xp()
+            };
+            Scenario::gm(params, 64, nic).run(&quick(false)).mean_us
+        };
+        let (narrow, default, wide) = (latency(8), latency(16), latency(64));
+        assert!(
+            narrow > default && default > wide,
+            "radix 8/16/64: {narrow} / {default} / {wide} µs"
+        );
     }
 
     #[test]

@@ -8,9 +8,7 @@ use crate::host::{GmApp, GmHost};
 use crate::nic::LanaiNic;
 use crate::params::{CollFeatures, GmParams};
 use nicbar_net::{NodeId, WireModel, WireRx, WormholeClos};
-use nicbar_sim::{
-    ComponentId, Engine, ExecEngine, LatencyMatrix, ParallelEngine, RunOutcome, ShardMap, SimTime,
-};
+use nicbar_sim::{ComponentId, Engine, ExecEngine, ParallelEngine, RunOutcome, ShardMap, SimTime};
 use std::sync::Arc;
 
 /// Static description of a GM cluster simulation.
@@ -106,7 +104,7 @@ impl GmCluster {
 
         let model = Arc::new(
             WireModel::new(
-                Box::new(WormholeClos::myrinet2000(spec.n)),
+                Box::new(WormholeClos::new(spec.n, spec.params.crossbar_radix)),
                 spec.params.link,
                 spec.params.hotspot_ns,
             )
@@ -183,23 +181,6 @@ impl GmCluster {
             "event budget exhausted — runaway protocol loop?"
         );
         outcome
-    }
-
-    /// Swap every NIC onto a different wire model (topology ablations).
-    /// On the parallel engine the shard windows' lookahead bounds are
-    /// rebuilt from the replacement's global minimum latency: the old
-    /// per-pair bounds may be unsound for the new topology, so exactness
-    /// is dropped and correctness kept.
-    pub fn set_wire_model(&mut self, model: Arc<WireModel>) {
-        if let ExecEngine::Par(par) = &mut self.engine {
-            par.set_latency(LatencyMatrix::uniform(par.shards(), model.min_latency()));
-        }
-        for &nic in &self.nics {
-            self.engine
-                .component_mut::<LanaiNic>(nic)
-                .expect("NIC component")
-                .set_wire_model(Arc::clone(&model));
-        }
     }
 
     /// Downcast host `i`'s application.

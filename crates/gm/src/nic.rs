@@ -42,14 +42,13 @@ use crate::params::{CollFeatures, GmParams};
 use crate::types::{
     CollKind, CollPacket, MsgTag, Packet, PacketKind, SendRecord, SendToken, BULK_TAG,
 };
-use nicbar_net::{NodeId, WireModel, WireRx};
+use nicbar_net::{NodeId, WireRx};
 use nicbar_sim::counter_id;
 use nicbar_sim::{
     CausalKind, CauseId, Component, ComponentId, Ctx, Occ, Owner, PacketLog, ResKind, SimTime,
     SpanEvent,
 };
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Per-source reassembly state for a partially received message.
 #[derive(Clone, Copy, Debug)]
@@ -1136,22 +1135,6 @@ impl LanaiNic {
         ctx.send_at(admission.arrive, ctx.self_id(), GmEvent::Arrive(pkt));
     }
 
-    /// Swap in a different wire model (topology ablations). The new model
-    /// must cover the same node count; receive-port state resets.
-    pub fn set_wire_model(&mut self, model: Arc<WireModel>) {
-        assert_eq!(
-            model.topology().num_nodes(),
-            self.wire.model().topology().num_nodes(),
-            "replacement wire model must cover the same nodes"
-        );
-        self.wire = WireRx::new(model);
-    }
-
-    /// The shared wire model this NIC sends through.
-    pub fn wire_model(&self) -> &Arc<WireModel> {
-        self.wire.model()
-    }
-
     /// The installed collective engine (downcast access for tests).
     pub fn collective_mut(&mut self) -> &mut dyn NicCollective {
         self.coll.as_mut()
@@ -1296,8 +1279,9 @@ mod tests {
     use crate::collective::NullCollective;
     use crate::params::{CollFeatures, GmParams};
     use crate::types::{MsgTag, Packet};
-    use nicbar_net::{LinkTiming, WormholeClos};
+    use nicbar_net::{LinkTiming, WireModel, WormholeClos};
     use nicbar_sim::Engine;
+    use std::sync::Arc;
 
     fn wire_model(n: usize) -> Arc<WireModel> {
         Arc::new(WireModel::new(

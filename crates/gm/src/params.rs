@@ -85,6 +85,9 @@ pub struct GmParams {
     pub timer_interval: SimTime,
 
     // --- Network ----------------------------------------------------------
+    /// Ports per crossbar switch of the wormhole Clos the nodes hang off
+    /// (16 on Myrinet 2000).
+    pub crossbar_radix: usize,
     /// Wormhole link/switch timing.
     pub link: LinkTiming,
     /// Extra per-packet serialization at a contended destination port
@@ -128,6 +131,7 @@ impl GmParams {
             coll_timeout: SimTime::from_us(400.0),
             timer_interval: SimTime::from_us(50.0),
 
+            crossbar_radix: 16,
             link: LinkTiming::myrinet2000(),
             hotspot_ns: 0,
         }
@@ -178,6 +182,7 @@ impl GmParams {
             coll_timeout: xp.coll_timeout,
             timer_interval: xp.timer_interval,
 
+            crossbar_radix: xp.crossbar_radix,
             link: LinkTiming::myrinet2000(),
             hotspot_ns: 0,
         }

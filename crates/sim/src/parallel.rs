@@ -345,23 +345,6 @@ impl<M: Send + 'static> ParallelEngine<M> {
         }
     }
 
-    /// Replace the lookahead bounds, e.g. after swapping the wire model of
-    /// a built cluster. The new matrix must be sound for the *new* message
-    /// latencies — callers that only know a global minimum should pass
-    /// [`LatencyMatrix::uniform`].
-    ///
-    /// # Panics
-    /// Panics if the matrix's shard count differs from the engine's.
-    pub fn set_latency(&mut self, latency: LatencyMatrix) {
-        assert!(
-            latency.shards() == self.shards.len(),
-            "latency matrix covers {} shards, engine has {}",
-            latency.shards(),
-            self.shards.len()
-        );
-        self.latency = latency;
-    }
-
     /// Arm the per-shard self-profiler (see [`crate::telemetry`]). All
     /// shards share one wall-clock epoch so their timelines align; calling
     /// this again restarts the capture from empty.

@@ -195,9 +195,9 @@ impl SpanEvent {
         }
     }
 
-    /// Human-readable detail string, shared by `timeline` and `flight` so
-    /// the decoding lives next to the event definition instead of being
-    /// duplicated in every exporter.
+    /// Human-readable detail string, used by the `flight` Chrome trace so
+    /// the decoding lives next to the event definition instead of in an
+    /// exporter.
     pub fn describe(&self) -> String {
         match *self {
             SpanEvent::OpBegin { group, seq } => {

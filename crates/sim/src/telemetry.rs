@@ -1,5 +1,5 @@
-//! Engine self-telemetry: the shard-level self-profiler behind the
-//! parallel engine's `--prof` mode.
+//! Engine self-telemetry: the shard-level self-profiler of the parallel
+//! engine, rendered by the `engine_prof` binary.
 //!
 //! PRs 2–3 built observability for the *simulated* protocol; this module
 //! watches the watcher. The rank-sharded parallel engine

@@ -113,8 +113,9 @@ gate "verify-counterexample" verify_counterexample_gate
 # from the git_rev stamp. A change that moves a simulated number therefore
 # regenerates its artifact in the same commit. Deterministic, so it runs
 # before the host-timed gates below.
-RESULTS_FRESH_BINS=(fig5 fig6 fig7 fig8 algo_compare interference contend)
-RESULTS_FRESH_FILES=(fig5 fig6 fig7 fig8 algo_compare_gm algo_compare_elan interference contend)
+RESULTS_FRESH_BINS=(fig5 fig6 fig7 fig8 algo_compare interference contend topology_sensitivity)
+RESULTS_FRESH_FILES=(fig5 fig6 fig7 fig8 algo_compare_gm algo_compare_elan interference contend
+    topology_sensitivity)
 results_fresh_gate() {
     local root tmp bin f stale=0
     root=$(pwd)
@@ -207,15 +208,16 @@ gate "fig-scale-smoke" fig_scale_gate
 # Tracked wall-clock trajectory: each full fig_scale run appends one
 # manifest-stamped run to BENCH_scale.json at the repo root. The artifact
 # must be an append-only history (a "runs" array) with a manifest, and
-# every run's engine series must carry an "armed" flag, so a speedup gate
-# that could not arm on the recording host says so in the artifact.
+# every run's engine series must carry an "armed" flag and a "cpu_model"
+# host stamp, so a speedup gate that could not arm on the recording host
+# says so in the artifact, next to the host it ran on.
 # (grep -c prints 0 *and* exits 1 on zero matches; a missing file prints
 # nothing — both normalized to a plain number by count_runs.) Simulated
 # latencies are not tracked here: they are deterministic, and
 # results-fresh pins them in results/*.json.
 count_runs() { grep -c '"manifest"' "$1" 2>/dev/null || true; }
 bench_trajectory_gate() {
-    local f=BENCH_scale.json runs armed
+    local f=BENCH_scale.json runs armed cpu
     [ -s "$f" ] || { echo "check.sh: missing $f" >&2; return 1; }
     grep -q '"manifest"' "$f" || { echo "check.sh: $f lacks a manifest" >&2; return 1; }
     grep -q '"runs"' "$f" || { echo "check.sh: $f is not an append-only trajectory" >&2; return 1; }
@@ -223,6 +225,11 @@ bench_trajectory_gate() {
     armed=$(grep -c '"armed"' "$f" || true)
     if [ "${armed:-0}" -lt "$runs" ]; then
         echo "check.sh: $f has $runs runs but only ${armed:-0} \"armed\" flags" >&2
+        return 1
+    fi
+    cpu=$(grep -c '"cpu_model"' "$f" || true)
+    if [ "${cpu:-0}" -lt "$runs" ]; then
+        echo "check.sh: $f has $runs runs but only ${cpu:-0} \"cpu_model\" stamps" >&2
         return 1
     fi
     echo "check.sh: $f OK ($runs runs)"
