@@ -56,11 +56,11 @@ fn run_substrate(scenario: &Scenario, cfg: &RunCfg, shards: usize, check: bool) 
         .iter()
         .map(|g| u64::from(g.0))
         .collect();
-    let paths: Vec<_> = critpath::analyze(seq.trace.packets())
+    let paths: Vec<_> = critpath::analyze(&seq.trace.packets().to_vec())
         .into_iter()
         .filter(|p| groups.contains(&p.group))
         .collect();
-    let per_path = critpath::interference(&paths, seq.trace.ledger());
+    let per_path = critpath::interference(&paths, &seq.trace.ledger().to_vec());
     let summary = critpath::interference_summary(&per_path);
 
     let traffic = scenario

@@ -209,14 +209,14 @@ fn main() {
         cap.substrate, nodes, seed, drop_prob
     );
     println!("engine: {}", flight::engine_stamp(&cap));
-    let (packets, dropped) = (cap.trace.packets(), cap.trace.dropped());
+    let (packets, dropped) = (cap.trace.packets().to_vec(), cap.trace.dropped());
     println!("netdump: {} records, {dropped} dropped", packets.len());
 
-    let paths = critpath::analyze(packets);
+    let paths = critpath::analyze(&packets);
     print!("{}", critpath::render(&paths));
 
     if let Some(out) = jsonl {
-        let path = out.write(&netdump::jsonl_with_header(packets, dropped));
+        let path = out.write(&netdump::jsonl_with_header(&packets, dropped));
         println!(
             "wrote {} packet records to {path} (header: {dropped} dropped)",
             packets.len()

@@ -679,7 +679,7 @@ mod tests {
         let e1 = rec(&mut d, 100, CauseId::NONE, CausalKind::HostEnter, 1, k);
         let f1 = rec(&mut d, 300, e1, CausalKind::Fire, 1, k);
         let x1 = rec(&mut d, 900, f1, CausalKind::HostExit, 1, k);
-        let paths = analyze(d.packets());
+        let paths = analyze(&d.packets().to_vec());
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
         assert_eq!((p.group, p.seq), (7, 0));
@@ -710,7 +710,7 @@ mod tests {
         // record / capacity overflow).
         let hole = CauseId(999);
         let _x = rec(&mut d, 1_000, hole, CausalKind::HostExit, 0, k);
-        let paths = analyze(d.packets());
+        let paths = analyze(&d.packets().to_vec());
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
         assert!(p.truncated);
@@ -729,7 +729,7 @@ mod tests {
         let n = rec(&mut d, 10, e, CausalKind::Nack, 0, k);
         let r = rec(&mut d, 30, n, CausalKind::Retransmit, 0, k);
         let _x = rec(&mut d, 100, r, CausalKind::HostExit, 0, k);
-        let paths = analyze(d.packets());
+        let paths = analyze(&d.packets().to_vec());
         let attr = attribution(&paths);
         let labels: Vec<&str> = attr.iter().map(|&(l, _, _)| l).collect();
         assert!(labels.contains(&"nack-detour"));
@@ -770,7 +770,7 @@ mod tests {
         let e1 = rec(&mut d, 0, CauseId::NONE, CausalKind::HostEnter, 1, k);
         let f1 = rec(&mut d, 400, e1, CausalKind::Fire, 1, k);
         let _x1 = rec(&mut d, 900, f1, CausalKind::HostExit, 1, k);
-        analyze(d.packets())
+        analyze(&d.packets().to_vec())
     }
 
     #[test]

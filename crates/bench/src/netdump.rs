@@ -242,7 +242,7 @@ mod tests {
                 .nodes(0, 1)
                 .detail(4, 0),
         );
-        let text = jsonl(d.packets());
+        let text = jsonl(&d.packets().to_vec());
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(
@@ -300,8 +300,8 @@ mod tests {
             );
         }
         for r in d.packets() {
-            let parsed = parse_line(&record_line(r)).unwrap();
-            assert_eq!(&parsed, r, "round-trip must be exact");
+            let parsed = parse_line(&record_line(&r)).unwrap();
+            assert_eq!(parsed, r, "round-trip must be exact");
         }
     }
 
@@ -325,7 +325,7 @@ mod tests {
             ComponentId(0),
             PacketLog::new(CauseId::NONE, CausalKind::HostEnter),
         );
-        let text = jsonl_with_header(d.packets(), 7);
+        let text = jsonl_with_header(&d.packets().to_vec(), 7);
         let mut lines = text.lines();
         let header = lines.next().unwrap();
         assert_eq!(parse_header(header), Some((1, 7)));
@@ -346,9 +346,10 @@ mod tests {
             ComponentId(1),
             PacketLog::new(root, CausalKind::Fire),
         );
-        let dump = parse_dump(&jsonl_with_header(d.packets(), 0)).unwrap();
+        let packets = d.packets().to_vec();
+        let dump = parse_dump(&jsonl_with_header(&packets, 0)).unwrap();
         assert_eq!(dump.header, Some((2, 0)));
-        assert_eq!(dump.records, d.packets());
+        assert_eq!(dump.records, packets);
     }
 
     #[test]

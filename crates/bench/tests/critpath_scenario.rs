@@ -145,7 +145,7 @@ fn injected_retransmission_detour_is_the_critical_path() {
     let x2 = exit(&mut d, 2_200, 2_500, a02, 2);
 
     // --- Analyze.
-    let paths = analyze(d.0.packets());
+    let paths = analyze(&d.0.packets().to_vec());
     assert_eq!(paths.len(), 1);
     let p = &paths[0];
     assert_eq!((p.group, p.seq), (GROUP, SEQ));

@@ -190,7 +190,7 @@ impl FlightData {
         format!(
             "substrate={}\nrecords={:?}\nspans={:?}\norphaned={}\nhists={:?}\nstats={:?}\npackets={:?}\nledger={:?}\ndropped={}\n",
             self.substrate,
-            t.iter().as_slice(),
+            t.spans(),
             t.completed(),
             t.orphaned(),
             t.hists(),

@@ -220,7 +220,13 @@ impl ElanNic {
     /// Occupancy-ledger owner of activity gated on event `ev`: the group the
     /// chain builder registered for it (defaulting to the span group), with
     /// the event's completed-trip count standing in for the barrier seq.
-    fn event_owner(&self, ev: EventId, rank: u32) -> Owner {
+    /// Only the ledger reads owners, so while the log is off (`recording`
+    /// false) this skips the event-table lookup and its division, and
+    /// returns a stand-in nothing records.
+    fn event_owner(&self, recording: bool, ev: EventId, rank: u32) -> Owner {
+        if !recording {
+            return Owner::fabric(rank);
+        }
         let e = &self.events[ev.0 as usize];
         Owner::coll(
             self.event_group[ev.0 as usize],
@@ -229,13 +235,14 @@ impl ElanNic {
         )
     }
 
-    /// Owner of an arriving wire packet, classified at the receiving port.
-    fn payload_owner(&self, payload: &ElanPayload, src: NodeId) -> Owner {
+    /// Owner of an arriving wire packet, classified at the receiving port
+    /// (a stand-in while the log is off, as for `event_owner`).
+    fn payload_owner(&self, recording: bool, payload: &ElanPayload, src: NodeId) -> Owner {
         let rank = src.0 as u32;
         match payload {
             ElanPayload::Thread { .. } => Owner::coll(ELAN_SPAN_GROUP, 0, rank),
             ElanPayload::Rdma { remote_event } => match remote_event {
-                Some(ev) => self.event_owner(*ev, rank),
+                Some(ev) => self.event_owner(recording, *ev, rank),
                 None => Owner::coll(ELAN_SPAN_GROUP, 0, rank),
             },
             ElanPayload::Tport { tag, .. } => tport_owner(*tag, rank),
@@ -294,7 +301,7 @@ impl ElanNic {
         // Ledger: the admitted packet's owner occupies this rx port for
         // `[arrive, until)`; a queued packet also waited behind earlier
         // holders.
-        let owner = self.payload_owner(&payload, src);
+        let owner = self.payload_owner(ctx.recording(), &payload, src);
         let node = self.node.0 as u32;
         let routed = ctx.now();
         if admission.port_wait > SimTime::ZERO {
@@ -453,7 +460,7 @@ impl Component<ElanEvent> for ElanNic {
                 self.fire_desc(ctx, desc, cause);
             }
             ElanEvent::SetEvent { event, cause } => {
-                let owner = self.event_owner(event, self.node.0 as u32);
+                let owner = self.event_owner(ctx.recording(), event, self.node.0 as u32);
                 let now = ctx.now();
                 let t = self.engine(ctx, now, self.params.nic_event_proc, owner);
                 // Netdump: the NIC picks up the host's event poke.
@@ -548,7 +555,7 @@ impl Component<ElanEvent> for ElanNic {
                         .nodes(src.0 as u32, self.node.0 as u32)
                         .detail(payload.arrive_info(), 0),
                 );
-                let owner = self.payload_owner(&payload, src);
+                let owner = self.payload_owner(ctx.recording(), &payload, src);
                 match payload {
                     ElanPayload::Thread { tag, value } => {
                         // Wake the thread processor: heavier than a raw event.

@@ -17,7 +17,11 @@
 //! Records live in the packet column of the engine's record log
 //! ([`crate::Trace`]), disabled by default. When disabled,
 //! [`crate::Ctx::packet`] is a single predictable branch returning
-//! [`CauseId::NONE`], so the hot path pays nothing.
+//! [`CauseId::NONE`], so the hot path pays nothing. The column stores no
+//! id: [`PacketRecord::id`] is positional, the column's first id plus the
+//! record's index, and `parent` is kept as a delta from it (see
+//! [`crate::column`]). Decode the column once with
+//! [`crate::Records::to_vec`] before [`find`] or [`chain_to`] walk it.
 
 use crate::engine::ComponentId;
 use crate::time::SimTime;
@@ -181,7 +185,9 @@ impl CausalKind {
 /// [`CausalKind`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PacketRecord {
-    /// This record's id (dense, emission-ordered, starting at 1).
+    /// This record's id (dense, emission-ordered, starting at 1). The log
+    /// does not store it: it is the record's position in the packet
+    /// column, which always holds a prefix of the ids handed out.
     pub id: CauseId,
     /// The record that caused this one ([`CauseId::NONE`] for chain roots).
     pub parent: CauseId,
@@ -318,7 +324,8 @@ mod tests {
         // An unrelated side branch must not appear on the chain.
         let _side = rec(&mut log, a, CausalKind::Fire);
         let d = rec(&mut log, c, CausalKind::Wire);
-        let chain = chain_to(log.packets(), d);
+        let records = log.packets().to_vec();
+        let chain = chain_to(&records, d);
         let ids: Vec<CauseId> = chain.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![a, b, c, d]);
         assert_eq!(a, CauseId(1));

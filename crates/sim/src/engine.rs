@@ -241,6 +241,14 @@ impl<M> Ctx<'_, M> {
         self.counters.add_id(id, amount);
     }
 
+    /// True while the record log is on. A handler reads it to skip
+    /// building a value that only a record would carry, such as a ledger
+    /// owner, while the log is off.
+    #[inline]
+    pub fn recording(&self) -> bool {
+        self.recording
+    }
+
     /// Emit a typed event attributed to this component into the record
     /// log, which also folds it into the per-operation spans. When the log
     /// is off — the common case — this is a single predictable branch and

@@ -75,6 +75,7 @@
 #![warn(missing_docs)]
 
 pub mod causal;
+pub mod column;
 pub mod counters;
 pub mod engine;
 pub mod hist;
@@ -89,6 +90,7 @@ pub mod time;
 pub mod trace;
 
 pub use causal::{chain_to, find, CausalKind, CauseId, PacketLog, PacketRecord, NO_KEY, NO_NODE};
+pub use column::{Decode, Record, Records};
 pub use counters::{intern, CounterId, Counters};
 pub use engine::{Component, ComponentId, Ctx, Engine, RunOutcome, MAX_COMPONENTS};
 pub use hist::Histogram;

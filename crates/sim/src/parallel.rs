@@ -66,9 +66,10 @@
 //! record-less events included, because the merge order is decided by
 //! delivered-event keys, not record keys). After the run the shards'
 //! boundary lists are k-way merged by head event key, and each delivery's
-//! records are replayed into the base log through the same append calls,
-//! column by column, and settled against the bound as the sequential
-//! engine settles each delivery. Packet ids are assigned at replay time,
+//! records are decoded from the shard log (one cursor per shard column)
+//! and replayed into the base log through the same append calls, column
+//! by column, and settled against the bound as the sequential engine
+//! settles each delivery. Packet ids are assigned at replay time,
 //! so they match the sequential run exactly; during the run a shard's log
 //! hands out *provisional* ids counting up from `(shard + 1) << 40`, which
 //! the replay remaps — including ids that components stored and re-use as
@@ -102,6 +103,7 @@
 //!   layer never halts mid-protocol, so the parity witness is unaffected.
 
 use crate::causal::{CauseId, PacketRecord};
+use crate::column::Records;
 use crate::engine::{ComponentId, Engine, RunOutcome};
 use crate::ledger::LedgerRecord;
 use crate::partition::{LatencyMatrix, ShardMap};
@@ -563,8 +565,19 @@ impl<M: Send + 'static> ParallelEngine<M> {
             pkt_remap,
             ..
         } = self;
-        // Per shard: next boundary, span, packet and ledger record.
-        let mut cursors = vec![(0usize, 0usize, 0usize, 0usize); shards.len()];
+        // Per shard: the next boundary, and a decoding cursor per column.
+        let mut cursors: Vec<_> = shards
+            .iter()
+            .map(|sh| {
+                let log = &sh.engine.trace;
+                (
+                    0usize,
+                    log.iter(),
+                    log.packets().iter(),
+                    log.ledger().iter(),
+                )
+            })
+            .collect();
         loop {
             let mut best: Option<(u128, usize)> = None;
             for (s, sh) in shards.iter().enumerate() {
@@ -575,21 +588,15 @@ impl<M: Send + 'static> ParallelEngine<M> {
                 }
             }
             let Some((_, s)) = best else { break };
-            let (e, sp, pk, lg) = cursors[s];
-            let log = &shards[s].engine.trace;
-            let ev = &shards[s].raw.events[e];
-            let (sp_end, pk_end, lg_end) = (
-                sp + ev.spans as usize,
-                pk + ev.packets as usize,
-                lg + ev.ledger as usize,
-            );
-            for r in &log.iter().as_slice()[sp..sp_end] {
+            let (e, spans, packets, ledger) = &mut cursors[s];
+            let ev = &shards[s].raw.events[*e];
+            for r in spans.take(ev.spans as usize) {
                 base.trace.record_span(r.time, r.component, r.event);
             }
-            for r in &log.packets()[pk..pk_end] {
+            for r in packets.take(ev.packets as usize) {
                 let real = base.trace.push_packet(PacketRecord {
                     parent: real_id(pkt_remap, r.parent),
-                    ..*r
+                    ..r
                 });
                 debug_assert!(
                     !is_provisional(real),
@@ -597,20 +604,21 @@ impl<M: Send + 'static> ParallelEngine<M> {
                 );
                 pkt_remap[s].push(real);
             }
-            for r in &log.ledger()[lg..lg_end] {
-                base.trace.record_ledger(*r);
+            for r in ledger.take(ev.ledger as usize) {
+                base.trace.record_ledger(r);
             }
             base.trace.settle();
-            cursors[s] = (e + 1, sp_end, pk_end, lg_end);
+            *e += 1;
         }
-        for (sh, c) in shards.iter_mut().zip(&cursors) {
-            let log = &mut sh.engine.trace;
-            debug_assert_eq!(
-                (c.1, c.2, c.3),
-                (log.len(), log.packets().len(), log.ledger().len()),
-                "unmerged shard records"
-            );
-            log.clear();
+        debug_assert!(
+            cursors
+                .iter()
+                .all(|(_, sp, pk, lg)| sp.len() + pk.len() + lg.len() == 0),
+            "unmerged shard records"
+        );
+        drop(cursors);
+        for sh in shards.iter_mut() {
+            sh.engine.trace.clear();
             sh.raw.events.clear();
         }
     }
@@ -634,11 +642,11 @@ impl<M: 'static> Engine<M> {
 /// One column of the record log with the log's drop count, as
 /// [`ExecEngine::netdump`] and [`ExecEngine::ledger`] return it. Kept for
 /// barbench until ROADMAP item 8 deletes it.
-pub struct Column<'a, T>(&'a [T], u64);
+pub struct Column<'a, R>(Records<'a, R>, u64);
 
-impl<T> Column<'_, T> {
+impl<'a, R> Column<'a, R> {
     /// The column's records.
-    pub fn records(&self) -> &[T] {
+    pub fn records(&self) -> Records<'a, R> {
         self.0
     }
 
@@ -1174,7 +1182,7 @@ mod tests {
                     node.log.iter().map(|&(t, h, c)| (t, h, real(c))).collect()
                 })
                 .collect(),
-            spans: log.iter().copied().collect(),
+            spans: log.spans().to_vec(),
             pkts: log.packets().to_vec(),
             ledger: log.ledger().to_vec(),
             dropped: log.dropped(),

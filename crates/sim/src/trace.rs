@@ -9,6 +9,12 @@
 //! also folds the span stream into per-operation summaries and latency
 //! histograms, and retains the closed spans under the same bound.
 //!
+//! Each column is stored varint-encoded ([`crate::column`]): about 6 to 12
+//! bytes per record instead of the structs' 48 to 80. Readers get a
+//! [`Records`] view per column that counts in O(1) and decodes the
+//! records by value; an analysis that needs random access decodes a
+//! column once with [`Records::to_vec`].
+//!
 //! A log is disabled by default. The engine reads the switch once per
 //! delivery, so every emit site costs one predictable branch while it is
 //! off (checked by `engine_sweep`). Tests enable it to assert fine-grained
@@ -17,19 +23,22 @@
 //!
 //! ## The bound
 //!
-//! The bound covers everything retained: span, packet and ledger records
+//! The bound counts records, not bytes: span, packet and ledger records
 //! and closed spans. The engine applies it at the end of every delivery: a
 //! full log keeps what it has and counts each newcomer once in
-//! [`Trace::dropped`]. If the delivery that fills the log emitted more than
-//! fits, its records take the last slots in column order — span records,
-//! closed spans, packets, then ledger records — not in emission order. The
-//! parallel engine's merge replays a delivery column by column, so this
-//! rule keeps exactly the records the sequential run keeps. A dropped
-//! packet still takes its id, so its children name a hole, never a wrong
-//! parent. The fold sees every span event, stored or dropped, so the
-//! histograms stay complete.
+//! [`Trace::dropped`], without encoding it. If the delivery that fills the
+//! log emitted more than fits, its records take the last slots in column
+//! order — span records, closed spans, packets, then ledger records — not
+//! in emission order. The parallel engine's merge replays a delivery
+//! column by column, so this rule keeps exactly the records the
+//! sequential run keeps. A dropped packet still takes its id, so its
+//! children name a hole, never a wrong parent, and the kept packets are
+//! always a prefix of the ids handed out, which is what lets the packet
+//! column leave ids unstored. The fold sees every span event, stored or
+//! dropped, so the histograms stay complete.
 
 use crate::causal::{CauseId, PacketLog, PacketRecord};
+use crate::column::{Decode, Encoded, Mark, Records};
 use crate::engine::ComponentId;
 use crate::hist::Histogram;
 use crate::ledger::LedgerRecord;
@@ -56,12 +65,21 @@ impl TraceRecord {
     }
 }
 
-/// Records per column: a log's column lengths, or what one delivery kept.
-#[derive(Clone, Copy, Debug, Default)]
+/// Records one delivery kept in each column.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Counts {
     pub(crate) spans: usize,
     pub(crate) packets: usize,
     pub(crate) ledger: usize,
+}
+
+/// The log's boundary at the end of a delivery: where [`Trace::settle`]
+/// cuts back to.
+#[derive(Clone, Copy, Debug)]
+struct Marks {
+    spans: Mark,
+    packets: Mark,
+    ledger: Mark,
     completed: usize,
 }
 
@@ -74,12 +92,15 @@ pub struct Trace {
     pub(crate) enabled: bool,
     /// Most records retained over all columns and the closed spans.
     capacity: usize,
-    spans: Vec<TraceRecord>,
-    packets: Vec<PacketRecord>,
-    ledger: Vec<LedgerRecord>,
+    spans: Encoded<TraceRecord>,
+    packets: Encoded<PacketRecord>,
+    ledger: Encoded<LedgerRecord>,
     completed: Vec<SpanSummary>,
-    /// Column lengths at the end of the last delivery.
-    settled: Counts,
+    /// The boundary at the end of the last delivery.
+    settled: Marks,
+    /// True once a delivery ended with the log at its bound: every later
+    /// record is dropped, so appends only count it.
+    full: bool,
     /// Id of the next packet record: 1 on an engine's log; shard logs of
     /// the parallel engine count up from their own provisional base.
     next_id: u64,
@@ -93,14 +114,23 @@ impl Trace {
     pub const DEFAULT_CAPACITY: usize = 1 << 21;
 
     fn new(enabled: bool, capacity: usize, next_id: u64) -> Self {
+        let spans = Encoded::new(next_id);
+        let packets = Encoded::new(next_id);
+        let ledger = Encoded::new(next_id);
         Trace {
             enabled,
             capacity,
-            spans: Vec::new(),
-            packets: Vec::new(),
-            ledger: Vec::new(),
+            settled: Marks {
+                spans: spans.mark(),
+                packets: packets.mark(),
+                ledger: ledger.mark(),
+                completed: 0,
+            },
+            full: false,
+            spans,
+            packets,
+            ledger,
             completed: Vec::new(),
-            settled: Counts::default(),
             next_id,
             dropped: 0,
             fold: None,
@@ -148,14 +178,20 @@ impl Trace {
         if !self.enabled {
             return;
         }
-        self.spans.push(TraceRecord {
+        let closed = self
+            .fold
+            .as_deref_mut()
+            .and_then(|f| f.observe(time, &event));
+        if self.full {
+            self.dropped += 1 + u64::from(closed.is_some());
+            return;
+        }
+        self.spans.push(&TraceRecord {
             time,
             component,
             event,
         });
-        if let Some(fold) = self.fold.as_deref_mut() {
-            self.completed.extend(fold.observe(time, &event));
-        }
+        self.completed.extend(closed);
     }
 
     /// Append a packet record, returning its id ([`CauseId::NONE`] while
@@ -181,29 +217,39 @@ impl Trace {
         })
     }
 
-    /// Append `rec` under the next id, which it returns.
-    pub(crate) fn push_packet(&mut self, mut rec: PacketRecord) -> CauseId {
+    /// Append `rec` under the next id, which it returns. The column stores
+    /// no id: a kept record's id is its position (see [`crate::column`]).
+    pub(crate) fn push_packet(&mut self, rec: PacketRecord) -> CauseId {
         if !self.enabled {
             return CauseId::NONE;
         }
-        rec.id = CauseId(self.next_id);
+        let id = CauseId(self.next_id);
         self.next_id += 1;
-        self.packets.push(rec);
-        rec.id
+        if self.full {
+            self.dropped += 1;
+        } else {
+            self.packets.push(&rec);
+        }
+        id
     }
 
     /// Append an occupancy record.
     pub fn record_ledger(&mut self, rec: LedgerRecord) {
-        if self.enabled {
-            self.ledger.push(rec);
+        if !self.enabled {
+            return;
+        }
+        if self.full {
+            self.dropped += 1;
+        } else {
+            self.ledger.push(&rec);
         }
     }
 
-    fn lens(&self) -> Counts {
-        Counts {
-            spans: self.spans.len(),
-            packets: self.packets.len(),
-            ledger: self.ledger.len(),
+    fn marks(&self) -> Marks {
+        Marks {
+            spans: self.spans.mark(),
+            packets: self.packets.mark(),
+            ledger: self.ledger.mark(),
             completed: self.completed.len(),
         }
     }
@@ -222,21 +268,21 @@ impl Trace {
                 self.dropped += n as u64;
                 len - n
             };
-            let keep = cut(self.ledger.len(), floor.ledger);
-            self.ledger.truncate(keep);
-            let keep = cut(self.packets.len(), floor.packets);
-            self.packets.truncate(keep);
+            let keep = cut(self.ledger.len(), floor.ledger.len);
+            self.ledger.truncate(floor.ledger, keep);
+            let keep = cut(self.packets.len(), floor.packets.len);
+            self.packets.truncate(floor.packets, keep);
             let keep = cut(self.completed.len(), floor.completed);
             self.completed.truncate(keep);
-            let keep = cut(self.spans.len(), floor.spans);
-            self.spans.truncate(keep);
+            let keep = cut(self.spans.len(), floor.spans.len);
+            self.spans.truncate(floor.spans, keep);
+            self.full = true;
         }
-        self.settled = self.lens();
+        self.settled = self.marks();
         Counts {
-            spans: self.settled.spans - floor.spans,
-            packets: self.settled.packets - floor.packets,
-            ledger: self.settled.ledger - floor.ledger,
-            completed: self.settled.completed - floor.completed,
+            spans: self.settled.spans.len - floor.spans.len,
+            packets: self.settled.packets.len - floor.packets.len,
+            ledger: self.settled.ledger.len - floor.ledger.len,
         }
     }
 
@@ -247,12 +293,17 @@ impl Trace {
         self.packets.clear();
         self.ledger.clear();
         self.completed.clear();
-        self.settled = Counts::default();
+        self.settled = self.marks();
     }
 
     /// Records dropped because the log was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Encoded size of the span, packet and ledger columns in bytes.
+    pub fn bytes(&self) -> usize {
+        self.spans.bytes() + self.packets.bytes() + self.ledger.bytes()
     }
 
     /// Number of span records retained.
@@ -262,19 +313,21 @@ impl Trace {
 
     /// True if no span records are retained.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.spans.len() == 0
     }
 
     /// Retained span records in emission order.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceRecord> {
-        self.spans.iter()
+    pub fn spans(&self) -> Records<'_, TraceRecord> {
+        self.spans.records()
+    }
+
+    /// Retained span records in emission order, decoded.
+    pub fn iter(&self) -> Decode<'_, TraceRecord> {
+        self.spans().iter()
     }
 
     /// Span records with a given label, in emission order.
-    pub fn with_label<'a>(
-        &'a self,
-        label: &'static str,
-    ) -> impl Iterator<Item = &'a TraceRecord> + 'a {
+    pub fn with_label(&self, label: &'static str) -> impl Iterator<Item = TraceRecord> + '_ {
         self.iter().filter(move |r| r.label() == label)
     }
 
@@ -284,13 +337,13 @@ impl Trace {
     }
 
     /// Retained packet records in id order.
-    pub fn packets(&self) -> &[PacketRecord] {
-        &self.packets
+    pub fn packets(&self) -> Records<'_, PacketRecord> {
+        self.packets.records()
     }
 
     /// Retained occupancy records in emission order.
-    pub fn ledger(&self) -> &[LedgerRecord] {
-        &self.ledger
+    pub fn ledger(&self) -> Records<'_, LedgerRecord> {
+        self.ledger.records()
     }
 
     /// Retained closed spans in completion order.
@@ -329,7 +382,9 @@ impl fmt::Debug for Trace {
 mod tests {
     use super::*;
     use crate::causal::CausalKind;
+    use crate::column::{KINDS, OPS, OWNERS, RESOURCES};
     use crate::ledger::{LedgerOp, Owner, ResKind, NO_UNIT};
+    use proptest::prelude::*;
 
     fn ns(t: u64) -> SimTime {
         SimTime::from_ns(t)
@@ -367,7 +422,7 @@ mod tests {
         });
     }
 
-    fn dst(r: &TraceRecord) -> u64 {
+    fn dst(r: TraceRecord) -> u64 {
         match r.event {
             SpanEvent::Nack { dst, .. } | SpanEvent::Fire { dst, .. } => dst,
             other => panic!("unexpected {other:?}"),
@@ -386,9 +441,10 @@ mod tests {
             (
                 t.spans.capacity(),
                 t.packets.capacity(),
-                t.ledger.capacity()
+                t.ledger.capacity(),
+                t.bytes()
             ),
-            (0, 0, 0)
+            (0, 0, 0, 0)
         );
         assert!(t.fold.is_none() && t.hists().is_empty());
     }
@@ -441,7 +497,7 @@ mod tests {
         // names a hole.
         assert_eq!((first, late), (CauseId(1), CauseId(2)));
         assert_eq!(packet(&mut t, 6, late), CauseId(3));
-        assert!(crate::causal::chain_to(t.packets(), late).is_empty());
+        assert!(crate::causal::chain_to(&t.packets().to_vec(), late).is_empty());
     }
 
     #[test]
@@ -506,5 +562,240 @@ mod tests {
         span(&mut t, 0, false, 0);
         assert_eq!(t.len(), 1);
         assert_eq!(t.capacity, Trace::DEFAULT_CAPACITY);
+    }
+
+    /// A plain-`Vec` reference log: the storage the encoded columns
+    /// replaced, with the same bound and drop rule.
+    struct Model {
+        cap: usize,
+        spans: Vec<TraceRecord>,
+        packets: Vec<PacketRecord>,
+        ledger: Vec<LedgerRecord>,
+        floor: [usize; 3],
+        next_id: u64,
+        dropped: u64,
+    }
+
+    impl Model {
+        fn settle(&mut self) {
+            let retained = self.spans.len() + self.packets.len() + self.ledger.len();
+            let mut over = retained.saturating_sub(self.cap);
+            let [fs, fp, fl] = self.floor;
+            let mut cut = |len: usize, floor: usize| {
+                let n = over.min(len - floor);
+                over -= n;
+                self.dropped += n as u64;
+                len - n
+            };
+            let keep = cut(self.ledger.len(), fl);
+            self.ledger.truncate(keep);
+            let keep = cut(self.packets.len(), fp);
+            self.packets.truncate(keep);
+            let keep = cut(self.spans.len(), fs);
+            self.spans.truncate(keep);
+            self.floor = [self.spans.len(), self.packets.len(), self.ledger.len()];
+        }
+    }
+
+    /// Bytes of one varint.
+    fn vlen(v: u64) -> usize {
+        (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+    }
+
+    /// Bytes of a signed delta `v - prev`, zigzag-encoded.
+    fn dlen(prev: u64, v: u64) -> usize {
+        let d = v.wrapping_sub(prev);
+        vlen((d << 1) ^ ((d as i64 >> 63) as u64))
+    }
+
+    /// Bytes of a field stored plus one.
+    fn klen(v: u64) -> usize {
+        vlen(v.wrapping_add(1))
+    }
+
+    /// The size the column encoding promises for the model's records
+    /// (see [`crate::column`]): one byte per tag, a varint per field,
+    /// times as deltas, parents relative to the record's own id, and
+    /// sentinel-bearing fields shifted by one.
+    fn encoded_size(m: &Model) -> usize {
+        let mut n = 0;
+        let mut prev = 0;
+        for r in &m.spans {
+            n += dlen(prev, r.time.as_ns()) + vlen(r.component.0 as u64) + 1;
+            prev = r.time.as_ns();
+            n += match r.event {
+                SpanEvent::OpBegin { group, seq } | SpanEvent::OpEnd { group, seq } => {
+                    klen(group) + klen(seq)
+                }
+                SpanEvent::Fire { unit, dst } => klen(unit) + klen(dst),
+                SpanEvent::Wire { src, dst, bytes } => klen(src) + klen(dst) + vlen(bytes),
+                SpanEvent::Enqueue { dst, depth: y }
+                | SpanEvent::Arrive { src: dst, info: y }
+                | SpanEvent::Notify {
+                    unit: dst,
+                    cookie: y,
+                }
+                | SpanEvent::Nack { dst, round: y }
+                | SpanEvent::Retransmit { dst, round: y } => klen(dst) + vlen(y),
+            };
+        }
+        prev = 0;
+        for r in &m.packets {
+            n += dlen(r.id.0, r.parent.0) + dlen(prev, r.time.as_ns());
+            prev = r.time.as_ns();
+            n += vlen(r.component.0 as u64) + 1;
+            n += vlen(u64::from(r.src.wrapping_add(1))) + vlen(u64::from(r.dst.wrapping_add(1)));
+            n += klen(r.group) + klen(r.seq) + vlen(r.a) + vlen(r.b);
+        }
+        prev = 0;
+        for r in &m.ledger {
+            let (t0, t1) = (r.t0.as_ns(), r.t1.as_ns());
+            n += dlen(prev, t0) + vlen(t1.wrapping_sub(t0));
+            prev = t0;
+            n += vlen(r.component.0 as u64) + 1 + vlen(u64::from(r.node)) + klen(r.unit);
+            n += klen(r.owner.group) + klen(r.owner.seq) + vlen(u64::from(r.owner.rank));
+        }
+        n
+    }
+
+    fn span_event(variant: u64, f: &[u64]) -> SpanEvent {
+        let (x, y) = (f[0], f[1]);
+        match variant % 9 {
+            0 => SpanEvent::OpBegin { group: x, seq: y },
+            1 => SpanEvent::OpEnd { group: x, seq: y },
+            2 => SpanEvent::Enqueue { dst: x, depth: y },
+            3 => SpanEvent::Fire { unit: x, dst: y },
+            4 => SpanEvent::Wire {
+                src: x,
+                dst: y,
+                bytes: f[2],
+            },
+            5 => SpanEvent::Arrive { src: x, info: y },
+            6 => SpanEvent::Notify { unit: x, cookie: y },
+            7 => SpanEvent::Nack { dst: x, round: y },
+            _ => SpanEvent::Retransmit { dst: x, round: y },
+        }
+    }
+
+    /// A field value: zero, a sentinel, the value below one, a small
+    /// number or any `u64`.
+    fn field() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            Just(u64::MAX - 1),
+            Just(u64::from(u32::MAX)),
+            0u64..300,
+            any::<u64>(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random appends to all three columns, interleaved with the end
+        /// of deliveries under a small bound, decode to exactly what a
+        /// plain-`Vec` log keeps: same records, same ids (packets are
+        /// handed ids from a shard-like base too, and name parents on both
+        /// sides of their own id), same drop count, and the byte count the
+        /// encoding promises.
+        #[test]
+        fn encoded_columns_match_a_vec_log(
+            cap in 1usize..40,
+            first_id in prop_oneof![Just(1u64), 1u64..1 << 42],
+            ops in prop::collection::vec(
+                (0u64..1 << 16, prop::collection::vec(field(), 8..9)),
+                0..120,
+            ),
+        ) {
+            let mut t = Trace::new(true, cap, first_id);
+            let mut m = Model {
+                cap,
+                spans: Vec::new(),
+                packets: Vec::new(),
+                ledger: Vec::new(),
+                floor: [0; 3],
+                next_id: first_id,
+                dropped: 0,
+            };
+            for (sel, f) in &ops {
+                let sub = sel / 4;
+                match sel % 4 {
+                    0 => {
+                        let r = TraceRecord {
+                            time: ns(f[3]),
+                            component: ComponentId(f[4] as usize),
+                            event: span_event(sub, f),
+                        };
+                        t.record_span(r.time, r.component, r.event);
+                        m.spans.push(r);
+                    }
+                    1 => {
+                        let own = m.next_id;
+                        let parent = match (sub / 13) % 4 {
+                            0 => CauseId::NONE,
+                            1 => CauseId(own.wrapping_sub(f[5] % 70)),
+                            2 => CauseId(own.wrapping_add(f[5] % 70)),
+                            _ => CauseId(f[5]),
+                        };
+                        let r = PacketRecord {
+                            id: CauseId(own),
+                            parent,
+                            time: ns(f[3]),
+                            component: ComponentId(f[4] as usize),
+                            kind: KINDS[(sub % 13) as usize],
+                            src: f[0] as u32,
+                            dst: f[1] as u32,
+                            group: f[0],
+                            seq: f[1],
+                            a: f[2],
+                            b: f[6],
+                        };
+                        let log = PacketLog::new(parent, r.kind)
+                            .nodes(r.src, r.dst)
+                            .key(r.group, r.seq)
+                            .detail(r.a, r.b);
+                        let id = t.record_packet(r.time, r.component, log);
+                        prop_assert_eq!(id, r.id);
+                        m.next_id += 1;
+                        m.packets.push(r);
+                    }
+                    2 => {
+                        let r = LedgerRecord {
+                            t0: ns(f[3]),
+                            t1: ns(f[5]),
+                            component: ComponentId(f[4] as usize),
+                            op: OPS[(sub % 4) as usize],
+                            res: RESOURCES[(sub / 4 % 8) as usize],
+                            node: f[6] as u32,
+                            unit: f[7],
+                            owner: Owner {
+                                kind: OWNERS[(sub / 32 % 4) as usize],
+                                group: f[0],
+                                seq: f[1],
+                                rank: f[2] as u32,
+                            },
+                        };
+                        t.record_ledger(r);
+                        m.ledger.push(r);
+                    }
+                    _ => {
+                        t.settle();
+                        m.settle();
+                    }
+                }
+            }
+            t.settle();
+            m.settle();
+            prop_assert_eq!(t.spans().to_vec(), m.spans.clone());
+            prop_assert_eq!(t.packets().to_vec(), m.packets.clone());
+            prop_assert_eq!(t.ledger().to_vec(), m.ledger.clone());
+            prop_assert_eq!(
+                (t.len(), t.packets().len(), t.ledger().len()),
+                (m.spans.len(), m.packets.len(), m.ledger.len())
+            );
+            prop_assert_eq!(t.dropped(), m.dropped);
+            prop_assert_eq!(t.bytes(), encoded_size(&m));
+        }
     }
 }

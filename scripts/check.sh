@@ -140,6 +140,43 @@ results_fresh_gate() {
 }
 gate "results-fresh" results_fresh_gate
 
+# Export freshness: run from an empty directory, the capture exporters
+# (the Chrome trace, both why-slow JSONL netdumps and their reports, and
+# contend's interference report) must reproduce the committed
+# results/exports.sha256 byte for byte, and the gm netdump must come out
+# the same from the 2-shard parallel engine. None of these outputs
+# carries a git rev or a host stamp, so the sums pin them whole.
+exports_fresh_gate() {
+    local root tmp status=0
+    root=$(pwd)
+    tmp=$(mktemp -d)
+    bench() {
+        local bin="$1"
+        shift
+        (cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
+            -p nicbar-bench --bin "$bin" -- "$@")
+    }
+    bench flight --chrome chrome.json > "$tmp/flight.out" &&
+        bench why-slow --nodes 8 --drop 0.02 --seed 7 --jsonl gm.jsonl \
+            > "$tmp/why-slow-gm.out" &&
+        bench why-slow --substrate elan --jsonl elan.jsonl > "$tmp/why-slow-elan.out" &&
+        bench contend --quick > "$tmp/contend.out" &&
+        bench why-slow --nodes 8 --drop 0.02 --seed 7 --shards 2 --jsonl gm2.jsonl \
+            > /dev/null || status=1
+    if [ "$status" -eq 0 ] &&
+        ! (cd "$tmp" && sha256sum --quiet -c "$root/results/exports.sha256"); then
+        echo "check.sh: capture exports differ from results/exports.sha256" >&2
+        status=1
+    fi
+    if [ "$status" -eq 0 ] && ! cmp -s "$tmp/gm.jsonl" "$tmp/gm2.jsonl"; then
+        echo "check.sh: why-slow --shards 2 netdump differs from the sequential one" >&2
+        status=1
+    fi
+    rm -rf "$tmp"
+    return "$status"
+}
+gate "exports-fresh" exports_fresh_gate
+
 # Zero-overhead gate: with the record log off, engine throughput must
 # stay within 5% of the saved baseline. Skipped if the baseline has never
 # been generated (run the full engine_sweep once).

@@ -72,11 +72,9 @@ fn why_slow_report_is_byte_identical_across_same_seed_runs() {
 
     let report = || {
         let cap = gm_lossy(0xD0_0DAD);
-        let paths = critpath::analyze(cap.trace.packets());
-        (
-            critpath::render(&paths),
-            netdump::jsonl(cap.trace.packets()),
-        )
+        let packets = cap.trace.packets().to_vec();
+        let paths = critpath::analyze(&packets);
+        (critpath::render(&paths), netdump::jsonl(&packets))
     };
     let (text_a, jsonl_a) = report();
     let (text_b, jsonl_b) = report();

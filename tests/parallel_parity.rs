@@ -191,8 +191,9 @@ fn exporter_output_is_byte_identical_across_engines() {
         let seq = run(1);
         let seq_breakdown = flight::breakdown(&seq);
         let seq_chrome = flight::chrome_trace(std::slice::from_ref(&seq));
-        let seq_crit = critpath::render(&critpath::analyze(seq.trace.packets()));
-        let seq_jsonl = netdump::jsonl(seq.trace.packets());
+        let seq_packets = seq.trace.packets().to_vec();
+        let seq_crit = critpath::render(&critpath::analyze(&seq_packets));
+        let seq_jsonl = netdump::jsonl(&seq_packets);
         assert!(
             seq_breakdown.contains("engine: sequential"),
             "{substrate}: breakdown lacks the sequential stamp"
@@ -223,14 +224,15 @@ fn exporter_output_is_byte_identical_across_engines() {
 
             // The critical-path report and the packet JSONL carry no stamp
             // at all: byte-identical, full stop.
+            let par_packets = par.trace.packets().to_vec();
             assert_eq!(
                 seq_crit,
-                critpath::render(&critpath::analyze(par.trace.packets())),
+                critpath::render(&critpath::analyze(&par_packets)),
                 "{label}: critical-path report differs"
             );
             assert_eq!(
                 seq_jsonl,
-                netdump::jsonl(par.trace.packets()),
+                netdump::jsonl(&par_packets),
                 "{label}: packet JSONL differs"
             );
         }
