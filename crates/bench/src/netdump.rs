@@ -152,8 +152,8 @@ pub fn parse_line(line: &str) -> Option<PacketRecord> {
             "parent" => r.parent = CauseId(n),
             "t_ns" => r.time = SimTime::from_ns(n),
             "comp" => r.component = ComponentId(n as usize),
-            "src" => r.src = n as u32,
-            "dst" => r.dst = n as u32,
+            "src" => r.src = u32::try_from(n).ok()?,
+            "dst" => r.dst = u32::try_from(n).ok()?,
             "group" => r.group = n,
             "seq" => r.seq = n,
             "a" => r.a = n,
@@ -390,5 +390,10 @@ mod tests {
         );
         assert!(parse_line("{\"id\": 1, \"kind\": \"no-such-kind\"}").is_none());
         assert!(parse_line("{\"id\": 1, \"kind\": \"fire\", \"mystery\": 2}").is_none());
+        // Node ids are 32-bit: a wider value is malformed, not truncated.
+        for field in ["src", "dst"] {
+            let line = format!("{{\"id\": 1, \"kind\": \"fire\", \"{field}\": 4294967297}}");
+            assert!(parse_line(&line).is_none(), "{line}");
+        }
     }
 }

@@ -103,6 +103,17 @@ fn replay_rejects_causal_cycles() {
 }
 
 #[test]
+fn replay_rejects_node_ids_wider_than_32_bits() {
+    let path = fixture("replay_wide_node.jsonl");
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_why-slow"), &["--replay", &path]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: {path}:1: unparseable record")),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn figure_flags_reject_malformed_values() {
     for (args, says) in [
         (

@@ -1,58 +1,99 @@
 //! Elan benchmark applications: the chained-RDMA NIC barrier driver, the
 //! Elanlib tree barrier (`elan_gsync`) and the hardware barrier
-//! (`elan_hgsync`) — the four curves of the paper's Fig. 7.
+//! (`elan_hgsync`) — the four curves of the paper's Fig. 7. Each runs the
+//! §8 closed loop of [`BarrierLog`]; the NIC barrier can also enter several
+//! groups per epoch beside an [`ElanStream`] (the contention scenario).
 
-use crate::elan_chain::{CHAIN_DONE_COOKIE, ENTRY_EVENT};
-use crate::host_app::BarrierLog;
+use crate::elan_chain::{chain_done_cookie, ENTRY_EVENT};
+use crate::host_app::{BarrierLog, Next};
+use crate::traffic::ElanStream;
+use nicbar_elan::host::ELAN_SPAN_GROUP;
 use nicbar_elan::{
-    hw_cookie, ElanApi, ElanApp, Gsync, GsyncStep, TportTag, BCAST_TAG, GATHER_TAG, GSYNC_MSG_BYTES,
+    hw_cookie, ElanApi, ElanApp, EventId, Gsync, GsyncStep, TportTag, BCAST_TAG, BULK_TPORT_TAG,
+    GATHER_TAG, GSYNC_MSG_BYTES,
 };
 use nicbar_net::NodeId;
-use nicbar_sim::SimTime;
 
-/// NIC-based barrier over chained RDMA (paper §7): the host sets the entry
-/// event once per barrier and waits for the done notification.
+/// NIC-based barrier over chained RDMA (paper §7): the host sets each
+/// group's entry event once per barrier and waits for the done
+/// notifications, optionally beside a bulk stream.
 pub struct ElanNicBarrierApp {
-    iters: u64,
-    skew_us: f64,
-    done: u64,
+    /// `(group, entry event)` per group, in entry order; an epoch
+    /// completes when every group's chain has.
+    entries: Vec<(u64, EventId)>,
+    /// Groups still outstanding in the current epoch.
+    pending: usize,
+    stream: Option<ElanStream>,
     /// Measurements.
     pub log: BarrierLog,
 }
 
 impl ElanNicBarrierApp {
-    /// Run `iters` consecutive barriers.
+    /// Run `iters` consecutive barriers on the one-group chain of
+    /// [`crate::elan_chain::build_chains`].
     pub fn new(iters: u64, skew_us: f64) -> Self {
+        Self::on_groups(vec![(ELAN_SPAN_GROUP, ENTRY_EVENT)], None, iters, skew_us)
+    }
+
+    /// Run `iters` epochs, each setting every entry event of `entries` in
+    /// order (group `g` of a [`crate::elan_chain::build_chains_multi`]
+    /// program completes with `chain_done_cookie(g)`), beside `stream`, if
+    /// any.
+    pub fn on_groups(
+        entries: Vec<(u64, EventId)>,
+        stream: Option<ElanStream>,
+        iters: u64,
+        skew_us: f64,
+    ) -> Self {
         ElanNicBarrierApp {
-            iters,
-            skew_us,
-            done: 0,
-            log: BarrierLog::with_capacity(iters),
+            entries,
+            pending: 0,
+            stream,
+            log: BarrierLog::new(iters, skew_us),
+        }
+    }
+
+    fn enter(&mut self, api: &mut ElanApi<'_>) {
+        self.pending = self.entries.len();
+        for &(group, event) in &self.entries {
+            api.set_nic_event_for_group(event, group);
         }
     }
 }
 
 impl ElanApp for ElanNicBarrierApp {
     fn on_start(&mut self, api: &mut ElanApi<'_>) {
-        api.set_nic_event(ENTRY_EVENT);
+        if let Some(stream) = &self.stream {
+            stream.start(api);
+        }
+        self.enter(api);
+    }
+
+    fn on_recv(&mut self, api: &mut ElanApi<'_>, _src: NodeId, tag: TportTag, _len: u32) {
+        assert_eq!(tag, BULK_TPORT_TAG, "NIC-barrier app got a barrier tport");
+        if let Some(stream) = &self.stream {
+            stream.on_recv(api, self.log.running());
+        }
     }
 
     fn on_coll_done(&mut self, api: &mut ElanApi<'_>, cookie: u64) {
-        assert_eq!(cookie, CHAIN_DONE_COOKIE);
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            if self.skew_us > 0.0 {
-                let d = api.rng().range_f64(0.0, self.skew_us);
-                api.set_timer(SimTime::from_us(d));
-            } else {
-                api.set_nic_event(ENTRY_EVENT);
-            }
+        assert!(
+            (0..self.entries.len() as u64).any(|g| chain_done_cookie(g) == cookie),
+            "unexpected cookie {cookie:#x}"
+        );
+        self.pending -= 1;
+        if self.pending > 0 {
+            return;
+        }
+        match self.log.complete(api.now(), api.rng()) {
+            Next::Enter => self.enter(api),
+            Next::Compute(d) => api.set_timer(d),
+            Next::Stop => {}
         }
     }
 
     fn on_timer(&mut self, api: &mut ElanApi<'_>) {
-        api.set_nic_event(ENTRY_EVENT);
+        self.enter(api);
     }
 }
 
@@ -61,9 +102,6 @@ pub struct ElanGsyncApp {
     gsync: Gsync,
     /// Rank → node placement (the tree is built in rank space).
     members: Vec<NodeId>,
-    iters: u64,
-    skew_us: f64,
-    pending_enter: bool,
     /// Measurements.
     pub log: BarrierLog,
 }
@@ -76,11 +114,13 @@ impl ElanGsyncApp {
         ElanGsyncApp {
             gsync: Gsync::new(rank, n, degree),
             members,
-            iters,
-            skew_us,
-            pending_enter: false,
-            log: BarrierLog::with_capacity(iters),
+            log: BarrierLog::new(iters, skew_us),
         }
+    }
+
+    fn enter(&mut self, api: &mut ElanApi<'_>) {
+        let step = self.gsync.begin();
+        self.issue(api, step);
     }
 
     fn issue(&mut self, api: &mut ElanApi<'_>, step: GsyncStep) {
@@ -89,16 +129,10 @@ impl ElanGsyncApp {
             api.tport_send(self.members[s.dst.0], s.tag, GSYNC_MSG_BYTES);
         }
         if step.done {
-            self.log.completions.push(api.now());
-            if self.gsync.epochs_done() < self.iters {
-                if self.skew_us > 0.0 {
-                    let d = api.rng().range_f64(0.0, self.skew_us);
-                    self.pending_enter = true;
-                    api.set_timer(SimTime::from_us(d));
-                } else {
-                    let next = self.gsync.begin();
-                    self.issue(api, next);
-                }
+            match self.log.complete(api.now(), api.rng()) {
+                Next::Enter => self.enter(api),
+                Next::Compute(d) => api.set_timer(d),
+                Next::Stop => {}
             }
         }
     }
@@ -106,8 +140,7 @@ impl ElanGsyncApp {
 
 impl ElanApp for ElanGsyncApp {
     fn on_start(&mut self, api: &mut ElanApi<'_>) {
-        let step = self.gsync.begin();
-        self.issue(api, step);
+        self.enter(api);
     }
 
     fn on_recv(&mut self, api: &mut ElanApi<'_>, _src: NodeId, tag: TportTag, _len: u32) {
@@ -125,19 +158,12 @@ impl ElanApp for ElanGsyncApp {
     }
 
     fn on_timer(&mut self, api: &mut ElanApi<'_>) {
-        if self.pending_enter {
-            self.pending_enter = false;
-            let step = self.gsync.begin();
-            self.issue(api, step);
-        }
+        self.enter(api);
     }
 }
 
 /// Hardware barrier (`elan_hgsync` fast path) benchmark app.
 pub struct ElanHwBarrierApp {
-    iters: u64,
-    skew_us: f64,
-    done: u64,
     /// Measurements.
     pub log: BarrierLog,
 }
@@ -146,10 +172,7 @@ impl ElanHwBarrierApp {
     /// Run `iters` consecutive hardware barriers.
     pub fn new(iters: u64, skew_us: f64) -> Self {
         ElanHwBarrierApp {
-            iters,
-            skew_us,
-            done: 0,
-            log: BarrierLog::with_capacity(iters),
+            log: BarrierLog::new(iters, skew_us),
         }
     }
 }
@@ -160,16 +183,12 @@ impl ElanApp for ElanHwBarrierApp {
     }
 
     fn on_coll_done(&mut self, api: &mut ElanApi<'_>, cookie: u64) {
-        assert_eq!(cookie, hw_cookie(self.done), "hw epochs out of order");
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            if self.skew_us > 0.0 {
-                let d = api.rng().range_f64(0.0, self.skew_us);
-                api.set_timer(SimTime::from_us(d));
-            } else {
-                api.hw_sync();
-            }
+        let epoch = self.log.completions.len() as u64;
+        assert_eq!(cookie, hw_cookie(epoch), "hw epochs out of order");
+        match self.log.complete(api.now(), api.rng()) {
+            Next::Enter => api.hw_sync(),
+            Next::Compute(d) => api.set_timer(d),
+            Next::Stop => {}
         }
     }
 

@@ -11,12 +11,14 @@
 //!
 //! [`ThreadCollective`] runs the same dissemination round machinery as the
 //! GM engine, banked per `(epoch, round)` so consecutive operations
-//! overlap safely.
+//! overlap safely; its messages carry the host barrier's `(epoch, round)`
+//! tag ([`encode_tag`]).
 
-use crate::host_app::BarrierLog;
+use crate::host_app::{decode_tag, encode_tag, BarrierLog, Next};
 use crate::protocol::ReduceOp;
 use crate::schedule::Schedule;
 use nicbar_elan::{ElanApi, ElanApp, ElanThread, ThreadAction};
+use nicbar_gm::MsgTag;
 use nicbar_net::NodeId;
 use nicbar_sim::SimTime;
 use std::collections::BTreeMap;
@@ -34,18 +36,6 @@ pub enum ThreadOp {
         /// Combine operator (Sum requires power-of-two groups).
         op: ReduceOp,
     },
-}
-
-fn encode(epoch: u64, round: usize) -> u32 {
-    assert!(epoch < (1 << 24), "epoch too large for tag");
-    assert!(round < 256, "round too large for tag");
-    let epoch = u32::try_from(epoch).expect("checked by the 24-bit assert above");
-    let round = u32::try_from(round).expect("checked by the 8-bit assert above");
-    (epoch << 8) | round
-}
-
-fn decode(tag: u32) -> (u64, usize) {
-    ((tag >> 8) as u64, (tag & 0xff) as usize)
 }
 
 /// The NIC-thread collective engine for one rank.
@@ -132,7 +122,7 @@ impl ThreadCollective {
             for &dst_rank in &self.schedule.rounds[r].sends {
                 actions.push(ThreadAction::Send {
                     dst: self.members[dst_rank],
-                    tag: encode(epoch, r),
+                    tag: encode_tag(epoch, r).0,
                     value: self.acc,
                 });
             }
@@ -157,7 +147,7 @@ impl ElanThread for ThreadCollective {
     }
 
     fn on_msg(&mut self, _now: SimTime, src: NodeId, tag: u32, value: u64) -> Vec<ThreadAction> {
-        let (epoch, round) = decode(tag);
+        let (epoch, round) = decode_tag(MsgTag(tag));
         debug_assert!(
             self.schedule.rounds[round]
                 .recv_from
@@ -175,10 +165,9 @@ impl ElanThread for ThreadCollective {
     }
 }
 
-/// Benchmark app driving consecutive thread-based collectives.
+/// Benchmark app driving consecutive thread-based collectives (the §8
+/// closed loop without compute skew).
 pub struct ElanThreadApp {
-    iters: u64,
-    done: u64,
     /// Contribution per epoch (allreduce operand; ignored for barrier).
     contributions: Vec<u64>,
     /// Measurements.
@@ -186,31 +175,33 @@ pub struct ElanThreadApp {
 }
 
 impl ElanThreadApp {
-    /// Run `iters` operations; `contributions[e]` is this rank's operand in
-    /// epoch `e` (pass zeros for a barrier).
+    /// Run one operation per entry of `contributions`; `contributions[e]`
+    /// is this rank's operand in epoch `e` (pass zeros for a barrier).
     pub fn new(contributions: Vec<u64>) -> Self {
         ElanThreadApp {
-            iters: contributions.len() as u64,
-            done: 0,
+            log: BarrierLog::new(contributions.len() as u64, 0.0),
             contributions,
-            log: BarrierLog::default(),
         }
+    }
+
+    fn enter(&mut self, api: &mut ElanApi<'_>) {
+        api.thread_doorbell(self.contributions[self.log.completions.len()]);
     }
 }
 
 impl ElanApp for ElanThreadApp {
     fn on_start(&mut self, api: &mut ElanApi<'_>) {
-        if self.iters > 0 {
-            api.thread_doorbell(self.contributions[0]);
+        if self.log.running() {
+            self.enter(api);
         }
     }
+
     fn on_coll_done(&mut self, api: &mut ElanApi<'_>, cookie: u64) {
         assert_eq!(cookie, THREAD_DONE_COOKIE);
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            let next = usize::try_from(self.done).expect("iteration count exceeds usize");
-            api.thread_doorbell(self.contributions[next]);
+        match self.log.complete(api.now(), api.rng()) {
+            Next::Enter => self.enter(api),
+            Next::Compute(_) => unreachable!("thread collectives run without compute skew"),
+            Next::Stop => {}
         }
     }
 }
@@ -220,18 +211,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tag_round_trip() {
-        let t = encode(99_999, 7);
-        assert_eq!(decode(t), (99_999, 7));
-    }
-
-    #[test]
     fn two_rank_thread_barrier_by_hand() {
         let members = vec![NodeId(0), NodeId(1)];
         let mut t0 = ThreadCollective::new(members.clone(), 0, ThreadOp::Barrier);
         let a = t0.on_doorbell(SimTime::ZERO, 0);
         assert_eq!(a.len(), 1, "round-0 send");
-        let a = t0.on_msg(SimTime::ZERO, NodeId(1), encode(0, 0), 0);
+        let a = t0.on_msg(SimTime::ZERO, NodeId(1), encode_tag(0, 0).0, 0);
         assert!(matches!(a[0], ThreadAction::NotifyHost { .. }));
         assert_eq!(t0.results(), &[0]);
     }
@@ -245,10 +230,10 @@ mod tests {
         let a = t.on_doorbell(SimTime::ZERO, 1);
         // Round-0 send carries own contribution.
         assert!(matches!(a[0], ThreadAction::Send { value: 1, .. }));
-        let a = t.on_msg(SimTime::ZERO, NodeId(3), encode(0, 0), 8);
+        let a = t.on_msg(SimTime::ZERO, NodeId(3), encode_tag(0, 0).0, 8);
         // Round-1 send carries 1+8.
         assert!(matches!(a[0], ThreadAction::Send { value: 9, .. }));
-        let a = t.on_msg(SimTime::ZERO, NodeId(2), encode(0, 1), 6);
+        let a = t.on_msg(SimTime::ZERO, NodeId(2), encode_tag(0, 1).0, 6);
         assert!(matches!(a[0], ThreadAction::NotifyHost { value: 15, .. }));
         assert_eq!(t.results(), &[15]);
     }
@@ -260,13 +245,13 @@ mod tests {
         // Epoch 0: our entry, then the peer's epoch-0 message completes it.
         let a = t.on_doorbell(SimTime::ZERO, 0);
         assert_eq!(a.len(), 1);
-        let a = t.on_msg(SimTime::ZERO, NodeId(1), encode(0, 0), 0);
+        let a = t.on_msg(SimTime::ZERO, NodeId(1), encode_tag(0, 0).0, 0);
         assert!(matches!(a[0], ThreadAction::NotifyHost { .. }));
         // The peer races into epoch 1 before our host re-enters: its message
         // must be banked (a peer can be at most one epoch ahead — it needed
         // our epoch-0 entry, which has happened).
         assert!(t
-            .on_msg(SimTime::ZERO, NodeId(1), encode(1, 0), 0)
+            .on_msg(SimTime::ZERO, NodeId(1), encode_tag(1, 0).0, 0)
             .is_empty());
         // Our epoch-1 doorbell releases send + immediate completion.
         let a = t.on_doorbell(SimTime::ZERO, 0);

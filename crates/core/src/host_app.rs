@@ -1,17 +1,24 @@
-//! GM applications: the host-based barrier baselines and the NIC-based
-//! barrier driver.
+//! The paper's §8 closed loop ([`BarrierLog`]) and the GM applications
+//! that run it: the host-based barrier baselines and the NIC-based barrier
+//! driver.
+//!
+//! Every barrier benchmark app, on either substrate, logs its completions
+//! in a [`BarrierLog`], which says whether to re-enter at once, compute
+//! first, or stop. The apps differ only in how they enter a barrier.
 //!
 //! The host-based barrier (the paper's `Host-DS` / `Host-PE` curves) runs
 //! the same schedules as the NIC-based protocol, but every message crosses
 //! the I/O bus twice and traverses the full point-to-point send path —
 //! token queues, packet claim, payload DMA, per-packet ACKs — with the host
 //! CPU dispatching every round. The NIC-based driver posts one doorbell per
-//! barrier and waits for the completion event.
+//! group per barrier and waits for the completion events. Either can run
+//! beside a [`GmStream`], the §6.1 bulk traffic.
 
 use crate::schedule::{Algorithm, Schedule};
-use nicbar_gm::{GmApi, GmApp, GroupId, MsgTag};
+use crate::traffic::GmStream;
+use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag, BULK_TAG};
 use nicbar_net::NodeId;
-use nicbar_sim::SimTime;
+use nicbar_sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
 
 /// Barrier message payload size (one integer, as in the paper).
@@ -145,61 +152,103 @@ impl HostScheduleRunner {
     }
 }
 
-/// Shared measurement record for barrier benchmark apps.
-#[derive(Clone, Debug, Default)]
+/// The paper's §8 closed loop and its measurement record: a process runs
+/// `iters` consecutive barriers and re-enters as soon as one completes or,
+/// with compute skew, after a compute phase drawn uniformly from
+/// `[0, skew_us)`. Every barrier benchmark app logs its completions here
+/// and asks `complete` what to do next.
+#[derive(Clone, Debug)]
 pub struct BarrierLog {
     /// Completion time of each epoch, in order.
     pub completions: Vec<SimTime>,
+    iters: u64,
+    skew_us: f64,
+}
+
+/// What a process does after a barrier completes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Next {
+    /// Enter the next barrier now (the paper's tight loop).
+    Enter,
+    /// Compute for this long, then enter from the timer.
+    Compute(SimTime),
+    /// The last barrier completed.
+    Stop,
 }
 
 impl BarrierLog {
-    /// A log with room for `iters` completions, so steady-state pushes
-    /// never reallocate (the zero-allocation gate measures the run).
-    pub fn with_capacity(iters: u64) -> Self {
+    /// A loop of `iters` barriers with up to `skew_us` of compute before
+    /// each re-entry (0 = the paper's tight loop). Room for every
+    /// completion is reserved up front, so steady-state pushes never
+    /// reallocate (the zero-allocation gate measures the run).
+    pub fn new(iters: u64, skew_us: f64) -> Self {
         BarrierLog {
             completions: Vec::with_capacity(
                 usize::try_from(iters).expect("iteration count exceeds usize"),
             ),
+            iters,
+            skew_us,
+        }
+    }
+
+    /// Whether barriers remain. A bulk stream replenishes only while this
+    /// holds.
+    pub(crate) fn running(&self) -> bool {
+        (self.completions.len() as u64) < self.iters
+    }
+
+    /// Log a completion at `now` and say what comes next. The compute
+    /// phase is drawn from `rng` only when `skew_us > 0`, and a drawn phase
+    /// always goes through the timer, however short.
+    pub(crate) fn complete(&mut self, now: SimTime, rng: &mut SimRng) -> Next {
+        self.completions.push(now);
+        if !self.running() {
+            Next::Stop
+        } else if self.skew_us > 0.0 {
+            Next::Compute(SimTime::from_us(rng.range_f64(0.0, self.skew_us)))
+        } else {
+            Next::Enter
         }
     }
 }
 
-/// The host-based barrier benchmark application (`Host-DS` / `Host-PE`).
+/// The host-based barrier benchmark application (`Host-DS` / `Host-PE`),
+/// optionally beside a bulk stream.
 pub struct HostBarrierApp {
     runner: HostScheduleRunner,
     members: Vec<NodeId>,
-    iters: u64,
-    /// Uniform random compute skew before re-entering (0 = tight loop, the
-    /// paper's setup).
-    skew_us: f64,
+    stream: Option<GmStream>,
     /// Measurements.
     pub log: BarrierLog,
-    pending_enter: bool,
 }
 
 impl HostBarrierApp {
     /// Build for `rank` of a group over `members` (rank order), running
-    /// `iters` consecutive barriers with `algo`.
+    /// `iters` consecutive barriers with `algo` beside `stream`, if any.
     pub fn new(
         algo: Algorithm,
         members: Vec<NodeId>,
         rank: usize,
         iters: u64,
         skew_us: f64,
+        stream: Option<GmStream>,
     ) -> Self {
         let schedule = Schedule::for_algorithm(algo, members.len(), rank);
         HostBarrierApp {
             runner: HostScheduleRunner::new(schedule),
             members,
-            iters,
-            skew_us,
-            log: BarrierLog::with_capacity(iters),
-            pending_enter: false,
+            stream,
+            log: BarrierLog::new(iters, skew_us),
         }
     }
 
+    fn enter(&mut self, api: &mut GmApi<'_>) {
+        let (sends, done) = self.runner.begin();
+        self.issue(api, sends, done);
+    }
+
     fn issue(&mut self, api: &mut GmApi<'_>, sends: HostSends, done: bool) {
-        let epoch = self.runner.entered - 1;
+        let epoch = self.runner.current_epoch();
         for (dst_rank, round) in sends {
             api.send(
                 self.members[dst_rank],
@@ -208,16 +257,10 @@ impl HostBarrierApp {
             );
         }
         if done {
-            self.log.completions.push(api.now());
-            if self.runner.completed() < self.iters {
-                if self.skew_us > 0.0 {
-                    let d = api.rng().range_f64(0.0, self.skew_us);
-                    self.pending_enter = true;
-                    api.set_timer(SimTime::from_us(d));
-                } else {
-                    let (s, d) = self.runner.begin();
-                    self.issue(api, s, d);
-                }
+            match self.log.complete(api.now(), api.rng()) {
+                Next::Enter => self.enter(api),
+                Next::Compute(d) => api.set_timer(d),
+                Next::Stop => {}
             }
         }
     }
@@ -225,11 +268,16 @@ impl HostBarrierApp {
 
 impl GmApp for HostBarrierApp {
     fn on_start(&mut self, api: &mut GmApi<'_>) {
-        let (sends, done) = self.runner.begin();
-        self.issue(api, sends, done);
+        if let Some(stream) = &mut self.stream {
+            stream.start(api);
+        }
+        self.enter(api);
     }
 
     fn on_recv(&mut self, api: &mut GmApi<'_>, src: NodeId, tag: MsgTag, _len: u32) {
+        if tag == BULK_TAG {
+            return;
+        }
         let (epoch, round) = decode_tag(tag);
         let from_rank = self
             .members
@@ -240,64 +288,103 @@ impl GmApp for HostBarrierApp {
         self.issue(api, sends, done);
     }
 
-    fn on_timer(&mut self, api: &mut GmApi<'_>) {
-        if self.pending_enter {
-            self.pending_enter = false;
-            let (s, d) = self.runner.begin();
-            self.issue(api, s, d);
+    fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId) {
+        if let Some(stream) = &mut self.stream {
+            stream.on_send_done(api, msg_id, self.log.running());
         }
+    }
+
+    fn on_timer(&mut self, api: &mut GmApi<'_>) {
+        self.enter(api);
     }
 }
 
-/// The NIC-based barrier benchmark application: one doorbell per barrier.
+/// The NIC-based barrier benchmark application: one doorbell per group per
+/// barrier, optionally beside a bulk stream.
 pub struct NicBarrierApp {
-    group: GroupId,
-    iters: u64,
-    skew_us: f64,
+    /// Groups entered each epoch, in entry order; an epoch completes when
+    /// all of them have.
+    groups: Vec<GroupId>,
+    /// Groups still outstanding in the current epoch.
+    pending: usize,
+    /// Boxed: most runs stream nothing, and every build allocates one app
+    /// per node.
+    stream: Option<Box<GmStream>>,
     /// Measurements.
     pub log: BarrierLog,
-    done: u64,
 }
 
 impl NicBarrierApp {
     /// Run `iters` consecutive NIC-based barriers on `group`.
     pub fn new(group: GroupId, iters: u64, skew_us: f64) -> Self {
+        Self::on_groups(vec![group], None, iters, skew_us)
+    }
+
+    /// Run `iters` epochs, each entering every group of `groups` in order,
+    /// beside `stream`, if any.
+    pub fn on_groups(
+        groups: Vec<GroupId>,
+        stream: Option<GmStream>,
+        iters: u64,
+        skew_us: f64,
+    ) -> Self {
         NicBarrierApp {
-            group,
-            iters,
-            skew_us,
-            log: BarrierLog::with_capacity(iters),
-            done: 0,
+            groups,
+            pending: 0,
+            stream: stream.map(Box::new),
+            log: BarrierLog::new(iters, skew_us),
+        }
+    }
+
+    fn enter(&mut self, api: &mut GmApi<'_>) {
+        self.pending = self.groups.len();
+        for &g in &self.groups {
+            api.collective(g, 0);
         }
     }
 }
 
 impl GmApp for NicBarrierApp {
     fn on_start(&mut self, api: &mut GmApi<'_>) {
-        api.collective(self.group, 0);
+        if let Some(stream) = &mut self.stream {
+            stream.start(api);
+        }
+        self.enter(api);
     }
 
-    fn on_recv(&mut self, _api: &mut GmApi<'_>, _src: NodeId, _tag: MsgTag, _len: u32) {
-        panic!("NIC-barrier app received a point-to-point message");
+    fn on_recv(&mut self, _api: &mut GmApi<'_>, _src: NodeId, tag: MsgTag, _len: u32) {
+        assert_eq!(
+            tag, BULK_TAG,
+            "NIC-barrier app received a barrier point-to-point message"
+        );
+    }
+
+    fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId) {
+        if let Some(stream) = &mut self.stream {
+            stream.on_send_done(api, msg_id, self.log.running());
+        }
     }
 
     fn on_coll_done(&mut self, api: &mut GmApi<'_>, group: GroupId, epoch: u64, _value: u64) {
-        assert_eq!(group, self.group);
-        assert_eq!(epoch, self.done, "completions out of order");
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            if self.skew_us > 0.0 {
-                let d = api.rng().range_f64(0.0, self.skew_us);
-                api.set_timer(SimTime::from_us(d));
-            } else {
-                api.collective(self.group, 0);
-            }
+        assert!(self.groups.contains(&group), "completion for foreign group");
+        assert_eq!(
+            epoch,
+            self.log.completions.len() as u64,
+            "completions out of order"
+        );
+        self.pending -= 1;
+        if self.pending > 0 {
+            return;
+        }
+        match self.log.complete(api.now(), api.rng()) {
+            Next::Enter => self.enter(api),
+            Next::Compute(d) => api.set_timer(d),
+            Next::Stop => {}
         }
     }
 
     fn on_timer(&mut self, api: &mut GmApi<'_>) {
-        api.collective(self.group, 0);
+        self.enter(api);
     }
 }
 
@@ -351,8 +438,29 @@ mod tests {
 
     #[test]
     fn tag_round_trip() {
-        let t = encode_tag(123_456, 7);
-        assert_eq!(decode_tag(t), (123_456, 7));
+        for (epoch, round) in [(0, 0), (99_999, 7), (123_456, 7), ((1 << 24) - 1, 255)] {
+            assert_eq!(decode_tag(encode_tag(epoch, round)), (epoch, round));
+        }
+    }
+
+    #[test]
+    fn closed_loop_reenters_computes_then_stops() {
+        let mut rng = SimRng::new(1);
+        let t = SimTime::from_us(1.0);
+        let mut tight = BarrierLog::new(2, 0.0);
+        assert!(tight.running());
+        assert_eq!(tight.complete(t, &mut rng), Next::Enter);
+        assert_eq!(tight.complete(t, &mut rng), Next::Stop);
+        assert!(!tight.running());
+        let mut skewed = BarrierLog::new(3, 2.0);
+        for _ in 0..2 {
+            let Next::Compute(d) = skewed.complete(t, &mut rng) else {
+                panic!("a skewed loop computes before re-entering");
+            };
+            assert!(d < SimTime::from_us(2.0));
+        }
+        assert_eq!(skewed.complete(t, &mut rng), Next::Stop);
+        assert_eq!(skewed.completions, vec![t; 3]);
     }
 
     #[test]

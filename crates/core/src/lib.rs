@@ -15,9 +15,16 @@
 //!   (broadcast, allreduce, allgather).
 //! * [`elan_chain`] — §7's Quadrics lowering: schedules compiled to chained
 //!   RDMA descriptors and counting events, no NIC thread.
-//! * [`host_app`] / [`elan_apps`] — benchmark applications: host-based
-//!   baselines and NIC-based drivers for both networks, plus the Elanlib
-//!   `elan_gsync`/`elan_hgsync` comparators.
+//! * [`host_app`] / [`elan_apps`] / [`elan_thread`] — benchmark
+//!   applications: host-based baselines and NIC-based drivers for both
+//!   networks, the Elanlib `elan_gsync`/`elan_hgsync` comparators and the
+//!   NIC-thread collectives. Every one runs the paper's §8 closed loop
+//!   from one place, [`host_app::BarrierLog`], and differs from the others
+//!   only in how it enters a barrier.
+//! * [`traffic`] — §6.1's bulk stream, one per substrate
+//!   ([`traffic::GmStream`], [`traffic::ElanStream`]), an optional part
+//!   of the NIC and host barrier apps; [`contend`] — the group ids of the
+//!   contention scenario, whose apps enter several groups beside it.
 //! * [`scenario`] — the one way to describe and run a benchmark: a
 //!   [`Scenario`] value names the substrate, group size, barrier kind
 //!   ([`Barrier`]), collective groups and optional background traffic;

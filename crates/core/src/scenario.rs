@@ -12,20 +12,19 @@
 //! construction (allocation gates, profilers, scaling sweeps) call `build`
 //! and drive the [`Sim`] themselves.
 
-use crate::contend::{ElanContendApp, GmContendApp, CONTEND_GROUP_BASE};
+use crate::contend::CONTEND_GROUP_BASE;
 use crate::driver::{stats_from_logs, BarrierStats, FlightData, RunCfg, BARRIER_GROUP};
 use crate::elan_apps::{ElanGsyncApp, ElanHwBarrierApp, ElanNicBarrierApp};
-use crate::elan_chain::{build_chains, build_chains_multi, chain_done_cookie, GroupChain};
+use crate::elan_chain::{build_chains, build_chains_multi, GroupChain};
 use crate::elan_thread::{ElanThreadApp, ThreadCollective, ThreadOp};
 use crate::host_app::{BarrierLog, HostBarrierApp, NicBarrierApp};
 use crate::protocol::{GroupSpec, PaperCollective, ReduceOp};
 use crate::schedule::Algorithm;
-use crate::traffic::{BarrierUnderTrafficApp, TrafficCfg};
+use crate::traffic::{ElanStream, GmStream, TrafficCfg};
 use nicbar_elan::{ElanApp, ElanCluster, ElanClusterSpec, ElanNic, ElanParams, NicProgram};
 use nicbar_gm::{CollFeatures, GmApp, GmCluster, GmClusterSpec, GmParams, GroupId, NicCollective};
 use nicbar_net::NodeId;
 use nicbar_sim::{EngineProf, RunOutcome, SimTime, Trace};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Reads node `i`'s barrier completion log off a built cluster.
@@ -250,8 +249,8 @@ impl Scenario {
         cfg: &RunCfg,
         members: &[NodeId],
     ) -> Cluster {
-        let (n, total, skew) = (self.n, cfg.total(), cfg.skew_us);
-        let spec = GmClusterSpec::new(params.clone(), n)
+        let (total, skew) = (cfg.total(), cfg.skew_us);
+        let spec = GmClusterSpec::new(params.clone(), self.n)
             .with_seed(cfg.seed)
             .with_drop_prob(cfg.drop_prob)
             .with_features(features)
@@ -270,38 +269,23 @@ impl Scenario {
                         .collect();
                     Box::new(PaperCollective::new(node, groups)) as Box<dyn NicCollective>
                 });
-                let Some(traffic) = traffic else {
-                    let apps = by_node(members, |_, _| {
-                        Box::new(NicBarrierApp::new(BARRIER_GROUP, total, skew)) as Box<dyn GmApp>
-                    });
-                    let cluster = GmCluster::build(spec, apps, colls);
-                    return Cluster::Gm(cluster, |c, i| &c.app_ref::<NicBarrierApp>(i).log);
-                };
                 let apps = by_node(members, |rank, _| {
-                    let app = GmContendApp::new(gids.clone(), rank, n, total, skew, traffic);
+                    let stream = traffic.map(|t| GmStream::new(t, members, rank));
+                    let app = NicBarrierApp::on_groups(gids.clone(), stream, total, skew);
                     Box::new(app) as Box<dyn GmApp>
                 });
                 let cluster = GmCluster::build(spec, apps, colls);
-                Cluster::Gm(cluster, |c, i| &c.app_ref::<GmContendApp>(i).log)
+                Cluster::Gm(cluster, |c, i| &c.app_ref::<NicBarrierApp>(i).log)
             }
-            (Barrier::Host(algo), None) => {
+            (Barrier::Host(algo), traffic) => {
                 let apps = by_node(members, |rank, _| {
-                    let app = HostBarrierApp::new(algo, members.to_vec(), rank, total, skew);
+                    let stream = traffic.map(|t| GmStream::new(t, members, rank));
+                    let app =
+                        HostBarrierApp::new(algo, members.to_vec(), rank, total, skew, stream);
                     Box::new(app) as Box<dyn GmApp>
                 });
                 let cluster = GmCluster::build_p2p(spec, apps);
                 Cluster::Gm(cluster, |c, i| &c.app_ref::<HostBarrierApp>(i).log)
-            }
-            (Barrier::Host(algo), Some(traffic)) => {
-                // Identity placement (checked by `validate`): rank = node.
-                let apps = (0..n)
-                    .map(|rank| {
-                        let app = BarrierUnderTrafficApp::host(algo, rank, n, total, traffic);
-                        Box::new(app) as Box<dyn GmApp>
-                    })
-                    .collect();
-                let cluster = GmCluster::build_p2p(spec, apps);
-                Cluster::Gm(cluster, |c, i| &c.app_ref::<BarrierUnderTrafficApp>(i).log)
             }
             (b, _) => unreachable!("validate rejects {b:?} on gm"),
         }
@@ -334,26 +318,17 @@ impl Scenario {
                     })
                     .collect();
                 let multi = build_chains_multi(n, &chains);
-                let cookies: HashSet<u64> =
-                    (0..chains.len() as u64).map(chain_done_cookie).collect();
                 let apps = by_node(members, |rank, node| {
                     let entries = multi.entry[node.0]
                         .iter()
                         .map(|(&g, &ev)| (g, ev))
                         .collect();
-                    let app = ElanContendApp::new(
-                        entries,
-                        cookies.clone(),
-                        rank,
-                        n,
-                        total,
-                        skew,
-                        traffic,
-                    );
+                    let stream = ElanStream::new(traffic, members, rank);
+                    let app = ElanNicBarrierApp::on_groups(entries, Some(stream), total, skew);
                     Box::new(app) as Box<dyn ElanApp>
                 });
                 let cluster = ElanCluster::build(spec, apps, multi.programs);
-                Cluster::Elan(cluster, |c, i| &c.app_ref::<ElanContendApp>(i).log)
+                Cluster::Elan(cluster, |c, i| &c.app_ref::<ElanNicBarrierApp>(i).log)
             }
             (Barrier::Gsync(degree), _) => {
                 let apps = by_node(members, |rank, _| {

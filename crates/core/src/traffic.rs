@@ -1,23 +1,30 @@
-//! Barrier-under-traffic workloads.
+//! The bulk stream beside the barrier loop, one per substrate.
 //!
 //! §6.1's motivation: "the arrived message may not immediately lead to the
 //! transmission of the next message until the corresponding request gets
 //! its turn in the relevant queues. This imposes unnecessary delays into
 //! the barrier operations." That delay only exists when something *else*
-//! occupies the queues — so this module adds a bulk-traffic generator to
-//! the barrier benchmark: every process keeps `outstanding` large messages
-//! in flight to its ring neighbour while running the barrier loop.
+//! occupies the queues — so a barrier app can run beside a bulk stream:
+//! every process keeps `outstanding` large messages in flight to the node
+//! hosting the next rank while it runs the barrier loop.
 //!
 //! With the paper's dedicated group queue the barrier messages bypass the
 //! congested destination queues; under the group-queue ablation (or with
 //! the host-based barrier) they wait their round-robin turn behind the
 //! bulk tokens — the interference experiment quantifies the difference.
+//!
+//! [`GmStream`] rides in [`NicBarrierApp`] and
+//! [`crate::host_app::HostBarrierApp`], [`ElanStream`] in
+//! [`crate::elan_apps::ElanNicBarrierApp`]. [`BarrierUnderTrafficApp`] is
+//! the benchmark's name for one of those combinations.
 
 use crate::driver::BARRIER_GROUP;
-use crate::host_app::{decode_tag, encode_tag, BarrierLog, HostScheduleRunner, BARRIER_MSG_BYTES};
-use crate::schedule::{Algorithm, Schedule};
+use crate::host_app::NicBarrierApp;
+use nicbar_elan::{ElanApi, BULK_TPORT_TAG};
 use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag};
 use nicbar_net::NodeId;
+use std::collections::HashSet;
+use std::ops::Deref;
 
 /// Tag marking bulk-traffic messages (distinct from barrier tags, whose
 /// round field never reaches 0xFF). Lives in `nicbar-gm` so the NIC can
@@ -43,150 +50,129 @@ impl Default for TrafficCfg {
     }
 }
 
-/// How the app synchronizes.
-enum BarrierMode {
-    /// NIC-based collective (doorbell + completion event).
-    Nic,
-    /// Host-based schedule over point-to-point messages.
-    Host {
-        runner: HostScheduleRunner,
-        members: Vec<NodeId>,
-    },
+/// The node hosting rank `rank + 1` (mod n) of the group placed on
+/// `members`. The ring is in rank space, so under a permuted placement a
+/// process never streams to its own node.
+fn next_rank_node(members: &[NodeId], rank: usize) -> NodeId {
+    members[(rank + 1) % members.len()]
 }
 
-/// Benchmark app: consecutive barriers with a saturating bulk stream to the
-/// next ring neighbour. [`crate::Scenario`] runs the host mode; its NIC
-/// barrier under traffic runs [`crate::contend::GmContendApp`], which also
-/// applies `RunCfg::skew_us`. The NIC mode here drives `barbench`'s
-/// traffic workload.
-pub struct BarrierUnderTrafficApp {
-    mode: BarrierMode,
-    traffic: TrafficCfg,
-    bulk_peer: NodeId,
-    iters: u64,
-    done: u64,
+/// The GM bulk stream: `outstanding` sends to the next rank's node, each
+/// replaced when it completes while the barrier loop runs.
+pub struct GmStream {
+    cfg: TrafficCfg,
+    peer: NodeId,
     /// Ids of in-flight bulk sends (to replenish exactly those on
     /// completion, keeping the pipeline depth constant).
-    bulk_ids: std::collections::HashSet<MsgId>,
-    /// Barrier completion times.
-    pub log: BarrierLog,
-    /// Bulk messages delivered to this process (sanity observability).
-    pub bulk_received: u64,
+    in_flight: HashSet<MsgId>,
 }
 
+impl GmStream {
+    /// The stream of rank `rank` of the group placed on `members`.
+    pub fn new(cfg: TrafficCfg, members: &[NodeId], rank: usize) -> Self {
+        GmStream {
+            cfg,
+            peer: next_rank_node(members, rank),
+            in_flight: HashSet::new(),
+        }
+    }
+
+    /// Post receive buffers for the incoming stream on top of the
+    /// defaults, then fill the pipeline.
+    pub(crate) fn start(&mut self, api: &mut GmApi<'_>) {
+        api.post_recv(self.cfg.outstanding + 4);
+        for _ in 0..self.cfg.outstanding {
+            self.send(api);
+        }
+    }
+
+    /// Replace a completed bulk send while barriers remain (`running`).
+    pub(crate) fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId, running: bool) {
+        if self.in_flight.remove(&msg_id) && running {
+            self.send(api);
+        }
+    }
+
+    fn send(&mut self, api: &mut GmApi<'_>) {
+        let id = api.send(self.peer, self.cfg.msg_bytes, BULK_TAG);
+        self.in_flight.insert(id);
+    }
+}
+
+/// The Elan bulk stream: a forwarding tport ring. `outstanding` messages
+/// start toward the next rank's node, and each one delivered here sends one
+/// more while the barrier loop runs, so the ring's depth stays constant.
+pub struct ElanStream {
+    cfg: TrafficCfg,
+    peer: NodeId,
+}
+
+impl ElanStream {
+    /// The stream of rank `rank` of the group placed on `members`.
+    pub fn new(cfg: TrafficCfg, members: &[NodeId], rank: usize) -> Self {
+        ElanStream {
+            cfg,
+            peer: next_rank_node(members, rank),
+        }
+    }
+
+    /// Fill the ring.
+    pub(crate) fn start(&self, api: &mut ElanApi<'_>) {
+        for _ in 0..self.cfg.outstanding {
+            self.send(api);
+        }
+    }
+
+    /// Forward a delivered bulk message while barriers remain (`running`).
+    pub(crate) fn on_recv(&self, api: &mut ElanApi<'_>, running: bool) {
+        if running {
+            self.send(api);
+        }
+    }
+
+    fn send(&self, api: &mut ElanApi<'_>) {
+        api.tport_send(self.peer, BULK_TPORT_TAG, self.cfg.msg_bytes);
+    }
+}
+
+/// The benchmark's traffic app: a [`NicBarrierApp`] on [`BARRIER_GROUP`]
+/// beside a [`GmStream`], without skew, on the identity placement. It
+/// carries no barrier logic of its own; it stays a distinct type only
+/// because `barbench` names it.
+pub struct BarrierUnderTrafficApp(NicBarrierApp);
+
 impl BarrierUnderTrafficApp {
-    /// NIC-based variant for `rank` on a ring of `n`.
+    /// Rank `rank` of `n` (rank = node), running `iters` barriers.
     pub fn nic(rank: usize, n: usize, iters: u64, traffic: TrafficCfg) -> Self {
-        BarrierUnderTrafficApp {
-            mode: BarrierMode::Nic,
-            traffic,
-            bulk_peer: NodeId((rank + 1) % n),
-            iters,
-            done: 0,
-            bulk_ids: Default::default(),
-            log: BarrierLog::default(),
-            bulk_received: 0,
-        }
+        let identity: Vec<NodeId> = (0..n).map(NodeId).collect();
+        let stream = GmStream::new(traffic, &identity, rank);
+        let app = NicBarrierApp::on_groups(vec![BARRIER_GROUP], Some(stream), iters, 0.0);
+        BarrierUnderTrafficApp(app)
     }
+}
 
-    /// Host-based variant.
-    pub fn host(algo: Algorithm, rank: usize, n: usize, iters: u64, traffic: TrafficCfg) -> Self {
-        let members: Vec<NodeId> = (0..n).map(NodeId).collect();
-        BarrierUnderTrafficApp {
-            mode: BarrierMode::Host {
-                runner: HostScheduleRunner::new(Schedule::for_algorithm(algo, n, rank)),
-                members,
-            },
-            traffic,
-            bulk_peer: NodeId((rank + 1) % n),
-            iters,
-            done: 0,
-            bulk_ids: Default::default(),
-            log: BarrierLog::default(),
-            bulk_received: 0,
-        }
-    }
+impl Deref for BarrierUnderTrafficApp {
+    type Target = NicBarrierApp;
 
-    fn enter(&mut self, api: &mut GmApi<'_>) {
-        match &mut self.mode {
-            BarrierMode::Nic => api.collective(BARRIER_GROUP, 0),
-            BarrierMode::Host { runner, .. } => {
-                let (sends, done) = runner.begin();
-                self.issue_host(api, sends, done);
-            }
-        }
-    }
-
-    fn issue_host(&mut self, api: &mut GmApi<'_>, sends: Vec<(usize, usize)>, done: bool) {
-        let (epoch, members) = match &self.mode {
-            BarrierMode::Host { runner, members } => (runner.current_epoch(), members.clone()),
-            BarrierMode::Nic => unreachable!("host sends in NIC mode"),
-        };
-        for (dst_rank, round) in sends {
-            api.send(
-                members[dst_rank],
-                BARRIER_MSG_BYTES,
-                encode_tag(epoch, round),
-            );
-        }
-        if done {
-            self.complete(api);
-        }
-    }
-
-    fn send_bulk(&mut self, api: &mut GmApi<'_>) {
-        let id = api.send(self.bulk_peer, self.traffic.msg_bytes, BULK_TAG);
-        self.bulk_ids.insert(id);
-    }
-
-    fn complete(&mut self, api: &mut GmApi<'_>) {
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            self.enter(api);
-        }
+    fn deref(&self) -> &NicBarrierApp {
+        &self.0
     }
 }
 
 impl GmApp for BarrierUnderTrafficApp {
     fn on_start(&mut self, api: &mut GmApi<'_>) {
-        // Buffers for the bulk stream on top of the defaults.
-        api.post_recv(self.traffic.outstanding + 4);
-        for _ in 0..self.traffic.outstanding {
-            self.send_bulk(api);
-        }
-        self.enter(api);
+        self.0.on_start(api);
     }
 
-    fn on_recv(&mut self, api: &mut GmApi<'_>, src: NodeId, tag: MsgTag, _len: u32) {
-        if tag == BULK_TAG {
-            self.bulk_received += 1;
-            return;
-        }
-        let (epoch, round) = decode_tag(tag);
-        let (sends, done) = match &mut self.mode {
-            BarrierMode::Host { runner, members } => {
-                let from_rank = members
-                    .iter()
-                    .position(|&m| m == src)
-                    .expect("barrier message from non-member");
-                runner.on_msg(epoch, round, from_rank)
-            }
-            BarrierMode::Nic => panic!("NIC-mode app got a barrier p2p message"),
-        };
-        self.issue_host(api, sends, done);
+    fn on_recv(&mut self, api: &mut GmApi<'_>, src: NodeId, tag: MsgTag, len: u32) {
+        self.0.on_recv(api, src, tag, len);
     }
 
     fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId) {
-        // Replenish exactly the bulk sends, keeping the pipeline depth at
-        // `traffic.outstanding` for the whole run.
-        if self.bulk_ids.remove(&msg_id) && self.done < self.iters {
-            self.send_bulk(api);
-        }
+        self.0.on_send_done(api, msg_id);
     }
 
-    fn on_coll_done(&mut self, api: &mut GmApi<'_>, group: GroupId, _epoch: u64, _value: u64) {
-        assert_eq!(group, BARRIER_GROUP);
-        self.complete(api);
+    fn on_coll_done(&mut self, api: &mut GmApi<'_>, group: GroupId, epoch: u64, value: u64) {
+        self.0.on_coll_done(api, group, epoch, value);
     }
 }

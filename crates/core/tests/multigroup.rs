@@ -28,7 +28,7 @@ impl MultiGroupApp {
             groups,
             iters,
             done: vec![0; k],
-            logs: vec![BarrierLog::default(); k],
+            logs: vec![BarrierLog::new(iters, 0.0); k],
         }
     }
 }

@@ -142,10 +142,13 @@ gate "results-fresh" results_fresh_gate
 
 # Export freshness: run from an empty directory, the capture exporters
 # (the Chrome trace, both why-slow JSONL netdumps and their reports, and
-# contend's interference report) must reproduce the committed
-# results/exports.sha256 byte for byte, and the gm netdump must come out
-# the same from the 2-shard parallel engine. None of these outputs
-# carries a git rev or a host stamp, so the sums pin them whole.
+# contend's interference report) and the six examples' stdout must
+# reproduce the committed results/exports.sha256 byte for byte, and the gm
+# netdump must come out the same from the 2-shard parallel engine. None of
+# these outputs carries a git rev or a host stamp, so the sums pin them
+# whole.
+EXPORTS_EXAMPLES=(collective_ops fine_grained_app lossy_fabric nic_thread_tradeoff qsnet2_whatif
+    quickstart)
 exports_fresh_gate() {
     local root tmp status=0
     root=$(pwd)
@@ -163,9 +166,14 @@ exports_fresh_gate() {
         bench contend --quick > "$tmp/contend.out" &&
         bench why-slow --nodes 8 --drop 0.02 --seed 7 --shards 2 --jsonl gm2.jsonl \
             > /dev/null || status=1
+    local e
+    for e in "${EXPORTS_EXAMPLES[@]}"; do
+        (cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" --example "$e") \
+            > "$tmp/example-$e.out" || status=1
+    done
     if [ "$status" -eq 0 ] &&
         ! (cd "$tmp" && sha256sum --quiet -c "$root/results/exports.sha256"); then
-        echo "check.sh: capture exports differ from results/exports.sha256" >&2
+        echo "check.sh: exports or example output differ from results/exports.sha256" >&2
         status=1
     fi
     if [ "$status" -eq 0 ] && ! cmp -s "$tmp/gm.jsonl" "$tmp/gm2.jsonl"; then
