@@ -13,6 +13,7 @@ use nicbar_elan::{
     GATHER_TAG, GSYNC_MSG_BYTES,
 };
 use nicbar_net::NodeId;
+use std::sync::Arc;
 
 /// NIC-based barrier over chained RDMA (paper §7): the host sets each
 /// group's entry event once per barrier and waits for the done
@@ -100,8 +101,9 @@ impl ElanApp for ElanNicBarrierApp {
 /// Elanlib `elan_gsync()` benchmark app: host-driven tree gather-broadcast.
 pub struct ElanGsyncApp {
     gsync: Gsync,
-    /// Rank → node placement (the tree is built in rank space).
-    members: Vec<NodeId>,
+    /// Rank → node placement (the tree is built in rank space), one list
+    /// shared by every rank.
+    members: Arc<[NodeId]>,
     /// Measurements.
     pub log: BarrierLog,
 }
@@ -109,7 +111,14 @@ pub struct ElanGsyncApp {
 impl ElanGsyncApp {
     /// Run `iters` consecutive `elan_gsync` barriers for `rank` of the
     /// group placed on `members` (rank order), with a `degree`-ary tree.
-    pub fn new(rank: usize, members: Vec<NodeId>, degree: usize, iters: u64, skew_us: f64) -> Self {
+    pub fn new(
+        rank: usize,
+        members: impl Into<Arc<[NodeId]>>,
+        degree: usize,
+        iters: u64,
+        skew_us: f64,
+    ) -> Self {
+        let members = members.into();
         let n = members.len();
         ElanGsyncApp {
             gsync: Gsync::new(rank, n, degree),

@@ -22,6 +22,7 @@ use nicbar_gm::MsgTag;
 use nicbar_net::NodeId;
 use nicbar_sim::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Completion cookie for thread-based collectives.
 pub const THREAD_DONE_COOKIE: u64 = 0x7442;
@@ -40,7 +41,8 @@ pub enum ThreadOp {
 
 /// The NIC-thread collective engine for one rank.
 pub struct ThreadCollective {
-    members: Vec<NodeId>,
+    /// Rank → node placement, one list shared by every rank.
+    members: Arc<[NodeId]>,
     schedule: Schedule,
     op: ThreadOp,
     /// Doorbells seen.
@@ -59,7 +61,8 @@ pub struct ThreadCollective {
 
 impl ThreadCollective {
     /// Build for `rank` of a group placed on `members`.
-    pub fn new(members: Vec<NodeId>, rank: usize, op: ThreadOp) -> Self {
+    pub fn new(members: impl Into<Arc<[NodeId]>>, rank: usize, op: ThreadOp) -> Self {
+        let members = members.into();
         let n = members.len();
         if let ThreadOp::Allreduce { op } = op {
             assert!(

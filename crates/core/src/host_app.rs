@@ -20,6 +20,7 @@ use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag, BULK_TAG};
 use nicbar_net::NodeId;
 use nicbar_sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Barrier message payload size (one integer, as in the paper).
 pub const BARRIER_MSG_BYTES: u32 = 4;
@@ -216,7 +217,8 @@ impl BarrierLog {
 /// optionally beside a bulk stream.
 pub struct HostBarrierApp {
     runner: HostScheduleRunner,
-    members: Vec<NodeId>,
+    /// Rank → node placement, one list shared by every rank of the group.
+    members: Arc<[NodeId]>,
     stream: Option<GmStream>,
     /// Measurements.
     pub log: BarrierLog,
@@ -227,12 +229,13 @@ impl HostBarrierApp {
     /// `iters` consecutive barriers with `algo` beside `stream`, if any.
     pub fn new(
         algo: Algorithm,
-        members: Vec<NodeId>,
+        members: impl Into<Arc<[NodeId]>>,
         rank: usize,
         iters: u64,
         skew_us: f64,
         stream: Option<GmStream>,
     ) -> Self {
+        let members = members.into();
         let schedule = Schedule::for_algorithm(algo, members.len(), rank);
         HostBarrierApp {
             runner: HostScheduleRunner::new(schedule),
@@ -240,6 +243,12 @@ impl HostBarrierApp {
             stream,
             log: BarrierLog::new(iters, skew_us),
         }
+    }
+
+    /// The rank → node placement this app sends by.
+    #[cfg(test)]
+    pub(crate) fn members(&self) -> &Arc<[NodeId]> {
+        &self.members
     }
 
     fn enter(&mut self, api: &mut GmApi<'_>) {
@@ -279,11 +288,14 @@ impl GmApp for HostBarrierApp {
             return;
         }
         let (epoch, round) = decode_tag(tag);
-        let from_rank = self
-            .members
+        // The sender is one of the round's expected senders (one under
+        // dissemination): look there, not through the member list.
+        let from_rank = self.runner.schedule().rounds[round]
+            .recv_from
             .iter()
-            .position(|&m| m == src)
-            .expect("message from non-member");
+            .copied()
+            .find(|&rank| self.members[rank] == src)
+            .unwrap_or_else(|| panic!("unexpected sender {src:?} in round {round}"));
         let (sends, done) = self.runner.on_msg(epoch, round, from_rank);
         self.issue(api, sends, done);
     }

@@ -113,6 +113,9 @@ pub struct GroupSpec {
     /// Member nodes in rank order. Shared (`Arc`) because every rank's spec
     /// lists the same membership: one allocation per group, not per rank,
     /// which is what keeps a 65,536-node sweep at O(n) instead of O(n²).
+    /// The engine only indexes it by rank (a send's or a NACK's
+    /// destination); an arrival's sender is matched against its round's
+    /// expected senders instead, so no packet scans the list.
     pub members: Arc<[NodeId]>,
     /// This NIC's rank within the group.
     pub my_rank: usize,
@@ -269,10 +272,6 @@ impl GroupState {
 
     fn n(&self) -> usize {
         self.spec.members.len()
-    }
-
-    fn rank_of(&self, node: NodeId) -> Option<usize> {
-        self.spec.members.iter().position(|&m| m == node)
     }
 
     fn slot_index(&self, epoch: u64, round: usize) -> usize {
@@ -491,17 +490,22 @@ impl GroupState {
         }
     }
 
-    /// Record an arrival (any epoch); duplicates are idempotent.
-    fn bank(&mut self, pkt: &CollPacket, sender_rank: usize) {
+    /// Record an arrival (any epoch); duplicates are idempotent. The
+    /// sender is looked up among the round's expected senders — one rank
+    /// under dissemination, like the single `recvpeer` of libnbc's
+    /// barrier — and its position there is its bit in the round's vector.
+    fn bank(&mut self, pkt: &CollPacket) {
         let round = pkt.round as usize;
         assert!(round < self.schedule.num_rounds(), "round out of schedule");
-        let slot = self
-            .schedule
-            .recv_slot(round, sender_rank)
+        let members = &self.spec.members;
+        let slot = self.schedule.rounds[round]
+            .recv_from
+            .iter()
+            .position(|&rank| members[rank] == pkt.src)
             .unwrap_or_else(|| {
                 panic!(
-                    "rank {} is not an expected sender in round {round} (group {:?})",
-                    sender_rank, self.spec.id
+                    "{:?} is not an expected sender in round {round} (group {:?})",
+                    pkt.src, self.spec.id
                 )
             });
         let idx = self.slot_index(pkt.epoch, round);
@@ -910,9 +914,6 @@ impl NicCollective for PaperCollective {
         }
         let my_node = self.node;
         let state = self.group_mut(pkt.group);
-        let sender_rank = state
-            .rank_of(pkt.src)
-            .unwrap_or_else(|| panic!("packet from non-member {:?}", pkt.src));
         debug_assert!(
             pkt.epoch <= state.host_epoch,
             "arrival more than one epoch ahead (epoch {}, host at {})",
@@ -922,7 +923,7 @@ impl NicCollective for PaperCollective {
         if pkt.epoch < state.completed {
             return; // stale duplicate of a finished epoch
         }
-        state.bank(pkt, sender_rank);
+        state.bank(pkt);
         // This arrival is the epoch's latest stimulus: anything the
         // progress sweep emits was enabled (last) by it.
         if let Some(live) = state.live.as_mut() {

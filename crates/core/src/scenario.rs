@@ -186,7 +186,10 @@ impl Scenario {
     /// combination, on a scenario no substrate implements.
     pub fn build(&self, cfg: &RunCfg) -> Sim {
         self.validate(cfg);
-        let members = cfg.members(self.n);
+        // One rank → node list for the whole run: every rank's group spec,
+        // host app and NIC thread shares it, so placement costs O(n), not
+        // O(n²).
+        let members: Arc<[NodeId]> = cfg.members(self.n).into();
         let cluster = match &self.substrate {
             Substrate::Gm(params, features) => self.build_gm(params, *features, cfg, &members),
             Substrate::Elan(params) => self.build_elan(params, cfg, &members),
@@ -208,16 +211,10 @@ impl Scenario {
             Barrier::Host(_) => assert!(!elan, "{b:?} barrier does not run on {on}"),
             _ => assert!(elan, "{b:?} barrier does not run on {on}"),
         }
-        if let Some(t) = self.traffic {
-            assert!(
-                matches!(b, Barrier::Nic(_) | Barrier::Host(_)),
-                "{b:?} barrier does not run under traffic"
-            );
-            assert!(
-                matches!(b, Barrier::Nic(_)) || !(cfg.permute || cfg.skew_us > 0.0),
-                "{b:?} barrier under {t:?} runs on the identity placement without skew"
-            );
-        }
+        assert!(
+            self.traffic.is_none() || matches!(b, Barrier::Nic(_) | Barrier::Host(_)),
+            "{b:?} barrier does not run under traffic"
+        );
         assert!(
             !(elan && cfg.drop_prob > 0.0),
             "QsNet is hardware-reliable: elan takes no RunCfg::drop_prob, got {}",
@@ -247,7 +244,7 @@ impl Scenario {
         params: &GmParams,
         features: CollFeatures,
         cfg: &RunCfg,
-        members: &[NodeId],
+        members: &Arc<[NodeId]>,
     ) -> Cluster {
         let (total, skew) = (cfg.total(), cfg.skew_us);
         let spec = GmClusterSpec::new(params.clone(), self.n)
@@ -259,13 +256,10 @@ impl Scenario {
             (Barrier::Nic(algo), traffic) => {
                 let timeout = params.coll_timeout;
                 let gids = self.group_ids();
-                // One shared membership list for every rank's GroupSpec: at
-                // 65,536 nodes a per-rank copy would be 34 GB.
-                let shared: Arc<[NodeId]> = members.into();
                 let colls = by_node(members, |rank, node| {
                     let groups = gids
                         .iter()
-                        .map(|&g| GroupSpec::barrier(g, shared.clone(), rank, algo, timeout))
+                        .map(|&g| GroupSpec::barrier(g, members.clone(), rank, algo, timeout))
                         .collect();
                     Box::new(PaperCollective::new(node, groups)) as Box<dyn NicCollective>
                 });
@@ -280,8 +274,7 @@ impl Scenario {
             (Barrier::Host(algo), traffic) => {
                 let apps = by_node(members, |rank, _| {
                     let stream = traffic.map(|t| GmStream::new(t, members, rank));
-                    let app =
-                        HostBarrierApp::new(algo, members.to_vec(), rank, total, skew, stream);
+                    let app = HostBarrierApp::new(algo, members.clone(), rank, total, skew, stream);
                     Box::new(app) as Box<dyn GmApp>
                 });
                 let cluster = GmCluster::build_p2p(spec, apps);
@@ -291,7 +284,7 @@ impl Scenario {
         }
     }
 
-    fn build_elan(&self, params: &ElanParams, cfg: &RunCfg, members: &[NodeId]) -> Cluster {
+    fn build_elan(&self, params: &ElanParams, cfg: &RunCfg, members: &Arc<[NodeId]>) -> Cluster {
         let (n, total, skew) = (self.n, cfg.total(), cfg.skew_us);
         let spec = ElanClusterSpec::new(params.clone(), n)
             .with_seed(cfg.seed)
@@ -332,7 +325,7 @@ impl Scenario {
             }
             (Barrier::Gsync(degree), _) => {
                 let apps = by_node(members, |rank, _| {
-                    let app = ElanGsyncApp::new(rank, members.to_vec(), degree, total, skew);
+                    let app = ElanGsyncApp::new(rank, members.clone(), degree, total, skew);
                     Box::new(app) as Box<dyn ElanApp>
                 });
                 let cluster = ElanCluster::build(spec, apps, no_programs());
@@ -364,7 +357,7 @@ impl Scenario {
 /// contributing `contribution(r, epoch)`.
 fn thread_cluster(
     spec: ElanClusterSpec,
-    members: &[NodeId],
+    members: &Arc<[NodeId]>,
     total: u64,
     op: ThreadOp,
     contribution: fn(usize, u64) -> u64,
@@ -381,7 +374,7 @@ fn thread_cluster(
             .engine
             .component_mut::<ElanNic>(cluster.nics[node.0])
             .expect("nic component")
-            .install_thread(Box::new(ThreadCollective::new(members.to_vec(), rank, op)));
+            .install_thread(Box::new(ThreadCollective::new(members.clone(), rank, op)));
     }
     Cluster::Elan(cluster, |c, i| &c.app_ref::<ElanThreadApp>(i).log)
 }
@@ -414,7 +407,7 @@ pub struct Sim {
     cluster: Cluster,
     cfg: RunCfg,
     /// Rank → node placement.
-    members: Vec<NodeId>,
+    members: Arc<[NodeId]>,
     /// Bulk traffic runs: drain until the logs fill, not until idle.
     traffic: bool,
 }
@@ -572,6 +565,64 @@ mod tests {
     }
 
     #[test]
+    fn host_barrier_under_traffic_runs_permuted_and_skewed() {
+        let host = Scenario::gm(
+            GmParams::lanai_xp(),
+            8,
+            Barrier::Host(Algorithm::Dissemination),
+        )
+        .with_traffic(TrafficCfg::default());
+        for skew_us in [0.0, 3.0] {
+            for seed in 0..20 {
+                let cfg = RunCfg {
+                    seed,
+                    skew_us,
+                    ..quick(true)
+                };
+                let stats = host.run(&cfg);
+                assert!(stats.mean_us > 0.0, "seed {seed}, skew {skew_us} µs");
+            }
+        }
+        let cfg = RunCfg {
+            seed: 3,
+            skew_us: 3.0,
+            ..quick(true)
+        };
+        let one = host.capture(&cfg);
+        let two = host.capture(&RunCfg { shards: 2, ..cfg });
+        assert_eq!(one.divergence(&two), None);
+    }
+
+    #[test]
+    fn host_barrier_footprint_follows_the_peers_contacted() {
+        const N: usize = 256;
+        let host = Barrier::Host(Algorithm::Dissemination);
+        let mut sim = Scenario::gm(GmParams::lanai_xp(), N, host).build(&quick(true));
+        sim.drain();
+        let Cluster::Gm(cluster, _) = &sim.cluster else {
+            panic!("a gm scenario builds a gm cluster");
+        };
+        // Each rank sends to ⌈log₂N⌉ peers and hears from as many.
+        let bound = 2 * crate::schedule::ceil_log2(N);
+        for node in 0..N {
+            let nic = cluster
+                .engine
+                .component_ref::<nicbar_gm::LanaiNic>(cluster.nics[node])
+                .expect("nic component");
+            assert!(
+                (1..=bound).contains(&nic.p2p_peers()),
+                "NIC {node} holds state for {} peers, bound {bound}",
+                nic.p2p_peers()
+            );
+            let app = cluster.app_ref::<HostBarrierApp>(node);
+            assert!(
+                Arc::ptr_eq(app.members(), &sim.members),
+                "rank on node {node}"
+            );
+        }
+    }
+
+    #[test]
     fn traffic_runs_place_ranks_on_a_permutation() {
         let nic = Barrier::Nic(Algorithm::Dissemination);
         for scenario in [
@@ -580,7 +631,7 @@ mod tests {
         ] {
             let contend = scenario.with_groups(2).with_traffic(TrafficCfg::default());
             let mut sim = contend.build(&quick(true));
-            assert_ne!(sim.members, quick(false).members(6));
+            assert_ne!(sim.members[..], quick(false).members(6)[..]);
             sim.drain();
             assert!(sim.stats().mean_us > 0.0);
         }

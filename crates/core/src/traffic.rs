@@ -23,7 +23,6 @@ use crate::host_app::NicBarrierApp;
 use nicbar_elan::{ElanApi, BULK_TPORT_TAG};
 use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag};
 use nicbar_net::NodeId;
-use std::collections::HashSet;
 use std::ops::Deref;
 
 /// Tag marking bulk-traffic messages (distinct from barrier tags, whose
@@ -63,8 +62,9 @@ pub struct GmStream {
     cfg: TrafficCfg,
     peer: NodeId,
     /// Ids of in-flight bulk sends (to replenish exactly those on
-    /// completion, keeping the pipeline depth constant).
-    in_flight: HashSet<MsgId>,
+    /// completion, keeping the pipeline depth constant): at most
+    /// `outstanding` of them, so a scan beats hashing.
+    in_flight: Vec<MsgId>,
 }
 
 impl GmStream {
@@ -73,7 +73,7 @@ impl GmStream {
         GmStream {
             cfg,
             peer: next_rank_node(members, rank),
-            in_flight: HashSet::new(),
+            in_flight: Vec::with_capacity(cfg.outstanding as usize),
         }
     }
 
@@ -88,14 +88,18 @@ impl GmStream {
 
     /// Replace a completed bulk send while barriers remain (`running`).
     pub(crate) fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId, running: bool) {
-        if self.in_flight.remove(&msg_id) && running {
+        let Some(i) = self.in_flight.iter().position(|&id| id == msg_id) else {
+            return;
+        };
+        self.in_flight.swap_remove(i);
+        if running {
             self.send(api);
         }
     }
 
     fn send(&mut self, api: &mut GmApi<'_>) {
         let id = api.send(self.peer, self.cfg.msg_bytes, BULK_TAG);
-        self.in_flight.insert(id);
+        self.in_flight.push(id);
     }
 }
 

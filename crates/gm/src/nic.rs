@@ -19,6 +19,13 @@
 //! sweep retransmits unacked packets (go-back-N), so the protocol survives
 //! the fabric's loss injection.
 //!
+//! The per-destination state (queue, sequence numbers, send records,
+//! reassembly) is kept per peer the NIC has exchanged packets with, not
+//! per node of the cluster, and the scheduler pass and the timer sweep
+//! visit only peers with queued tokens or unacked packets, in the order a
+//! scan over every destination would. What one packet costs the simulator
+//! therefore does not grow with the cluster.
+//!
 //! ## Collective path
 //!
 //! A `CollPost` doorbell or an arriving collective packet is handed to the
@@ -57,56 +64,265 @@ struct Assembly {
     total_len: u32,
 }
 
-/// Point-to-point protocol state: per-peer queues and sequence tracking,
-/// O(n) per NIC and therefore O(n²) per cluster. Allocated lazily on the
-/// first p2p stimulus, so a collective-only simulation (the paper's barrier,
-/// and the 4096-node `fig_scale` sweep) keeps every NIC at O(1) memory.
-struct P2pState {
+/// One peer's point-to-point state: the send tokens queued for it, the
+/// sequence numbers both ways, the unacked send records and the messages
+/// from it being reassembled.
+#[derive(Default)]
+struct Peer {
+    node: usize,
     // --- send side ---
-    send_queues: Vec<VecDeque<SendToken>>,
-    rr_cursor: usize,
-    next_seq: Vec<u32>,
-    inflight: Vec<VecDeque<SendRecord>>,
+    queue: VecDeque<SendToken>,
+    next_seq: u32,
+    inflight: VecDeque<SendRecord>,
 
     // --- receive side ---
-    expect_seq: Vec<u32>,
-    /// Per-source FIFO of messages being reassembled. Packets from one
+    expect_seq: u32,
+    /// FIFO of messages from this peer being reassembled. Packets from one
     /// source arrive in seq order and host DMAs complete in order, so the
     /// front entry is always the message whose payload lands next.
-    assembling: Vec<VecDeque<Assembly>>,
+    assembling: VecDeque<Assembly>,
+}
+
+/// What a scheduler pass takes off the front of the chosen queue.
+#[derive(Debug, PartialEq)]
+enum Launch {
+    /// A collective packet riding the p2p queues (group-queue ablation),
+    /// with the cause its token carried.
+    Coll { pkt: CollPacket, cause: CauseId },
+    /// The next packet of a data message.
+    Data {
+        msg_id: u64,
+        offset: u32,
+        payload: u32,
+        total_len: u32,
+        tag: MsgTag,
+        cause: CauseId,
+        /// This packet is the message's last: its token left the queue.
+        exhausted: bool,
+    },
+}
+
+/// Point-to-point protocol state: one [`Peer`] entry per peer this NIC has
+/// sent to or heard from, kept in node order and found by binary search.
+/// The footprint follows the peers a NIC talks to, not the cluster size —
+/// 2⌈log₂N⌉ under the host-based dissemination barrier, two under the bulk
+/// stream — and the whole state is allocated on the first p2p stimulus, so
+/// a collective-only simulation (the paper's barrier, the 65,536-node
+/// `fig_scale` sweep) keeps every NIC at O(1) memory.
+///
+/// GM's scheduler scans the destination queues round-robin from a cursor,
+/// and the retransmit timer sweeps the destinations in node order. An
+/// empty queue can neither launch nor count a `gm.packet_wait`, and a peer
+/// with nothing unacked has nothing to resend, so both walks visit only
+/// the peers listed in `queued` and `unacked`: the same destinations in
+/// the same order as a scan over all N, at a cost that does not grow
+/// with N.
+struct P2pState {
+    /// Cluster size: the scheduler cursor wraps at `n`.
+    n: usize,
+    /// Per-destination window of unacked packets.
+    window: usize,
+    /// Collective tokens fly from the static packet (no buffer claim).
+    static_packet: bool,
+    /// One entry per peer contacted, ascending by node.
+    peers: Vec<Peer>,
+    /// Destinations whose send queue holds tokens, ascending.
+    queued: Vec<usize>,
+    /// Destinations with unacked send records, ascending.
+    unacked: Vec<usize>,
+    /// Node the next scheduler pass starts its round-robin scan at.
+    rr_cursor: usize,
+}
+
+/// Insert `node` into the ascending list `set` (absent before).
+fn set_insert(set: &mut Vec<usize>, node: usize) {
+    let at = set.partition_point(|&d| d < node);
+    debug_assert!(set.get(at) != Some(&node), "node {node} listed twice");
+    set.insert(at, node);
+}
+
+/// Remove `node` from the ascending list `set` (present before).
+fn set_remove(set: &mut Vec<usize>, node: usize) {
+    let at = set.partition_point(|&d| d < node);
+    debug_assert_eq!(set.get(at), Some(&node), "node {node} not listed");
+    set.remove(at);
 }
 
 impl P2pState {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, window: usize, static_packet: bool) -> Self {
         P2pState {
-            send_queues: (0..n).map(|_| VecDeque::new()).collect(),
+            n,
+            window,
+            static_packet,
+            peers: Vec::new(),
+            queued: Vec::new(),
+            unacked: Vec::new(),
             rr_cursor: 0,
-            next_seq: vec![0; n],
-            inflight: (0..n).map(|_| VecDeque::new()).collect(),
-            expect_seq: vec![0; n],
-            assembling: (0..n).map(|_| VecDeque::new()).collect(),
         }
     }
 
-    /// Is the front token of queue `d` launchable right now?
-    fn queue_eligible(
-        &self,
-        d: usize,
-        window: usize,
-        free_packets: usize,
-        static_packet: bool,
-    ) -> bool {
-        let Some(front) = self.send_queues[d].front() else {
+    /// `node`'s entry, created on first contact.
+    fn peer(&mut self, node: usize) -> &mut Peer {
+        let i = match self.peers.binary_search_by_key(&node, |p| p.node) {
+            Ok(i) => i,
+            Err(i) => {
+                self.peers.insert(
+                    i,
+                    Peer {
+                        node,
+                        ..Peer::default()
+                    },
+                );
+                i
+            }
+        };
+        &mut self.peers[i]
+    }
+
+    /// Index of `node`'s entry, which exists because the peer has work
+    /// listed.
+    fn listed(&self, node: usize) -> usize {
+        self.peers
+            .binary_search_by_key(&node, |p| p.node)
+            .expect("a listed peer has an entry")
+    }
+
+    /// Queue `token` behind whatever else waits for its destination.
+    fn enqueue(&mut self, token: SendToken) {
+        let d = token.dst.0;
+        let queue = &mut self.peer(d).queue;
+        queue.push_back(token);
+        if queue.len() == 1 {
+            set_insert(&mut self.queued, d);
+        }
+    }
+
+    /// Is the front token of the queue for `d` launchable right now?
+    fn queue_eligible(&self, d: usize, free_packets: usize) -> bool {
+        let peer = &self.peers[self.listed(d)];
+        let Some(front) = peer.queue.front() else {
             return false;
         };
         if front.coll.is_some() {
             // A collective token riding the p2p queues (group-queue
             // ablation): its payload is NIC-resident, so it only needs a
             // buffer when the static packet is also ablated.
-            static_packet || free_packets > 0
+            self.static_packet || free_packets > 0
         } else {
-            self.inflight[d].len() < window && free_packets > 0
+            peer.inflight.len() < self.window && free_packets > 0
         }
+    }
+
+    /// One round-robin pass: the first destination at or after
+    /// `rr_cursor`, in cyclic node order, whose front token can launch.
+    /// Advances the cursor past it and also returns how many queues with a
+    /// blocked head-of-line token the pass stepped over (`gm.packet_wait`).
+    fn pick(&mut self, free_packets: usize) -> (Option<usize>, u64) {
+        let len = self.queued.len();
+        let start = self.queued.partition_point(|&d| d < self.rr_cursor);
+        let mut waits = 0;
+        for k in 0..len {
+            let d = self.queued[(start + k) % len];
+            if self.queue_eligible(d, free_packets) {
+                self.rr_cursor = (d + 1) % self.n;
+                return (Some(d), waits);
+            }
+            waits += 1;
+        }
+        (None, waits)
+    }
+
+    /// Would another pass find an eligible token?
+    fn any_eligible(&self, free_packets: usize) -> bool {
+        self.queued
+            .iter()
+            .any(|&d| self.queue_eligible(d, free_packets))
+    }
+
+    /// Take the next packet off the front of `d`'s queue: a collective
+    /// token whole, or the next `mtu` bytes of a data message, whose token
+    /// keeps its place until its last packet leaves.
+    fn launch(&mut self, d: usize, mtu: u32) -> Launch {
+        let queue = &mut self.peer(d).queue;
+        let mut token = queue.pop_front().expect("eligible queue");
+        let launch = if let Some(pkt) = token.coll.take() {
+            Launch::Coll {
+                pkt,
+                cause: token.cause,
+            }
+        } else {
+            let offset = token.offset;
+            let payload = (token.len - offset).min(mtu);
+            token.offset += payload;
+            let exhausted = token.offset >= token.len;
+            let launch = Launch::Data {
+                msg_id: token.msg_id,
+                offset,
+                payload,
+                total_len: token.len,
+                tag: token.tag,
+                cause: token.cause,
+                exhausted,
+            };
+            if !exhausted {
+                queue.push_front(token);
+            }
+            launch
+        };
+        if queue.is_empty() {
+            set_remove(&mut self.queued, d);
+        }
+        launch
+    }
+
+    /// Keep `rec` until `d` acknowledges it.
+    fn record(&mut self, d: usize, rec: SendRecord) {
+        let inflight = &mut self.peer(d).inflight;
+        inflight.push_back(rec);
+        if inflight.len() == 1 {
+            set_insert(&mut self.unacked, d);
+        }
+    }
+
+    /// The timer's sweep: for every destination, ascending, whose oldest
+    /// unacked packet has waited `timeout` by `now`, hand each of its
+    /// unacked records to `resend` in sequence order (go-back-N).
+    fn sweep(
+        &mut self,
+        now: SimTime,
+        timeout: SimTime,
+        mut resend: impl FnMut(usize, &mut SendRecord),
+    ) {
+        for k in 0..self.unacked.len() {
+            let d = self.unacked[k];
+            let i = self.listed(d);
+            let inflight = &mut self.peers[i].inflight;
+            let overdue = inflight
+                .front()
+                .is_some_and(|r| now.saturating_sub(r.sent_at) >= timeout);
+            if overdue {
+                for rec in inflight.iter_mut() {
+                    resend(d, rec);
+                }
+            }
+        }
+    }
+
+    /// Retire `d`'s records up to sequence `upto` (a cumulative ACK),
+    /// pushing the ids of the messages that completed onto `completed`.
+    /// Returns how many records were retired.
+    fn retire(&mut self, d: usize, upto: u32, completed: &mut Vec<u64>) -> usize {
+        let inflight = &mut self.peer(d).inflight;
+        let freed = inflight.iter().take_while(|r| r.seq <= upto).count();
+        for rec in inflight.drain(..freed) {
+            if rec.end_offset >= rec.total_len {
+                completed.push(rec.msg_id);
+            }
+        }
+        if freed > 0 && inflight.is_empty() {
+            set_remove(&mut self.unacked, d);
+        }
+        freed
     }
 }
 
@@ -224,8 +440,14 @@ impl LanaiNic {
 
     /// The p2p state, allocated on first use.
     fn p2p_mut(&mut self) -> &mut P2pState {
-        let n = self.n;
-        self.p2p.get_or_insert_with(|| Box::new(P2pState::new(n)))
+        let (n, window, static_packet) = (self.n, self.params.window, self.features.static_packet);
+        self.p2p
+            .get_or_insert_with(|| Box::new(P2pState::new(n, window, static_packet)))
+    }
+
+    /// `node`'s point-to-point entry, created on first contact.
+    fn peer_mut(&mut self, node: NodeId) -> &mut Peer {
+        self.p2p_mut().peer(node.0)
     }
 
     /// Claim the NIC processor for `cost`, starting no earlier than `now`;
@@ -289,10 +511,7 @@ impl LanaiNic {
         if self.timer_armed {
             return;
         }
-        let p2p_pending = self
-            .p2p
-            .as_ref()
-            .is_some_and(|p| p.inflight.iter().any(|q| !q.is_empty()));
+        let p2p_pending = self.p2p.as_ref().is_some_and(|p| !p.unacked.is_empty());
         if p2p_pending || self.coll.next_deadline().is_some() {
             self.timer_armed = true;
             ctx.send_self(self.params.timer_interval, GmEvent::TimerCheck);
@@ -325,161 +544,142 @@ impl LanaiNic {
 
     fn send_work_inner(&mut self, ctx: &mut Ctx<'_, GmEvent>, p2p: &mut P2pState) {
         let now = ctx.now();
-        let n = self.n;
-        let window = self.params.window;
-        let static_packet = self.features.static_packet;
-        // Round-robin scan for a destination with an eligible token.
-        let mut chosen: Option<usize> = None;
-        for k in 0..n {
-            let d = (p2p.rr_cursor + k) % n;
-            if p2p.queue_eligible(d, window, self.free_packets, static_packet) {
-                chosen = Some(d);
-                break;
-            }
-            if !p2p.send_queues[d].is_empty() {
-                // Head-of-line token blocked on the packet pool or window —
-                // the waiting the paper's §6.1/§6.2 machinery eliminates.
-                ctx.count_id(counter_id!("gm.packet_wait"), 1);
-            }
+        let (chosen, waits) = p2p.pick(self.free_packets);
+        if waits > 0 {
+            // Head-of-line tokens blocked on the packet pool or window —
+            // the waiting the paper's §6.1/§6.2 machinery eliminates.
+            ctx.count_id(counter_id!("gm.packet_wait"), waits);
         }
         let Some(dst) = chosen else {
             return; // nothing eligible; re-kicked on token/ACK arrival
         };
-        p2p.rr_cursor = (dst + 1) % n;
 
-        if p2p.send_queues[dst]
-            .front()
-            .expect("eligible queue")
-            .coll
-            .is_some()
-        {
-            // Launch a queued collective token: no payload DMA (the value
-            // lives in NIC memory); buffer claim only under static-packet
-            // ablation.
-            let token = p2p.send_queues[dst].pop_front().expect("checked");
-            let pkt = token.coll.expect("checked");
-            let owner = coll_owner(&pkt);
-            let mut cost = self.params.nic_sched_pass + self.params.nic_coll_send;
-            if !self.features.static_packet {
-                cost += self.params.nic_packet_claim.scale(0.5);
-            }
-            if !self.features.bitvec_bookkeeping {
-                cost += self.params.nic_record_create;
-            }
-            let t = self.cpu(ctx, now, cost, owner);
-            ctx.ledger(
-                Occ::release(ResKind::SendQueue, t, self.node.0 as u32, owner).unit(dst as u64),
-            );
-            let is_nack = matches!(pkt.kind, CollKind::Nack);
-            ctx.count_id(
-                if is_nack {
-                    counter_id!("gm.nack_sent")
-                } else {
-                    counter_id!("gm.coll_sent")
-                },
-                1,
-            );
-            // Span: the queued token finally launches. The retx flag did
-            // not survive the SendToken wrapping, so a NACK-triggered
-            // resend on this ablated path reports as a fire/nack.
-            if is_nack {
-                ctx.span(SpanEvent::Nack {
-                    dst: dst as u64,
-                    round: pkt.round as u64,
-                });
-            } else {
-                ctx.span(SpanEvent::Fire {
-                    unit: pkt.group.0 as u64,
-                    dst: dst as u64,
-                });
-            }
-            // Netdump: the token's stored cause covers the queuing wait —
-            // the edge from protocol decision to actual launch.
-            let fire = ctx.packet(
-                PacketLog::new(
-                    token.cause,
-                    if is_nack {
-                        CausalKind::Nack
-                    } else {
-                        CausalKind::Fire
-                    },
-                )
-                .nodes(self.node.0 as u32, dst as u32)
-                .key(pkt.group.0 as u64, pkt.epoch)
-                .detail(pkt.round as u64, 0),
-            );
-            self.inject(
-                ctx,
-                t,
-                Packet {
-                    src: self.node,
-                    dst: NodeId(dst),
-                    kind: PacketKind::Coll(pkt),
-                    cause: fire,
-                },
-            );
-        } else {
-            let token = p2p.send_queues[dst].front_mut().expect("checked above");
-            let owner = stream_owner(token.tag, self.node.0 as u32);
-            let payload = (token.len - token.offset).min(self.params.mtu);
-            let (msg_id, offset, total_len, tag, token_cause) = (
-                token.msg_id,
-                token.offset,
-                token.len,
-                token.tag,
-                token.cause,
-            );
-            token.offset += payload;
-            let msg_exhausted = token.offset >= token.len;
-            if msg_exhausted {
-                p2p.send_queues[dst].pop_front();
-            }
-
-            // Scheduler pass + buffer claim burn NIC cycles.
-            let t = self.cpu(
-                ctx,
-                now,
-                self.params.nic_sched_pass + self.params.nic_packet_claim,
-                owner,
-            );
-            self.free_packets -= 1;
-            ctx.ledger(
-                Occ::acquire(ResKind::PacketPool, t, self.node.0 as u32, owner)
-                    .unit(self.free_packets as u64),
-            );
-            if msg_exhausted {
+        match p2p.launch(dst, self.params.mtu) {
+            Launch::Coll {
+                pkt,
+                cause: token_cause,
+            } => {
+                // Launch a queued collective token: no payload DMA (the
+                // value lives in NIC memory); buffer claim only under
+                // static-packet ablation.
+                let owner = coll_owner(&pkt);
+                let mut cost = self.params.nic_sched_pass + self.params.nic_coll_send;
+                if !self.features.static_packet {
+                    cost += self.params.nic_packet_claim.scale(0.5);
+                }
+                if !self.features.bitvec_bookkeeping {
+                    cost += self.params.nic_record_create;
+                }
+                let t = self.cpu(ctx, now, cost, owner);
                 ctx.ledger(
                     Occ::release(ResKind::SendQueue, t, self.node.0 as u32, owner).unit(dst as u64),
                 );
-            }
-
-            // Netdump: payload DMA begins (parent: the host post).
-            let dma_cause = ctx.packet(
-                PacketLog::new(token_cause, CausalKind::DmaStart)
+                let is_nack = matches!(pkt.kind, CollKind::Nack);
+                ctx.count_id(
+                    if is_nack {
+                        counter_id!("gm.nack_sent")
+                    } else {
+                        counter_id!("gm.coll_sent")
+                    },
+                    1,
+                );
+                // Span: the queued token finally launches. The retx flag
+                // did not survive the SendToken wrapping, so a
+                // NACK-triggered resend on this ablated path reports as a
+                // fire/nack.
+                if is_nack {
+                    ctx.span(SpanEvent::Nack {
+                        dst: dst as u64,
+                        round: pkt.round as u64,
+                    });
+                } else {
+                    ctx.span(SpanEvent::Fire {
+                        unit: pkt.group.0 as u64,
+                        dst: dst as u64,
+                    });
+                }
+                // Netdump: the token's stored cause covers the queuing
+                // wait — the edge from protocol decision to actual launch.
+                let fire = ctx.packet(
+                    PacketLog::new(
+                        token_cause,
+                        if is_nack {
+                            CausalKind::Nack
+                        } else {
+                            CausalKind::Fire
+                        },
+                    )
                     .nodes(self.node.0 as u32, dst as u32)
-                    .detail(payload as u64, 0),
-            );
+                    .key(pkt.group.0 as u64, pkt.epoch)
+                    .detail(pkt.round as u64, 0),
+                );
+                self.inject(
+                    ctx,
+                    t,
+                    Packet {
+                        src: self.node,
+                        dst: NodeId(dst),
+                        kind: PacketKind::Coll(pkt),
+                        cause: fire,
+                    },
+                );
+            }
+            Launch::Data {
+                msg_id,
+                offset,
+                payload,
+                total_len,
+                tag,
+                cause: token_cause,
+                exhausted: msg_exhausted,
+            } => {
+                let owner = stream_owner(tag, self.node.0 as u32);
+                // Scheduler pass + buffer claim burn NIC cycles.
+                let t = self.cpu(
+                    ctx,
+                    now,
+                    self.params.nic_sched_pass + self.params.nic_packet_claim,
+                    owner,
+                );
+                self.free_packets -= 1;
+                ctx.ledger(
+                    Occ::acquire(ResKind::PacketPool, t, self.node.0 as u32, owner)
+                        .unit(self.free_packets as u64),
+                );
+                if msg_exhausted {
+                    ctx.ledger(
+                        Occ::release(ResKind::SendQueue, t, self.node.0 as u32, owner)
+                            .unit(dst as u64),
+                    );
+                }
 
-            // Payload crosses the I/O bus into the claimed buffer.
-            let dma_done = self.dma(ctx, t, payload, owner);
-            ctx.send_at(
-                dma_done,
-                ctx.self_id(),
-                GmEvent::DmaToNicDone {
-                    dst: NodeId(dst),
-                    msg_id,
-                    offset,
-                    payload,
-                    total_len,
-                    tag,
-                    cause: dma_cause,
-                },
-            );
+                // Netdump: payload DMA begins (parent: the host post).
+                let dma_cause = ctx.packet(
+                    PacketLog::new(token_cause, CausalKind::DmaStart)
+                        .nodes(self.node.0 as u32, dst as u32)
+                        .detail(payload as u64, 0),
+                );
+
+                // Payload crosses the I/O bus into the claimed buffer.
+                let dma_done = self.dma(ctx, t, payload, owner);
+                ctx.send_at(
+                    dma_done,
+                    ctx.self_id(),
+                    GmEvent::DmaToNicDone {
+                        dst: NodeId(dst),
+                        msg_id,
+                        offset,
+                        payload,
+                        total_len,
+                        tag,
+                        cause: dma_cause,
+                    },
+                );
+            }
         }
 
         // More eligible work? Keep the scheduler hot.
-        let more = (0..n).any(|d| p2p.queue_eligible(d, window, self.free_packets, static_packet));
-        if more {
+        if p2p.any_eligible(self.free_packets) {
             self.work_scheduled = true;
             ctx.send_at(
                 self.cpu_free.max(ctx.now()),
@@ -511,10 +711,9 @@ impl LanaiNic {
             owner,
         );
         let seq = {
-            let p2p = self.p2p_mut();
-            let seq = p2p.next_seq[dst.0];
-            p2p.next_seq[dst.0] += 1;
-            seq
+            let peer = self.peer_mut(dst);
+            peer.next_seq += 1;
+            peer.next_seq - 1
         };
         // Netdump: DMA completed, then the packet commits to the fabric.
         let dma_done = ctx.packet(
@@ -527,17 +726,20 @@ impl LanaiNic {
                 .nodes(self.node.0 as u32, dst.0 as u32)
                 .detail(seq as u64, 0),
         );
-        self.p2p_mut().inflight[dst.0].push_back(SendRecord {
-            seq,
-            msg_id,
-            end_offset: offset + payload,
-            total_len,
-            tag,
-            payload,
-            sent_at: t,
-            retries: 0,
-            cause: fire,
-        });
+        self.p2p_mut().record(
+            dst.0,
+            SendRecord {
+                seq,
+                msg_id,
+                end_offset: offset + payload,
+                total_len,
+                tag,
+                payload,
+                sent_at: t,
+                retries: 0,
+                cause: fire,
+            },
+        );
         let pkt = Packet {
             src: self.node,
             dst,
@@ -579,7 +781,7 @@ impl LanaiNic {
                 Occ::acquire(ResKind::RecvTokens, t, self.node.0 as u32, owner)
                     .unit(self.recv_tokens as u64),
             );
-            self.p2p_mut().assembling[src.0].push_back(Assembly {
+            self.peer_mut(src).assembling.push_back(Assembly {
                 received: 0,
                 total_len,
             });
@@ -660,7 +862,7 @@ impl LanaiNic {
                         .nodes(src.0 as u32, self.node.0 as u32)
                         .detail(seq as u64, 0),
                 );
-                let expected = self.p2p_mut().expect_seq[src.0];
+                let expected = self.peer_mut(src).expect_seq;
                 if seq == expected {
                     if offset == 0 && self.recv_tokens == 0 {
                         // No receive buffer: GM drops the packet; the
@@ -668,7 +870,7 @@ impl LanaiNic {
                         ctx.count_id(counter_id!("gm.drop_no_token"), 1);
                         return;
                     }
-                    self.p2p_mut().expect_seq[src.0] = expected + 1;
+                    self.peer_mut(src).expect_seq = expected + 1;
                     self.accept_data(ctx, t, src, seq, offset, payload, total_len, tag, arrive);
                 } else if seq < expected {
                     // Duplicate from a retransmission: re-ACK so the sender
@@ -697,20 +899,7 @@ impl LanaiNic {
                 // Reusable scratch for completed message ids: ACK bursts in
                 // steady state must not touch the heap.
                 let mut completed = std::mem::take(&mut self.ack_scratch);
-                let mut freed = 0;
-                {
-                    let q = &mut self.p2p_mut().inflight[src.0];
-                    while let Some(front) = q.front() {
-                        if front.seq > upto {
-                            break;
-                        }
-                        let rec = q.pop_front().expect("front checked");
-                        freed += 1;
-                        if rec.end_offset >= rec.total_len {
-                            completed.push(rec.msg_id);
-                        }
-                    }
-                }
+                let freed = self.p2p_mut().retire(src.0, upto, &mut completed);
                 self.free_packets += freed;
                 if freed > 0 {
                     // One release per cumulative ACK; `unit` carries the
@@ -847,12 +1036,12 @@ impl LanaiNic {
                         // behind.
                         ctx.span(SpanEvent::Enqueue {
                             dst: dst.0 as u64,
-                            depth: self.p2p_mut().send_queues[dst.0].len() as u64,
+                            depth: self.peer_mut(dst).queue.len() as u64,
                         });
                         // The fire record is emitted when the token finally
                         // launches (`send_work`), so the queuing wait shows
                         // up as the edge from `cause` to that record.
-                        self.p2p_mut().send_queues[dst.0].push_back(SendToken {
+                        self.p2p_mut().enqueue(SendToken {
                             msg_id: 0,
                             dst,
                             len: 0,
@@ -995,55 +1184,45 @@ impl LanaiNic {
         now: SimTime,
         timeout: SimTime,
     ) {
-        for d in 0..p2p.inflight.len() {
-            let overdue = p2p.inflight[d]
-                .front()
-                .map(|r| now.saturating_sub(r.sent_at) >= timeout)
-                .unwrap_or(false);
-            if !overdue {
-                continue;
-            }
-            // Go-back-N: re-inject every unacked packet to this destination
-            // (payloads are still in the NIC's claimed buffers).
-            for i in 0..p2p.inflight[d].len() {
-                let t = self.cpu(
-                    ctx,
-                    now,
-                    self.params.nic_inject,
-                    Owner::fabric(self.node.0 as u32),
-                );
-                let rec = &mut p2p.inflight[d][i];
-                rec.sent_at = t;
-                rec.retries += 1;
-                let (seq, orig_cause) = (rec.seq, rec.cause);
-                let mut pkt = Packet {
-                    src: self.node,
-                    dst: NodeId(d),
-                    kind: PacketKind::Data {
-                        seq: rec.seq,
-                        msg_id: rec.msg_id,
-                        offset: rec.end_offset - rec.payload,
-                        payload: rec.payload,
-                        total_len: rec.total_len,
-                        tag: rec.tag,
-                    },
-                    cause: CauseId::NONE,
-                };
-                ctx.count_id(counter_id!("gm.retransmit"), 1);
-                // Span: go-back-N re-injection (round = wire sequence).
-                ctx.span(SpanEvent::Retransmit {
-                    dst: d as u64,
-                    round: seq as u64,
-                });
-                // Netdump: the detour parents on the original injection.
-                pkt.cause = ctx.packet(
-                    PacketLog::new(orig_cause, CausalKind::Retransmit)
-                        .nodes(self.node.0 as u32, d as u32)
-                        .detail(seq as u64, 0),
-                );
-                self.inject(ctx, t, pkt);
-            }
-        }
+        // Go-back-N: re-inject every unacked packet to an overdue
+        // destination (payloads are still in the NIC's claimed buffers).
+        p2p.sweep(now, timeout, |d, rec| {
+            let t = self.cpu(
+                ctx,
+                now,
+                self.params.nic_inject,
+                Owner::fabric(self.node.0 as u32),
+            );
+            rec.sent_at = t;
+            rec.retries += 1;
+            let (seq, orig_cause) = (rec.seq, rec.cause);
+            let mut pkt = Packet {
+                src: self.node,
+                dst: NodeId(d),
+                kind: PacketKind::Data {
+                    seq: rec.seq,
+                    msg_id: rec.msg_id,
+                    offset: rec.end_offset - rec.payload,
+                    payload: rec.payload,
+                    total_len: rec.total_len,
+                    tag: rec.tag,
+                },
+                cause: CauseId::NONE,
+            };
+            ctx.count_id(counter_id!("gm.retransmit"), 1);
+            // Span: go-back-N re-injection (round = wire sequence).
+            ctx.span(SpanEvent::Retransmit {
+                dst: d as u64,
+                round: seq as u64,
+            });
+            // Netdump: the detour parents on the original injection.
+            pkt.cause = ctx.packet(
+                PacketLog::new(orig_cause, CausalKind::Retransmit)
+                    .nodes(self.node.0 as u32, d as u32)
+                    .detail(seq as u64, 0),
+            );
+            self.inject(ctx, t, pkt);
+        });
     }
 
     /// Commit `pkt` to the wire at time `t`: the routed flight latency
@@ -1149,6 +1328,12 @@ impl LanaiNic {
     pub fn recv_tokens(&self) -> u32 {
         self.recv_tokens
     }
+
+    /// Number of peers this NIC holds point-to-point state for (test
+    /// observability).
+    pub fn p2p_peers(&self) -> usize {
+        self.p2p.as_ref().map_or(0, |p| p.peers.len())
+    }
 }
 
 impl Component<GmEvent> for LanaiNic {
@@ -1165,7 +1350,7 @@ impl Component<GmEvent> for LanaiNic {
                     Occ::acquire(ResKind::SendQueue, t, self.node.0 as u32, owner)
                         .unit(token.dst.0 as u64),
                 );
-                self.p2p_mut().send_queues[token.dst.0].push_back(token);
+                self.p2p_mut().enqueue(token);
                 ctx.count_id(counter_id!("gm.token_posted"), 1);
                 self.kick_scheduler(ctx);
             }
@@ -1244,7 +1429,9 @@ impl Component<GmEvent> for LanaiNic {
                 );
                 self.send_ack(ctx, now, src, seq, dma_done);
                 let done = {
-                    let asm = self.p2p_mut().assembling[src.0]
+                    let asm = self
+                        .peer_mut(src)
+                        .assembling
                         .front_mut()
                         .expect("assembly state for arriving payload");
                     asm.received += payload;
@@ -1252,7 +1439,7 @@ impl Component<GmEvent> for LanaiNic {
                     asm.received >= asm.total_len
                 };
                 if done {
-                    self.p2p_mut().assembling[src.0].pop_front();
+                    self.peer_mut(src).assembling.pop_front();
                     ctx.count_id(counter_id!("gm.msg_delivered"), 1);
                     ctx.send_at(
                         self.cpu_free + self.params.host_event_dma,
@@ -1434,31 +1621,24 @@ mod tests {
         assert_eq!(n.recv_tokens(), 16);
     }
 
-    #[test]
-    fn queue_eligibility_rules() {
-        let window = GmParams::lanai_xp().window;
-        let mut p2p = P2pState::new(4);
-        // Empty queues: nothing eligible.
-        assert!(!p2p.queue_eligible(1, window, 16, false));
-        // A data token is eligible while packets and window allow.
-        p2p.send_queues[1].push_back(SendToken {
-            msg_id: 1,
-            dst: NodeId(1),
-            len: 100,
-            tag: crate::types::MsgTag(0),
+    fn data_token(dst: usize, msg_id: u64, len: u32) -> SendToken {
+        SendToken {
+            msg_id,
+            dst: NodeId(dst),
+            len,
+            tag: MsgTag(0),
             offset: 0,
             coll: None,
             cause: CauseId::NONE,
-        });
-        assert!(p2p.queue_eligible(1, window, 16, false));
-        // Exhaust the packet pool: data token blocked…
-        assert!(!p2p.queue_eligible(1, window, 0, false));
-        // …but a collective token with the static packet still flies.
-        p2p.send_queues[2].push_back(SendToken {
+        }
+    }
+
+    fn coll_token(dst: usize) -> SendToken {
+        SendToken {
             msg_id: 0,
-            dst: NodeId(2),
+            dst: NodeId(dst),
             len: 0,
-            tag: crate::types::MsgTag(0),
+            tag: MsgTag(0),
             offset: 0,
             coll: Some(crate::types::CollPacket {
                 src: NodeId(0),
@@ -1468,8 +1648,28 @@ mod tests {
                 kind: CollKind::Barrier,
             }),
             cause: CauseId::NONE,
-        });
-        assert!(p2p.queue_eligible(2, window, 0, true));
+        }
+    }
+
+    #[test]
+    fn queue_eligibility_rules() {
+        let window = GmParams::lanai_xp().window;
+        let mut p2p = P2pState::new(4, window, false);
+        // Empty queues: nothing eligible, nothing waiting.
+        assert_eq!(p2p.pick(16), (None, 0));
+        // A data token is eligible while packets and window allow.
+        p2p.enqueue(data_token(1, 1, 100));
+        assert!(p2p.queue_eligible(1, 16));
+        // Exhaust the packet pool: data token blocked…
+        assert!(!p2p.queue_eligible(1, 0));
+        // …and so is a collective token that needs a buffer…
+        p2p.enqueue(coll_token(2));
+        assert!(!p2p.queue_eligible(2, 0));
+        assert_eq!(p2p.pick(0), (None, 2));
+        // …but with the static packet a collective token still flies.
+        let mut with_static = P2pState::new(4, window, true);
+        with_static.enqueue(coll_token(2));
+        assert!(with_static.queue_eligible(2, 0));
     }
 
     #[test]
@@ -1477,7 +1677,219 @@ mod tests {
         let n = nic();
         assert!(
             n.p2p.is_none(),
-            "a freshly built NIC must not pay the O(n) p2p footprint"
+            "a freshly built NIC must not pay for point-to-point state"
         );
+        assert_eq!(n.p2p_peers(), 0);
+        // One message 0 → 1 and its ACK back: each NIC then holds one
+        // entry, for the one peer it exchanged packets with.
+        let model = wire_model(2);
+        let mut engine = two_nics(Arc::clone(&model));
+        let flight = model.flight(NodeId(0), NodeId(1), data_packet(0, 1).wire_bytes());
+        engine.schedule_at(flight, ComponentId(1), GmEvent::Inject(data_packet(0, 1)));
+        engine.run();
+        for node in 0..2 {
+            let nic = engine
+                .component_ref::<LanaiNic>(ComponentId(node))
+                .expect("nic component");
+            assert_eq!(nic.p2p_peers(), 1, "NIC {node}");
+        }
+    }
+
+    /// The dense scheduler the per-peer table replaced: one queue and one
+    /// record list per destination, scanned over all `n` of them. Kept as
+    /// the reference [`P2pState`] must reproduce pass for pass.
+    struct DenseScan {
+        n: usize,
+        window: usize,
+        static_packet: bool,
+        queues: Vec<VecDeque<SendToken>>,
+        inflight: Vec<VecDeque<SendRecord>>,
+        rr_cursor: usize,
+    }
+
+    impl DenseScan {
+        fn new(n: usize, window: usize, static_packet: bool) -> Self {
+            DenseScan {
+                n,
+                window,
+                static_packet,
+                queues: (0..n).map(|_| VecDeque::new()).collect(),
+                inflight: (0..n).map(|_| VecDeque::new()).collect(),
+                rr_cursor: 0,
+            }
+        }
+
+        fn eligible(&self, d: usize, free_packets: usize) -> bool {
+            let Some(front) = self.queues[d].front() else {
+                return false;
+            };
+            if front.coll.is_some() {
+                self.static_packet || free_packets > 0
+            } else {
+                self.inflight[d].len() < self.window && free_packets > 0
+            }
+        }
+
+        fn pick(&mut self, free_packets: usize) -> (Option<usize>, u64) {
+            let mut waits = 0;
+            for k in 0..self.n {
+                let d = (self.rr_cursor + k) % self.n;
+                if self.eligible(d, free_packets) {
+                    self.rr_cursor = (d + 1) % self.n;
+                    return (Some(d), waits);
+                }
+                if !self.queues[d].is_empty() {
+                    waits += 1;
+                }
+            }
+            (None, waits)
+        }
+
+        fn launch(&mut self, d: usize, mtu: u32) -> Launch {
+            let token = self.queues[d].front_mut().expect("eligible queue");
+            if let Some(pkt) = token.coll.clone() {
+                let cause = token.cause;
+                self.queues[d].pop_front();
+                return Launch::Coll { pkt, cause };
+            }
+            let (offset, payload) = (token.offset, (token.len - token.offset).min(mtu));
+            token.offset += payload;
+            let launch = Launch::Data {
+                msg_id: token.msg_id,
+                offset,
+                payload,
+                total_len: token.len,
+                tag: token.tag,
+                cause: token.cause,
+                exhausted: token.offset >= token.len,
+            };
+            if token.offset >= token.len {
+                self.queues[d].pop_front();
+            }
+            launch
+        }
+
+        fn retire(&mut self, d: usize, upto: u32, completed: &mut Vec<u64>) -> usize {
+            let mut freed = 0;
+            while self.inflight[d].front().is_some_and(|r| r.seq <= upto) {
+                let rec = self.inflight[d].pop_front().expect("front checked");
+                freed += 1;
+                if rec.end_offset >= rec.total_len {
+                    completed.push(rec.msg_id);
+                }
+            }
+            freed
+        }
+
+        fn sweep(&mut self, now: SimTime, timeout: SimTime) -> Vec<(usize, u32)> {
+            let mut visited = Vec::new();
+            for d in 0..self.n {
+                let overdue = self.inflight[d]
+                    .front()
+                    .is_some_and(|r| now.saturating_sub(r.sent_at) >= timeout);
+                if overdue {
+                    for rec in self.inflight[d].iter_mut() {
+                        rec.sent_at = now;
+                        visited.push((d, rec.seq));
+                    }
+                }
+            }
+            visited
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The per-peer scheduler against the dense scan, under random
+        /// token posts (data messages of one to three packets, and the
+        /// group-queue ablation's collective tokens), passes at random
+        /// packet-pool levels, cumulative ACKs and timer sweeps: every pass
+        /// picks the same destination, leaves the same cursor and counts
+        /// the same `gm.packet_wait`, and every sweep resends the same
+        /// records in the same order.
+        #[test]
+        fn per_peer_scheduler_matches_the_dense_scan(
+            n in 2usize..20,
+            window in 1usize..5,
+            static_packet in proptest::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u32..10, 0usize..1000, 0u32..4, proptest::any::<bool>()),
+                1..300,
+            ),
+        ) {
+            const MTU: u32 = 4096;
+            let mut table = P2pState::new(n, window, static_packet);
+            let mut dense = DenseScan::new(n, window, static_packet);
+            let mut next_seq = vec![0u32; n];
+            let mut msg_id = 0u64;
+            for (step, &(kind, x, y, flag)) in ops.iter().enumerate() {
+                let now = SimTime::from_ns(step as u64 * 100);
+                let d = x % n;
+                match kind {
+                    0..=2 => {
+                        msg_id += 1;
+                        let token = if flag {
+                            coll_token(d)
+                        } else {
+                            data_token(d, msg_id, y % 3 * MTU + 1 + x as u32)
+                        };
+                        table.enqueue(token.clone());
+                        dense.queues[d].push_back(token);
+                    }
+                    3..=6 => {
+                        let free = x % 5;
+                        let picked = table.pick(free);
+                        proptest::prop_assert_eq!(picked, dense.pick(free), "pass at step {}", step);
+                        proptest::prop_assert_eq!(table.rr_cursor, dense.rr_cursor);
+                        if let (Some(dst), _) = picked {
+                            let launch = table.launch(dst, MTU);
+                            proptest::prop_assert_eq!(&launch, &dense.launch(dst, MTU));
+                            if let Launch::Data { msg_id, offset, payload, total_len, tag, .. } = launch {
+                                let rec = SendRecord {
+                                    seq: next_seq[dst],
+                                    msg_id,
+                                    end_offset: offset + payload,
+                                    total_len,
+                                    tag,
+                                    payload,
+                                    sent_at: now,
+                                    retries: 0,
+                                    cause: CauseId::NONE,
+                                };
+                                next_seq[dst] += 1;
+                                table.record(dst, rec);
+                                dense.inflight[dst].push_back(rec);
+                            }
+                        }
+                        proptest::prop_assert_eq!(
+                            table.any_eligible(free),
+                            (0..n).any(|d| dense.eligible(d, free))
+                        );
+                    }
+                    7..=8 => {
+                        let Some(front) = dense.inflight[d].front() else {
+                            continue;
+                        };
+                        let upto = front.seq + y;
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        proptest::prop_assert_eq!(
+                            table.retire(d, upto, &mut a),
+                            dense.retire(d, upto, &mut b)
+                        );
+                        proptest::prop_assert_eq!(a, b);
+                    }
+                    _ => {
+                        let timeout = SimTime::from_ns(y as u64 * 400);
+                        let mut visited = Vec::new();
+                        table.sweep(now, timeout, |d, rec| {
+                            rec.sent_at = now;
+                            visited.push((d, rec.seq));
+                        });
+                        proptest::prop_assert_eq!(visited, dense.sweep(now, timeout), "sweep at step {}", step);
+                    }
+                }
+            }
+        }
     }
 }

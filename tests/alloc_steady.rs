@@ -12,7 +12,7 @@
 //! `#[global_allocator]` is process-wide, and the single `#[test]` keeps
 //! the measurement windows free of concurrent test threads.
 
-use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario, TrafficCfg};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -117,6 +117,14 @@ fn steady_state_barrier_allocates_nothing() {
     });
     assert_delta_free("elan NIC-PE", |iters| {
         drain_allocs(&elan(Algorithm::PairwiseExchange), iters, 1)
+    });
+    // Beside the bulk stream the NICs run GM's point-to-point machinery
+    // too: per-peer send queues, unacked records, reassembly and ACKs.
+    // Their state is allocated on first contact with a peer, never per
+    // packet.
+    assert_delta_free("gm NIC-DS under traffic", |iters| {
+        let traffic = gm(Algorithm::Dissemination).with_traffic(TrafficCfg::default());
+        drain_allocs(&traffic, iters, 1)
     });
     // The rank-sharded parallel engine must hold the same property: after
     // warm-up its windows run out of recycled scratch buffers and settled
