@@ -20,13 +20,18 @@
 //!   event is this rank's next gate;
 //! * a **done event** that notifies the host.
 //!
+//! The builder writes these straight into each NIC's tables
+//! ([`NicProgram`]): one record per descriptor, one per event, and the
+//! events' actions in one flat array, which the NIC takes over as they are.
+//!
 //! Event counters auto-rearm by their per-epoch threshold, so consecutive
 //! barriers need only one host `set_event` each — early arrivals from
 //! neighbours racing an epoch ahead are banked in the counters (see
 //! `nicbar_elan::types::NicEvent`).
 
 use crate::schedule::{schedules_for, validate, Algorithm, Schedule};
-use nicbar_elan::{DescId, EventAction, EventId, NicEvent, NicProgram, RdmaDesc};
+use nicbar_elan::host::ELAN_SPAN_GROUP;
+use nicbar_elan::{DescId, EventAction, EventId, NicProgram, RdmaDesc};
 use nicbar_net::NodeId;
 
 /// Completion cookie delivered for chained-RDMA barrier completions.
@@ -70,7 +75,8 @@ fn consuming_event(dst_schedule: &Schedule, r: usize) -> EventId {
 /// Compile per-rank NIC programs for a barrier over `members` (rank order)
 /// using `algo`. `programs[rank]` is ready for
 /// [`nicbar_elan::ElanCluster::build`]; each barrier is initiated by the
-/// host setting [`ENTRY_EVENT`].
+/// host setting [`ENTRY_EVENT`]. Every descriptor and event belongs to the
+/// single-group chain's ledger owner, [`ELAN_SPAN_GROUP`].
 pub fn build_chains(algo: Algorithm, members: &[NodeId]) -> Vec<NicProgram> {
     let n = members.len();
     assert!(n >= 1, "empty group");
@@ -78,14 +84,19 @@ pub fn build_chains(algo: Algorithm, members: &[NodeId]) -> Vec<NicProgram> {
     validate(&schedules).expect("schedule inconsistency");
 
     let mut programs = Vec::with_capacity(n);
+    let mut gate_actions: Vec<EventAction> = Vec::new();
     for rank in 0..n {
         let sched = &schedules[rank];
         let sends = send_rounds(sched);
         let k = sends.len();
         let done_event = EventId(event_idx(k));
+        // One descriptor per send, a gate per send round plus the done
+        // event, and one action per descriptor plus the host notify.
+        let links: usize = sends.iter().map(|&r| sched.rounds[r].sends.len()).sum();
+        let mut prog = NicProgram::with_capacity(links, k + 1, links + 1);
 
-        let mut descs: Vec<RdmaDesc> = Vec::new();
-        let mut desc_ids_per_gate: Vec<Vec<DescId>> = vec![Vec::new(); k];
+        // Descriptors first, gate by gate, so each gate's links are a
+        // contiguous run of descriptor ids.
         for (gate_idx, &round) in sends.iter().enumerate() {
             let next_gate = if gate_idx + 1 < k {
                 EventId(event_idx(gate_idx + 1))
@@ -93,25 +104,26 @@ pub fn build_chains(algo: Algorithm, members: &[NodeId]) -> Vec<NicProgram> {
                 done_event
             };
             for &dst_rank in &sched.rounds[round].sends {
-                let id = DescId(event_idx(descs.len()));
-                descs.push(RdmaDesc {
-                    dst: members[dst_rank],
-                    bytes: 0, // pure event-fire RDMA: the barrier carries no data
-                    remote_event: Some(consuming_event(&schedules[dst_rank], round)),
-                    local_event: Some(next_gate),
-                });
-                desc_ids_per_gate[gate_idx].push(id);
+                prog.desc(
+                    RdmaDesc {
+                        dst: members[dst_rank],
+                        bytes: 0, // pure event-fire RDMA: the barrier carries no data
+                        remote_event: Some(consuming_event(&schedules[dst_rank], round)),
+                        local_event: Some(next_gate),
+                    },
+                    ELAN_SPAN_GROUP,
+                );
             }
         }
 
         // Gate events: threshold = 1 (host entry or previous link) +
         // arrivals in the rounds this gate consumes.
-        let mut events: Vec<NicEvent> = Vec::with_capacity(k + 1);
         let recvs_in = |lo: usize, hi: usize| -> u64 {
             (lo..hi)
                 .map(|r| sched.rounds[r].recv_from.len() as u64)
                 .sum()
         };
+        let mut first_link = 0;
         for gate_idx in 0..k {
             let lo = if gate_idx == 0 {
                 0
@@ -125,11 +137,13 @@ pub fn build_chains(algo: Algorithm, members: &[NodeId]) -> Vec<NicProgram> {
                 sched.rounds[sends[gate_idx - 1]].sends.len() as u64
             };
             let threshold = prev_links + recvs_in(lo, hi);
-            let actions = desc_ids_per_gate[gate_idx]
-                .iter()
-                .map(|&d| EventAction::FireDesc(d))
-                .collect();
-            events.push(NicEvent::new(threshold, actions));
+            let gate_links = event_idx(sched.rounds[hi].sends.len());
+            gate_actions.clear();
+            gate_actions.extend(
+                (first_link..first_link + gate_links).map(|d| EventAction::FireDesc(DescId(d))),
+            );
+            first_link += gate_links;
+            prog.event(threshold, ELAN_SPAN_GROUP, &gate_actions);
         }
         // Done event: last link(s) + all remaining arrivals (or, for a
         // trivial schedule with no sends, just the host entry).
@@ -139,18 +153,14 @@ pub fn build_chains(algo: Algorithm, members: &[NodeId]) -> Vec<NicProgram> {
             let last = sends[k - 1];
             sched.rounds[last].sends.len() as u64 + recvs_in(last, sched.num_rounds())
         };
-        events.push(NicEvent::new(
+        prog.event(
             done_threshold,
-            vec![EventAction::NotifyHost {
+            ELAN_SPAN_GROUP,
+            &[EventAction::NotifyHost {
                 cookie: CHAIN_DONE_COOKIE,
             }],
-        ));
-
-        programs.push(NicProgram {
-            descs,
-            events,
-            ..Default::default()
-        });
+        );
+        programs.push(prog);
     }
     programs
 }
@@ -181,8 +191,9 @@ pub struct MultiChains {
 /// by [`build_chains`] and the per-node tables are concatenated; remote
 /// event ids are remapped with the *destination* node's offset for that
 /// group, local ids with the sender's own. Group `gi` completes with
-/// [`chain_done_cookie`]`(gi)` and the owner-group side tables let the NIC
-/// bill engine/event occupancy to the right group.
+/// [`chain_done_cookie`]`(gi)`, and every descriptor and event record
+/// carries its group, so the NIC bills engine/event occupancy to the
+/// right one.
 pub fn build_chains_multi(n: usize, groups: &[GroupChain]) -> MultiChains {
     assert!(!groups.is_empty(), "no groups");
     let per_group: Vec<Vec<NicProgram>> = groups
@@ -206,14 +217,15 @@ pub fn build_chains_multi(n: usize, groups: &[GroupChain]) -> MultiChains {
                 rank_in[node][gi] = Some(rank);
                 ev_off[node][gi] = e;
                 desc_off[node][gi] = d;
-                e += event_idx(per_group[gi][rank].events.len());
-                d += event_idx(per_group[gi][rank].descs.len());
+                e += event_idx(per_group[gi][rank].events().len());
+                d += event_idx(per_group[gi][rank].descs().len());
             }
         }
     }
 
     let mut programs = Vec::with_capacity(n);
     let mut entry = vec![std::collections::BTreeMap::new(); n];
+    let mut actions: Vec<EventAction> = Vec::new();
     for node in 0..n {
         let mut prog = NicProgram::default();
         for (gi, g) in groups.iter().enumerate() {
@@ -224,28 +236,26 @@ pub fn build_chains_multi(n: usize, groups: &[GroupChain]) -> MultiChains {
             let eoff = ev_off[node][gi];
             let doff = desc_off[node][gi];
             entry[node].insert(g.group, EventId(ENTRY_EVENT.0 + eoff));
-            for d in &src.descs {
-                prog.descs.push(RdmaDesc {
-                    dst: d.dst,
-                    bytes: d.bytes,
-                    remote_event: d.remote_event.map(|ev| EventId(ev.0 + ev_off[d.dst.0][gi])),
-                    local_event: d.local_event.map(|ev| EventId(ev.0 + eoff)),
-                });
-                prog.desc_groups.push(g.group);
+            for d in src.descs().iter().map(|r| r.desc) {
+                prog.desc(
+                    RdmaDesc {
+                        dst: d.dst,
+                        bytes: d.bytes,
+                        remote_event: d.remote_event.map(|ev| EventId(ev.0 + ev_off[d.dst.0][gi])),
+                        local_event: d.local_event.map(|ev| EventId(ev.0 + eoff)),
+                    },
+                    g.group,
+                );
             }
-            for ev in &src.events {
-                let actions = ev
-                    .actions
-                    .iter()
-                    .map(|a| match *a {
-                        EventAction::FireDesc(d) => EventAction::FireDesc(DescId(d.0 + doff)),
-                        EventAction::NotifyHost { .. } => EventAction::NotifyHost {
-                            cookie: chain_done_cookie(gi as u64),
-                        },
-                    })
-                    .collect();
-                prog.events.push(NicEvent::new(ev.threshold, actions));
-                prog.event_groups.push(g.group);
+            for ev in src.events() {
+                actions.clear();
+                actions.extend(src.actions(ev).iter().map(|a| match *a {
+                    EventAction::FireDesc(d) => EventAction::FireDesc(DescId(d.0 + doff)),
+                    EventAction::NotifyHost { .. } => EventAction::NotifyHost {
+                        cookie: chain_done_cookie(gi as u64),
+                    },
+                }));
+                prog.event(ev.rearm, g.group, &actions);
             }
             prog.cookie_groups
                 .push((chain_done_cookie(gi as u64), g.group));
@@ -269,16 +279,33 @@ mod tests {
         let programs = build_chains(Algorithm::Dissemination, &nodes(4));
         for (rank, p) in programs.iter().enumerate() {
             // 2 rounds → 2 descriptors, 2 gates + done.
-            assert_eq!(p.descs.len(), 2, "rank {rank}");
-            assert_eq!(p.events.len(), 3, "rank {rank}");
+            assert_eq!(p.descs().len(), 2, "rank {rank}");
+            assert_eq!(p.events().len(), 3, "rank {rank}");
             // Entry gate: host set only.
-            assert_eq!(p.events[0].threshold, 1);
+            assert_eq!(p.events()[0].threshold, 1);
             // Gate 1: previous link + round-0 arrival.
-            assert_eq!(p.events[1].threshold, 2);
+            assert_eq!(p.events()[1].threshold, 2);
             // Done: last link + round-1 arrival.
-            assert_eq!(p.events[2].threshold, 2);
-            // Descriptors are pure event fires.
-            assert!(p.descs.iter().all(|d| d.bytes == 0));
+            assert_eq!(p.events()[2].threshold, 2);
+            // Each gate fires its own link; the done event notifies.
+            assert_eq!(
+                p.actions(&p.events()[0]),
+                &[EventAction::FireDesc(DescId(0))]
+            );
+            assert_eq!(
+                p.actions(&p.events()[1]),
+                &[EventAction::FireDesc(DescId(1))]
+            );
+            assert_eq!(
+                p.actions(&p.events()[2]),
+                &[EventAction::NotifyHost {
+                    cookie: CHAIN_DONE_COOKIE
+                }]
+            );
+            // Descriptors are pure event fires, owned by the span group.
+            assert!(p.descs().iter().all(|d| d.desc.bytes == 0));
+            assert!(p.descs().iter().all(|d| d.group == ELAN_SPAN_GROUP));
+            assert!(p.events().iter().all(|e| e.group == ELAN_SPAN_GROUP));
         }
     }
 
@@ -288,13 +315,14 @@ mod tests {
         // round.
         let programs = build_chains(Algorithm::PairwiseExchange, &nodes(6));
         let extra = &programs[5];
-        assert_eq!(extra.descs.len(), 1);
-        assert_eq!(extra.events.len(), 2);
-        assert_eq!(extra.events[0].threshold, 1); // entry only
-        assert_eq!(extra.events[1].threshold, 2); // own link + post arrival
-                                                  // Its partner (rank 1) gates its first exchange on the pre-arrival.
+        assert_eq!(extra.descs().len(), 1);
+        assert_eq!(extra.events().len(), 2);
+        // Entry only, then own link + post arrival.
+        assert_eq!(extra.events()[0].threshold, 1);
+        assert_eq!(extra.events()[1].threshold, 2);
+        // Its partner (rank 1) gates its first exchange on the pre-arrival.
         let partner = &programs[1];
-        assert_eq!(partner.events[0].threshold, 2); // entry + pre arrival
+        assert_eq!(partner.events()[0].threshold, 2); // entry + pre arrival
     }
 
     #[test]
@@ -312,9 +340,9 @@ mod tests {
     #[test]
     fn single_rank_chain_is_entry_to_done() {
         let programs = build_chains(Algorithm::Dissemination, &nodes(1));
-        assert_eq!(programs[0].descs.len(), 0);
-        assert_eq!(programs[0].events.len(), 1);
-        assert_eq!(programs[0].events[0].threshold, 1);
+        assert_eq!(programs[0].descs().len(), 0);
+        assert_eq!(programs[0].events().len(), 1);
+        assert_eq!(programs[0].events()[0].threshold, 1);
     }
 
     #[test]
@@ -330,12 +358,19 @@ mod tests {
             }],
         );
         for (node, (s, m)) in single.iter().zip(&multi.programs).enumerate() {
-            assert_eq!(s.descs, m.descs, "node {node}");
-            // Group 0 keeps the classic cookie, so the event tables match
-            // verbatim too.
-            assert_eq!(s.events, m.events, "node {node}");
-            assert_eq!(m.desc_groups, vec![0xA0; m.descs.len()]);
-            assert_eq!(m.event_groups, vec![0xA0; m.events.len()]);
+            // The same tables apart from the owner group; group 0 keeps
+            // the classic cookie, so the actions match verbatim too.
+            let descs = |p: &NicProgram| p.descs().iter().map(|d| d.desc).collect::<Vec<_>>();
+            assert_eq!(descs(s), descs(m), "node {node}");
+            let events = |p: &NicProgram| {
+                p.events()
+                    .iter()
+                    .map(|e| (e.sets, e.threshold, e.rearm, p.actions(e).to_vec()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(events(s), events(m), "node {node}");
+            assert!(m.descs().iter().all(|d| d.group == 0xA0));
+            assert!(m.events().iter().all(|e| e.group == 0xA0));
             assert_eq!(m.cookie_groups, vec![(CHAIN_DONE_COOKIE, 0xA0)]);
             assert_eq!(multi.entry[node][&0xA0], ENTRY_EVENT);
         }
@@ -366,17 +401,36 @@ mod tests {
         let solo = build_chains(Algorithm::Dissemination, &g0);
         // Node 2 is in both: 2 descs + 3 events per group.
         let p2 = &multi.programs[2];
-        assert_eq!(p2.descs.len(), 4);
-        assert_eq!(p2.events.len(), 6);
-        assert_eq!(p2.desc_groups, vec![0xA0, 0xA0, 0xA1, 0xA1]);
+        assert_eq!(p2.descs().len(), 4);
+        assert_eq!(p2.events().len(), 6);
+        let groups: Vec<u64> = p2.descs().iter().map(|d| d.group).collect();
+        assert_eq!(groups, vec![0xA0, 0xA0, 0xA1, 0xA1]);
+        let groups: Vec<u64> = p2.events().iter().map(|e| e.group).collect();
+        assert_eq!(groups, vec![0xA0, 0xA0, 0xA0, 0xA1, 0xA1, 0xA1]);
+        // Group 1's gates fire group 1's descriptors, past group 0's.
+        let fired: Vec<EventAction> = p2.events()[3..]
+            .iter()
+            .flat_map(|e| p2.actions(e).to_vec())
+            .collect();
+        assert_eq!(
+            fired,
+            vec![
+                EventAction::FireDesc(DescId(2)),
+                EventAction::FireDesc(DescId(3)),
+                EventAction::NotifyHost {
+                    cookie: chain_done_cookie(1)
+                },
+            ]
+        );
         assert_eq!(multi.entry[2][&0xA0], EventId(0));
         assert_eq!(multi.entry[2][&0xA1], EventId(3));
         // Node 5 is only in group 1: its entry is at offset 0.
         assert_eq!(multi.entry[5][&0xA1], EventId(0));
-        assert_eq!(multi.programs[5].events.len(), 3);
+        assert_eq!(multi.programs[5].events().len(), 3);
         // Remote events from node 0 (group-0 only) into dual-membership
         // nodes keep group 0's zero offset there.
-        for (d, orig) in p2.descs[..2].iter().zip(&solo[2].descs) {
+        let descs = |p: &NicProgram| p.descs().iter().map(|d| d.desc).collect::<Vec<_>>();
+        for (d, orig) in descs(p2)[..2].iter().zip(&descs(&solo[2])) {
             assert_eq!(d.dst, orig.dst);
             if orig.dst.0 < 2 {
                 assert_eq!(d.remote_event, orig.remote_event);
@@ -384,8 +438,8 @@ mod tests {
         }
         // Group-1 descs at a dual node target events past the dst's group-0
         // table when the dst is dual too.
-        for (i, d) in p2.descs[2..].iter().enumerate() {
-            let orig = &build_chains(Algorithm::Dissemination, &g1)[0].descs[i];
+        for (i, d) in descs(p2)[2..].iter().enumerate() {
+            let orig = &descs(&build_chains(Algorithm::Dissemination, &g1)[0])[i];
             let expect_off = if d.dst.0 < 4 { 3 } else { 0 };
             assert_eq!(
                 d.remote_event.unwrap().0,
@@ -414,11 +468,11 @@ mod tests {
                 assert_eq!(programs.len(), n);
                 // Every remote event index is within the target's table.
                 for p in &programs {
-                    for d in &p.descs {
-                        let target = &programs[d.dst.0];
-                        let ev = d.remote_event.expect("barrier RDMAs fire events");
+                    for d in p.descs() {
+                        let target = &programs[d.desc.dst.0];
+                        let ev = d.desc.remote_event.expect("barrier RDMAs fire events");
                         assert!(
-                            (ev.0 as usize) < target.events.len(),
+                            (ev.0 as usize) < target.events().len(),
                             "dangling remote event (n={n}, {algo:?})"
                         );
                     }

@@ -19,7 +19,6 @@ use crate::traffic::GmStream;
 use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag, BULK_TAG};
 use nicbar_net::NodeId;
 use nicbar_sim::{SimRng, SimTime};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Barrier message payload size (one integer, as in the paper).
@@ -43,28 +42,40 @@ pub fn decode_tag(tag: MsgTag) -> (u64, usize) {
 /// Host-side schedule executor: the same round-frontier rule as the NIC
 /// protocol engine, minus payloads and NACKs (GM's point-to-point layer
 /// already guarantees reliable ordered delivery to the host).
+///
+/// Arrivals bank in one bit mask per `(epoch parity, round)`. Banking is
+/// one epoch deep, by the induction `PaperCollective` relies on: a peer
+/// cannot finish epoch `e + 1` before this rank has sent its epoch-`e + 1`
+/// messages, which it does only after finishing `e`, so every arrival is
+/// for the current epoch or the next. A round's mask is cleared when the
+/// frontier moves past it, ready for the epoch two ahead. The runner
+/// allocates nothing after construction.
 pub struct HostScheduleRunner {
     schedule: Schedule,
     entered: u64,
     completed: u64,
     live: bool,
     next_send_round: usize,
-    banked: BTreeMap<(u64, usize), u64>,
+    /// `banked[(epoch & 1) * rounds + round]`: senders of that round heard
+    /// from, by `recv_from` slot.
+    banked: Vec<u64>,
+    /// What the last `begin` or `on_msg` made issuable.
+    sends: Vec<(usize, usize)>,
 }
-
-/// Sends requested by the runner: `(destination rank, round)`.
-pub type HostSends = Vec<(usize, usize)>;
 
 impl HostScheduleRunner {
     /// Build for one rank's schedule.
     pub fn new(schedule: Schedule) -> Self {
+        let rounds = schedule.num_rounds();
+        let max_sends = schedule.rounds.iter().map(|r| r.sends.len()).sum();
         HostScheduleRunner {
             schedule,
             entered: 0,
             completed: 0,
             live: false,
             next_send_round: 0,
-            banked: BTreeMap::new(),
+            banked: vec![0; 2 * rounds],
+            sends: Vec::with_capacity(max_sends),
         }
     }
 
@@ -87,34 +98,54 @@ impl HostScheduleRunner {
         &self.schedule
     }
 
-    /// Enter the next barrier; returns the initially issuable sends.
-    /// The `bool` is true if the barrier completed immediately (trivial
-    /// schedules or fully banked arrivals).
-    pub fn begin(&mut self) -> (HostSends, bool) {
+    /// The sends the last [`HostScheduleRunner::begin`] or
+    /// [`HostScheduleRunner::on_msg`] made issuable, as `(destination rank,
+    /// round)`, in issue order.
+    pub fn sends(&self) -> &[(usize, usize)] {
+        &self.sends
+    }
+
+    /// Enter the next barrier; its initially issuable sends are in
+    /// [`HostScheduleRunner::sends`]. Returns true if the barrier completed
+    /// immediately (trivial schedules or fully banked arrivals).
+    pub fn begin(&mut self) -> bool {
         assert!(!self.live, "re-entered barrier before completion");
         self.live = true;
         self.next_send_round = 0;
         self.entered += 1;
+        self.sends.clear();
         self.progress()
     }
 
-    /// Feed an arrival. Returns newly issuable sends and whether the
-    /// current barrier completed.
-    pub fn on_msg(&mut self, epoch: u64, round: usize, from_rank: usize) -> (HostSends, bool) {
+    /// Feed an arrival. Its newly issuable sends are in
+    /// [`HostScheduleRunner::sends`]; returns whether the current barrier
+    /// completed.
+    pub fn on_msg(&mut self, epoch: u64, round: usize, from_rank: usize) -> bool {
+        self.sends.clear();
         let slot = self
             .schedule
             .recv_slot(round, from_rank)
             .unwrap_or_else(|| panic!("unexpected sender {from_rank} in round {round}"));
-        let entry = self.banked.entry((epoch, round)).or_insert(0);
-        if *entry & (1 << slot) != 0 {
-            return (Vec::new(), false); // duplicate
+        assert!(
+            epoch <= self.entered,
+            "arrival for epoch {epoch} more than one epoch ahead of {}",
+            self.entered
+        );
+        let current = epoch + 1 == self.entered;
+        if epoch < self.completed || (current && round + 1 < self.next_send_round) {
+            return false; // duplicate of a round already passed
         }
-        *entry |= 1 << slot;
-        if self.live && epoch + 1 == self.entered {
-            self.progress()
-        } else {
-            (Vec::new(), false)
+        let at = self.bank_index(epoch, round);
+        let mask = &mut self.banked[at];
+        if *mask & (1 << slot) != 0 {
+            return false; // duplicate
         }
+        *mask |= 1 << slot;
+        self.live && current && self.progress()
+    }
+
+    fn bank_index(&self, epoch: u64, round: usize) -> usize {
+        usize::from(epoch & 1 == 1) * self.schedule.num_rounds() + round
     }
 
     fn round_satisfied(&self, epoch: u64, round: usize) -> bool {
@@ -123,30 +154,29 @@ impl HostScheduleRunner {
             return true;
         }
         let full = (1u64 << expected) - 1;
-        self.banked
-            .get(&(epoch, round))
-            .map(|m| m & full == full)
-            .unwrap_or(false)
+        self.banked[self.bank_index(epoch, round)] & full == full
     }
 
-    fn progress(&mut self) -> (HostSends, bool) {
+    /// Advance the frontier as far as banked arrivals allow, appending the
+    /// sends it passes to `sends`; returns whether the barrier completed.
+    fn progress(&mut self) -> bool {
         let epoch = self.entered - 1;
-        let mut sends = Vec::new();
         loop {
             let r = self.next_send_round;
             if r > 0 && !self.round_satisfied(epoch, r - 1) {
-                return (sends, false);
+                return false;
             }
             if r > 0 {
-                self.banked.remove(&(epoch, r - 1));
+                let at = self.bank_index(epoch, r - 1);
+                self.banked[at] = 0;
             }
             if r == self.schedule.num_rounds() {
                 self.live = false;
                 self.completed = epoch + 1;
-                return (sends, true);
+                return true;
             }
             for &dst in &self.schedule.rounds[r].sends {
-                sends.push((dst, r));
+                self.sends.push((dst, r));
             }
             self.next_send_round = r + 1;
         }
@@ -252,13 +282,15 @@ impl HostBarrierApp {
     }
 
     fn enter(&mut self, api: &mut GmApi<'_>) {
-        let (sends, done) = self.runner.begin();
-        self.issue(api, sends, done);
+        let done = self.runner.begin();
+        self.issue(api, done);
     }
 
-    fn issue(&mut self, api: &mut GmApi<'_>, sends: HostSends, done: bool) {
+    /// Post the runner's pending sends, then, if the barrier completed,
+    /// log it and go on.
+    fn issue(&mut self, api: &mut GmApi<'_>, done: bool) {
         let epoch = self.runner.current_epoch();
-        for (dst_rank, round) in sends {
+        for &(dst_rank, round) in self.runner.sends() {
             api.send(
                 self.members[dst_rank],
                 BARRIER_MSG_BYTES,
@@ -296,8 +328,8 @@ impl GmApp for HostBarrierApp {
             .copied()
             .find(|&rank| self.members[rank] == src)
             .unwrap_or_else(|| panic!("unexpected sender {src:?} in round {round}"));
-        let (sends, done) = self.runner.on_msg(epoch, round, from_rank);
-        self.issue(api, sends, done);
+        let done = self.runner.on_msg(epoch, round, from_rank);
+        self.issue(api, done);
     }
 
     fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId) {
@@ -485,51 +517,88 @@ mod tests {
     fn runner_walks_dissemination_rounds() {
         // rank 0 of 4: sends to 1 then 2; receives from 3 then 2.
         let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        let (sends, done) = r.begin();
-        assert_eq!(sends, vec![(1, 0)]);
-        assert!(!done);
-        let (sends, done) = r.on_msg(0, 0, 3);
-        assert_eq!(sends, vec![(2, 1)]);
-        assert!(!done);
-        let (sends, done) = r.on_msg(0, 1, 2);
-        assert!(sends.is_empty());
-        assert!(done);
+        assert!(!r.begin());
+        assert_eq!(r.sends(), &[(1, 0)]);
+        assert!(!r.on_msg(0, 0, 3));
+        assert_eq!(r.sends(), &[(2, 1)]);
+        assert!(r.on_msg(0, 1, 2));
+        assert!(r.sends().is_empty());
         assert_eq!(r.completed(), 1);
     }
 
     #[test]
     fn runner_banks_early_next_epoch_messages() {
         let mut r = HostScheduleRunner::new(Schedule::dissemination(2, 0));
-        let (_, done) = r.begin();
-        assert!(!done);
+        assert!(!r.begin());
         // Peer races: both its epoch-0 and epoch-1 messages arrive.
-        let (_, done) = r.on_msg(0, 0, 1);
-        assert!(done);
-        let (s, d) = r.on_msg(1, 0, 1);
-        assert!(s.is_empty() && !d, "future epoch banked, not applied");
+        assert!(r.on_msg(0, 0, 1));
+        let done = r.on_msg(1, 0, 1);
+        assert!(
+            r.sends().is_empty() && !done,
+            "future epoch banked, not applied"
+        );
         // Entering epoch 1 releases it immediately.
-        let (sends, done) = r.begin();
-        assert_eq!(sends.len(), 1);
-        assert!(done);
+        assert!(r.begin());
+        assert_eq!(r.sends().len(), 1);
         assert_eq!(r.completed(), 2);
     }
 
     #[test]
     fn runner_ignores_duplicates() {
         let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        let _ = r.begin();
-        let (s1, _) = r.on_msg(0, 0, 3);
-        assert_eq!(s1.len(), 1);
-        let (s2, d2) = r.on_msg(0, 0, 3);
-        assert!(s2.is_empty() && !d2);
+        r.begin();
+        r.on_msg(0, 0, 3);
+        assert_eq!(r.sends().len(), 1);
+        let done = r.on_msg(0, 0, 3);
+        assert!(r.sends().is_empty() && !done);
+        // A duplicate of a passed round is not banked for the epoch two
+        // ahead, which shares its parity: epoch 2 still waits for it.
+        r.on_msg(0, 1, 2);
+        r.begin();
+        r.on_msg(1, 0, 3);
+        r.on_msg(1, 1, 2);
+        assert!(!r.begin());
+        assert_eq!(r.sends(), &[(1, 0)]);
+        assert!(!r.on_msg(2, 1, 2), "round 1 banked, round 0 still open");
+        assert!(r.on_msg(2, 0, 3));
+        assert_eq!(r.completed(), 3);
+    }
+
+    /// Epochs alternate between the two banks for thousands of barriers,
+    /// with every peer message a barrier early, and the runner never
+    /// allocates past construction (its buffers keep their capacity).
+    #[test]
+    fn runner_reuses_its_banks_epoch_after_epoch() {
+        let mut r = HostScheduleRunner::new(Schedule::dissemination(8, 0));
+        let capacity = (r.banked.capacity(), r.sends.capacity());
+        for epoch in 0..5_000u64 {
+            let from = [7, 6, 4];
+            // Round 0's arrival comes before entry, the rest after.
+            assert!(!r.on_msg(epoch, 0, from[0]));
+            assert!(!r.begin());
+            assert_eq!(r.sends(), &[(1, 0), (2, 1)]);
+            assert!(!r.on_msg(epoch, 1, from[1]));
+            assert_eq!(r.sends(), &[(4, 2)]);
+            assert!(r.on_msg(epoch, 2, from[2]));
+            assert_eq!(r.completed(), epoch + 1);
+        }
+        assert_eq!((r.banked.capacity(), r.sends.capacity()), capacity);
+        assert!(r.banked.iter().all(|&m| m == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one epoch ahead")]
+    fn runner_rejects_arrivals_two_epochs_ahead() {
+        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
+        r.begin();
+        r.on_msg(2, 0, 3);
     }
 
     #[test]
     fn trivial_single_rank_barrier() {
         let mut r = HostScheduleRunner::new(Schedule::dissemination(1, 0));
-        let (sends, done) = r.begin();
-        assert!(sends.is_empty());
-        assert!(done);
+        assert!(r.begin());
+        assert!(r.sends().is_empty());
     }
 
     #[test]

@@ -47,7 +47,6 @@ use nicbar_gm::{
 };
 use nicbar_net::NodeId;
 use nicbar_sim::{CauseId, SimTime};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Combine operator for allreduce.
@@ -544,15 +543,16 @@ impl GroupState {
 #[derive(Clone)]
 pub struct PaperCollective {
     node: NodeId,
-    // BTreeMap, not HashMap: `on_timer` iterates this map and emits NACK
-    // sends in iteration order, so the order must be keyed, not hashed.
-    groups: BTreeMap<GroupId, GroupState>,
+    /// One state per group, sorted by id and found by binary search.
+    /// `on_timer` walks it and emits NACK sends in walk order, so the
+    /// order must be the ids', never insertion or hash order.
+    groups: Vec<GroupState>,
 }
 
 impl PaperCollective {
     /// Build the engine for `node` serving the given groups.
     pub fn new(node: NodeId, specs: Vec<GroupSpec>) -> Self {
-        let mut groups = BTreeMap::new();
+        let mut groups: Vec<GroupState> = Vec::with_capacity(specs.len());
         for spec in specs {
             assert_eq!(
                 spec.members[spec.my_rank], node,
@@ -560,36 +560,48 @@ impl PaperCollective {
                 spec.id
             );
             let id = spec.id;
-            let prev = groups.insert(id, GroupState::new(spec));
-            assert!(prev.is_none(), "duplicate group {id:?}");
+            match groups.binary_search_by_key(&id, |g| g.spec.id) {
+                Ok(_) => panic!("duplicate group {id:?}"),
+                Err(at) => groups.insert(at, GroupState::new(spec)),
+            }
         }
         PaperCollective { node, groups }
     }
 
-    fn group_mut(&mut self, id: GroupId) -> &mut GroupState {
+    /// Index of group `id` in `groups`.
+    fn find(&self, id: GroupId) -> usize {
         self.groups
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown group {id:?}"))
+            .binary_search_by_key(&id, |g| g.spec.id)
+            .unwrap_or_else(|_| panic!("unknown group {id:?}"))
+    }
+
+    fn group(&self, id: GroupId) -> &GroupState {
+        &self.groups[self.find(id)]
+    }
+
+    fn group_mut(&mut self, id: GroupId) -> &mut GroupState {
+        let at = self.find(id);
+        &mut self.groups[at]
     }
 
     /// NACKs this NIC has issued (test observability).
     pub fn nacks_sent(&self, id: GroupId) -> u64 {
-        self.groups[&id].nacks_sent
+        self.group(id).nacks_sent
     }
 
     /// NACK-triggered retransmissions served (test observability).
     pub fn retransmits(&self, id: GroupId) -> u64 {
-        self.groups[&id].retransmits
+        self.group(id).retransmits
     }
 
     /// Completed epochs for a group (test observability).
     pub fn completed_epochs(&self, id: GroupId) -> u64 {
-        self.groups[&id].completed
+        self.group(id).completed
     }
 
     /// Completed alltoall rows (per epoch, indexed by origin rank).
     pub fn alltoall_rows(&self, id: GroupId) -> &[Vec<u64>] {
-        &self.groups[&id].rows_history
+        &self.group(id).rows_history
     }
 
     fn handle_nack(&mut self, pkt: &CollPacket, cause: CauseId, actions: &mut ActionBuf) {
@@ -678,8 +690,8 @@ impl PaperCollective {
     pub fn state_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        for (id, g) in &self.groups {
-            id.hash(&mut h);
+        for g in &self.groups {
+            g.spec.id.hash(&mut h);
             g.host_epoch.hash(&mut h);
             g.completed.hash(&mut h);
             g.archive_epoch.hash(&mut h);
@@ -712,7 +724,7 @@ impl PaperCollective {
     /// calls this after every transition; timer firings are then modelled
     /// as happening exactly at [`NicCollective::next_deadline`].
     pub fn canonicalize_times(&mut self) {
-        for g in self.groups.values_mut() {
+        for g in &mut self.groups {
             if let Some(live) = g.live.as_mut() {
                 live.last_progress = SimTime::ZERO;
             }
@@ -723,7 +735,8 @@ impl PaperCollective {
     /// after every transition (release builds skip the `debug_assert!`s on
     /// the hot path; these cover the same ground and more, off it).
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (id, g) in &self.groups {
+        for g in &self.groups {
+            let id = g.spec.id;
             if g.completed > g.host_epoch {
                 return Err(format!(
                     "group {id:?}: completed {} epochs but host only entered {}",
@@ -801,7 +814,7 @@ impl PaperCollective {
     /// [`GroupState::fault_skip_payload_record`]). Model-checker use only.
     #[doc(hidden)]
     pub fn inject_skip_payload_record(&mut self) {
-        for g in self.groups.values_mut() {
+        for g in &mut self.groups {
             g.fault_skip_payload_record = true;
         }
     }
@@ -936,7 +949,7 @@ impl NicCollective for PaperCollective {
 
     fn on_timer(&mut self, now: SimTime, actions: &mut ActionBuf) {
         let my_node = self.node;
-        for state in self.groups.values_mut() {
+        for state in &mut self.groups {
             let Some(live) = state.live.as_ref() else {
                 continue;
             };
@@ -991,7 +1004,7 @@ impl NicCollective for PaperCollective {
 
     fn next_deadline(&self) -> Option<SimTime> {
         self.groups
-            .values()
+            .iter()
             .filter_map(|s| s.live.as_ref().map(|l| l.last_progress + s.spec.timeout))
             .min()
     }

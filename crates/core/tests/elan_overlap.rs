@@ -80,13 +80,13 @@ fn chain_event_thresholds_sum_to_schedule_totals() {
             // Arrivals at rank r = descriptors across all ranks targeting r.
             let mut arrivals = vec![0u64; n];
             for p in &programs {
-                for d in &p.descs {
-                    arrivals[d.dst.0] += 1;
+                for d in p.descs() {
+                    arrivals[d.desc.dst.0] += 1;
                 }
             }
             for (rank, p) in programs.iter().enumerate() {
-                let threshold_sum: u64 = p.events.iter().map(|e| e.rearm).sum();
-                let local_sets = 1 /* host entry */ + p.descs.len() as u64;
+                let threshold_sum: u64 = p.events().iter().map(|e| e.rearm).sum();
+                let local_sets = 1 /* host entry */ + p.descs().len() as u64;
                 assert_eq!(
                     threshold_sum,
                     local_sets + arrivals[rank],

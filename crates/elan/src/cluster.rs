@@ -5,7 +5,7 @@ use crate::host::{ElanApp, ElanHost};
 use crate::hwbarrier::HwBarrierUnit;
 use crate::nic::ElanNic;
 use crate::params::ElanParams;
-use crate::types::{NicEvent, RdmaDesc};
+use crate::types::NicProgram;
 use nicbar_net::{NodeId, QuaternaryFatTree, WireModel, WireRx};
 use nicbar_sim::{ComponentId, Engine, ExecEngine, ParallelEngine, RunOutcome, ShardMap, SimTime};
 use std::sync::Arc;
@@ -60,25 +60,6 @@ impl ElanClusterSpec {
     }
 }
 
-/// Per-node NIC programming: the descriptor and event tables armed from
-/// user level before the run (empty for hosts that only use tports or the
-/// hardware barrier).
-#[derive(Clone, Debug, Default)]
-pub struct NicProgram {
-    /// RDMA descriptors.
-    pub descs: Vec<RdmaDesc>,
-    /// NIC events.
-    pub events: Vec<NicEvent>,
-    /// Occupancy-ledger owner group per descriptor (parallel to `descs`;
-    /// empty = default single-group attribution).
-    pub desc_groups: Vec<u64>,
-    /// Owner group per event (parallel to `events`; empty = default).
-    pub event_groups: Vec<u64>,
-    /// Completion-cookie → group registrations applied to this node's host
-    /// (multi-group chains deliver distinct cookies per group).
-    pub cookie_groups: Vec<(u64, u64)>,
-}
-
 /// A built Elan cluster.
 pub struct ElanCluster {
     /// The discrete-event engine (sequential or parallel).
@@ -130,24 +111,21 @@ impl ElanCluster {
         let mut programs = programs;
         for i in (0..spec.n).rev() {
             let app = apps.pop().expect("length checked");
-            let prog = programs.pop().expect("length checked");
-            let mut nic = ElanNic::new(
+            let mut prog = programs.pop().expect("length checked");
+            let cookie_groups = std::mem::take(&mut prog.cookie_groups);
+            let nic = ElanNic::new(
                 NodeId(i),
                 spec.params.clone(),
                 WireRx::new(Arc::clone(&model)),
                 nic_ids[0],
                 host_ids[i],
                 hw_id,
-                prog.descs,
-                prog.events,
+                prog,
             );
-            if !prog.desc_groups.is_empty() || !prog.event_groups.is_empty() {
-                nic.set_owner_groups(prog.desc_groups, prog.event_groups);
-            }
             engine.install(nic_ids[i], nic);
             let mut elan_host =
                 ElanHost::new(NodeId(i), spec.n, nic_ids[i], spec.params.clone(), app);
-            for (cookie, group) in prog.cookie_groups {
+            for (cookie, group) in cookie_groups {
                 elan_host.register_cookie_group(cookie, group);
             }
             engine.install(host_ids[i], elan_host);

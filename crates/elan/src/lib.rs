@@ -33,7 +33,7 @@ pub mod params;
 pub mod thread;
 pub mod types;
 
-pub use cluster::{ElanCluster, ElanClusterSpec, NicProgram};
+pub use cluster::{ElanCluster, ElanClusterSpec};
 pub use elanlib::{Gsync, GsyncSend, GsyncStep, BCAST_TAG, GATHER_TAG, GSYNC_MSG_BYTES};
 pub use events::{ElanEvent, ElanPayload};
 pub use host::{ElanApi, ElanApp, ElanHost};
@@ -41,4 +41,6 @@ pub use hwbarrier::HwBarrierUnit;
 pub use nic::{hw_cookie, ElanNic};
 pub use params::ElanParams;
 pub use thread::{ElanThread, NoThread, ThreadAction, THREAD_MSG_BYTES};
-pub use types::{DescId, EventAction, EventId, NicEvent, RdmaDesc, TportTag, BULK_TPORT_TAG};
+pub use types::{
+    DescId, EventAction, EventId, NicDesc, NicEvent, NicProgram, RdmaDesc, TportTag, BULK_TPORT_TAG,
+};

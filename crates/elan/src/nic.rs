@@ -11,8 +11,8 @@ use crate::host::ELAN_SPAN_GROUP;
 use crate::params::ElanParams;
 use crate::thread::{ElanThread, NoThread, ThreadAction, THREAD_MSG_BYTES};
 use crate::types::{
-    DescId, EventAction, EventId, NicEvent, RdmaDesc, TportTag, BULK_TPORT_TAG, RDMA_WIRE_OVERHEAD,
-    TPORT_WIRE_OVERHEAD,
+    DescId, EventAction, EventId, NicDesc, NicEvent, NicProgram, TportTag, BULK_TPORT_TAG,
+    RDMA_WIRE_OVERHEAD, TPORT_WIRE_OVERHEAD,
 };
 use nicbar_net::{NodeId, WireRx};
 use nicbar_sim::counter_id;
@@ -47,28 +47,24 @@ pub struct ElanNic {
     /// The DMA/event processor is a serial resource.
     engine_free: SimTime,
 
-    /// User-armed RDMA descriptors (set up from user level at init).
-    descs: Vec<RdmaDesc>,
-    /// NIC-resident events.
+    /// User-armed RDMA descriptors (set up from user level at init), one
+    /// record each with its owner group and fire count.
+    descs: Vec<NicDesc>,
+    /// NIC-resident events, one record each with its owner group and its
+    /// range of `actions`.
     events: Vec<NicEvent>,
-    /// Occupancy-ledger owner group per descriptor (parallel to `descs`;
-    /// defaults to [`ELAN_SPAN_GROUP`], the single-group chain).
-    desc_group: Vec<u64>,
-    /// Owner group per event (parallel to `events`).
-    event_group: Vec<u64>,
-    /// Times each descriptor has fired — stands in for the barrier seq in
-    /// ledger owner stamps (chained barriers fire each link once per epoch).
-    desc_fires: Vec<u64>,
+    /// Every event's trip actions, back to back.
+    actions: Vec<EventAction>,
     /// The thread processor's handler (the §7 alternative mechanism;
     /// [`NoThread`] unless explicitly installed).
     thread: Box<dyn ElanThread>,
 }
 
 impl ElanNic {
-    /// Build a NIC with pre-armed descriptor/event tables (the "set up from
-    /// user level" step of §7; its one-time cost is not on the per-barrier
-    /// critical path).
-    #[allow(clippy::too_many_arguments)]
+    /// Build a NIC armed with `program`'s descriptor and event tables
+    /// (the "set up from user level" step of §7; its one-time cost is not
+    /// on the per-barrier critical path). The NIC takes the tables over as
+    /// the program laid them out.
     pub fn new(
         node: NodeId,
         params: ElanParams,
@@ -76,11 +72,11 @@ impl ElanNic {
         nic0: ComponentId,
         host: ComponentId,
         hw_unit: Option<ComponentId>,
-        descs: Vec<RdmaDesc>,
-        events: Vec<NicEvent>,
+        program: NicProgram,
     ) -> Self {
+        let (descs, events, actions) = program.into_tables();
         for d in &descs {
-            if let Some(EventId(e)) = d.local_event {
+            if let Some(EventId(e)) = d.desc.local_event {
                 assert!((e as usize) < events.len(), "dangling local event");
             }
         }
@@ -89,9 +85,6 @@ impl ElanNic {
             0.0,
             "QsNet is hardware-reliable; loss injection is a GM-only concept"
         );
-        let desc_group = vec![ELAN_SPAN_GROUP; descs.len()];
-        let event_group = vec![ELAN_SPAN_GROUP; events.len()];
-        let desc_fires = vec![0; descs.len()];
         ElanNic {
             node,
             params,
@@ -102,26 +95,9 @@ impl ElanNic {
             engine_free: SimTime::ZERO,
             descs,
             events,
-            desc_group,
-            event_group,
-            desc_fires,
+            actions,
             thread: Box::new(NoThread),
         }
-    }
-
-    /// Register which collective group owns each descriptor and event, for
-    /// occupancy-ledger attribution. Multi-group chain builders call this
-    /// after arming the tables; single-group setups keep the default
-    /// ([`ELAN_SPAN_GROUP`] everywhere).
-    pub fn set_owner_groups(&mut self, desc_groups: Vec<u64>, event_groups: Vec<u64>) {
-        assert_eq!(desc_groups.len(), self.descs.len(), "desc group table size");
-        assert_eq!(
-            event_groups.len(),
-            self.events.len(),
-            "event group table size"
-        );
-        self.desc_group = desc_groups;
-        self.event_group = event_groups;
     }
 
     /// Install a thread-processor handler (the §7 alternative the paper
@@ -218,8 +194,8 @@ impl ElanNic {
     }
 
     /// Occupancy-ledger owner of activity gated on event `ev`: the group the
-    /// chain builder registered for it (defaulting to the span group), with
-    /// the event's completed-trip count standing in for the barrier seq.
+    /// chain builder armed it with, and the event's completed-trip count
+    /// standing in for the barrier seq.
     /// Only the ledger reads owners, so while the log is off (`recording`
     /// false) this skips the event-table lookup and its division, and
     /// returns a stand-in nothing records.
@@ -228,11 +204,7 @@ impl ElanNic {
             return Owner::fabric(rank);
         }
         let e = &self.events[ev.0 as usize];
-        Owner::coll(
-            self.event_group[ev.0 as usize],
-            e.threshold / e.rearm - 1,
-            rank,
-        )
+        Owner::coll(e.group, e.threshold / e.rearm - 1, rank)
     }
 
     /// Owner of an arriving wire packet, classified at the receiving port
@@ -340,12 +312,15 @@ impl ElanNic {
 
     /// Launch a descriptor: inject the RDMA and set its local event.
     fn fire_desc(&mut self, ctx: &mut Ctx<'_, ElanEvent>, desc: DescId, cause: CauseId) {
-        let fires = self.desc_fires[desc.0 as usize];
-        self.desc_fires[desc.0 as usize] = fires + 1;
-        let owner = Owner::coll(self.desc_group[desc.0 as usize], fires, self.node.0 as u32);
+        let NicDesc {
+            desc: d,
+            group,
+            fires,
+        } = self.descs[desc.0 as usize];
+        self.descs[desc.0 as usize].fires = fires + 1;
+        let owner = Owner::coll(group, fires, self.node.0 as u32);
         let now = ctx.now();
         let t = self.engine(ctx, now, self.params.nic_desc_proc, owner);
-        let d = self.descs[desc.0 as usize];
         assert_ne!(d.dst, self.node, "RDMA loopback descriptor");
         ctx.count_id(counter_id!("elan.rdma_sent"), 1);
         // Span: descriptor launch.
@@ -377,7 +352,6 @@ impl ElanNic {
         }
     }
 
-    /// Set an event; run any tripped actions.
     /// Set an event; run any tripped actions. `cause` is the netdump record
     /// of the stimulus performing the `set` — in a counting event the trip
     /// happens on the *last* set, so tripped actions correctly parent on the
@@ -395,18 +369,17 @@ impl ElanNic {
         // drains a threshold's worth. `unit` is the event id, so the
         // analyzer can follow a single slot's fill level.
         ctx.ledger(Occ::acquire(ResKind::EventSlot, at, node, owner).unit(ev.0 as u64));
-        let trips = self.events[ev.0 as usize].set();
+        let event = &mut self.events[ev.0 as usize];
+        let trips = event.set();
         if trips == 0 {
             return;
         }
+        let actions = event.actions();
         for _ in 0..trips {
             ctx.ledger(Occ::release(ResKind::EventSlot, at, node, owner).unit(ev.0 as u64));
         }
-        // Indexed iteration with `Copy` actions: an event trip is on every
-        // barrier's critical path, so it must not clone the action list.
         for _ in 0..trips {
-            for i in 0..self.events[ev.0 as usize].actions.len() {
-                let action = self.events[ev.0 as usize].actions[i];
+            for &action in &self.actions[actions.clone()] {
                 match action {
                     EventAction::FireDesc(d) => {
                         // Chain through the serial engine via a self event.

@@ -19,9 +19,9 @@ pub struct EventId(pub u32);
 
 /// What happens when an event trips.
 ///
-/// `Copy` is load-bearing: the NIC hot path iterates a tripped event's
-/// action list by index and copies each entry out, instead of cloning the
-/// whole `Vec` per trip (one barrier epoch trips every gate event once).
+/// `Copy` is load-bearing: the NIC hot path copies each of a tripped
+/// event's actions out of the program's flat action array while it runs
+/// them (one barrier epoch trips every gate event once).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventAction {
     /// Launch an RDMA descriptor (the chain link).
@@ -33,7 +33,9 @@ pub enum EventAction {
     },
 }
 
-/// A NIC-resident event word.
+/// A NIC-resident event word, one record per event: its counter, its
+/// owner group in the occupancy ledger and where its actions sit in the
+/// program's flat action array.
 ///
 /// Elan events are counters: `set_event` increments `sets`; whenever `sets`
 /// reaches the current `threshold` the actions run and the threshold
@@ -42,7 +44,7 @@ pub enum EventAction {
 /// count is simply banked until this node's own progress catches up — the
 /// property that makes consecutive chained-RDMA barriers safe without host
 /// re-arming.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NicEvent {
     /// Total sets received so far.
     pub sets: u64,
@@ -50,22 +52,15 @@ pub struct NicEvent {
     pub threshold: u64,
     /// Threshold advance per trip (sets required per epoch).
     pub rearm: u64,
-    /// Actions executed on each trip.
-    pub actions: Vec<EventAction>,
+    /// Occupancy-ledger owner group.
+    pub group: u64,
+    /// First of this event's actions in [`NicProgram`]'s action array.
+    first_action: u32,
+    /// Number of actions run on each trip.
+    action_count: u32,
 }
 
 impl NicEvent {
-    /// An event that trips every `per_epoch` sets and runs `actions`.
-    pub fn new(per_epoch: u64, actions: Vec<EventAction>) -> Self {
-        assert!(per_epoch > 0, "event threshold must be positive");
-        NicEvent {
-            sets: 0,
-            threshold: per_epoch,
-            rearm: per_epoch,
-            actions,
-        }
-    }
-
     /// Record one set; returns how many times the event tripped (usually 0
     /// or 1, but banked early sets can release several trips at once).
     pub fn set(&mut self) -> u32 {
@@ -76,6 +71,12 @@ impl NicEvent {
             trips += 1;
         }
         trips
+    }
+
+    /// Index range of this event's actions in its program's action array.
+    pub fn actions(&self) -> std::ops::Range<usize> {
+        let first = self.first_action as usize;
+        first..first + self.action_count as usize
     }
 }
 
@@ -94,6 +95,104 @@ pub struct RdmaDesc {
     /// Event set locally when the RDMA has been issued (used to gate the
     /// next chain link on *this node's own* progress).
     pub local_event: Option<EventId>,
+}
+
+/// One descriptor-table record: the descriptor, its owner group in the
+/// occupancy ledger, and how often it has fired, which stands in for the
+/// barrier seq in ledger owner stamps (a chained barrier fires each link
+/// once per epoch).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NicDesc {
+    /// The armed descriptor.
+    pub desc: RdmaDesc,
+    /// Occupancy-ledger owner group.
+    pub group: u64,
+    /// Times the descriptor has fired.
+    pub fires: u64,
+}
+
+/// Per-node NIC programming, armed from user level before the run (empty
+/// for hosts that only use tports or the hardware barrier): the tables the
+/// NIC runs on, in the layout it reads them.
+///
+/// A chain builder fills one program per node with [`NicProgram::desc`]
+/// and [`NicProgram::event`], and the NIC takes the tables over as they
+/// are: one record per descriptor, one per event, and every event's
+/// actions in one flat array.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NicProgram {
+    descs: Vec<NicDesc>,
+    events: Vec<NicEvent>,
+    actions: Vec<EventAction>,
+    /// Completion-cookie → group registrations applied to this node's host
+    /// (multi-group chains deliver distinct cookies per group).
+    pub cookie_groups: Vec<(u64, u64)>,
+}
+
+impl NicProgram {
+    /// An empty program with room for `descs` descriptors, `events` events
+    /// and `actions` actions in all, so a builder that knows its table
+    /// sizes arms them without regrowing.
+    pub fn with_capacity(descs: usize, events: usize, actions: usize) -> Self {
+        NicProgram {
+            descs: Vec::with_capacity(descs),
+            events: Vec::with_capacity(events),
+            actions: Vec::with_capacity(actions),
+            cookie_groups: Vec::new(),
+        }
+    }
+
+    /// Arm a descriptor owned by `group`; returns its id.
+    pub fn desc(&mut self, desc: RdmaDesc, group: u64) -> DescId {
+        let id = DescId(u32::try_from(self.descs.len()).expect("descriptor table overflow"));
+        self.descs.push(NicDesc {
+            desc,
+            group,
+            fires: 0,
+        });
+        id
+    }
+
+    /// Arm an event owned by `group` that trips every `per_epoch` sets and
+    /// runs `actions`; returns its id.
+    ///
+    /// # Panics
+    /// Panics if `per_epoch` is zero.
+    pub fn event(&mut self, per_epoch: u64, group: u64, actions: &[EventAction]) -> EventId {
+        assert!(per_epoch > 0, "event threshold must be positive");
+        let id = EventId(u32::try_from(self.events.len()).expect("event table overflow"));
+        let first_action = u32::try_from(self.actions.len()).expect("action array overflow");
+        self.actions.extend_from_slice(actions);
+        self.events.push(NicEvent {
+            sets: 0,
+            threshold: per_epoch,
+            rearm: per_epoch,
+            group,
+            first_action,
+            action_count: u32::try_from(actions.len()).expect("action array overflow"),
+        });
+        id
+    }
+
+    /// The descriptor table.
+    pub fn descs(&self) -> &[NicDesc] {
+        &self.descs
+    }
+
+    /// The event table.
+    pub fn events(&self) -> &[NicEvent] {
+        &self.events
+    }
+
+    /// The actions `event` runs on each trip.
+    pub fn actions(&self, event: &NicEvent) -> &[EventAction] {
+        &self.actions[event.actions()]
+    }
+
+    /// The three tables, for the NIC to take over.
+    pub(crate) fn into_tables(self) -> (Vec<NicDesc>, Vec<NicEvent>, Vec<EventAction>) {
+        (self.descs, self.events, self.actions)
+    }
 }
 
 /// Fixed wire overhead of an Elan RDMA transaction (route + header +
@@ -116,9 +215,16 @@ pub const BULK_TPORT_TAG: TportTag = TportTag(0xFFFF_FFFF);
 mod tests {
     use super::*;
 
+    /// A program holding one event that trips every `per_epoch` sets.
+    fn one_event(per_epoch: u64) -> NicEvent {
+        let mut p = NicProgram::default();
+        p.event(per_epoch, 0, &[]);
+        p.events()[0]
+    }
+
     #[test]
     fn event_trips_at_threshold() {
-        let mut e = NicEvent::new(2, vec![]);
+        let mut e = one_event(2);
         assert_eq!(e.set(), 0);
         assert_eq!(e.set(), 1);
         assert_eq!(e.set(), 0);
@@ -127,7 +233,7 @@ mod tests {
 
     #[test]
     fn early_sets_are_banked_across_epochs() {
-        let mut e = NicEvent::new(1, vec![]);
+        let mut e = one_event(1);
         // Three neighbours race three epochs ahead…
         assert_eq!(e.set(), 1);
         assert_eq!(e.set(), 1);
@@ -146,7 +252,7 @@ mod tests {
             sets: 3,
             threshold: 4,
             rearm: 2,
-            actions: vec![],
+            ..one_event(2)
         };
         assert_eq!(e.set(), 1); // sets=4 -> trips at 4, next threshold 6
         assert_eq!(e.set(), 0);
@@ -156,6 +262,41 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold must be positive")]
     fn zero_threshold_rejected() {
-        NicEvent::new(0, vec![]);
+        one_event(0);
+    }
+
+    #[test]
+    fn events_index_one_flat_action_array() {
+        let mut p = NicProgram::default();
+        let a = p.event(
+            1,
+            7,
+            &[
+                EventAction::FireDesc(DescId(0)),
+                EventAction::FireDesc(DescId(1)),
+            ],
+        );
+        let b = p.event(2, 8, &[]);
+        let c = p.event(3, 9, &[EventAction::NotifyHost { cookie: 5 }]);
+        assert_eq!((a, b, c), (EventId(0), EventId(1), EventId(2)));
+        let events = p.events();
+        assert_eq!(
+            p.actions(&events[0]),
+            &[
+                EventAction::FireDesc(DescId(0)),
+                EventAction::FireDesc(DescId(1))
+            ]
+        );
+        assert!(p.actions(&events[1]).is_empty());
+        assert_eq!(
+            p.actions(&events[2]),
+            &[EventAction::NotifyHost { cookie: 5 }]
+        );
+        assert_eq!(
+            events.iter().map(|e| e.group).collect::<Vec<_>>(),
+            vec![7, 8, 9]
+        );
+        let (_, _, actions) = p.into_tables();
+        assert_eq!(actions.len(), 3);
     }
 }

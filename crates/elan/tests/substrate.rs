@@ -3,9 +3,10 @@
 //! hardware barrier.
 #![allow(clippy::unwrap_used)] // test code: panicking on bad state is the point
 
+use nicbar_elan::host::ELAN_SPAN_GROUP;
 use nicbar_elan::{
     hw_cookie, DescId, ElanApi, ElanApp, ElanCluster, ElanClusterSpec, ElanNic, ElanParams,
-    EventAction, EventId, Gsync, NicEvent, NicProgram, RdmaDesc, TportTag, BCAST_TAG, GATHER_TAG,
+    EventAction, EventId, Gsync, NicProgram, RdmaDesc, TportTag, BCAST_TAG, GATHER_TAG,
     GSYNC_MSG_BYTES,
 };
 use nicbar_net::NodeId;
@@ -28,35 +29,32 @@ impl ElanApp for ChainDriver {
     }
 }
 
+/// A zero-byte RDMA to `dst` that sets event 0 there.
+fn event_fire(dst: NodeId) -> RdmaDesc {
+    RdmaDesc {
+        dst,
+        bytes: 0,
+        remote_event: Some(EventId(0)),
+        local_event: None,
+    }
+}
+
 #[test]
 fn two_node_rdma_chain_ping_pong() {
     // Node 0: desc0 -> remote event at node 1; node 1's event fires its
     // desc0 back to node 0; node 0's event notifies the host. One full
     // chained round trip with zero host involvement in the middle.
     let spec = ElanClusterSpec::new(ElanParams::elan3(), 2);
-    let prog0 = NicProgram {
-        descs: vec![RdmaDesc {
-            dst: NodeId(1),
-            bytes: 0,
-            remote_event: Some(EventId(0)),
-            local_event: None,
-        }],
-        events: vec![NicEvent::new(
-            1,
-            vec![EventAction::NotifyHost { cookie: 42 }],
-        )],
-        ..Default::default()
-    };
-    let prog1 = NicProgram {
-        descs: vec![RdmaDesc {
-            dst: NodeId(0),
-            bytes: 0,
-            remote_event: Some(EventId(0)),
-            local_event: None,
-        }],
-        events: vec![NicEvent::new(1, vec![EventAction::FireDesc(DescId(0))])],
-        ..Default::default()
-    };
+    let mut prog0 = NicProgram::default();
+    prog0.desc(event_fire(NodeId(1)), ELAN_SPAN_GROUP);
+    prog0.event(
+        1,
+        ELAN_SPAN_GROUP,
+        &[EventAction::NotifyHost { cookie: 42 }],
+    );
+    let mut prog1 = NicProgram::default();
+    prog1.desc(event_fire(NodeId(0)), ELAN_SPAN_GROUP);
+    prog1.event(1, ELAN_SPAN_GROUP, &[EventAction::FireDesc(DescId(0))]);
     let apps: Vec<Box<dyn ElanApp>> = vec![
         Box::new(ChainDriver {
             fire_at_start: true,
@@ -96,24 +94,10 @@ fn banked_event_sets_survive_fast_sender() {
         fn on_coll_done(&mut self, _api: &mut ElanApi<'_>, _cookie: u64) {}
     }
     let spec = ElanClusterSpec::new(ElanParams::elan3(), 2);
-    let prog0 = NicProgram {
-        descs: vec![RdmaDesc {
-            dst: NodeId(1),
-            bytes: 0,
-            remote_event: Some(EventId(0)),
-            local_event: None,
-        }],
-        events: vec![],
-        ..Default::default()
-    };
-    let prog1 = NicProgram {
-        descs: vec![],
-        events: vec![NicEvent::new(
-            1,
-            vec![EventAction::NotifyHost { cookie: 7 }],
-        )],
-        ..Default::default()
-    };
+    let mut prog0 = NicProgram::default();
+    prog0.desc(event_fire(NodeId(1)), ELAN_SPAN_GROUP);
+    let mut prog1 = NicProgram::default();
+    prog1.event(1, ELAN_SPAN_GROUP, &[EventAction::NotifyHost { cookie: 7 }]);
     let apps: Vec<Box<dyn ElanApp>> = vec![
         Box::new(TripleFire),
         Box::new(ChainDriver {

@@ -190,7 +190,7 @@ impl GmParams {
 
     /// DMA time for `bytes` across the I/O bus.
     pub fn dma_time(&self, bytes: u32) -> SimTime {
-        self.dma_setup + SimTime::from_ns((f64::from(bytes) * self.dma_ns_per_byte).round() as u64)
+        self.dma_setup + SimTime::from_ns_f64(f64::from(bytes) * self.dma_ns_per_byte)
     }
 }
 

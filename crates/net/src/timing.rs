@@ -32,15 +32,19 @@ impl LinkTiming {
     /// switch traversals.
     pub fn latency(&self, hops: u32, bytes: u32) -> SimTime {
         let fixed = self.header_ns + u64::from(hops) * (self.switch_ns + self.wire_ns);
-        let body = (f64::from(bytes) * self.ns_per_byte).round() as u64;
-        SimTime::from_ns(fixed + body)
+        SimTime::from_ns(fixed) + self.body(bytes)
     }
 
     /// Time the packet occupies the destination input port (its full
     /// serialization, header + body). Used by the fabric's contention model.
     pub fn occupancy(&self, bytes: u32) -> SimTime {
-        let body = (f64::from(bytes) * self.ns_per_byte).round() as u64;
-        SimTime::from_ns(self.header_ns + body)
+        SimTime::from_ns(self.header_ns) + self.body(bytes)
+    }
+
+    /// Serialization of `bytes` of payload, to the nearest nanosecond.
+    #[inline]
+    fn body(&self, bytes: u32) -> SimTime {
+        SimTime::from_ns_f64(f64::from(bytes) * self.ns_per_byte)
     }
 
     /// Myrinet 2000 era link timing: 2 Gb/s links (0.5 ns/byte each way on

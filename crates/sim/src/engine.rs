@@ -27,8 +27,10 @@
 //!
 //! [`Engine::step`] pops from the indexed 4-ary heap (see
 //! [`crate::queue`]), resolves the target component with a split borrow —
-//! no `Option::take` / reinstall round-trip — and hands the handler a
-//! [`Ctx`] that keys and pushes follow-up events *directly* into the queue.
+//! no `Option::take` / reinstall round-trip — moves the event's payload out
+//! of the queue's slab straight into the handler's argument, and hands the
+//! handler a [`Ctx`] that keys and pushes follow-up events *directly* into
+//! the queue, each message written once, into its slab slot.
 
 use crate::causal::{CauseId, PacketLog};
 use crate::counters::Counters;
@@ -144,8 +146,10 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Key and enqueue one event: locally, or — when running as a shard and
-    /// the target lives elsewhere — into the cross-shard outbox.
-    #[inline]
+    /// the target lives elsewhere — into the cross-shard outbox. Inlined
+    /// with the queue's slab store, so the message a handler builds is
+    /// written once, straight into its slab slot.
+    #[inline(always)]
     fn dispatch(&mut self, at: SimTime, target: ComponentId, msg: M) {
         debug_assert!(*self.count < COUNT_MASK, "per-source send count overflow");
         let key = pack(at, self.sub_hi | *self.count);
@@ -159,7 +163,7 @@ impl<M> Ctx<'_, M> {
     /// Schedule `msg` for `target` after `delay` (possibly zero; zero-delay
     /// events are still delivered after the current handler returns, in
     /// scheduling order).
-    #[inline]
+    #[inline(always)]
     pub fn send(&mut self, delay: SimTime, target: ComponentId, msg: M) {
         self.dispatch(self.now + delay, target, msg);
     }
@@ -171,7 +175,7 @@ impl<M> Ctx<'_, M> {
     /// the same event order. Each clamp increments the `sim.clamped_sends`
     /// counter; a simulation that is supposed to never look backwards can
     /// assert that counter stays zero.
-    #[inline]
+    #[inline(always)]
     pub fn send_at(&mut self, at: SimTime, target: ComponentId, msg: M) {
         let at = if at < self.now {
             self.counters
@@ -184,7 +188,7 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Schedule `msg` for this component after `delay`.
-    #[inline]
+    #[inline(always)]
     pub fn send_self(&mut self, delay: SimTime, msg: M) {
         self.send(delay, self.self_id, msg);
     }
@@ -508,7 +512,8 @@ impl<M: 'static> Engine<M> {
         true
     }
 
-    /// Deliver one already-popped event to its component.
+    /// Deliver one already-popped event to its component, moving its
+    /// payload out of the queue's slab straight into the handler.
     ///
     /// `link` is present when this engine runs as a shard of the parallel
     /// engine (cross-shard sends go to outboxes); `raw` is present when the
@@ -517,7 +522,7 @@ impl<M: 'static> Engine<M> {
     #[inline]
     pub(crate) fn deliver(
         &mut self,
-        event: PoppedEvent<M>,
+        event: PoppedEvent,
         link: Option<&mut ShardLink<M>>,
         raw: Option<&mut RawObs>,
     ) {
@@ -549,6 +554,7 @@ impl<M: 'static> Engine<M> {
             .as_deref_mut()
             .unwrap_or_else(|| panic!("event for uninstalled component {}", event.target));
         let src = &mut srcs[event.target.0];
+        let msg = queue.take(event.slot);
         let mut ctx = Ctx {
             now: *now,
             self_id: event.target,
@@ -563,7 +569,7 @@ impl<M: 'static> Engine<M> {
             link,
             recording,
         };
-        component.handle(event.msg, &mut ctx);
+        component.handle(msg, &mut ctx);
         if recording {
             let kept = self.trace.settle();
             if let Some(r) = raw {

@@ -333,7 +333,8 @@ impl<M: Send + 'static> ParallelEngine<M> {
         // keys preserved.
         while let Some(ev) = engine.queue.pop() {
             let s = table[ev.target.0] as usize;
-            shards[s].engine.queue.push(ev.key, ev.target, ev.msg);
+            let msg = engine.queue.take(ev.slot);
+            shards[s].engine.queue.push(ev.key, ev.target, msg);
         }
         let mail = (0..k * k).map(|_| Mailbox::new()).collect();
         ParallelEngine {

@@ -20,6 +20,17 @@
 //! * **Indexed**: keys (16 bytes) live in one dense vector and are all the
 //!   sift loops ever touch; message payloads sit in a slab addressed by a
 //!   parallel `u32` slot vector, so growing `M` never slows the comparisons.
+//! * **One move per event**: a payload is written into the slab once and
+//!   read out of it once. `store` is inlined into every send site, so the
+//!   sending handler builds its message straight into the slot, while the
+//!   heap walks stay out of line. `EventQueue::pop` hands out only the
+//!   key, time, target and slot: each slot's target sits in a `targets`
+//!   array beside the slab, so a pop never touches the payload. The engine
+//!   then moves the payload with `EventQueue::take` into the handler's
+//!   argument, and only `take` frees the slot for reuse. Copying a payload
+//!   through stack temporaries instead stalls the loads that reread it on
+//!   the narrower stores that built it (DESIGN.md, "Performance: hot-path
+//!   design").
 //! * **Batched**: `EventQueue::push_batch` appends a whole burst of
 //!   events and restores the heap in one pass, using Floyd's bottom-up
 //!   heapify when the batch dominates the existing contents.
@@ -44,6 +55,7 @@
 
 use crate::engine::ComponentId;
 use crate::time::SimTime;
+use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering as AtomicOrd;
 
 /// Pack an event key: time in the high 64 bits, subkey in the low 64.
@@ -58,12 +70,14 @@ pub(crate) fn key_time(key: u128) -> SimTime {
     SimTime::from_ns((key >> 64) as u64)
 }
 
-/// A pending event as handed back by a queue pop.
-pub(crate) struct PoppedEvent<M> {
+/// A pending event as handed back by a queue pop: its key, time and
+/// target, and the slab slot still holding its payload. The slot stays
+/// reserved until [`EventQueue::take`] moves the payload out.
+pub(crate) struct PoppedEvent {
     pub key: u128,
     pub time: SimTime,
     pub target: ComponentId,
-    pub msg: M,
+    pub slot: u32,
 }
 
 /// The engine's event queue: a 4-ary min-heap over packed keys with
@@ -74,9 +88,17 @@ pub(crate) struct EventQueue<M> {
     keys: Vec<u128>,
     /// Parallel to `keys`: slab slot of each event's payload.
     slots: Vec<u32>,
-    /// Payload slab; `None` entries are free.
-    payload: Vec<Option<(ComponentId, M)>>,
-    /// Free slab slots.
+    /// Payload slab. The invariant the unsafe reads rest on: slot `s`
+    /// holds a live payload, written by `store` and not yet read, whenever
+    /// `targets[s]` is not [`FREE`]. Only `store`, `take` and `Drop` touch
+    /// the slab.
+    payload: Vec<MaybeUninit<M>>,
+    /// Parallel to `payload`: the target of the event in each slot, so a
+    /// pop reads it without touching the payload, or [`FREE`] once `take`
+    /// has moved the payload out.
+    targets: Vec<ComponentId>,
+    /// Free slab slots. A popped event's slot joins them only when
+    /// [`EventQueue::take`] empties it.
     free: Vec<u32>,
     /// The root's event was handed out by [`EventQueue::pop`], but its key
     /// still sits at index 0: the next `push` overwrites it and sifts down,
@@ -85,6 +107,10 @@ pub(crate) struct EventQueue<M> {
 }
 
 const ARITY: usize = 4;
+
+/// The `targets` entry of a slab slot that holds no payload. No engine has
+/// this many components (see `crate::engine::MAX_COMPONENTS`).
+const FREE: ComponentId = ComponentId(usize::MAX);
 
 /// Index and key of the minimum among the children that start at `first`
 /// (at most [`ARITY`] of them, clipped to the heap). A full group of four
@@ -120,6 +146,7 @@ impl<M> EventQueue<M> {
             keys: Vec::new(),
             slots: Vec::new(),
             payload: Vec::new(),
+            targets: Vec::new(),
             free: Vec::new(),
             vacant: false,
         }
@@ -145,27 +172,40 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Store a payload, returning its slab slot.
-    #[inline]
+    /// Store a payload, returning its slab slot: the one write of the
+    /// payload into the slab. Inlined into every send site, so the caller
+    /// builds the message straight into its slot.
+    #[inline(always)]
     fn store(&mut self, target: ComponentId, msg: M) -> u32 {
+        debug_assert_ne!(target, FREE, "event for the free-slot marker");
         match self.free.pop() {
             Some(slot) => {
-                self.payload[slot as usize] = Some((target, msg));
+                self.payload[slot as usize].write(msg);
+                self.targets[slot as usize] = target;
                 slot
             }
             None => {
                 let slot = u32::try_from(self.payload.len()).expect("event slab overflow");
-                self.payload.push(Some((target, msg)));
+                self.payload.push(MaybeUninit::new(msg));
+                self.targets.push(target);
                 slot
             }
         }
     }
 
-    /// Insert one event. A vacant root takes it and sifts it down, so a
-    /// handler's first send finishes the walk its delivery's `pop` skipped.
-    #[inline]
+    /// Insert one event: the payload goes into the slab here, inline, and
+    /// the key into the heap out of line.
+    #[inline(always)]
     pub fn push(&mut self, key: u128, target: ComponentId, msg: M) {
         let slot = self.store(target, msg);
+        self.push_key(key, slot);
+    }
+
+    /// Insert a stored event's key. A vacant root takes it and sifts it
+    /// down, so a handler's first send finishes the walk its delivery's
+    /// `pop` skipped.
+    #[inline(never)]
+    fn push_key(&mut self, key: u128, slot: u32) {
         if self.vacant {
             self.vacant = false;
             self.keys[0] = key;
@@ -206,34 +246,55 @@ impl<M> EventQueue<M> {
     }
 
     /// Hand out the earliest event and leave the root vacant for the next
-    /// `push` to refill.
+    /// `push` to refill. The payload stays in its slot, which is not reused
+    /// until [`EventQueue::take`] empties it.
     #[inline]
-    pub fn pop(&mut self) -> Option<PoppedEvent<M>> {
+    pub fn pop(&mut self) -> Option<PoppedEvent> {
         self.settle();
         let &key = self.keys.first()?;
         let slot = self.slots[0];
         self.vacant = true;
-        let (target, msg) = self.payload[slot as usize]
-            .take()
-            .expect("heap slot had no payload");
-        self.free.push(slot);
         Some(PoppedEvent {
             key,
             time: key_time(key),
-            target,
-            msg,
+            target: self.targets[slot as usize],
+            slot,
         })
+    }
+
+    /// Move a popped event's payload out of its slot and free the slot:
+    /// the one read of the payload out of the slab.
+    ///
+    /// The slot is marked free before the read, so the read is the last
+    /// thing `take` does and the compiler moves the payload from the slab
+    /// straight into the caller's argument.
+    #[inline(always)]
+    pub fn take(&mut self, slot: u32) -> M {
+        let s = slot as usize;
+        assert_ne!(self.targets[s], FREE, "take from a free slab slot");
+        self.targets[s] = FREE;
+        self.free.push(slot);
+        // SAFETY: `targets[s]` was not `FREE`, so slot `s` held the live
+        // payload `store` wrote. Marking it `FREE` first hands that payload
+        // to this read alone: no later `take` or `Drop` reads it again.
+        unsafe { self.payload[s].assume_init_read() }
+    }
+
+    /// Remove the root `pop` left vacant, if the next `push` did not refill
+    /// it.
+    #[inline]
+    fn settle(&mut self) {
+        if self.vacant {
+            self.remove_vacant_root();
+        }
     }
 
     /// Remove a vacant root: walk the hole to the bottom along min-children
     /// without comparing against the displaced last element, then sift that
     /// element up from there. It almost always belongs near the bottom, so
     /// the sift-up is short.
-    #[inline]
-    fn settle(&mut self) {
-        if !self.vacant {
-            return;
-        }
+    #[inline(never)]
+    fn remove_vacant_root(&mut self) {
         self.vacant = false;
         let last_key = self.keys.pop().expect("vacant root in an empty heap");
         let last_slot = self.slots.pop().expect("vacant root in an empty heap");
@@ -303,6 +364,18 @@ impl<M> EventQueue<M> {
         }
         self.keys[i] = key;
         self.slots[i] = slot;
+    }
+}
+
+impl<M> Drop for EventQueue<M> {
+    fn drop(&mut self) {
+        for (payload, &target) in self.payload.iter_mut().zip(&self.targets) {
+            if target != FREE {
+                // SAFETY: a slot whose target is not `FREE` holds the live
+                // payload `store` wrote and no `take` has read.
+                unsafe { payload.assume_init_drop() };
+            }
+        }
     }
 }
 
@@ -529,7 +602,8 @@ mod tests {
                             prop_assert_eq!(e.time, key_time(e.key));
                             now = e.time.as_ns();
                         }
-                        prop_assert_eq!(got.map(|e| (e.key, e.target, e.msg)), reference.pop());
+                        let got = got.map(|e| (e.key, e.target, heap.take(e.slot)));
+                        prop_assert_eq!(got, reference.pop());
                         if op == 10 {
                             for i in 0..n as u64 % 4 {
                                 let t = match (source + i) % 3 {
@@ -561,7 +635,7 @@ mod tests {
                 prop_assert_eq!(heap.len(), reference.events.len());
             }
             while let Some(e) = heap.pop() {
-                prop_assert_eq!(Some((e.key, e.target, e.msg)), reference.pop());
+                prop_assert_eq!(Some((e.key, e.target, heap.take(e.slot))), reference.pop());
             }
             prop_assert!(reference.pop().is_none());
         }
@@ -581,10 +655,15 @@ mod tests {
         (heap, reference, gen)
     }
 
+    /// Pop and take one event, keyed and targeted, with its payload.
+    fn pop_take(heap: &mut EventQueue<u64>) -> Option<(u128, ComponentId, u64)> {
+        let e = heap.pop()?;
+        Some((e.key, e.target, heap.take(e.slot)))
+    }
+
     /// Pop one event from each and check that they agree.
     fn pop_both(heap: &mut EventQueue<u64>, reference: &mut SortedVec) {
-        let got = heap.pop().map(|e| (e.key, e.target, e.msg));
-        assert_eq!(got, reference.pop());
+        assert_eq!(pop_take(heap), reference.pop());
     }
 
     /// Drain both, checking `len`, `peek_time` and the popped event at
@@ -660,8 +739,8 @@ mod tests {
         let mut q = EventQueue::<u64>::new();
         let mut gen = KeyGen::new();
         q.push_batch((0..200u64).map(|i| (gen.key(199 - i), ComponentId(i as usize), i)));
-        let times: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.time.as_ns())
+        let times: Vec<u64> = std::iter::from_fn(|| pop_take(&mut q))
+            .map(|(k, _, _)| key_time(k).as_ns())
             .collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -677,13 +756,172 @@ mod tests {
             for i in 0..8u64 {
                 q.push(gen.key(i), ComponentId(0), round * 8 + i);
             }
-            while q.pop().is_some() {}
+            while pop_take(&mut q).is_some() {}
         }
         assert!(
             q.payload.len() <= 8,
             "slab grew to {} for a working set of 8",
             q.payload.len()
         );
+    }
+
+    /// A popped event's slot keeps its payload through any number of
+    /// pushes until `take` frees it; only then may a push reuse it.
+    #[test]
+    fn popped_slot_is_not_reused_before_take() {
+        let (mut heap, mut reference, mut gen) = filled(6);
+        let popped = heap.pop().expect("six events");
+        let expect = reference.pop().expect("six events");
+        // Pushes while the event is out, the first refilling the root; a
+        // reuse of the popped slot would overwrite its target.
+        for i in 0..20u64 {
+            let k = gen.key(i * 3);
+            heap.push(k, ComponentId(99), 100 + i);
+            reference.push(k, ComponentId(99), 100 + i);
+            assert_eq!(
+                heap.targets[popped.slot as usize], popped.target,
+                "push {i} reused the popped slot"
+            );
+        }
+        assert_eq!((popped.key, popped.target, heap.take(popped.slot)), expect);
+        assert_eq!(
+            heap.free,
+            vec![popped.slot],
+            "take frees exactly the popped slot"
+        );
+        // The next push reuses it.
+        let k = gen.key(7);
+        heap.push(k, ComponentId(3), 999);
+        reference.push(k, ComponentId(3), 999);
+        assert!(heap.free.is_empty());
+        assert_drains_alike(&mut heap, &mut reference);
+    }
+
+    /// Ownership of event payloads through the engine: each send moves its
+    /// message into the slab once and `take` moves it out once, so every
+    /// message is dropped exactly once, whether its handler consumed it, it
+    /// still sat in the slab when the engine dropped, or it moved between
+    /// queues.
+    mod payload_ownership {
+        use crate::engine::{Component, ComponentId, Ctx, Engine};
+        use crate::parallel::ParallelEngine;
+        use crate::partition::ShardMap;
+        use crate::time::SimTime;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// A message that counts its drops in a per-test counter.
+        struct Canary(Arc<AtomicUsize>);
+
+        impl Drop for Canary {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        /// Consumes what it is sent; the first `echoes` deliveries each
+        /// send this component one more canary with zero delay, which
+        /// reuses the slab slot the delivery just freed while the
+        /// delivered canary is still alive in the handler.
+        struct Echo {
+            drops: Arc<AtomicUsize>,
+            echoes: u32,
+            seen: u32,
+        }
+
+        impl Component<Canary> for Echo {
+            fn handle(&mut self, msg: Canary, ctx: &mut Ctx<'_, Canary>) {
+                assert!(Arc::ptr_eq(&msg.0, &self.drops));
+                self.seen += 1;
+                if self.echoes > 0 {
+                    self.echoes -= 1;
+                    ctx.send_self(SimTime::ZERO, Canary(Arc::clone(&self.drops)));
+                }
+            }
+        }
+
+        /// An engine of `n` echo components, each echoing `echoes` times,
+        /// with `sends` canaries scheduled round-robin across them.
+        fn echoes(n: usize, echoes: u32, sends: usize) -> (Engine<Canary>, Arc<AtomicUsize>) {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let mut engine: Engine<Canary> = Engine::new(0);
+            for _ in 0..n {
+                engine.add(Echo {
+                    drops: Arc::clone(&drops),
+                    echoes,
+                    seen: 0,
+                });
+            }
+            for i in 0..sends {
+                let at = SimTime::from_ns((i * 7 % 5) as u64);
+                engine.schedule_at(at, ComponentId(i % n), Canary(Arc::clone(&drops)));
+            }
+            (engine, drops)
+        }
+
+        fn dropped(drops: &AtomicUsize) -> usize {
+            drops.load(Ordering::Relaxed)
+        }
+
+        #[test]
+        fn a_delivered_payload_drops_once() {
+            let (mut engine, drops) = echoes(2, 0, 6);
+            assert_eq!(dropped(&drops), 0, "scheduling moves, never drops");
+            engine.run();
+            assert_eq!(dropped(&drops), 6);
+            drop(engine);
+            assert_eq!(dropped(&drops), 6, "the drained engine drops nothing more");
+        }
+
+        #[test]
+        fn a_zero_delay_self_send_drops_once() {
+            let (mut engine, drops) = echoes(1, 3, 1);
+            engine.run();
+            assert_eq!(engine.events_processed(), 4);
+            assert_eq!(
+                engine.component_ref::<Echo>(ComponentId(0)).unwrap().seen,
+                4
+            );
+            assert_eq!(dropped(&drops), 4);
+            drop(engine);
+            assert_eq!(dropped(&drops), 4);
+        }
+
+        #[test]
+        fn a_pending_payload_drops_with_the_engine() {
+            let (mut engine, drops) = echoes(3, 1, 9);
+            // Two deliveries, each echoing once: the root is left vacant.
+            assert!(engine.step());
+            assert!(engine.step());
+            assert_eq!(dropped(&drops), 2);
+            assert_eq!(engine.pending_events(), 9);
+            drop(engine);
+            assert_eq!(dropped(&drops), 11, "every pending payload dropped once");
+        }
+
+        #[test]
+        fn a_rerouted_payload_drops_once() {
+            let (engine, drops) = echoes(4, 1, 8);
+            let map = ShardMap::by_node(4, 4, 2, |c| c);
+            let mut par = ParallelEngine::new(engine, map, SimTime::from_ns(1));
+            assert_eq!(dropped(&drops), 0, "re-routing moves payloads, never drops");
+            assert_eq!(par.pending_events(), 8);
+            par.run();
+            // Each component echoes its first delivery once.
+            assert_eq!(par.events_processed(), 12);
+            assert_eq!(dropped(&drops), 12);
+            drop(par);
+            assert_eq!(dropped(&drops), 12);
+        }
+
+        #[test]
+        fn a_rerouted_pending_payload_drops_with_the_shards() {
+            let (engine, drops) = echoes(4, 0, 8);
+            let map = ShardMap::by_node(4, 4, 2, |c| c);
+            let par = ParallelEngine::new(engine, map, SimTime::from_ns(1));
+            drop(par);
+            assert_eq!(dropped(&drops), 8);
+        }
     }
 
     #[test]

@@ -37,15 +37,30 @@ impl SimTime {
         SimTime(ns)
     }
 
+    /// Construct from fractional nanoseconds, rounding half away from
+    /// zero: exactly `ns.round() as u64`, so negative or NaN input gives
+    /// zero and input past `u64::MAX` saturates. It calls no libm `round`,
+    /// a function call on the baseline x86-64 target, because per-packet
+    /// times (wire latency, port occupancy, DMA) go through it.
+    #[inline]
+    pub fn from_ns_f64(ns: f64) -> Self {
+        // `as` truncates toward zero and saturates (NaN and negatives to
+        // 0). Below 2^53 the remainder `ns - trunc` is exact, so comparing
+        // it with 0.5 rounds exactly; from 2^53 every float is an integer
+        // and the remainder is 0, or at least 4096 past `u64::MAX`.
+        let trunc = ns as u64;
+        if ns - trunc as f64 >= 0.5 {
+            SimTime(trunc.saturating_add(1))
+        } else {
+            SimTime(trunc)
+        }
+    }
+
     /// Construct from (possibly fractional) microseconds, rounding to the
     /// nearest nanosecond. Negative values clamp to zero.
     #[inline]
     pub fn from_us(us: f64) -> Self {
-        if us <= 0.0 {
-            SimTime::ZERO
-        } else {
-            SimTime((us * 1_000.0).round() as u64)
-        }
+        SimTime::from_ns_f64(us * 1_000.0)
     }
 
     /// Construct from integer microseconds.
@@ -105,7 +120,7 @@ impl SimTime {
     /// parameter sets, e.g. NIC cycle costs scaled by clock ratio).
     #[inline]
     pub fn scale(self, factor: f64) -> SimTime {
-        SimTime((self.0 as f64 * factor).round().max(0.0) as u64)
+        SimTime::from_ns_f64(self.0 as f64 * factor)
     }
 
     /// True if this is the zero time/duration.
@@ -182,6 +197,82 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// What `SimTime::from_ns_f64` must equal: libm's round, saturated.
+    fn libm_round(ns: f64) -> u64 {
+        ns.round() as u64
+    }
+
+    proptest! {
+        /// Every bit pattern: NaNs, infinities, subnormals, negatives and
+        /// values of 2^63 and above included.
+        #[test]
+        fn from_ns_f64_matches_libm_round_on_any_bits(bits in any::<u64>()) {
+            let ns = f64::from_bits(bits);
+            prop_assert_eq!(SimTime::from_ns_f64(ns).as_ns(), libm_round(ns));
+        }
+
+        /// The range per-packet times fall in, landing on every tie.
+        #[test]
+        fn from_ns_f64_matches_libm_round_on_eighths(whole in 0u64..1 << 40, eighth in 0u64..8) {
+            for ns in [whole as f64 + eighth as f64 / 8.0, -(whole as f64) - eighth as f64 / 8.0] {
+                prop_assert_eq!(SimTime::from_ns_f64(ns).as_ns(), libm_round(ns));
+            }
+        }
+
+        /// Products as the wire and DMA models form them.
+        #[test]
+        fn from_ns_f64_matches_libm_round_on_byte_costs(bytes in 0u32..1 << 20, per_byte in 0.0f64..8.0) {
+            let ns = f64::from(bytes) * per_byte;
+            prop_assert_eq!(SimTime::from_ns_f64(ns).as_ns(), libm_round(ns));
+        }
+    }
+
+    #[test]
+    fn from_ns_f64_matches_libm_round_at_the_edges() {
+        let p = |e: i32| 2f64.powi(e);
+        for ns in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            -1.5,
+            0.499_999_999_999_999_94,
+            p(52) - 0.5,
+            p(52),
+            p(53) - 1.0,
+            p(53),
+            p(53) + 2.0,
+            p(63),
+            p(63) + 2048.0,
+            p(64) - 2048.0,
+            p(64),
+            p(65),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+        ] {
+            assert_eq!(
+                SimTime::from_ns_f64(ns).as_ns(),
+                libm_round(ns),
+                "{ns:e} ({:#x})",
+                ns.to_bits()
+            );
+        }
+        assert_eq!(SimTime::from_ns_f64(2.5), SimTime(3), "ties away from zero");
+        assert_eq!(SimTime::from_ns_f64(f64::NAN), SimTime::ZERO);
+        assert_eq!(SimTime::from_ns_f64(p(70)), SimTime::MAX);
+    }
 
     #[test]
     fn constructors_round_trip() {

@@ -1,8 +1,8 @@
 //! Zero-allocation steady state, proven with a counting global allocator.
 //!
 //! The protocol engine, NIC models, and host dispatch all recycle scratch
-//! buffers, so after warm-up a NIC-based barrier epoch must not touch the
-//! heap at all. The proof is a delta measurement: drain one cluster
+//! buffers, so after warm-up a barrier epoch, NIC-based or host-based,
+//! must not touch the heap at all. The proof is a delta measurement: drain one cluster
 //! configured for K measured iterations and one for 2K, counting allocator
 //! calls during each drain (construction excluded). Any per-epoch
 //! allocation would make the second count strictly larger; equality means
@@ -117,6 +117,17 @@ fn steady_state_barrier_allocates_nothing() {
     });
     assert_delta_free("elan NIC-PE", |iters| {
         drain_allocs(&elan(Algorithm::PairwiseExchange), iters, 1)
+    });
+    // The host-based barrier runs the same schedule from the host over
+    // GM's point-to-point path: its runner banks arrivals in fixed
+    // per-parity masks and hands sends through one reused buffer.
+    assert_delta_free("gm Host-DS", |iters| {
+        let host = Scenario::gm(
+            GmParams::lanai_xp(),
+            N,
+            Barrier::Host(Algorithm::Dissemination),
+        );
+        drain_allocs(&host, iters, 1)
     });
     // Beside the bulk stream the NICs run GM's point-to-point machinery
     // too: per-peer send queues, unacked records, reassembly and ACKs.
