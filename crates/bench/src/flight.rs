@@ -311,7 +311,7 @@ mod tests {
         struct Chatter;
         impl Component<u32> for Chatter {
             fn handle(&mut self, msg: u32, ctx: &mut Ctx<'_, u32>) {
-                ctx.span(SpanEvent::Fire { unit: 0, dst: 1 });
+                ctx.span(|| SpanEvent::Fire { unit: 0, dst: 1 });
                 if msg > 0 {
                     ctx.send_self(SimTime::from_ns(10), msg - 1);
                 }

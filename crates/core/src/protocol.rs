@@ -447,7 +447,7 @@ impl GroupState {
                 retired.clear();
                 self.spare_payloads = retired;
                 self.completed = epoch + 1;
-                actions.push(CollAction::HostDone {
+                actions.push_with(|| CollAction::HostDone {
                     group: self.spec.id,
                     epoch,
                     value,
@@ -470,7 +470,7 @@ impl GroupState {
             if let Some(kind) = payload {
                 for &dst_rank in &self.schedule.rounds[r].sends {
                     let dst = self.spec.members[dst_rank];
-                    actions.push(CollAction::Send {
+                    actions.push_with(|| CollAction::Send {
                         dst,
                         pkt: CollPacket {
                             src: my_node,
@@ -637,7 +637,7 @@ impl PaperCollective {
         };
         if let Some(kind) = payload {
             state.retransmits += 1;
-            actions.push(CollAction::Send {
+            actions.push_with(|| CollAction::Send {
                 dst: requester,
                 pkt: CollPacket {
                     src: my_node,
@@ -984,7 +984,7 @@ impl NicCollective for PaperCollective {
                 }
                 let sender_rank = state.schedule.rounds[stall_round].recv_from[slot];
                 state.nacks_sent += 1;
-                actions.push(CollAction::Send {
+                actions.push_with(|| CollAction::Send {
                     dst: state.spec.members[sender_rank],
                     pkt: CollPacket {
                         src: my_node,

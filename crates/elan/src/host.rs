@@ -201,12 +201,12 @@ impl ElanHost {
     /// netdump record, the chain root of this rank's contribution.
     fn span_op_begin(&mut self, ctx: &mut Ctx<'_, ElanEvent>, group: u64) -> CauseId {
         let seq = *self.coll_begun.get(&group).unwrap_or(&0);
-        ctx.span(SpanEvent::OpBegin { group, seq });
-        let cause = ctx.packet(
+        ctx.span(|| SpanEvent::OpBegin { group, seq });
+        let cause = ctx.packet(|| {
             PacketLog::new(CauseId::NONE, CausalKind::HostEnter)
                 .at_node(self.node.0 as u32)
-                .key(group, seq),
-        );
+                .key(group, seq)
+        });
         self.coll_begun.insert(group, seq + 1);
         cause
     }
@@ -231,11 +231,11 @@ impl ElanHost {
                     let t = self.cpu(ctx.now(), self.params.host_doorbell);
                     ctx.count_id(counter_id!("elan.doorbell"), 1);
                     // Netdump: chain root for a raw descriptor launch.
-                    let cause = ctx.packet(
+                    let cause = ctx.packet(|| {
                         PacketLog::new(CauseId::NONE, CausalKind::HostPost)
                             .at_node(self.node.0 as u32)
-                            .detail(desc.0 as u64, 0),
-                    );
+                            .detail(desc.0 as u64, 0)
+                    });
                     ctx.send_at(t, self.nic, ElanEvent::Doorbell { desc, cause });
                 }
                 HostAction::SetEvent { event, group } => {
@@ -255,11 +255,11 @@ impl ElanHost {
                     ctx.count_id(counter_id!("elan.host_tport"), 1);
                     // Netdump: chain root for a host-level message (the
                     // Elanlib tree barrier's hops each start here).
-                    let cause = ctx.packet(
+                    let cause = ctx.packet(|| {
                         PacketLog::new(CauseId::NONE, CausalKind::HostPost)
                             .nodes(self.node.0 as u32, dst.0 as u32)
-                            .detail(len as u64, 0),
-                    );
+                            .detail(len as u64, 0)
+                    });
                     ctx.send_at(
                         t,
                         self.nic,
@@ -305,11 +305,11 @@ impl Component<ElanEvent> for ElanHost {
             } => {
                 // Netdump: host-level delivery (tport messaging has no
                 // separate notify stage; the arrival surfaces directly).
-                ctx.packet(
+                ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::Notify)
                         .nodes(src.0 as u32, self.node.0 as u32)
-                        .detail(tag.0 as u64, len as u64),
-                );
+                        .detail(tag.0 as u64, len as u64)
+                });
                 let poll = self.params.host_poll;
                 self.dispatch(ctx, poll, |app, api| app.on_recv(api, src, tag, len));
             }
@@ -322,14 +322,14 @@ impl Component<ElanEvent> for ElanHost {
                     .copied()
                     .unwrap_or(ELAN_SPAN_GROUP);
                 let seq = *self.coll_done.get(&group).unwrap_or(&0);
-                ctx.span(SpanEvent::OpEnd { group, seq });
+                ctx.span(|| SpanEvent::OpEnd { group, seq });
                 // Netdump: this rank's chain ends here.
-                ctx.packet(
+                ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::HostExit)
                         .at_node(self.node.0 as u32)
                         .key(group, seq)
-                        .detail(cookie, 0),
-                );
+                        .detail(cookie, 0)
+                });
                 self.coll_done.insert(group, seq + 1);
                 let poll = self.params.host_poll;
                 self.dispatch(ctx, poll, |app, api| app.on_coll_done(api, cookie));

@@ -91,11 +91,11 @@ impl Component<ElanEvent> for HwBarrierUnit {
         ctx.count_id(counter_id!("elan.hw_barrier"), 1);
         // Netdump: one record for the combining wave, parented on the last
         // arrival (the enabling stimulus of the whole release broadcast).
-        let wave = ctx.packet(
+        let wave = ctx.packet(|| {
             PacketLog::new(cause, CausalKind::Fire)
                 .nodes(node.0 as u32, NO_NODE)
-                .detail(epoch, penalty.as_ns()),
-        );
+                .detail(epoch, penalty.as_ns())
+        });
         for &nic in &self.nics {
             ctx.send_at(done, nic, ElanEvent::HwDone { epoch, cause: wave });
         }

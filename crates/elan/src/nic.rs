@@ -125,11 +125,11 @@ impl ElanNic {
                     ctx.count_id(counter_id!("elan.thread_sent"), 1);
                     // Netdump: thread-processor send, parented on the
                     // doorbell/message that woke the thread.
-                    let fire = ctx.packet(
+                    let fire = ctx.packet(|| {
                         PacketLog::new(cause, CausalKind::Fire)
                             .nodes(self.node.0 as u32, dst.0 as u32)
-                            .detail(tag as u64, value),
-                    );
+                            .detail(tag as u64, value)
+                    });
                     self.inject(
                         ctx,
                         t,
@@ -143,15 +143,15 @@ impl ElanNic {
                     ctx.count_id(counter_id!("elan.host_notify"), 1);
                     // Span: thread-processor completion (no event id; the
                     // thread notifies directly).
-                    ctx.span(SpanEvent::Notify {
+                    ctx.span(|| SpanEvent::Notify {
                         unit: u64::MAX,
                         cookie,
                     });
-                    let notify = ctx.packet(
+                    let notify = ctx.packet(|| {
                         PacketLog::new(cause, CausalKind::Notify)
                             .at_node(self.node.0 as u32)
-                            .detail(cookie, 0),
-                    );
+                            .detail(cookie, 0)
+                    });
                     ctx.send_at(
                         self.engine_free + self.params.host_event_visible,
                         self.host,
@@ -187,9 +187,9 @@ impl ElanNic {
         let (start, done) = self.engine_claim(now, cost);
         let node = self.node.0 as u32;
         if start > now {
-            ctx.ledger(Occ::wait(ResKind::ElanEngine, now, start, node, owner));
+            ctx.ledger(|| Occ::wait(ResKind::ElanEngine, now, start, node, owner));
         }
-        ctx.ledger(Occ::hold(ResKind::ElanEngine, start, done, node, owner));
+        ctx.ledger(|| Occ::hold(ResKind::ElanEngine, start, done, node, owner));
         done
     }
 
@@ -264,7 +264,7 @@ impl ElanNic {
         debug_assert_eq!(dst, self.node, "packet presented at the wrong NIC");
         ctx.count_id(counter_id!("elan.wire"), 1);
         // Span: the wire crossing.
-        ctx.span(SpanEvent::Wire {
+        ctx.span(|| SpanEvent::Wire {
             src: src.0 as u64,
             dst: dst.0 as u64,
             bytes: bytes as u64,
@@ -277,12 +277,12 @@ impl ElanNic {
         let node = self.node.0 as u32;
         let routed = ctx.now();
         if admission.port_wait > SimTime::ZERO {
-            ctx.ledger(
+            ctx.ledger(|| {
                 Occ::wait(ResKind::LinkPort, routed, admission.arrive, node, owner)
-                    .unit(self.node.0 as u64),
-            );
+                    .unit(self.node.0 as u64)
+            });
         }
-        ctx.ledger(
+        ctx.ledger(|| {
             Occ::hold(
                 ResKind::LinkPort,
                 admission.arrive,
@@ -290,15 +290,15 @@ impl ElanNic {
                 node,
                 owner,
             )
-            .unit(self.node.0 as u64),
-        );
+            .unit(self.node.0 as u64)
+        });
         // Netdump: wire traversal with the link-occupancy tag (bytes +
         // destination-port queuing wait).
-        let wire = ctx.packet(
+        let wire = ctx.packet(|| {
             PacketLog::new(cause, CausalKind::Wire)
                 .nodes(src.0 as u32, dst.0 as u32)
-                .detail(bytes as u64, admission.port_wait.as_ns()),
-        );
+                .detail(bytes as u64, admission.port_wait.as_ns())
+        });
         ctx.send_at(
             admission.arrive,
             ctx.self_id(),
@@ -324,17 +324,17 @@ impl ElanNic {
         assert_ne!(d.dst, self.node, "RDMA loopback descriptor");
         ctx.count_id(counter_id!("elan.rdma_sent"), 1);
         // Span: descriptor launch.
-        ctx.span(SpanEvent::Fire {
+        ctx.span(|| SpanEvent::Fire {
             unit: desc.0 as u64,
             dst: d.dst.0 as u64,
         });
         // Netdump: descriptor launch, parented on whatever tripped it (the
         // host doorbell or the chain link's event record).
-        let fire = ctx.packet(
+        let fire = ctx.packet(|| {
             PacketLog::new(cause, CausalKind::Fire)
                 .nodes(self.node.0 as u32, d.dst.0 as u32)
-                .detail(desc.0 as u64, (RDMA_WIRE_OVERHEAD + d.bytes) as u64),
-        );
+                .detail(desc.0 as u64, (RDMA_WIRE_OVERHEAD + d.bytes) as u64)
+        });
         self.inject(
             ctx,
             t,
@@ -368,7 +368,7 @@ impl ElanNic {
         // Ledger: each set banks one count in the event slot; each trip
         // drains a threshold's worth. `unit` is the event id, so the
         // analyzer can follow a single slot's fill level.
-        ctx.ledger(Occ::acquire(ResKind::EventSlot, at, node, owner).unit(ev.0 as u64));
+        ctx.ledger(|| Occ::acquire(ResKind::EventSlot, at, node, owner).unit(ev.0 as u64));
         let event = &mut self.events[ev.0 as usize];
         let trips = event.set();
         if trips == 0 {
@@ -376,7 +376,7 @@ impl ElanNic {
         }
         let actions = event.actions();
         for _ in 0..trips {
-            ctx.ledger(Occ::release(ResKind::EventSlot, at, node, owner).unit(ev.0 as u64));
+            ctx.ledger(|| Occ::release(ResKind::EventSlot, at, node, owner).unit(ev.0 as u64));
         }
         for _ in 0..trips {
             for &action in &self.actions[actions.clone()] {
@@ -392,15 +392,15 @@ impl ElanNic {
                     EventAction::NotifyHost { cookie } => {
                         ctx.count_id(counter_id!("elan.host_notify"), 1);
                         // Span: completion surfaced to the host.
-                        ctx.span(SpanEvent::Notify {
+                        ctx.span(|| SpanEvent::Notify {
                             unit: ev.0 as u64,
                             cookie,
                         });
-                        let notify = ctx.packet(
+                        let notify = ctx.packet(|| {
                             PacketLog::new(cause, CausalKind::Notify)
                                 .at_node(self.node.0 as u32)
-                                .detail(cookie, ev.0 as u64),
-                        );
+                                .detail(cookie, ev.0 as u64)
+                        });
                         ctx.send_at(
                             at + self.params.host_event_visible,
                             self.host,
@@ -437,11 +437,11 @@ impl Component<ElanEvent> for ElanNic {
                 let now = ctx.now();
                 let t = self.engine(ctx, now, self.params.nic_event_proc, owner);
                 // Netdump: the NIC picks up the host's event poke.
-                let dispatch = ctx.packet(
+                let dispatch = ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::NicDispatch)
                         .at_node(self.node.0 as u32)
-                        .detail(event.0 as u64, 0),
-                );
+                        .detail(event.0 as u64, 0)
+                });
                 self.set_event(ctx, t, event, owner, dispatch);
             }
             ElanEvent::TportPost {
@@ -454,11 +454,11 @@ impl Component<ElanEvent> for ElanNic {
                 let now = ctx.now();
                 let t = self.engine(ctx, now, self.params.nic_desc_proc, owner);
                 ctx.count_id(counter_id!("elan.tport_sent"), 1);
-                let fire = ctx.packet(
+                let fire = ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::Fire)
                         .nodes(self.node.0 as u32, dst.0 as u32)
-                        .detail(tag.0 as u64, len as u64),
-                );
+                        .detail(tag.0 as u64, len as u64)
+                });
                 self.inject(
                     ctx,
                     t,
@@ -476,11 +476,11 @@ impl Component<ElanEvent> for ElanNic {
                 let now = ctx.now();
                 let t = self.engine(ctx, now, self.params.nic_desc_proc, owner);
                 // Netdump: readiness forwarded to the switch-level unit.
-                let fire = ctx.packet(
+                let fire = ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::Fire)
                         .at_node(self.node.0 as u32)
-                        .detail(epoch, 0),
-                );
+                        .detail(epoch, 0)
+                });
                 ctx.send_at(
                     t,
                     unit,
@@ -495,11 +495,11 @@ impl Component<ElanEvent> for ElanNic {
                 let owner = Owner::coll(ELAN_SPAN_GROUP, 0, self.node.0 as u32);
                 let now = ctx.now();
                 let t = self.engine(ctx, now, self.params.nic_thread_proc, owner);
-                let dispatch = ctx.packet(
+                let dispatch = ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::NicDispatch)
                         .at_node(self.node.0 as u32)
-                        .detail(value, 0),
-                );
+                        .detail(value, 0)
+                });
                 let actions = self.thread.on_doorbell(t, value);
                 self.run_thread_actions(ctx, actions, dispatch);
             }
@@ -519,15 +519,15 @@ impl Component<ElanEvent> for ElanNic {
             } => {
                 // Span: arrival, detail word shared across payload kinds
                 // (see `ElanPayload::arrive_info`).
-                ctx.span(SpanEvent::Arrive {
+                ctx.span(|| SpanEvent::Arrive {
                     src: src.0 as u64,
                     info: payload.arrive_info(),
                 });
-                let arrive = ctx.packet(
+                let arrive = ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::Arrive)
                         .nodes(src.0 as u32, self.node.0 as u32)
-                        .detail(payload.arrive_info(), 0),
-                );
+                        .detail(payload.arrive_info(), 0)
+                });
                 let owner = self.payload_owner(ctx.recording(), &payload, src);
                 match payload {
                     ElanPayload::Thread { tag, value } => {
@@ -569,11 +569,11 @@ impl Component<ElanEvent> for ElanNic {
                 let owner = Owner::coll(ELAN_SPAN_GROUP, epoch, self.node.0 as u32);
                 let now = ctx.now();
                 let t = self.engine(ctx, now, self.params.nic_event_proc, owner);
-                let notify = ctx.packet(
+                let notify = ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::Notify)
                         .at_node(self.node.0 as u32)
-                        .detail(hw_cookie(epoch), 0),
-                );
+                        .detail(hw_cookie(epoch), 0)
+                });
                 ctx.send_at(
                     t + self.params.host_event_visible,
                     self.host,

@@ -69,11 +69,13 @@ pub enum CollAction {
 
 /// The reusable action scratch the NIC hands to its collective engine.
 ///
-/// The engine appends with [`ActionBuf::push`]; the NIC drains in place with
-/// [`ActionBuf::drain`] and keeps the buffer (and its capacity) for the next
-/// stimulus. Ownership rule: the *caller* clears after draining — an engine
-/// must never clear a buffer it is handed, only append, so callers can batch
-/// several stimuli into one drain if they choose.
+/// The engine appends with [`ActionBuf::push_with`], which builds each
+/// action straight into the buffer's spare slot; the NIC walks the
+/// actions in place through [`ActionBuf::as_slice`], then
+/// [`ActionBuf::clear`]s the buffer, keeping its capacity for the next
+/// stimulus. Ownership rule: the *caller* clears after walking — an engine
+/// must never clear a buffer it is handed, only append, so callers can
+/// batch several stimuli into one walk if they choose.
 #[derive(Debug, Default)]
 pub struct ActionBuf {
     actions: Vec<CollAction>,
@@ -85,9 +87,22 @@ impl ActionBuf {
         ActionBuf::default()
     }
 
-    /// Append one action.
-    pub fn push(&mut self, action: CollAction) {
-        self.actions.push(action);
+    /// Append the action `build` returns, built in place: room for it is
+    /// reserved first, so `build` writes the action straight into the
+    /// buffer rather than into a stack temporary that a push would then
+    /// copy.
+    #[inline(always)]
+    pub fn push_with(&mut self, build: impl FnOnce() -> CollAction) {
+        self.actions.reserve(1);
+        let len = self.actions.len();
+        // SAFETY: `reserve(1)` above guarantees `capacity() > len`, so
+        // slot `len` lies inside the allocation and holds no live action.
+        // The length grows only after the write, so a panic inside `build`
+        // leaves the buffer as it was.
+        unsafe {
+            self.actions.as_mut_ptr().add(len).write(build());
+            self.actions.set_len(len + 1);
+        }
     }
 
     /// Number of buffered actions.
@@ -194,6 +209,7 @@ impl NicCollective for NullCollective {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::CollKind;
 
     #[test]
     fn null_collective_times_out_quietly() {
@@ -221,7 +237,7 @@ mod tests {
     fn action_buf_drains_in_order_and_keeps_capacity() {
         let mut buf = ActionBuf::new();
         for epoch in 0..4 {
-            buf.push(CollAction::HostDone {
+            buf.push_with(|| CollAction::HostDone {
                 group: GroupId(1),
                 epoch,
                 value: 0,
@@ -239,6 +255,64 @@ mod tests {
         assert_eq!(epochs, vec![0, 1, 2, 3]);
         assert!(buf.is_empty());
         assert!(buf.actions.capacity() >= 4, "capacity must be retained");
+    }
+
+    /// In-place pushes into an empty buffer, through several capacity
+    /// growths: a walk by reference sees every action in push order, and
+    /// `clear` empties the buffer without giving its capacity back.
+    #[test]
+    fn action_buf_builds_in_place_through_growths() {
+        let mut buf = ActionBuf::new();
+        assert_eq!(buf.actions.capacity(), 0);
+        let mut growths = 0;
+        let mut cap = 0;
+        for epoch in 0..40u64 {
+            buf.push_with(|| {
+                if epoch % 2 == 0 {
+                    CollAction::Send {
+                        dst: NodeId(epoch as usize),
+                        pkt: CollPacket {
+                            src: NodeId(0),
+                            group: GroupId(1),
+                            epoch,
+                            round: 0,
+                            kind: CollKind::Barrier,
+                        },
+                        retx: false,
+                        cause: CauseId::NONE,
+                    }
+                } else {
+                    CollAction::HostDone {
+                        group: GroupId(1),
+                        epoch,
+                        value: epoch * 3,
+                        cause: CauseId::NONE,
+                    }
+                }
+            });
+            if buf.actions.capacity() != cap {
+                growths += 1;
+                cap = buf.actions.capacity();
+            }
+        }
+        assert!(growths >= 3, "only {growths} capacity growths");
+        assert_eq!(buf.len(), 40);
+        for (i, action) in buf.as_slice().iter().enumerate() {
+            let i = i as u64;
+            match action {
+                CollAction::Send { dst, pkt, .. } => {
+                    assert_eq!(i % 2, 0);
+                    assert_eq!((dst.0 as u64, pkt.epoch), (i, i));
+                }
+                CollAction::HostDone { epoch, value, .. } => {
+                    assert_eq!(i % 2, 1);
+                    assert_eq!((*epoch, *value), (i, i * 3));
+                }
+            }
+        }
+        buf.clear();
+        assert!(buf.is_empty());
+        assert_eq!(buf.actions.capacity(), cap, "clear must keep the capacity");
     }
 
     #[test]

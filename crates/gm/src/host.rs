@@ -232,11 +232,11 @@ impl GmHost {
                     let t = self.cpu(ctx.now(), self.params.host_send_overhead);
                     ctx.count_id(counter_id!("gm.host_send"), 1);
                     // Netdump: chain root for this message's data packets.
-                    let cause = ctx.packet(
+                    let cause = ctx.packet(|| {
                         PacketLog::new(CauseId::NONE, CausalKind::HostPost)
                             .nodes(self.node.0 as u32, dst.0 as u32)
-                            .detail(len as u64, 0),
-                    );
+                            .detail(len as u64, 0)
+                    });
                     ctx.send_at(
                         t + self.params.pio_write,
                         self.nic,
@@ -258,17 +258,17 @@ impl GmHost {
                     let t = self.cpu(ctx.now(), self.params.host_coll_call);
                     ctx.count_id(counter_id!("gm.host_coll"), 1);
                     // Span: this host enters epoch `this_epoch` of `group`.
-                    ctx.span(SpanEvent::OpBegin {
+                    ctx.span(|| SpanEvent::OpBegin {
                         group: group.0 as u64,
                         seq: this_epoch,
                     });
                     // Netdump: chain root of this rank's contribution to the
                     // barrier DAG.
-                    let cause = ctx.packet(
+                    let cause = ctx.packet(|| {
                         PacketLog::new(CauseId::NONE, CausalKind::HostEnter)
                             .at_node(self.node.0 as u32)
-                            .key(group.0 as u64, this_epoch),
-                    );
+                            .key(group.0 as u64, this_epoch)
+                    });
                     ctx.send_at(
                         t + self.params.pio_write,
                         self.nic,
@@ -330,18 +330,18 @@ impl Component<GmEvent> for GmHost {
             } => {
                 // Span: completion observed, before the app callback so a
                 // re-entering app's next op.begin follows its op.end.
-                ctx.span(SpanEvent::OpEnd {
+                ctx.span(|| SpanEvent::OpEnd {
                     group: group.0 as u64,
                     seq: epoch,
                 });
                 // Netdump: this rank's chain ends here; the analyzer keys
                 // spans off these records.
-                ctx.packet(
+                ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::HostExit)
                         .at_node(self.node.0 as u32)
                         .key(group.0 as u64, epoch)
-                        .detail(value, 0),
-                );
+                        .detail(value, 0)
+                });
                 let poll = self.params.host_recv_poll;
                 self.dispatch(ctx, poll, |app, api| {
                     app.on_coll_done(api, group, epoch, value)

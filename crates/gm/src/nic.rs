@@ -473,9 +473,9 @@ impl LanaiNic {
         let (start, done) = self.cpu_claim(now, cost);
         let node = self.node.0 as u32;
         if start > now {
-            ctx.ledger(Occ::wait(ResKind::NicCpu, now, start, node, owner));
+            ctx.ledger(|| Occ::wait(ResKind::NicCpu, now, start, node, owner));
         }
-        ctx.ledger(Occ::hold(ResKind::NicCpu, start, done, node, owner));
+        ctx.ledger(|| Occ::hold(ResKind::NicCpu, start, done, node, owner));
         done
     }
 
@@ -500,9 +500,9 @@ impl LanaiNic {
         let (start, done) = self.dma_claim(now, bytes);
         let node = self.node.0 as u32;
         if start > now {
-            ctx.ledger(Occ::wait(ResKind::DmaEngine, now, start, node, owner));
+            ctx.ledger(|| Occ::wait(ResKind::DmaEngine, now, start, node, owner));
         }
-        ctx.ledger(Occ::hold(ResKind::DmaEngine, start, done, node, owner));
+        ctx.ledger(|| Occ::hold(ResKind::DmaEngine, start, done, node, owner));
         done
     }
 
@@ -571,9 +571,9 @@ impl LanaiNic {
                     cost += self.params.nic_record_create;
                 }
                 let t = self.cpu(ctx, now, cost, owner);
-                ctx.ledger(
-                    Occ::release(ResKind::SendQueue, t, self.node.0 as u32, owner).unit(dst as u64),
-                );
+                ctx.ledger(|| {
+                    Occ::release(ResKind::SendQueue, t, self.node.0 as u32, owner).unit(dst as u64)
+                });
                 let is_nack = matches!(pkt.kind, CollKind::Nack);
                 ctx.count_id(
                     if is_nack {
@@ -588,19 +588,19 @@ impl LanaiNic {
                 // NACK-triggered resend on this ablated path reports as a
                 // fire/nack.
                 if is_nack {
-                    ctx.span(SpanEvent::Nack {
+                    ctx.span(|| SpanEvent::Nack {
                         dst: dst as u64,
                         round: pkt.round as u64,
                     });
                 } else {
-                    ctx.span(SpanEvent::Fire {
+                    ctx.span(|| SpanEvent::Fire {
                         unit: pkt.group.0 as u64,
                         dst: dst as u64,
                     });
                 }
                 // Netdump: the token's stored cause covers the queuing
                 // wait — the edge from protocol decision to actual launch.
-                let fire = ctx.packet(
+                let fire = ctx.packet(|| {
                     PacketLog::new(
                         token_cause,
                         if is_nack {
@@ -611,8 +611,8 @@ impl LanaiNic {
                     )
                     .nodes(self.node.0 as u32, dst as u32)
                     .key(pkt.group.0 as u64, pkt.epoch)
-                    .detail(pkt.round as u64, 0),
-                );
+                    .detail(pkt.round as u64, 0)
+                });
                 self.inject(
                     ctx,
                     t,
@@ -642,23 +642,23 @@ impl LanaiNic {
                     owner,
                 );
                 self.free_packets -= 1;
-                ctx.ledger(
+                ctx.ledger(|| {
                     Occ::acquire(ResKind::PacketPool, t, self.node.0 as u32, owner)
-                        .unit(self.free_packets as u64),
-                );
+                        .unit(self.free_packets as u64)
+                });
                 if msg_exhausted {
-                    ctx.ledger(
+                    ctx.ledger(|| {
                         Occ::release(ResKind::SendQueue, t, self.node.0 as u32, owner)
-                            .unit(dst as u64),
-                    );
+                            .unit(dst as u64)
+                    });
                 }
 
                 // Netdump: payload DMA begins (parent: the host post).
-                let dma_cause = ctx.packet(
+                let dma_cause = ctx.packet(|| {
                     PacketLog::new(token_cause, CausalKind::DmaStart)
                         .nodes(self.node.0 as u32, dst as u32)
-                        .detail(payload as u64, 0),
-                );
+                        .detail(payload as u64, 0)
+                });
 
                 // Payload crosses the I/O bus into the claimed buffer.
                 let dma_done = self.dma(ctx, t, payload, owner);
@@ -716,16 +716,16 @@ impl LanaiNic {
             peer.next_seq - 1
         };
         // Netdump: DMA completed, then the packet commits to the fabric.
-        let dma_done = ctx.packet(
+        let dma_done = ctx.packet(|| {
             PacketLog::new(cause, CausalKind::DmaDone)
                 .nodes(self.node.0 as u32, dst.0 as u32)
-                .detail(payload as u64, 0),
-        );
-        let fire = ctx.packet(
+                .detail(payload as u64, 0)
+        });
+        let fire = ctx.packet(|| {
             PacketLog::new(dma_done, CausalKind::Fire)
                 .nodes(self.node.0 as u32, dst.0 as u32)
-                .detail(seq as u64, 0),
-        );
+                .detail(seq as u64, 0)
+        });
         self.p2p_mut().record(
             dst.0,
             SendRecord {
@@ -777,21 +777,21 @@ impl LanaiNic {
         if offset == 0 {
             // New message: reserve the receive buffer.
             self.recv_tokens -= 1;
-            ctx.ledger(
+            ctx.ledger(|| {
                 Occ::acquire(ResKind::RecvTokens, t, self.node.0 as u32, owner)
-                    .unit(self.recv_tokens as u64),
-            );
+                    .unit(self.recv_tokens as u64)
+            });
             self.peer_mut(src).assembling.push_back(Assembly {
                 received: 0,
                 total_len,
             });
         }
         // Netdump: NIC→host payload DMA begins.
-        let dma_cause = ctx.packet(
+        let dma_cause = ctx.packet(|| {
             PacketLog::new(cause, CausalKind::DmaStart)
                 .nodes(src.0 as u32, self.node.0 as u32)
-                .detail(payload as u64, 0),
-        );
+                .detail(payload as u64, 0)
+        });
         let dma_done = self.dma(ctx, t, payload, owner);
         ctx.send_at(
             dma_done,
@@ -824,11 +824,11 @@ impl LanaiNic {
             self.params.nic_ack_gen,
             Owner::fabric(self.node.0 as u32),
         );
-        let fire = ctx.packet(
+        let fire = ctx.packet(|| {
             PacketLog::new(cause, CausalKind::Fire)
                 .nodes(self.node.0 as u32, dst.0 as u32)
-                .detail(upto as u64, 0),
-        );
+                .detail(upto as u64, 0)
+        });
         let pkt = Packet {
             src: self.node,
             dst,
@@ -857,11 +857,11 @@ impl LanaiNic {
                     self.params.nic_seq_check,
                     stream_owner(tag, src.0 as u32),
                 );
-                let arrive = ctx.packet(
+                let arrive = ctx.packet(|| {
                     PacketLog::new(pkt.cause, CausalKind::Arrive)
                         .nodes(src.0 as u32, self.node.0 as u32)
-                        .detail(seq as u64, 0),
-                );
+                        .detail(seq as u64, 0)
+                });
                 let expected = self.peer_mut(src).expect_seq;
                 if seq == expected {
                     if offset == 0 && self.recv_tokens == 0 {
@@ -891,11 +891,11 @@ impl LanaiNic {
                     self.params.nic_ack_process,
                     Owner::fabric(src.0 as u32),
                 );
-                ctx.packet(
+                ctx.packet(|| {
                     PacketLog::new(pkt.cause, CausalKind::Arrive)
                         .nodes(src.0 as u32, self.node.0 as u32)
-                        .detail(upto as u64, 0),
-                );
+                        .detail(upto as u64, 0)
+                });
                 // Reusable scratch for completed message ids: ACK bursts in
                 // steady state must not touch the heap.
                 let mut completed = std::mem::take(&mut self.ack_scratch);
@@ -904,15 +904,15 @@ impl LanaiNic {
                 if freed > 0 {
                     // One release per cumulative ACK; `unit` carries the
                     // pool level after the return.
-                    ctx.ledger(
+                    ctx.ledger(|| {
                         Occ::release(
                             ResKind::PacketPool,
                             t,
                             self.node.0 as u32,
                             Owner::fabric(src.0 as u32),
                         )
-                        .unit(self.free_packets as u64),
-                    );
+                        .unit(self.free_packets as u64)
+                    });
                 }
                 for &msg_id in completed.iter() {
                     ctx.send_at(
@@ -941,18 +941,18 @@ impl LanaiNic {
                 let t = self.cpu(ctx, now, self.params.nic_coll_recv, coll_owner(&cp));
                 ctx.count_id(counter_id!("gm.coll_recv"), 1);
                 // Span: collective packet accepted (info = epoch).
-                ctx.span(SpanEvent::Arrive {
+                ctx.span(|| SpanEvent::Arrive {
                     src: cp.src.0 as u64,
                     info: cp.epoch,
                 });
                 // Netdump: the arrival record is the cause handed to the
                 // protocol engine — every action it enables chains here.
-                let arrive = ctx.packet(
+                let arrive = ctx.packet(|| {
                     PacketLog::new(pkt.cause, CausalKind::Arrive)
                         .nodes(cp.src.0 as u32, self.node.0 as u32)
                         .key(cp.group.0 as u64, cp.epoch)
-                        .detail(cp.round as u64, 0),
-                );
+                        .detail(cp.round as u64, 0)
+                });
                 let mut buf = std::mem::take(&mut self.coll_buf);
                 self.coll.on_packet(t, &cp, arrive, &mut buf);
                 let needs_ack =
@@ -980,12 +980,12 @@ impl LanaiNic {
                         Owner::fabric(self.node.0 as u32),
                     );
                     ctx.count_id(counter_id!("gm.coll_ack_sent"), 1);
-                    let ack_fire = ctx.packet(
+                    let ack_fire = ctx.packet(|| {
                         PacketLog::new(arrive, CausalKind::Fire)
                             .nodes(self.node.0 as u32, cp.src.0 as u32)
                             .key(cp.group.0 as u64, cp.epoch)
-                            .detail(cp.round as u64, 0),
-                    );
+                            .detail(cp.round as u64, 0)
+                    });
                     self.inject(
                         ctx,
                         ta,
@@ -1002,7 +1002,8 @@ impl LanaiNic {
     }
 
     /// Execute the actions the collective engine buffered, charging the
-    /// collective (or ablated) cost model. Drains `actions` in place; the
+    /// collective (or ablated) cost model. Walks `actions` by reference,
+    /// so no action is copied out of the buffer, then clears it; the
     /// caller owns the buffer (normally `self.coll_buf`, taken out around
     /// the engine call) and puts it back to keep its capacity.
     fn run_coll_actions(
@@ -1012,31 +1013,33 @@ impl LanaiNic {
         actions: &mut ActionBuf,
     ) {
         let mut at = after;
-        for action in actions.drain() {
-            match action {
+        for action in actions.as_slice() {
+            match *action {
                 CollAction::Send {
                     dst,
-                    pkt,
+                    ref pkt,
                     retx,
                     cause,
                 } => {
                     assert_ne!(dst, self.node, "collective self-send");
-                    let owner = coll_owner(&pkt);
+                    let owner = coll_owner(pkt);
                     if !self.features.group_queue {
                         // Group-queue ablation: the collective message is
                         // enqueued as an ordinary send token and takes its
                         // round-robin turn behind whatever else is queued
                         // to this destination (§6.1's problem, structural).
                         let t = self.cpu(ctx, at, self.params.nic_token_create.scale(0.5), owner);
-                        ctx.ledger(
+                        ctx.ledger(|| {
                             Occ::acquire(ResKind::SendQueue, t, self.node.0 as u32, owner)
-                                .unit(dst.0 as u64),
-                        );
+                                .unit(dst.0 as u64)
+                        });
                         // Span: queue depth the collective token waits
-                        // behind.
-                        ctx.span(SpanEvent::Enqueue {
+                        // behind (read outside the builder, which must
+                        // not create the peer entry only while recording).
+                        let depth = self.peer_mut(dst).queue.len() as u64;
+                        ctx.span(|| SpanEvent::Enqueue {
                             dst: dst.0 as u64,
-                            depth: self.peer_mut(dst).queue.len() as u64,
+                            depth,
                         });
                         // The fire record is emitted when the token finally
                         // launches (`send_work`), so the queuing wait shows
@@ -1047,7 +1050,7 @@ impl LanaiNic {
                             len: 0,
                             tag: crate::types::MsgTag(0),
                             offset: 0,
-                            coll: Some(pkt),
+                            coll: Some(pkt.clone()),
                             cause,
                         });
                         at = t;
@@ -1083,17 +1086,17 @@ impl LanaiNic {
                     // Span: the §6.1 bypass in action, attributed to the
                     // retransmit / nack / fire phase as appropriate.
                     if retx {
-                        ctx.span(SpanEvent::Retransmit {
+                        ctx.span(|| SpanEvent::Retransmit {
                             dst: dst.0 as u64,
                             round: pkt.round as u64,
                         });
                     } else if is_nack {
-                        ctx.span(SpanEvent::Nack {
+                        ctx.span(|| SpanEvent::Nack {
                             dst: dst.0 as u64,
                             round: pkt.round as u64,
                         });
                     } else {
-                        ctx.span(SpanEvent::Fire {
+                        ctx.span(|| SpanEvent::Fire {
                             unit: pkt.group.0 as u64,
                             dst: dst.0 as u64,
                         });
@@ -1101,7 +1104,7 @@ impl LanaiNic {
                     // Netdump: NACK-triggered resends and the NACKs
                     // themselves are distinct kinds, so the analyzer can
                     // name the recovery detour on a critical path.
-                    let fire = ctx.packet(
+                    let fire = ctx.packet(|| {
                         PacketLog::new(
                             cause,
                             if retx {
@@ -1114,17 +1117,20 @@ impl LanaiNic {
                         )
                         .nodes(self.node.0 as u32, dst.0 as u32)
                         .key(pkt.group.0 as u64, pkt.epoch)
-                        .detail(pkt.round as u64, 0),
-                    );
-                    self.inject(
-                        ctx,
-                        at,
-                        Packet {
+                        .detail(pkt.round as u64, 0)
+                    });
+                    // The packet is built inside the send, read from the
+                    // buffered action by reference.
+                    let (arrive, target) = self.route(at, dst, pkt.wire_bytes());
+                    ctx.send_at(
+                        arrive,
+                        target,
+                        GmEvent::Inject(Packet {
                             src: self.node,
                             dst,
-                            kind: PacketKind::Coll(pkt),
+                            kind: PacketKind::Coll(pkt.clone()),
                             cause: fire,
-                        },
+                        }),
                     );
                 }
                 CollAction::HostDone {
@@ -1134,16 +1140,16 @@ impl LanaiNic {
                     cause,
                 } => {
                     // Span: completion event DMAed up to the host.
-                    ctx.span(SpanEvent::Notify {
+                    ctx.span(|| SpanEvent::Notify {
                         unit: group.0 as u64,
                         cookie: epoch,
                     });
-                    let notify = ctx.packet(
+                    let notify = ctx.packet(|| {
                         PacketLog::new(cause, CausalKind::Notify)
                             .at_node(self.node.0 as u32)
                             .key(group.0 as u64, epoch)
-                            .detail(value, 0),
-                    );
+                            .detail(value, 0)
+                    });
                     ctx.send_at(
                         at + self.params.host_event_dma,
                         self.host,
@@ -1157,6 +1163,7 @@ impl LanaiNic {
                 }
             }
         }
+        actions.clear();
         self.ensure_timer(ctx);
     }
 
@@ -1211,16 +1218,16 @@ impl LanaiNic {
             };
             ctx.count_id(counter_id!("gm.retransmit"), 1);
             // Span: go-back-N re-injection (round = wire sequence).
-            ctx.span(SpanEvent::Retransmit {
+            ctx.span(|| SpanEvent::Retransmit {
                 dst: d as u64,
                 round: seq as u64,
             });
             // Netdump: the detour parents on the original injection.
-            pkt.cause = ctx.packet(
+            pkt.cause = ctx.packet(|| {
                 PacketLog::new(orig_cause, CausalKind::Retransmit)
                     .nodes(self.node.0 as u32, d as u32)
-                    .detail(seq as u64, 0),
-            );
+                    .detail(seq as u64, 0)
+            });
             self.inject(ctx, t, pkt);
         });
     }
@@ -1232,9 +1239,17 @@ impl LanaiNic {
     /// in [`LanaiNic::on_inject`] — the receiver owns the wire's only
     /// mutable state, which is what lets clusters shard.
     fn inject(&mut self, ctx: &mut Ctx<'_, GmEvent>, t: SimTime, pkt: Packet) {
-        let flight = self.wire.model().flight(pkt.src, pkt.dst, pkt.wire_bytes());
-        let target = ComponentId(self.nic0.0 + pkt.dst.0);
-        ctx.send_at(t + flight, target, GmEvent::Inject(pkt));
+        debug_assert_eq!(pkt.src, self.node, "packet injected by another NIC");
+        let (arrive, target) = self.route(t, pkt.dst, pkt.wire_bytes());
+        ctx.send_at(arrive, target, GmEvent::Inject(pkt));
+    }
+
+    /// When and where a packet of `bytes` that this NIC commits to the
+    /// wire at `t` toward `dst` presents: after its routed flight, at the
+    /// destination NIC's input port.
+    fn route(&self, t: SimTime, dst: NodeId, bytes: u32) -> (SimTime, ComponentId) {
+        let flight = self.wire.model().flight(self.node, dst, bytes);
+        (t + flight, ComponentId(self.nic0.0 + dst.0))
     }
 
     /// A packet presents at this NIC's input port after its routed
@@ -1261,7 +1276,7 @@ impl LanaiNic {
         let bytes = pkt.wire_bytes();
         // Span: the wire crossing (emitted before the loss draw so dropped
         // packets still show their attempt).
-        ctx.span(SpanEvent::Wire {
+        ctx.span(|| SpanEvent::Wire {
             src: pkt.src.0 as u64,
             dst: pkt.dst.0 as u64,
             bytes: bytes as u64,
@@ -1283,31 +1298,34 @@ impl LanaiNic {
             let node = self.node.0 as u32;
             let routed = ctx.now();
             if a.port_wait > SimTime::ZERO {
-                ctx.ledger(
+                ctx.ledger(|| {
                     Occ::wait(ResKind::LinkPort, routed, a.arrive, node, owner)
-                        .unit(self.node.0 as u64),
-                );
+                        .unit(self.node.0 as u64)
+                });
             }
-            ctx.ledger(
+            ctx.ledger(|| {
                 Occ::hold(ResKind::LinkPort, a.arrive, a.until, node, owner)
-                    .unit(self.node.0 as u64),
-            );
+                    .unit(self.node.0 as u64)
+            });
         }
         // Netdump: the wire record carries the link-occupancy tag (bytes +
         // destination-port queuing wait), so the analyzer can separate
         // "slow link" from "busy port".
-        let mut log = PacketLog::new(pkt.cause, CausalKind::Wire)
-            .nodes(pkt.src.0 as u32, pkt.dst.0 as u32)
-            .detail(bytes as u64, admitted.map_or(0, |a| a.port_wait.as_ns()));
-        if let PacketKind::Coll(c) = &pkt.kind {
-            log = log.key(c.group.0 as u64, c.epoch);
-        }
-        let wire = ctx.packet(log);
+        let wire = ctx.packet(|| {
+            let log = PacketLog::new(pkt.cause, CausalKind::Wire)
+                .nodes(pkt.src.0 as u32, pkt.dst.0 as u32)
+                .detail(bytes as u64, admitted.map_or(0, |a| a.port_wait.as_ns()));
+            if let PacketKind::Coll(c) = &pkt.kind {
+                log.key(c.group.0 as u64, c.epoch)
+            } else {
+                log
+            }
+        });
         let Some(admission) = admitted else {
             ctx.count_id(counter_id!("wire.dropped"), 1);
-            ctx.packet(
-                PacketLog::new(wire, CausalKind::Drop).nodes(pkt.src.0 as u32, pkt.dst.0 as u32),
-            );
+            ctx.packet(|| {
+                PacketLog::new(wire, CausalKind::Drop).nodes(pkt.src.0 as u32, pkt.dst.0 as u32)
+            });
             return;
         };
         pkt.cause = wire;
@@ -1346,10 +1364,10 @@ impl Component<GmEvent> for LanaiNic {
                     None => stream_owner(token.tag, self.node.0 as u32),
                 };
                 let t = self.cpu(ctx, now, self.params.nic_token_create, owner);
-                ctx.ledger(
+                ctx.ledger(|| {
                     Occ::acquire(ResKind::SendQueue, t, self.node.0 as u32, owner)
-                        .unit(token.dst.0 as u64),
-                );
+                        .unit(token.dst.0 as u64)
+                });
                 self.p2p_mut().enqueue(token);
                 ctx.count_id(counter_id!("gm.token_posted"), 1);
                 self.kick_scheduler(ctx);
@@ -1359,15 +1377,15 @@ impl Component<GmEvent> for LanaiNic {
                 // Host replenish is protocol plumbing: no single stream to
                 // bill. `unit` carries the pool level after the post.
                 let now = ctx.now();
-                ctx.ledger(
+                ctx.ledger(|| {
                     Occ::release(
                         ResKind::RecvTokens,
                         now,
                         self.node.0 as u32,
                         Owner::fabric(self.node.0 as u32),
                     )
-                    .unit(self.recv_tokens as u64),
-                );
+                    .unit(self.recv_tokens as u64)
+                });
             }
             GmEvent::CollPost {
                 group,
@@ -1386,11 +1404,11 @@ impl Component<GmEvent> for LanaiNic {
                     self.params.nic_coll_send.scale(0.5),
                     Owner::coll(group.0 as u64, epoch, self.node.0 as u32),
                 );
-                let dispatch = ctx.packet(
+                let dispatch = ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::NicDispatch)
                         .at_node(self.node.0 as u32)
-                        .key(group.0 as u64, epoch),
-                );
+                        .key(group.0 as u64, epoch)
+                });
                 let mut buf = std::mem::take(&mut self.coll_buf);
                 self.coll
                     .on_doorbell(t, group, epoch, &operand, dispatch, &mut buf);
@@ -1422,11 +1440,11 @@ impl Component<GmEvent> for LanaiNic {
                 cause,
             } => {
                 let now = ctx.now();
-                let dma_done = ctx.packet(
+                let dma_done = ctx.packet(|| {
                     PacketLog::new(cause, CausalKind::DmaDone)
                         .nodes(src.0 as u32, self.node.0 as u32)
-                        .detail(payload as u64, 0),
-                );
+                        .detail(payload as u64, 0)
+                });
                 self.send_ack(ctx, now, src, seq, dma_done);
                 let done = {
                     let asm = self

@@ -53,7 +53,7 @@ impl NicCollective for ScriptedColl {
         self.epoch = epoch;
         self.armed_deadline = Some(now + SimTime::from_us(10_000.0));
         for d in (0..self.n).filter(|&d| d != self.node.0) {
-            actions.push(CollAction::Send {
+            actions.push_with(|| CollAction::Send {
                 dst: NodeId(d),
                 pkt: CollPacket {
                     src: self.node,
@@ -79,7 +79,7 @@ impl NicCollective for ScriptedColl {
         self.got += 1;
         if self.got == self.n - 1 {
             self.armed_deadline = None;
-            actions.push(CollAction::HostDone {
+            actions.push_with(|| CollAction::HostDone {
                 group: G,
                 epoch: self.epoch,
                 value: 7,

@@ -33,7 +33,7 @@ impl NicCollective for AllToAll {
         let _ = cause;
         self.epoch = epoch;
         for d in (0..self.n).filter(|&d| d != self.node.0) {
-            actions.push(CollAction::Send {
+            actions.push_with(|| CollAction::Send {
                 dst: NodeId(d),
                 pkt: CollPacket {
                     src: self.node,
@@ -56,7 +56,7 @@ impl NicCollective for AllToAll {
     ) {
         self.got += 1;
         if self.got == self.n - 1 {
-            actions.push(CollAction::HostDone {
+            actions.push_with(|| CollAction::HostDone {
                 group: G,
                 epoch: self.epoch,
                 value: 0,

@@ -15,7 +15,10 @@
 //!   fixpoint marks every function whose return value can carry taint.
 //!   A finding is reported only where taint flows into a **sink** — an
 //!   engine scheduling/telemetry call (`send*`, `schedule_*`, `count*`,
-//!   `span`, `push*`) or a `SimTime` construction — at the sink's line.
+//!   `push*`), a record-log call (`span`, `packet`, `ledger`) or a
+//!   `SimTime` construction — at the sink's line. A closure argument (the
+//!   record builders, `push_with`'s action builder) is scanned like any
+//!   other.
 //! * **ND003 (hash-order iteration)** — `HashMap`/`HashSet` bindings,
 //!   params and fields are tracked by type; a finding is reported only
 //!   where one is *iterated* (`.iter()`, `.keys()`, `.drain()`, …, or a
@@ -32,7 +35,9 @@ use crate::parser::{FileTree, FnItem};
 use crate::rules::{Finding, Scope};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Engine calls through which a tainted value becomes sim-visible state.
+/// Engine calls through which a tainted value becomes sim-visible state:
+/// an event, a counter, a protocol action, or a record of the byte-pinned
+/// record log (`span`, `packet`, `ledger`).
 const SINKS: &[&str] = &[
     "send",
     "send_at",
@@ -44,7 +49,10 @@ const SINKS: &[&str] = &[
     "count",
     "count_id",
     "span",
+    "packet",
+    "ledger",
     "push",
+    "push_with",
     "push_batch",
 ];
 

@@ -16,8 +16,8 @@
 //!
 //! Records live in the packet column of the engine's record log
 //! ([`crate::Trace`]), disabled by default. When disabled,
-//! [`crate::Ctx::packet`] is a single predictable branch returning
-//! [`CauseId::NONE`], so the hot path pays nothing. The column stores no
+//! [`crate::Ctx::packet`] is one branch returning [`CauseId::NONE`], and
+//! the closure that builds the [`PacketLog`] never runs. The column stores no
 //! id: [`PacketRecord::id`] is positional, the column's first id plus the
 //! record's index, and `parent` is kept as a delta from it (see
 //! [`crate::column`]). Decode the column once with

@@ -126,9 +126,9 @@ pub struct Ctx<'a, M> {
     /// Present when this engine runs as a shard of the parallel engine:
     /// routes cross-shard sends into per-destination outboxes.
     link: Option<&'a mut ShardLink<M>>,
-    /// True when the record log is on, computed once per delivery so every
-    /// emit call on the disabled path is a single predictable branch on an
-    /// already-loaded bool.
+    /// True when the record log is on, computed once per delivery. Every
+    /// emit call tests it before running its record builder, so with the
+    /// log off no record is built.
     recording: bool,
 }
 
@@ -254,12 +254,16 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Emit a typed event attributed to this component into the record
-    /// log, which also folds it into the per-operation spans. When the log
-    /// is off — the common case — this is a single predictable branch and
-    /// the event is never built into a record.
-    #[inline]
-    pub fn span(&mut self, event: SpanEvent) {
+    /// log, which also folds it into the per-operation spans. `build`
+    /// runs only while the log is on: with it off — the common case — the
+    /// call is one branch on `recording`, and the event is never built.
+    /// A builder here, in [`Ctx::packet`] or in [`Ctx::ledger`] must only
+    /// read simulation state, never change it, or recording would change
+    /// the run it records.
+    #[inline(always)]
+    pub fn span(&mut self, build: impl FnOnce() -> SpanEvent) {
         if self.recording {
+            let event = build();
             self.span_slow(event);
         }
     }
@@ -271,14 +275,16 @@ impl<M> Ctx<'_, M> {
 
     /// Record a wire-visible event into the log's packet column, returning
     /// its [`CauseId`] so follow-on events can name it as their parent.
-    /// When the log is off this is a single predictable branch and returns
-    /// [`CauseId::NONE`]. A shard of the parallel engine hands out
-    /// provisional ids, which the merge remaps to the sequential run's.
-    #[inline]
-    pub fn packet(&mut self, log: PacketLog) -> CauseId {
+    /// `build` runs only while the log is on; with it off the call returns
+    /// [`CauseId::NONE`] without building the record. A shard of the
+    /// parallel engine hands out provisional ids, which the merge remaps
+    /// to the sequential run's.
+    #[inline(always)]
+    pub fn packet(&mut self, build: impl FnOnce() -> PacketLog) -> CauseId {
         if !self.recording {
             return CauseId::NONE;
         }
+        let log = build();
         self.packet_slow(log)
     }
 
@@ -287,12 +293,13 @@ impl<M> Ctx<'_, M> {
         self.trace.record_packet(self.now, self.self_id, log)
     }
 
-    /// Record a resource-occupancy event into the log's ledger column. When
-    /// the log is off this is a single predictable branch and the record is
-    /// never built.
-    #[inline]
-    pub fn ledger(&mut self, occ: Occ) {
+    /// Record a resource-occupancy event into the log's ledger column.
+    /// `build` runs only while the log is on; with it off the record, its
+    /// owner included, is never built.
+    #[inline(always)]
+    pub fn ledger(&mut self, build: impl FnOnce() -> Occ) {
         if self.recording {
+            let occ = build();
             self.ledger_slow(occ);
         }
     }
@@ -714,7 +721,7 @@ mod tests {
             match msg {
                 Msg::Record(i) => {
                     ctx.count("records", 1);
-                    ctx.span(SpanEvent::Arrive {
+                    ctx.span(|| SpanEvent::Arrive {
                         src: 0,
                         info: u64::from(i),
                     });
@@ -999,15 +1006,15 @@ mod tests {
             fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
                 match msg {
                     Msg::Tick(0) => {
-                        ctx.span(SpanEvent::OpBegin { group: 7, seq: 0 });
+                        ctx.span(|| SpanEvent::OpBegin { group: 7, seq: 0 });
                         ctx.send_self(SimTime::MICROSECOND, Msg::Tick(1));
                     }
                     Msg::Tick(1) => {
-                        ctx.span(SpanEvent::Fire { unit: 0, dst: 1 });
+                        ctx.span(|| SpanEvent::Fire { unit: 0, dst: 1 });
                         ctx.send_self(SimTime::MICROSECOND, Msg::Tick(2));
                     }
                     Msg::Tick(2) => {
-                        ctx.span(SpanEvent::OpEnd { group: 7, seq: 0 });
+                        ctx.span(|| SpanEvent::OpEnd { group: 7, seq: 0 });
                         ctx.send(SimTime::ZERO, self.sink, Msg::Stop);
                     }
                     _ => unreachable!(),
@@ -1028,6 +1035,62 @@ mod tests {
         assert_eq!(spans[0].total(), SimTime::from_us(2.0));
         assert_eq!(spans[0].phase(Phase::Fire), 1_000);
         assert_eq!(spans[0].phase(Phase::Host), 1_000);
+    }
+
+    /// A record's builder runs once per call while the log is on and never
+    /// while it is off, where `packet` hands out `CauseId::NONE`.
+    #[test]
+    fn record_builders_run_only_while_recording() {
+        use crate::causal::CausalKind;
+        use crate::ledger::{Owner, ResKind};
+
+        #[derive(Default)]
+        struct Emitter {
+            builds: [u32; 3],
+            causes: Vec<CauseId>,
+        }
+        impl Component<Msg> for Emitter {
+            fn handle(&mut self, _msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+                let now = ctx.now();
+                let builds = &mut self.builds;
+                ctx.span(|| {
+                    builds[0] += 1;
+                    SpanEvent::Fire { unit: 0, dst: 1 }
+                });
+                let cause = ctx.packet(|| {
+                    builds[1] += 1;
+                    PacketLog::new(CauseId::NONE, CausalKind::Fire).nodes(0, 1)
+                });
+                ctx.ledger(|| {
+                    builds[2] += 1;
+                    Occ::hold(ResKind::NicCpu, now, now, 0, Owner::fabric(0))
+                });
+                self.causes.push(cause);
+            }
+        }
+        let run = |recording: bool| {
+            let mut engine: Engine<Msg> = Engine::new(0);
+            let e = engine.add(Emitter::default());
+            if recording {
+                engine.enable_trace();
+            }
+            for i in 0..5 {
+                engine.schedule_at(SimTime::from_ns(i), e, Msg::Tick(0));
+            }
+            engine.run();
+            let t = engine.trace();
+            let columns = (t.len(), t.packets().len(), t.ledger().len());
+            let emitter = engine.component_ref::<Emitter>(e).unwrap();
+            (emitter.builds, emitter.causes.clone(), columns)
+        };
+        let (builds, causes, columns) = run(true);
+        assert_eq!(builds, [5, 5, 5], "one build per call with the log on");
+        assert_eq!(columns, (5, 5, 5));
+        assert!(causes.iter().all(|&c| c != CauseId::NONE));
+        let (builds, causes, columns) = run(false);
+        assert_eq!(builds, [0, 0, 0], "no build with the log off");
+        assert_eq!(columns, (0, 0, 0));
+        assert_eq!(causes, vec![CauseId::NONE; 5]);
     }
 
     #[test]

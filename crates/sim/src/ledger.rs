@@ -13,9 +13,10 @@
 //!
 //! Records live in the ledger column of the engine's record log
 //! ([`crate::Trace`]), disabled by default. When disabled,
-//! [`crate::Ctx::ledger`] is a single predictable branch, so the hot path
-//! pays nothing (the allocation gate covers this), and an emitter whose
-//! [`Owner`] costs work to build reads [`crate::Ctx::recording`] first. The
+//! [`crate::Ctx::ledger`] is one branch and the closure that builds the
+//! [`Occ`] never runs (the allocation gate covers this path), and an
+//! emitter whose [`Owner`] costs work to build reads
+//! [`crate::Ctx::recording`] first. The
 //! column stores each record varint-encoded, `op`, `res` and the owner's
 //! kind in one tag byte (see [`crate::column`]).
 //!

@@ -1090,19 +1090,13 @@ mod tests {
             self.log.push((now.as_ns(), hops, cause));
             ctx.count("ring.hops", 1);
             let node = self.idx as u32;
-            ctx.ledger(Occ::hold(
-                ResKind::NicCpu,
-                now,
-                now,
-                node,
-                Owner::fabric(node),
-            ));
-            let wire = ctx.packet(
+            ctx.ledger(|| Occ::hold(ResKind::NicCpu, now, now, node, Owner::fabric(node)));
+            let wire = ctx.packet(|| {
                 PacketLog::new(cause, CausalKind::Wire)
                     .nodes(node, self.next.0 as u32)
-                    .detail(hops as u64, 0),
-            );
-            ctx.span(SpanEvent::Arrive {
+                    .detail(hops as u64, 0)
+            });
+            ctx.span(|| SpanEvent::Arrive {
                 src: self.idx as u64,
                 info: u64::from(hops),
             });

@@ -16,8 +16,9 @@
 //! column once with [`Records::to_vec`].
 //!
 //! A log is disabled by default. The engine reads the switch once per
-//! delivery, so every emit site costs one predictable branch while it is
-//! off (checked by `engine_sweep`). Tests enable it to assert fine-grained
+//! delivery, and every emit call takes a closure that builds its record
+//! behind that branch, so while the log is off an emit site costs one
+//! branch and builds nothing (checked by `engine_sweep`). Tests enable it to assert fine-grained
 //! protocol behaviour, e.g. "the barrier send token never waited behind a
 //! point-to-point token" or "no ACK was emitted for a collective packet".
 //!
