@@ -3,17 +3,28 @@
 //! (`elan_hgsync`) — the four curves of the paper's Fig. 7. Each runs the
 //! §8 closed loop of [`BarrierLog`]; the NIC barrier can also enter several
 //! groups per epoch beside an [`ElanStream`] (the contention scenario).
+//!
+//! The Elanlib tree runs the NIC's own engine on the host: the
+//! `GatherBroadcast` schedule in a [`crate::protocol::PaperCollective`],
+//! its messages carried as tagged tport sends.
 
 use crate::elan_chain::{chain_done_cookie, ENTRY_EVENT};
-use crate::host_app::{BarrierLog, Next};
+use crate::host_app::{BarrierLog, GroupEngine, Next};
+use crate::protocol::GroupOp;
+use crate::schedule::{Algorithm, Schedule};
 use crate::traffic::ElanStream;
 use nicbar_elan::host::ELAN_SPAN_GROUP;
-use nicbar_elan::{
-    hw_cookie, ElanApi, ElanApp, EventId, Gsync, GsyncStep, TportTag, BCAST_TAG, BULK_TPORT_TAG,
-    GATHER_TAG, GSYNC_MSG_BYTES,
-};
+use nicbar_elan::{hw_cookie, ElanApi, ElanApp, EventId, TportTag, BULK_TPORT_TAG};
+use nicbar_gm::CollKind;
 use nicbar_net::NodeId;
 use std::sync::Arc;
+
+/// Tag of an `elan_gsync` gather (up-tree) message.
+pub const GATHER_TAG: TportTag = TportTag(0xE1A0);
+/// Tag of an `elan_gsync` release (down-tree) message.
+pub const BCAST_TAG: TportTag = TportTag(0xE1A1);
+/// Payload size of an `elan_gsync` message (one synchronization word).
+pub const GSYNC_MSG_BYTES: u32 = 4;
 
 /// NIC-based barrier over chained RDMA (paper §7): the host sets each
 /// group's entry event once per barrier and waits for the done
@@ -98,12 +109,17 @@ impl ElanApp for ElanNicBarrierApp {
     }
 }
 
-/// Elanlib `elan_gsync()` benchmark app: host-driven tree gather-broadcast.
+/// Elanlib `elan_gsync()` benchmark app: the host runs the
+/// gather-broadcast tree schedule (§4.1, Fig. 2) and sends each message as
+/// a tagged tport message, so the host is on the critical path at every
+/// tree level.
 pub struct ElanGsyncApp {
-    gsync: Gsync,
-    /// Rank → node placement (the tree is built in rank space), one list
-    /// shared by every rank.
-    members: Arc<[NodeId]>,
+    group: GroupEngine,
+    /// The round that hears this rank's children's gathers (none at a
+    /// leaf) and the round that hears its parent's release (none at the
+    /// root). Sends before the release round go up the tree.
+    gather_round: Option<usize>,
+    release_round: Option<usize>,
     /// Measurements.
     pub log: BarrierLog,
 }
@@ -119,25 +135,41 @@ impl ElanGsyncApp {
         skew_us: f64,
     ) -> Self {
         let members = members.into();
-        let n = members.len();
+        let schedule = Schedule::gather_broadcast(members.len(), rank, degree);
+        // Of the ranks this one hears, only its parent ranks lower: the
+        // parent's release comes in one round, every child's gather in
+        // another.
+        let hearing = |parent: bool| {
+            schedule.rounds.iter().position(|plan| {
+                plan.recv_from
+                    .first()
+                    .is_some_and(|&from| (from < rank) == parent)
+            })
+        };
+        let algo = Algorithm::GatherBroadcast { degree };
         ElanGsyncApp {
-            gsync: Gsync::new(rank, n, degree),
-            members,
+            gather_round: hearing(false),
+            release_round: hearing(true),
+            group: GroupEngine::new(members, rank, GroupOp::Barrier, algo),
             log: BarrierLog::new(iters, skew_us),
         }
     }
 
     fn enter(&mut self, api: &mut ElanApi<'_>) {
-        let step = self.gsync.begin();
-        self.issue(api, step);
+        self.group.enter(api.now(), 0);
+        self.issue(api);
     }
 
-    fn issue(&mut self, api: &mut ElanApi<'_>, step: GsyncStep) {
-        for s in step.sends {
-            // Gsync speaks in ranks; translate to the physical placement.
-            api.tport_send(self.members[s.dst.0], s.tag, GSYNC_MSG_BYTES);
-        }
-        if step.done {
+    /// Send the engine's pending messages, then, if the barrier completed,
+    /// log it and go on.
+    fn issue(&mut self, api: &mut ElanApi<'_>) {
+        let release_round = self.release_round;
+        let done = self.group.relay(|dst, pkt| {
+            let up = release_round.is_some_and(|r| usize::from(pkt.round) < r);
+            let tag = if up { GATHER_TAG } else { BCAST_TAG };
+            api.tport_send(dst, tag, GSYNC_MSG_BYTES);
+        });
+        if done.is_some() {
             match self.log.complete(api.now(), api.rng()) {
                 Next::Enter => self.enter(api),
                 Next::Compute(d) => api.set_timer(d),
@@ -152,14 +184,22 @@ impl ElanApp for ElanGsyncApp {
         self.enter(api);
     }
 
-    fn on_recv(&mut self, api: &mut ElanApi<'_>, _src: NodeId, tag: TportTag, _len: u32) {
-        let step = if tag == GATHER_TAG {
-            self.gsync.on_gather()
+    fn on_recv(&mut self, api: &mut ElanApi<'_>, src: NodeId, tag: TportTag, _len: u32) {
+        let round = if tag == GATHER_TAG {
+            self.gather_round
         } else {
             assert_eq!(tag, BCAST_TAG, "unexpected tport tag");
-            self.gsync.on_bcast()
+            self.release_round
         };
-        self.issue(api, step);
+        let round = round.unwrap_or_else(|| panic!("{tag:?} from {src:?} has no round here"));
+        // Tports carry no epoch, and none is needed: in a tree every
+        // arrival belongs to the first epoch this rank has not completed.
+        // A child's next gather needs this rank's release, and the
+        // parent's next release needs this rank's next gather.
+        let epoch = self.group.completed();
+        self.group
+            .arrive(api.now(), src, epoch, round, CollKind::Barrier);
+        self.issue(api);
     }
 
     fn on_coll_done(&mut self, _api: &mut ElanApi<'_>, cookie: u64) {

@@ -7,18 +7,25 @@
 //! first, or stop. The apps differ only in how they enter a barrier.
 //!
 //! The host-based barrier (the paper's `Host-DS` / `Host-PE` curves) runs
-//! the same schedules as the NIC-based protocol, but every message crosses
-//! the I/O bus twice and traverses the full point-to-point send path —
-//! token queues, packet claim, payload DMA, per-packet ACKs — with the host
-//! CPU dispatching every round. The NIC-based driver posts one doorbell per
-//! group per barrier and waits for the completion events. Either can run
-//! beside a [`GmStream`], the §6.1 bulk traffic.
+//! the NIC-based protocol's own engine, [`PaperCollective`], on the host
+//! CPU through a `GroupEngine` — the adapter the Elanlib tree and the
+//! NIC-thread collectives share — so only the placement differs: every
+//! message crosses the I/O bus twice and traverses the full point-to-point
+//! send path — token queues, packet claim, payload DMA, per-packet ACKs —
+//! with the host CPU dispatching every round. The NIC-based driver posts
+//! one doorbell per group per barrier and waits for the completion events.
+//! Either can run beside a [`GmStream`], the §6.1 bulk traffic.
 
-use crate::schedule::{Algorithm, Schedule};
+use crate::driver::BARRIER_GROUP;
+use crate::protocol::{GroupOp, GroupSpec, PaperCollective};
+use crate::schedule::Algorithm;
 use crate::traffic::GmStream;
-use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag, BULK_TAG};
+use nicbar_gm::{
+    ActionBuf, CollAction, CollKind, CollOperand, CollPacket, GmApi, GmApp, GroupId, MsgId, MsgTag,
+    NicCollective, BULK_TAG,
+};
 use nicbar_net::NodeId;
-use nicbar_sim::{SimRng, SimTime};
+use nicbar_sim::{CauseId, SimRng, SimTime};
 use std::sync::Arc;
 
 /// Barrier message payload size (one integer, as in the paper).
@@ -39,147 +46,99 @@ pub fn decode_tag(tag: MsgTag) -> (u64, usize) {
     ((tag.0 >> 8) as u64, (tag.0 & 0xff) as usize)
 }
 
-/// Host-side schedule executor: the same round-frontier rule as the NIC
-/// protocol engine, minus payloads and NACKs (GM's point-to-point layer
-/// already guarantees reliable ordered delivery to the host).
-///
-/// Arrivals bank in one bit mask per `(epoch parity, round)`. Banking is
-/// one epoch deep, by the induction `PaperCollective` relies on: a peer
-/// cannot finish epoch `e + 1` before this rank has sent its epoch-`e + 1`
-/// messages, which it does only after finishing `e`, so every arrival is
-/// for the current epoch or the next. A round's mask is cleared when the
-/// frontier moves past it, ready for the epoch two ahead. The runner
-/// allocates nothing after construction.
-pub struct HostScheduleRunner {
-    schedule: Schedule,
+/// One group's [`PaperCollective`], driven by an application or a NIC
+/// thread instead of the GM NIC. The host-based barrier, the Elanlib tree
+/// and the NIC-thread collectives each feed it their stimuli and carry its
+/// sends over their own transport, so all four placements run one round
+/// schedule executor. Those transports are reliable (GM point-to-point,
+/// Elan tports, thread RDMAs), so the engine's NACK timer is never armed.
+pub(crate) struct GroupEngine {
+    engine: PaperCollective,
+    /// The actions of the last stimulus, walked and cleared by `relay`.
+    actions: ActionBuf,
+    /// Operations entered: the next doorbell's epoch.
     entered: u64,
-    completed: u64,
-    live: bool,
-    next_send_round: usize,
-    /// `banked[(epoch & 1) * rounds + round]`: senders of that round heard
-    /// from, by `recv_from` slot.
-    banked: Vec<u64>,
-    /// What the last `begin` or `on_msg` made issuable.
-    sends: Vec<(usize, usize)>,
 }
 
-impl HostScheduleRunner {
-    /// Build for one rank's schedule.
-    pub fn new(schedule: Schedule) -> Self {
-        let rounds = schedule.num_rounds();
-        let max_sends = schedule.rounds.iter().map(|r| r.sends.len()).sum();
-        HostScheduleRunner {
-            schedule,
+impl GroupEngine {
+    /// `rank`'s engine for `op` under `algo` over `members` (rank order).
+    pub(crate) fn new(members: Arc<[NodeId]>, rank: usize, op: GroupOp, algo: Algorithm) -> Self {
+        let node = members[rank];
+        let spec = GroupSpec {
+            id: BARRIER_GROUP,
+            members,
+            my_rank: rank,
+            op,
+            algo,
+            timeout: SimTime::MAX,
+        };
+        GroupEngine {
+            engine: PaperCollective::new(node, vec![spec]),
+            actions: ActionBuf::new(),
             entered: 0,
-            completed: 0,
-            live: false,
-            next_send_round: 0,
-            banked: vec![0; 2 * rounds],
-            sends: Vec::with_capacity(max_sends),
         }
     }
 
-    /// Barriers completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
+    /// Operations completed.
+    pub(crate) fn completed(&self) -> u64 {
+        self.engine.completed_epochs(BARRIER_GROUP)
     }
 
-    /// Epoch of the most recently entered barrier (valid for tagging the
-    /// sends returned by the call that entered or progressed it).
+    /// Enter the next operation with `operand`.
+    pub(crate) fn enter(&mut self, now: SimTime, operand: u64) {
+        let epoch = self.entered;
+        self.entered += 1;
+        self.engine.on_doorbell(
+            now,
+            BARRIER_GROUP,
+            epoch,
+            &CollOperand::Scalar(operand),
+            CauseId::NONE,
+            &mut self.actions,
+        );
+    }
+
+    /// Feed `src`'s message for `(epoch, round)`.
     ///
     /// # Panics
-    /// Panics before the first [`HostScheduleRunner::begin`].
-    pub fn current_epoch(&self) -> u64 {
-        self.entered.checked_sub(1).expect("no barrier entered yet")
-    }
-
-    /// The rank's schedule.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
-    }
-
-    /// The sends the last [`HostScheduleRunner::begin`] or
-    /// [`HostScheduleRunner::on_msg`] made issuable, as `(destination rank,
-    /// round)`, in issue order.
-    pub fn sends(&self) -> &[(usize, usize)] {
-        &self.sends
-    }
-
-    /// Enter the next barrier; its initially issuable sends are in
-    /// [`HostScheduleRunner::sends`]. Returns true if the barrier completed
-    /// immediately (trivial schedules or fully banked arrivals).
-    pub fn begin(&mut self) -> bool {
-        assert!(!self.live, "re-entered barrier before completion");
-        self.live = true;
-        self.next_send_round = 0;
-        self.entered += 1;
-        self.sends.clear();
-        self.progress()
-    }
-
-    /// Feed an arrival. Its newly issuable sends are in
-    /// [`HostScheduleRunner::sends`]; returns whether the current barrier
-    /// completed.
-    pub fn on_msg(&mut self, epoch: u64, round: usize, from_rank: usize) -> bool {
-        self.sends.clear();
-        let slot = self
-            .schedule
-            .recv_slot(round, from_rank)
-            .unwrap_or_else(|| panic!("unexpected sender {from_rank} in round {round}"));
+    /// Panics on an arrival more than one epoch ahead of the last entry:
+    /// a peer cannot finish an epoch this rank has not entered.
+    pub(crate) fn arrive(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        epoch: u64,
+        round: usize,
+        kind: CollKind,
+    ) {
         assert!(
             epoch <= self.entered,
             "arrival for epoch {epoch} more than one epoch ahead of {}",
             self.entered
         );
-        let current = epoch + 1 == self.entered;
-        if epoch < self.completed || (current && round + 1 < self.next_send_round) {
-            return false; // duplicate of a round already passed
-        }
-        let at = self.bank_index(epoch, round);
-        let mask = &mut self.banked[at];
-        if *mask & (1 << slot) != 0 {
-            return false; // duplicate
-        }
-        *mask |= 1 << slot;
-        self.live && current && self.progress()
+        let pkt = CollPacket {
+            src,
+            group: BARRIER_GROUP,
+            epoch,
+            round: u16::try_from(round).expect("round exceeds u16 tag width"),
+            kind,
+        };
+        self.engine
+            .on_packet(now, &pkt, CauseId::NONE, &mut self.actions);
     }
 
-    fn bank_index(&self, epoch: u64, round: usize) -> usize {
-        usize::from(epoch & 1 == 1) * self.schedule.num_rounds() + round
-    }
-
-    fn round_satisfied(&self, epoch: u64, round: usize) -> bool {
-        let expected = self.schedule.rounds[round].recv_from.len();
-        if expected == 0 {
-            return true;
+    /// Hand each send of the last stimulus to `send`, in issue order;
+    /// returns the operation's result if the stimulus completed it.
+    pub(crate) fn relay(&mut self, mut send: impl FnMut(NodeId, &CollPacket)) -> Option<u64> {
+        let mut done = None;
+        for action in self.actions.as_slice() {
+            match action {
+                CollAction::Send { dst, pkt, .. } => send(*dst, pkt),
+                CollAction::HostDone { value, .. } => done = Some(*value),
+            }
         }
-        let full = (1u64 << expected) - 1;
-        self.banked[self.bank_index(epoch, round)] & full == full
-    }
-
-    /// Advance the frontier as far as banked arrivals allow, appending the
-    /// sends it passes to `sends`; returns whether the barrier completed.
-    fn progress(&mut self) -> bool {
-        let epoch = self.entered - 1;
-        loop {
-            let r = self.next_send_round;
-            if r > 0 && !self.round_satisfied(epoch, r - 1) {
-                return false;
-            }
-            if r > 0 {
-                let at = self.bank_index(epoch, r - 1);
-                self.banked[at] = 0;
-            }
-            if r == self.schedule.num_rounds() {
-                self.live = false;
-                self.completed = epoch + 1;
-                return true;
-            }
-            for &dst in &self.schedule.rounds[r].sends {
-                self.sends.push((dst, r));
-            }
-            self.next_send_round = r + 1;
-        }
+        self.actions.clear();
+        done
     }
 }
 
@@ -244,11 +203,11 @@ impl BarrierLog {
 }
 
 /// The host-based barrier benchmark application (`Host-DS` / `Host-PE`),
-/// optionally beside a bulk stream.
+/// optionally beside a bulk stream: the host CPU runs the NIC's engine
+/// and sends each of its messages point to point, tagged
+/// [`encode_tag`]`(epoch, round)`.
 pub struct HostBarrierApp {
-    runner: HostScheduleRunner,
-    /// Rank → node placement, one list shared by every rank of the group.
-    members: Arc<[NodeId]>,
+    group: GroupEngine,
     stream: Option<GmStream>,
     /// Measurements.
     pub log: BarrierLog,
@@ -265,39 +224,26 @@ impl HostBarrierApp {
         skew_us: f64,
         stream: Option<GmStream>,
     ) -> Self {
-        let members = members.into();
-        let schedule = Schedule::for_algorithm(algo, members.len(), rank);
         HostBarrierApp {
-            runner: HostScheduleRunner::new(schedule),
-            members,
+            group: GroupEngine::new(members.into(), rank, GroupOp::Barrier, algo),
             stream,
             log: BarrierLog::new(iters, skew_us),
         }
     }
 
-    /// The rank → node placement this app sends by.
-    #[cfg(test)]
-    pub(crate) fn members(&self) -> &Arc<[NodeId]> {
-        &self.members
-    }
-
     fn enter(&mut self, api: &mut GmApi<'_>) {
-        let done = self.runner.begin();
-        self.issue(api, done);
+        self.group.enter(api.now(), 0);
+        self.issue(api);
     }
 
-    /// Post the runner's pending sends, then, if the barrier completed,
+    /// Post the engine's pending sends, then, if the barrier completed,
     /// log it and go on.
-    fn issue(&mut self, api: &mut GmApi<'_>, done: bool) {
-        let epoch = self.runner.current_epoch();
-        for &(dst_rank, round) in self.runner.sends() {
-            api.send(
-                self.members[dst_rank],
-                BARRIER_MSG_BYTES,
-                encode_tag(epoch, round),
-            );
-        }
-        if done {
+    fn issue(&mut self, api: &mut GmApi<'_>) {
+        let done = self.group.relay(|dst, pkt| {
+            let tag = encode_tag(pkt.epoch, usize::from(pkt.round));
+            api.send(dst, BARRIER_MSG_BYTES, tag);
+        });
+        if done.is_some() {
             match self.log.complete(api.now(), api.rng()) {
                 Next::Enter => self.enter(api),
                 Next::Compute(d) => api.set_timer(d),
@@ -320,16 +266,9 @@ impl GmApp for HostBarrierApp {
             return;
         }
         let (epoch, round) = decode_tag(tag);
-        // The sender is one of the round's expected senders (one under
-        // dissemination): look there, not through the member list.
-        let from_rank = self.runner.schedule().rounds[round]
-            .recv_from
-            .iter()
-            .copied()
-            .find(|&rank| self.members[rank] == src)
-            .unwrap_or_else(|| panic!("unexpected sender {src:?} in round {round}"));
-        let done = self.runner.on_msg(epoch, round, from_rank);
-        self.issue(api, done);
+        self.group
+            .arrive(api.now(), src, epoch, round, CollKind::Barrier);
+        self.issue(api);
     }
 
     fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId) {
@@ -514,98 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn runner_walks_dissemination_rounds() {
-        // rank 0 of 4: sends to 1 then 2; receives from 3 then 2.
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        assert!(!r.begin());
-        assert_eq!(r.sends(), &[(1, 0)]);
-        assert!(!r.on_msg(0, 0, 3));
-        assert_eq!(r.sends(), &[(2, 1)]);
-        assert!(r.on_msg(0, 1, 2));
-        assert!(r.sends().is_empty());
-        assert_eq!(r.completed(), 1);
-    }
-
-    #[test]
-    fn runner_banks_early_next_epoch_messages() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(2, 0));
-        assert!(!r.begin());
-        // Peer races: both its epoch-0 and epoch-1 messages arrive.
-        assert!(r.on_msg(0, 0, 1));
-        let done = r.on_msg(1, 0, 1);
-        assert!(
-            r.sends().is_empty() && !done,
-            "future epoch banked, not applied"
-        );
-        // Entering epoch 1 releases it immediately.
-        assert!(r.begin());
-        assert_eq!(r.sends().len(), 1);
-        assert_eq!(r.completed(), 2);
-    }
-
-    #[test]
-    fn runner_ignores_duplicates() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        r.begin();
-        r.on_msg(0, 0, 3);
-        assert_eq!(r.sends().len(), 1);
-        let done = r.on_msg(0, 0, 3);
-        assert!(r.sends().is_empty() && !done);
-        // A duplicate of a passed round is not banked for the epoch two
-        // ahead, which shares its parity: epoch 2 still waits for it.
-        r.on_msg(0, 1, 2);
-        r.begin();
-        r.on_msg(1, 0, 3);
-        r.on_msg(1, 1, 2);
-        assert!(!r.begin());
-        assert_eq!(r.sends(), &[(1, 0)]);
-        assert!(!r.on_msg(2, 1, 2), "round 1 banked, round 0 still open");
-        assert!(r.on_msg(2, 0, 3));
-        assert_eq!(r.completed(), 3);
-    }
-
-    /// Epochs alternate between the two banks for thousands of barriers,
-    /// with every peer message a barrier early, and the runner never
-    /// allocates past construction (its buffers keep their capacity).
-    #[test]
-    fn runner_reuses_its_banks_epoch_after_epoch() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(8, 0));
-        let capacity = (r.banked.capacity(), r.sends.capacity());
-        for epoch in 0..5_000u64 {
-            let from = [7, 6, 4];
-            // Round 0's arrival comes before entry, the rest after.
-            assert!(!r.on_msg(epoch, 0, from[0]));
-            assert!(!r.begin());
-            assert_eq!(r.sends(), &[(1, 0), (2, 1)]);
-            assert!(!r.on_msg(epoch, 1, from[1]));
-            assert_eq!(r.sends(), &[(4, 2)]);
-            assert!(r.on_msg(epoch, 2, from[2]));
-            assert_eq!(r.completed(), epoch + 1);
-        }
-        assert_eq!((r.banked.capacity(), r.sends.capacity()), capacity);
-        assert!(r.banked.iter().all(|&m| m == 0));
-    }
-
-    #[test]
     #[should_panic(expected = "more than one epoch ahead")]
-    fn runner_rejects_arrivals_two_epochs_ahead() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        r.begin();
-        r.on_msg(2, 0, 3);
-    }
-
-    #[test]
-    fn trivial_single_rank_barrier() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(1, 0));
-        assert!(r.begin());
-        assert!(r.sends().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "re-entered")]
-    fn runner_rejects_reentry() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        let _ = r.begin();
-        let _ = r.begin();
+    fn group_engine_rejects_arrivals_two_epochs_ahead() {
+        let members: Arc<[NodeId]> = (0..4).map(NodeId).collect();
+        let mut group = GroupEngine::new(members, 0, GroupOp::Barrier, Algorithm::Dissemination);
+        group.enter(SimTime::ZERO, 0);
+        group.arrive(SimTime::ZERO, NodeId(3), 2, 0, CollKind::Barrier);
     }
 }

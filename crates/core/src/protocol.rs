@@ -1077,6 +1077,27 @@ mod tests {
             }
             other => panic!("unexpected action {other:?}"),
         }
+        // A one-rank group has no rounds: its doorbell completes it.
+        for algo in [
+            Algorithm::Dissemination,
+            Algorithm::PairwiseExchange,
+            Algorithm::GatherBroadcast { degree: 4 },
+        ] {
+            let timeout = SimTime::from_us(100.0);
+            let spec = GroupSpec::barrier(GroupId(1), members(1), 0, algo, timeout);
+            let mut solo = PaperCollective::new(NodeId(0), vec![spec]);
+            let actions = doorbell(
+                &mut solo,
+                SimTime::ZERO,
+                GroupId(1),
+                0,
+                &CollOperand::Scalar(0),
+            );
+            assert!(
+                matches!(actions[..], [CollAction::HostDone { epoch: 0, .. }]),
+                "{algo:?}: {actions:?}"
+            );
+        }
     }
 
     #[test]
@@ -1184,6 +1205,45 @@ mod tests {
         let a2 = packet(&mut e, SimTime::ZERO, &from3);
         assert_eq!(a1.len(), 1);
         assert!(a2.is_empty(), "duplicate must not re-trigger sends");
+        // That duplicate came after its round was consumed. It must not
+        // satisfy the same-parity round two epochs later: epoch 2 still
+        // waits for its own round-0 message.
+        let at = |epoch, round| CollPacket {
+            src: NodeId([3, 2][round as usize]),
+            group: GroupId(1),
+            epoch,
+            round,
+            kind: CollKind::Barrier,
+        };
+        assert_eq!(packet(&mut e, SimTime::ZERO, &at(0, 1)).len(), 1);
+        let epoch1 = doorbell(
+            &mut e,
+            SimTime::ZERO,
+            GroupId(1),
+            1,
+            &CollOperand::Scalar(0),
+        );
+        assert_eq!(epoch1.len(), 1);
+        assert_eq!(packet(&mut e, SimTime::ZERO, &at(1, 0)).len(), 1);
+        assert_eq!(packet(&mut e, SimTime::ZERO, &at(1, 1)).len(), 1);
+        let epoch2 = doorbell(
+            &mut e,
+            SimTime::ZERO,
+            GroupId(1),
+            2,
+            &CollOperand::Scalar(0),
+        );
+        assert_eq!(epoch2.len(), 1, "round 0's send only: {epoch2:?}");
+        assert!(
+            packet(&mut e, SimTime::ZERO, &at(2, 1)).is_empty(),
+            "round 1 banked, round 0 still open"
+        );
+        let done = packet(&mut e, SimTime::ZERO, &at(2, 0));
+        assert!(matches!(
+            done[..],
+            [_, CollAction::HostDone { epoch: 2, .. }]
+        ));
+        assert_eq!(e.completed_epochs(GroupId(1)), 3);
     }
 
     #[test]

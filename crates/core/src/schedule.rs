@@ -2,13 +2,19 @@
 //!
 //! A [`Schedule`] is one rank's view of a round-synchronous communication
 //! pattern: in round `r` it sends to `sends[r]` and expects messages from
-//! `recv_from[r]`. The execution rule — shared by the GM collective engine,
-//! the Elan chain builder and the host-based baselines — is:
+//! `recv_from[r]`. The execution rule is:
 //!
 //! > the sends of round `r` may be issued once the process has entered the
 //! > operation and every expected message of rounds `< r` has arrived; the
 //! > operation completes when every expected message of every round has
 //! > arrived and all sends are issued.
+//!
+//! Two things execute it. [`crate::protocol::PaperCollective`] does, at
+//! run time, wherever the schedule is processed: on the GM NIC, on the
+//! host for the host-based barriers and the Elanlib tree, and on the Elan
+//! thread processor. [`crate::elan_chain`] compiles it ahead of time into
+//! chained RDMA descriptors, whose event thresholds enforce it on the Elan
+//! NIC with no thread.
 //!
 //! Three barrier algorithms from §5 of the paper are provided —
 //! [`Schedule::dissemination`], [`Schedule::pairwise_exchange`] and
@@ -181,7 +187,8 @@ impl Schedule {
             }
             d
         };
-        let max_depth = (0..n).map(depth_of).max().expect("n > 0");
+        // Ranks fill the tree level by level, so the last rank is deepest.
+        let max_depth = depth_of(n - 1);
         let my_depth = depth_of(rank);
         let parent = if rank == 0 {
             None
@@ -240,11 +247,6 @@ impl Schedule {
     /// Total messages this rank sends per operation.
     pub fn total_sends(&self) -> usize {
         self.rounds.iter().map(|r| r.sends.len()).sum()
-    }
-
-    /// The slot index of `sender` within round `r`'s expected list.
-    pub fn recv_slot(&self, r: usize, sender: usize) -> Option<usize> {
-        self.rounds[r].recv_from.iter().position(|&s| s == sender)
     }
 }
 
@@ -489,13 +491,23 @@ mod tests {
 
     #[test]
     fn dissemination_messages_per_barrier() {
+        let total =
+            |algo, n| -> usize { schedules_for(algo, n).iter().map(|s| s.total_sends()).sum() };
         // N·⌈log₂N⌉ messages total.
         for &n in &[2usize, 5, 8, 16] {
-            let total: usize = schedules_for(Algorithm::Dissemination, n)
-                .iter()
-                .map(|s| s.total_sends())
-                .sum();
-            assert_eq!(total, n * ceil_log2(n), "n={n}");
+            assert_eq!(
+                total(Algorithm::Dissemination, n),
+                n * ceil_log2(n),
+                "n={n}"
+            );
+        }
+        // Gather-broadcast: one gather up and one release down per
+        // non-root rank, 2(N − 1), whatever the tree's degree.
+        for &n in SIZES {
+            for degree in [2, 4] {
+                let gb = Algorithm::GatherBroadcast { degree };
+                assert_eq!(total(gb, n), 2 * (n - 1), "n={n} degree={degree}");
+            }
         }
     }
 
@@ -513,20 +525,6 @@ mod tests {
         let s1 = Schedule::pairwise_exchange(6, 1);
         assert_eq!(s1.rounds[0].recv_from, vec![5]);
         assert_eq!(s1.rounds[last].sends, vec![5]);
-    }
-
-    #[test]
-    fn recv_slot_lookup() {
-        let s = Schedule::gather_broadcast(7, 0, 2);
-        // Root gathers from children 1 and 2 in round 1 (depth-2 tree).
-        let r = s
-            .rounds
-            .iter()
-            .position(|p| p.recv_from.len() == 2)
-            .expect("gather round");
-        assert_eq!(s.recv_slot(r, 1), Some(0));
-        assert_eq!(s.recv_slot(r, 2), Some(1));
-        assert_eq!(s.recv_slot(r, 3), None);
     }
 
     #[test]

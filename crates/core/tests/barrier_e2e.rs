@@ -175,6 +175,9 @@ fn elan_nic_beats_gsync_tree() {
         nic.mean_us,
         tree.mean_us
     );
+    // The tree sends one gather up and one release down per non-root
+    // rank: 2(n − 1) tport messages per barrier.
+    assert_eq!(tree.counter("elan.tport_sent"), quick().total() * 2 * 7);
 }
 
 #[test]

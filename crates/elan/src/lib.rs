@@ -9,12 +9,16 @@
 //!   chained descriptors implement the NIC-based barrier with **no NIC
 //!   thread**, exactly as §7 chooses.
 //! * [`host::ElanHost`] / [`host::ElanApp`] — host library and application
-//!   trait (doorbells, tport tagged messages, hardware barrier entry).
+//!   trait (doorbells, tport tagged messages, hardware barrier entry). The
+//!   Elanlib tree barrier (`elan_gsync()`) is one such application:
+//!   `nicbar-core` runs the gather-broadcast schedule on the host over
+//!   tports, so the host is on the critical path at every tree level.
+//! * [`thread::ElanThread`] — the thread processor §7 avoids: a
+//!   NIC-resident handler that appends its sends and completions to a
+//!   buffer the NIC reuses.
 //! * [`hwbarrier::HwBarrierUnit`] — the switch-level test-and-set barrier
 //!   behind `elan_hgsync()`, with the paper's contiguity and
 //!   synchronization caveats modeled.
-//! * [`elanlib::Gsync`] — the Elanlib tree gather-broadcast barrier
-//!   (`elan_gsync()`), host-driven at every level.
 //! * the wire model ([`nicbar_net::WireModel`] / [`nicbar_net::WireRx`]) —
 //!   hardware-reliable fat-tree delivery, with destination-port contention
 //!   resolved at each receiving NIC. There is no central fabric component,
@@ -24,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod elanlib;
 pub mod events;
 pub mod host;
 pub mod hwbarrier;
@@ -34,7 +37,6 @@ pub mod thread;
 pub mod types;
 
 pub use cluster::{ElanCluster, ElanClusterSpec};
-pub use elanlib::{Gsync, GsyncSend, GsyncStep, BCAST_TAG, GATHER_TAG, GSYNC_MSG_BYTES};
 pub use events::{ElanEvent, ElanPayload};
 pub use host::{ElanApi, ElanApp, ElanHost};
 pub use hwbarrier::HwBarrierUnit;

@@ -58,6 +58,9 @@ pub struct ElanNic {
     /// The thread processor's handler (the §7 alternative mechanism;
     /// [`NoThread`] unless explicitly installed).
     thread: Box<dyn ElanThread>,
+    /// The actions the thread requested for the stimulus being handled;
+    /// walked and cleared after every call, its capacity kept.
+    thread_actions: Vec<ThreadAction>,
 }
 
 impl ElanNic {
@@ -97,6 +100,7 @@ impl ElanNic {
             events,
             actions,
             thread: Box::new(NoThread),
+            thread_actions: Vec::new(),
         }
     }
 
@@ -106,16 +110,13 @@ impl ElanNic {
         self.thread = thread;
     }
 
-    /// Execute thread actions: sends go through the descriptor path (the
-    /// thread issues RDMAs like anything else on the NIC), completions to
-    /// the host.
-    fn run_thread_actions(
-        &mut self,
-        ctx: &mut Ctx<'_, ElanEvent>,
-        actions: Vec<ThreadAction>,
-        cause: CauseId,
-    ) {
-        for action in actions {
+    /// Execute the thread's pending actions: sends go through the
+    /// descriptor path (the thread issues RDMAs like anything else on the
+    /// NIC), completions to the host. The buffer is taken for the walk and
+    /// put back cleared, so the thread path allocates nothing once warm.
+    fn run_thread_actions(&mut self, ctx: &mut Ctx<'_, ElanEvent>, cause: CauseId) {
+        let mut actions = std::mem::take(&mut self.thread_actions);
+        for &action in &actions {
             match action {
                 ThreadAction::Send { dst, tag, value } => {
                     assert_ne!(dst, self.node, "thread self-send");
@@ -139,7 +140,7 @@ impl ElanNic {
                         fire,
                     );
                 }
-                ThreadAction::NotifyHost { cookie, value: _ } => {
+                ThreadAction::NotifyHost { cookie } => {
                     ctx.count_id(counter_id!("elan.host_notify"), 1);
                     // Span: thread-processor completion (no event id; the
                     // thread notifies directly).
@@ -163,6 +164,8 @@ impl ElanNic {
                 }
             }
         }
+        actions.clear();
+        self.thread_actions = actions;
     }
 
     /// Claim the serial DMA/event processor for `cost` starting no earlier
@@ -500,8 +503,8 @@ impl Component<ElanEvent> for ElanNic {
                         .at_node(self.node.0 as u32)
                         .detail(value, 0)
                 });
-                let actions = self.thread.on_doorbell(t, value);
-                self.run_thread_actions(ctx, actions, dispatch);
+                self.thread.on_doorbell(t, value, &mut self.thread_actions);
+                self.run_thread_actions(ctx, dispatch);
             }
             ElanEvent::Inject {
                 src,
@@ -535,8 +538,9 @@ impl Component<ElanEvent> for ElanNic {
                         let now = ctx.now();
                         let t = self.engine(ctx, now, self.params.nic_thread_proc, owner);
                         ctx.count_id(counter_id!("elan.thread_recv"), 1);
-                        let actions = self.thread.on_msg(t, src, tag, value);
-                        self.run_thread_actions(ctx, actions, arrive);
+                        self.thread
+                            .on_msg(t, src, tag, value, &mut self.thread_actions);
+                        self.run_thread_actions(ctx, arrive);
                     }
                     ElanPayload::Rdma { remote_event } => {
                         let now = ctx.now();

@@ -20,7 +20,7 @@ use nicbar_sim::engine::AsAny;
 use nicbar_sim::SimTime;
 
 /// Actions a NIC thread can request.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ThreadAction {
     /// Issue an RDMA carrying a value word to the peer NIC's thread.
     Send {
@@ -35,28 +35,43 @@ pub enum ThreadAction {
     NotifyHost {
         /// Opaque cookie.
         cookie: u64,
-        /// Result value (delivered in the host callback via the cookie
-        /// side-channel in this model; kept for trace clarity).
-        value: u64,
     },
 }
 
 /// A handler running on the Elan thread processor.
+///
+/// Each hook appends the actions it requests to `actions`, a buffer the
+/// NIC owns and reuses across stimuli: the NIC walks and clears it after
+/// every call, so a handler only ever appends.
 pub trait ElanThread: AsAny + Send + 'static {
     /// The host posted a thread doorbell with an operand.
-    fn on_doorbell(&mut self, now: SimTime, value: u64) -> Vec<ThreadAction>;
+    fn on_doorbell(&mut self, now: SimTime, value: u64, actions: &mut Vec<ThreadAction>);
     /// A thread message arrived from a peer NIC.
-    fn on_msg(&mut self, now: SimTime, src: NodeId, tag: u32, value: u64) -> Vec<ThreadAction>;
+    fn on_msg(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        tag: u32,
+        value: u64,
+        actions: &mut Vec<ThreadAction>,
+    );
 }
 
 /// Default for NICs without a thread: any thread stimulus is a bug.
 pub struct NoThread;
 
 impl ElanThread for NoThread {
-    fn on_doorbell(&mut self, _now: SimTime, _value: u64) -> Vec<ThreadAction> {
+    fn on_doorbell(&mut self, _now: SimTime, _value: u64, _actions: &mut Vec<ThreadAction>) {
         panic!("thread doorbell on a NIC with no thread installed");
     }
-    fn on_msg(&mut self, _now: SimTime, _src: NodeId, _tag: u32, _value: u64) -> Vec<ThreadAction> {
+    fn on_msg(
+        &mut self,
+        _now: SimTime,
+        _src: NodeId,
+        _tag: u32,
+        _value: u64,
+        _actions: &mut Vec<ThreadAction>,
+    ) {
         panic!("thread message on a NIC with no thread installed");
     }
 }
@@ -71,12 +86,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "no thread installed")]
     fn no_thread_rejects_doorbells() {
-        NoThread.on_doorbell(SimTime::ZERO, 0);
+        NoThread.on_doorbell(SimTime::ZERO, 0, &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "no thread installed")]
     fn no_thread_rejects_messages() {
-        NoThread.on_msg(SimTime::ZERO, NodeId(1), 0, 0);
+        NoThread.on_msg(SimTime::ZERO, NodeId(1), 0, 0, &mut Vec::new());
     }
 }

@@ -1,13 +1,12 @@
-//! End-to-end tests of the Elan substrate: chained RDMA descriptors, tport
-//! messaging, the gsync tree barrier over the simulated cluster, and the
-//! hardware barrier.
+//! End-to-end tests of the Elan substrate: chained RDMA descriptors,
+//! banked event sets and the hardware barrier. The Elanlib tree barrier,
+//! which runs over tports, is `nicbar-core`'s and is tested there.
 #![allow(clippy::unwrap_used)] // test code: panicking on bad state is the point
 
 use nicbar_elan::host::ELAN_SPAN_GROUP;
 use nicbar_elan::{
     hw_cookie, DescId, ElanApi, ElanApp, ElanCluster, ElanClusterSpec, ElanNic, ElanParams,
-    EventAction, EventId, Gsync, NicProgram, RdmaDesc, TportTag, BCAST_TAG, GATHER_TAG,
-    GSYNC_MSG_BYTES,
+    EventAction, EventId, NicProgram, RdmaDesc,
 };
 use nicbar_net::NodeId;
 use nicbar_sim::{RunOutcome, SimTime};
@@ -117,81 +116,6 @@ fn banked_event_sets_survive_fast_sender() {
         .event(EventId(0));
     assert_eq!(ev.sets, 3);
     assert_eq!(ev.threshold, 4);
-}
-
-/// Gsync benchmark app: runs `iters` consecutive tree barriers.
-struct GsyncApp {
-    gsync: Gsync,
-    iters: u64,
-    finish: Option<SimTime>,
-}
-
-impl GsyncApp {
-    fn issue(&mut self, api: &mut ElanApi<'_>, step: nicbar_elan::GsyncStep) {
-        for s in step.sends {
-            api.tport_send(s.dst, s.tag, GSYNC_MSG_BYTES);
-        }
-        if step.done {
-            if self.gsync.epochs_done() >= self.iters {
-                self.finish = Some(api.now());
-            } else {
-                let next = self.gsync.begin();
-                self.issue(api, next);
-            }
-        }
-    }
-}
-
-impl ElanApp for GsyncApp {
-    fn on_start(&mut self, api: &mut ElanApi<'_>) {
-        let step = self.gsync.begin();
-        self.issue(api, step);
-    }
-    fn on_recv(&mut self, api: &mut ElanApi<'_>, _src: NodeId, tag: TportTag, _len: u32) {
-        let step = if tag == GATHER_TAG {
-            self.gsync.on_gather()
-        } else {
-            assert_eq!(tag, BCAST_TAG);
-            self.gsync.on_bcast()
-        };
-        self.issue(api, step);
-    }
-    fn on_coll_done(&mut self, _api: &mut ElanApi<'_>, _cookie: u64) {}
-}
-
-#[test]
-fn gsync_runs_consecutive_barriers_over_the_cluster() {
-    let n = 8;
-    let iters = 50;
-    let spec = ElanClusterSpec::new(ElanParams::elan3(), n).with_seed(3);
-    let apps: Vec<Box<dyn ElanApp>> = (0..n)
-        .map(|i| {
-            Box::new(GsyncApp {
-                gsync: Gsync::new(i, n, 2),
-                iters,
-                finish: None,
-            }) as Box<dyn ElanApp>
-        })
-        .collect();
-    let progs = vec![NicProgram::default(); n];
-    let mut cluster = ElanCluster::build(spec, apps, progs);
-    let outcome = cluster.run_until(SimTime::from_us(1_000_000.0));
-    assert_eq!(outcome, RunOutcome::Idle);
-    let mut last = SimTime::ZERO;
-    for i in 0..n {
-        let app = cluster.app_ref::<GsyncApp>(i);
-        assert_eq!(app.gsync.epochs_done(), iters, "node {i}");
-        last = last.max(app.finish.unwrap());
-    }
-    let per_barrier = last.as_us() / iters as f64;
-    // Host-level tree barrier on Elan: low-teens of µs at 8 nodes.
-    assert!(
-        (6.0..30.0).contains(&per_barrier),
-        "gsync barrier {per_barrier:.2}us implausible"
-    );
-    // 2(n-1) messages per barrier.
-    let msgs = cluster.engine.counters().get("elan.tport_sent");
-    assert_eq!(msgs, iters * 2 * (n as u64 - 1));
 }
 
 /// Hardware-barrier benchmark app.

@@ -1,15 +1,16 @@
 //! `nicbar-verify` — exhaustive protocol model checking, CLI.
 //!
 //! Single-run mode explores one configuration; `--check` runs the CI gate
-//! matrix (DS and PE barriers on gm and elan at N ∈ {2, 4, 8} — full
-//! proofs at N ∈ {2, 4}, bounded safety sweeps at N = 8; see
-//! [`gate_matrix`]) and fails on any violation, or on truncation of a
-//! full-proof row.
+//! matrix (DS, PE and binary-tree GB barriers on gm and elan at
+//! N ∈ {2, 4, 8} — full proofs at N ∈ {2, 4}, bounded safety sweeps at
+//! N = 8; see [`gate_matrix`]) and fails on any violation, or on
+//! truncation of a full-proof row.
 //!
 //! Options:
 //!   --check                 run the gate matrix and exit nonzero on failure
 //!   --nodes N               group size (default 4)
-//!   --algo ds|pe            barrier schedule (default ds)
+//!   --algo ds|pe|gb         barrier schedule (default ds; gb is the
+//!                           binary gather-broadcast tree)
 //!   --substrate gm|elan     adversary semantics (default gm)
 //!   --epochs E              consecutive epochs per host (default 1)
 //!   --window W              bounded-delay delivery window, 0 = unbounded
@@ -28,7 +29,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: nicbar-verify [--check] [--nodes N] [--algo ds|pe] \
+        "usage: nicbar-verify [--check] [--nodes N] [--algo ds|pe|gb] \
          [--substrate gm|elan] [--epochs E] [--window W] [--faults F] \
          [--max-states M] [--inject skip-payload-record] \
          [--expect-violation] [--trace-out PATH] [--format human|json]"
@@ -40,6 +41,7 @@ fn parse_algo(s: &str) -> Option<Algorithm> {
     match s {
         "ds" | "dissemination" => Some(Algorithm::Dissemination),
         "pe" | "pairwise" => Some(Algorithm::PairwiseExchange),
+        "gb" | "gather-broadcast" => Some(Algorithm::GatherBroadcast { degree: 2 }),
         _ => None,
     }
 }
@@ -182,7 +184,9 @@ fn run_single(cfg: &Config, expect_violation: bool, trace_out: Option<&str>, jso
 /// interleavings, small enough to keep each row under ~30 s.
 const BOUNDED_SWEEP_STATES: usize = 150_000;
 
-/// The CI gate matrix, for both barrier schedules on both substrates:
+/// The CI gate matrix, for the three barrier schedules on both substrates
+/// (gather-broadcast over a binary tree, which has an interior rank at
+/// N = 4, where the 4-ary tree of the Elanlib curves is a star):
 ///
 /// * N = 2, two epochs (covers the one-epoch-deep banking window) under
 ///   the *unbounded* adversary — arbitrarily many losses, duplicates and
@@ -213,7 +217,11 @@ fn gate_matrix(max_states: usize) -> Vec<(Config, bool)> {
                 (8, 1, 1, None, true),
             ],
         };
-        for &algo in &[Algorithm::Dissemination, Algorithm::PairwiseExchange] {
+        for &algo in &[
+            Algorithm::Dissemination,
+            Algorithm::PairwiseExchange,
+            Algorithm::GatherBroadcast { degree: 2 },
+        ] {
             for &(nodes, epochs, window, faults, bounded) in rows {
                 out.push((
                     Config {

@@ -141,8 +141,9 @@ results_fresh_gate() {
 gate "results-fresh" results_fresh_gate
 
 # Export freshness: run from an empty directory, the capture exporters
-# (the Chrome trace, both why-slow JSONL netdumps and their reports, and
-# contend's interference report) and the six examples' stdout must
+# (the Chrome trace, both why-slow JSONL netdumps and their reports,
+# contend's interference report and table1's headline ratios over the
+# Elanlib tree and the host-based barrier) and the six examples' stdout must
 # reproduce the committed results/exports.sha256 byte for byte, and the gm
 # netdump must come out the same from the 2-shard parallel engine. None of
 # these outputs carries a git rev or a host stamp, so the sums pin them
@@ -164,6 +165,7 @@ exports_fresh_gate() {
             > "$tmp/why-slow-gm.out" &&
         bench why-slow --substrate elan --jsonl elan.jsonl > "$tmp/why-slow-elan.out" &&
         bench contend --quick > "$tmp/contend.out" &&
+        bench table1 > "$tmp/table1.out" &&
         bench why-slow --nodes 8 --drop 0.02 --seed 7 --shards 2 --jsonl gm2.jsonl \
             > /dev/null || status=1
     local e

@@ -118,9 +118,9 @@ fn steady_state_barrier_allocates_nothing() {
     assert_delta_free("elan NIC-PE", |iters| {
         drain_allocs(&elan(Algorithm::PairwiseExchange), iters, 1)
     });
-    // The host-based barrier runs the same schedule from the host over
-    // GM's point-to-point path: its runner banks arrivals in fixed
-    // per-parity masks and hands sends through one reused buffer.
+    // The host-based barrier runs the NIC's engine on the host over GM's
+    // point-to-point path: the engine banks arrivals in its fixed
+    // per-parity slots and hands sends through one reused action buffer.
     assert_delta_free("gm Host-DS", |iters| {
         let host = Scenario::gm(
             GmParams::lanai_xp(),
@@ -128,6 +128,12 @@ fn steady_state_barrier_allocates_nothing() {
             Barrier::Host(Algorithm::Dissemination),
         );
         drain_allocs(&host, iters, 1)
+    });
+    // The NIC-thread barrier runs the same engine on the Elan thread
+    // processor, whose actions land in one buffer the NIC reuses.
+    assert_delta_free("elan ThreadBarrier", |iters| {
+        let thread = Scenario::elan(ElanParams::elan3(), N, Barrier::ThreadBarrier);
+        drain_allocs(&thread, iters, 1)
     });
     // Beside the bulk stream the NICs run GM's point-to-point machinery
     // too: per-peer send queues, unacked records, reassembly and ACKs.
