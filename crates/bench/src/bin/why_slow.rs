@@ -12,7 +12,9 @@
 //!   --drop P           GM fabric drop probability (default 0.0; gm only,
 //!                      QsNet is hardware-reliable)
 //!   --seed S           master seed (default 42)
-//!   --iters N          recorded barriers (default 4)
+//!   --iters N          measured barriers after the 2 warm-up ones
+//!                      (default 4); the log records and the report
+//!                      prints all N + 2
 //!   --jsonl PATH       also dump every packet record as JSONL to PATH
 //!                      (the first line is a dump-level header carrying
 //!                      the log's dropped-record count, so consumers can

@@ -10,8 +10,10 @@
 //! * **a static, padded send packet** carrying one integer (no buffer
 //!   claim, no payload DMA),
 //! * **one send record with a bit vector** over the expected messages —
-//!   here the per-round arrival masks (`RoundArrivals`) plus the
-//!   `sent_payloads` vector, replacing per-packet send records,
+//!   here a `u64` of sent rounds per epoch plus the per-round arrival
+//!   masks, replacing per-packet send records. A barrier epoch is exactly
+//!   these bits; only the data collectives, whose packets carry values,
+//!   keep payload vectors beside them,
 //! * **receiver-driven retransmission**: no ACKs; a receiver stalled past
 //!   the group timeout NACKs exactly the senders whose round messages are
 //!   missing, and the sender retransmits from its static packet. This
@@ -35,11 +37,14 @@
 //!
 //! The one-epoch banking bound means at most two epochs' arrivals coexist,
 //! so banking needs no map: a fixed array of `2 × num_rounds` slots indexed
-//! by `(epoch parity, round)` holds every arrival, with each slot's payload
-//! vector sized once at construction. The per-epoch `sent_payloads` vector
-//! rotates through a two-deep recycle (live → archive → spare → live), so a
-//! barrier in steady state touches the heap zero times per operation — the
-//! root `alloc_steady` test counts.
+//! by `(epoch parity, round)` holds every arrival as one bit of its slot's
+//! mask. A barrier group stores nothing else: its send record is a `u64`
+//! copied into the archive at completion, and it never allocates a payload
+//! vector. A data collective also banks each arrival's payload in a vector
+//! its slot sizes once at construction, and its per-epoch `sent_payloads`
+//! vector rotates through a two-deep recycle (live → archive → spare →
+//! live). Either way the steady state touches the heap zero times per
+//! operation — the root `alloc_steady` test counts.
 
 use crate::schedule::{Algorithm, Schedule};
 use nicbar_gm::{
@@ -102,6 +107,15 @@ pub enum GroupOp {
     /// Bruck-style personalized alltoall (extension, §9 names it
     /// explicitly: "such as Allgather or Alltoall").
     Alltoall,
+}
+
+impl GroupOp {
+    /// Whether this operation's packets carry values, so its epochs keep
+    /// payload records beside their bit vectors. A barrier's packets carry
+    /// nothing: its epoch is its bit vectors alone.
+    fn carries_data(self) -> bool {
+        !matches!(self, GroupOp::Barrier)
+    }
 }
 
 /// Static configuration of one collective group on one NIC.
@@ -169,7 +183,8 @@ impl GroupSpec {
 /// arrivals never share a parity, so a fixed `2 × num_rounds` array of these
 /// slots replaces a keyed map. `epoch` tags which epoch currently owns the
 /// slot; a slot is recycled in place (mask cleared, payloads zeroed) when an
-/// arrival two epochs later claims it.
+/// arrival two epochs later claims it. `payloads` holds a data collective's
+/// banked values, one per expected sender; a barrier's stays empty.
 #[derive(Clone, Debug, Default)]
 struct RoundSlot {
     epoch: u64,
@@ -193,7 +208,13 @@ struct LiveEpoch {
     row: Vec<Option<u64>>,
     /// Last time this epoch made forward progress (NACK pacing).
     last_progress: SimTime,
-    /// What was sent in each round (for NACK retransmission).
+    /// The epoch's send record: bit `r` is set once round `r`'s original
+    /// sends go out and are recorded. A NACK for a round whose bit is clear
+    /// is not served.
+    sent: u64,
+    /// What a data collective sent in each round, beside its bit (for NACK
+    /// retransmission). Empty, and never allocated, for a barrier, whose
+    /// resend is always `CollKind::Barrier`.
     sent_payloads: Vec<Option<CollKind>>,
     /// Netdump id of the record that last advanced this epoch (the doorbell
     /// dispatch or the most recent consumed arrival). Sends and completions
@@ -212,16 +233,19 @@ struct GroupState {
     /// Epochs fully completed.
     completed: u64,
     live: Option<LiveEpoch>,
-    /// Arrival slots indexed `(epoch & 1) * num_rounds + round`; payload
-    /// vectors sized once at construction, reused forever.
+    /// Arrival slots indexed `(epoch & 1) * num_rounds + round`; a data
+    /// collective's payload vectors are sized once at construction and
+    /// reused forever.
     slots: Vec<RoundSlot>,
-    /// Epoch whose sent payloads `archive` holds, for late NACKs. Exactly
-    /// one epoch deep: a NACK for anything older can only come from a
-    /// requester that has itself already completed that epoch (it reached
-    /// the current one), so its retransmission would be filtered as a stale
-    /// duplicate anyway.
+    /// Epoch whose send record `archive_sent` (and `archive`) holds, for
+    /// late NACKs. Exactly one epoch deep: a NACK for anything older can
+    /// only come from a requester that has itself already completed that
+    /// epoch (it reached the current one), so its retransmission would be
+    /// filtered as a stale duplicate anyway.
     archive_epoch: Option<u64>,
-    /// Sent payloads of the most recently completed epoch.
+    /// Send record (`LiveEpoch::sent`) of the most recently completed epoch.
+    archive_sent: u64,
+    /// Sent payloads of that epoch (data collectives; empty for a barrier).
     archive: Vec<Option<CollKind>>,
     /// Recycled `sent_payloads` storage for the next doorbell (the vector
     /// the previous completion displaced from `archive`).
@@ -231,25 +255,36 @@ struct GroupState {
     /// Completed alltoall rows per epoch (test observability).
     rows_history: Vec<Vec<u64>>,
     /// Fault injection for the model checker: when set, `try_progress`
-    /// "forgets" to record what it sent, reproducing the protocol bug the
-    /// `PR002` lint guards against. Never set outside `nicbar-verify`.
+    /// "forgets" to record what it sent (the round's bit and, for a data
+    /// collective, its payload), reproducing the protocol bug the `PR002`
+    /// lint guards against. Never set outside `nicbar-verify`.
     fault_skip_payload_record: bool,
 }
 
 impl GroupState {
     fn new(spec: GroupSpec) -> Self {
         let schedule = spec.build_schedule();
+        assert!(
+            schedule.num_rounds() <= 64,
+            "schedule has {} rounds; widen the send bit vector",
+            schedule.num_rounds()
+        );
         for (r, plan) in schedule.rounds.iter().enumerate() {
             assert!(
                 plan.recv_from.len() <= 64,
                 "round {r} expects more than 64 messages; widen the bit vector"
             );
         }
+        let data = spec.op.carries_data();
         let slots = (0..2 * schedule.num_rounds())
             .map(|i| RoundSlot {
                 epoch: 0,
                 mask: 0,
-                payloads: vec![None; schedule.rounds[i % schedule.num_rounds()].recv_from.len()],
+                payloads: if data {
+                    vec![None; schedule.rounds[i % schedule.num_rounds()].recv_from.len()]
+                } else {
+                    Vec::new()
+                },
             })
             .collect();
         GroupState {
@@ -260,6 +295,7 @@ impl GroupState {
             live: None,
             slots,
             archive_epoch: None,
+            archive_sent: 0,
             archive: Vec::new(),
             spare_payloads: Vec::new(),
             nacks_sent: 0,
@@ -291,7 +327,8 @@ impl GroupState {
         slot.epoch == epoch && slot.mask & full == full
     }
 
-    /// Fold the consumed round's payloads into the accumulator state.
+    /// Fold the consumed round's payloads into the accumulator state. A
+    /// barrier round has nothing to fold: consuming it clears its mask.
     fn consume_round(&mut self, epoch: u64, round: usize) {
         if self.schedule.rounds[round].recv_from.is_empty() {
             return;
@@ -306,10 +343,12 @@ impl GroupState {
             "consuming a round the slot does not hold"
         );
         slot.mask = 0;
+        if !spec.op.carries_data() {
+            return;
+        }
         let live = live.as_mut().expect("consume without live epoch");
         for payload in slot.payloads.iter_mut().filter_map(Option::take) {
             match (&spec.op, payload) {
-                (GroupOp::Barrier, CollKind::Barrier) => {}
                 (GroupOp::Broadcast { .. }, CollKind::Bcast { value }) => {
                     live.acc = value;
                 }
@@ -437,13 +476,15 @@ impl GroupState {
                     self.rows_history.push(row);
                 }
                 let live = self.live.take().expect("checked above");
-                // Rotate the payload storage: the just-sent vector becomes
-                // the archive (serving late NACKs for this epoch), and the
-                // vector it displaces is cleared and kept as the spare the
-                // next doorbell will reuse. Steady state: two vectors, zero
-                // allocations.
-                let mut retired = std::mem::replace(&mut self.archive, live.sent_payloads);
+                // The epoch's send record becomes the archive, serving late
+                // NACKs for this epoch. A data collective rotates its
+                // payload storage with it: the just-sent vector becomes the
+                // archive, and the vector it displaces is cleared and kept
+                // as the spare the next doorbell will reuse. Steady state:
+                // two vectors, zero allocations; a barrier's are empty.
                 self.archive_epoch = Some(epoch);
+                self.archive_sent = live.sent;
+                let mut retired = std::mem::replace(&mut self.archive, live.sent_payloads);
                 retired.clear();
                 self.spare_payloads = retired;
                 self.completed = epoch + 1;
@@ -455,18 +496,26 @@ impl GroupState {
                 });
                 return;
             }
-            // Issue round r's sends.
+            // Send round r's messages and record them: the round's bit in
+            // the epoch's send record, and a data collective's payload
+            // beside it.
             let payload = if self.schedule.rounds[r].sends.is_empty() {
                 None
             } else {
                 Some(self.payload_for_round(r))
             };
+            let skip = self.fault_skip_payload_record;
             let live = self.live.as_mut().expect("checked above");
-            live.sent_payloads[r] = if self.fault_skip_payload_record {
-                None // injected bug: send without the bit-vector/payload record
-            } else {
-                payload.clone()
-            };
+            if payload.is_some() && !skip {
+                live.sent |= 1u64 << r;
+            }
+            if self.spec.op.carries_data() {
+                live.sent_payloads[r] = if skip {
+                    None // injected bug: send without the bit-vector/payload record
+                } else {
+                    payload.clone()
+                };
+            }
             if let Some(kind) = payload {
                 for &dst_rank in &self.schedule.rounds[r].sends {
                     let dst = self.spec.members[dst_rank];
@@ -507,6 +556,13 @@ impl GroupState {
                     pkt.src, self.spec.id
                 )
             });
+        let data = self.spec.op.carries_data();
+        debug_assert!(
+            data || matches!(pkt.kind, CollKind::Barrier),
+            "barrier group {:?} sent a {:?} packet",
+            self.spec.id,
+            pkt.kind
+        );
         let idx = self.slot_index(pkt.epoch, round);
         let entry = &mut self.slots[idx];
         if entry.epoch != pkt.epoch {
@@ -531,7 +587,40 @@ impl GroupState {
             return; // duplicate retransmission
         }
         entry.mask |= 1u64 << slot;
-        entry.payloads[slot] = Some(pkt.kind.clone());
+        if data {
+            entry.payloads[slot] = Some(pkt.kind.clone());
+        }
+    }
+
+    /// Payload records this group has room for, over every payload vector
+    /// it owns: zero for a barrier, whose epochs are their bit vectors.
+    fn payload_capacity(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|s| s.payloads.capacity())
+            .sum::<usize>()
+            + self.live.as_ref().map_or(0, |l| l.sent_payloads.capacity())
+            + self.archive.capacity()
+            + self.spare_payloads.capacity()
+    }
+
+    /// What this rank sent in `round` of `epoch`, if its send record holds
+    /// that round: the live epoch's record (a round below the send
+    /// frontier), or the one archived epoch's.
+    fn recorded_send(&self, epoch: u64, round: usize) -> Option<CollKind> {
+        let (sent, payloads) = match self.live.as_ref() {
+            Some(live) if live.epoch == epoch => (live.sent, &live.sent_payloads),
+            _ if self.archive_epoch == Some(epoch) => (self.archive_sent, &self.archive),
+            _ => return None,
+        };
+        if sent & (1u64 << round) == 0 {
+            return None; // not sent (yet); the normal path will deliver it
+        }
+        if self.spec.op.carries_data() {
+            payloads[round].clone()
+        } else {
+            Some(CollKind::Barrier)
+        }
     }
 }
 
@@ -616,26 +705,7 @@ impl PaperCollective {
                 .any(|&r| state.spec.members[r] == requester),
             "NACK from a non-target of round {round}"
         );
-        // Locate the payload we sent (or would send) for (epoch, round).
-        let archived = |state: &GroupState| -> Option<CollKind> {
-            (state.archive_epoch == Some(pkt.epoch))
-                .then(|| state.archive[round].clone())
-                .flatten()
-        };
-        let payload: Option<CollKind> = if let Some(live) = state.live.as_ref() {
-            if live.epoch == pkt.epoch {
-                if round < live.next_send_round {
-                    live.sent_payloads[round].clone()
-                } else {
-                    None // not sent yet; the normal path will deliver it
-                }
-            } else {
-                archived(state)
-            }
-        } else {
-            archived(state)
-        };
-        if let Some(kind) = payload {
+        if let Some(kind) = state.recorded_send(pkt.epoch, round) {
             state.retransmits += 1;
             actions.push_with(|| CollAction::Send {
                 dst: requester,
@@ -695,6 +765,7 @@ impl PaperCollective {
             g.host_epoch.hash(&mut h);
             g.completed.hash(&mut h);
             g.archive_epoch.hash(&mut h);
+            g.archive_sent.hash(&mut h);
             g.archive.hash(&mut h);
             match g.live.as_ref() {
                 None => 0u8.hash(&mut h),
@@ -706,6 +777,7 @@ impl PaperCollective {
                     l.gathered.hash(&mut h);
                     l.held.hash(&mut h);
                     l.row.hash(&mut h);
+                    l.sent.hash(&mut h);
                     l.sent_payloads.hash(&mut h);
                 }
             }
@@ -737,6 +809,8 @@ impl PaperCollective {
     pub fn check_invariants(&self) -> Result<(), String> {
         for g in &self.groups {
             let id = g.spec.id;
+            let rounds = g.schedule.num_rounds();
+            let data = g.spec.op.carries_data();
             if g.completed > g.host_epoch {
                 return Err(format!(
                     "group {id:?}: completed {} epochs but host only entered {}",
@@ -750,31 +824,51 @@ impl PaperCollective {
                         l.epoch, g.host_epoch
                     ));
                 }
-                if l.next_send_round > g.schedule.num_rounds() {
+                if l.next_send_round > rounds {
                     return Err(format!(
-                        "group {id:?}: send frontier {} beyond the {}-round schedule",
-                        l.next_send_round,
-                        g.schedule.num_rounds()
+                        "group {id:?}: send frontier {} beyond the {rounds}-round schedule",
+                        l.next_send_round
                     ));
                 }
-                if l.sent_payloads.len() != g.schedule.num_rounds() {
+                if data && l.sent_payloads.len() != rounds {
                     return Err(format!(
-                        "group {id:?}: sent_payloads sized {} for a {}-round schedule",
-                        l.sent_payloads.len(),
-                        g.schedule.num_rounds()
+                        "group {id:?}: sent_payloads sized {} for a {rounds}-round schedule",
+                        l.sent_payloads.len()
                     ));
                 }
                 for r in 0..l.next_send_round {
-                    if !g.schedule.rounds[r].sends.is_empty() && l.sent_payloads[r].is_none() {
+                    if !g.schedule.rounds[r].sends.is_empty() && l.sent & (1u64 << r) == 0 {
                         return Err(format!(
                             "group {id:?}: round {r} sends issued without a sent_payloads \
                              record — NACKs for this round can never be served"
                         ));
                     }
                 }
+                if (l.next_send_round..64).any(|r| l.sent & (1u64 << r) != 0) {
+                    return Err(format!(
+                        "group {id:?}: send record {:#x} has bits at or beyond the send \
+                         frontier {}",
+                        l.sent, l.next_send_round
+                    ));
+                }
+                if data {
+                    check_sent_payloads(id, "live", l.sent, &l.sent_payloads)?;
+                }
+            }
+            if data && g.archive_epoch.is_some() {
+                check_sent_payloads(id, "archived", g.archive_sent, &g.archive)?;
+            }
+            if !data {
+                let stored = g.payload_capacity();
+                if stored != 0 {
+                    return Err(format!(
+                        "group {id:?}: barrier group holds payload storage for {stored} \
+                         records; its epochs are their bit vectors alone"
+                    ));
+                }
             }
             for (i, s) in g.slots.iter().enumerate() {
-                let round = i % g.schedule.num_rounds();
+                let round = i % rounds;
                 let expected = g.schedule.rounds[round].recv_from.len();
                 let full: u64 = if expected == 0 {
                     0
@@ -818,6 +912,25 @@ impl PaperCollective {
             g.fault_skip_payload_record = true;
         }
     }
+}
+
+/// A data collective's send record: the round's bit is set exactly when
+/// `payloads` holds what the round sent.
+fn check_sent_payloads(
+    id: GroupId,
+    which: &str,
+    sent: u64,
+    payloads: &[Option<CollKind>],
+) -> Result<(), String> {
+    for (r, p) in payloads.iter().enumerate() {
+        if (sent & (1u64 << r) != 0) != p.is_some() {
+            return Err(format!(
+                "group {id:?}: {which} send record bit {r} disagrees with its sent_payloads \
+                 entry {p:?}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 impl NicCollective for PaperCollective {
@@ -891,12 +1004,14 @@ impl NicCollective for PaperCollective {
                 0
             }
         };
-        let rounds = state.schedule.num_rounds();
-        // Reuse the vector retired by the completion before last; only the
-        // first two doorbells ever allocate it.
+        // A data collective reuses the vector retired by the completion
+        // before last; only its first two doorbells ever allocate it. A
+        // barrier's stays empty.
         let mut sent_payloads = std::mem::take(&mut state.spare_payloads);
-        sent_payloads.clear();
-        sent_payloads.resize(rounds, None);
+        if state.spec.op.carries_data() {
+            sent_payloads.clear();
+            sent_payloads.resize(state.schedule.num_rounds(), None);
+        }
         state.live = Some(LiveEpoch {
             epoch,
             next_send_round: 0,
@@ -905,6 +1020,7 @@ impl NicCollective for PaperCollective {
             held,
             row,
             last_progress: now,
+            sent: 0,
             sent_payloads,
             cause,
         });
@@ -1444,5 +1560,366 @@ mod tests {
         assert_eq!(ReduceOp::BitOr.combine(0b01, 0b10), 0b11);
         assert!(!ReduceOp::Sum.tolerates_overlap());
         assert!(ReduceOp::Min.tolerates_overlap());
+    }
+
+    fn nack(src: usize, group: GroupId, epoch: u64, round: u16) -> CollPacket {
+        CollPacket {
+            src: NodeId(src),
+            group,
+            epoch,
+            round,
+            kind: CollKind::Nack,
+        }
+    }
+
+    /// The one retransmission a NACK should produce, as `(dst, pkt)`.
+    fn retransmission(actions: &[CollAction]) -> (NodeId, &CollPacket) {
+        match actions {
+            [CollAction::Send {
+                dst,
+                pkt,
+                retx: true,
+                ..
+            }] => (*dst, pkt),
+            other => panic!("expected one retransmission, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nack_for_the_just_completed_epoch_is_served_from_the_archive() {
+        // Rank 1 of 4 (dissemination): round 0 hears rank 0 and sends to
+        // rank 2, round 1 hears rank 3 and sends to rank 3.
+        let mut e = barrier_engine(4, 1);
+        let g = GroupId(1);
+        let _ = doorbell(&mut e, SimTime::ZERO, g, 0, &CollOperand::Scalar(0));
+        let from = |src, round| CollPacket {
+            src: NodeId(src),
+            group: g,
+            epoch: 0,
+            round,
+            kind: CollKind::Barrier,
+        };
+        let _ = packet(&mut e, SimTime::ZERO, &from(0, 0));
+        let done = packet(&mut e, SimTime::ZERO, &from(3, 1));
+        assert!(matches!(done[..], [CollAction::HostDone { epoch: 0, .. }]));
+        // Rank 3 missed our round-1 message of the epoch we just finished.
+        let actions = packet(&mut e, SimTime::from_us(200.0), &nack(3, g, 0, 1));
+        let (dst, pkt) = retransmission(&actions);
+        assert_eq!(dst, NodeId(3));
+        assert_eq!((pkt.epoch, pkt.round), (0, 1));
+        assert_eq!(pkt.kind, CollKind::Barrier);
+        // Still served once the next epoch is live.
+        let _ = doorbell(
+            &mut e,
+            SimTime::from_us(300.0),
+            g,
+            1,
+            &CollOperand::Scalar(0),
+        );
+        let actions = packet(&mut e, SimTime::from_us(400.0), &nack(2, g, 0, 0));
+        let (dst, pkt) = retransmission(&actions);
+        assert_eq!(dst, NodeId(2));
+        assert_eq!(
+            (pkt.epoch, pkt.round, &pkt.kind),
+            (0, 0, &CollKind::Barrier)
+        );
+        assert_eq!(e.retransmits(g), 2);
+    }
+
+    #[test]
+    fn nack_for_the_epoch_before_the_archived_one_is_ignored() {
+        // A 2-rank barrier: one round, hearing and sending to the peer.
+        let spec = GroupSpec::barrier(
+            GroupId(1),
+            members(2),
+            0,
+            Algorithm::Dissemination,
+            SimTime::from_us(100.0),
+        );
+        let mut e = PaperCollective::new(NodeId(0), vec![spec]);
+        let g = GroupId(1);
+        for epoch in 0..2 {
+            let _ = doorbell(&mut e, SimTime::ZERO, g, epoch, &CollOperand::Scalar(0));
+            let peer = CollPacket {
+                src: NodeId(1),
+                group: g,
+                epoch,
+                round: 0,
+                kind: CollKind::Barrier,
+            };
+            assert!(matches!(
+                packet(&mut e, SimTime::ZERO, &peer)[..],
+                [CollAction::HostDone { .. }]
+            ));
+        }
+        // The archive holds epoch 1 only: a NACK for epoch 0 comes from a
+        // peer that has completed it already.
+        assert!(packet(&mut e, SimTime::from_us(200.0), &nack(1, g, 0, 0)).is_empty());
+        let _ = doorbell(
+            &mut e,
+            SimTime::from_us(200.0),
+            g,
+            2,
+            &CollOperand::Scalar(0),
+        );
+        assert!(packet(&mut e, SimTime::from_us(300.0), &nack(1, g, 0, 0)).is_empty());
+        assert_eq!(e.retransmits(g), 0);
+        // The archived epoch itself is still served.
+        let actions = packet(&mut e, SimTime::from_us(300.0), &nack(1, g, 1, 0));
+        assert_eq!(retransmission(&actions).1.epoch, 1);
+    }
+
+    #[test]
+    fn archived_allreduce_resends_the_value_it_sent() {
+        let spec = GroupSpec {
+            id: GroupId(2),
+            members: members(2),
+            my_rank: 0,
+            op: GroupOp::Allreduce { op: ReduceOp::Sum },
+            algo: Algorithm::Dissemination,
+            timeout: SimTime::from_us(100.0),
+        };
+        let mut e = PaperCollective::new(NodeId(0), vec![spec]);
+        let g = GroupId(2);
+        let _ = doorbell(&mut e, SimTime::ZERO, g, 0, &CollOperand::Scalar(10));
+        let from1 = CollPacket {
+            src: NodeId(1),
+            group: g,
+            epoch: 0,
+            round: 0,
+            kind: CollKind::Reduce { value: 32 },
+        };
+        let done = packet(&mut e, SimTime::ZERO, &from1);
+        assert!(matches!(done[..], [CollAction::HostDone { value: 42, .. }]));
+        // The accumulator now reads 42; the archive must resend the 10.
+        let actions = packet(&mut e, SimTime::from_us(200.0), &nack(1, g, 0, 0));
+        assert_eq!(
+            retransmission(&actions).1.kind,
+            CollKind::Reduce { value: 10 }
+        );
+        // And again with the next epoch live on a different operand.
+        let _ = doorbell(
+            &mut e,
+            SimTime::from_us(200.0),
+            g,
+            1,
+            &CollOperand::Scalar(7),
+        );
+        let actions = packet(&mut e, SimTime::from_us(300.0), &nack(1, g, 0, 0));
+        assert_eq!(
+            retransmission(&actions).1.kind,
+            CollKind::Reduce { value: 10 }
+        );
+        let actions = packet(&mut e, SimTime::from_us(300.0), &nack(1, g, 1, 0));
+        assert_eq!(
+            retransmission(&actions).1.kind,
+            CollKind::Reduce { value: 7 }
+        );
+    }
+
+    /// NACK timeout of the systems below.
+    const TIMEOUT_US: f64 = 100.0;
+
+    /// One N-rank group on dissemination, rank r on node r, with the
+    /// packets in flight between its engines. Every transition checks the
+    /// engines' invariants.
+    struct System {
+        engines: Vec<PaperCollective>,
+        /// `(destination rank, packet)` in flight.
+        wire: Vec<(usize, CollPacket)>,
+        now: SimTime,
+    }
+
+    impl System {
+        fn new(n: usize, op: GroupOp) -> Self {
+            let engines = (0..n)
+                .map(|rank| {
+                    let spec = GroupSpec {
+                        id: GroupId(1),
+                        members: members(n),
+                        my_rank: rank,
+                        op,
+                        algo: Algorithm::Dissemination,
+                        timeout: SimTime::from_us(TIMEOUT_US),
+                    };
+                    PaperCollective::new(NodeId(rank), vec![spec])
+                })
+                .collect();
+            System {
+                engines,
+                wire: Vec::new(),
+                now: SimTime::ZERO,
+            }
+        }
+
+        fn group(&self, rank: usize) -> &GroupState {
+            &self.engines[rank].groups[0]
+        }
+
+        /// Put the sends of `buf` on the wire and return its actions.
+        fn emit(&mut self, mut buf: ActionBuf) -> Vec<CollAction> {
+            for e in &self.engines {
+                e.check_invariants().unwrap();
+            }
+            let actions: Vec<CollAction> = buf.drain().collect();
+            for a in &actions {
+                if let CollAction::Send { dst, pkt, .. } = a {
+                    self.wire.push((dst.0, pkt.clone()));
+                }
+            }
+            actions
+        }
+
+        fn doorbell(&mut self, rank: usize) -> Vec<CollAction> {
+            let mut buf = ActionBuf::new();
+            let epoch = self.group(rank).host_epoch;
+            self.engines[rank].on_doorbell(
+                self.now,
+                GroupId(1),
+                epoch,
+                &CollOperand::Scalar(0),
+                CauseId::NONE,
+                &mut buf,
+            );
+            self.emit(buf)
+        }
+
+        fn deliver(&mut self, (dst, pkt): (usize, CollPacket)) -> Vec<CollAction> {
+            let mut buf = ActionBuf::new();
+            self.engines[dst].on_packet(self.now, &pkt, CauseId::NONE, &mut buf);
+            self.emit(buf)
+        }
+
+        /// Fire `rank`'s timer once its NACK timeout has passed.
+        fn timer(&mut self, rank: usize) -> Vec<CollAction> {
+            self.now += SimTime::from_us(TIMEOUT_US * 1.5);
+            let mut buf = ActionBuf::new();
+            self.engines[rank].on_timer(self.now, &mut buf);
+            self.emit(buf)
+        }
+
+        fn idle(&self, rank: usize) -> bool {
+            self.group(rank).live.is_none()
+        }
+    }
+
+    /// One adversary move, decoded from `choice`: deliver, duplicate or
+    /// drop a packet in flight, ring an idle rank's doorbell (up to
+    /// `max_epochs`), NACK a rank for its live, archived, older or an
+    /// unsent epoch, or fire a rank's timer.
+    fn adversary_step(sys: &mut System, choice: u64, max_epochs: u64) -> Vec<CollAction> {
+        let n = sys.engines.len();
+        let pick = (choice >> 8) as usize;
+        let rank = pick % n;
+        match choice % 8 {
+            0..=2 if !sys.wire.is_empty() => {
+                let msg = sys.wire.remove(pick % sys.wire.len());
+                sys.deliver(msg)
+            }
+            3 if !sys.wire.is_empty() => {
+                let msg = sys.wire[pick % sys.wire.len()].clone();
+                sys.wire.push(msg);
+                Vec::new()
+            }
+            4 if !sys.wire.is_empty() => {
+                sys.wire.remove(pick % sys.wire.len());
+                Vec::new()
+            }
+            6 => {
+                let g = sys.group(rank);
+                let round = (choice >> 16) as usize % g.schedule.num_rounds();
+                let requester = g.schedule.rounds[round].sends[0];
+                let epoch = match (choice >> 24) % 4 {
+                    0 => g.host_epoch.saturating_sub(1), // live, or just completed
+                    1 => g.completed.saturating_sub(1),  // archived
+                    2 => g.completed.saturating_sub(2),  // older
+                    _ => g.host_epoch,                   // not entered: unsent
+                };
+                let pkt = nack(requester, GroupId(1), epoch, u16::try_from(round).unwrap());
+                sys.deliver((rank, pkt))
+            }
+            7 => sys.timer(rank),
+            _ if sys.idle(rank) && sys.group(rank).host_epoch < max_epochs => sys.doorbell(rank),
+            _ => Vec::new(),
+        }
+    }
+
+    /// An allreduce action read as the barrier action it must equal: a
+    /// `Reduce { value: 0 }` packet is a barrier packet.
+    fn as_barrier(mut action: CollAction) -> CollAction {
+        if let CollAction::Send { pkt, .. } = &mut action {
+            if pkt.kind == (CollKind::Reduce { value: 0 }) {
+                pkt.kind = CollKind::Barrier;
+            }
+        }
+        action
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// A barrier group's bit-vector record against the payload record
+        /// it replaces: an all-zero `Allreduce { op: Max }` group runs the
+        /// same dissemination schedule but keeps payload records. Under one
+        /// random adversary (reordering, duplicates, drops, NACKs for live,
+        /// archived, older and unsent rounds, timers) both systems emit the
+        /// same actions, step for step, at every N from 2 to 9.
+        #[test]
+        fn barrier_bits_match_the_payload_record(
+            script in proptest::collection::vec(proptest::any::<u64>(), 0..400),
+        ) {
+            for n in 2..=9 {
+                let mut barrier = System::new(n, GroupOp::Barrier);
+                let mut reduce = System::new(n, GroupOp::Allreduce { op: ReduceOp::Max });
+                for (step, &choice) in script.iter().enumerate() {
+                    let b = adversary_step(&mut barrier, choice, 6);
+                    let r: Vec<CollAction> = adversary_step(&mut reduce, choice, 6)
+                        .into_iter()
+                        .map(as_barrier)
+                        .collect();
+                    proptest::prop_assert_eq!(b, r, "n={}, step {}", n, step);
+                }
+            }
+        }
+    }
+
+    /// Run `sys` for `epochs` epochs with a fifth of deliveries lost, so
+    /// recovery goes through timers, NACKs and retransmissions.
+    fn run_lossy(sys: &mut System, epochs: u64, seed: u64) {
+        let n = sys.engines.len();
+        let mut rng = proptest::TestRng::new(seed);
+        while (0..n).any(|r| sys.group(r).completed < epochs) {
+            for rank in 0..n {
+                if sys.idle(rank) && sys.group(rank).host_epoch < epochs {
+                    let _ = sys.doorbell(rank);
+                }
+            }
+            if sys.wire.is_empty() {
+                for rank in 0..n {
+                    let _ = sys.timer(rank);
+                }
+                continue;
+            }
+            let i = rng.below(sys.wire.len() as u64) as usize;
+            let msg = sys.wire.remove(i);
+            if rng.below(5) != 0 {
+                let _ = sys.deliver(msg);
+            }
+        }
+    }
+
+    #[test]
+    fn barrier_groups_hold_no_payload_storage() {
+        let mut barrier = System::new(8, GroupOp::Barrier);
+        run_lossy(&mut barrier, 50, 1);
+        let mut reduce = System::new(8, GroupOp::Allreduce { op: ReduceOp::Max });
+        run_lossy(&mut reduce, 50, 1);
+        for rank in 0..8 {
+            assert_eq!(barrier.group(rank).completed, 50);
+            assert_eq!(barrier.group(rank).payload_capacity(), 0, "rank {rank}");
+            assert!(reduce.group(rank).payload_capacity() > 0, "rank {rank}");
+        }
+        let retransmits: u64 = (0..8).map(|r| barrier.group(r).retransmits).sum();
+        assert!(retransmits > 0, "the run lost no packet a NACK recovered");
     }
 }

@@ -1119,19 +1119,17 @@ impl LanaiNic {
                         .key(pkt.group.0 as u64, pkt.epoch)
                         .detail(pkt.round as u64, 0)
                     });
-                    // The packet is built inside the send, read from the
-                    // buffered action by reference.
+                    // The packet is built inside the send, straight into its
+                    // slab slot, read from the buffered action by reference.
                     let (arrive, target) = self.route(at, dst, pkt.wire_bytes());
-                    ctx.send_at(
-                        arrive,
-                        target,
+                    ctx.send_at_with(arrive, target, || {
                         GmEvent::Inject(Packet {
                             src: self.node,
                             dst,
                             kind: PacketKind::Coll(pkt.clone()),
                             cause: fire,
-                        }),
-                    );
+                        })
+                    });
                 }
                 CollAction::HostDone {
                     group,
@@ -1256,7 +1254,7 @@ impl LanaiNic {
     /// flight. Port contention (arrival order at *this* port), the loss
     /// draw (this NIC's RNG), the wire counters, and the wire/drop
     /// netdump records all happen here at the receiver.
-    fn on_inject(&mut self, ctx: &mut Ctx<'_, GmEvent>, mut pkt: Packet) {
+    fn on_inject(&mut self, ctx: &mut Ctx<'_, GmEvent>, pkt: Packet) {
         debug_assert_eq!(pkt.dst, self.node, "packet presented at the wrong NIC");
         let label = match &pkt.kind {
             PacketKind::Data { .. } => counter_id!("wire.data"),
@@ -1328,8 +1326,9 @@ impl LanaiNic {
             });
             return;
         };
-        pkt.cause = wire;
-        ctx.send_at(admission.arrive, ctx.self_id(), GmEvent::Arrive(pkt));
+        ctx.send_at_with(admission.arrive, ctx.self_id(), move || {
+            GmEvent::Arrive(Packet { cause: wire, ..pkt })
+        });
     }
 
     /// The installed collective engine (downcast access for tests).

@@ -17,8 +17,8 @@
 //!   engine scheduling/telemetry call (`send*`, `schedule_*`, `count*`,
 //!   `push*`), a record-log call (`span`, `packet`, `ledger`) or a
 //!   `SimTime` construction — at the sink's line. A closure argument (the
-//!   record builders, `push_with`'s action builder) is scanned like any
-//!   other.
+//!   record builders, `push_with`'s action builder, `send_at_with`'s event
+//!   builder) is scanned like any other.
 //! * **ND003 (hash-order iteration)** — `HashMap`/`HashSet` bindings,
 //!   params and fields are tracked by type; a finding is reported only
 //!   where one is *iterated* (`.iter()`, `.keys()`, `.drain()`, …, or a
@@ -41,6 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 const SINKS: &[&str] = &[
     "send",
     "send_at",
+    "send_at_with",
     "send_self",
     "send_batch",
     "schedule_at",

@@ -145,18 +145,19 @@ impl<M> Ctx<'_, M> {
         self.self_id
     }
 
-    /// Key and enqueue one event: locally, or — when running as a shard and
-    /// the target lives elsewhere — into the cross-shard outbox. Inlined
-    /// with the queue's slab store, so the message a handler builds is
-    /// written once, straight into its slab slot.
+    /// Key one event, then enqueue the message `build` returns: locally,
+    /// written straight into the slab slot the queue picks for it, or — when
+    /// running as a shard and the target lives elsewhere — into the
+    /// cross-shard outbox. Every send goes through here, inlined with the
+    /// queue's slab store, so the message a handler builds is written once.
     #[inline(always)]
-    fn dispatch(&mut self, at: SimTime, target: ComponentId, msg: M) {
+    fn dispatch(&mut self, at: SimTime, target: ComponentId, build: impl FnOnce() -> M) {
         debug_assert!(*self.count < COUNT_MASK, "per-source send count overflow");
         let key = pack(at, self.sub_hi | *self.count);
         *self.count += 1;
         match self.link.as_deref_mut() {
-            Some(link) if !link.is_local(target) => link.deposit(key, at, target, msg),
-            _ => self.queue.push(key, target, msg),
+            Some(link) if !link.is_local(target) => link.deposit(key, at, target, build()),
+            _ => self.queue.push_with(key, target, build),
         }
     }
 
@@ -165,10 +166,20 @@ impl<M> Ctx<'_, M> {
     /// scheduling order).
     #[inline(always)]
     pub fn send(&mut self, delay: SimTime, target: ComponentId, msg: M) {
-        self.dispatch(self.now + delay, target, msg);
+        self.dispatch(self.now + delay, target, move || msg);
     }
 
-    /// Schedule `msg` for an absolute time `at`.
+    /// Schedule `msg` for an absolute time `at` ([`Ctx::send_at_with`] of
+    /// `msg`).
+    #[inline(always)]
+    pub fn send_at(&mut self, at: SimTime, target: ComponentId, msg: M) {
+        self.send_at_with(at, target, move || msg);
+    }
+
+    /// Schedule the message `build` returns for an absolute time `at`. The
+    /// event is keyed and its slab slot picked first, then `build` writes
+    /// the message straight into the slot, so a message built here is never
+    /// copied through the stack. `build` runs exactly once.
     ///
     /// A past `at` is **always clamped to the current time** — identically in
     /// debug and release builds, so optimized and unoptimized runs deliver
@@ -176,7 +187,7 @@ impl<M> Ctx<'_, M> {
     /// counter; a simulation that is supposed to never look backwards can
     /// assert that counter stays zero.
     #[inline(always)]
-    pub fn send_at(&mut self, at: SimTime, target: ComponentId, msg: M) {
+    pub fn send_at_with(&mut self, at: SimTime, target: ComponentId, build: impl FnOnce() -> M) {
         let at = if at < self.now {
             self.counters
                 .add_id(crate::counter_id!("sim.clamped_sends"), 1);
@@ -184,7 +195,7 @@ impl<M> Ctx<'_, M> {
         } else {
             at
         };
-        self.dispatch(at, target, msg);
+        self.dispatch(at, target, build);
     }
 
     /// Schedule `msg` for this component after `delay`.
@@ -203,7 +214,7 @@ impl<M> Ctx<'_, M> {
             // Sharded: each event may route to a different outbox; the keys
             // are content-based, so per-item dispatch delivers identically.
             for (delay, target, msg) in batch {
-                self.dispatch(now + delay, target, msg);
+                self.dispatch(now + delay, target, move || msg);
             }
             return;
         }

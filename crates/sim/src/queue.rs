@@ -21,16 +21,17 @@
 //!   sift loops ever touch; message payloads sit in a slab addressed by a
 //!   parallel `u32` slot vector, so growing `M` never slows the comparisons.
 //! * **One move per event**: a payload is written into the slab once and
-//!   read out of it once. `store` is inlined into every send site, so the
-//!   sending handler builds its message straight into the slot, while the
-//!   heap walks stay out of line. `EventQueue::pop` hands out only the
-//!   key, time, target and slot: each slot's target sits in a `targets`
-//!   array beside the slab, so a pop never touches the payload. The engine
-//!   then moves the payload with `EventQueue::take` into the handler's
-//!   argument, and only `take` frees the slot for reuse. Copying a payload
-//!   through stack temporaries instead stalls the loads that reread it on
-//!   the narrower stores that built it (DESIGN.md, "Performance: hot-path
-//!   design").
+//!   read out of it once. `EventQueue::push_with` picks the slab slot
+//!   first and then writes the message its builder returns into it, and it
+//!   is inlined into every send site, so the sending handler builds its
+//!   message straight into the slot, while the heap walks stay out of
+//!   line. `EventQueue::pop` hands out only the key, time, target and
+//!   slot: each slot's target sits in a `targets` array beside the slab,
+//!   so a pop never touches the payload. The engine then moves the
+//!   payload with `EventQueue::take` into the handler's argument, and only
+//!   `take` frees the slot for reuse. Copying a payload through stack
+//!   temporaries instead stalls the loads that reread it on the narrower
+//!   stores that built it (DESIGN.md, "Performance: hot-path design").
 //! * **Batched**: `EventQueue::push_batch` appends a whole burst of
 //!   events and restores the heap in one pass, using Floyd's bottom-up
 //!   heapify when the batch dominates the existing contents.
@@ -172,33 +173,44 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Store a payload, returning its slab slot: the one write of the
-    /// payload into the slab. Inlined into every send site, so the caller
-    /// builds the message straight into its slot.
+    /// Pick a slab slot, then write the payload `build` returns into it,
+    /// returning the slot: the one write of the payload into the slab.
+    /// Inlined into every send site, so the caller's builder writes the
+    /// message straight into its slot instead of into a stack temporary
+    /// that a store would then copy.
+    ///
+    /// The slot's target is set only after the write, so a panic inside
+    /// `build` leaves it [`FREE`] and no later `take` or `Drop` reads it.
     #[inline(always)]
-    fn store(&mut self, target: ComponentId, msg: M) -> u32 {
+    fn store(&mut self, target: ComponentId, build: impl FnOnce() -> M) -> u32 {
         debug_assert_ne!(target, FREE, "event for the free-slot marker");
-        match self.free.pop() {
-            Some(slot) => {
-                self.payload[slot as usize].write(msg);
-                self.targets[slot as usize] = target;
-                slot
-            }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
             None => {
                 let slot = u32::try_from(self.payload.len()).expect("event slab overflow");
-                self.payload.push(MaybeUninit::new(msg));
-                self.targets.push(target);
+                self.payload.push(MaybeUninit::uninit());
+                self.targets.push(FREE);
                 slot
             }
-        }
+        };
+        self.payload[slot as usize].write(build());
+        self.targets[slot as usize] = target;
+        slot
     }
 
-    /// Insert one event: the payload goes into the slab here, inline, and
-    /// the key into the heap out of line.
+    /// Insert one event whose payload `build` writes into its slab slot:
+    /// the store happens here, inline, and the key goes into the heap out
+    /// of line.
+    #[inline(always)]
+    pub fn push_with(&mut self, key: u128, target: ComponentId, build: impl FnOnce() -> M) {
+        let slot = self.store(target, build);
+        self.push_key(key, slot);
+    }
+
+    /// Insert one built event ([`EventQueue::push_with`] of `msg`).
     #[inline(always)]
     pub fn push(&mut self, key: u128, target: ComponentId, msg: M) {
-        let slot = self.store(target, msg);
-        self.push_key(key, slot);
+        self.push_with(key, target, move || msg);
     }
 
     /// Insert a stored event's key. A vacant root takes it and sifts it
@@ -225,7 +237,7 @@ impl<M> EventQueue<M> {
         self.settle();
         let before = self.keys.len();
         for (key, target, msg) in batch {
-            let slot = self.store(target, msg);
+            let slot = self.store(target, move || msg);
             self.keys.push(key);
             self.slots.push(slot);
         }
@@ -912,6 +924,36 @@ mod tests {
             assert_eq!(dropped(&drops), 12);
             drop(par);
             assert_eq!(dropped(&drops), 12);
+        }
+
+        #[test]
+        fn a_panicking_builder_stores_nothing() {
+            use crate::queue::{pack, EventQueue};
+            use std::panic::{catch_unwind, AssertUnwindSafe};
+            let drops = Arc::new(AtomicUsize::new(0));
+            let canary = || Canary(Arc::clone(&drops));
+            let key = |t| pack(SimTime::from_ns(t), t);
+            let mut queue: EventQueue<Canary> = EventQueue::new();
+            queue.push_with(key(1), ComponentId(0), canary);
+            let panicking_push = |queue: &mut EventQueue<Canary>, t| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    queue.push_with(key(t), ComponentId(0), || panic!("builder fails"));
+                }))
+                .expect_err("the builder panics");
+            };
+            // A fresh slot, then a slot off the free list: neither holds a
+            // payload or a key afterwards.
+            panicking_push(&mut queue, 2);
+            let popped = queue.pop().unwrap();
+            drop(queue.take(popped.slot));
+            panicking_push(&mut queue, 3);
+            assert_eq!(queue.len(), 0);
+            assert_eq!(dropped(&drops), 1);
+            queue.push_with(key(4), ComponentId(0), canary);
+            queue.push_with(key(5), ComponentId(0), canary);
+            assert_eq!(queue.len(), 2);
+            drop(queue);
+            assert_eq!(dropped(&drops), 3, "no slot a builder failed in is dropped");
         }
 
         #[test]

@@ -81,10 +81,29 @@ gate "lint-scan" cargo run --release -q -p nicbar-lint
 
 # Protocol model checking: nicbar-verify drives the real PaperCollective
 # through the exhaustive interleaving space of the adversarial network
-# (loss, duplication, reorder, unbounded delay) for DS and PE barriers on
-# both substrates and proves safety invariants, deadlock-freedom and NACK
-# liveness on every configuration of the gate matrix.
-gate "verify-matrix" cargo run --release -q -p nicbar-verify -- --check
+# (loss, duplication, reorder, unbounded delay) for DS, PE and GB barriers
+# on both substrates and proves safety invariants, deadlock-freedom and
+# NACK liveness on every configuration of the gate matrix. Exploration is
+# deterministic, so each row's state and transition counts (everything
+# but the time column) must also equal results/verify_counts.txt: a change
+# that moves a count changed what the checker explores, and regenerates
+# that file in the same commit.
+verify_matrix_gate() {
+    local out
+    out=$(mktemp)
+    if ! cargo run --release -q -p nicbar-verify -- --check | tee "$out"; then
+        rm -f "$out"
+        return 1
+    fi
+    if ! sed -nE 's/^((OK|FAIL).* transitions) +[0-9.]+s$/\1/p' "$out" |
+        diff results/verify_counts.txt -; then
+        echo "check.sh: nicbar-verify state/transition counts differ from results/verify_counts.txt" >&2
+        rm -f "$out"
+        return 1
+    fi
+    rm -f "$out"
+}
+gate "verify-matrix" verify_matrix_gate
 
 # Counterexample pipeline: an injected protocol bug must yield a minimal
 # counterexample whose netdump trace replays through why-slow.
