@@ -11,9 +11,9 @@
 //!   claim, no payload DMA),
 //! * **one send record with a bit vector** over the expected messages —
 //!   here a `u64` of sent rounds per epoch plus the per-round arrival
-//!   masks, replacing per-packet send records. A barrier epoch is exactly
+//!   masks, replacing per-packet send records. A barrier group is exactly
 //!   these bits; only the data collectives, whose packets carry values,
-//!   keep payload vectors beside them,
+//!   keep payloads beside them,
 //! * **receiver-driven retransmission**: no ACKs; a receiver stalled past
 //!   the group timeout NACKs exactly the senders whose round messages are
 //!   missing, and the sender retransmits from its static packet. This
@@ -30,21 +30,24 @@
 //! this NIC is still in `e`. Packets carry `(group, epoch, round)`; arrivals
 //! for a future epoch are *banked* and consumed when the host's doorbell
 //! opens that epoch. A simple induction (completion of epoch `e` requires
-//! every rank's entry into `e`) bounds arrivals to `host_epoch + 1`, so the
-//! banking window is at most one epoch deep — asserted in debug builds.
+//! every rank's entry into `e`) bounds an arrival's epoch by the number of
+//! epochs the host has entered, so the banking window is at most one epoch
+//! deep — asserted in debug builds.
 //!
 //! ## Allocation-free steady state
 //!
-//! The one-epoch banking bound means at most two epochs' arrivals coexist,
-//! so banking needs no map: a fixed array of `2 × num_rounds` slots indexed
-//! by `(epoch parity, round)` holds every arrival as one bit of its slot's
-//! mask. A barrier group stores nothing else: its send record is a `u64`
-//! copied into the archive at completion, and it never allocates a payload
-//! vector. A data collective also banks each arrival's payload in a vector
-//! its slot sizes once at construction, and its per-epoch `sent_payloads`
-//! vector rotates through a two-deep recycle (live → archive → spare →
-//! live). Either way the steady state touches the heap zero times per
-//! operation — the root `alloc_steady` test counts.
+//! The one-epoch banking bound means at most two epochs coexist, so every
+//! per-epoch record is indexed by epoch parity and none needs a map. A
+//! fixed array of `2 × num_rounds` slots indexed by `(epoch parity, round)`
+//! holds every arrival as one bit of its slot's mask, and a `[u64; 2]`
+//! holds the send records of the live epoch and of the one completed before
+//! it, which late NACKs are served from; completing epoch `e` clears the
+//! record of `e − 1` for epoch `e + 1`, which shares its parity. A barrier
+//! group is these bits and nothing else. A data collective also keeps its
+//! payloads, banked and sent, in vectors sized at construction and indexed
+//! as the slots are. The steady state of a barrier or an allreduce touches
+//! the heap zero times per operation — the root `alloc_steady` test
+//! counts; allgather and alltoall packets carry vectors of their own.
 
 use crate::schedule::{Algorithm, Schedule};
 use nicbar_gm::{
@@ -110,9 +113,9 @@ pub enum GroupOp {
 }
 
 impl GroupOp {
-    /// Whether this operation's packets carry values, so its epochs keep
-    /// payload records beside their bit vectors. A barrier's packets carry
-    /// nothing: its epoch is its bit vectors alone.
+    /// Whether this operation's packets carry values, so its group keeps a
+    /// `DataState` beside its bit vectors. A barrier's packets carry
+    /// nothing: its group is its bit vectors alone.
     fn carries_data(self) -> bool {
         !matches!(self, GroupOp::Barrier)
     }
@@ -177,19 +180,22 @@ impl GroupSpec {
     }
 }
 
+/// Index of `epoch`'s records in a parity-indexed array.
+fn parity(epoch: u64) -> usize {
+    (epoch & 1) as usize
+}
+
 /// Per-(epoch parity, round) arrival bookkeeping: the paper's bit vector.
 ///
 /// Because banking is at most one epoch deep (module docs), two epochs'
 /// arrivals never share a parity, so a fixed `2 × num_rounds` array of these
 /// slots replaces a keyed map. `epoch` tags which epoch currently owns the
-/// slot; a slot is recycled in place (mask cleared, payloads zeroed) when an
-/// arrival two epochs later claims it. `payloads` holds a data collective's
-/// banked values, one per expected sender; a barrier's stays empty.
-#[derive(Clone, Debug, Default)]
+/// slot; a slot is recycled in place (mask cleared, with a data
+/// collective's banked payloads) when an arrival two epochs later claims it.
+#[derive(Clone, Copy, Debug, Default)]
 struct RoundSlot {
     epoch: u64,
     mask: u64,
-    payloads: Vec<Option<CollKind>>,
 }
 
 /// The in-progress epoch.
@@ -198,24 +204,8 @@ struct LiveEpoch {
     epoch: u64,
     /// Next round whose sends have not been issued.
     next_send_round: usize,
-    /// Accumulator (bcast value / reduce partial / unused for barrier).
-    acc: u64,
-    /// Allgather state: contribution per rank.
-    gathered: Vec<Option<u64>>,
-    /// Alltoall state: items this NIC currently holds in transit.
-    held: Vec<AllToAllItem>,
-    /// Alltoall state: values received for this rank, by origin.
-    row: Vec<Option<u64>>,
     /// Last time this epoch made forward progress (NACK pacing).
     last_progress: SimTime,
-    /// The epoch's send record: bit `r` is set once round `r`'s original
-    /// sends go out and are recorded. A NACK for a round whose bit is clear
-    /// is not served.
-    sent: u64,
-    /// What a data collective sent in each round, beside its bit (for NACK
-    /// retransmission). Empty, and never allocated, for a barrier, whose
-    /// resend is always `CollKind::Barrier`.
-    sent_payloads: Vec<Option<CollKind>>,
     /// Netdump id of the record that last advanced this epoch (the doorbell
     /// dispatch or the most recent consumed arrival). Sends and completions
     /// emitted by a transition parent on this; timer NACKs for a stalled
@@ -223,37 +213,221 @@ struct LiveEpoch {
     cause: CauseId,
 }
 
-/// One group's protocol state.
+/// What only a data collective keeps beside the bit vectors every group
+/// has. Sized at construction and reused by every epoch; the doorbell
+/// resets the working state (`acc`, `gathered`, `held`, `row`).
+#[derive(Clone, Debug)]
+struct DataState {
+    /// Accumulator: the broadcast value or the reduce partial.
+    acc: u64,
+    /// Allgather: contribution per rank.
+    gathered: Vec<Option<u64>>,
+    /// Alltoall: items this NIC currently holds in transit.
+    held: Vec<AllToAllItem>,
+    /// Alltoall: values received for this rank, by origin.
+    row: Vec<Option<u64>>,
+    /// Banked payloads: one vector per arrival slot, indexed as the slots
+    /// are, with one entry per expected sender, set exactly when the
+    /// slot's mask bit is.
+    banked: Vec<Vec<Option<CollKind>>>,
+    /// What each round sent, for NACK retransmission: `2 × num_rounds`
+    /// entries indexed as the slots are, each set exactly when its round's
+    /// bit is set in the send record of its parity.
+    sent_payloads: Vec<Option<CollKind>>,
+    /// Completed alltoall rows per epoch (test observability).
+    rows_history: Vec<Vec<u64>>,
+}
+
+impl DataState {
+    fn new(spec: &GroupSpec, schedule: &Schedule) -> Self {
+        let n = spec.members.len();
+        let rounds = schedule.num_rounds();
+        let per_rank = |used: bool| vec![None; if used { n } else { 0 }];
+        let alltoall = matches!(spec.op, GroupOp::Alltoall);
+        DataState {
+            acc: 0,
+            gathered: per_rank(matches!(spec.op, GroupOp::Allgather)),
+            held: Vec::with_capacity(if alltoall { n } else { 0 }),
+            row: per_rank(alltoall),
+            banked: (0..2 * rounds)
+                .map(|i| vec![None; schedule.rounds[i % rounds].recv_from.len()])
+                .collect(),
+            sent_payloads: vec![None; 2 * rounds],
+            rows_history: Vec::new(),
+        }
+    }
+
+    /// Open an epoch with the host's operand.
+    fn begin(&mut self, spec: &GroupSpec, operand: &CollOperand) {
+        let me = spec.my_rank;
+        self.acc = 0;
+        self.gathered.fill(None);
+        self.held.clear();
+        self.row.fill(None);
+        match spec.op {
+            GroupOp::Broadcast { root } => {
+                if me == root {
+                    self.acc = operand.scalar();
+                }
+            }
+            GroupOp::Allreduce { .. } => self.acc = operand.scalar(),
+            GroupOp::Allgather => self.gathered[me] = Some(operand.scalar()),
+            GroupOp::Alltoall => {
+                let CollOperand::Vector(values) = operand else {
+                    panic!("alltoall requires a vector operand (one value per rank)");
+                };
+                assert_eq!(
+                    values.len(),
+                    self.row.len(),
+                    "alltoall operand must have one value per rank"
+                );
+                self.row[me] = Some(values[me]);
+                let rank = |r: usize| u32::try_from(r).expect("group rank exceeds u32");
+                let items = values.iter().enumerate().filter(|&(dst, _)| dst != me);
+                self.held.extend(items.map(|(dst, &value)| AllToAllItem {
+                    origin: rank(me),
+                    dst: rank(dst),
+                    value,
+                }));
+            }
+            GroupOp::Barrier => unreachable!("a barrier group keeps no data state"),
+        }
+    }
+
+    /// Fold the payloads banked in arrival slot `slot` into the epoch's
+    /// working state, emptying the slot's entries.
+    fn fold(&mut self, op: GroupOp, me: usize, slot: usize) {
+        let DataState {
+            acc,
+            gathered,
+            held,
+            row,
+            banked,
+            ..
+        } = self;
+        for payload in banked[slot].iter_mut().filter_map(Option::take) {
+            match (op, payload) {
+                (GroupOp::Broadcast { .. }, CollKind::Bcast { value }) => *acc = value,
+                (GroupOp::Allreduce { op }, CollKind::Reduce { value }) => {
+                    *acc = op.combine(*acc, value);
+                }
+                (GroupOp::Allgather, CollKind::Gather { base_rank, values }) => {
+                    let n = gathered.len();
+                    for (k, v) in values.into_iter().enumerate() {
+                        gathered[(base_rank as usize + k) % n] = Some(v);
+                    }
+                }
+                (GroupOp::Alltoall, CollKind::AllToAll { items }) => {
+                    for item in items {
+                        if item.dst as usize == me {
+                            row[item.origin as usize] = Some(item.value);
+                        } else {
+                            held.push(item);
+                        }
+                    }
+                }
+                (op, payload) => {
+                    panic!("payload {payload:?} does not match group op {op:?}")
+                }
+            }
+        }
+    }
+
+    /// Build the payload for a send in `round`, removing the in-transit
+    /// items that move this phase (alltoall).
+    fn payload(&mut self, spec: &GroupSpec, round: usize) -> CollKind {
+        let n = spec.members.len();
+        let me = spec.my_rank;
+        match spec.op {
+            GroupOp::Broadcast { .. } => CollKind::Bcast { value: self.acc },
+            GroupOp::Allreduce { .. } => CollKind::Reduce { value: self.acc },
+            GroupOp::Allgather => {
+                // Bruck block sizes: 2^m per round, with the final round
+                // truncated to the n − 2^m entries the receiver still lacks.
+                let len = (1usize << round).min(n - (1usize << round));
+                let base = (me + n - (len - 1)) % n;
+                let values = (0..len)
+                    .map(|k| {
+                        self.gathered[(base + k) % n]
+                            .expect("gathered window incomplete at send time")
+                    })
+                    .collect();
+                CollKind::Gather {
+                    base_rank: u32::try_from(base).expect("group rank exceeds u32"),
+                    values,
+                }
+            }
+            GroupOp::Alltoall => {
+                // Bruck phase m: forward every held item whose remaining
+                // distance to its destination has bit m set.
+                let mut items = Vec::new();
+                self.held.retain(|item| {
+                    let remaining = (item.dst as usize + n - me) % n;
+                    let moving = remaining & (1 << round) != 0;
+                    if moving {
+                        items.push(*item);
+                    }
+                    !moving
+                });
+                CollKind::AllToAll { items }
+            }
+            GroupOp::Barrier => unreachable!("a barrier group keeps no data state"),
+        }
+    }
+
+    /// The operation result delivered with `HostDone`; an alltoall also
+    /// logs its completed row.
+    fn finish(&mut self, op: GroupOp) -> u64 {
+        match op {
+            GroupOp::Broadcast { .. } | GroupOp::Allreduce { .. } => self.acc,
+            GroupOp::Allgather => self
+                .gathered
+                .iter()
+                .map(|v| v.expect("allgather incomplete at completion"))
+                .fold(0u64, u64::wrapping_add),
+            GroupOp::Alltoall => {
+                assert!(
+                    self.held.is_empty(),
+                    "undelivered alltoall items at completion"
+                );
+                let row: Vec<u64> = self
+                    .row
+                    .iter()
+                    .map(|v| v.expect("alltoall row incomplete at completion"))
+                    .collect();
+                let value = row.iter().fold(0u64, |sum, &v| sum.wrapping_add(v));
+                self.rows_history.push(row);
+                value
+            }
+            GroupOp::Barrier => unreachable!("a barrier group keeps no data state"),
+        }
+    }
+}
+
+/// One group's protocol state: the arrival slots and send records every
+/// group keeps, and a data collective's payloads beside them.
 #[derive(Clone)]
 struct GroupState {
     spec: GroupSpec,
     schedule: Schedule,
-    /// Number of doorbells seen (next expected doorbell epoch).
-    host_epoch: u64,
     /// Epochs fully completed.
     completed: u64,
     live: Option<LiveEpoch>,
-    /// Arrival slots indexed `(epoch & 1) * num_rounds + round`; a data
-    /// collective's payload vectors are sized once at construction and
-    /// reused forever.
+    /// Arrival slots indexed `(epoch & 1) * num_rounds + round`.
     slots: Vec<RoundSlot>,
-    /// Epoch whose send record `archive_sent` (and `archive`) holds, for
-    /// late NACKs. Exactly one epoch deep: a NACK for anything older can
-    /// only come from a requester that has itself already completed that
-    /// epoch (it reached the current one), so its retransmission would be
+    /// Send records by epoch parity: bit `r` of `sent[e & 1]` is set once
+    /// round `r`'s original sends of epoch `e` are recorded, and a NACK for
+    /// a round whose bit is clear is not served. They hold the live epoch
+    /// (`completed`) and the one completed last (`completed − 1`): exactly
+    /// one epoch of history, because a NACK for anything older can only
+    /// come from a requester that has itself already completed that epoch
+    /// (it reached the current one), so its retransmission would be
     /// filtered as a stale duplicate anyway.
-    archive_epoch: Option<u64>,
-    /// Send record (`LiveEpoch::sent`) of the most recently completed epoch.
-    archive_sent: u64,
-    /// Sent payloads of that epoch (data collectives; empty for a barrier).
-    archive: Vec<Option<CollKind>>,
-    /// Recycled `sent_payloads` storage for the next doorbell (the vector
-    /// the previous completion displaced from `archive`).
-    spare_payloads: Vec<Option<CollKind>>,
+    sent: [u64; 2],
+    /// A data collective's state; `None` for a barrier.
+    data: Option<Box<DataState>>,
     nacks_sent: u64,
     retransmits: u64,
-    /// Completed alltoall rows per epoch (test observability).
-    rows_history: Vec<Vec<u64>>,
     /// Fault injection for the model checker: when set, `try_progress`
     /// "forgets" to record what it sent (the round's bit and, for a data
     /// collective, its payload), reproducing the protocol bug the `PR002`
@@ -275,42 +449,33 @@ impl GroupState {
                 "round {r} expects more than 64 messages; widen the bit vector"
             );
         }
-        let data = spec.op.carries_data();
-        let slots = (0..2 * schedule.num_rounds())
-            .map(|i| RoundSlot {
-                epoch: 0,
-                mask: 0,
-                payloads: if data {
-                    vec![None; schedule.rounds[i % schedule.num_rounds()].recv_from.len()]
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect();
+        let slots = vec![RoundSlot::default(); 2 * schedule.num_rounds()];
+        let data = spec
+            .op
+            .carries_data()
+            .then(|| Box::new(DataState::new(&spec, &schedule)));
         GroupState {
             spec,
             schedule,
-            host_epoch: 0,
             completed: 0,
             live: None,
             slots,
-            archive_epoch: None,
-            archive_sent: 0,
-            archive: Vec::new(),
-            spare_payloads: Vec::new(),
+            sent: [0; 2],
+            data,
             nacks_sent: 0,
             retransmits: 0,
-            rows_history: Vec::new(),
             fault_skip_payload_record: false,
         }
     }
 
-    fn n(&self) -> usize {
-        self.spec.members.len()
+    /// Epochs the host has entered, the live one included: the epoch the
+    /// next doorbell must carry.
+    fn entered(&self) -> u64 {
+        self.completed + u64::from(self.live.is_some())
     }
 
     fn slot_index(&self, epoch: u64, round: usize) -> usize {
-        (epoch & 1) as usize * self.schedule.num_rounds() + round
+        parity(epoch) * self.schedule.num_rounds() + round
     }
 
     fn round_satisfied(&self, epoch: u64, round: usize) -> bool {
@@ -327,121 +492,21 @@ impl GroupState {
         slot.epoch == epoch && slot.mask & full == full
     }
 
-    /// Fold the consumed round's payloads into the accumulator state. A
-    /// barrier round has nothing to fold: consuming it clears its mask.
+    /// Consume a satisfied round: clear its mask and fold a data
+    /// collective's banked payloads into the epoch's working state.
     fn consume_round(&mut self, epoch: u64, round: usize) {
         if self.schedule.rounds[round].recv_from.is_empty() {
             return;
         }
         let idx = self.slot_index(epoch, round);
-        let GroupState {
-            spec, live, slots, ..
-        } = self;
-        let slot = &mut slots[idx];
+        let slot = &mut self.slots[idx];
         debug_assert_eq!(
             slot.epoch, epoch,
             "consuming a round the slot does not hold"
         );
         slot.mask = 0;
-        if !spec.op.carries_data() {
-            return;
-        }
-        let live = live.as_mut().expect("consume without live epoch");
-        for payload in slot.payloads.iter_mut().filter_map(Option::take) {
-            match (&spec.op, payload) {
-                (GroupOp::Broadcast { .. }, CollKind::Bcast { value }) => {
-                    live.acc = value;
-                }
-                (GroupOp::Allreduce { op }, CollKind::Reduce { value }) => {
-                    live.acc = op.combine(live.acc, value);
-                }
-                (GroupOp::Allgather, CollKind::Gather { base_rank, values }) => {
-                    let n = live.gathered.len();
-                    for (k, v) in values.into_iter().enumerate() {
-                        let r = (base_rank as usize + k) % n;
-                        live.gathered[r] = Some(v);
-                    }
-                }
-                (GroupOp::Alltoall, CollKind::AllToAll { items }) => {
-                    for item in items {
-                        if item.dst as usize == spec.my_rank {
-                            live.row[item.origin as usize] = Some(item.value);
-                        } else {
-                            live.held.push(item);
-                        }
-                    }
-                }
-                (op, payload) => {
-                    panic!("payload {payload:?} does not match group op {op:?}")
-                }
-            }
-        }
-    }
-
-    /// Build the payload for a send in `round`, removing in-transit items
-    /// that move this phase (alltoall).
-    fn payload_for_round(&mut self, round: usize) -> CollKind {
-        if matches!(self.spec.op, GroupOp::Alltoall) {
-            // Bruck phase m: forward every held item whose remaining
-            // distance to its destination has bit m set.
-            let n = self.n();
-            let me = self.spec.my_rank;
-            let live = self.live.as_mut().expect("send without live epoch");
-            let (moving, staying): (Vec<_>, Vec<_>) = live.held.drain(..).partition(|item| {
-                let remaining = (item.dst as usize + n - me) % n;
-                remaining & (1 << round) != 0
-            });
-            live.held = staying;
-            return CollKind::AllToAll { items: moving };
-        }
-        let live = self.live.as_ref().expect("send without live epoch");
-        match self.spec.op {
-            GroupOp::Barrier => CollKind::Barrier,
-            GroupOp::Broadcast { .. } => CollKind::Bcast { value: live.acc },
-            GroupOp::Allreduce { .. } => CollKind::Reduce { value: live.acc },
-            GroupOp::Allgather => {
-                // Bruck block sizes: 2^m per round, with the final round
-                // truncated to the n − 2^m entries the receiver still lacks.
-                let n = self.n();
-                let len = (1usize << round).min(n - (1usize << round));
-                let me = self.spec.my_rank;
-                let base = (me + n - (len - 1)) % n;
-                let values: Vec<u64> = (0..len)
-                    .map(|k| {
-                        let r = (base + k) % n;
-                        live.gathered[r].expect("gathered window incomplete at send time")
-                    })
-                    .collect();
-                CollKind::Gather {
-                    base_rank: u32::try_from(base).expect("group rank exceeds u32"),
-                    values,
-                }
-            }
-            GroupOp::Alltoall => unreachable!("handled by the early return above"),
-        }
-    }
-
-    /// The operation result delivered with `HostDone`.
-    fn result(&self) -> u64 {
-        let live = self.live.as_ref().expect("result without live epoch");
-        match self.spec.op {
-            GroupOp::Barrier => 0,
-            GroupOp::Broadcast { .. } | GroupOp::Allreduce { .. } => live.acc,
-            GroupOp::Allgather => live
-                .gathered
-                .iter()
-                .map(|v| v.expect("allgather incomplete at completion"))
-                .fold(0u64, u64::wrapping_add),
-            GroupOp::Alltoall => {
-                assert!(
-                    live.held.is_empty(),
-                    "undelivered alltoall items at completion"
-                );
-                live.row
-                    .iter()
-                    .map(|v| v.expect("alltoall row incomplete at completion"))
-                    .fold(0u64, u64::wrapping_add)
-            }
+        if let Some(data) = self.data.as_mut() {
+            data.fold(self.spec.op, self.spec.my_rank, idx);
         }
     }
 
@@ -462,32 +527,18 @@ impl GroupState {
                 self.consume_round(epoch, r - 1);
             }
             if r == self.schedule.num_rounds() {
-                // Every round's arrivals consumed and all sends issued.
-                let value = self.result();
-                if matches!(self.spec.op, GroupOp::Alltoall) {
-                    let row = self
-                        .live
-                        .as_ref()
-                        .expect("checked above")
-                        .row
-                        .iter()
-                        .map(|v| v.expect("checked in result()"))
-                        .collect();
-                    self.rows_history.push(row);
-                }
-                let live = self.live.take().expect("checked above");
-                // The epoch's send record becomes the archive, serving late
-                // NACKs for this epoch. A data collective rotates its
-                // payload storage with it: the just-sent vector becomes the
-                // archive, and the vector it displaces is cleared and kept
-                // as the spare the next doorbell will reuse. Steady state:
-                // two vectors, zero allocations; a barrier's are empty.
-                self.archive_epoch = Some(epoch);
-                self.archive_sent = live.sent;
-                let mut retired = std::mem::replace(&mut self.archive, live.sent_payloads);
-                retired.clear();
-                self.spare_payloads = retired;
+                // Every round's arrivals consumed and all sends issued. The
+                // epoch's send record stays where it is, serving late NACKs;
+                // the record of the epoch before it is cleared for the next
+                // epoch, which shares its parity.
+                let value = self.data.as_mut().map_or(0, |d| d.finish(self.spec.op));
+                self.live = None;
                 self.completed = epoch + 1;
+                self.sent[parity(epoch + 1)] = 0;
+                let (from, to) = (self.slot_index(epoch + 1, 0), self.slot_index(epoch + 1, r));
+                if let Some(data) = self.data.as_mut() {
+                    data.sent_payloads[from..to].fill(None);
+                }
                 actions.push_with(|| CollAction::HostDone {
                     group: self.spec.id,
                     epoch,
@@ -502,15 +553,18 @@ impl GroupState {
             let payload = if self.schedule.rounds[r].sends.is_empty() {
                 None
             } else {
-                Some(self.payload_for_round(r))
+                Some(match self.data.as_mut() {
+                    Some(data) => data.payload(&self.spec, r),
+                    None => CollKind::Barrier,
+                })
             };
             let skip = self.fault_skip_payload_record;
-            let live = self.live.as_mut().expect("checked above");
             if payload.is_some() && !skip {
-                live.sent |= 1u64 << r;
+                self.sent[parity(epoch)] |= 1u64 << r;
             }
-            if self.spec.op.carries_data() {
-                live.sent_payloads[r] = if skip {
+            let at = self.slot_index(epoch, r);
+            if let Some(data) = self.data.as_mut() {
+                data.sent_payloads[at] = if skip {
                     None // injected bug: send without the bit-vector/payload record
                 } else {
                     payload.clone()
@@ -533,6 +587,7 @@ impl GroupState {
                     });
                 }
             }
+            let live = self.live.as_mut().expect("checked above");
             live.next_send_round += 1;
             live.last_progress = now;
         }
@@ -556,9 +611,8 @@ impl GroupState {
                     pkt.src, self.spec.id
                 )
             });
-        let data = self.spec.op.carries_data();
         debug_assert!(
-            data || matches!(pkt.kind, CollKind::Barrier),
+            self.data.is_some() || matches!(pkt.kind, CollKind::Barrier),
             "barrier group {:?} sent a {:?} packet",
             self.spec.id,
             pkt.kind
@@ -579,47 +633,31 @@ impl GroupState {
             );
             entry.epoch = pkt.epoch;
             entry.mask = 0;
-            for p in entry.payloads.iter_mut() {
-                *p = None;
+            if let Some(data) = self.data.as_mut() {
+                data.banked[idx].fill(None);
             }
         }
         if entry.mask & (1u64 << slot) != 0 {
             return; // duplicate retransmission
         }
         entry.mask |= 1u64 << slot;
-        if data {
-            entry.payloads[slot] = Some(pkt.kind.clone());
+        if let Some(data) = self.data.as_mut() {
+            data.banked[idx][slot] = Some(pkt.kind.clone());
         }
-    }
-
-    /// Payload records this group has room for, over every payload vector
-    /// it owns: zero for a barrier, whose epochs are their bit vectors.
-    fn payload_capacity(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.payloads.capacity())
-            .sum::<usize>()
-            + self.live.as_ref().map_or(0, |l| l.sent_payloads.capacity())
-            + self.archive.capacity()
-            + self.spare_payloads.capacity()
     }
 
     /// What this rank sent in `round` of `epoch`, if its send record holds
     /// that round: the live epoch's record (a round below the send
-    /// frontier), or the one archived epoch's.
+    /// frontier), or the record of the epoch completed last.
     fn recorded_send(&self, epoch: u64, round: usize) -> Option<CollKind> {
-        let (sent, payloads) = match self.live.as_ref() {
-            Some(live) if live.epoch == epoch => (live.sent, &live.sent_payloads),
-            _ if self.archive_epoch == Some(epoch) => (self.archive_sent, &self.archive),
-            _ => return None,
-        };
-        if sent & (1u64 << round) == 0 {
-            return None; // not sent (yet); the normal path will deliver it
+        let held = self.completed.checked_sub(1) == Some(epoch)
+            || (epoch == self.completed && self.live.is_some());
+        if !held || self.sent[parity(epoch)] & (1u64 << round) == 0 {
+            return None; // not sent (yet), or too old; the normal path delivers it
         }
-        if self.spec.op.carries_data() {
-            payloads[round].clone()
-        } else {
-            Some(CollKind::Barrier)
+        match self.data.as_ref() {
+            Some(data) => data.sent_payloads[self.slot_index(epoch, round)].clone(),
+            None => Some(CollKind::Barrier),
         }
     }
 }
@@ -690,7 +728,10 @@ impl PaperCollective {
 
     /// Completed alltoall rows (per epoch, indexed by origin rank).
     pub fn alltoall_rows(&self, id: GroupId) -> &[Vec<u64>] {
-        &self.group(id).rows_history
+        match &self.group(id).data {
+            Some(data) => &data.rows_history,
+            None => &[],
+        }
     }
 
     fn handle_nack(&mut self, pkt: &CollPacket, cause: CauseId, actions: &mut ActionBuf) {
@@ -753,38 +794,40 @@ impl PaperCollective {
     /// Canonical 64-bit fingerprint of the protocol-visible state.
     ///
     /// Excludes observability-only fields (`nacks_sent`, `retransmits`,
-    /// `rows_history`), causal bookkeeping (`cause`) and wall-clock pacing
+    /// `rows_history`), causal bookkeeping (`cause`), wall-clock pacing
     /// (`last_progress`, which [`PaperCollective::canonicalize_times`]
-    /// zeroes before fingerprinting): two states with equal fingerprints
-    /// are behaviourally equivalent under the checker's abstract clock.
+    /// zeroes before fingerprinting) and a data collective's working state
+    /// between epochs (the next doorbell resets it): two states with equal
+    /// fingerprints are behaviourally equivalent under the checker's
+    /// abstract clock.
     pub fn state_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         for g in &self.groups {
             g.spec.id.hash(&mut h);
-            g.host_epoch.hash(&mut h);
             g.completed.hash(&mut h);
-            g.archive_epoch.hash(&mut h);
-            g.archive_sent.hash(&mut h);
-            g.archive.hash(&mut h);
+            g.sent.hash(&mut h);
             match g.live.as_ref() {
                 None => 0u8.hash(&mut h),
                 Some(l) => {
                     1u8.hash(&mut h);
                     l.epoch.hash(&mut h);
                     l.next_send_round.hash(&mut h);
-                    l.acc.hash(&mut h);
-                    l.gathered.hash(&mut h);
-                    l.held.hash(&mut h);
-                    l.row.hash(&mut h);
-                    l.sent.hash(&mut h);
-                    l.sent_payloads.hash(&mut h);
                 }
             }
             for s in &g.slots {
                 s.epoch.hash(&mut h);
                 s.mask.hash(&mut h);
-                s.payloads.hash(&mut h);
+            }
+            if let Some(d) = g.data.as_ref() {
+                d.banked.hash(&mut h);
+                d.sent_payloads.hash(&mut h);
+                if g.live.is_some() {
+                    d.acc.hash(&mut h);
+                    d.gathered.hash(&mut h);
+                    d.held.hash(&mut h);
+                    d.row.hash(&mut h);
+                }
             }
             g.fault_skip_payload_record.hash(&mut h);
         }
@@ -810,61 +853,55 @@ impl PaperCollective {
         for g in &self.groups {
             let id = g.spec.id;
             let rounds = g.schedule.num_rounds();
-            let data = g.spec.op.carries_data();
-            if g.completed > g.host_epoch {
-                return Err(format!(
-                    "group {id:?}: completed {} epochs but host only entered {}",
-                    g.completed, g.host_epoch
-                ));
-            }
-            if let Some(l) = g.live.as_ref() {
-                if l.epoch + 1 != g.host_epoch {
+            // Parity `completed & 1` holds epoch `completed`, live or not
+            // yet begun; the other holds epoch `completed − 1`, if any.
+            let live_parity = parity(g.completed);
+            for (p, &bits) in g.sent.iter().enumerate() {
+                let begun = if p == live_parity {
+                    g.live.is_some()
+                } else {
+                    g.completed > 0
+                };
+                if bits != 0 && !begun {
                     return Err(format!(
-                        "group {id:?}: live epoch {} does not match host epoch {}",
-                        l.epoch, g.host_epoch
+                        "group {id:?}: send record {bits:#x} of parity {p} holds an epoch \
+                         that has not begun"
                     ));
                 }
+            }
+            if let Some(l) = g.live.as_ref() {
                 if l.next_send_round > rounds {
                     return Err(format!(
                         "group {id:?}: send frontier {} beyond the {rounds}-round schedule",
                         l.next_send_round
                     ));
                 }
-                if data && l.sent_payloads.len() != rounds {
-                    return Err(format!(
-                        "group {id:?}: sent_payloads sized {} for a {rounds}-round schedule",
-                        l.sent_payloads.len()
-                    ));
-                }
+                let sent = g.sent[live_parity];
                 for r in 0..l.next_send_round {
-                    if !g.schedule.rounds[r].sends.is_empty() && l.sent & (1u64 << r) == 0 {
+                    if !g.schedule.rounds[r].sends.is_empty() && sent & (1u64 << r) == 0 {
                         return Err(format!(
                             "group {id:?}: round {r} sends issued without a sent_payloads \
                              record — NACKs for this round can never be served"
                         ));
                     }
                 }
-                if (l.next_send_round..64).any(|r| l.sent & (1u64 << r) != 0) {
+                if (l.next_send_round..64).any(|r| sent & (1u64 << r) != 0) {
                     return Err(format!(
-                        "group {id:?}: send record {:#x} has bits at or beyond the send \
+                        "group {id:?}: send record {sent:#x} has bits at or beyond the send \
                          frontier {}",
-                        l.sent, l.next_send_round
+                        l.next_send_round
                     ));
                 }
-                if data {
-                    check_sent_payloads(id, "live", l.sent, &l.sent_payloads)?;
-                }
             }
-            if data && g.archive_epoch.is_some() {
-                check_sent_payloads(id, "archived", g.archive_sent, &g.archive)?;
-            }
-            if !data {
-                let stored = g.payload_capacity();
-                if stored != 0 {
-                    return Err(format!(
-                        "group {id:?}: barrier group holds payload storage for {stored} \
-                         records; its epochs are their bit vectors alone"
-                    ));
+            if let Some(d) = g.data.as_ref() {
+                for (at, p) in d.sent_payloads.iter().enumerate() {
+                    let (parity, r) = (at / rounds, at % rounds);
+                    if (g.sent[parity] & (1u64 << r) != 0) != p.is_some() {
+                        return Err(format!(
+                            "group {id:?}: parity {parity} send record bit {r} disagrees with \
+                             its sent_payloads entry {p:?}"
+                        ));
+                    }
                 }
             }
             for (i, s) in g.slots.iter().enumerate() {
@@ -884,7 +921,10 @@ impl PaperCollective {
                         s.mask, expected
                     ));
                 }
-                for (slot, p) in s.payloads.iter().enumerate() {
+                let Some(d) = g.data.as_ref() else {
+                    continue;
+                };
+                for (slot, p) in d.banked[i].iter().enumerate() {
                     let have = s.mask & (1u64 << slot) != 0;
                     if have && p.is_none() {
                         return Err(format!(
@@ -914,25 +954,6 @@ impl PaperCollective {
     }
 }
 
-/// A data collective's send record: the round's bit is set exactly when
-/// `payloads` holds what the round sent.
-fn check_sent_payloads(
-    id: GroupId,
-    which: &str,
-    sent: u64,
-    payloads: &[Option<CollKind>],
-) -> Result<(), String> {
-    for (r, p) in payloads.iter().enumerate() {
-        if (sent & (1u64 << r) != 0) != p.is_some() {
-            return Err(format!(
-                "group {id:?}: {which} send record bit {r} disagrees with its sent_payloads \
-                 entry {p:?}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 impl NicCollective for PaperCollective {
     fn on_doorbell(
         &mut self,
@@ -946,82 +967,21 @@ impl NicCollective for PaperCollective {
         let my_node = self.node;
         let state = self.group_mut(group);
         assert_eq!(
-            epoch, state.host_epoch,
+            epoch,
+            state.entered(),
             "doorbell epoch out of order (group {group:?})"
         );
         assert!(
             state.live.is_none(),
             "host entered group {group:?} before the previous operation completed"
         );
-        state.host_epoch += 1;
-        let n = state.n();
-        let me = state.spec.my_rank;
-        let mut gathered = vec![
-            None;
-            if matches!(state.spec.op, GroupOp::Allgather) {
-                n
-            } else {
-                0
-            }
-        ];
-        let mut held = Vec::new();
-        let mut row = Vec::new();
-        let acc = match state.spec.op {
-            GroupOp::Barrier => 0,
-            GroupOp::Broadcast { root } => {
-                if me == root {
-                    operand.scalar()
-                } else {
-                    0
-                }
-            }
-            GroupOp::Allreduce { .. } => operand.scalar(),
-            GroupOp::Allgather => {
-                gathered[me] = Some(operand.scalar());
-                0
-            }
-            GroupOp::Alltoall => {
-                let CollOperand::Vector(values) = operand else {
-                    panic!("alltoall requires a vector operand (one value per rank)");
-                };
-                assert_eq!(
-                    values.len(),
-                    n,
-                    "alltoall operand must have one value per rank"
-                );
-                row = vec![None; n];
-                row[me] = Some(values[me]);
-                held = values
-                    .iter()
-                    .enumerate()
-                    .filter(|&(dst, _)| dst != me)
-                    .map(|(dst, &value)| AllToAllItem {
-                        origin: u32::try_from(me).expect("group rank exceeds u32"),
-                        dst: u32::try_from(dst).expect("group rank exceeds u32"),
-                        value,
-                    })
-                    .collect();
-                0
-            }
-        };
-        // A data collective reuses the vector retired by the completion
-        // before last; only its first two doorbells ever allocate it. A
-        // barrier's stays empty.
-        let mut sent_payloads = std::mem::take(&mut state.spare_payloads);
-        if state.spec.op.carries_data() {
-            sent_payloads.clear();
-            sent_payloads.resize(state.schedule.num_rounds(), None);
+        if let Some(data) = state.data.as_mut() {
+            data.begin(&state.spec, operand);
         }
         state.live = Some(LiveEpoch {
             epoch,
             next_send_round: 0,
-            acc,
-            gathered,
-            held,
-            row,
             last_progress: now,
-            sent: 0,
-            sent_payloads,
             cause,
         });
         state.try_progress(now, my_node, actions);
@@ -1044,10 +1004,10 @@ impl NicCollective for PaperCollective {
         let my_node = self.node;
         let state = self.group_mut(pkt.group);
         debug_assert!(
-            pkt.epoch <= state.host_epoch,
-            "arrival more than one epoch ahead (epoch {}, host at {})",
+            pkt.epoch <= state.entered(),
+            "arrival more than one epoch ahead (epoch {}, host entered {})",
             pkt.epoch,
-            state.host_epoch
+            state.entered()
         );
         if pkt.epoch < state.completed {
             return; // stale duplicate of a finished epoch
@@ -1772,7 +1732,7 @@ mod tests {
 
         fn doorbell(&mut self, rank: usize) -> Vec<CollAction> {
             let mut buf = ActionBuf::new();
-            let epoch = self.group(rank).host_epoch;
+            let epoch = self.group(rank).entered();
             self.engines[rank].on_doorbell(
                 self.now,
                 GroupId(1),
@@ -1830,16 +1790,16 @@ mod tests {
                 let round = (choice >> 16) as usize % g.schedule.num_rounds();
                 let requester = g.schedule.rounds[round].sends[0];
                 let epoch = match (choice >> 24) % 4 {
-                    0 => g.host_epoch.saturating_sub(1), // live, or just completed
-                    1 => g.completed.saturating_sub(1),  // archived
-                    2 => g.completed.saturating_sub(2),  // older
-                    _ => g.host_epoch,                   // not entered: unsent
+                    0 => g.entered().saturating_sub(1), // live, or just completed
+                    1 => g.completed.saturating_sub(1), // archived
+                    2 => g.completed.saturating_sub(2), // older
+                    _ => g.entered(),                   // not entered: unsent
                 };
                 let pkt = nack(requester, GroupId(1), epoch, u16::try_from(round).unwrap());
                 sys.deliver((rank, pkt))
             }
             7 => sys.timer(rank),
-            _ if sys.idle(rank) && sys.group(rank).host_epoch < max_epochs => sys.doorbell(rank),
+            _ if sys.idle(rank) && sys.group(rank).entered() < max_epochs => sys.doorbell(rank),
             _ => Vec::new(),
         }
     }
@@ -1890,7 +1850,7 @@ mod tests {
         let mut rng = proptest::TestRng::new(seed);
         while (0..n).any(|r| sys.group(r).completed < epochs) {
             for rank in 0..n {
-                if sys.idle(rank) && sys.group(rank).host_epoch < epochs {
+                if sys.idle(rank) && sys.group(rank).entered() < epochs {
                     let _ = sys.doorbell(rank);
                 }
             }
@@ -1916,8 +1876,8 @@ mod tests {
         run_lossy(&mut reduce, 50, 1);
         for rank in 0..8 {
             assert_eq!(barrier.group(rank).completed, 50);
-            assert_eq!(barrier.group(rank).payload_capacity(), 0, "rank {rank}");
-            assert!(reduce.group(rank).payload_capacity() > 0, "rank {rank}");
+            assert!(barrier.group(rank).data.is_none(), "rank {rank}");
+            assert!(reduce.group(rank).data.is_some(), "rank {rank}");
         }
         let retransmits: u64 = (0..8).map(|r| barrier.group(r).retransmits).sum();
         assert!(retransmits > 0, "the run lost no packet a NACK recovered");

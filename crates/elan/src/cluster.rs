@@ -101,11 +101,7 @@ impl ElanCluster {
                 HwBarrierUnit::new(group, nic_ids.clone(), &topology, spec.params.clone()),
             );
         }
-        let model = Arc::new(WireModel::new(
-            Box::new(topology),
-            spec.params.link,
-            spec.params.hotspot_ns,
-        ));
+        let model = Arc::new(WireModel::new(Box::new(topology), spec.params.link));
 
         let mut apps = apps;
         let mut programs = programs;

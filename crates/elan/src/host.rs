@@ -74,12 +74,6 @@ impl<'a> ElanApi<'a> {
         self.actions.push(HostAction::Doorbell { desc });
     }
 
-    /// Set a NIC event word from user space (the entry trigger of a
-    /// chained-descriptor barrier).
-    pub fn set_nic_event(&mut self, event: EventId) {
-        self.set_nic_event_for_group(event, ELAN_SPAN_GROUP);
-    }
-
     /// Set a NIC event on behalf of a specific collective group: the entry
     /// trigger of one group's chain in a multi-group program. Spans and
     /// the occupancy ledger key the operation on `group`.

@@ -50,9 +50,6 @@ pub struct ElanParams {
     // --- Network ------------------------------------------------------------
     /// Fat-tree link/switch timing.
     pub link: LinkTiming,
-    /// Per-packet serialization surcharge at a contended destination port.
-    /// Near zero: the paper credits Elan with efficient hot-spot handling.
-    pub hotspot_ns: u64,
 }
 
 impl ElanParams {
@@ -76,7 +73,6 @@ impl ElanParams {
             hw_skew_cap: SimTime::from_us(50.0),
 
             link: LinkTiming::qsnet_elan3(),
-            hotspot_ns: 0,
         }
     }
 
@@ -108,7 +104,6 @@ impl ElanParams {
                 wire_ns: 20,
                 ns_per_byte: 1.1, // ~900 MB/s
             },
-            hotspot_ns: 0,
         }
     }
 }

@@ -106,7 +106,6 @@ impl GmCluster {
             WireModel::new(
                 Box::new(WormholeClos::new(spec.n, spec.params.crossbar_radix)),
                 spec.params.link,
-                spec.params.hotspot_ns,
             )
             .with_drop_prob(spec.drop_prob),
         );

@@ -1491,7 +1491,6 @@ mod tests {
         Arc::new(WireModel::new(
             Box::new(WormholeClos::myrinet2000(n)),
             LinkTiming::myrinet2000(),
-            GmParams::lanai_xp().hotspot_ns,
         ))
     }
 
@@ -1577,7 +1576,6 @@ mod tests {
             WireModel::new(
                 Box::new(WormholeClos::myrinet2000(2)),
                 LinkTiming::myrinet2000(),
-                0,
             )
             .with_drop_prob(1.0),
         );

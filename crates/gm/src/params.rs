@@ -90,9 +90,6 @@ pub struct GmParams {
     pub crossbar_radix: usize,
     /// Wormhole link/switch timing.
     pub link: LinkTiming,
-    /// Extra per-packet serialization at a contended destination port
-    /// (fabric-level; NIC CPU serialization is modeled separately).
-    pub hotspot_ns: u64,
 }
 
 impl GmParams {
@@ -133,7 +130,6 @@ impl GmParams {
 
             crossbar_radix: 16,
             link: LinkTiming::myrinet2000(),
-            hotspot_ns: 0,
         }
     }
 
@@ -184,7 +180,6 @@ impl GmParams {
 
             crossbar_radix: xp.crossbar_radix,
             link: LinkTiming::myrinet2000(),
-            hotspot_ns: 0,
         }
     }
 

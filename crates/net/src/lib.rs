@@ -11,25 +11,22 @@
 //!   paper's 8-node cluster).
 //! * [`timing::LinkTiming`] — per-hop and per-byte latency for wormhole
 //!   routing (one serialization, pipelined through hops).
-//! * [`fabric::FabricCore`] — the deliverable-latency calculator: routing +
-//!   destination-port contention (the "hot-spot" effect the paper invokes to
-//!   explain why pairwise-exchange behaves differently on the two networks) +
-//!   seeded packet-drop injection for reliability testing.
-//! * [`wire::WireModel`] / [`wire::WireRx`] — the same physics split along
-//!   ownership lines (immutable routing shared by all NICs, one receive
-//!   port owned by each destination NIC) so clusters can shard across the
-//!   parallel engine without cross-shard mutable state.
+//! * [`wire::WireModel`] / [`wire::WireRx`] — the deliverable-latency
+//!   model, split along ownership lines so clusters can shard across the
+//!   parallel engine without cross-shard mutable state: routing latency
+//!   and the loss probability, shared immutably by all NICs, and one
+//!   receive port owned by each destination NIC, where concurrent arrivals
+//!   queue for the port's occupancy (destination-port contention).
 //! * [`permute::Permutation`] — random rank→node placements, matching the
 //!   paper's randomized node-allocation methodology.
 //!
 //! Everything here is deterministic given a [`nicbar_sim::SimRng`]; the
-//! fabric holds no interior mutability and is driven by whichever simulator
-//! component owns it.
+//! wire model holds no interior mutability, and each receive port is
+//! driven by the NIC component that owns it.
 
 #![warn(missing_docs)]
 
 pub mod crossbar;
-pub mod fabric;
 pub mod fattree;
 pub mod permute;
 pub mod timing;
@@ -37,7 +34,6 @@ pub mod topology;
 pub mod wire;
 
 pub use crossbar::WormholeClos;
-pub use fabric::{Delivery, FabricCore};
 pub use fattree::QuaternaryFatTree;
 pub use permute::Permutation;
 pub use timing::LinkTiming;

@@ -36,7 +36,8 @@ impl LinkTiming {
     }
 
     /// Time the packet occupies the destination input port (its full
-    /// serialization, header + body). Used by the fabric's contention model.
+    /// serialization, header + body). Used by the receive port's contention
+    /// model ([`crate::wire::WireRx`]).
     pub fn occupancy(&self, bytes: u32) -> SimTime {
         SimTime::from_ns(self.header_ns) + self.body(bytes)
     }

@@ -1,29 +1,26 @@
-//! The sharded-friendly wire model: routing shared, contention per NIC.
+//! The wire model: routing shared, contention per NIC.
 //!
-//! [`crate::fabric::FabricCore`] models the whole network as one object —
-//! convenient, but a single mutable component pins every packet of an
-//! N-node cluster to one engine shard. This module splits the same physics
-//! along ownership lines so clusters can run on the parallel engine:
+//! The network's physics is split along ownership lines, so that no
+//! packet touches mutable state outside its sender and its receiver and
+//! clusters can run on the parallel engine:
 //!
 //! * [`WireModel`] — the *immutable* network description (topology, link
-//!   timing, hot-spot cost, loss probability), shared by every NIC through
-//!   an [`Arc`]. Senders use it to compute routing latency; that latency is
-//!   also the conservative lookahead that funds the parallel engine's time
-//!   windows ([`WireModel::min_latency`]).
+//!   timing, loss probability), shared by every NIC through an [`Arc`].
+//!   Senders use it to compute routing latency; that latency is also the
+//!   conservative lookahead that funds the parallel engine's time windows
+//!   ([`WireModel::min_latency`]).
 //! * [`WireRx`] — one NIC's *receive port*: the only mutable wire state a
 //!   packet touches at its destination. Owned by the destination NIC
 //!   component, so destination-port contention resolves wherever that NIC
 //!   lives — no cross-shard mutable state.
 //!
-//! The physics is identical to [`FabricCore::send`]: a packet committed at
-//! `t` reaches the destination port at `t + latency(hops, bytes)` (the
-//! in-flight time — an event travelling NIC→NIC), and the port then admits
-//! it no earlier than the previous packet's occupancy ends, charging the
-//! hot-spot serialization on top. The one semantic shift: contention
-//! resolves in *arrival* order at the port rather than in injection order
-//! across the whole network — which is what a real input port does.
-//!
-//! [`FabricCore::send`]: crate::fabric::FabricCore::send
+//! A packet committed at `t` reaches the destination port at
+//! `t + latency(hops, bytes)` (the in-flight time — an event travelling
+//! NIC→NIC), and the port then admits it no earlier than the previous
+//! packet's occupancy ends. Contention therefore resolves in *arrival*
+//! order at the port, which is what a real input port does. Loss is drawn
+//! by the receiving NIC before it calls [`WireRx::admit`], so a dropped
+//! packet never occupies the port.
 
 use crate::timing::LinkTiming;
 use crate::topology::{NodeId, Topology};
@@ -36,21 +33,16 @@ use std::sync::Arc;
 pub struct WireModel {
     topology: Box<dyn Topology>,
     timing: LinkTiming,
-    /// Extra serialization charged per packet at a busy destination port.
-    hotspot: SimTime,
     /// Probability that any given packet is lost (drawn at the receiver).
     drop_prob: f64,
 }
 
 impl WireModel {
     /// Build a wire model over `topology` with the given `timing`.
-    /// `hotspot_ns` is the extra per-packet serialization at a contended
-    /// destination port.
-    pub fn new(topology: Box<dyn Topology>, timing: LinkTiming, hotspot_ns: u64) -> Self {
+    pub fn new(topology: Box<dyn Topology>, timing: LinkTiming) -> Self {
         WireModel {
             topology,
             timing,
-            hotspot: SimTime::from_ns(hotspot_ns),
             drop_prob: 0.0,
         }
     }
@@ -157,10 +149,9 @@ impl WireModel {
 
 /// One NIC's receive port: a serial resource admitting arriving packets.
 ///
-/// Owned by the destination NIC component; [`WireRx::admit`] replicates the
-/// destination-port half of [`crate::fabric::FabricCore::send`] exactly
-/// (occupancy + hot-spot serialization; a dropped packet never occupies the
-/// port — the loss draw happens *before* calling `admit`).
+/// Owned by the destination NIC component. Each admitted packet holds the
+/// port for its occupancy (a dropped packet never occupies the port — the
+/// loss draw happens *before* calling [`WireRx::admit`]).
 pub struct WireRx {
     model: Arc<WireModel>,
     /// Time this input port is busy until.
@@ -175,9 +166,9 @@ pub struct Admission {
     /// How long it queued behind earlier arrivals (zero if the port was
     /// free) — the link-occupancy tag on the causal netdump's wire records.
     pub port_wait: SimTime,
-    /// When the port frees again: `arrive` plus this packet's occupancy and
-    /// the hot-spot cost. The interval `[arrive, until)` is the hold this
-    /// packet's owner charges to the link port in the occupancy ledger.
+    /// When the port frees again: `arrive` plus this packet's occupancy.
+    /// The interval `[arrive, until)` is the hold this packet's owner
+    /// charges to the link port in the occupancy ledger.
     pub until: SimTime,
 }
 
@@ -197,10 +188,10 @@ impl WireRx {
 
     /// Admit a packet presenting at the port at time `routed` (its routed
     /// arrival time). The port is serially occupied for the packet's
-    /// serialization plus the hot-spot cost.
+    /// serialization.
     pub fn admit(&mut self, routed: SimTime, bytes: u32) -> Admission {
         let arrive = routed.max(self.port_free);
-        self.port_free = arrive + self.model.timing.occupancy(bytes) + self.model.hotspot;
+        self.port_free = arrive + self.model.timing.occupancy(bytes);
         Admission {
             arrive,
             port_wait: arrive - routed,
@@ -218,34 +209,33 @@ impl WireRx {
 mod tests {
     use super::*;
     use crate::crossbar::WormholeClos;
-    use crate::fabric::FabricCore;
-    use nicbar_sim::SimRng;
+    use crate::fattree::QuaternaryFatTree;
 
     fn model() -> Arc<WireModel> {
         Arc::new(WireModel::new(
             Box::new(WormholeClos::myrinet2000(8)),
             LinkTiming::myrinet2000(),
-            200,
         ))
     }
 
     #[test]
-    fn flight_matches_fabric_routing() {
+    fn flight_is_wormhole_latency_over_the_route() {
         let m = model();
-        let mut fabric = FabricCore::new(
-            Box::new(WormholeClos::myrinet2000(8)),
-            LinkTiming::myrinet2000(),
-            200,
+        let tree = WireModel::new(
+            Box::new(QuaternaryFatTree::new(8)),
+            LinkTiming::qsnet_elan3(),
         );
-        let mut rng = SimRng::new(0);
-        for (s, d, b) in [(0usize, 1usize, 8u32), (0, 5, 64), (3, 7, 0)] {
-            let fab = fabric.send(SimTime::ZERO, NodeId(s), NodeId(d), b, &mut rng);
-            assert_eq!(m.flight(NodeId(s), NodeId(d), b), fab.arrive);
+        for wire in [&*m, &tree] {
+            for (s, d, b) in [(0usize, 1usize, 8u32), (0, 5, 64), (3, 7, 0)] {
+                let (s, d) = (NodeId(s), NodeId(d));
+                let hops = wire.topology().hops(s, d);
+                assert_eq!(wire.flight(s, d, b), wire.timing().latency(hops, b));
+            }
         }
     }
 
     #[test]
-    fn admissions_serialize_like_the_fabric_port() {
+    fn admissions_serialize_at_the_port() {
         let m = model();
         let mut rx = WireRx::new(Arc::clone(&m));
         let routed = m.flight(NodeId(1), NodeId(0), 8);
@@ -254,7 +244,7 @@ mod tests {
         let a3 = rx.admit(routed, 8);
         assert_eq!(a1.arrive, routed);
         assert_eq!(a1.port_wait, SimTime::ZERO);
-        let occupancy = LinkTiming::myrinet2000().occupancy(8) + SimTime::from_ns(200);
+        let occupancy = LinkTiming::myrinet2000().occupancy(8);
         assert_eq!(a2.arrive - a1.arrive, occupancy);
         assert_eq!(a2.port_wait, occupancy);
         assert_eq!(a3.port_wait, occupancy + occupancy);

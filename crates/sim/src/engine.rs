@@ -204,29 +204,6 @@ impl<M> Ctx<'_, M> {
         self.send(delay, self.self_id, msg);
     }
 
-    /// Schedule a whole burst of `(delay, target, msg)` events in one queue
-    /// pass (see [`crate::queue`]); cheaper than repeated [`Ctx::send`] for
-    /// large fan-outs. Delivery order among same-time events is iteration
-    /// order, exactly as if each had been sent individually.
-    pub fn send_batch(&mut self, batch: impl IntoIterator<Item = (SimTime, ComponentId, M)>) {
-        let now = self.now;
-        if self.link.is_some() {
-            // Sharded: each event may route to a different outbox; the keys
-            // are content-based, so per-item dispatch delivers identically.
-            for (delay, target, msg) in batch {
-                self.dispatch(now + delay, target, move || msg);
-            }
-            return;
-        }
-        let sub_hi = self.sub_hi;
-        let Ctx { queue, count, .. } = self;
-        queue.push_batch(batch.into_iter().map(|(delay, target, msg)| {
-            let key = pack(now + delay, sub_hi | **count);
-            **count += 1;
-            (key, target, msg)
-        }));
-    }
-
     /// This component's private RNG stream.
     ///
     /// Forked from the engine's master seed on first use, keyed by component
@@ -448,25 +425,6 @@ impl<M: 'static> Engine<M> {
     /// Inject an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimTime, target: ComponentId, msg: M) {
         self.schedule_at(self.now + delay, target, msg);
-    }
-
-    /// Inject a batch of `(at, target, msg)` events in one queue pass —
-    /// cheaper than repeated [`Engine::schedule_at`] for large workload
-    /// set-ups. Same-time events are delivered in iteration order.
-    ///
-    /// # Panics
-    /// Panics if any event time is before `now`.
-    pub fn schedule_batch(&mut self, batch: impl IntoIterator<Item = (SimTime, ComponentId, M)>) {
-        let now = self.now;
-        let Engine {
-            queue, ext_count, ..
-        } = self;
-        queue.push_batch(batch.into_iter().map(|(at, target, msg)| {
-            assert!(at >= now, "scheduling into the past");
-            let key = pack(at, *ext_count);
-            *ext_count += 1;
-            (key, target, msg)
-        }));
     }
 
     /// Current simulated time (the timestamp of the last delivered event).
@@ -823,54 +781,6 @@ mod tests {
             .map(|(_, i)| *i)
             .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn batched_sends_keep_issue_order() {
-        struct BatchBurst {
-            sink: ComponentId,
-        }
-        impl Component<Msg> for BatchBurst {
-            fn handle(&mut self, _msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-                let sink = self.sink;
-                ctx.send_batch((0..5).map(|i| (SimTime::from_us(1.0), sink, Msg::Record(i))));
-            }
-        }
-        let mut engine: Engine<Msg> = Engine::new(0);
-        let sink_id = engine.reserve_id();
-        let burst_id = engine.reserve_id();
-        engine.install(sink_id, Sink { seen: Vec::new() });
-        engine.install(burst_id, BatchBurst { sink: sink_id });
-        engine.schedule_at(SimTime::ZERO, burst_id, Msg::Tick(0));
-        engine.run();
-        let ids: Vec<u32> = engine
-            .component_ref::<Sink>(sink_id)
-            .unwrap()
-            .seen
-            .iter()
-            .map(|(_, i)| *i)
-            .collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn schedule_batch_matches_individual_schedules() {
-        let run = |batched: bool| {
-            let mut engine: Engine<Msg> = Engine::new(0);
-            let sink = engine.add(Sink { seen: Vec::new() });
-            let events =
-                (0..64u32).map(|i| (SimTime::from_ns((i % 7) as u64), sink, Msg::Record(i)));
-            if batched {
-                engine.schedule_batch(events);
-            } else {
-                for (at, target, msg) in events {
-                    engine.schedule_at(at, target, msg);
-                }
-            }
-            engine.run();
-            engine.component_ref::<Sink>(sink).unwrap().seen.clone()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     /// Same-time sends from different components interleave by component id

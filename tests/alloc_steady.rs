@@ -12,7 +12,7 @@
 //! `#[global_allocator]` is process-wide, and the single `#[test]` keeps
 //! the measurement windows free of concurrent test threads.
 
-use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario, TrafficCfg};
+use nicbar_core::{Algorithm, Barrier, ReduceOp, RunCfg, Scenario, TrafficCfg};
 use nicbar_elan::ElanParams;
 use nicbar_gm::GmParams;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -133,6 +133,16 @@ fn steady_state_barrier_allocates_nothing() {
     // processor, whose actions land in one buffer the NIC reuses.
     assert_delta_free("elan ThreadBarrier", |iters| {
         let thread = Scenario::elan(ElanParams::elan3(), N, Barrier::ThreadBarrier);
+        drain_allocs(&thread, iters, 1)
+    });
+    // The thread allreduce is the one data collective a scenario runs: its
+    // payload records are sized when the group is built, so each epoch
+    // reuses them.
+    assert_delta_free("elan ThreadAllreduce", |iters| {
+        let allreduce = Barrier::ThreadAllreduce(ReduceOp::Max, |rank, epoch| {
+            (rank as u64).wrapping_mul(31) ^ epoch
+        });
+        let thread = Scenario::elan(ElanParams::elan3(), N, allreduce);
         drain_allocs(&thread, iters, 1)
     });
     // Beside the bulk stream the NICs run GM's point-to-point machinery
